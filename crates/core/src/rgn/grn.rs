@@ -12,12 +12,11 @@
 
 use lssa_ir::body::Body;
 use lssa_ir::dom::DomTree;
+use lssa_ir::hash::{FxHashMap, FxHasher};
 use lssa_ir::ids::{BlockId, OpId, RegionId, ValueId};
 use lssa_ir::module::Module;
 use lssa_ir::opcode::Opcode;
 use lssa_ir::pass::{for_each_function, Pass};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 /// The GRN pass: merges structurally identical `rgn.val`s (region CSE).
@@ -54,7 +53,7 @@ pub fn run_on_body(body: &mut Body) -> bool {
 fn grn_region(body: &mut Body, region: RegionId) -> bool {
     let tree = DomTree::compute(body, region);
     let blocks: Vec<BlockId> = body.regions[region.index()].blocks.clone();
-    let mut table: HashMap<u64, Vec<(OpId, ValueId, BlockId)>> = HashMap::new();
+    let mut table: FxHashMap<u64, Vec<(OpId, ValueId, BlockId)>> = FxHashMap::default();
     let mut changed = false;
     for &block in &blocks {
         if !tree.is_reachable(block) {
@@ -102,8 +101,8 @@ fn grn_region(body: &mut Body, region: RegionId) -> bool {
 /// The region's value number: a rolling hash over its instruction sequence.
 /// Returns `None` for multi-block ("non-straight-line") regions.
 pub fn region_fingerprint(body: &Body, region: RegionId) -> Option<u64> {
-    let mut hasher = DefaultHasher::new();
-    let mut numbering: HashMap<ValueId, u64> = HashMap::new();
+    let mut hasher = FxHasher::default();
+    let mut numbering: FxHashMap<ValueId, u64> = FxHashMap::default();
     fingerprint_into(body, region, &mut hasher, &mut numbering)?;
     Some(hasher.finish())
 }
@@ -111,8 +110,8 @@ pub fn region_fingerprint(body: &Body, region: RegionId) -> Option<u64> {
 fn fingerprint_into(
     body: &Body,
     region: RegionId,
-    hasher: &mut DefaultHasher,
-    numbering: &mut HashMap<ValueId, u64>,
+    hasher: &mut FxHasher,
+    numbering: &mut FxHashMap<ValueId, u64>,
 ) -> Option<()> {
     let blocks = &body.regions[region.index()].blocks;
     if blocks.len() != 1 {
@@ -153,7 +152,7 @@ fn fingerprint_into(
 /// Full structural equality of two straight-line regions (modulo internal
 /// value names). External values must be identical.
 pub fn regions_structurally_equal(body: &Body, r1: RegionId, r2: RegionId) -> bool {
-    let mut map: HashMap<ValueId, ValueId> = HashMap::new();
+    let mut map: FxHashMap<ValueId, ValueId> = FxHashMap::default();
     regions_eq_rec(body, r1, r2, &mut map)
 }
 
@@ -161,7 +160,7 @@ fn regions_eq_rec(
     body: &Body,
     r1: RegionId,
     r2: RegionId,
-    map: &mut HashMap<ValueId, ValueId>,
+    map: &mut FxHashMap<ValueId, ValueId>,
 ) -> bool {
     let b1 = &body.regions[r1.index()].blocks;
     let b2 = &body.regions[r2.index()].blocks;

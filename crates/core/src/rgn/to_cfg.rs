@@ -11,13 +11,13 @@
 use lssa_ir::attr::AttrKey;
 use lssa_ir::body::{Body, ROOT_REGION};
 use lssa_ir::builder::Builder;
-use lssa_ir::ids::{BlockId, OpId, ValueId};
+use lssa_ir::hash::{FxHashMap, FxHashSet};
+use lssa_ir::ids::{BlockId, OpId, Symbol, ValueId};
 use lssa_ir::module::Module;
 use lssa_ir::opcode::Opcode;
 use lssa_ir::pass::{for_each_function, Pass};
 use lssa_ir::rewrite::erase_trivially_dead;
 use lssa_ir::types::Type;
-use std::collections::HashMap;
 
 /// Lowers every `rgn.run` in `body` to CFG branches, flattening region
 /// values into real basic blocks; `lp.ret` becomes `func.return`.
@@ -30,7 +30,7 @@ pub fn lower_body(body: &mut Body) {
     // Drop dead region values first so unreferenced regions never
     // materialize ("dead rgn.val instructions are entirely dropped").
     erase_trivially_dead(body);
-    let mut cache: HashMap<ValueId, BlockId> = HashMap::new();
+    let mut cache: FxHashMap<ValueId, BlockId> = FxHashMap::default();
     loop {
         let run = find_root_run(body);
         let Some(run) = run else { break };
@@ -78,7 +78,7 @@ fn target_for(
     body: &mut Body,
     v: ValueId,
     arg_tys: &[Type],
-    cache: &mut HashMap<ValueId, BlockId>,
+    cache: &mut FxHashMap<ValueId, BlockId>,
 ) -> BlockId {
     if let Some(&t) = cache.get(&v) {
         return t;
@@ -184,7 +184,7 @@ impl Pass for TcoPass {
         // Which symbols name user-defined (non-extern) functions. Captured
         // up front: bodies are detached while being rewritten, which must
         // not make a function look external to its own recursive calls.
-        let user_fns: std::collections::HashSet<lssa_ir::ids::Symbol> = module
+        let user_fns: FxHashSet<Symbol> = module
             .funcs
             .iter()
             .filter(|f| !f.is_extern())
@@ -208,8 +208,8 @@ fn try_tco_block(
     body: &mut Body,
     block: BlockId,
     only_self: bool,
-    me: lssa_ir::ids::Symbol,
-    user_fns: &std::collections::HashSet<lssa_ir::ids::Symbol>,
+    me: Symbol,
+    user_fns: &FxHashSet<Symbol>,
 ) -> bool {
     let ops = body.blocks[block.index()].ops.clone();
     if ops.len() < 2 {

@@ -477,6 +477,86 @@ pub fn full_corpus(min_total: usize, seed: u64) -> Vec<TestCase> {
     cases
 }
 
+/// Size and seed of the generated draw pinned by [`codegen_golden`].
+pub const GOLDEN_DRAW: (usize, u64) = (40, 2022);
+
+/// The codegen-stability golden: for each of the 8 workloads at
+/// `Scale::Test`, the handwritten cases and a seeded generated draw
+/// ([`GOLDEN_DRAW`]), one line with an FNV-1a digest of every function's
+/// decoded cells and pools under [`CompilerConfig::mlir`] and the default
+/// decode options, then one `total` line digesting all of them.
+///
+/// `tests/codegen_golden.rs` compares it with the committed
+/// `tests/golden/codegen.txt`; regenerate that file with
+/// `cargo run --example gen_codegen_golden`. A compiler change that is
+/// meant to leave the generated code alone must leave the file unchanged.
+///
+/// [`CompilerConfig::mlir`]: crate::pipelines::CompilerConfig::mlir
+pub fn codegen_golden() -> String {
+    use crate::pipelines::{compile, CompilerConfig};
+    use crate::workloads::{all, Scale};
+    use std::fmt::Write as _;
+    let workloads = all(Scale::Test)
+        .into_iter()
+        .map(|w| (format!("workload/{}", w.name), w.src));
+    let handwritten = handwritten()
+        .into_iter()
+        .map(|c| (format!("handwritten/{}", c.name), c.src));
+    let generated = generated(GOLDEN_DRAW.0, GOLDEN_DRAW.1)
+        .into_iter()
+        .map(|c| (format!("generated/{}", c.name), c.src));
+    let mut out = String::new();
+    for (name, src) in workloads.chain(handwritten).chain(generated) {
+        let _ = match compile(&src, CompilerConfig::mlir()) {
+            Ok(p) => {
+                let mut h = Fnv1a::default();
+                let d = p.decoded(lssa_vm::DecodeOptions::default());
+                for f in &d.fns {
+                    let _ = write!(
+                        h,
+                        "{:?}{:?}{:?}{:?}{:?}{:?}{:?}{:?}{:?}",
+                        f.name,
+                        f.arity,
+                        f.n_regs,
+                        f.code,
+                        f.args,
+                        f.cases,
+                        f.classes,
+                        f.cache_base,
+                        f.cache_sites
+                    );
+                }
+                let _ = write!(h, "{:?}{:?}{:?}", d.big_pool, d.str_pool, d.globals);
+                writeln!(out, "{name} {:016x}", h.0)
+            }
+            Err(e) => writeln!(out, "{name} error: {e}"),
+        };
+    }
+    let mut total = Fnv1a::default();
+    let _ = total.write_str(&out);
+    let _ = writeln!(out, "total {:016x}", total.0);
+    out
+}
+
+/// 64-bit FNV-1a over everything written to it: a digest that is the same
+/// on every platform and every run.
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,8 +7,8 @@
 //! region and hands out cheap slices.
 
 use crate::body::Body;
+use crate::hash::FxHashMap;
 use crate::ids::{BlockId, RegionId};
-use std::collections::HashMap;
 
 /// Successors, predecessors, and reverse-postorder for one region.
 ///
@@ -19,9 +19,9 @@ use std::collections::HashMap;
 pub struct BlockGraph {
     entry: BlockId,
     rpo: Vec<BlockId>,
-    rpo_index: HashMap<BlockId, usize>,
-    succs: HashMap<BlockId, Vec<BlockId>>,
-    preds: HashMap<BlockId, Vec<BlockId>>,
+    rpo_index: FxHashMap<BlockId, usize>,
+    succs: FxHashMap<BlockId, Vec<BlockId>>,
+    preds: FxHashMap<BlockId, Vec<BlockId>>,
     unreachable: Vec<BlockId>,
 }
 
@@ -42,11 +42,11 @@ impl BlockGraph {
             }
         };
         // Iterative DFS producing a postorder; reversed below.
-        let mut visited = std::collections::HashSet::new();
+        let mut visited = crate::hash::FxHashSet::default();
         let mut postorder = Vec::new();
         let mut stack = vec![(entry, 0usize)];
         visited.insert(entry);
-        let mut succs: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
+        let mut succs: FxHashMap<BlockId, Vec<BlockId>> = FxHashMap::default();
         while let Some(&mut (b, ref mut i)) = stack.last_mut() {
             let ss = succs.entry(b).or_insert_with(|| succs_of(b));
             if *i < ss.len() {
@@ -61,9 +61,9 @@ impl BlockGraph {
             }
         }
         let rpo: Vec<BlockId> = postorder.iter().rev().copied().collect();
-        let rpo_index: HashMap<BlockId, usize> =
+        let rpo_index: FxHashMap<BlockId, usize> =
             rpo.iter().enumerate().map(|(i, &b)| (b, i)).collect();
-        let mut preds: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
+        let mut preds: FxHashMap<BlockId, Vec<BlockId>> = FxHashMap::default();
         for &b in &rpo {
             for &s in succs.get(&b).map(|v| v.as_slice()).unwrap_or(&[]) {
                 preds.entry(s).or_default().push(b);

@@ -14,8 +14,9 @@
 
 use super::cfg::BlockGraph;
 use crate::body::Body;
+use crate::hash::{FxHashMap, FxHashSet};
 use crate::ids::BlockId;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Which way facts propagate through the CFG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,8 +58,8 @@ pub trait Analysis {
 /// unreachable block returns `None`.
 #[derive(Debug, Clone)]
 pub struct Solution<F> {
-    entry: HashMap<BlockId, F>,
-    exit: HashMap<BlockId, F>,
+    entry: FxHashMap<BlockId, F>,
+    exit: FxHashMap<BlockId, F>,
 }
 
 impl<F> Solution<F> {
@@ -86,8 +87,8 @@ pub fn solve<A: Analysis>(analysis: &A, body: &Body, graph: &BlockGraph) -> Solu
 
     // `up` is the transfer input side (block start for forward, block end
     // for backward); `down` is the transfer output side.
-    let mut up: HashMap<BlockId, A::Fact> = HashMap::new();
-    let mut down: HashMap<BlockId, A::Fact> = HashMap::new();
+    let mut up: FxHashMap<BlockId, A::Fact> = FxHashMap::default();
+    let mut down: FxHashMap<BlockId, A::Fact> = FxHashMap::default();
     for &b in &order {
         let is_boundary = if forward {
             b == graph.entry()
@@ -104,7 +105,7 @@ pub fn solve<A: Analysis>(analysis: &A, body: &Body, graph: &BlockGraph) -> Solu
     }
 
     let mut worklist: VecDeque<BlockId> = order.iter().copied().collect();
-    let mut queued: HashSet<BlockId> = order.iter().copied().collect();
+    let mut queued: FxHashSet<BlockId> = order.iter().copied().collect();
     while let Some(b) = worklist.pop_front() {
         queued.remove(&b);
         // Pull the neighbors' output facts into our input fact.

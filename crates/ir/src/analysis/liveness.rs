@@ -12,13 +12,13 @@
 use super::cfg::BlockGraph;
 use super::dataflow::{solve, Analysis, Direction, Solution};
 use crate::body::Body;
+use crate::hash::FxHashSet;
 use crate::ids::{BlockId, OpId, ValueId};
-use std::collections::HashSet;
 
 /// The liveness fixpoint for one region.
 #[derive(Debug, Clone)]
 pub struct Liveness {
-    solution: Solution<HashSet<ValueId>>,
+    solution: Solution<FxHashSet<ValueId>>,
 }
 
 impl Liveness {
@@ -30,12 +30,12 @@ impl Liveness {
 
     /// Values live at the start of `b` (before its block arguments bind);
     /// `None` if `b` is unreachable.
-    pub fn live_in(&self, b: BlockId) -> Option<&HashSet<ValueId>> {
+    pub fn live_in(&self, b: BlockId) -> Option<&FxHashSet<ValueId>> {
         self.solution.entry_of(b)
     }
 
     /// Values live at the end of `b`; `None` if `b` is unreachable.
-    pub fn live_out(&self, b: BlockId) -> Option<&HashSet<ValueId>> {
+    pub fn live_out(&self, b: BlockId) -> Option<&FxHashSet<ValueId>> {
         self.solution.exit_of(b)
     }
 }
@@ -43,21 +43,26 @@ impl Liveness {
 struct LivenessAnalysis;
 
 impl Analysis for LivenessAnalysis {
-    type Fact = HashSet<ValueId>;
+    type Fact = FxHashSet<ValueId>;
 
     fn direction(&self) -> Direction {
         Direction::Backward
     }
 
-    fn bottom(&self) -> HashSet<ValueId> {
-        HashSet::new()
+    fn bottom(&self) -> FxHashSet<ValueId> {
+        FxHashSet::default()
     }
 
-    fn boundary(&self, _body: &Body) -> HashSet<ValueId> {
-        HashSet::new()
+    fn boundary(&self, _body: &Body) -> FxHashSet<ValueId> {
+        FxHashSet::default()
     }
 
-    fn transfer(&self, body: &Body, block: BlockId, input: &HashSet<ValueId>) -> HashSet<ValueId> {
+    fn transfer(
+        &self,
+        body: &Body,
+        block: BlockId,
+        input: &FxHashSet<ValueId>,
+    ) -> FxHashSet<ValueId> {
         let mut live = input.clone();
         for &op in body.blocks[block.index()].ops.iter().rev() {
             let (uses, defs) = op_uses_defs(body, op);
@@ -72,7 +77,7 @@ impl Analysis for LivenessAnalysis {
         live
     }
 
-    fn join(&self, into: &mut HashSet<ValueId>, from: &HashSet<ValueId>) -> bool {
+    fn join(&self, into: &mut FxHashSet<ValueId>, from: &FxHashSet<ValueId>) -> bool {
         let before = into.len();
         into.extend(from.iter().copied());
         into.len() != before
@@ -82,16 +87,16 @@ impl Analysis for LivenessAnalysis {
 /// The uses and defs of `op`, folding nested regions into the op itself:
 /// captures of enclosing values count as uses, internally-defined values as
 /// defs (so they cancel out of the enclosing live set).
-fn op_uses_defs(body: &Body, op: OpId) -> (HashSet<ValueId>, HashSet<ValueId>) {
-    let mut uses: HashSet<ValueId> = HashSet::new();
-    let mut defs: HashSet<ValueId> = HashSet::new();
+fn op_uses_defs(body: &Body, op: OpId) -> (FxHashSet<ValueId>, FxHashSet<ValueId>) {
+    let mut uses: FxHashSet<ValueId> = FxHashSet::default();
+    let mut defs: FxHashSet<ValueId> = FxHashSet::default();
     collect_op(body, op, &mut uses, &mut defs);
     // A value both defined and used inside the super-op is internal traffic.
     let uses = uses.difference(&defs).copied().collect();
     (uses, defs)
 }
 
-fn collect_op(body: &Body, op: OpId, uses: &mut HashSet<ValueId>, defs: &mut HashSet<ValueId>) {
+fn collect_op(body: &Body, op: OpId, uses: &mut FxHashSet<ValueId>, defs: &mut FxHashSet<ValueId>) {
     let data = &body.ops[op.index()];
     uses.extend(data.operands.iter().copied());
     for s in &data.successors {

@@ -25,10 +25,10 @@
 use super::cfg::BlockGraph;
 use super::rc_summary::{classify, summarize_block, BlockSummary, RcClass};
 use crate::body::Body;
+use crate::hash::{FxHashMap, FxHashSet};
 use crate::ids::{BlockId, Symbol, ValueId};
 use crate::module::Module;
 use crate::opcode::Opcode;
-use std::collections::{HashMap, HashSet};
 
 /// The checker's answer for one function.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,7 +59,7 @@ impl RcVerdict {
 
 /// Checks every function body in `module`, in module order.
 pub fn check_module(module: &Module) -> Vec<(Symbol, RcVerdict)> {
-    let externs: HashSet<Symbol> = module
+    let externs: FxHashSet<Symbol> = module
         .funcs
         .iter()
         .filter(|f| f.is_extern())
@@ -75,7 +75,7 @@ pub fn check_module(module: &Module) -> Vec<(Symbol, RcVerdict)> {
 /// Checks one function of `module` (by symbol). Extern declarations are
 /// trivially balanced.
 pub fn check_function(module: &Module, func: Symbol) -> RcVerdict {
-    let externs: HashSet<Symbol> = module
+    let externs: FxHashSet<Symbol> = module
         .funcs
         .iter()
         .filter(|f| f.is_extern())
@@ -107,7 +107,7 @@ pub fn check_module_strict(module: &Module) -> Result<(), String> {
 }
 
 /// Checks a single body against `externs` (the module's builtin set).
-pub fn check_body(body: &Body, externs: &HashSet<Symbol>) -> RcVerdict {
+pub fn check_body(body: &Body, externs: &FxHashSet<Symbol>) -> RcVerdict {
     // Region-carrying ops defeat the flat ledger; the checker targets the
     // post-`lower-cfg` form.
     for op in body.walk_ops() {
@@ -123,12 +123,12 @@ pub fn check_body(body: &Body, externs: &HashSet<Symbol>) -> RcVerdict {
     // `switch_val`) lose their identity: the merged result aliases one of
     // them, and releases may happen through it. Anomalies on such values
     // are unprovable rather than definite.
-    let mut tainted: HashSet<ValueId> = HashSet::new();
+    let mut tainted: FxHashSet<ValueId> = FxHashSet::default();
     // Values consumed by a container constructor keep their object alive
     // through the container — a later borrow of such a value may be sound
     // even at ledger count 0 (the container holds the reference), so probe
     // failures on them are unprovable rather than definite.
-    let mut containerized: HashSet<ValueId> = HashSet::new();
+    let mut containerized: FxHashSet<ValueId> = FxHashSet::default();
     for op in body.walk_ops() {
         let data = &body.ops[op.index()];
         match data.opcode {
@@ -147,7 +147,7 @@ pub fn check_body(body: &Body, externs: &HashSet<Symbol>) -> RcVerdict {
         }
     }
 
-    let summaries: HashMap<BlockId, BlockSummary> = graph
+    let summaries: FxHashMap<BlockId, BlockSummary> = graph
         .rpo()
         .iter()
         .map(|&b| (b, summarize_block(body, b, externs)))
@@ -155,11 +155,11 @@ pub fn check_body(body: &Body, externs: &HashSet<Symbol>) -> RcVerdict {
 
     // The ledger state arriving at each block (nonzero counts only), and
     // the edge over which it first arrived (for path reconstruction).
-    let mut state_in: HashMap<BlockId, HashMap<ValueId, i64>> = HashMap::new();
-    let mut first_pred: HashMap<BlockId, BlockId> = HashMap::new();
+    let mut state_in: FxHashMap<BlockId, FxHashMap<ValueId, i64>> = FxHashMap::default();
+    let mut first_pred: FxHashMap<BlockId, BlockId> = FxHashMap::default();
 
     let entry = graph.entry();
-    let mut entry_state: HashMap<ValueId, i64> = HashMap::new();
+    let mut entry_state: FxHashMap<ValueId, i64> = FxHashMap::default();
     for &p in &body.blocks[entry.index()].args {
         if classify(body, p) != RcClass::Scalar {
             entry_state.insert(p, 1);
@@ -167,7 +167,7 @@ pub fn check_body(body: &Body, externs: &HashSet<Symbol>) -> RcVerdict {
     }
     state_in.insert(entry, entry_state);
 
-    let trace = |first_pred: &HashMap<BlockId, BlockId>, to: BlockId| -> Vec<BlockId> {
+    let trace = |first_pred: &FxHashMap<BlockId, BlockId>, to: BlockId| -> Vec<BlockId> {
         let mut path = vec![to];
         let mut cur = to;
         while let Some(&p) = first_pred.get(&cur) {
@@ -177,7 +177,7 @@ pub fn check_body(body: &Body, externs: &HashSet<Symbol>) -> RcVerdict {
         path.reverse();
         path
     };
-    let anomaly = |v: ValueId, tainted: &HashSet<ValueId>, detail: String, path: Vec<BlockId>| {
+    let anomaly = |v: ValueId, tainted: &FxHashSet<ValueId>, detail: String, path: Vec<BlockId>| {
         let class = classify(body, v);
         if class == RcClass::Owned && !tainted.contains(&v) {
             RcVerdict::Unbalanced { detail, path }
@@ -341,7 +341,7 @@ pub fn check_body(body: &Body, externs: &HashSet<Symbol>) -> RcVerdict {
 }
 
 /// The lowest-id value whose count differs between the two states.
-fn first_mismatch(a: &HashMap<ValueId, i64>, b: &HashMap<ValueId, i64>) -> Option<ValueId> {
+fn first_mismatch(a: &FxHashMap<ValueId, i64>, b: &FxHashMap<ValueId, i64>) -> Option<ValueId> {
     let mut keys: Vec<ValueId> = a.keys().chain(b.keys()).copied().collect();
     keys.sort();
     keys.dedup();
@@ -357,8 +357,8 @@ mod tests {
     use crate::types::Signature;
     use crate::types::Type;
 
-    fn no_externs() -> HashSet<Symbol> {
-        HashSet::new()
+    fn no_externs() -> FxHashSet<Symbol> {
+        FxHashSet::default()
     }
 
     /// `fn(p) { inc p; ret p }` — protocol-correct hand IR.

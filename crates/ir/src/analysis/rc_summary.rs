@@ -19,10 +19,10 @@
 
 use crate::attr::{Attr, AttrKey};
 use crate::body::{Body, ValueDef};
+use crate::hash::{FxHashMap, FxHashSet};
 use crate::ids::{BlockId, OpId, Symbol, ValueId};
 use crate::opcode::Opcode;
 use crate::types::Type;
-use std::collections::{HashMap, HashSet};
 
 /// How a value participates in reference counting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,7 +104,7 @@ impl RcEffect {
 pub struct BlockSummary {
     /// Per-value effect for every non-scalar value the block touches
     /// (including the `+1` of values the block itself defines as owners).
-    pub effects: HashMap<ValueId, RcEffect>,
+    pub effects: FxHashMap<ValueId, RcEffect>,
     /// Calls carrying a `borrow_mask` whose callee is *not* extern — the VM
     /// only honors the mask on builtins, so these are protocol violations.
     pub mask_on_internal: Vec<OpId>,
@@ -115,7 +115,7 @@ pub struct BlockSummary {
 ///
 /// Successor-argument consumption is deliberately *excluded* — it is
 /// per-edge, so the checker applies it while propagating along each edge.
-pub fn summarize_block(body: &Body, block: BlockId, externs: &HashSet<Symbol>) -> BlockSummary {
+pub fn summarize_block(body: &Body, block: BlockId, externs: &FxHashSet<Symbol>) -> BlockSummary {
     let mut summary = BlockSummary::default();
     let bump = |summary: &mut BlockSummary, v: ValueId, delta: i64| {
         if classify(body, v) != RcClass::Scalar {
@@ -215,7 +215,7 @@ mod tests {
         b.lp_dec(params[0]);
         b.lp_dec(params[0]);
         b.lp_ret(params[0]);
-        let summary = summarize_block(&body, entry, &HashSet::new());
+        let summary = summarize_block(&body, entry, &FxHashSet::default());
         let eff = summary.effects[&params[0]];
         // +1 -1 -1 (ret) -1 => net -2; prefixes 1,0,-1,-2 => min -2.
         assert_eq!(eff.net, -2);
@@ -229,7 +229,7 @@ mod tests {
         let mut b = Builder::at_end(&mut body, entry);
         let obj = b.lp_construct(1, vec![]);
         b.lp_ret(obj);
-        let summary = summarize_block(&body, entry, &HashSet::new());
+        let summary = summarize_block(&body, entry, &FxHashSet::default());
         let eff = summary.effects[&obj];
         assert_eq!(eff.net, 0); // +1 def, -1 return
         assert_eq!(eff.min, 0);
@@ -249,7 +249,7 @@ mod tests {
             .push((AttrKey::BorrowMask, Attr::Int(1)));
 
         // With the callee extern: probe (min -1 only if count 0), no net.
-        let externs: HashSet<Symbol> = [Symbol(7)].into_iter().collect();
+        let externs: FxHashSet<Symbol> = [Symbol(7)].into_iter().collect();
         let s = summarize_block(&body, entry, &externs);
         let eff = s.effects[&params[0]];
         assert_eq!(eff.net, 0);
@@ -258,7 +258,7 @@ mod tests {
         assert!(s.mask_on_internal.is_empty());
 
         // With the callee internal: the mask is a protocol violation.
-        let s2 = summarize_block(&body, entry, &HashSet::new());
+        let s2 = summarize_block(&body, entry, &FxHashSet::default());
         assert_eq!(s2.mask_on_internal, vec![call_op]);
         assert_eq!(s2.effects[&params[0]].net, -1); // consumed normally
     }

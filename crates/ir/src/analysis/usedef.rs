@@ -8,8 +8,8 @@
 //! successor-argument slot), which per-op rewrites need.
 
 use crate::body::{Body, ValueDef};
+use crate::hash::FxHashMap;
 use crate::ids::{BlockId, OpId, ValueId};
-use std::collections::HashMap;
 
 /// How a value is referenced at a use site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,13 +37,13 @@ pub struct UseSite {
 /// The def→uses index for one body.
 #[derive(Debug, Clone, Default)]
 pub struct UseDefChains {
-    uses: HashMap<ValueId, Vec<UseSite>>,
+    uses: FxHashMap<ValueId, Vec<UseSite>>,
 }
 
 impl UseDefChains {
     /// Indexes every live, attached op of `body` (all regions).
     pub fn compute(body: &Body) -> UseDefChains {
-        let mut uses: HashMap<ValueId, Vec<UseSite>> = HashMap::new();
+        let mut uses: FxHashMap<ValueId, Vec<UseSite>> = FxHashMap::default();
         for op in body.walk_ops() {
             let data = &body.ops[op.index()];
             let Some(block) = data.parent else { continue };

@@ -17,11 +17,11 @@
 //! allocate.
 
 use crate::attr::{Attr, AttrKey};
+use crate::hash::FxHashMap;
 use crate::ids::{BlockId, OpId, RegionId, ValueId};
 use crate::inline_vec::InlineVec;
 use crate::opcode::Opcode;
 use crate::types::Type;
-use std::collections::HashMap;
 
 /// Operand list storage: binary arithmetic plus most `lp` ops fit inline.
 pub type OperandList = InlineVec<ValueId, 4>;
@@ -114,6 +114,19 @@ impl OpData {
         match self.results.as_slice() {
             [r] => Some(*r),
             _ => None,
+        }
+    }
+
+    /// Calls `f` on every value the op uses: operands, then successor
+    /// arguments (with multiplicity).
+    pub(crate) fn for_each_use(&self, mut f: impl FnMut(ValueId)) {
+        for &o in &self.operands {
+            f(o);
+        }
+        for s in &self.successors {
+            for &a in &s.args {
+                f(a);
+            }
         }
     }
 }
@@ -390,22 +403,16 @@ impl Body {
         }
     }
 
-    /// Counts uses of every value (operand and successor-arg positions).
-    pub fn use_counts(&self) -> HashMap<ValueId, usize> {
-        let mut counts: HashMap<ValueId, usize> = HashMap::new();
+    /// Counts uses of every value (operand and successor-arg positions) by
+    /// live, attached ops, indexed by [`ValueId::index`].
+    pub fn use_counts(&self) -> Vec<u32> {
+        let mut counts = vec![0u32; self.values.len()];
         for &id in &self.live {
             let op = &self.ops[id.index()];
             if op.dead || op.parent.is_none() {
                 continue;
             }
-            for &o in &op.operands {
-                *counts.entry(o).or_default() += 1;
-            }
-            for s in &op.successors {
-                for &a in &s.args {
-                    *counts.entry(a).or_default() += 1;
-                }
-            }
+            op.for_each_use(|v| counts[v.index()] += 1);
         }
         counts
     }
@@ -502,10 +509,10 @@ impl Body {
         &mut self,
         region: RegionId,
         new_parent: OpId,
-        value_map: &mut HashMap<ValueId, ValueId>,
+        value_map: &mut FxHashMap<ValueId, ValueId>,
     ) -> RegionId {
         let new_region = self.new_region(new_parent);
-        let mut block_map: HashMap<BlockId, BlockId> = HashMap::new();
+        let mut block_map: FxHashMap<BlockId, BlockId> = FxHashMap::default();
         let blocks = self.regions[region.index()].blocks.clone();
         // First pass: create blocks and their arguments.
         for &b in &blocks {
@@ -536,8 +543,8 @@ impl Body {
     fn clone_op_rec(
         &mut self,
         op: OpId,
-        value_map: &mut HashMap<ValueId, ValueId>,
-        block_map: &HashMap<BlockId, BlockId>,
+        value_map: &mut FxHashMap<ValueId, ValueId>,
+        block_map: &FxHashMap<BlockId, BlockId>,
     ) -> OpId {
         let data = self.ops[op.index()].clone();
         let operands: Vec<ValueId> = data
@@ -665,8 +672,8 @@ mod tests {
         assert_eq!(body.ops[add.index()].operands, vec![v2, v2]);
         assert_eq!(body.ops[br.index()].successors[0].args, vec![v2]);
         let counts = body.use_counts();
-        assert_eq!(counts.get(&v1), None);
-        assert_eq!(counts[&v2], 3);
+        assert_eq!(counts[v1.index()], 0);
+        assert_eq!(counts[v2.index()], 3);
     }
 
     #[test]
@@ -741,7 +748,7 @@ mod tests {
 
         let holder2 = body.create_op(Opcode::RgnVal, vec![], &[Type::Rgn], vec![]);
         body.push_op(e, holder2);
-        let mut map = HashMap::new();
+        let mut map = FxHashMap::default();
         let r2 = body.clone_region_into(r, holder2, &mut map);
         assert_ne!(r, r2);
         let bl2 = body.regions[r2.index()].blocks[0];

@@ -4,20 +4,43 @@
 //! computed with the Cooper–Harvey–Kennedy iterative algorithm. Cross-region
 //! visibility (a nested region sees values of enclosing regions) is resolved
 //! by [`DomInfo::value_dominates_op`], mirroring MLIR's dominance rules.
+//!
+//! Block ids are dense arena indices, so the analysis works on `Vec` tables
+//! rather than hash maps. The tables are numbered per region, not per body:
+//! their size follows the region's block-id span, so the many small regions
+//! of an `rgn` body each cost what they contain. A single-block region —
+//! most `rgn.val` bodies — takes a fast path and allocates nothing, as in
+//! MLIR's `DominanceInfo`.
 
-use crate::body::{Body, ValueDef};
+use crate::body::{Body, Successor, ValueDef};
 use crate::ids::{BlockId, OpId, RegionId, ValueId};
-use std::collections::HashMap;
+
+/// Table entry for "no such block / op here".
+const NONE: u32 = u32::MAX;
+
+/// The CFG successors of `block` (empty when it has no terminator).
+pub(crate) fn successors(body: &Body, block: BlockId) -> &[Successor] {
+    match body.terminator(block) {
+        Some(t) => &body.ops[t.index()].successors,
+        None => &[],
+    }
+}
 
 /// Dominator tree for one region.
 #[derive(Debug, Clone)]
 pub struct DomTree {
-    /// Immediate dominator per block (entry maps to itself).
-    idom: HashMap<BlockId, BlockId>,
-    /// Reverse-postorder index (used for intersection).
-    rpo_index: HashMap<BlockId, usize>,
     /// The region's entry block.
     entry: BlockId,
+    /// Smallest block id of the region; `rpo` is indexed by `id - base`.
+    base: u32,
+    /// Reverse-postorder number of every block id in `base..base + len`,
+    /// or `NONE` for blocks that are unreachable or belong to another
+    /// region. Empty for a single-block region, whose only reachable block
+    /// is the entry.
+    rpo: Vec<u32>,
+    /// Immediate dominator of each reachable block, both as reverse-postorder
+    /// numbers (the entry, number 0, is its own).
+    idom: Vec<u32>,
 }
 
 impl DomTree {
@@ -25,60 +48,88 @@ impl DomTree {
     pub fn compute(body: &Body, region: RegionId) -> DomTree {
         let blocks = &body.regions[region.index()].blocks;
         let entry = blocks[0];
-        // Successor map.
-        let succs = |b: BlockId| -> Vec<BlockId> {
-            match body.terminator(b) {
-                Some(t) => body.ops[t.index()]
-                    .successors
-                    .iter()
-                    .map(|s| s.block)
-                    .collect(),
-                None => Vec::new(),
-            }
+        let mut tree = DomTree {
+            entry,
+            base: entry.0,
+            rpo: Vec::new(),
+            idom: Vec::new(),
         };
-        // Reverse postorder.
-        let mut visited = std::collections::HashSet::new();
-        let mut postorder = Vec::new();
-        // Iterative DFS with explicit stack.
-        let mut stack = vec![(entry, 0usize)];
-        visited.insert(entry);
-        let mut succ_cache: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
+        if blocks.len() == 1 {
+            return tree;
+        }
+        let (lo, hi) = blocks
+            .iter()
+            .fold((u32::MAX, 0), |(lo, hi), b| (lo.min(b.0), hi.max(b.0)));
+        let span = (hi - lo) as usize + 1;
+        tree.base = lo;
+        tree.rpo = vec![NONE; span];
+        // A block's slot in `rpo`, if it belongs to this region.
+        let slot = |b: BlockId| {
+            let i = b.0.wrapping_sub(lo) as usize;
+            (i < span && body.blocks[b.index()].parent == Some(region)).then_some(i)
+        };
+        // Postorder by iterative DFS over the region's own blocks; `rpo`
+        // doubles as the visited set until the numbers are assigned.
+        const SEEN: u32 = NONE - 1;
+        let mut postorder: Vec<BlockId> = Vec::with_capacity(blocks.len());
+        let mut stack: Vec<(BlockId, usize)> = vec![(entry, 0)];
+        tree.rpo[(entry.0 - lo) as usize] = SEEN;
         while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            let ss = succ_cache.entry(b).or_insert_with(|| succs(b));
-            if *i < ss.len() {
-                let s = ss[*i];
-                *i += 1;
-                if visited.insert(s) {
-                    stack.push((s, 0));
+            match successors(body, b).get(*i) {
+                Some(s) => {
+                    *i += 1;
+                    let s = s.block;
+                    if let Some(j) = slot(s).filter(|&j| tree.rpo[j] == NONE) {
+                        tree.rpo[j] = SEEN;
+                        stack.push((s, 0));
+                    }
                 }
-            } else {
-                postorder.push(b);
-                stack.pop();
+                None => {
+                    postorder.push(b);
+                    stack.pop();
+                }
             }
         }
-        let rpo: Vec<BlockId> = postorder.iter().rev().copied().collect();
-        let rpo_index: HashMap<BlockId, usize> =
-            rpo.iter().enumerate().map(|(i, &b)| (b, i)).collect();
-        // Predecessor map (reachable blocks only).
-        let mut preds: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-        for &b in &rpo {
-            for s in succ_cache.get(&b).cloned().unwrap_or_default() {
-                preds.entry(s).or_default().push(b);
+        let n = postorder.len();
+        postorder.reverse();
+        let order = postorder;
+        for (i, &b) in order.iter().enumerate() {
+            tree.rpo[(b.0 - lo) as usize] = i as u32;
+        }
+        // Predecessors by reverse-postorder number, in compressed rows:
+        // `preds[start[b]..start[b + 1]]`. Count each row's edges, turn the
+        // counts into row ends, then fill every row back to front.
+        let mut start = vec![0u32; n + 1];
+        for &b in &order {
+            for s in successors(body, b) {
+                if let Some(sn) = tree.number(s.block) {
+                    start[sn as usize] += 1;
+                }
             }
         }
-        // Iterative idom fixpoint.
-        let mut idom: HashMap<BlockId, BlockId> = HashMap::new();
-        idom.insert(entry, entry);
-        let intersect = |idom: &HashMap<BlockId, BlockId>,
-                         rpo_index: &HashMap<BlockId, usize>,
-                         mut a: BlockId,
-                         mut b: BlockId| {
+        for i in 1..=n {
+            start[i] += start[i - 1];
+        }
+        let mut preds = vec![0u32; start[n] as usize];
+        for (bn, &b) in order.iter().enumerate() {
+            for s in successors(body, b) {
+                if let Some(sn) = tree.number(s.block) {
+                    start[sn as usize] -= 1;
+                    preds[start[sn as usize] as usize] = bn as u32;
+                }
+            }
+        }
+        // Iterative idom fixpoint. Dominators precede in reverse postorder,
+        // so walking up the tree strictly decreases the number.
+        let mut idom = vec![NONE; n];
+        idom[0] = 0;
+        let intersect = |idom: &[u32], mut a: u32, mut b: u32| {
             while a != b {
-                while rpo_index[&a] > rpo_index[&b] {
-                    a = idom[&a];
+                while a > b {
+                    a = idom[a as usize];
                 }
-                while rpo_index[&b] > rpo_index[&a] {
-                    b = idom[&b];
+                while b > a {
+                    b = idom[b as usize];
                 }
             }
             a
@@ -86,82 +137,95 @@ impl DomTree {
         let mut changed = true;
         while changed {
             changed = false;
-            for &b in rpo.iter().skip(1) {
-                let mut new_idom: Option<BlockId> = None;
-                for &p in preds.get(&b).map(|v| v.as_slice()).unwrap_or(&[]) {
-                    if !idom.contains_key(&p) {
+            for b in 1..n {
+                let mut new_idom = NONE;
+                for &p in &preds[start[b] as usize..start[b + 1] as usize] {
+                    if idom[p as usize] == NONE {
                         continue;
                     }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(&idom, &rpo_index, cur, p),
-                    });
+                    new_idom = if new_idom == NONE {
+                        p
+                    } else {
+                        intersect(&idom, new_idom, p)
+                    };
                 }
-                if let Some(ni) = new_idom {
-                    if idom.get(&b) != Some(&ni) {
-                        idom.insert(b, ni);
-                        changed = true;
-                    }
+                if new_idom != NONE && idom[b] != new_idom {
+                    idom[b] = new_idom;
+                    changed = true;
                 }
             }
         }
-        DomTree {
-            idom,
-            rpo_index,
-            entry,
+        tree.idom = idom;
+        tree
+    }
+
+    /// The reverse-postorder number of `b`, or `None` when it is
+    /// unreachable from the entry or not in this region.
+    fn number(&self, b: BlockId) -> Option<u32> {
+        if self.rpo.is_empty() {
+            return (b == self.entry).then_some(0);
         }
+        let n = *self.rpo.get(b.0.wrapping_sub(self.base) as usize)?;
+        (n != NONE).then_some(n)
     }
 
     /// Whether `a` dominates `b` (reflexive).
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        if !self.rpo_index.contains_key(&b) {
+        let Some(mut cur) = self.number(b) else {
             // Unreachable blocks are dominated by everything by convention.
             return true;
+        };
+        let Some(target) = self.number(a) else {
+            return false;
+        };
+        while cur > target {
+            cur = self.idom[cur as usize];
         }
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            if cur == self.entry {
-                return false;
-            }
-            match self.idom.get(&cur) {
-                Some(&next) if next != cur => cur = next,
-                _ => return false,
-            }
-        }
+        cur == target
     }
 
     /// Whether `b` is reachable from the region entry.
     pub fn is_reachable(&self, b: BlockId) -> bool {
-        self.rpo_index.contains_key(&b)
+        self.number(b).is_some()
     }
 }
 
 /// Dominance info for a whole body (all regions).
 #[derive(Debug)]
 pub struct DomInfo {
-    trees: HashMap<RegionId, DomTree>,
+    /// Tree per region id; `None` for regions without blocks.
+    trees: Vec<Option<DomTree>>,
+    /// Each op's index in its parent block's op list, or `NONE` for ops
+    /// not listed there.
+    op_pos: Vec<u32>,
 }
 
 impl DomInfo {
     /// Computes dominance for every region in `body`.
     pub fn compute(body: &Body) -> DomInfo {
-        let mut trees = HashMap::new();
-        for (i, r) in body.regions.iter().enumerate() {
-            if r.blocks.is_empty() {
-                continue;
+        let trees = body
+            .regions
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                (!r.blocks.is_empty()).then(|| DomTree::compute(body, RegionId(i as u32)))
+            })
+            .collect();
+        let mut op_pos = vec![NONE; body.ops.len()];
+        for (bi, block) in body.blocks.iter().enumerate() {
+            for (i, &op) in block.ops.iter().enumerate() {
+                let pos = &mut op_pos[op.index()];
+                if *pos == NONE && body.ops[op.index()].parent == Some(BlockId(bi as u32)) {
+                    *pos = i as u32;
+                }
             }
-            let id = RegionId(i as u32);
-            trees.insert(id, DomTree::compute(body, id));
         }
-        DomInfo { trees }
+        DomInfo { trees, op_pos }
     }
 
     /// The tree for `region`, if it has blocks.
     pub fn tree(&self, region: RegionId) -> Option<&DomTree> {
-        self.trees.get(&region)
+        self.trees.get(region.index())?.as_ref()
     }
 
     /// Whether the definition of `v` properly dominates `user` — including
@@ -201,10 +265,10 @@ impl DomInfo {
                     if def_op == user_op {
                         return false;
                     }
-                    let ops = &body.blocks[def_block.index()].ops;
-                    let di = ops.iter().position(|&o| o == def_op);
-                    let ui = ops.iter().position(|&o| o == user_op);
-                    matches!((di, ui), (Some(d), Some(u)) if d < u)
+                    // Both ops name `def_block` as their parent.
+                    let d = self.op_pos[def_op.index()];
+                    let u = self.op_pos[user_op.index()];
+                    d != NONE && u != NONE && d < u
                 }
             }
         } else {

@@ -35,6 +35,7 @@ pub mod attr;
 pub mod body;
 pub mod builder;
 pub mod dom;
+pub mod hash;
 pub mod ids;
 pub mod inline_vec;
 pub mod module;
@@ -47,12 +48,15 @@ pub mod rewrite;
 pub mod types;
 pub mod verifier;
 
+pub use hash::{FxHashMap, FxHashSet};
+
 /// Commonly used items.
 pub mod prelude {
     pub use crate::analysis::{BlockGraph, Liveness, RcVerdict, UseDefChains};
     pub use crate::attr::{Attr, AttrKey, CmpPred};
     pub use crate::body::{Body, OpData, Successor, ValueDef, ROOT_REGION};
     pub use crate::builder::Builder;
+    pub use crate::hash::{FxHashMap, FxHashSet};
     pub use crate::ids::{BlockId, Interner, OpId, RegionId, Symbol, ValueId};
     pub use crate::inline_vec::InlineVec;
     pub use crate::module::{Function, Global, Module};

@@ -1,9 +1,9 @@
 //! Modules: collections of functions and globals, plus the symbol interner.
 
 use crate::body::Body;
+use crate::hash::FxHashMap;
 use crate::ids::{Interner, Symbol};
 use crate::types::{Signature, Type};
-use std::collections::HashMap;
 
 /// A function: named, typed, and (unless external) carrying a body.
 #[derive(Debug, Clone)]
@@ -41,8 +41,8 @@ pub struct Module {
     pub funcs: Vec<Function>,
     /// Global slots.
     pub globals: Vec<Global>,
-    func_index: HashMap<Symbol, usize>,
-    global_index: HashMap<Symbol, usize>,
+    func_index: FxHashMap<Symbol, usize>,
+    global_index: FxHashMap<Symbol, usize>,
 }
 
 impl Module {

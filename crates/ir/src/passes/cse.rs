@@ -8,12 +8,12 @@
 
 use crate::body::Body;
 use crate::dom::DomTree;
+use crate::hash::FxHashMap;
 use crate::ids::{BlockId, RegionId, ValueId};
 use crate::module::Module;
 use crate::opcode::{Opcode, Purity};
 use crate::pass::{for_each_function, Pass};
 use crate::types::Type;
-use std::collections::HashMap;
 
 /// The CSE pass.
 #[derive(Debug, Default, Clone, Copy)]
@@ -58,7 +58,7 @@ pub fn run_on_body(body: &mut Body) -> bool {
 fn cse_region(body: &mut Body, region: RegionId) -> bool {
     let tree = DomTree::compute(body, region);
     let blocks: Vec<BlockId> = body.regions[region.index()].blocks.clone();
-    let mut table: HashMap<CseKey, (ValueId, BlockId)> = HashMap::new();
+    let mut table: FxHashMap<CseKey, (ValueId, BlockId)> = FxHashMap::default();
     let mut changed = false;
     for &block in &blocks {
         if !tree.is_reachable(block) {

@@ -7,12 +7,12 @@
 //! the transformation obviously sound (no block splitting required).
 
 use crate::body::Body;
+use crate::hash::{FxHashMap, FxHashSet};
 use crate::ids::{OpId, ValueId};
 use crate::module::Module;
 use crate::opcode::Opcode;
 use crate::pass::Pass;
 use crate::types::Type;
-use std::collections::{HashMap, HashSet};
 
 /// The inlining pass.
 #[derive(Debug, Clone, Copy)]
@@ -121,7 +121,7 @@ impl InlinableCallee {
         // Every value the snippet mentions must be a parameter or a result
         // of an earlier snippet op; anything else (a use of a detached or
         // malformed value) would be unmappable at the call site.
-        let mut known: HashSet<ValueId> = body.params().iter().copied().collect();
+        let mut known: FxHashSet<ValueId> = body.params().iter().copied().collect();
         let mut cloned = Vec::new();
         let mut result_tys = Vec::new();
         for &op in &ops[..ops.len() - 1] {
@@ -161,7 +161,7 @@ fn inline_at(body: &mut Body, call: OpId, snippet: &InlinableCallee) -> bool {
     let Some(call_result) = body.ops[call.index()].result() else {
         return false;
     };
-    let mut map: HashMap<ValueId, ValueId> = HashMap::new();
+    let mut map: FxHashMap<ValueId, ValueId> = FxHashMap::default();
     for (&p, &a) in snippet.params.iter().zip(&args) {
         map.insert(p, a);
     }

@@ -56,12 +56,12 @@
 
 use crate::attr::{Attr, AttrKey};
 use crate::body::{Body, OpData};
+use crate::hash::FxHashSet;
 use crate::ids::{OpId, Symbol, ValueId};
 use crate::module::Module;
 use crate::opcode::{Opcode, Purity};
 use crate::pass::{for_each_function, Pass};
 use std::cell::Cell;
-use std::collections::HashSet;
 
 /// Counters for one [`run_on_body`] call (or one whole-module run).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -99,7 +99,7 @@ impl Pass for RcOptPass {
         // Collected up front: `for_each_function` detaches the body it is
         // visiting, so asking the module mid-visit would misreport a
         // recursive caller as extern.
-        let externs: HashSet<Symbol> = module
+        let externs: FxHashSet<Symbol> = module
             .funcs
             .iter()
             .filter(|f| f.is_extern())
@@ -130,7 +130,7 @@ impl Pass for RcOptPass {
 /// Runs the optimization on one body, to a fixpoint. `externs` names the
 /// module's extern (builtin) functions — borrow folding applies only to
 /// calls targeting them. Returns the counters.
-pub fn run_on_body(externs: &HashSet<Symbol>, body: &mut Body) -> RcOptStats {
+pub fn run_on_body(externs: &FxHashSet<Symbol>, body: &mut Body) -> RcOptStats {
     let mut stats = RcOptStats::default();
     // Immediate borrow sources per value: `lp.project` results borrow from
     // the projected object; `select`/`switch_val` results may alias any of
@@ -202,7 +202,7 @@ fn borrows_from(u: ValueId, v: ValueId, sources: &[Vec<ValueId>]) -> bool {
 /// builtin call taking `%v`, when nothing between them can decrement a
 /// count (pure ops, allocations and other incs only). See the module docs.
 fn fold_borrows(
-    externs: &HashSet<Symbol>,
+    externs: &FxHashSet<Symbol>,
     body: &mut Body,
     b: usize,
     stats: &mut RcOptStats,

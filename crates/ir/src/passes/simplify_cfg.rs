@@ -3,12 +3,12 @@
 //! emits (§IV-C).
 
 use crate::body::Body;
-use crate::dom::DomTree;
-use crate::ids::{BlockId, RegionId};
+use crate::dom::successors;
+use crate::hash::FxHashMap;
+use crate::ids::BlockId;
 use crate::module::Module;
 use crate::opcode::Opcode;
 use crate::pass::{for_each_function, Pass};
-use std::collections::HashMap;
 
 /// The CFG simplification pass.
 #[derive(Debug, Default, Clone, Copy)]
@@ -40,37 +40,59 @@ pub fn run_on_body(body: &mut Body) -> bool {
 
 /// Removes blocks unreachable from their region's entry. Returns whether
 /// anything was removed.
+///
+/// Reachability is a plain graph walk (no dominator tree) over one bitmap
+/// shared by all regions; a single-block region is skipped outright, since
+/// its only block is the entry.
 pub fn remove_unreachable_blocks(body: &mut Body) -> bool {
     let mut changed = false;
+    let mut reached: Vec<bool> = Vec::new();
+    let mut seen: Vec<BlockId> = Vec::new();
     for ri in 0..body.regions.len() {
-        let region = RegionId(ri as u32);
-        if body.regions[ri].blocks.is_empty() {
+        if body.regions[ri].blocks.len() < 2 {
             continue;
         }
         // Skip detached regions (their parent op was erased).
         if ri != 0 && body.regions[ri].parent.is_none() {
             continue;
         }
-        let tree = DomTree::compute(body, region);
-        let blocks = body.regions[ri].blocks.clone();
-        let dead: Vec<BlockId> = blocks
+        if reached.is_empty() {
+            reached = vec![false; body.blocks.len()];
+        }
+        let entry = body.regions[ri].blocks[0];
+        reached[entry.index()] = true;
+        seen.push(entry);
+        let mut next = 0;
+        while let Some(&b) = seen.get(next) {
+            next += 1;
+            for s in successors(body, b) {
+                if !reached[s.block.index()] {
+                    reached[s.block.index()] = true;
+                    seen.push(s.block);
+                }
+            }
+        }
+        let dead: Vec<BlockId> = body.regions[ri]
+            .blocks
             .iter()
             .copied()
-            .filter(|&b| !tree.is_reachable(b))
+            .filter(|b| !reached[b.index()])
             .collect();
-        if dead.is_empty() {
-            continue;
-        }
-        for &b in &dead {
-            let ops = std::mem::take(&mut body.blocks[b.index()].ops);
-            for op in ops {
-                body.ops[op.index()].parent = None;
-                body.erase_op(op);
+        if !dead.is_empty() {
+            for &b in &dead {
+                let ops = std::mem::take(&mut body.blocks[b.index()].ops);
+                for op in ops {
+                    body.ops[op.index()].parent = None;
+                    body.erase_op(op);
+                }
+                body.blocks[b.index()].parent = None;
             }
-            body.blocks[b.index()].parent = None;
+            body.regions[ri].blocks.retain(|b| reached[b.index()]);
+            changed = true;
         }
-        body.regions[ri].blocks.retain(|b| !dead.contains(b));
-        changed = true;
+        for b in seen.drain(..) {
+            reached[b.index()] = false;
+        }
     }
     changed
 }
@@ -90,7 +112,7 @@ pub fn merge_straightline_blocks(body: &mut Body) -> bool {
         'merge: loop {
             // Count predecessor edges per block within this region.
             let blocks = body.regions[ri].blocks.clone();
-            let mut pred_edges: HashMap<BlockId, usize> = HashMap::new();
+            let mut pred_edges: FxHashMap<BlockId, usize> = FxHashMap::default();
             for &b in &blocks {
                 if let Some(t) = body.terminator(b) {
                     for s in &body.ops[t.index()].successors {

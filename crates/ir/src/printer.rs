@@ -23,9 +23,9 @@
 
 use crate::attr::Attr;
 use crate::body::{Body, ValueDef};
+use crate::hash::FxHashMap;
 use crate::ids::{BlockId, OpId, RegionId, ValueId};
 use crate::module::{Function, Module};
-use std::collections::HashMap;
 use std::fmt::Write;
 
 /// Prints a whole module.
@@ -96,8 +96,8 @@ pub fn function_to_string(m: &Module, f: &Function) -> String {
 struct FuncPrinter<'a> {
     module: &'a Module,
     body: &'a Body,
-    value_names: HashMap<ValueId, u32>,
-    block_names: HashMap<BlockId, u32>,
+    value_names: FxHashMap<ValueId, u32>,
+    block_names: FxHashMap<BlockId, u32>,
     next_value: u32,
     next_block: u32,
 }
@@ -107,8 +107,8 @@ impl<'a> FuncPrinter<'a> {
         FuncPrinter {
             module,
             body,
-            value_names: HashMap::new(),
-            block_names: HashMap::new(),
+            value_names: FxHashMap::default(),
+            block_names: FxHashMap::default(),
             next_value: 0,
             next_block: 0,
         }

@@ -9,6 +9,7 @@
 use crate::body::Body;
 use crate::ids::OpId;
 use crate::module::Module;
+use crate::opcode::Purity;
 
 /// Context visible to patterns (module-level lookups).
 #[derive(Debug, Clone, Copy)]
@@ -74,34 +75,73 @@ pub fn apply_patterns_greedily(
     changed_any
 }
 
-/// Erases pure/alloc ops whose results are all unused. Returns whether
-/// anything was erased.
+/// Erases pure/alloc ops whose results are all unused, then every such op
+/// that becomes unused in turn. Returns whether anything was erased.
+///
+/// One worklist pass: use counts are taken once ([`Body::use_counts`]), and
+/// erasing an op decrements the counts of the values used by it and by the
+/// ops nested in its regions; a count that drops to zero queues the value's
+/// defining op. Only ops of the region tree ([`Body::walk_ops`]) are
+/// erased. Erasure only ever removes uses, so the result does not depend
+/// on the order: it is the set a recount-until-stable loop reaches.
 pub fn erase_trivially_dead(body: &mut Body) -> bool {
-    use crate::opcode::Purity;
+    let mut counts = body.use_counts();
+    let mut worklist = body.walk_ops();
+    let mut in_tree = vec![false; body.ops.len()];
+    for &op in &worklist {
+        in_tree[op.index()] = true;
+    }
+    worklist.retain(|&op| is_trivially_dead(body, &counts, op));
     let mut changed = false;
-    loop {
-        let counts = body.use_counts();
-        let mut erased = false;
-        for op in body.walk_ops() {
-            let data = &body.ops[op.index()];
-            if data.dead || data.opcode.purity() == Purity::Effect {
-                continue;
-            }
-            let unused = data
-                .results
-                .iter()
-                .all(|r| counts.get(r).copied().unwrap_or(0) == 0);
-            if unused {
-                body.erase_op(op);
-                erased = true;
-            }
+    while let Some(op) = worklist.pop() {
+        // An op queued twice, or erased with an enclosing region, is gone.
+        if !is_trivially_dead(body, &counts, op) {
+            continue;
         }
-        changed |= erased;
-        if !erased {
-            break;
-        }
+        release_uses(body, op, &mut counts, &in_tree, &mut worklist);
+        body.erase_op(op);
+        changed = true;
     }
     changed
+}
+
+/// Whether `op` is live, free of side effects and has no used result.
+fn is_trivially_dead(body: &Body, counts: &[u32], op: OpId) -> bool {
+    let data = &body.ops[op.index()];
+    !data.dead
+        && data.opcode.purity() != Purity::Effect
+        && data.results.iter().all(|r| counts[r.index()] == 0)
+}
+
+/// Drops the uses of `op` and of every op nested in its regions from
+/// `counts`, queueing region-tree ops whose results lose their last use.
+fn release_uses(
+    body: &Body,
+    op: OpId,
+    counts: &mut [u32],
+    in_tree: &[bool],
+    worklist: &mut Vec<OpId>,
+) {
+    let data = &body.ops[op.index()];
+    if !data.dead && data.parent.is_some() {
+        data.for_each_use(|v| {
+            counts[v.index()] -= 1;
+            if counts[v.index()] == 0 {
+                if let Some(def) = body.defining_op(v) {
+                    if in_tree[def.index()] {
+                        worklist.push(def);
+                    }
+                }
+            }
+        });
+    }
+    for &r in &data.regions {
+        for &b in &body.regions[r.index()].blocks {
+            for &nested in &body.blocks[b.index()].ops {
+                release_uses(body, nested, counts, in_tree, worklist);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 use crate::attr::AttrKey;
 use crate::body::Body;
 use crate::dom::DomInfo;
-use crate::ids::{BlockId, OpId, RegionId, Symbol};
+use crate::ids::{BlockId, OpId, RegionId};
 use crate::module::Module;
 use crate::opcode::Opcode;
 use crate::types::Type;
@@ -43,13 +43,13 @@ pub fn verify_module(m: &Module) -> Result<(), Vec<VerifyError>> {
     let mut errors = Vec::new();
     for f in &m.funcs {
         let Some(body) = &f.body else { continue };
-        let fname = m.name_of(f.name).to_string();
         let mut v = Verifier {
             module: m,
             body,
-            func: &fname,
+            func: m.name_of(f.name),
             ret_ty: f.sig.ret,
             errors: &mut errors,
+            tys: Vec::new(),
         };
         v.verify_body();
     }
@@ -77,6 +77,7 @@ pub fn verify_function(m: &Module, name: &str) -> Result<(), Vec<VerifyError>> {
         func: name,
         ret_ty: f.sig.ret,
         errors: &mut errors,
+        tys: Vec::new(),
     };
     v.verify_body();
     if errors.is_empty() {
@@ -92,9 +93,12 @@ struct Verifier<'a> {
     func: &'a str,
     ret_ty: Type,
     errors: &'a mut Vec<VerifyError>,
+    /// Operand types of the op being verified; one buffer reused by every
+    /// op.
+    tys: Vec<Type>,
 }
 
-impl Verifier<'_> {
+impl<'a> Verifier<'a> {
     fn error(&mut self, op: Option<OpId>, message: impl Into<String>) {
         let message = match op {
             Some(op) => format!(
@@ -111,22 +115,24 @@ impl Verifier<'_> {
     }
 
     fn verify_body(&mut self) {
+        let body = self.body;
         self.verify_region_structure(crate::body::ROOT_REGION);
-        for op in self.body.walk_ops() {
+        let ops = body.walk_ops();
+        for &op in &ops {
             self.verify_op(op);
         }
         // Dominance.
-        let dom = DomInfo::compute(self.body);
-        for op in self.body.walk_ops() {
-            let data = &self.body.ops[op.index()];
+        let dom = DomInfo::compute(body);
+        for &op in &ops {
+            let data = &body.ops[op.index()];
             for &v in &data.operands {
-                if !dom.value_dominates_op(self.body, v, op) {
+                if !dom.value_dominates_op(body, v, op) {
                     self.error(Some(op), format!("operand {v} does not dominate its use"));
                 }
             }
             for s in &data.successors {
                 for &a in &s.args {
-                    if !dom.value_dominates_op(self.body, a, op) {
+                    if !dom.value_dominates_op(body, a, op) {
                         self.error(
                             Some(op),
                             format!("successor argument {a} does not dominate its use"),
@@ -135,51 +141,42 @@ impl Verifier<'_> {
                 }
             }
         }
-        self.verify_rgn_restrictions();
+        self.verify_rgn_restrictions(&ops);
     }
 
     fn verify_region_structure(&mut self, region: RegionId) {
-        let blocks = self.body.regions[region.index()].blocks.clone();
+        let body = self.body;
+        let blocks = &body.regions[region.index()].blocks;
         if blocks.is_empty() {
             self.error(None, format!("region {region} has no blocks"));
             return;
         }
-        for &b in &blocks {
-            let data = &self.body.blocks[b.index()];
-            if data.ops.is_empty() {
+        for &b in blocks {
+            let ops = &body.blocks[b.index()].ops;
+            let Some(&last) = ops.last() else {
                 self.error(None, format!("block {b} is empty"));
                 continue;
-            }
-            let ops = data.ops.clone();
-            let last = *ops.last().unwrap();
-            if !self.body.ops[last.index()].opcode.is_terminator() {
+            };
+            if !body.ops[last.index()].opcode.is_terminator() {
                 self.error(
                     Some(last),
                     format!("block {b} does not end with a terminator"),
                 );
             }
             for &op in &ops[..ops.len() - 1] {
-                if self.body.ops[op.index()].opcode.is_terminator() {
+                if body.ops[op.index()].opcode.is_terminator() {
                     self.error(Some(op), format!("terminator in the middle of block {b}"));
                 }
             }
-            for &op in &ops {
-                if self.body.ops[op.index()].dead {
+            for &op in ops {
+                if body.ops[op.index()].dead {
                     self.error(Some(op), "dead op still attached".to_string());
                 }
-                for &r in &self.body.ops[op.index()].regions.clone() {
+                for &r in &body.ops[op.index()].regions {
                     self.verify_region_structure(r);
                 }
             }
         }
-    }
-
-    fn operand_tys(&self, op: OpId) -> Vec<Type> {
-        self.body.ops[op.index()]
-            .operands
-            .iter()
-            .map(|&v| self.body.value_type(v))
-            .collect()
     }
 
     fn result_ty(&self, op: OpId) -> Option<Type> {
@@ -205,8 +202,9 @@ impl Verifier<'_> {
     }
 
     fn check_succ_args(&mut self, op: OpId) {
-        for s in self.body.ops[op.index()].successors.clone() {
-            let dest_args = self.body.blocks[s.block.index()].args.clone();
+        let body = self.body;
+        for s in &body.ops[op.index()].successors {
+            let dest_args = &body.blocks[s.block.index()].args;
             if s.args.len() != dest_args.len() {
                 self.error(
                     Some(op),
@@ -219,7 +217,7 @@ impl Verifier<'_> {
                 );
                 continue;
             }
-            for (&a, &p) in s.args.iter().zip(&dest_args) {
+            for (&a, &p) in s.args.iter().zip(dest_args) {
                 let at = self.body.value_type(a);
                 let pt = self.body.value_type(p);
                 if at != pt {
@@ -237,16 +235,19 @@ impl Verifier<'_> {
         }
     }
 
-    fn callee_sig(&mut self, op: OpId) -> Option<(Symbol, crate::types::Signature)> {
-        let data = &self.body.ops[op.index()];
-        let Some(sym) = data.attr(AttrKey::Callee).and_then(|a| a.as_sym()) else {
+    fn callee_sig(&mut self, op: OpId) -> Option<&'a crate::types::Signature> {
+        let (body, module) = (self.body, self.module);
+        let Some(sym) = body.ops[op.index()]
+            .attr(AttrKey::Callee)
+            .and_then(|a| a.as_sym())
+        else {
             self.error(Some(op), "missing `callee` attribute".to_string());
             return None;
         };
-        match self.module.func(sym) {
-            Some(f) => Some((sym, f.sig.clone())),
+        match module.func(sym) {
+            Some(f) => Some(&f.sig),
             None => {
-                let name = self.module.name_of(sym).to_string();
+                let name = module.name_of(sym);
                 self.error(Some(op), format!("unknown callee @{name}"));
                 None
             }
@@ -254,9 +255,23 @@ impl Verifier<'_> {
     }
 
     fn verify_op(&mut self, op: OpId) {
+        let body = self.body;
+        let mut tys = std::mem::take(&mut self.tys);
+        tys.clear();
+        tys.extend(
+            body.ops[op.index()]
+                .operands
+                .iter()
+                .map(|&v| body.value_type(v)),
+        );
+        self.check_op(op, &tys);
+        self.tys = tys;
+    }
+
+    /// The per-opcode rules; `tys` are the operand types.
+    fn check_op(&mut self, op: OpId, tys: &[Type]) {
         use Opcode::*;
         let opcode = self.body.ops[op.index()].opcode;
-        let tys = self.operand_tys(op);
         let res = self.result_ty(op);
         // Region arity.
         if let Some(expected) = opcode.region_arity() {
@@ -370,13 +385,13 @@ impl Verifier<'_> {
             }
             Unreachable => {}
             Call => {
-                if let Some((_, sig)) = self.callee_sig(op) {
-                    self.check_call_shape(op, &tys, &sig, res);
+                if let Some(sig) = self.callee_sig(op) {
+                    self.check_call_shape(op, tys, sig, res);
                 }
             }
             TailCall => {
-                if let Some((_, sig)) = self.callee_sig(op) {
-                    self.check_call_shape(op, &tys, &sig, Some(sig.ret));
+                if let Some(sig) = self.callee_sig(op) {
+                    self.check_call_shape(op, tys, sig, Some(sig.ret));
                     self.check(
                         op,
                         sig.ret == self.ret_ty,
@@ -451,7 +466,7 @@ impl Verifier<'_> {
                     "lp.pap arguments must be !lp.t",
                 );
                 self.check(op, res == Some(Type::Obj), "lp.pap yields !lp.t");
-                if let Some((_, sig)) = self.callee_sig(op) {
+                if let Some(sig) = self.callee_sig(op) {
                     self.check(
                         op,
                         tys.len() <= sig.params.len(),
@@ -479,7 +494,7 @@ impl Verifier<'_> {
                     .and_then(|a| a.as_sym())
                     .is_some();
                 self.check(op, has_label, "lp.joinpoint needs a `label`");
-                let regions = self.body.ops[op.index()].regions.clone();
+                let regions = &self.body.ops[op.index()].regions;
                 if regions.len() == 2 {
                     // Body ("pre-jump") region entry takes no args.
                     let body_entry = self.body.regions[regions[1].index()].blocks[0];
@@ -524,8 +539,9 @@ impl Verifier<'_> {
                         );
                     }
                 }
-                for &r in &self.body.ops[op.index()].regions.clone() {
-                    let entry = self.body.regions[r.index()].blocks[0];
+                let body = self.body;
+                for &r in &body.ops[op.index()].regions {
+                    let entry = body.regions[r.index()].blocks[0];
                     self.check(
                         op,
                         self.body.blocks[entry.index()].args.is_empty(),
@@ -633,13 +649,14 @@ impl Verifier<'_> {
         }
     }
 
-    /// Enforces the paper's restriction on region-value uses.
-    fn verify_rgn_restrictions(&mut self) {
-        for op in self.body.walk_ops() {
-            let data = &self.body.ops[op.index()];
+    /// Enforces the paper's restriction on region-value uses by `ops`.
+    fn verify_rgn_restrictions(&mut self, ops: &[OpId]) {
+        let body = self.body;
+        for &op in ops {
+            let data = &body.ops[op.index()];
             let opcode = data.opcode;
-            for (i, &v) in data.operands.clone().iter().enumerate() {
-                if self.body.value_type(v) != Type::Rgn {
+            for (i, &v) in data.operands.iter().enumerate() {
+                if body.value_type(v) != Type::Rgn {
                     continue;
                 }
                 let allowed = match opcode {
@@ -657,7 +674,7 @@ impl Verifier<'_> {
             }
             for s in &data.successors {
                 for &a in &s.args {
-                    if self.body.value_type(a) == Type::Rgn {
+                    if body.value_type(a) == Type::Rgn {
                         self.error(
                             Some(op),
                             "region values may not be passed as block arguments".to_string(),

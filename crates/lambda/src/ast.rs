@@ -86,6 +86,19 @@ impl Value {
         }
     }
 
+    /// Whether the value uses `var` (no allocation, unlike
+    /// [`Value::operands`]).
+    pub fn mentions(&self, var: VarId) -> bool {
+        match self {
+            Value::Var(v) | Value::Proj { var: v, .. } => *v == var,
+            Value::LitInt(_) | Value::LitBig(_) | Value::LitStr(_) => false,
+            Value::Ctor { args, .. } | Value::Call { args, .. } | Value::Pap { args, .. } => {
+                args.contains(&var)
+            }
+            Value::App { closure, args } => *closure == var || args.contains(&var),
+        }
+    }
+
     /// Whether evaluating the value has no observable effect (so an unused
     /// binding can be dropped). All λpure values qualify; `App` may invoke
     /// arbitrary user code, and calls may not terminate, so both are kept.
@@ -223,6 +236,50 @@ impl Expr {
             Expr::Inc { var, body, .. } | Expr::Dec { var, body } => {
                 record(*var, bound, out);
                 body.collect_free_vars(bound, out);
+            }
+        }
+    }
+
+    /// Whether `var` occurs as a use anywhere in the expression: an operand,
+    /// a scrutinee, a jump argument, or a returned or retained/released
+    /// variable. Stops at the first occurrence and allocates nothing.
+    ///
+    /// Binders are not uses, so on a well-formed body, where no variable is
+    /// bound twice (E0102), this is exactly `free_vars().contains(&var)`
+    /// for a `var` bound outside it.
+    pub fn mentions(&self, var: VarId) -> bool {
+        let mut e = self;
+        loop {
+            match e {
+                Expr::Let { val, body, .. } => {
+                    if val.mentions(var) {
+                        return true;
+                    }
+                    e = body;
+                }
+                Expr::LetJoin { jp_body, body, .. } => {
+                    if jp_body.mentions(var) {
+                        return true;
+                    }
+                    e = body;
+                }
+                Expr::Case {
+                    scrutinee,
+                    alts,
+                    default,
+                } => {
+                    return *scrutinee == var
+                        || alts.iter().any(|a| a.body.mentions(var))
+                        || default.as_ref().is_some_and(|d| d.mentions(var));
+                }
+                Expr::Jump { args, .. } => return args.contains(&var),
+                Expr::Ret(v) => return *v == var,
+                Expr::Inc { var: v, body, .. } | Expr::Dec { var: v, body } => {
+                    if *v == var {
+                        return true;
+                    }
+                    e = body;
+                }
             }
         }
     }
@@ -804,6 +861,32 @@ mod tests {
         let e = let_(1, Value::Var(0), let_(1, Value::Var(1), ret(1)));
         let fv = e.free_vars();
         assert_eq!(fv.into_iter().collect::<Vec<_>>(), vec![0]);
+    }
+
+    #[test]
+    fn mentions_is_free_occurrence_without_rebinding() {
+        let e = let_(
+            2,
+            Value::Ctor {
+                tag: 1,
+                args: vec![0, 1],
+            },
+            case(2, vec![(0, ret(2))], Some(ret(3))),
+        );
+        for v in 0..5 {
+            assert_eq!(e.mentions(v), e.free_vars().contains(&v) || v == 2, "x{v}");
+        }
+        let jp = Expr::LetJoin {
+            label: 0,
+            params: vec![1],
+            jp_body: Box::new(ret(1)),
+            body: Box::new(Expr::Jump {
+                label: 0,
+                args: vec![0],
+            }),
+        };
+        assert!(jp.mentions(0));
+        assert!(!jp.mentions(4));
     }
 
     #[test]

@@ -224,8 +224,9 @@ impl Ctx {
                     _ => {}
                 }
                 let body = self.expr(body);
-                // Dead-let elimination.
-                if self.opts.basic && val.is_droppable() && !body.free_vars().contains(var) {
+                // Dead-let elimination. `var` is bound only here (E0102), so
+                // any occurrence in `body` is a free one.
+                if self.opts.basic && val.is_droppable() && !body.mentions(*var) {
                     return body;
                 }
                 Expr::Let {

@@ -61,12 +61,11 @@ impl Sexp {
 pub fn read(src: &str) -> (Vec<Sexp>, Vec<Diagnostic>) {
     let (tokens, mut diags) = lex(src);
     let mut reader = Reader {
-        tokens: &tokens,
-        pos: 0,
+        tokens: tokens.into_iter().peekable(),
         diags: &mut diags,
     };
     let mut top = Vec::new();
-    while reader.pos < reader.tokens.len() {
+    while reader.tokens.peek().is_some() {
         match reader.read_one() {
             Some(sexp) => top.push(sexp),
             None => break,
@@ -76,16 +75,16 @@ pub fn read(src: &str) -> (Vec<Sexp>, Vec<Diagnostic>) {
 }
 
 struct Reader<'a> {
-    tokens: &'a [Token],
-    pos: usize,
+    /// The lexed tokens, consumed front to back: each atom's text moves
+    /// into its tree node instead of being copied.
+    tokens: std::iter::Peekable<std::vec::IntoIter<Token>>,
     diags: &'a mut Vec<Diagnostic>,
 }
 
 impl Reader<'_> {
     /// Reads the next S-expression, or `None` at end of input.
     fn read_one(&mut self) -> Option<Sexp> {
-        let token = self.tokens.get(self.pos)?.clone();
-        self.pos += 1;
+        let token = self.tokens.next()?;
         match token.kind {
             TokenKind::Atom(s) => Some(Sexp {
                 kind: SexpKind::Atom(s),
@@ -98,10 +97,10 @@ impl Reader<'_> {
             TokenKind::LParen => {
                 let mut items = Vec::new();
                 loop {
-                    match self.tokens.get(self.pos) {
+                    match self.tokens.peek() {
                         Some(t) if t.kind == TokenKind::RParen => {
                             let close = t.span;
-                            self.pos += 1;
+                            self.tokens.next();
                             return Some(Sexp {
                                 kind: SexpKind::List(items),
                                 span: token.span.to(close),

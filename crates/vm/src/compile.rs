@@ -8,11 +8,11 @@
 use crate::bytecode::{BinOp, CompiledFn, CompiledProgram, Instr, Reg};
 use lssa_ir::attr::AttrKey;
 use lssa_ir::body::{Body, ROOT_REGION};
+use lssa_ir::hash::FxHashMap;
 use lssa_ir::ids::{BlockId, Symbol, ValueId};
 use lssa_ir::module::Module;
 use lssa_ir::opcode::Opcode;
 use lssa_rt::{Builtin, Nat};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A compilation failure (unsupported shape reaching the backend).
@@ -45,7 +45,7 @@ fn err(message: impl Into<String>) -> CompileError {
 pub fn compile_module(module: &Module) -> Result<CompiledProgram, CompileError> {
     let mut program = CompiledProgram::default();
     // User functions get VM indices in module order.
-    let mut fn_indices: HashMap<Symbol, u32> = HashMap::new();
+    let mut fn_indices: FxHashMap<Symbol, u32> = FxHashMap::default();
     let mut next = 0u32;
     for f in &module.funcs {
         if !f.is_extern() {
@@ -63,7 +63,7 @@ pub fn compile_module(module: &Module) -> Result<CompiledProgram, CompileError> 
             body,
             fn_indices: &fn_indices,
             program: &mut program,
-            regs: HashMap::new(),
+            regs: vec![None; body.values.len()],
             next_reg: 0,
         }
         .compile(module.name_of(f.name), f.sig.params.len())?;
@@ -75,20 +75,21 @@ pub fn compile_module(module: &Module) -> Result<CompiledProgram, CompileError> 
 struct FnCompiler<'a> {
     module: &'a Module,
     body: &'a Body,
-    fn_indices: &'a HashMap<Symbol, u32>,
+    fn_indices: &'a FxHashMap<Symbol, u32>,
     program: &'a mut CompiledProgram,
-    regs: HashMap<ValueId, Reg>,
+    /// Register of each value, indexed by [`ValueId::index`].
+    regs: Vec<Option<Reg>>,
     next_reg: u32,
 }
 
 impl FnCompiler<'_> {
     fn reg(&mut self, v: ValueId) -> Reg {
-        if let Some(&r) = self.regs.get(&v) {
+        if let Some(r) = self.regs[v.index()] {
             return r;
         }
         let r = Reg(u16::try_from(self.next_reg).expect("register file exhausted"));
         self.next_reg += 1;
-        self.regs.insert(v, r);
+        self.regs[v.index()] = Some(r);
         r
     }
 
@@ -113,18 +114,21 @@ impl FnCompiler<'_> {
         debug_assert_eq!(self.next_reg as usize, arity);
         let blocks = self.body.regions[ROOT_REGION.index()].blocks.clone();
         let mut code: Vec<Instr> = Vec::new();
-        let mut block_offsets: HashMap<BlockId, usize> = HashMap::new();
+        // Code offset of each placed block, indexed by [`BlockId::index`].
+        let mut block_offsets: Vec<Option<usize>> = vec![None; self.body.blocks.len()];
         // Fixups: (instruction index, which target slot, destination block).
         let mut fixups: Vec<(usize, usize, BlockId)> = Vec::new();
         for &block in &blocks {
-            block_offsets.insert(block, code.len());
+            block_offsets[block.index()] = Some(code.len());
             for &op in &self.body.blocks[block.index()].ops.clone() {
                 self.compile_op(op, &mut code, &mut fixups)?;
             }
         }
         for (at, slot, dest) in fixups {
-            let target = *block_offsets
-                .get(&dest)
+            let target = block_offsets
+                .get(dest.index())
+                .copied()
+                .flatten()
                 .ok_or_else(|| err(format!("branch to unplaced block {dest}")))?;
             patch_target(&mut code[at], slot, target);
         }
