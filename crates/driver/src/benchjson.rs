@@ -1,8 +1,7 @@
 //! Machine-readable benchmark results (`lssa bench --json` / `--check`).
 //!
-//! Every workload is compiled once (full MLIR pipeline), then executed
-//! under each **knob configuration** — the ablation ladder for the VM's
-//! dispatch optimisations — in interleaved rounds (round-robin over the
+//! Every workload is compiled (full MLIR pipeline), then executed under
+//! each **knob configuration** in interleaved rounds (round-robin over the
 //! ladder, so a slow system phase taxes every config alike), recording
 //! the *minimum* wall time next to the deterministic counters
 //! (instructions executed, fused share, heap allocations, inline-cache
@@ -10,24 +9,19 @@
 //! best observed run is the least-noise estimate of a deterministic
 //! program's true cost. The ladder:
 //!
-//! | config           | dispatch | inline cache | renumber | fusion | rc-opt |
-//! |------------------|----------|--------------|----------|--------|--------|
-//! | `base`           | match    | off          | off      | on     | on     |
-//! | `threaded`       | threaded | off          | off      | on     | on     |
-//! | `threaded_cache` | threaded | on           | off      | on     | on     |
-//! | `full`           | threaded | on           | on       | on     | on     |
-//! | `full_nofuse`    | threaded | on           | on       | off    | on     |
-//! | `full_norc`      | threaded | on           | on       | on     | off    |
+//! | config        | fusion + renumbering | rc-opt |
+//! |---------------|----------------------|--------|
+//! | `full`        | on                   | on     |
+//! | `full_nofuse` | off                  | on     |
+//! | `full_norc`   | on                   | off    |
 //!
-//! `base` is the PR 5 interpreter (match dispatch over fused cells), so
-//! each record's `speedup` — `base` wall over `full` wall — tracks the
-//! aggregate win of this PR's three optimisations, and consecutive rows
-//! isolate each knob's contribution. `full_norc` is the only rung that
+//! `full` is what `lssa run` executes. `full_nofuse` runs the same
+//! compilation through the unfused decode, isolating what
+//! superinstruction fusion buys. `full_norc` is the only rung that
 //! recompiles: it drops the compile-time reference-count optimization
-//! pass (everything else reuses one compilation), so `full` vs
-//! `full_norc` isolates the rc-opt win — watch the `rc_cells` column
-//! (executed plain `inc`/`dec` cells plus fused `dec+dec` cells) drop.
-//! The records serialize to
+//! pass, so `full` vs `full_norc` isolates the rc-opt win — watch the
+//! `rc_cells` column (executed plain `inc`/`dec` cells plus fused
+//! `dec+dec` cells) drop. The records serialize to
 //! `BENCH_<scale>.json`: commit the file, diff it later, and
 //! [`check_against`] a committed baseline to catch regressions in CI
 //! (instruction counts must match exactly; wall time within a tolerance).
@@ -39,67 +33,39 @@
 use crate::pipelines::{compile, Backend, CompilerConfig};
 use crate::workloads::Workload;
 use lssa_core::PipelineOptions;
-use lssa_vm::{DecodeOptions, DispatchMode, ExecOptions, OpClass};
+use lssa_vm::{DecodeOptions, OpClass};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// One knob configuration: a label plus the decode/exec option pair and
-/// the compile-side rc-opt switch.
+/// One knob configuration: a label plus the decode options and the
+/// compile-side rc-opt switch.
 #[derive(Debug, Clone, Copy)]
 pub struct KnobConfig {
     /// Stable row label (a JSON key, so `[a-z_]+`).
     pub label: &'static str,
-    /// Decode-time options (fusion, register renumbering).
+    /// Decode-time options (fusion and its register renumbering).
     pub decode: DecodeOptions,
-    /// Execution options (dispatch mode, inline caches).
-    pub exec: ExecOptions,
     /// Whether the compile pipeline runs the reference-count
     /// optimization pass (`false` only on the `full_norc` rung).
     pub rc_opt: bool,
 }
 
 /// The measured ladder, in ablation order (see the module docs).
-pub fn knob_configs() -> [KnobConfig; 6] {
-    let match_nc = ExecOptions::default()
-        .with_dispatch(DispatchMode::Match)
-        .with_inline_cache(false);
-    let threaded_nc = ExecOptions::default().with_inline_cache(false);
-    let threaded_c = ExecOptions::default();
+pub fn knob_configs() -> [KnobConfig; 3] {
     [
-        KnobConfig {
-            label: "base",
-            decode: DecodeOptions::fused().with_renumber(false),
-            exec: match_nc,
-            rc_opt: true,
-        },
-        KnobConfig {
-            label: "threaded",
-            decode: DecodeOptions::fused().with_renumber(false),
-            exec: threaded_nc,
-            rc_opt: true,
-        },
-        KnobConfig {
-            label: "threaded_cache",
-            decode: DecodeOptions::fused().with_renumber(false),
-            exec: threaded_c,
-            rc_opt: true,
-        },
         KnobConfig {
             label: "full",
             decode: DecodeOptions::fused(),
-            exec: threaded_c,
             rc_opt: true,
         },
         KnobConfig {
             label: "full_nofuse",
-            decode: DecodeOptions::no_fuse().with_renumber(true),
-            exec: threaded_c,
+            decode: DecodeOptions::no_fuse(),
             rc_opt: true,
         },
         KnobConfig {
             label: "full_norc",
             decode: DecodeOptions::fused(),
-            exec: threaded_c,
             rc_opt: false,
         },
     ]
@@ -120,9 +86,9 @@ pub struct KnobResult {
     pub fused_share: f64,
     /// Heap objects allocated over the run.
     pub heap_allocs: u64,
-    /// Inline-cache hits (0 when caching is off).
+    /// Inline-cache hits.
     pub cache_hits: u64,
-    /// Inline-cache misses (0 when caching is off).
+    /// Inline-cache misses.
     pub cache_misses: u64,
     /// Executed reference-count cells: plain `inc`/`dec` plus the fused
     /// `dec+dec` / `dec x4` superinstructions (the traffic rc-opt
@@ -144,34 +110,14 @@ impl BenchRecord {
     pub fn row(&self, config: &str) -> Option<&KnobResult> {
         self.rows.iter().find(|r| r.config == config)
     }
-
-    /// Wall-clock speedup of the `full` configuration over `base` (the
-    /// PR 5 interpreter).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either row is missing.
-    pub fn speedup(&self) -> f64 {
-        self.row("base").expect("base row").wall_ms / self.row("full").expect("full row").wall_ms
-    }
-}
-
-/// Geometric mean of per-workload [`BenchRecord::speedup`]s — the
-/// headline "aggregate over the PR 5 baseline" number.
-pub fn geomean_speedup(records: &[BenchRecord]) -> f64 {
-    if records.is_empty() {
-        return 1.0;
-    }
-    let log_sum: f64 = records.iter().map(|r| r.speedup().ln()).sum();
-    (log_sum / records.len() as f64).exp()
 }
 
 /// Measures one workload under every knob configuration. The workload
 /// compiles twice — once with the full MLIR pipeline, once with rc-opt
 /// disabled for the `full_norc` rung — then the configs run in
-/// interleaved rounds — base, threaded, …, then the whole ladder again —
-/// and each row keeps its best time, so system-wide slow phases cannot
-/// bias one config against another.
+/// interleaved rounds — `full`, `full_nofuse`, `full_norc`, then the
+/// whole ladder again — and each row keeps its best time, so system-wide
+/// slow phases cannot bias one config against another.
 ///
 /// # Panics
 ///
@@ -196,8 +142,7 @@ pub fn measure_workload(w: &Workload, runs: usize, max_steps: u64) -> BenchRecor
             let program = if cfg.rc_opt { &program } else { &program_norc };
             let decoded = program.decoded(cfg.decode);
             let start = Instant::now();
-            let out = lssa_vm::run_decoded_with(&decoded, "main", max_steps, cfg.exec)
-                .expect("benchmark");
+            let out = lssa_vm::run_decoded(&decoded, "main", max_steps).expect("benchmark");
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
             assert_eq!(out.stats.heap.live, 0, "benchmark leaked");
             let stats = out.vm_stats;
@@ -274,7 +219,7 @@ fn row_json(out: &mut String, m: &KnobResult) {
 
 /// Serializes the records. `scale_label` and `runs` document how the
 /// numbers were produced; wall times are milliseconds, `fused_share` is a
-/// 0..=1 fraction of executed cells, `speedup` is `base` over `full`.
+/// 0..=1 fraction of executed cells.
 pub fn render_json(scale_label: &str, runs: usize, records: &[BenchRecord]) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"scale\": \"");
@@ -290,18 +235,14 @@ pub fn render_json(scale_label: &str, runs: usize, records: &[BenchRecord]) -> S
         out.push_str("    {\n      \"name\": \"");
         escape_into(&mut out, &r.name);
         out.push_str("\",\n");
-        for m in &r.rows {
+        for (j, m) in r.rows.iter().enumerate() {
             row_json(&mut out, m);
-            out.push_str(",\n");
+            out.push_str(if j + 1 < r.rows.len() { ",\n" } else { "\n" });
         }
-        let _ = write!(out, "      \"speedup\": {:.3}\n    }}", r.speedup());
+        out.push_str("    }");
         out.push_str(if i + 1 < records.len() { ",\n" } else { "\n" });
     }
-    let _ = write!(
-        out,
-        "  ],\n  \"geomean_speedup\": {:.3}\n}}\n",
-        geomean_speedup(records)
-    );
+    out.push_str("  ]\n}\n");
     out
 }
 
@@ -310,7 +251,7 @@ pub fn render_json(scale_label: &str, runs: usize, records: &[BenchRecord]) -> S
 pub struct BaselineRow {
     /// Workload name.
     pub name: String,
-    /// Config label (`base`, `threaded`, …).
+    /// Config label (`full`, `full_nofuse`, …).
     pub config: String,
     /// Recorded median wall time in milliseconds.
     pub wall_ms: f64,
@@ -527,16 +468,11 @@ mod tests {
     fn measures_and_serializes_a_workload() {
         let w = by_name("filter", Scale::Test).unwrap();
         let r = measure_workload(&w, 2, 500_000_000);
-        let base = r.row("base").unwrap();
         let full = r.row("full").unwrap();
         let nofuse = r.row("full_nofuse").unwrap();
         let norc = r.row("full_norc").unwrap();
-        assert_eq!(base.heap_allocs, full.heap_allocs, "same program");
+        assert_eq!(nofuse.heap_allocs, full.heap_allocs, "same program");
         assert!(full.instructions < nofuse.instructions, "fusion cuts cells");
-        assert_eq!(
-            base.instructions, full.instructions,
-            "dispatch/caches/renumbering must not change the cell count"
-        );
         assert!(
             full.rc_cells < norc.rc_cells,
             "rc-opt must cut executed rc cells ({} vs {})",
@@ -549,7 +485,6 @@ mod tests {
         );
         assert!(full.fused_cells > 0);
         assert_eq!(nofuse.fused_cells, 0);
-        assert_eq!(base.cache_hits, 0, "caching off in base");
         assert!(
             full.cache_hits > 0,
             "a call-heavy workload must hit the inline caches"
@@ -563,8 +498,6 @@ mod tests {
                 cfg.label
             );
         }
-        assert!(json.contains("\"speedup\":"));
-        assert!(json.contains("\"geomean_speedup\":"));
         // Brackets balance (cheap well-formedness check without a parser).
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
@@ -572,10 +505,10 @@ mod tests {
         let rows = parse_baseline(&json).unwrap();
         assert_eq!(rows.len(), knob_configs().len());
         assert_eq!(rows[0].name, "filter");
-        assert_eq!(rows[0].config, "base");
-        assert_eq!(rows[0].instructions, base.instructions);
-        assert_eq!(rows[0].rc_cells, Some(base.rc_cells));
-        assert!((rows[0].wall_ms - base.wall_ms).abs() < 0.001);
+        assert_eq!(rows[0].config, "full");
+        assert_eq!(rows[0].instructions, full.instructions);
+        assert_eq!(rows[0].rc_cells, Some(full.rc_cells));
+        assert!((rows[0].wall_ms - full.wall_ms).abs() < 0.001);
         // And checking fresh-vs-own-baseline passes. The JSON rounds walls
         // to 3 decimals, so the parsed baseline can sit up to 0.0005ms
         // below the in-memory value — several percent of a sub-0.01ms

@@ -2,18 +2,20 @@
 //!
 //! ```text
 //! lssa run <file> [--backend leanc|mlir|rgn-only|none] [--pass-stats] [--vm-stats]
-//!                 [--no-fuse] [--no-renumber] [--no-inline-cache] [--no-rc-opt]
-//!                 [--dispatch match|threaded] [--print-ir-after-all]
+//!                 [--no-fuse] [--no-rc-opt] [--print-ir-after-all]
 //!                 [--step-budget N] [--heap-budget BYTES] [--deadline-ms MS]
 //! lssa check <file>... [--format human|json]
 //! lssa lint <file>... [--format human|json]
 //! lssa fmt <file>... [--write | --check]
-//! lssa dump <file> [--stage lp|rgn|opt|cfg]
+//! lssa dump <file> [--stage lambda|lp|rgn|opt|cfg]
 //! lssa diff <file>
 //! lssa bench <name>|all|<file.lssa> [--scale quick|test|bench|stress] [--no-fuse] [--json]
-//!                 [--check] [--tolerance PCT] [--out FILE]
+//!                 [--check] [--tolerance PCT] [--runs N] [--out FILE]
 //! lssa bench --diff <old.json> <new.json>
 //! ```
+//!
+//! Each verb accepts exactly the flags listed for it: any other `--flag`,
+//! or a valued flag without its value, is a usage error (exit 1).
 //!
 //! Files ending in `.lssa` are parsed by the S-expression text frontend
 //! (`lssa-syntax`); anything else uses the built-in surface language. The
@@ -44,13 +46,11 @@
 //! mirror — the VM's per-opcode-class table (executed counts, heap
 //! allocations, frame-pool behaviour, max frame depth, wall time),
 //! including the fused-superinstruction rows. `--no-fuse` disables the
-//! decode-time superinstruction fusion pass, `--no-renumber` the
-//! decode-time register compaction, `--no-inline-cache` the per-call-site
-//! target caches, `--no-rc-opt` the compile-time reference-count
-//! optimization pass, and `--dispatch match` falls back from the threaded
-//! function-pointer dispatch loop to the classic match loop — one flag per
-//! knob, for ablation measurements. `--print-ir-after-all` dumps the
-//! module to stderr after every pass, MLIR-style.
+//! decode-time superinstruction fusion pass (and the register
+//! renumbering that reclaims what fusion orphans), `--no-rc-opt` the
+//! compile-time reference-count optimization pass — one flag per knob,
+//! for ablation measurements. `--print-ir-after-all` dumps the module to
+//! stderr after every pass, MLIR-style.
 //!
 //! `run` executes under resource governance (see `lssa_driver::jobs`):
 //! `--step-budget N` caps executed instructions, `--heap-budget BYTES`
@@ -59,8 +59,8 @@
 //! all other errors 1), so callers can tell "the program is wrong" from
 //! "the program was stopped".
 //!
-//! `bench --json` measures the selected workloads under every knob
-//! configuration (see `lssa_driver::benchjson`) and writes
+//! `bench --json` measures the selected workloads under each of the three
+//! knob configurations (see `lssa_driver::benchjson`) and writes
 //! machine-readable records to `BENCH_<scale>.json` (or `--out FILE`) —
 //! the committed perf-trajectory baseline. `bench --check` re-measures
 //! and compares against that committed file instead of overwriting it:
@@ -73,12 +73,12 @@
 //! is a real change).
 
 use lssa_driver::pipelines::{
-    compile_and_run_ast_vm, compile_and_run_with_report_vm, compile_ast_with_report, frontend,
+    compile_and_run_ast_opts, compile_and_run_with_report_vm, compile_ast_with_report, frontend,
     frontend_ast, Backend, CompilerConfig,
 };
 use lssa_driver::workloads::{all, by_name, Scale, Workload};
 use lssa_lambda::ast::Program;
-use lssa_vm::{DecodeOptions, DispatchMode, ExecOptions, JobLimits};
+use lssa_vm::{DecodeOptions, ExecOptions, JobLimits};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -98,7 +98,7 @@ fn main() -> ExitCode {
             eprintln!();
             eprintln!("usage:");
             eprintln!(
-                "  lssa run <file> [--backend leanc|mlir|rgn-only|none] [--pass-stats] [--vm-stats] [--no-fuse] [--no-renumber] [--no-inline-cache] [--no-rc-opt] [--dispatch match|threaded] [--print-ir-after-all] [--step-budget N] [--heap-budget BYTES] [--deadline-ms MS]"
+                "  lssa run <file> [--backend leanc|mlir|rgn-only|none] [--pass-stats] [--vm-stats] [--no-fuse] [--no-rc-opt] [--print-ir-after-all] [--step-budget N] [--heap-budget BYTES] [--deadline-ms MS]"
             );
             eprintln!("  lssa check <file>... [--format human|json]");
             eprintln!("  lssa lint <file>... [--format human|json]");
@@ -125,19 +125,83 @@ fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
+/// The flags one verb accepts.
+struct VerbFlags {
+    /// Flags that take no value.
+    switches: &'static [&'static str],
+    /// Flags followed by the given number of values.
+    valued: &'static [(&'static str, usize)],
+}
+
+/// The flags `verb` accepts, or `None` for an unknown verb.
+fn verb_flags(verb: &str) -> Option<VerbFlags> {
+    let (switches, valued): (&'static [&'static str], &'static [(&'static str, usize)]) = match verb
+    {
+        "run" => (
+            &[
+                "--pass-stats",
+                "--vm-stats",
+                "--no-fuse",
+                "--no-rc-opt",
+                "--print-ir-after-all",
+            ],
+            &[
+                ("--backend", 1),
+                ("--step-budget", 1),
+                ("--heap-budget", 1),
+                ("--deadline-ms", 1),
+            ],
+        ),
+        "check" | "lint" => (&[], &[("--format", 1)]),
+        "fmt" => (&["--write", "--check"], &[]),
+        "dump" => (&[], &[("--stage", 1)]),
+        "diff" => (&[], &[]),
+        "bench" => (
+            &["--no-fuse", "--json", "--check"],
+            &[
+                ("--scale", 1),
+                ("--tolerance", 1),
+                ("--runs", 1),
+                ("--out", 1),
+                ("--diff", 2),
+            ],
+        ),
+        _ => return None,
+    };
+    Some(VerbFlags { switches, valued })
+}
+
+/// The positional arguments after the verb. Every `--flag` is checked
+/// against [`verb_flags`] on the way: an unknown verb or flag, or a valued
+/// flag short of its values, is a usage error.
+fn positionals(args: &[String]) -> Result<Vec<&str>, String> {
+    let verb = &args[0];
+    let flags = verb_flags(verb).ok_or_else(|| format!("unknown command `{verb}`"))?;
+    let mut out = Vec::new();
+    let mut rest = args[1..].iter().map(String::as_str);
+    while let Some(a) = rest.next() {
+        if !a.starts_with("--") {
+            out.push(a);
+        } else if let Some(&(_, n)) = flags.valued.iter().find(|(f, _)| *f == a) {
+            for _ in 0..n {
+                if rest.next().is_none_or(|v| v.starts_with("--")) {
+                    return Err(format!("`{a}` is missing its value"));
+                }
+            }
+        } else if !flags.switches.contains(&a) {
+            return Err(format!("unknown flag `{a}` for `lssa {verb}`"));
+        }
+    }
+    Ok(out)
+}
+
 fn decode_options(args: &[String]) -> DecodeOptions {
-    // The two decode knobs are orthogonal: `--no-fuse` leaves renumbering
-    // on, and vice versa.
-    DecodeOptions::fused()
-        .with_fuse(!has_flag(args, "--no-fuse"))
-        .with_renumber(!has_flag(args, "--no-renumber"))
+    DecodeOptions {
+        fuse: !has_flag(args, "--no-fuse"),
+    }
 }
 
 fn exec_options(args: &[String]) -> Result<ExecOptions, String> {
-    let dispatch = match flag_value(args, "--dispatch") {
-        None => DispatchMode::default(),
-        Some(s) => DispatchMode::parse(s).ok_or_else(|| format!("unknown dispatch mode `{s}`"))?,
-    };
     let mut limits = JobLimits::default();
     if let Some(v) = flag_value(args, "--step-budget") {
         let steps = v
@@ -157,10 +221,7 @@ fn exec_options(args: &[String]) -> Result<ExecOptions, String> {
             .map_err(|_| format!("invalid --deadline-ms `{v}`"))?;
         limits = limits.with_deadline(Some(Duration::from_millis(ms)));
     }
-    Ok(ExecOptions::default()
-        .with_dispatch(dispatch)
-        .with_inline_cache(!has_flag(args, "--no-inline-cache"))
-        .with_limits(limits))
+    Ok(ExecOptions::default().with_limits(limits))
 }
 
 fn config_of(name: &str) -> Result<CompilerConfig, String> {
@@ -194,30 +255,13 @@ fn load_lssa(file: &str, src: &str) -> Result<Program, ExitCode> {
     }
 }
 
-/// The non-flag file arguments after the verb, skipping flag values.
-fn file_args(args: &[String]) -> Vec<&str> {
-    let mut files = Vec::new();
-    let mut i = 1;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if a == "--format" || a == "--out" {
-            i += 2;
-            continue;
-        }
-        if !a.starts_with("--") {
-            files.push(a);
-        }
-        i += 1;
-    }
-    files
-}
-
 #[allow(clippy::too_many_lines)]
 fn run(args: &[String]) -> Result<ExitCode, String> {
     let cmd = args.first().ok_or("missing command")?;
+    let files = positionals(args)?;
     match cmd.as_str() {
         "run" => {
-            let file = args.get(1).ok_or("missing file")?;
+            let file = files.first().ok_or("missing file")?;
             let src = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
             let mut config = config_of(flag_value(args, "--backend").unwrap_or("mlir"))?;
             let want_stats = has_flag(args, "--pass-stats");
@@ -314,7 +358,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         "check" => {
-            let files = file_args(args);
             if files.is_empty() {
                 return Err("missing file".to_string());
             }
@@ -339,7 +382,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             })
         }
         "lint" => {
-            let files = file_args(args);
             if files.is_empty() {
                 return Err("missing file".to_string());
             }
@@ -364,7 +406,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             })
         }
         "fmt" => {
-            let files = file_args(args);
             if files.is_empty() {
                 return Err("missing file".to_string());
             }
@@ -412,7 +453,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             })
         }
         "dump" => {
-            let file = args.get(1).ok_or("missing file")?;
+            let file = files.first().ok_or("missing file")?;
             let src = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
             let stage = flag_value(args, "--stage").unwrap_or("cfg");
             let rc = if is_lssa(file) {
@@ -457,7 +498,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         "diff" => {
-            let file = args.get(1).ok_or("missing file")?;
+            let file = files.first().ok_or("missing file")?;
             let src = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
             let r = if is_lssa(file) {
                 let program = match load_lssa(file, &src) {
@@ -500,7 +541,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 );
                 return Ok(ExitCode::SUCCESS);
             }
-            let name = args.get(1).ok_or("missing benchmark name")?;
+            let name = *files.first().ok_or("missing benchmark name")?;
             if is_lssa(name) {
                 // A `.lssa` file: time it across all configurations, like a
                 // named workload (but ineligible for the committed JSON
@@ -514,10 +555,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     Err(code) => return Ok(code),
                 };
                 let decode = decode_options(args);
-                let exec = exec_options(args)?;
                 for config in lssa_driver::diff::configs() {
                     let start = std::time::Instant::now();
-                    let out = compile_and_run_ast_vm(&program, config, MAX_STEPS, decode, exec)
+                    let out = compile_and_run_ast_opts(&program, config, MAX_STEPS, decode)
                         .map_err(|e| e.to_string())?;
                     let elapsed = start.elapsed();
                     println!(
@@ -597,24 +637,15 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 let records = lssa_driver::benchjson::run_suite(&selected, bench_runs, MAX_STEPS);
                 for r in &records {
                     let full = r.row("full").expect("full row");
-                    let base = r.row("base").expect("base row");
                     println!(
-                        "{:20} base {:>9.3}ms   full {:>9.3}ms   speedup {:.3}x   \
-                         ({:>4.1}% fused, {:.1}% cache hits)",
+                        "{:20} full {:>9.3}ms   ({:>4.1}% fused, {:.1}% cache hits)",
                         r.name,
-                        base.wall_ms,
                         full.wall_ms,
-                        r.speedup(),
                         full.fused_share * 100.0,
                         100.0 * full.cache_hits as f64
                             / (full.cache_hits + full.cache_misses).max(1) as f64,
                     );
                 }
-                println!(
-                    "{:20} geomean speedup {:.3}x",
-                    "aggregate",
-                    lssa_driver::benchjson::geomean_speedup(&records)
-                );
                 if let Some(baseline) = baseline {
                     let tolerance = match flag_value(args, "--tolerance") {
                         None => 20.0,
@@ -648,12 +679,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 return Ok(ExitCode::SUCCESS);
             }
             let decode = decode_options(args);
-            let exec = exec_options(args)?;
             for w in &selected {
                 for config in lssa_driver::diff::configs() {
                     let start = std::time::Instant::now();
-                    let out = lssa_driver::pipelines::compile_and_run_vm(
-                        &w.src, config, MAX_STEPS, decode, exec,
+                    let out = lssa_driver::pipelines::compile_and_run_opts(
+                        &w.src, config, MAX_STEPS, decode,
                     )
                     .map_err(|e| e.to_string())?;
                     let elapsed = start.elapsed();
@@ -669,6 +699,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             }
             Ok(ExitCode::SUCCESS)
         }
-        other => Err(format!("unknown command `{other}`")),
+        _ => unreachable!("`positionals` rejects unknown commands"),
     }
 }

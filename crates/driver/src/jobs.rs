@@ -214,10 +214,10 @@ impl RetryPolicy {
 pub struct JobSpec {
     /// Compiler configuration for source jobs.
     pub config: CompilerConfig,
-    /// Decode options (fusion, renumbering).
+    /// Decode options (fusion, with its register renumbering).
     pub decode: DecodeOptions,
-    /// Execution options: dispatch mode, [`lssa_vm::JobLimits`], and an
-    /// optional [`lssa_vm::FaultPlan`].
+    /// Execution options: [`lssa_vm::JobLimits`] and an optional
+    /// [`lssa_vm::FaultPlan`].
     pub exec: ExecOptions,
     /// Cooperative cancellation token shared with the job's VM.
     pub cancel: Option<CancelToken>,

@@ -328,29 +328,11 @@ pub fn compile_and_run_ast_opts(
     max_steps: u64,
     decode: DecodeOptions,
 ) -> Result<RunOutcome, PipelineError> {
-    compile_and_run_ast_vm(program, config, max_steps, decode, ExecOptions::default())
-}
-
-/// [`compile_and_run_ast_opts`] with explicit execution options too — the
-/// fully-parameterized AST entry point behind the dispatch/cache knobs.
-///
-/// # Errors
-///
-/// Returns compilation or execution failures.
-pub fn compile_and_run_ast_vm(
-    program: &Program,
-    config: CompilerConfig,
-    max_steps: u64,
-    decode: DecodeOptions,
-    exec: ExecOptions,
-) -> Result<RunOutcome, PipelineError> {
     let (compiled, _) = compile_ast_with_report(program, config)?;
-    lssa_vm::run_program_opts(&compiled, "main", max_steps, decode, exec).map_err(|e| {
-        PipelineError {
-            stage: "execution",
-            message: e.to_string(),
-            vm: Some(e),
-        }
+    lssa_vm::run_program_with(&compiled, "main", max_steps, decode).map_err(|e| PipelineError {
+        stage: "execution",
+        message: e.to_string(),
+        vm: Some(e),
     })
 }
 
@@ -382,23 +364,6 @@ pub fn compile_and_run_opts(
     compile_and_run_with_report_opts(src, config, max_steps, decode).map(|(o, _)| o)
 }
 
-/// [`compile_and_run_opts`] with explicit execution options too — the
-/// fully-parameterized source entry point (`--dispatch`,
-/// `--no-inline-cache`, `--no-renumber`, `--no-fuse`).
-///
-/// # Errors
-///
-/// Returns compilation or execution failures.
-pub fn compile_and_run_vm(
-    src: &str,
-    config: CompilerConfig,
-    max_steps: u64,
-    decode: DecodeOptions,
-    exec: ExecOptions,
-) -> Result<RunOutcome, PipelineError> {
-    compile_and_run_with_report_vm(src, config, max_steps, decode, exec).map(|(o, _)| o)
-}
-
 /// [`compile_and_run`], also returning the backend's per-pass statistics.
 ///
 /// # Errors
@@ -426,7 +391,9 @@ pub fn compile_and_run_with_report_opts(
     compile_and_run_with_report_vm(src, config, max_steps, decode, ExecOptions::default())
 }
 
-/// [`compile_and_run_with_report_opts`] with explicit execution options.
+/// [`compile_and_run_with_report_opts`] with explicit execution options
+/// (resource limits, fault injection) — the source entry point behind
+/// `lssa run`'s `--no-fuse` and budget flags.
 ///
 /// # Errors
 ///

@@ -169,14 +169,12 @@ fn bench_json_writes_records() {
     for needle in [
         "\"scale\": \"test\"",
         "\"name\": \"filter\"",
-        "\"base\":",
-        "\"threaded\":",
-        "\"threaded_cache\":",
+        "\"configs\": [\"full\", \"full_nofuse\", \"full_norc\"]",
         "\"full\":",
         "\"full_nofuse\":",
+        "\"full_norc\":",
         "\"cache_hits\":",
-        "\"speedup\":",
-        "\"geomean_speedup\":",
+        "\"rc_cells\":",
     ] {
         assert!(json.contains(needle), "missing {needle}\n{json}");
     }
@@ -449,6 +447,54 @@ fn diff_and_bench_accept_lssa_files() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn unknown_and_incomplete_flags_are_usage_errors() {
+    let path = write_temp("flags", PROGRAM);
+    for flags in [
+        &["--bogus-flag"][..],
+        &["--no-fusee"],
+        &["--step-budget"],
+        &["--backend"],
+        &["--step-budget", "--vm-stats"],
+        &["--dispatch", "match"],
+        &["--no-inline-cache"],
+        &["--no-renumber"],
+    ] {
+        let out = lssa()
+            .args(["run"])
+            .arg(&path)
+            .args(flags)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{flags:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flags[0]), "{flags:?}: {err}");
+        assert!(err.contains("usage:"), "{flags:?}: {err}");
+        assert!(out.stdout.is_empty(), "{flags:?}: must not run");
+    }
+    // Each verb checks against its own list: `--write` is a `fmt` flag.
+    let out = lssa()
+        .args(["run"])
+        .arg(&path)
+        .arg("--write")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    for flags in [
+        &["--dispatch", "match"][..],
+        &["--no-inline-cache"],
+        &["--diff", "a.json"],
+    ] {
+        let out = lssa()
+            .args(["bench", "filter", "--scale", "quick"])
+            .args(flags)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "bench {flags:?}");
+    }
     std::fs::remove_file(path).ok();
 }
 

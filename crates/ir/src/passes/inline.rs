@@ -35,11 +35,36 @@ impl Pass for InlinePass {
     fn run_on(&self, module: &mut Module) -> bool {
         let mut changed = false;
         // Snapshot which callees are inlinable, then rewrite call sites.
-        let inlinable: Vec<Option<InlinableCallee>> = module
+        let mut inlinable: Vec<Option<InlinableCallee>> = module
             .funcs
             .iter()
             .map(|f| InlinableCallee::extract(f.body.as_ref(), self.max_callee_ops))
             .collect();
+        // A callee that reaches itself through inlinable callees would be
+        // spliced forever (each splice re-creates the call it replaced).
+        // Such a straight-line function never returns normally, so
+        // dropping it loses no inline a terminating program could use.
+        let succs: Vec<Vec<usize>> = inlinable
+            .iter()
+            .map(|snippet| {
+                let Some(snippet) = snippet else {
+                    return Vec::new();
+                };
+                snippet
+                    .ops
+                    .iter()
+                    .filter(|data| data.opcode == Opcode::Call)
+                    .filter_map(|data| data.attr(crate::attr::AttrKey::Callee)?.as_sym())
+                    .filter_map(|callee| module.func_position(callee))
+                    .filter(|&pos| inlinable[pos].is_some())
+                    .collect()
+            })
+            .collect();
+        for (snippet, cyclic) in inlinable.iter_mut().zip(on_cycle(&succs)) {
+            if cyclic {
+                *snippet = None;
+            }
+        }
         for i in 0..module.funcs.len() {
             let Some(mut body) = module.funcs[i].body.take() else {
                 continue;
@@ -185,6 +210,65 @@ fn inline_at(body: &mut Body, call: OpId, snippet: &InlinableCallee) -> bool {
     true
 }
 
+/// Which nodes of the graph `succs` lie on a cycle (a strongly connected
+/// component with more than one node, or a self-loop): one iterative
+/// Tarjan walk, so deep call chains cannot overflow the stack.
+fn on_cycle(succs: &[Vec<usize>]) -> Vec<bool> {
+    let n = succs.len();
+    let mut index: Vec<Option<usize>> = vec![None; n];
+    let mut low = vec![0; n];
+    let mut on_stack = vec![false; n];
+    let mut component = Vec::new();
+    let mut cyclic = vec![false; n];
+    let mut next = 0;
+    for root in 0..n {
+        if index[root].is_some() {
+            continue;
+        }
+        let mut dfs = vec![(root, 0)];
+        index[root] = Some(next);
+        low[root] = next;
+        next += 1;
+        component.push(root);
+        on_stack[root] = true;
+        while let Some(&(v, edge)) = dfs.last() {
+            if let Some(&w) = succs[v].get(edge) {
+                dfs.last_mut().expect("non-empty").1 += 1;
+                match index[w] {
+                    None => {
+                        index[w] = Some(next);
+                        low[w] = next;
+                        next += 1;
+                        component.push(w);
+                        on_stack[w] = true;
+                        dfs.push((w, 0));
+                    }
+                    Some(iw) if on_stack[w] => low[v] = low[v].min(iw),
+                    Some(_) => {}
+                }
+                continue;
+            }
+            dfs.pop();
+            if let Some(&(parent, _)) = dfs.last() {
+                low[parent] = low[parent].min(low[v]);
+            }
+            if index[v] == Some(low[v]) {
+                let start = component
+                    .iter()
+                    .rposition(|&w| w == v)
+                    .expect("a component root is on the stack");
+                let members = component.split_off(start);
+                let is_cycle = members.len() > 1 || succs[v].contains(&v);
+                for w in members {
+                    on_stack[w] = false;
+                    cyclic[w] = is_cycle;
+                }
+            }
+        }
+    }
+    cyclic
+}
+
 /// Convenience entry point used by callees of this crate.
 pub fn inline_module(module: &mut Module, max_callee_ops: usize) -> bool {
     InlinePass { max_callee_ops }.run_on(module)
@@ -237,7 +321,8 @@ mod tests {
     #[test]
     fn recursive_call_not_inlined() {
         let mut m = Module::new();
-        // f calls itself — must not inline.
+        // f calls itself — must not inline, neither into itself nor into
+        // its caller (each splice would re-create the call it replaced).
         let name = m.intern("selfrec");
         let (mut body, params) = Body::new(&[Type::I64]);
         let entry = body.entry_block();
@@ -245,7 +330,59 @@ mod tests {
         let r = b.call(name, vec![params[0]], Type::I64);
         b.ret(r);
         m.add_function("selfrec", Signature::new(vec![Type::I64], Type::I64), body);
+        let (mut body, params) = Body::new(&[Type::I64]);
+        let entry = body.entry_block();
+        let mut b = Builder::at_end(&mut body, entry);
+        let r = b.call(name, vec![params[0]], Type::I64);
+        b.ret(r);
+        m.add_function("main", Signature::new(vec![Type::I64], Type::I64), body);
         assert!(!InlinePass::default().run(&mut m).changed);
+    }
+
+    /// `name(x) = callee(x + 1)`: single-block, so inlinable by shape.
+    fn forward_to(m: &mut Module, name: &str, callee: &str) -> Symbol {
+        let callee = m.intern(callee);
+        let (mut body, params) = Body::new(&[Type::I64]);
+        let entry = body.entry_block();
+        let mut b = Builder::at_end(&mut body, entry);
+        let one = b.const_i(1, Type::I64);
+        let next = b.addi(params[0], one);
+        let r = b.call(callee, vec![next], Type::I64);
+        b.ret(r);
+        m.add_function(name, Signature::new(vec![Type::I64], Type::I64), body)
+    }
+
+    #[test]
+    fn callee_that_only_calls_into_a_cycle_stays_inlinable() {
+        // h(x) = spin(x + 1) reaches the cycle but is not on it.
+        let mut m = Module::new();
+        forward_to(&mut m, "spin", "spin");
+        let h = forward_to(&mut m, "h", "spin");
+        let (mut body, params) = Body::new(&[Type::I64]);
+        let entry = body.entry_block();
+        let mut b = Builder::at_end(&mut body, entry);
+        let r = b.call(h, vec![params[0]], Type::I64);
+        b.ret(r);
+        m.add_function("main", Signature::new(vec![Type::I64], Type::I64), body);
+        assert!(InlinePass::default().run(&mut m).changed);
+        crate::verifier::verify_module(&m).unwrap();
+        let spin = m.intern("spin");
+        let body = m.func_by_name("main").unwrap().body.as_ref().unwrap();
+        let callees: Vec<Symbol> = body
+            .walk_ops()
+            .iter()
+            .filter_map(|&op| body.ops[op.index()].attr(crate::attr::AttrKey::Callee))
+            .filter_map(|a| a.as_sym())
+            .collect();
+        assert_eq!(callees, vec![spin], "h spliced, spin kept as a call");
+    }
+
+    #[test]
+    fn on_cycle_finds_every_member_of_a_component() {
+        // 0 ⇄ 1 and 0 → 2 → 1 form one component; 3 → 0 only reaches it;
+        // 4 loops on itself; 5 is isolated.
+        let succs = vec![vec![1, 2], vec![0], vec![1], vec![0], vec![4], vec![]];
+        assert_eq!(on_cycle(&succs), vec![true, true, true, false, true, false]);
     }
 
     #[test]

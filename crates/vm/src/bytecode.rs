@@ -309,8 +309,6 @@ impl fmt::Debug for DecodeCache {
         f.debug_struct("DecodeCache")
             .field("unfused", &self.slots[0].get().is_some())
             .field("fused", &self.slots[1].get().is_some())
-            .field("renumbered", &self.slots[2].get().is_some())
-            .field("fused+renumbered", &self.slots[3].get().is_some())
             .finish()
     }
 }

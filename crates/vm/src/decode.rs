@@ -65,6 +65,10 @@
 //! the case keys to form a contiguous range (duplicates or gaps fall back
 //! to the scanning `Switch`). Fused and unfused streams are differentially
 //! tested to produce byte-identical results on every workload.
+//!
+//! A fused decode then **renumbers** each function's registers onto a
+//! dense prefix, reclaiming the registers fusion orphaned; the unfused
+//! decode stays the lossless lowering.
 
 use crate::bytecode::{BinOp, CmpPred, CompiledFn, CompiledProgram, Instr, Reg};
 use lssa_rt::{Builtin, Nat};
@@ -72,59 +76,39 @@ use lssa_rt::{Builtin, Nat};
 /// Options controlling [`decode_program_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecodeOptions {
-    /// Run the superinstruction fusion pass (the default; `--no-fuse`
-    /// disables it for fused-vs-unfused measurements).
+    /// Run the superinstruction fusion pass and then register
+    /// renumbering, which reclaims the registers fusion orphans (the
+    /// default; `--no-fuse` disables both for fused-vs-unfused
+    /// measurements).
     pub fuse: bool,
-    /// Run the register-renumbering compaction pass (the default;
-    /// `--no-renumber` disables it for ablation): every function's
-    /// referenced registers are renumbered to a dense prefix, shrinking
-    /// the pooled frames' register files.
-    pub renumber: bool,
 }
 
 impl Default for DecodeOptions {
     fn default() -> DecodeOptions {
-        DecodeOptions {
-            fuse: true,
-            renumber: true,
-        }
+        DecodeOptions::fused()
     }
 }
 
 impl DecodeOptions {
     /// The default: fusion and renumbering on.
     pub fn fused() -> DecodeOptions {
-        DecodeOptions::default()
+        DecodeOptions { fuse: true }
     }
 
-    /// Everything off — the pre-PR-5 decoded stream, byte-for-byte (this
-    /// is the mode the encode round-trip is defined on, so renumbering is
-    /// off here too).
+    /// The lossless lowering, byte-for-byte: no fusion, no renumbering
+    /// (the mode the encode round-trip is defined on).
     pub fn no_fuse() -> DecodeOptions {
-        DecodeOptions {
-            fuse: false,
-            renumber: false,
-        }
-    }
-
-    /// Same options with the fusion pass toggled.
-    pub fn with_fuse(self, fuse: bool) -> DecodeOptions {
-        DecodeOptions { fuse, ..self }
-    }
-
-    /// Same options with the renumbering pass toggled.
-    pub fn with_renumber(self, renumber: bool) -> DecodeOptions {
-        DecodeOptions { renumber, ..self }
+        DecodeOptions { fuse: false }
     }
 
     /// Cache-slot index for [`crate::bytecode::DecodeCache`] (one slot per
-    /// option combination).
+    /// option value).
     pub(crate) fn cache_index(self) -> usize {
-        usize::from(self.fuse) | (usize::from(self.renumber) << 1)
+        usize::from(self.fuse)
     }
 
-    /// Number of distinct option combinations ([`Self::cache_index`] range).
-    pub(crate) const CACHE_SLOTS: usize = 4;
+    /// Number of distinct option values ([`Self::cache_index`] range).
+    pub(crate) const CACHE_SLOTS: usize = 2;
 }
 
 /// Sentinel for call-shaped instructions without an inline-cache slot
@@ -835,9 +819,9 @@ pub struct DecodedFn {
     pub name: String,
     /// Number of parameters (passed in registers `0..arity`).
     pub arity: u16,
-    /// Size of the register file. After renumbering
-    /// ([`DecodeOptions::renumber`]) this is the *referenced* register
-    /// count, not the compiler's maximum register id.
+    /// Size of the register file. In a fused decode, which is renumbered,
+    /// this is the *referenced* register count, not the compiler's
+    /// maximum register id.
     pub n_regs: u16,
     /// The code.
     pub code: Vec<DecodedInstr>,
@@ -1865,7 +1849,7 @@ pub struct DecodedProgram {
     /// an unfused decode).
     pub fusion: FusionStats,
     /// What the register-renumbering pass did, summed over all functions
-    /// (all zeros when [`DecodeOptions::renumber`] is off).
+    /// (all zeros for an unfused decode).
     pub renumber: RenumberStats,
     /// Total inline-cache slots across all functions (sizes the VM's
     /// per-instance cache pool).
@@ -1894,8 +1878,6 @@ pub fn decode_program_with(program: &CompiledProgram, opts: DecodeOptions) -> De
             let mut d = DecodedFn::decode(f);
             if opts.fuse {
                 fusion.absorb(&d.fuse());
-            }
-            if opts.renumber {
                 renumber.absorb(&d.renumber());
             }
             d.assign_cache_slots();
@@ -2061,19 +2043,16 @@ mod tests {
     // ---- fusion pass ----
 
     fn fuse_one(arity: u16, n_regs: u16, code: Vec<Instr>) -> (DecodedFn, FusionStats) {
-        let p = CompiledProgram {
-            fns: vec![CompiledFn {
-                name: "f".into(),
-                arity,
-                n_regs,
-                code,
-            }],
-            ..CompiledProgram::default()
-        };
-        // Renumbering off: these tests pin the *fusion* output shapes, and
+        // The fusion pass alone: these tests pin its output shapes, and
         // literal register expectations must not shift under compaction.
-        let d = decode_program_with(&p, DecodeOptions::fused().with_renumber(false));
-        (d.fns.into_iter().next().unwrap(), d.fusion)
+        let mut d = DecodedFn::decode(&CompiledFn {
+            name: "f".into(),
+            arity,
+            n_regs,
+            code,
+        });
+        let stats = d.fuse();
+        (d, stats)
     }
 
     #[test]

@@ -17,31 +17,25 @@
 //!   `PassStatistics`), giving a deterministic performance metric alongside
 //!   wall-clock time.
 //!
-//! ## Dispatch modes
+//! ## The interpreter loop
 //!
-//! Two interpreter loops execute the same decoded stream and are required
-//! to be observably identical (results, statistics, error messages — the
-//! dispatch differential matrix pins this):
+//! One threaded loop executes the decoded stream. It caches the program
+//! counter and the current frame in locals for the lifetime of an
+//! *activation* (the stretch of instructions between frame transitions),
+//! keeps the hot opcodes — arithmetic, branches, constants, moves, the
+//! loop-header/tail superinstructions, calls and returns — on an inlined
+//! fast path, and dispatches the cold classes (allocation, globals, rare
+//! arithmetic) through a function-pointer table indexed by the decoded
+//! opcode-class byte ([`crate::decode::DecodedFn::classes`]), one
+//! `#[inline(never)]` handler per cold class.
 //!
-//! - [`DispatchMode::Match`] — the single big `match` loop, kept verbatim
-//!   as the measurable baseline;
-//! - [`DispatchMode::Threaded`] (default) — a threaded loop that caches the
-//!   program counter and the current frame in locals for the lifetime of an
-//!   *activation* (the stretch of instructions between frame transitions),
-//!   keeps the hot opcodes — arithmetic, branches, constants, moves, the
-//!   loop-header/tail superinstructions, calls and returns — on an inlined
-//!   fast path, and dispatches the cold classes (allocation, globals, rare
-//!   arithmetic) through a function-pointer table indexed by the decoded
-//!   opcode-class byte ([`crate::decode::DecodedFn::classes`]), one
-//!   `#[inline(never)]` handler per cold class.
-//!
-//! On top of either loop, **inline caches** ([`ExecOptions::inline_cache`])
-//! give every `Call`/`TailCall`/`PapExtend` site a [`CacheSlot`]: the first
-//! successful execution proves the target's function index and arity, and
-//! repeat executions skip the function lookup, the arity re-check and — for
-//! `PapExtend` at exact saturation of an unapplied closure — the whole
-//! closure unpack and argument `Vec` build. Monomorphic hit/miss counters
-//! land in [`VmStatistics`].
+//! **Inline caches** give every `Call`/`PapExtend` site a [`CacheSlot`]:
+//! the first successful execution proves the target's function index and
+//! arity, and repeat executions skip the function lookup, the arity
+//! re-check and — for `PapExtend` at exact saturation of an unapplied
+//! closure — the whole closure unpack and argument `Vec` build. Sites
+//! past a function's slot budget ([`NO_CACHE`]) take the uncached path.
+//! Monomorphic hit/miss counters land in [`VmStatistics`].
 
 use crate::bytecode::{CompiledProgram, Reg};
 use crate::decode::{
@@ -56,42 +50,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Which interpreter loop executes the decoded stream.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// The single big `match` loop (the PR 5 baseline).
-    Match,
-    /// The threaded loop: per-activation locals, hot ops inlined, cold
-    /// classes through the handler table (the default).
-    #[default]
-    Threaded,
-}
-
-impl DispatchMode {
-    /// Parses a `--dispatch` argument value.
-    pub fn parse(s: &str) -> Option<DispatchMode> {
-        match s {
-            "match" => Some(DispatchMode::Match),
-            "threaded" => Some(DispatchMode::Threaded),
-            _ => None,
-        }
-    }
-
-    /// Stable display name (the `--dispatch` argument values).
-    pub fn name(self) -> &'static str {
-        match self {
-            DispatchMode::Match => "match",
-            DispatchMode::Threaded => "threaded",
-        }
-    }
-}
-
 /// Per-job resource limits, threaded through [`ExecOptions`] into the VM.
 ///
 /// Every limit defaults to "unlimited". Steps, heap bytes and frame depth
-/// are deterministic (counted in VM events, identical across dispatch
-/// modes); the deadline is wall-clock and therefore host-dependent — use it
-/// for operational protection, not for reproducible failures.
+/// are deterministic (counted in VM events, identical on every run); the
+/// deadline is wall-clock and therefore host-dependent — use it for
+/// operational protection, not for reproducible failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobLimits {
     /// Maximum instructions executed (`u64::MAX` = unlimited). Combined
@@ -142,8 +106,7 @@ impl JobLimits {
 /// A deterministic fault-injection plan, for exercising the abort paths.
 ///
 /// All trigger points are counted in VM events (steps or allocations), so a
-/// plan produces the identical failure at the identical point on every run
-/// and under every dispatch mode.
+/// plan produces the identical failure at the identical point on every run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Force step-budget exhaustion once this many instructions executed.
@@ -188,44 +151,15 @@ impl CancelToken {
 
 /// Execution-time options (the run-side sibling of
 /// [`crate::decode::DecodeOptions`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Which interpreter loop to run.
-    pub dispatch: DispatchMode,
-    /// Use the per-call-site inline caches (default on; `--no-inline-cache`
-    /// disables them for ablation).
-    pub inline_cache: bool,
     /// Per-job resource limits (default: unlimited).
     pub limits: JobLimits,
     /// Deterministic fault injection (default: none).
     pub fault: FaultPlan,
 }
 
-impl Default for ExecOptions {
-    fn default() -> ExecOptions {
-        ExecOptions {
-            dispatch: DispatchMode::Threaded,
-            inline_cache: true,
-            limits: JobLimits::default(),
-            fault: FaultPlan::default(),
-        }
-    }
-}
-
 impl ExecOptions {
-    /// Same options with the dispatch mode replaced.
-    pub fn with_dispatch(self, dispatch: DispatchMode) -> ExecOptions {
-        ExecOptions { dispatch, ..self }
-    }
-
-    /// Same options with the inline caches toggled.
-    pub fn with_inline_cache(self, inline_cache: bool) -> ExecOptions {
-        ExecOptions {
-            inline_cache,
-            ..self
-        }
-    }
-
     /// Same options with the resource limits replaced.
     pub fn with_limits(self, limits: JobLimits) -> ExecOptions {
         ExecOptions { limits, ..self }
@@ -411,7 +345,7 @@ pub struct VmStatistics {
     /// decoded with `--no-fuse`).
     pub fused_cells: u64,
     /// Inline-cache monomorphic hits (call sites that skipped the target
-    /// lookup / closure unpack; 0 with `--no-inline-cache`).
+    /// lookup / closure unpack).
     pub cache_hits: u64,
     /// Inline-cache misses (cold or megamorphic sites that took the full
     /// validation path).
@@ -422,7 +356,8 @@ pub struct VmStatistics {
     /// run (capacity, not length — what the pool actually holds onto).
     pub frame_pool_bytes: u64,
     /// Register-file words eliminated by decode-time renumbering (static
-    /// count over the whole program; 0 with `--no-renumber`).
+    /// count over the whole program; 0 for an unfused decode, which is
+    /// not renumbered).
     pub regs_saved: u64,
     /// Wall time spent executing.
     pub duration: Duration,
@@ -586,8 +521,8 @@ pub struct RunOutcome {
 /// retained across reuses, so a recycled frame allocates only when it is
 /// wired to a function *wider* than any it has held before — steady-state
 /// loops (same functions over and over) make zero heap allocations per
-/// iteration, under either dispatch mode. Register renumbering
-/// ([`crate::decode::DecodeOptions::renumber`]) shrinks those widths to the
+/// iteration. Register renumbering (part of the fused decode, see
+/// [`crate::decode::DecodeOptions`]) shrinks those widths to the
 /// referenced-register count, so the pool both grows less often and
 /// retains less.
 #[derive(Debug, Default)]
@@ -738,7 +673,7 @@ pub struct Vm<'p> {
 
 impl<'p> Vm<'p> {
     /// Creates a VM for a decoded `program` with a step budget, under the
-    /// default execution options (threaded dispatch, inline caches on).
+    /// default execution options (no limits, no injected faults).
     pub fn new(program: &'p DecodedProgram, max_steps: u64) -> Vm<'p> {
         Vm::with_options(program, max_steps, ExecOptions::default())
     }
@@ -844,7 +779,7 @@ impl<'p> Vm<'p> {
         self.stop_at = self.next_stop();
     }
 
-    /// The next step count at which the loops must checkpoint: `max_steps`
+    /// The next step count at which the loop must checkpoint: `max_steps`
     /// when nothing is polled, otherwise at most [`POLL_INTERVAL`] ahead and
     /// never past a planned fault trigger.
     fn next_stop(&self) -> u64 {
@@ -863,7 +798,8 @@ impl<'p> Vm<'p> {
     /// The slow half of the budget check, entered when `steps` reaches
     /// `stop_at`: decides between a structured abort, an injected fault and
     /// simply scheduling the next checkpoint. Consumes no steps and mutates
-    /// no statistics, so dispatch modes stay observably identical.
+    /// no statistics, so a governed run counts exactly what an ungoverned
+    /// one does.
     #[cold]
     #[inline(never)]
     fn checkpoint(&mut self) -> Result<(), VmError> {
@@ -915,16 +851,13 @@ impl<'p> Vm<'p> {
             self.refresh_schedule();
         }
         let start = Instant::now();
-        let result = match self.opts.dispatch {
-            DispatchMode::Match => self.run_match(idx, args),
-            DispatchMode::Threaded => self.run_threaded(idx, args),
-        };
+        let result = self.run_threaded(idx, args);
         self.exec_time += start.elapsed();
         result
     }
 
     /// Returns any residue of a previous errored run to the free list,
-    /// then stages and pushes the entry frame (shared run prologue).
+    /// then stages and pushes the entry frame.
     fn enter(&mut self, idx: usize, args: &[ObjRef]) -> Result<(), VmError> {
         while let Some(fi) = self.stack.pop() {
             self.pool[fi as usize].after_ret.clear();
@@ -936,550 +869,7 @@ impl<'p> Vm<'p> {
         Ok(())
     }
 
-    /// The program-wide inline-cache slot of a call site, or `None` when
-    /// the site has no slot or caching is disabled.
-    #[inline]
-    fn cache_slot(opts: ExecOptions, f: &DecodedFn, cache: u16) -> Option<usize> {
-        if opts.inline_cache && cache != NO_CACHE {
-            Some(f.cache_base as usize + cache as usize)
-        } else {
-            None
-        }
-    }
-
-    /// The single big `match` interpreter loop ([`DispatchMode::Match`]).
-    fn run_match(&mut self, idx: usize, args: Vec<ObjRef>) -> Result<ObjRef, VmError> {
-        self.enter(idx, &args)?;
-        let prog = self.program;
-        loop {
-            self.max_depth = self.max_depth.max(self.stack.len() as u64);
-            if self.steps >= self.stop_at {
-                self.checkpoint()?;
-            }
-            self.steps += 1;
-            let fi = *self.stack.last().expect("empty stack") as usize;
-            let frame = &mut self.pool[fi];
-            let f = &prog.fns[frame.func as usize];
-            let pc = frame.pc as usize;
-            let instr = *f
-                .code
-                .get(pc)
-                .ok_or_else(|| err(format!("pc out of range in @{}", f.name)))?;
-            frame.pc = pc as u32 + 1;
-            self.executed[instr.class() as usize] += 1;
-            match instr {
-                DecodedInstr::ConstInt { dst, v } => frame.regs[dst.0 as usize] = v as u64,
-                DecodedInstr::LpInt { dst, v } => {
-                    frame.regs[dst.0 as usize] = ObjRef::scalar(v).to_bits();
-                }
-                DecodedInstr::LpBig { dst, idx } => {
-                    let a0 = self.heap.alloc_count();
-                    let n = prog.big_pool[idx as usize].clone();
-                    frame.regs[dst.0 as usize] = self.heap.mk_nat(n).to_bits();
-                    self.class_allocs[OpClass::Alloc as usize] += self.heap.alloc_count() - a0;
-                }
-                DecodedInstr::LpStr { dst, idx } => {
-                    let s = prog.str_pool[idx as usize].clone();
-                    frame.regs[dst.0 as usize] = self.heap.alloc_str(s).to_bits();
-                    self.class_allocs[OpClass::Alloc as usize] += 1;
-                }
-                DecodedInstr::Construct { dst, tag, args } => {
-                    let fields: Vec<ObjRef> = f
-                        .arg_regs(args)
-                        .iter()
-                        .map(|&r| ObjRef::from_bits(frame.regs[r.0 as usize]))
-                        .collect();
-                    frame.regs[dst.0 as usize] = self.heap.alloc_ctor(tag, fields).to_bits();
-                    self.class_allocs[OpClass::Alloc as usize] += 1;
-                }
-                DecodedInstr::GetLabel { dst, src } => {
-                    let o = ObjRef::from_bits(frame.regs[src.0 as usize]);
-                    frame.regs[dst.0 as usize] = self.heap.ctor_tag(o) as u64;
-                }
-                DecodedInstr::Project { dst, src, idx } => {
-                    let o = ObjRef::from_bits(frame.regs[src.0 as usize]);
-                    frame.regs[dst.0 as usize] = self.heap.ctor_field(o, idx as usize).to_bits();
-                }
-                DecodedInstr::Pap {
-                    dst,
-                    func,
-                    arity,
-                    args_off,
-                    args_len,
-                } => {
-                    let vals: Vec<ObjRef> = f
-                        .arg_regs(crate::decode::ArgSlice {
-                            off: args_off,
-                            len: args_len,
-                        })
-                        .iter()
-                        .map(|&r| ObjRef::from_bits(frame.regs[r.0 as usize]))
-                        .collect();
-                    let a0 = self.heap.alloc_count();
-                    let outcome = pap_new(&mut self.heap, FuncId(func), arity, vals);
-                    self.class_allocs[OpClass::Closure as usize] += self.heap.alloc_count() - a0;
-                    self.apply(dst, outcome)?;
-                }
-                DecodedInstr::PapExtend {
-                    dst,
-                    closure,
-                    args,
-                    cache,
-                } => {
-                    let c = ObjRef::from_bits(frame.regs[closure.0 as usize]);
-                    // One unpack serves the type check, the cache probe and
-                    // the fill: an *unapplied* closure is the cacheable shape.
-                    let probe = match *self.heap.data(c) {
-                        ObjData::Closure {
-                            func,
-                            arity,
-                            args: ref applied,
-                        } => {
-                            if applied.is_empty() {
-                                Some((func, arity))
-                            } else {
-                                None
-                            }
-                        }
-                        _ => return Err(err("papextend of a non-closure value")),
-                    };
-                    let slot = Self::cache_slot(self.opts, f, cache);
-                    if let (Some(g), Some((func, arity))) = (slot, probe) {
-                        let s = self.caches[g];
-                        if s.state == SLOT_PAP
-                            && s.func == func.0
-                            && s.arity == arity
-                            && arity == args.len
-                        {
-                            // Monomorphic hit at exact saturation: the
-                            // semantics collapse to "release the closure,
-                            // call the target" — skip the argument `Vec`
-                            // build and the runtime's unpack/re-check.
-                            self.cache_hits += 1;
-                            let scratch = &mut self.scratch;
-                            scratch.clear();
-                            scratch
-                                .extend(f.arg_regs(args).iter().map(|&r| frame.regs[r.0 as usize]));
-                            self.heap.dec(c);
-                            let nfi = self.push_frame_fast(s.func, s.n_regs, dst)?;
-                            self.stack.push(nfi);
-                            continue;
-                        }
-                    }
-                    if let Some(g) = slot {
-                        self.cache_misses += 1;
-                        // Remember the shape (validated against the target)
-                        // before `pap_extend` consumes the closure.
-                        if let Some((func, arity)) = probe {
-                            if arity == args.len {
-                                if let Some(t) = self.program.fns.get(func.0 as usize) {
-                                    if t.arity == arity {
-                                        self.caches[g] = CacheSlot {
-                                            func: func.0,
-                                            arity,
-                                            n_regs: t.n_regs,
-                                            state: SLOT_PAP,
-                                        };
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    let vals: Vec<ObjRef> = f
-                        .arg_regs(args)
-                        .iter()
-                        .map(|&r| ObjRef::from_bits(frame.regs[r.0 as usize]))
-                        .collect();
-                    let a0 = self.heap.alloc_count();
-                    let outcome = pap_extend(&mut self.heap, c, vals);
-                    self.class_allocs[OpClass::Closure as usize] += self.heap.alloc_count() - a0;
-                    self.apply(dst, outcome)?;
-                }
-                DecodedInstr::Inc { src } => {
-                    let o = ObjRef::from_bits(frame.regs[src.0 as usize]);
-                    self.heap.inc(o);
-                }
-                DecodedInstr::Dec { src } => {
-                    let o = ObjRef::from_bits(frame.regs[src.0 as usize]);
-                    self.heap.dec(o);
-                }
-                DecodedInstr::Call {
-                    dst,
-                    func,
-                    args_off,
-                    args_len,
-                    cache,
-                } => {
-                    let scratch = &mut self.scratch;
-                    scratch.clear();
-                    scratch.extend(
-                        f.arg_regs(ArgSlice {
-                            off: args_off,
-                            len: args_len,
-                        })
-                        .iter()
-                        .map(|&r| frame.regs[r.0 as usize]),
-                    );
-                    // The target index and argument count are static, so
-                    // one successful validation proves the site forever.
-                    let slot = Self::cache_slot(self.opts, f, cache);
-                    let nfi = match slot {
-                        Some(g) if self.caches[g].state == SLOT_CALL => {
-                            self.cache_hits += 1;
-                            let n_regs = self.caches[g].n_regs;
-                            self.push_frame_fast(func, n_regs, dst)?
-                        }
-                        _ => {
-                            if let Some(g) = slot {
-                                self.cache_misses += 1;
-                                let nfi = self.alloc_frame(func as usize, dst)?;
-                                let t = &self.program.fns[func as usize];
-                                self.caches[g] = CacheSlot {
-                                    func,
-                                    arity: t.arity,
-                                    n_regs: t.n_regs,
-                                    state: SLOT_CALL,
-                                };
-                                nfi
-                            } else {
-                                self.alloc_frame(func as usize, dst)?
-                            }
-                        }
-                    };
-                    self.stack.push(nfi);
-                }
-                DecodedInstr::CallBuiltin {
-                    dst,
-                    builtin,
-                    args,
-                    mask,
-                } => {
-                    // Builtins take a slice, so the arguments stage through
-                    // a reused buffer — no allocation per call.
-                    let vals = &mut self.scratch_objs;
-                    vals.clear();
-                    vals.extend(
-                        f.arg_regs(args)
-                            .iter()
-                            .map(|&r| ObjRef::from_bits(frame.regs[r.0 as usize])),
-                    );
-                    // Folded retains (rc-opt borrow mask) come first, as
-                    // the elided `lp.inc`s would have.
-                    if mask != 0 {
-                        for (i, &v) in self.scratch_objs.iter().enumerate() {
-                            if mask & (1 << i) != 0 {
-                                self.heap.inc(v);
-                            }
-                        }
-                    }
-                    self.calls += 1;
-                    let a0 = self.heap.alloc_count();
-                    let out = builtin.call(&mut self.heap, &self.scratch_objs);
-                    self.class_allocs[OpClass::CallBuiltin as usize] +=
-                        self.heap.alloc_count() - a0;
-                    self.pool[fi].regs[dst.0 as usize] = out.to_bits();
-                }
-                DecodedInstr::TailCall {
-                    func,
-                    args_off,
-                    args_len,
-                    cache,
-                } => {
-                    let args = ArgSlice {
-                        off: args_off,
-                        len: args_len,
-                    };
-                    let slot = Self::cache_slot(self.opts, f, cache);
-                    let n_regs = match slot {
-                        Some(g) if self.caches[g].state == SLOT_CALL => {
-                            self.cache_hits += 1;
-                            self.caches[g].n_regs
-                        }
-                        _ => {
-                            if slot.is_some() {
-                                self.cache_misses += 1;
-                            }
-                            let target = prog
-                                .fns
-                                .get(func as usize)
-                                .ok_or_else(|| err(format!("bad function index {func}")))?;
-                            if args.len as usize != target.arity as usize {
-                                return Err(err(format!(
-                                    "@{} called with {} args (arity {})",
-                                    target.name, args.len, target.arity
-                                )));
-                            }
-                            if let Some(g) = slot {
-                                self.caches[g] = CacheSlot {
-                                    func,
-                                    arity: target.arity,
-                                    n_regs: target.n_regs,
-                                    state: SLOT_CALL,
-                                };
-                            }
-                            target.n_regs
-                        }
-                    };
-                    self.calls += 1;
-                    self.tail_frame_reuses += 1;
-                    // Copy the outgoing arguments aside, then reuse the
-                    // register file in place: constant stack space and,
-                    // once the buffers are warm, zero heap allocation.
-                    let scratch = &mut self.scratch;
-                    scratch.clear();
-                    scratch.extend(f.arg_regs(args).iter().map(|&r| frame.regs[r.0 as usize]));
-                    wire_regs(&mut frame.regs, scratch, n_regs);
-                    frame.func = func;
-                    frame.pc = 0;
-                    self.max_frame_width = self.max_frame_width.max(u64::from(n_regs));
-                    // `ret_dst` and `after_ret` carry over unchanged.
-                }
-                DecodedInstr::Ret { src } => {
-                    let bits = frame.regs[src.0 as usize];
-                    if let Some(value) = self.do_ret(fi, bits)? {
-                        return Ok(value);
-                    }
-                }
-                DecodedInstr::Jump { target } => frame.pc = target,
-                DecodedInstr::Branch {
-                    cond,
-                    then_t,
-                    else_t,
-                } => {
-                    frame.pc = if frame.regs[cond.0 as usize] != 0 {
-                        then_t
-                    } else {
-                        else_t
-                    };
-                }
-                DecodedInstr::Switch {
-                    idx,
-                    cases,
-                    default,
-                } => {
-                    let v = frame.regs[idx.0 as usize] as i64;
-                    frame.pc = f.cases[cases.range()]
-                        .iter()
-                        .find(|&&(c, _)| c == v)
-                        .map(|&(_, t)| t)
-                        .unwrap_or(default);
-                }
-                DecodedInstr::Bin { op, dst, a, b } => {
-                    let x = frame.regs[a.0 as usize] as i64;
-                    let y = frame.regs[b.0 as usize] as i64;
-                    let v = op
-                        .eval(x, y)
-                        .ok_or_else(|| err("integer division by zero"))?;
-                    frame.regs[dst.0 as usize] = v as u64;
-                }
-                DecodedInstr::Cmp { pred, dst, a, b } => {
-                    let x = frame.regs[a.0 as usize] as i64;
-                    let y = frame.regs[b.0 as usize] as i64;
-                    frame.regs[dst.0 as usize] = pred.eval(x, y) as u64;
-                }
-                DecodedInstr::Select { dst, c, a, b } => {
-                    let v = if frame.regs[c.0 as usize] != 0 {
-                        frame.regs[a.0 as usize]
-                    } else {
-                        frame.regs[b.0 as usize]
-                    };
-                    frame.regs[dst.0 as usize] = v;
-                }
-                DecodedInstr::Mask { dst, src, mask } => {
-                    frame.regs[dst.0 as usize] = frame.regs[src.0 as usize] & mask;
-                }
-                DecodedInstr::Move { dst, src } => {
-                    frame.regs[dst.0 as usize] = frame.regs[src.0 as usize];
-                }
-                DecodedInstr::GlobalLoad { dst, idx } => {
-                    frame.regs[dst.0 as usize] = self.globals[idx as usize].to_bits();
-                }
-                DecodedInstr::GlobalStore { idx, src } => {
-                    self.globals[idx as usize] = ObjRef::from_bits(frame.regs[src.0 as usize]);
-                }
-                DecodedInstr::Trap => {
-                    return Err(err(format!("reached unreachable code in @{}", f.name)))
-                }
-                DecodedInstr::CmpBr {
-                    pred,
-                    a,
-                    b,
-                    then_t,
-                    else_t,
-                } => {
-                    let x = frame.regs[a.0 as usize] as i64;
-                    let y = frame.regs[b.0 as usize] as i64;
-                    frame.pc = if pred.eval(x, y) { then_t } else { else_t };
-                }
-                DecodedInstr::ConstCmpBr {
-                    pred,
-                    a,
-                    imm,
-                    then_t,
-                    else_t,
-                } => {
-                    let x = frame.regs[a.0 as usize] as i64;
-                    frame.pc = if pred.eval(x, i64::from(imm)) {
-                        then_t
-                    } else {
-                        else_t
-                    };
-                }
-                DecodedInstr::ConstBin {
-                    op,
-                    imm_rhs,
-                    dst,
-                    src,
-                    imm,
-                } => {
-                    let s = frame.regs[src.0 as usize] as i64;
-                    let (x, y) = if imm_rhs { (s, imm) } else { (imm, s) };
-                    let v = op
-                        .eval(x, y)
-                        .ok_or_else(|| err("integer division by zero"))?;
-                    frame.regs[dst.0 as usize] = v as u64;
-                }
-                DecodedInstr::BinRet { op, a, b } => {
-                    let x = frame.regs[a.0 as usize] as i64;
-                    let y = frame.regs[b.0 as usize] as i64;
-                    let v = op
-                        .eval(x, y)
-                        .ok_or_else(|| err("integer division by zero"))?;
-                    if let Some(value) = self.do_ret(fi, v as u64)? {
-                        return Ok(value);
-                    }
-                }
-                DecodedInstr::MovRet { src } => {
-                    let bits = frame.regs[src.0 as usize];
-                    if let Some(value) = self.do_ret(fi, bits)? {
-                        return Ok(value);
-                    }
-                }
-                DecodedInstr::ConstRet { v } => {
-                    if let Some(value) = self.do_ret(fi, ObjRef::scalar(v).to_bits())? {
-                        return Ok(value);
-                    }
-                }
-                DecodedInstr::ProjInc { dst, src, idx } => {
-                    let o = ObjRef::from_bits(frame.regs[src.0 as usize]);
-                    let field = self.heap.ctor_field(o, idx as usize);
-                    self.heap.inc(field);
-                    frame.regs[dst.0 as usize] = field.to_bits();
-                }
-                DecodedInstr::Dec2 { a, b } => {
-                    let oa = ObjRef::from_bits(frame.regs[a.0 as usize]);
-                    self.heap.dec(oa);
-                    let ob = ObjRef::from_bits(frame.regs[b.0 as usize]);
-                    self.heap.dec(ob);
-                }
-                DecodedInstr::ProjInc2 {
-                    dst1,
-                    src1,
-                    idx1,
-                    dst2,
-                    src2,
-                    idx2,
-                } => {
-                    // In-order: the first group's write lands before the
-                    // second's read (src2 may name dst1).
-                    let o1 = ObjRef::from_bits(frame.regs[src1.0 as usize]);
-                    let f1 = self.heap.ctor_field(o1, idx1 as usize);
-                    self.heap.inc(f1);
-                    frame.regs[dst1.0 as usize] = f1.to_bits();
-                    let o2 = ObjRef::from_bits(frame.regs[src2.0 as usize]);
-                    let f2 = self.heap.ctor_field(o2, idx2 as usize);
-                    self.heap.inc(f2);
-                    frame.regs[dst2.0 as usize] = f2.to_bits();
-                }
-                DecodedInstr::Dec4 { a, b, c, d } => {
-                    for r in [a, b, c, d] {
-                        let o = ObjRef::from_bits(frame.regs[r.0 as usize]);
-                        self.heap.dec(o);
-                    }
-                }
-                DecodedInstr::ProjInc2Dec {
-                    dst1,
-                    src1,
-                    idx1,
-                    dst2,
-                    src2,
-                    idx2,
-                    dec,
-                } => {
-                    // Same ordering as ProjInc2; the release runs last, so
-                    // the projected fields are already retained when the
-                    // scrutinee (often `dec`'s target) drops.
-                    let o1 = ObjRef::from_bits(frame.regs[src1.0 as usize]);
-                    let f1 = self.heap.ctor_field(o1, idx1 as usize);
-                    self.heap.inc(f1);
-                    frame.regs[dst1.0 as usize] = f1.to_bits();
-                    let o2 = ObjRef::from_bits(frame.regs[src2.0 as usize]);
-                    let f2 = self.heap.ctor_field(o2, idx2 as usize);
-                    self.heap.inc(f2);
-                    frame.regs[dst2.0 as usize] = f2.to_bits();
-                    let rel = ObjRef::from_bits(frame.regs[dec.0 as usize]);
-                    self.heap.dec(rel);
-                }
-                DecodedInstr::CallBuiltinRet {
-                    builtin,
-                    args,
-                    mask,
-                } => {
-                    let vals = &mut self.scratch_objs;
-                    vals.clear();
-                    vals.extend(
-                        f.arg_regs(args)
-                            .iter()
-                            .map(|&r| ObjRef::from_bits(frame.regs[r.0 as usize])),
-                    );
-                    if mask != 0 {
-                        for (i, &v) in self.scratch_objs.iter().enumerate() {
-                            if mask & (1 << i) != 0 {
-                                self.heap.inc(v);
-                            }
-                        }
-                    }
-                    self.calls += 1;
-                    let a0 = self.heap.alloc_count();
-                    let out = builtin.call(&mut self.heap, &self.scratch_objs);
-                    self.class_allocs[OpClass::FusedCallBuiltinRet as usize] +=
-                        self.heap.alloc_count() - a0;
-                    if let Some(value) = self.do_ret(fi, out.to_bits())? {
-                        return Ok(value);
-                    }
-                }
-                DecodedInstr::ConstructRet { tag, args } => {
-                    let fields: Vec<ObjRef> = f
-                        .arg_regs(args)
-                        .iter()
-                        .map(|&r| ObjRef::from_bits(frame.regs[r.0 as usize]))
-                        .collect();
-                    let obj = self.heap.alloc_ctor(tag, fields);
-                    self.class_allocs[OpClass::FusedConstructRet as usize] += 1;
-                    if let Some(value) = self.do_ret(fi, obj.to_bits())? {
-                        return Ok(value);
-                    }
-                }
-                DecodedInstr::SwitchDense {
-                    idx,
-                    cases,
-                    default,
-                } => {
-                    let v = frame.regs[idx.0 as usize] as i64;
-                    let run = &f.cases[cases.range()];
-                    // The run is sorted and contiguous: `v - first_key`
-                    // indexes it directly (checked_sub: a key range that
-                    // underflows i64 is certainly out of the table).
-                    frame.pc = match v.checked_sub(run[0].0) {
-                        Some(p) if (p as u64) < run.len() as u64 => run[p as usize].1,
-                        _ => default,
-                    };
-                }
-            }
-        }
-    }
-
-    /// The threaded interpreter loop ([`DispatchMode::Threaded`]).
+    /// The threaded interpreter loop.
     ///
     /// One outer iteration per *activation* — the stretch of instructions a
     /// single frame executes between frame transitions. The inner loop
@@ -1491,16 +881,13 @@ impl<'p> Vm<'p> {
     /// whole-`self` bookkeeping (frame push/pop, closure application) runs
     /// after the per-activation borrows are released — everything stays
     /// inside `#![forbid(unsafe_code)]`.
-    ///
-    /// Observable behaviour (results, statistics, error messages) is
-    /// required to be identical to [`Vm::run_match`]; the dispatch
-    /// differential matrix pins this.
     fn run_threaded(&mut self, idx: usize, args: Vec<ObjRef>) -> Result<ObjRef, VmError> {
         self.enter(idx, &args)?;
         let prog = self.program;
         loop {
-            // The stack only changes between activations, so sampling the
-            // depth here sees every height the match loop would.
+            // The stack only grows between activations or in
+            // `inline_call!` (which records its own height), so sampling
+            // the depth here sees every height the stack reaches.
             self.max_depth = self.max_depth.max(self.stack.len() as u64);
             let mut fi = *self.stack.last().expect("empty stack") as usize;
             // The step counter lives in a register for the whole
@@ -1532,10 +919,8 @@ impl<'p> Vm<'p> {
                     scratch,
                     scratch_objs,
                     caches,
-                    opts,
                     ..
                 } = self;
-                let use_cache = opts.inline_cache;
                 let mut frame = &mut pool[fi];
                 let mut f = &prog.fns[frame.func as usize];
                 let mut pc = frame.pc as usize;
@@ -1692,7 +1077,7 @@ impl<'p> Vm<'p> {
                                     ));
                                 }
                             };
-                            let slot = if use_cache && cache != NO_CACHE {
+                            let slot = if cache != NO_CACHE {
                                 Some(f.cache_base as usize + cache as usize)
                             } else {
                                 None
@@ -1737,9 +1122,9 @@ impl<'p> Vm<'p> {
                             // `pap_extend` (no captured args to retain,
                             // release the closure, no allocation), minus
                             // the staging `Vec` and `ApplyOutcome` round
-                            // trip. Covers the cache-cold and cache-off
-                            // runs; arity mismatches keep the generic
-                            // path's error behaviour.
+                            // trip. Covers cache-cold and slotless sites;
+                            // arity mismatches keep the generic path's
+                            // error behaviour.
                             if let Some((func, arity)) = probe {
                                 if arity == args.len {
                                     if let Some(t) = prog.fns.get(func.0 as usize) {
@@ -1802,7 +1187,7 @@ impl<'p> Vm<'p> {
                                 .iter()
                                 .map(|&r| frame.regs[r.0 as usize]),
                             );
-                            let slot = if use_cache && cache != NO_CACHE {
+                            let slot = if cache != NO_CACHE {
                                 Some(f.cache_base as usize + cache as usize)
                             } else {
                                 None
@@ -1986,7 +1371,7 @@ impl<'p> Vm<'p> {
                                 off: args_off,
                                 len: args_len,
                             };
-                            let slot = if use_cache && cache != NO_CACHE {
+                            let slot = if cache != NO_CACHE {
                                 Some(f.cache_base as usize + cache as usize)
                             } else {
                                 None
@@ -2681,7 +2066,7 @@ pub fn run_decoded_with(
 }
 
 /// Runs `entry` of a pre-decoded program and renders the result (default
-/// execution options: threaded dispatch, inline caches on).
+/// execution options: no limits, no injected faults).
 ///
 /// # Errors
 ///
@@ -2697,7 +2082,7 @@ pub fn run_decoded(
 /// Decodes `program` under `decode` (memoized per program, see
 /// [`CompiledProgram::decoded`]), then runs `entry` under `exec` and
 /// renders the result — the fully-parameterized entry point behind the
-/// `--dispatch`/`--no-inline-cache`/`--no-renumber`/`--no-fuse` knobs.
+/// `--no-fuse` knob and the resource limits.
 ///
 /// # Errors
 ///
@@ -3019,27 +2404,9 @@ mod tests {
     #[test]
     fn inline_caches_hit_on_monomorphic_sites() {
         // The non-tail loop's call sites each bind one target, so after
-        // the first-execution miss every deeper call must hit — and
-        // switching the caches off must change the counters and nothing
-        // else.
-        let p = call_loop(1_000);
-        let run = |cache: bool| {
-            run_program_opts(
-                &p,
-                "main",
-                1_000_000,
-                DecodeOptions::default(),
-                ExecOptions::default().with_inline_cache(cache),
-            )
-            .unwrap()
-        };
-        let cached = run(true);
-        let uncached = run(false);
+        // the first-execution miss every deeper call must hit.
+        let cached = run_program(&call_loop(1_000), "main", 1_000_000).unwrap();
         assert_eq!(cached.rendered, "7");
-        assert_eq!(cached.rendered, uncached.rendered);
-        assert_eq!(cached.stats.instructions, uncached.stats.instructions);
-        assert_eq!(uncached.vm_stats.cache_hits, 0);
-        assert_eq!(uncached.vm_stats.cache_misses, 0);
         assert!(
             cached.vm_stats.cache_hits >= 999,
             "the monomorphic call site must hit on all but its first execution (got {})",
@@ -3063,6 +2430,102 @@ mod tests {
         assert_eq!(
             out.vm_stats.cache_misses, 1,
             "only main's entry call takes a first-execution miss"
+        );
+    }
+
+    #[test]
+    fn sites_past_the_slot_budget_run_uncached() {
+        // A function owns at most `NO_CACHE` slots: its first 65,535
+        // call-shaped cells get one each, and a `PapExtend` and a `Call`
+        // after them keep the sentinel and take the uncached paths.
+        let slotted = usize::from(NO_CACHE);
+        let mut code = vec![
+            Instr::Call {
+                dst: Reg(0),
+                func: 1,
+                args: vec![],
+            };
+            slotted
+        ];
+        code.extend([
+            Instr::Pap {
+                dst: Reg(1),
+                func: 2,
+                arity: 1,
+                args: vec![],
+            },
+            Instr::PapExtend {
+                dst: Reg(2),
+                closure: Reg(1),
+                args: vec![Reg(0)],
+            },
+            Instr::Call {
+                dst: Reg(3),
+                func: 2,
+                args: vec![Reg(2)],
+            },
+            Instr::Ret { src: Reg(3) },
+        ]);
+        let inc = CompiledFn {
+            name: "inc".into(),
+            arity: 1,
+            n_regs: 3,
+            code: vec![
+                Instr::LpInt { dst: Reg(1), v: 1 },
+                Instr::CallBuiltin {
+                    dst: Reg(2),
+                    builtin: lssa_rt::Builtin::NatAdd,
+                    args: vec![Reg(0), Reg(1)],
+                    mask: 0,
+                },
+                Instr::Ret { src: Reg(2) },
+            ],
+        };
+        let p = CompiledProgram {
+            fns: vec![
+                CompiledFn {
+                    name: "main".into(),
+                    arity: 0,
+                    n_regs: 4,
+                    code,
+                },
+                CompiledFn {
+                    name: "one".into(),
+                    arity: 0,
+                    n_regs: 1,
+                    code: vec![
+                        Instr::LpInt { dst: Reg(0), v: 1 },
+                        Instr::Ret { src: Reg(0) },
+                    ],
+                },
+                inc,
+            ],
+            ..CompiledProgram::default()
+        };
+        let d = decode_program(&p);
+        let caches: Vec<u16> = d.fns[0]
+            .code
+            .iter()
+            .filter_map(|i| match *i {
+                DecodedInstr::Call { cache, .. } | DecodedInstr::PapExtend { cache, .. } => {
+                    Some(cache)
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(caches.len(), slotted + 2);
+        assert_eq!(caches[slotted - 1], NO_CACHE - 1, "last slotted site");
+        assert_eq!(caches[slotted..], [NO_CACHE, NO_CACHE]);
+        assert_eq!(d.fns[0].cache_sites, NO_CACHE);
+        let out = run_decoded(&d, "main", 1_000_000).unwrap();
+        assert_eq!(out.rendered, "3", "inc(inc(one()))");
+        assert_eq!(out.stats.heap.live, 0);
+        // Each slotted site runs once (one cold miss apiece); the two
+        // slotless sites must not probe at all.
+        assert_eq!(out.vm_stats.cache_hits, 0);
+        assert_eq!(
+            out.vm_stats.cache_hits + out.vm_stats.cache_misses,
+            slotted as u64
         );
     }
 
@@ -3409,24 +2872,15 @@ mod tests {
         }
     }
 
-    fn both_dispatch_modes() -> [ExecOptions; 2] {
-        [
-            ExecOptions::default().with_dispatch(DispatchMode::Match),
-            ExecOptions::default().with_dispatch(DispatchMode::Threaded),
-        ]
-    }
-
     #[test]
     fn step_budget_error_is_structured() {
         let p = single(vec![Instr::Jump { target: 0 }], 1);
         let d = decode_program(&p);
-        for opts in both_dispatch_modes() {
-            let mut vm = Vm::with_options(&d, 100, opts);
-            let e = vm.run("main").unwrap_err();
-            assert_eq!(e.kind, VmErrorKind::StepBudget);
-            assert_eq!(e.message, lssa_rt::STEP_BUDGET_MSG);
-            assert_eq!(vm.stats().instructions, 100, "fails exactly at budget");
-        }
+        let mut vm = Vm::new(&d, 100);
+        let e = vm.run("main").unwrap_err();
+        assert_eq!(e.kind, VmErrorKind::StepBudget);
+        assert_eq!(e.message, lssa_rt::STEP_BUDGET_MSG);
+        assert_eq!(vm.stats().instructions, 100, "fails exactly at budget");
     }
 
     #[test]
@@ -3443,42 +2897,29 @@ mod tests {
     #[test]
     fn heap_budget_aborts_and_purge_rebalances() {
         let d = decode_program(&alloc_loop(1_000_000));
-        for opts in both_dispatch_modes() {
-            let opts = opts.with_limits(JobLimits::default().with_heap_bytes(4096));
-            let mut vm = Vm::with_options(&d, u64::MAX, opts);
-            let e = vm.run("main").unwrap_err();
-            assert_eq!(e.kind, VmErrorKind::HeapBudget, "{e}");
-            let stats = vm.heap.stats();
-            assert!(stats.live > 0, "abort leaves the list alive");
-            assert_eq!(stats.live, vm.heap.live_objects());
-            vm.purge();
-            let after = vm.heap.stats();
-            assert_eq!(after.live, 0);
-            assert_eq!(after.allocs, after.frees, "drop-all must balance");
-        }
+        let opts = ExecOptions::default().with_limits(JobLimits::default().with_heap_bytes(4096));
+        let mut vm = Vm::with_options(&d, u64::MAX, opts);
+        let e = vm.run("main").unwrap_err();
+        assert_eq!(e.kind, VmErrorKind::HeapBudget, "{e}");
+        let stats = vm.heap.stats();
+        assert!(stats.live > 0, "abort leaves the list alive");
+        assert_eq!(stats.live, vm.heap.live_objects());
+        vm.purge();
+        let after = vm.heap.stats();
+        assert_eq!(after.live, 0);
+        assert_eq!(after.allocs, after.frees, "drop-all must balance");
     }
 
     #[test]
-    fn depth_budget_identical_across_dispatch_modes() {
+    fn depth_budget_aborts_and_purge_rebalances() {
         let d = decode_program(&deep_recursion(1_000_000));
-        let mut reference = None;
-        for opts in both_dispatch_modes() {
-            let opts = opts.with_limits(JobLimits::default().with_max_depth(64));
-            let mut vm = Vm::with_options(&d, u64::MAX, opts);
-            let e = vm.run("main").unwrap_err();
-            assert_eq!(e.kind, VmErrorKind::DepthBudget, "{e}");
-            let steps = vm.stats().instructions;
-            match reference {
-                None => reference = Some((e, steps)),
-                Some((ref re, rs)) => {
-                    assert_eq!(*re, e);
-                    assert_eq!(rs, steps, "modes must fail at the same step");
-                }
-            }
-            // Within budget the same VM still works after the abort.
-            vm.purge();
-            assert!(vm.heap.stats().live == 0);
-        }
+        let opts = ExecOptions::default().with_limits(JobLimits::default().with_max_depth(64));
+        let mut vm = Vm::with_options(&d, u64::MAX, opts);
+        let e = vm.run("main").unwrap_err();
+        assert_eq!(e.kind, VmErrorKind::DepthBudget, "{e}");
+        assert_eq!(vm.stats().max_stack, 64, "stops at the cap, not past it");
+        vm.purge();
+        assert!(vm.heap.stats().live == 0);
     }
 
     #[test]
@@ -3498,16 +2939,14 @@ mod tests {
     fn planned_cancellation_is_deterministic() {
         let p = single(vec![Instr::Jump { target: 0 }], 1);
         let d = decode_program(&p);
-        for opts in both_dispatch_modes() {
-            let opts = opts.with_fault(FaultPlan {
-                cancel_at: Some(5000),
-                ..FaultPlan::default()
-            });
-            let mut vm = Vm::with_options(&d, u64::MAX, opts);
-            let e = vm.run("main").unwrap_err();
-            assert_eq!(e.kind, VmErrorKind::Cancelled);
-            assert_eq!(vm.stats().instructions, 5000);
-        }
+        let opts = ExecOptions::default().with_fault(FaultPlan {
+            cancel_at: Some(5000),
+            ..FaultPlan::default()
+        });
+        let mut vm = Vm::with_options(&d, u64::MAX, opts);
+        let e = vm.run("main").unwrap_err();
+        assert_eq!(e.kind, VmErrorKind::Cancelled);
+        assert_eq!(vm.stats().instructions, 5000);
     }
 
     #[test]

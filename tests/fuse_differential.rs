@@ -1,104 +1,71 @@
-//! Dispatch-matrix differential suite: every VM execution strategy must be
-//! a pure dispatch optimization. For every workload (under every compiler
-//! configuration) and every conformance case, the full matrix of
-//! {match, threaded} dispatch × {fused, unfused} decode × {inline caches
-//! on, off} must produce byte-identical results and identical
-//! heap/allocation counters — only the executed-cell counts may differ
-//! across decode modes (fused runs fewer), and only the cache counters may
-//! differ across cache modes.
+//! Decode differential suite: superinstruction fusion (with the register
+//! renumbering that follows it) must be a pure dispatch optimization. For
+//! every workload (under every compiler configuration) and every
+//! conformance case, the fused and unfused decoded streams must produce
+//! byte-identical results and identical heap/allocation counters — only
+//! the executed-cell counts may differ (fused runs fewer).
 //!
 //! Runtime errors count too: a program that traps must trap with the same
-//! message under every strategy.
+//! message under both decodes.
 
 use lambda_ssa::core::pipeline::PipelineOptions;
 use lambda_ssa::driver::conformance::handwritten;
 use lambda_ssa::driver::pipelines::{compile, Backend, CompilerConfig};
 use lambda_ssa::driver::workloads::{all, Scale};
 use lambda_ssa::driver::{diff, par};
-use lambda_ssa::vm::{run_program_opts, DecodeOptions, DispatchMode, ExecOptions, OpClass};
+use lambda_ssa::vm::{run_program_with, DecodeOptions, OpClass};
 
 const MAX_STEPS: u64 = 500_000_000;
 
-/// The execution strategies under test: every combination of dispatch
-/// mode, decode mode, and inline caching. The first entry (threaded,
-/// fused, cached) is the default and serves as the reference.
-fn matrix() -> Vec<(String, DecodeOptions, ExecOptions)> {
-    let mut combos = Vec::new();
-    for dispatch in [DispatchMode::Threaded, DispatchMode::Match] {
-        for (dl, decode) in [
-            ("fused", DecodeOptions::fused()),
-            ("no-fuse", DecodeOptions::no_fuse()),
-        ] {
-            for cache in [true, false] {
-                combos.push((
-                    format!(
-                        "{}/{dl}/{}",
-                        dispatch.name(),
-                        if cache { "cache" } else { "no-cache" }
-                    ),
-                    decode,
-                    ExecOptions::default()
-                        .with_dispatch(dispatch)
-                        .with_inline_cache(cache),
-                ));
-            }
-        }
-    }
-    combos
+/// The decodes under test, fused (the default) first.
+fn decodes() -> [(&'static str, DecodeOptions); 2] {
+    [
+        ("fused", DecodeOptions::fused()),
+        ("no-fuse", DecodeOptions::no_fuse()),
+    ]
 }
 
-/// Runs one compiled program under the whole matrix and checks that every
-/// strategy agrees with the first (the default). Returns the default's
-/// rendering (for checksum asserts), or `None` if the program traps.
-fn assert_matrix_agrees(label: &str, program: &lambda_ssa::vm::CompiledProgram) -> Option<String> {
-    let combos = matrix();
-    let reference = run_program_opts(program, "main", MAX_STEPS, combos[0].1, combos[0].2);
-    for (name, decode, exec) in &combos[1..] {
-        let got = run_program_opts(program, "main", MAX_STEPS, *decode, *exec);
-        match (&reference, &got) {
-            (Ok(r), Ok(g)) => {
-                assert_eq!(
-                    r.rendered, g.rendered,
-                    "{label} [{name}]: checksum diverged"
-                );
-                assert_eq!(
-                    r.vm_stats.heap, g.vm_stats.heap,
-                    "{label} [{name}]: heap counters diverged"
-                );
-                assert_eq!(
-                    r.vm_stats.max_depth, g.vm_stats.max_depth,
-                    "{label} [{name}]: frame depth diverged"
-                );
-                assert_eq!(
-                    r.vm_stats.frame_allocs, g.vm_stats.frame_allocs,
-                    "{label} [{name}]: frame allocation diverged"
-                );
-                assert!(
-                    r.stats.instructions <= g.stats.instructions,
-                    "{label} [{name}]: fused dispatch must never execute more cells"
-                );
-                // Same decode mode ⇒ byte-identical cell counts; dispatch
-                // and caching may not change what executes at all.
-                if *decode == combos[0].1 {
-                    assert_eq!(
-                        r.stats.instructions, g.stats.instructions,
-                        "{label} [{name}]: dispatch/caching changed the cell count"
-                    );
-                }
-            }
-            (Err(re), Err(ge)) => {
-                assert_eq!(
-                    re.message, ge.message,
-                    "{label} [{name}]: error message diverged"
-                );
-            }
-            (r, g) => panic!(
-                "{label} [{name}]: one strategy failed, the other did not \
-                 (reference: {:?}, {name}: {:?})",
-                r.as_ref().map(|o| &o.rendered),
-                g.as_ref().map(|o| &o.rendered)
-            ),
+/// Runs one compiled program under both decodes and checks that they
+/// agree. Returns the fused run's rendering (for checksum asserts), or
+/// `None` if the program traps.
+fn assert_decodes_agree(label: &str, program: &lambda_ssa::vm::CompiledProgram) -> Option<String> {
+    let reference = run_program_with(program, "main", MAX_STEPS, DecodeOptions::fused());
+    let got = run_program_with(program, "main", MAX_STEPS, DecodeOptions::no_fuse());
+    match (&reference, &got) {
+        (Ok(r), Ok(g)) => {
+            assert_eq!(
+                r.rendered, g.rendered,
+                "{label} [no-fuse]: checksum diverged"
+            );
+            assert_eq!(
+                r.vm_stats.heap, g.vm_stats.heap,
+                "{label} [no-fuse]: heap counters diverged"
+            );
+            assert_eq!(
+                r.vm_stats.max_depth, g.vm_stats.max_depth,
+                "{label} [no-fuse]: frame depth diverged"
+            );
+            assert_eq!(
+                r.vm_stats.frame_allocs, g.vm_stats.frame_allocs,
+                "{label} [no-fuse]: frame allocation diverged"
+            );
+            assert!(
+                r.stats.instructions <= g.stats.instructions,
+                "{label} [no-fuse]: fused dispatch must never execute more cells"
+            );
         }
+        (Err(re), Err(ge)) => {
+            assert_eq!(
+                re.message, ge.message,
+                "{label} [no-fuse]: error message diverged"
+            );
+        }
+        (r, g) => panic!(
+            "{label} [no-fuse]: one decode failed, the other did not \
+             (fused: {:?}, no-fuse: {:?})",
+            r.as_ref().map(|o| &o.rendered),
+            g.as_ref().map(|o| &o.rendered)
+        ),
     }
     reference.ok().map(|o| o.rendered)
 }
@@ -110,7 +77,7 @@ fn workloads_agree_across_dispatch_matrix_and_all_pipelines() {
         for config in diff::configs() {
             let label = format!("{} [{}]", w.name, config.label());
             let program = compile(&w.src, config).unwrap_or_else(|e| panic!("{label}: {e}"));
-            let rendered = assert_matrix_agrees(&label, &program)
+            let rendered = assert_decodes_agree(&label, &program)
                 .unwrap_or_else(|| panic!("{label}: workload must not trap"));
             assert_eq!(rendered, w.expected_test, "{label}");
         }
@@ -145,13 +112,7 @@ fn assert_rc_knob_agrees(
     without: &lambda_ssa::vm::CompiledProgram,
 ) -> Option<(String, (u64, u64))> {
     let run = |p: &lambda_ssa::vm::CompiledProgram| {
-        run_program_opts(
-            p,
-            "main",
-            MAX_STEPS,
-            DecodeOptions::fused(),
-            ExecOptions::default(),
-        )
+        run_program_with(p, "main", MAX_STEPS, DecodeOptions::fused())
     };
     match (run(with), run(without)) {
         (Ok(a), Ok(b)) => {
@@ -209,11 +170,11 @@ fn rc_opt_knob_preserves_behaviour_on_workloads() {
         let with =
             compile(&w.src, CompilerConfig::mlir()).unwrap_or_else(|e| panic!("{}: {e}", w.name));
         let without = compile(&w.src, norc_config()).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        // The no-rc-opt compile must itself agree across the whole
-        // dispatch matrix (the rc-opt compile is covered by
+        // The no-rc-opt compile must itself agree across both decodes
+        // (the rc-opt compile is covered by
         // `workloads_agree_across_dispatch_matrix_and_all_pipelines`)…
         let label = format!("{} [no-rc-opt]", w.name);
-        let rendered = assert_matrix_agrees(&label, &without)
+        let rendered = assert_decodes_agree(&label, &without)
             .unwrap_or_else(|| panic!("{label}: workload must not trap"));
         assert_eq!(rendered, w.expected_test, "{label}");
         // …and with the optimized compile head-to-head.
@@ -265,38 +226,32 @@ fn conformance_cases_agree_across_dispatch_matrix() {
             // Compile-time failures never reach the decoder.
             Err(_) => return,
         };
-        assert_matrix_agrees(&case.name, &program);
+        assert_decodes_agree(&case.name, &program);
     });
 }
 
 #[test]
 fn step_budget_exhaustion_is_identical_across_dispatch_matrix() {
-    // Resource governance must be dispatch-invariant: capping the step
-    // budget below a workload's total must abort every strategy at the
+    // Resource governance must be decode-invariant: capping the step
+    // budget below a workload's total must abort both decodes at the
     // *identical* step count with the *identical* structured error. A
     // checkpoint scheme that consumed steps, or polled differently per
-    // dispatch mode, would diverge here.
+    // decode, would diverge here.
     let workloads = all(Scale::Test);
     par::par_map(&workloads, |w| {
         let program =
             compile(&w.src, CompilerConfig::mlir()).unwrap_or_else(|e| panic!("{}: {e}", w.name));
         // Learn the fused total; cap at half of it. Fused decode executes
         // the fewest cells, so the cap undershoots every decode mode.
-        let full = run_program_opts(
-            &program,
-            "main",
-            MAX_STEPS,
-            DecodeOptions::fused(),
-            ExecOptions::default(),
-        )
-        .unwrap_or_else(|e| panic!("{}: uncapped run failed: {e}", w.name));
+        let full = run_program_with(&program, "main", MAX_STEPS, DecodeOptions::fused())
+            .unwrap_or_else(|e| panic!("{}: uncapped run failed: {e}", w.name));
         let budget = full.stats.instructions / 2;
         if budget == 0 {
             return;
         }
-        for (name, decode, exec) in matrix() {
+        for (name, decode) in decodes() {
             let decoded = program.decoded(decode);
-            let mut vm = lambda_ssa::vm::Vm::with_options(&decoded, budget, exec);
+            let mut vm = lambda_ssa::vm::Vm::new(&decoded, budget);
             let err = vm
                 .run("main")
                 .expect_err(&format!("{} [{name}]: capped run must exhaust", w.name));

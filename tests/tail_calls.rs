@@ -63,3 +63,22 @@ fn deep_recursion_correctness_is_unaffected() {
         assert_eq!(out.stats.heap.live, 0);
     }
 }
+
+#[test]
+fn base_case_free_recursion_compiles_and_runs_into_the_step_budget() {
+    // Regression: the inliner used to splice a self-reaching callee into
+    // its caller forever, hanging compilation under mlir and rgn-only.
+    const SPIN: &str = "def spin(n) := spin(n + 1)\ndef main() := spin(0)";
+    const PAIR: &str = "def f(n) := g(n + 1)\ndef g(n) := f(n + 2)\ndef main() := f(0)";
+    for src in [SPIN, PAIR] {
+        for config in lambda_ssa::driver::diff::configs() {
+            let err = compile_and_run(src, config, 100_000).unwrap_err();
+            assert_eq!(
+                err.vm_kind(),
+                Some(lambda_ssa::vm::VmErrorKind::StepBudget),
+                "{} {src:?}: {err}",
+                config.label()
+            );
+        }
+    }
+}
