@@ -24,7 +24,8 @@
 //! `dec+dec` cells) drop. The records serialize to
 //! `BENCH_<scale>.json`: commit the file, diff it later, and
 //! [`check_against`] a committed baseline to catch regressions in CI
-//! (instruction counts must match exactly; wall time within a tolerance).
+//! (every deterministic counter must match exactly; wall time within a
+//! tolerance).
 //!
 //! The JSON is written *and parsed* by hand — the workspace is offline and
 //! a perf baseline does not justify a serde dependency. The parser only
@@ -94,6 +95,31 @@ pub struct KnobResult {
     /// `dec+dec` / `dec x4` superinstructions (the traffic rc-opt
     /// removes).
     pub rc_cells: u64,
+}
+
+/// The deterministic counters of a row, by JSON key: `bench --check`
+/// requires each to match its baseline exactly.
+const COUNTERS: [&str; 6] = [
+    "instructions",
+    "fused_cells",
+    "heap_allocs",
+    "cache_hits",
+    "cache_misses",
+    "rc_cells",
+];
+
+impl KnobResult {
+    /// This row's [`COUNTERS`], in order.
+    fn counters(&self) -> [u64; 6] {
+        [
+            self.instructions,
+            self.fused_cells,
+            self.heap_allocs,
+            self.cache_hits,
+            self.cache_misses,
+            self.rc_cells,
+        ]
+    }
 }
 
 /// All knob rows for one workload.
@@ -253,13 +279,34 @@ pub struct BaselineRow {
     pub name: String,
     /// Config label (`full`, `full_nofuse`, …).
     pub config: String,
-    /// Recorded median wall time in milliseconds.
+    /// Recorded minimum wall time in milliseconds.
     pub wall_ms: f64,
     /// Recorded deterministic instruction count.
     pub instructions: u64,
-    /// Recorded executed rc-cell count (`None` in baselines written
-    /// before the counter existed).
-    pub rc_cells: Option<u64>,
+    /// Recorded superinstruction cells.
+    pub fused_cells: u64,
+    /// Recorded heap allocations.
+    pub heap_allocs: u64,
+    /// Recorded inline-cache hits.
+    pub cache_hits: u64,
+    /// Recorded inline-cache misses.
+    pub cache_misses: u64,
+    /// Recorded executed rc cells.
+    pub rc_cells: u64,
+}
+
+impl BaselineRow {
+    /// This row's [`COUNTERS`], in order.
+    fn counters(&self) -> [u64; 6] {
+        [
+            self.instructions,
+            self.fused_cells,
+            self.heap_allocs,
+            self.cache_hits,
+            self.cache_misses,
+            self.rc_cells,
+        ]
+    }
 }
 
 fn field_after<'a>(line: &'a str, key: &str) -> Option<&'a str> {
@@ -270,9 +317,9 @@ fn field_after<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     Some(&rest[..end])
 }
 
-/// Recovers the `(workload, config, wall, instructions)` rows from a
-/// baseline file previously written by [`render_json`]. Line-oriented by
-/// design: it accepts exactly the shape this module emits.
+/// Recovers the `(workload, config, wall, counters)` rows from a baseline
+/// file previously written by [`render_json`]. Line-oriented by design: it
+/// accepts exactly the shape this module emits, every counter included.
 ///
 /// # Errors
 ///
@@ -298,18 +345,23 @@ pub fn parse_baseline(json: &str) -> Result<Vec<BaselineRow>, String> {
             let wall_ms = field_after(t, "wall_ms")
                 .and_then(|v| v.parse().ok())
                 .ok_or_else(|| format!("bad wall_ms in: {t}"))?;
-            let instructions = field_after(t, "instructions")
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| format!("bad instructions in: {t}"))?;
-            let rc_cells = field_after(t, "rc_cells").and_then(|v| v.parse().ok());
+            let counter = |key: &str| {
+                field_after(t, key)
+                    .and_then(|v| v.parse().ok())
+                    .ok_or_else(|| format!("bad {key} in: {t}"))
+            };
             rows.push(BaselineRow {
                 name: name
                     .clone()
                     .ok_or_else(|| format!("row before name: {t}"))?,
                 config,
                 wall_ms,
-                instructions,
-                rc_cells,
+                instructions: counter("instructions")?,
+                fused_cells: counter("fused_cells")?,
+                heap_allocs: counter("heap_allocs")?,
+                cache_hits: counter("cache_hits")?,
+                cache_misses: counter("cache_misses")?,
+                rc_cells: counter("rc_cells")?,
             });
         }
     }
@@ -329,12 +381,13 @@ pub struct CheckOutcome {
     pub failures: Vec<String>,
 }
 
-/// Compares fresh measurements against a committed baseline: instruction
-/// counts must match **exactly** (they are deterministic), wall time may
-/// regress by at most `tolerance_pct` percent. A fresh row missing from
-/// the baseline is skipped (new workloads are not regressions); a
-/// baseline row missing from the fresh set is a failure (a workload or
-/// config silently disappeared).
+/// Compares fresh measurements against a committed baseline: the
+/// instruction, fused-cell, heap-allocation, cache-hit, cache-miss and
+/// rc-cell counters must each match **exactly** (they are deterministic),
+/// wall time may regress by at most `tolerance_pct` percent. A fresh row
+/// missing from the baseline is skipped (new workloads are not
+/// regressions); a baseline row missing from the fresh set is a failure
+/// (a workload or config silently disappeared).
 pub fn check_against(
     baseline: &[BaselineRow],
     fresh: &[BenchRecord],
@@ -355,12 +408,14 @@ pub fn check_against(
             continue;
         };
         compared += 1;
-        if row.instructions != b.instructions {
-            failures.push(format!(
-                "{}/{}: instructions changed {} -> {} (deterministic counter; \
-                 regenerate the baseline if intentional)",
-                b.name, b.config, b.instructions, row.instructions
-            ));
+        for ((key, old), new) in COUNTERS.iter().zip(b.counters()).zip(row.counters()) {
+            if old != new {
+                failures.push(format!(
+                    "{}/{}: {key} changed {old} -> {new} (deterministic counter; \
+                     regenerate the baseline if intentional)",
+                    b.name, b.config
+                ));
+            }
         }
         let limit = b.wall_ms * (1.0 + tolerance_pct / 100.0);
         if row.wall_ms > limit {
@@ -395,16 +450,17 @@ fn counter_delta(old: u64, new: u64) -> String {
 /// Renders the per-workload, per-config delta table between two baseline
 /// files (`lssa bench --diff old.json new.json`). Wall-time deltas
 /// within ±[`DIFF_NOISE_PCT`] percent are annotated `~noise` — wall
-/// times are the only noisy column; the instruction and rc-cell counters
-/// are deterministic, so any delta there is a real compiler/VM change.
+/// times are the only noisy column; the instruction, rc-cell and
+/// heap-allocation counters are deterministic, so any delta there is a
+/// real compiler, VM or runtime change.
 /// Rows present on only one side are called out instead of silently
 /// dropped.
 pub fn render_diff(old: &[BaselineRow], new: &[BaselineRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<16} {:<15} {:>9} {:>9} {:>8}  {:>16}  {:>16}  note",
-        "workload", "config", "old ms", "new ms", "wall", "instructions", "rc_cells"
+        "{:<16} {:<15} {:>9} {:>9} {:>8}  {:>16}  {:>16}  {:>16}  note",
+        "workload", "config", "old ms", "new ms", "wall", "instructions", "rc_cells", "heap_allocs"
     );
     for n in new {
         let Some(o) = old
@@ -413,8 +469,8 @@ pub fn render_diff(old: &[BaselineRow], new: &[BaselineRow]) -> String {
         else {
             let _ = writeln!(
                 out,
-                "{:<16} {:<15} {:>9} {:>9.3} {:>8}  {:>16}  {:>16}  added (no old row)",
-                n.name, n.config, "-", n.wall_ms, "-", n.instructions, "-"
+                "{:<16} {:<15} {:>9} {:>9.3} {:>8}  {:>16}  {:>16}  {:>16}  added (no old row)",
+                n.name, n.config, "-", n.wall_ms, "-", n.instructions, n.rc_cells, n.heap_allocs
             );
             continue;
         };
@@ -430,20 +486,17 @@ pub fn render_diff(old: &[BaselineRow], new: &[BaselineRow]) -> String {
         } else {
             "slower"
         };
-        let rc = match (o.rc_cells, n.rc_cells) {
-            (Some(a), Some(b)) => counter_delta(a, b),
-            _ => "-".to_string(),
-        };
         let _ = writeln!(
             out,
-            "{:<16} {:<15} {:>9.3} {:>9.3} {:>+7.1}%  {:>16}  {:>16}  {}",
+            "{:<16} {:<15} {:>9.3} {:>9.3} {:>+7.1}%  {:>16}  {:>16}  {:>16}  {}",
             n.name,
             n.config,
             o.wall_ms,
             n.wall_ms,
             wall_pct,
             counter_delta(o.instructions, n.instructions),
-            rc,
+            counter_delta(o.rc_cells, n.rc_cells),
+            counter_delta(o.heap_allocs, n.heap_allocs),
             note
         );
     }
@@ -451,8 +504,8 @@ pub fn render_diff(old: &[BaselineRow], new: &[BaselineRow]) -> String {
         if !new.iter().any(|n| n.name == o.name && n.config == o.config) {
             let _ = writeln!(
                 out,
-                "{:<16} {:<15} {:>9.3} {:>9} {:>8}  {:>16}  {:>16}  removed (no new row)",
-                o.name, o.config, o.wall_ms, "-", "-", o.instructions, "-"
+                "{:<16} {:<15} {:>9.3} {:>9} {:>8}  {:>16}  {:>16}  {:>16}  removed (no new row)",
+                o.name, o.config, o.wall_ms, "-", "-", o.instructions, o.rc_cells, o.heap_allocs
             );
         }
     }
@@ -506,8 +559,7 @@ mod tests {
         assert_eq!(rows.len(), knob_configs().len());
         assert_eq!(rows[0].name, "filter");
         assert_eq!(rows[0].config, "full");
-        assert_eq!(rows[0].instructions, full.instructions);
-        assert_eq!(rows[0].rc_cells, Some(full.rc_cells));
+        assert_eq!(rows[0].counters(), full.counters());
         assert!((rows[0].wall_ms - full.wall_ms).abs() < 0.001);
         // And checking fresh-vs-own-baseline passes. The JSON rounds walls
         // to 3 decimals, so the parsed baseline can sit up to 0.0005ms
@@ -516,6 +568,39 @@ mod tests {
         let outcome = check_against(&rows, std::slice::from_ref(&r), 25.0);
         assert_eq!(outcome.compared, rows.len());
         assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+    }
+
+    /// A baseline row with every counter zero.
+    fn baseline_row(name: &str, config: &str, wall_ms: f64, instructions: u64) -> BaselineRow {
+        BaselineRow {
+            name: name.into(),
+            config: config.into(),
+            wall_ms,
+            instructions,
+            fused_cells: 0,
+            heap_allocs: 0,
+            cache_hits: 0,
+            cache_misses: 0,
+            rc_cells: 0,
+        }
+    }
+
+    /// One fresh `full` row of workload `w` with distinct counter values.
+    fn fresh_record() -> BenchRecord {
+        BenchRecord {
+            name: "w".into(),
+            rows: vec![KnobResult {
+                config: "full",
+                wall_ms: 2.0,
+                instructions: 100,
+                fused_cells: 7,
+                fused_share: 0.25,
+                heap_allocs: 30,
+                cache_hits: 40,
+                cache_misses: 2,
+                rc_cells: 50,
+            }],
+        }
     }
 
     #[test]
@@ -535,20 +620,8 @@ mod tests {
             }],
         };
         let baseline = vec![
-            BaselineRow {
-                name: "w".into(),
-                config: "full".into(),
-                wall_ms: 1.0,
-                instructions: 99,
-                rc_cells: None,
-            },
-            BaselineRow {
-                name: "gone".into(),
-                config: "full".into(),
-                wall_ms: 1.0,
-                instructions: 1,
-                rc_cells: None,
-            },
+            baseline_row("w", "full", 1.0, 99),
+            baseline_row("gone", "full", 1.0, 1),
         ];
         let out = check_against(&baseline, std::slice::from_ref(&fresh), 10.0);
         assert_eq!(out.compared, 1);
@@ -561,32 +634,108 @@ mod tests {
         assert_eq!(out.failures.len(), 1);
     }
 
+    /// Writes a fresh record as a baseline, moves one counter by one, and
+    /// asserts that `check_against` names exactly that counter.
+    fn assert_counter_gated(key: &str) {
+        let fresh = fresh_record();
+        let json = render_json("test", 1, std::slice::from_ref(&fresh));
+        let untouched = parse_baseline(&json).unwrap();
+        let outcome = check_against(&untouched, std::slice::from_ref(&fresh), 500.0);
+        assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+        let old = field_after(&json, key).unwrap();
+        let bumped = old.parse::<u64>().unwrap() + 1;
+        let tampered = json.replacen(
+            &format!("\"{key}\": {old}"),
+            &format!("\"{key}\": {bumped}"),
+            1,
+        );
+        assert_ne!(tampered, json, "{key} not found");
+        let baseline = parse_baseline(&tampered).unwrap();
+        let outcome = check_against(&baseline, std::slice::from_ref(&fresh), 500.0);
+        assert_eq!(outcome.compared, 1);
+        assert_eq!(outcome.failures.len(), 1, "{:?}", outcome.failures);
+        let expect = format!("w/full: {key} changed {bumped} -> {old}");
+        assert!(
+            outcome.failures[0].starts_with(&expect),
+            "{:?}",
+            outcome.failures
+        );
+    }
+
+    #[test]
+    fn check_gates_instructions() {
+        assert_counter_gated("instructions");
+    }
+
+    #[test]
+    fn check_gates_fused_cells() {
+        assert_counter_gated("fused_cells");
+    }
+
+    #[test]
+    fn check_gates_heap_allocs() {
+        assert_counter_gated("heap_allocs");
+    }
+
+    #[test]
+    fn check_gates_cache_hits() {
+        assert_counter_gated("cache_hits");
+    }
+
+    #[test]
+    fn check_gates_cache_misses() {
+        assert_counter_gated("cache_misses");
+    }
+
+    #[test]
+    fn check_gates_rc_cells() {
+        assert_counter_gated("rc_cells");
+    }
+
+    #[test]
+    fn parse_requires_every_counter() {
+        let json = render_json("test", 1, &[fresh_record()]);
+        for key in COUNTERS {
+            let dropped = json.replacen(&format!("\"{key}\": "), &format!("\"no_{key}\": "), 1);
+            let err = parse_baseline(&dropped).unwrap_err();
+            assert!(err.contains(&format!("bad {key}")), "{key}: {err}");
+        }
+    }
+
     #[test]
     fn diff_annotates_noise_and_counters() {
-        let row = |name: &str, config: &str, wall, instructions, rc| BaselineRow {
-            name: name.into(),
-            config: config.into(),
-            wall_ms: wall,
-            instructions,
-            rc_cells: rc,
-        };
+        let row =
+            |name: &str, config: &str, wall, instructions, rc_cells, heap_allocs| BaselineRow {
+                rc_cells,
+                heap_allocs,
+                ..baseline_row(name, config, wall, instructions)
+            };
         let old = vec![
-            row("qsort", "full", 10.0, 1000, Some(300)),
-            row("qsort", "full_norc", 12.0, 1200, Some(900)),
-            row("gone", "full", 1.0, 10, None),
+            row("qsort", "full", 10.0, 1000, 300, 40),
+            row("qsort", "full_norc", 12.0, 1200, 900, 40),
+            row("gone", "full", 1.0, 10, 0, 0),
         ];
         let new = vec![
-            row("qsort", "full", 10.2, 1000, Some(300)),
-            row("qsort", "full_norc", 9.0, 1100, Some(700)),
-            row("fresh", "full", 2.0, 20, Some(5)),
+            row("qsort", "full", 10.2, 1000, 300, 40),
+            row("qsort", "full_norc", 9.0, 1100, 700, 30),
+            row("fresh", "full", 2.0, 20, 5, 0),
         ];
         let table = render_diff(&old, &new);
         let lines: Vec<&str> = table.lines().collect();
+        assert!(lines[0].contains("heap_allocs"), "{table}");
         assert!(lines[1].contains("~noise"), "{table}");
-        assert!(lines[1].contains('='), "unchanged counters: {table}");
+        assert_eq!(
+            lines[1].matches(" = ").count(),
+            3,
+            "unchanged counters: {table}"
+        );
         assert!(lines[2].contains("faster"), "{table}");
         assert!(lines[2].contains("-100 (-8.3%)"), "{table}");
         assert!(lines[2].contains("-200 (-22.2%)"), "{table}");
+        assert!(
+            lines[2].contains("-10 (-25.0%)"),
+            "heap_allocs delta: {table}"
+        );
         assert!(lines[3].contains("added"), "{table}");
         assert!(lines[4].contains("removed"), "{table}");
     }

@@ -34,6 +34,22 @@ fn run_prints_result() {
 }
 
 #[test]
+fn run_prints_nullary_ctor_as_its_tag() {
+    let path = write_temp(
+        "nullary",
+        "inductive List := Nil | Cons(h, t)\ndef main() := Cons(7, Nil)\n",
+    );
+    let out = lssa().args(["run"]).arg(&path).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "ctor1(7, 0)");
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
 fn run_all_backends() {
     let path = write_temp("backends", PROGRAM);
     for backend in ["leanc", "mlir", "rgn-only", "none"] {
@@ -149,6 +165,57 @@ fn vm_stats_shows_fusion_and_no_fuse_disables_it() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("fused: 0 superinstruction"), "{text}");
     std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn bench_check_gates_every_counter() {
+    let json_path = std::env::temp_dir().join(format!(
+        "lssa-cli-bench-counters-{}.json",
+        std::process::id()
+    ));
+    let out = lssa()
+        .args(["bench", "filter", "--scale", "quick", "--json", "--out"])
+        .arg(&json_path)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // Raise four counters of the first (`full`) row: each is deterministic,
+    // so each must fail the check on its own line, whatever the tolerance.
+    let mut json = std::fs::read_to_string(&json_path).unwrap();
+    let raised = ["heap_allocs", "rc_cells", "fused_cells", "cache_hits"];
+    for key in raised {
+        let field = format!("\"{key}\": ");
+        json = json.replacen(&field, &format!("{field}9"), 1);
+    }
+    std::fs::write(&json_path, json).unwrap();
+    let out = lssa()
+        .args([
+            "bench",
+            "filter",
+            "--scale",
+            "quick",
+            "--check",
+            "--tolerance",
+            "300",
+            "--out",
+        ])
+        .arg(&json_path)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    for key in raised {
+        assert!(
+            stderr.contains(&format!("REGRESSION: filter/full: {key} changed")),
+            "{key} not gated:\n{stderr}"
+        );
+    }
+    assert!(stderr.contains("4 regression(s)"), "{stderr}");
+    std::fs::remove_file(json_path).ok();
 }
 
 #[test]

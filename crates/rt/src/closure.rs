@@ -179,7 +179,7 @@ mod tests {
     #[test]
     fn shared_closure_extension_keeps_original() {
         let mut h = Heap::new();
-        let captured = h.alloc_ctor(5, vec![]);
+        let captured = h.alloc_ctor(5, vec![ObjRef::scalar(0)]);
         let c = match pap_new(&mut h, FuncId(2), 2, vec![captured]) {
             ApplyOutcome::Partial(c) => c,
             other => panic!("{other:?}"),

@@ -1,19 +1,38 @@
 //! The reference-counted heap.
 //!
-//! Stand-in for `libleanrt`'s allocator: a slot arena with an intrusive free
-//! list, explicit `inc`/`dec` reference-count operations (the targets of
-//! `lp.inc`/`lp.dec`), and allocation statistics used by the evaluation
-//! harness to report memory behaviour.
+//! Stand-in for `libleanrt`'s allocator. Every heap object is a slot (a
+//! reference count plus an [`ObjData`] payload) in one slot table whose
+//! free slots form an intrusive free list. Constructors follow LEAN's
+//! object model:
+//!
+//! - a constructor without fields is never a heap object: it is the scalar
+//!   `tag` (LEAN's `lean_box(tag)`), so `Nil`, `Leaf` or `Red` allocate
+//!   nothing and `inc`/`dec` on them touch no memory;
+//! - every other constructor keeps its slot (rc and tag) but stores its
+//!   fields as a block of consecutive words in one flat field arena. A
+//!   freed block goes onto the free list for its length, and the next
+//!   constructor with as many fields takes it, so building or freeing a
+//!   cell never calls the system allocator once the arena has grown to the
+//!   program's peak.
+//!
+//! Closures, arrays, strings and big integers keep their own payloads. The
+//! heap also implements the explicit `inc`/`dec` reference-count
+//! operations (the targets of `lp.inc`/`lp.dec`) and the allocation
+//! statistics the evaluation harness reports.
 
 use crate::bignum::{Int, Nat};
 use crate::object::{ObjData, ObjRef, Object, MAX_SMALL_INT, MAX_SMALL_NAT, MIN_SMALL_INT};
+
+/// Ends a free list of the field arena.
+const NO_BLOCK: u32 = u32::MAX;
 
 /// Allocation and reference-count statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HeapStats {
     /// Number of objects allocated over the heap's lifetime.
     pub allocs: u64,
-    /// Constructor cells allocated.
+    /// Constructor cells allocated (constructors with fields: one without
+    /// is a scalar and allocates nothing).
     pub ctor_allocs: u64,
     /// Closures allocated.
     pub closure_allocs: u64,
@@ -70,7 +89,7 @@ pub fn obj_bytes(data: &ObjData) -> u64 {
     const HEADER: u64 = 16;
     HEADER
         + match data {
-            ObjData::Ctor { fields, .. } => 8 * fields.len() as u64,
+            ObjData::Ctor { len, .. } => 8 * u64::from(*len),
             ObjData::Closure { args, .. } => 8 + 8 * args.len() as u64,
             ObjData::Array(elems) => 8 * elems.len() as u64,
             ObjData::Str(s) => s.len() as u64,
@@ -86,17 +105,26 @@ pub fn obj_bytes(data: &ObjData) -> u64 {
 /// ```
 /// use lssa_rt::heap::Heap;
 /// let mut heap = Heap::new();
-/// let nil = heap.alloc_ctor(0, vec![]);
+/// let nil = heap.alloc_ctor(0, vec![]); // the scalar 0, no allocation
 /// let one = lssa_rt::object::ObjRef::scalar(1);
 /// let cons = heap.alloc_ctor(1, vec![one, nil]);
 /// assert_eq!(heap.ctor_tag(cons), 1);
-/// heap.dec(cons); // frees cons and nil
+/// assert_eq!(heap.ctor_fields(cons), &[one, nil][..]);
+/// assert_eq!(heap.stats().allocs, 1);
+/// heap.dec(cons); // frees cons; its block waits for the next 2-field ctor
 /// assert_eq!(heap.stats().live, 0);
 /// ```
 #[derive(Debug, Default)]
 pub struct Heap {
     slots: Vec<Object>,
     free_head: Option<u32>,
+    /// The field arena: each heap constructor's fields are the `len`
+    /// words at its `off`.
+    fields: Vec<ObjRef>,
+    /// Heads of the arena's free lists, indexed by block length. The first
+    /// word of a free block holds the offset of the next free block of the
+    /// same length; `NO_BLOCK` ends a list.
+    free_blocks: Vec<u32>,
     stats: HeapStats,
     /// Reused worklist for transitive frees ([`Heap::dec`]): a dec that
     /// frees nothing — the overwhelmingly common case — and even most
@@ -121,19 +149,6 @@ impl Heap {
     /// Returns accumulated statistics.
     pub fn stats(&self) -> HeapStats {
         self.stats
-    }
-
-    /// Resets the statistics counters (the heap contents are untouched).
-    pub fn reset_stats(&mut self) {
-        let live = self.stats.live;
-        let live_bytes = self.stats.live_bytes;
-        self.stats = HeapStats {
-            live,
-            peak_live: live,
-            live_bytes,
-            peak_bytes: live_bytes,
-            ..HeapStats::default()
-        };
     }
 
     // ---- resource governance --------------------------------------------
@@ -178,12 +193,13 @@ impl Heap {
             .count() as u64
     }
 
-    /// Frees every live object unconditionally and rebuilds the free list —
-    /// the drop-all sweep an aborted run uses to reclaim objects still owned
-    /// by abandoned frames. Child references need no recursive dec: the
-    /// sweep visits every slot exactly once. Returns the number of objects
-    /// freed; afterwards `stats().live == 0` and, when the refcount
-    /// machinery was balanced, `stats().allocs == stats().frees`.
+    /// Frees every live object unconditionally, rebuilds the free list and
+    /// empties the field arena — the drop-all sweep an aborted run uses to
+    /// reclaim objects still owned by abandoned frames. Child references
+    /// need no recursive dec: the sweep visits every slot exactly once.
+    /// Returns the number of objects freed; afterwards `stats().live == 0`
+    /// and, when the refcount machinery was balanced, `stats().allocs ==
+    /// stats().frees`.
     pub fn free_all(&mut self) -> u64 {
         let mut freed = 0u64;
         let mut next = u32::MAX;
@@ -197,6 +213,8 @@ impl Heap {
             next = slot as u32;
         }
         self.free_head = (next != u32::MAX).then_some(next);
+        self.fields.clear();
+        self.free_blocks.clear();
         // Set the ledgers directly rather than decrementing per object: if
         // bookkeeping had drifted, decrements could underflow and mask the
         // very imbalance the caller is about to assert on via allocs/frees.
@@ -251,8 +269,9 @@ impl Heap {
         }
     }
 
+    #[inline]
     fn obj(&self, r: ObjRef) -> &Object {
-        let slot = r.as_heap().expect("expected heap reference, got scalar");
+        let Some(slot) = r.as_heap() else { not_heap(r) };
         let o = &self.slots[slot as usize];
         debug_assert!(
             !matches!(o.data, ObjData::Free(_)),
@@ -261,8 +280,9 @@ impl Heap {
         o
     }
 
+    #[inline]
     fn obj_mut(&mut self, r: ObjRef) -> &mut Object {
-        let slot = r.as_heap().expect("expected heap reference, got scalar");
+        let Some(slot) = r.as_heap() else { not_heap(r) };
         let o = &mut self.slots[slot as usize];
         debug_assert!(
             !matches!(o.data, ObjData::Free(_)),
@@ -276,6 +296,7 @@ impl Heap {
     /// # Panics
     ///
     /// Panics if `r` is a scalar.
+    #[inline]
     pub fn data(&self, r: ObjRef) -> &ObjData {
         &self.obj(r).data
     }
@@ -292,13 +313,77 @@ impl Heap {
 
     // ---- allocation -----------------------------------------------------
 
-    /// Allocates a constructor cell. Ownership of `fields` transfers to the
-    /// new object (no `inc` is performed).
-    pub fn alloc_ctor(&mut self, tag: u32, fields: Vec<ObjRef>) -> ObjRef {
+    /// Builds a constructor value. Ownership of `fields` transfers to the
+    /// new object (no `inc` is performed). A constructor without fields is
+    /// the scalar `tag` and allocates nothing; any other takes a slot and a
+    /// block of the field arena.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fields` yields a different number of items than its
+    /// `len()` reported.
+    #[inline]
+    pub fn alloc_ctor<I>(&mut self, tag: u32, fields: I) -> ObjRef
+    where
+        I: IntoIterator<Item = ObjRef>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let mut fields = fields.into_iter();
+        let len = fields.len();
+        if len == 0 {
+            if fields.next().is_some() {
+                field_count_mismatch(0);
+            }
+            return ObjRef::scalar(i64::from(tag));
+        }
+        let off = self.take_block(len);
+        let mut written = 0;
+        for (word, f) in self.fields[off..off + len].iter_mut().zip(&mut fields) {
+            *word = f;
+            written += 1;
+        }
+        if written != len || fields.next().is_some() {
+            field_count_mismatch(len);
+        }
         self.alloc(ObjData::Ctor {
             tag,
-            fields: fields.into_boxed_slice(),
+            off: off as u32,
+            len: len as u32,
         })
+    }
+
+    /// Takes a block of `len` words from the field arena: the head of the
+    /// free list for `len`, or fresh words at the arena's end.
+    #[inline]
+    fn take_block(&mut self, len: usize) -> usize {
+        match self.free_blocks.get(len) {
+            Some(&head) if head != NO_BLOCK => {
+                let off = head as usize;
+                self.free_blocks[len] = self.fields[off].to_bits() as u32;
+                off
+            }
+            _ => self.grow_arena(len),
+        }
+    }
+
+    fn grow_arena(&mut self, len: usize) -> usize {
+        let off = self.fields.len();
+        assert!(
+            off + len < NO_BLOCK as usize,
+            "constructor field arena exhausted"
+        );
+        self.fields.resize(off + len, ObjRef::scalar(0));
+        off
+    }
+
+    /// Links the block at `off` onto the free list for `len`.
+    fn free_block(&mut self, off: u32, len: u32) {
+        let len = len as usize;
+        if self.free_blocks.len() <= len {
+            self.free_blocks.resize(len + 1, NO_BLOCK);
+        }
+        self.fields[off as usize] = ObjRef::from_bits(u64::from(self.free_blocks[len]));
+        self.free_blocks[len] = off;
     }
 
     /// Allocates a closure capturing `args`.
@@ -367,14 +452,16 @@ impl Heap {
     // ---- constructor access ---------------------------------------------
 
     /// The tag of a constructor value. Scalars are treated as zero-field
-    /// constructors whose tag is the scalar value (LEAN's representation of
-    /// enum-like inductives such as `Bool`).
+    /// constructors whose tag is the scalar value: that is how
+    /// [`Heap::alloc_ctor`] builds every constructor without fields, and
+    /// LEAN's representation of enum-like inductives such as `Bool`.
+    #[inline]
     pub fn ctor_tag(&self, r: ObjRef) -> u32 {
         match r.as_scalar() {
-            Some(v) => u32::try_from(v).expect("scalar ctor tag out of range"),
-            None => match self.data(r) {
-                ObjData::Ctor { tag, .. } => *tag,
-                other => panic!("getlabel on non-constructor {other:?}"),
+            Some(v) => u32::try_from(v).unwrap_or_else(|_| bad_scalar_tag(v)),
+            None => match *self.data(r) {
+                ObjData::Ctor { tag, .. } => tag,
+                ref other => not_a_ctor("getlabel", other),
             },
         }
     }
@@ -383,45 +470,43 @@ impl Heap {
     ///
     /// # Panics
     ///
-    /// Panics if `r` is not a constructor or `idx` is out of bounds.
+    /// Panics if `r` is not a heap constructor or `idx` is out of bounds.
+    #[inline]
     pub fn ctor_field(&self, r: ObjRef, idx: usize) -> ObjRef {
-        match self.data(r) {
-            ObjData::Ctor { fields, .. } => fields[idx],
-            other => panic!("project on non-constructor {other:?}"),
+        match *self.data(r) {
+            ObjData::Ctor { off, len, .. } if idx < len as usize => self.fields[off as usize + idx],
+            ObjData::Ctor { len, .. } => field_out_of_bounds(idx, len),
+            ref other => not_a_ctor("project", other),
         }
     }
 
-    /// Number of fields of a constructor (0 for scalars).
-    pub fn ctor_num_fields(&self, r: ObjRef) -> usize {
-        if r.is_scalar() {
-            return 0;
-        }
-        match self.data(r) {
-            ObjData::Ctor { fields, .. } => fields.len(),
-            other => panic!("num_fields on non-constructor {other:?}"),
-        }
-    }
-
-    /// Overwrites field `idx` of an exclusively-owned constructor.
+    /// All fields of a heap constructor, in order.
     ///
     /// # Panics
     ///
-    /// Panics if the object is shared (`rc > 1`).
-    pub fn ctor_set_field(&mut self, r: ObjRef, idx: usize, v: ObjRef) {
-        assert!(self.is_exclusive(r), "ctor_set_field on shared object");
-        match &mut self.obj_mut(r).data {
-            ObjData::Ctor { fields, .. } => fields[idx] = v,
-            other => panic!("set_field on non-constructor {other:?}"),
+    /// Panics if `r` is not a heap constructor.
+    pub fn ctor_fields(&self, r: ObjRef) -> &[ObjRef] {
+        match *self.data(r) {
+            ObjData::Ctor { off, len, .. } => {
+                &self.fields[off as usize..off as usize + len as usize]
+            }
+            ref other => not_a_ctor("ctor_fields", other),
         }
     }
 
     // ---- reference counting ----------------------------------------------
 
     /// Increments the reference count (no-op on scalars), like `lean_inc`.
+    #[inline]
     pub fn inc(&mut self, r: ObjRef) {
         self.stats.incs += 1;
-        if r.is_heap() {
-            self.obj_mut(r).rc += 1;
+        if let Some(slot) = r.as_heap() {
+            let obj = &mut self.slots[slot as usize];
+            debug_assert!(
+                !matches!(obj.data, ObjData::Free(_)),
+                "inc on freed slot {slot}"
+            );
+            obj.rc += 1;
         }
     }
 
@@ -435,12 +520,9 @@ impl Heap {
 
     /// Decrements the reference count, freeing (recursively, without using
     /// the machine stack) when it reaches zero. Like `lean_dec`.
+    #[inline]
     pub fn dec(&mut self, r: ObjRef) {
         self.stats.decs += 1;
-        self.dec_no_stat(r);
-    }
-
-    fn dec_no_stat(&mut self, r: ObjRef) {
         let Some(slot) = r.as_heap() else {
             return;
         };
@@ -459,7 +541,10 @@ impl Heap {
     /// Frees `slot` and — iteratively, without using the machine stack —
     /// every transitively-owned child whose refcount reaches zero. The
     /// worklist buffer persists on the heap (`dec_scratch`), so the free
-    /// path itself does not allocate.
+    /// path itself does not allocate. Out of line and cold: it keeps the
+    /// far more frequent dec that frees nothing small enough to inline.
+    #[cold]
+    #[inline(never)]
     fn free_transitively(&mut self, slot: u32) {
         let mut worklist = std::mem::take(&mut self.dec_scratch);
         debug_assert!(worklist.is_empty());
@@ -480,8 +565,9 @@ impl Heap {
         self.dec_scratch = worklist;
     }
 
-    /// Frees one object: threads the slot onto the free list and queues
-    /// its heap children for a deferred dec on `worklist`.
+    /// Frees one object: threads the slot onto the free list, queues its
+    /// heap children for a deferred dec on `worklist`, and links a
+    /// constructor's field block onto the free list for its length.
     fn free_one(&mut self, slot: u32, worklist: &mut Vec<ObjRef>) {
         let obj = &mut self.slots[slot as usize];
         let next_free = self.free_head.unwrap_or(u32::MAX);
@@ -491,8 +577,10 @@ impl Heap {
         self.stats.live -= 1;
         self.stats.live_bytes -= obj_bytes(&data);
         match data {
-            ObjData::Ctor { fields, .. } => {
-                worklist.extend(fields.iter().copied().filter(|f| f.is_heap()));
+            ObjData::Ctor { off, len, .. } => {
+                let block = &self.fields[off as usize..off as usize + len as usize];
+                worklist.extend(block.iter().copied().filter(|f| f.is_heap()));
+                self.free_block(off, len);
             }
             ObjData::Closure { args, .. } => {
                 worklist.extend(args.iter().copied().filter(|a| a.is_heap()));
@@ -619,16 +707,8 @@ impl Heap {
                     }
                 }
                 (None, None) => match (self.data(a), self.data(b)) {
-                    (
-                        ObjData::Ctor {
-                            tag: t1,
-                            fields: f1,
-                        },
-                        ObjData::Ctor {
-                            tag: t2,
-                            fields: f2,
-                        },
-                    ) => {
+                    (ObjData::Ctor { tag: t1, .. }, ObjData::Ctor { tag: t2, .. }) => {
+                        let (f1, f2) = (self.ctor_fields(a), self.ctor_fields(b));
                         if t1 != t2 || f1.len() != f2.len() {
                             return false;
                         }
@@ -675,12 +755,6 @@ impl Heap {
                                 return false;
                             }
                         }
-                        ObjData::Ctor { tag, fields } => {
-                            // Scalar-encoded enum constructor vs boxed ctor.
-                            if !fields.is_empty() || s.as_scalar() != Some(*tag as i64) {
-                                return false;
-                            }
-                        }
                         _ => return false,
                     }
                 }
@@ -695,13 +769,13 @@ impl Heap {
         match r.as_scalar() {
             Some(v) => v.to_string(),
             None => match self.data(r) {
-                ObjData::Ctor { tag, fields } => {
-                    if fields.is_empty() {
-                        format!("ctor{tag}")
-                    } else {
-                        let fs: Vec<String> = fields.iter().map(|&f| self.render(f)).collect();
-                        format!("ctor{tag}({})", fs.join(", "))
-                    }
+                ObjData::Ctor { tag, .. } => {
+                    let fs: Vec<String> = self
+                        .ctor_fields(r)
+                        .iter()
+                        .map(|&f| self.render(f))
+                        .collect();
+                    format!("ctor{tag}({})", fs.join(", "))
                 }
                 ObjData::BigInt(i) => i.to_string(),
                 ObjData::Closure { func, arity, args } => {
@@ -718,19 +792,66 @@ impl Heap {
     }
 }
 
+// Panics of the inlined accessors, out of line so their formatting code
+// stays off the hot path.
+
+#[cold]
+#[inline(never)]
+fn not_heap(r: ObjRef) -> ! {
+    panic!("expected heap reference, got scalar {r:?}")
+}
+
+#[cold]
+#[inline(never)]
+fn bad_scalar_tag(v: i64) -> ! {
+    panic!("scalar ctor tag out of range: {v}")
+}
+
+#[cold]
+#[inline(never)]
+fn not_a_ctor(op: &str, data: &ObjData) -> ! {
+    panic!("{op} on non-constructor {data:?}")
+}
+
+#[cold]
+#[inline(never)]
+fn field_out_of_bounds(idx: usize, len: u32) -> ! {
+    panic!("field {idx} out of bounds of a {len}-field constructor")
+}
+
+#[cold]
+#[inline(never)]
+fn field_count_mismatch(len: usize) -> ! {
+    panic!("constructor fields iterator reported {len} fields but yielded a different number")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::object::FuncId;
 
+    /// A one-field constructor: the smallest constructor that is a heap
+    /// object.
+    fn cell(h: &mut Heap, tag: u32) -> ObjRef {
+        h.alloc_ctor(tag, [ObjRef::scalar(0)])
+    }
+
+    /// Where a heap constructor's fields start in the field arena.
+    fn block_of(h: &Heap, r: ObjRef) -> u32 {
+        match *h.data(r) {
+            ObjData::Ctor { off, .. } => off,
+            ref other => panic!("not a constructor: {other:?}"),
+        }
+    }
+
     #[test]
     fn alloc_and_free_reuses_slots() {
         let mut h = Heap::new();
-        let a = h.alloc_ctor(0, vec![]);
+        let a = cell(&mut h, 0);
         let slot_a = a.as_heap().unwrap();
         h.dec(a);
         assert_eq!(h.stats().live, 0);
-        let b = h.alloc_ctor(1, vec![]);
+        let b = cell(&mut h, 1);
         assert_eq!(b.as_heap().unwrap(), slot_a, "slot should be reused");
         assert_eq!(h.ctor_tag(b), 1);
     }
@@ -738,7 +859,7 @@ mod tests {
     #[test]
     fn dec_frees_transitively() {
         let mut h = Heap::new();
-        let mut list = h.alloc_ctor(0, vec![]);
+        let mut list = cell(&mut h, 0);
         for i in 0..100 {
             list = h.alloc_ctor(1, vec![ObjRef::scalar(i), list]);
         }
@@ -751,7 +872,7 @@ mod tests {
     #[test]
     fn shared_child_survives_parent_free() {
         let mut h = Heap::new();
-        let child = h.alloc_ctor(7, vec![]);
+        let child = cell(&mut h, 7);
         h.inc(child); // one ref for us, one for parent
         let parent = h.alloc_ctor(1, vec![child]);
         h.dec(parent);
@@ -819,7 +940,7 @@ mod tests {
     #[test]
     fn array_set_shared_preserves_heap_elements() {
         let mut h = Heap::new();
-        let elem = h.alloc_ctor(3, vec![]);
+        let elem = cell(&mut h, 3);
         let arr = h.alloc_array(vec![elem, ObjRef::scalar(0)]);
         h.inc(arr);
         let arr2 = h.array_set(arr, 1, ObjRef::scalar(5));
@@ -860,19 +981,11 @@ mod tests {
     }
 
     #[test]
-    fn deep_eq_scalar_vs_boxed_ctor() {
-        let mut h = Heap::new();
-        let boxed_true = h.alloc_ctor(1, vec![]);
-        assert!(h.deep_eq(ObjRef::scalar(1), boxed_true));
-        assert!(!h.deep_eq(ObjRef::scalar(0), boxed_true));
-    }
-
-    #[test]
     fn render_values() {
         let mut h = Heap::new();
         let nil = h.alloc_ctor(0, vec![]);
         let cons = h.alloc_ctor(1, vec![ObjRef::scalar(3), nil]);
-        assert_eq!(h.render(cons), "ctor1(3, ctor0)");
+        assert_eq!(h.render(cons), "ctor1(3, 0)");
         let arr = h.alloc_array(vec![ObjRef::scalar(1)]);
         assert_eq!(h.render(arr), "#[1]");
         let clos = h.alloc_closure(FuncId(2), 3, vec![ObjRef::scalar(0)]);
@@ -918,18 +1031,18 @@ mod tests {
     fn trip_alloc_fault_injection() {
         let mut h = Heap::new();
         h.set_trip_alloc(Some(3));
-        h.alloc_ctor(0, vec![]);
-        h.alloc_ctor(0, vec![]);
+        cell(&mut h, 0);
+        cell(&mut h, 0);
         assert!(!h.over_budget());
-        h.alloc_ctor(0, vec![]);
+        cell(&mut h, 0);
         assert!(h.over_budget(), "third allocation must trip the fault");
     }
 
     #[test]
     fn free_all_reclaims_everything_and_balances() {
         let mut h = Heap::new();
-        let keep = h.alloc_ctor(0, vec![]);
-        let mut list = h.alloc_ctor(0, vec![]);
+        let keep = cell(&mut h, 0);
+        let mut list = cell(&mut h, 0);
         for i in 0..10 {
             list = h.alloc_ctor(1, vec![ObjRef::scalar(i), list]);
         }
@@ -942,7 +1055,7 @@ mod tests {
         assert_eq!(h.stats().allocs, h.stats().frees);
         assert_eq!(h.stats().live_bytes, 0);
         // The arena is fully reusable afterwards.
-        let again = h.alloc_ctor(9, vec![]);
+        let again = cell(&mut h, 9);
         assert_eq!(h.ctor_tag(again), 9);
         assert_eq!(h.stats().live, 1);
     }
@@ -950,12 +1063,120 @@ mod tests {
     #[test]
     fn peak_live_tracking() {
         let mut h = Heap::new();
-        let a = h.alloc_ctor(0, vec![]);
-        let b = h.alloc_ctor(0, vec![]);
+        let a = cell(&mut h, 0);
+        let b = cell(&mut h, 0);
         h.dec(a);
         h.dec(b);
-        let _c = h.alloc_ctor(0, vec![]);
+        let _c = cell(&mut h, 0);
         assert_eq!(h.stats().peak_live, 2);
         assert_eq!(h.stats().live, 1);
+    }
+
+    #[test]
+    fn nullary_ctor_is_a_scalar_and_allocates_nothing() {
+        let mut h = Heap::new();
+        let nil = h.alloc_ctor(4, vec![]);
+        assert_eq!(nil, ObjRef::scalar(4));
+        assert_eq!(h.ctor_tag(nil), 4);
+        assert_eq!(h.render(nil), "4");
+        h.inc(nil);
+        h.dec(nil);
+        let s = h.stats();
+        assert_eq!(
+            (s.allocs, s.ctor_allocs, s.live, s.live_bytes),
+            (0, 0, 0, 0)
+        );
+        assert_eq!((s.incs, s.decs), (1, 1), "rc traffic is still counted");
+        assert!(h.fields.is_empty(), "no arena words for a nullary ctor");
+    }
+
+    #[test]
+    fn freed_block_is_reused_by_same_length_only() {
+        let mut h = Heap::new();
+        let pair = h.alloc_ctor(1, [ObjRef::scalar(1), ObjRef::scalar(2)]);
+        let block = block_of(&h, pair);
+        h.dec(pair);
+        let single = cell(&mut h, 1);
+        assert_ne!(
+            block_of(&h, single),
+            block,
+            "a 1-field ctor took a 2-word block"
+        );
+        let again = h.alloc_ctor(2, [ObjRef::scalar(3), ObjRef::scalar(4)]);
+        assert_eq!(block_of(&h, again), block, "the 2-word block is reused");
+        assert_eq!(
+            h.ctor_fields(again),
+            &[ObjRef::scalar(3), ObjRef::scalar(4)][..]
+        );
+        assert_eq!(h.ctor_field(single, 0), ObjRef::scalar(0));
+        assert_eq!(
+            h.fields.len(),
+            3,
+            "the arena grew only for the 1-field ctor"
+        );
+    }
+
+    #[test]
+    fn free_all_empties_the_field_arena() {
+        let mut h = Heap::new();
+        let a = h.alloc_ctor(1, [ObjRef::scalar(1), ObjRef::scalar(2)]);
+        let _b = h.alloc_ctor(1, [a, ObjRef::scalar(3), ObjRef::scalar(4)]);
+        let c = cell(&mut h, 0);
+        h.dec(c);
+        assert_eq!(h.free_all(), 2);
+        assert!(h.fields.is_empty());
+        assert!(h.free_blocks.is_empty());
+        let d = cell(&mut h, 5);
+        assert_eq!(block_of(&h, d), 0, "a fresh arena starts at offset 0");
+        assert_eq!(h.ctor_tag(d), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "field 2 out of bounds of a 2-field constructor")]
+    fn ctor_field_past_len_panics() {
+        let mut h = Heap::new();
+        let pair = h.alloc_ctor(1, [ObjRef::scalar(1), ObjRef::scalar(2)]);
+        // The next arena words exist (another ctor's), but are not this
+        // ctor's fields.
+        let _next = cell(&mut h, 0);
+        h.ctor_field(pair, 2);
+    }
+
+    /// An iterator whose `len()` claims `claimed` items but yields `n`.
+    struct Lying {
+        n: usize,
+        claimed: usize,
+    }
+
+    impl Iterator for Lying {
+        type Item = ObjRef;
+        fn next(&mut self) -> Option<ObjRef> {
+            self.n = self.n.checked_sub(1)?;
+            Some(ObjRef::scalar(0))
+        }
+    }
+
+    impl ExactSizeIterator for Lying {
+        fn len(&self) -> usize {
+            self.claimed
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "reported 3 fields")]
+    fn iterator_shorter_than_its_len_panics() {
+        Heap::new().alloc_ctor(1, Lying { n: 2, claimed: 3 });
+    }
+
+    #[test]
+    #[should_panic(expected = "reported 2 fields")]
+    fn iterator_longer_than_its_len_panics() {
+        Heap::new().alloc_ctor(1, Lying { n: 3, claimed: 2 });
+    }
+
+    #[test]
+    #[should_panic(expected = "reported 0 fields")]
+    fn iterator_claiming_no_fields_but_yielding_panics() {
+        Heap::new().alloc_ctor(1, Lying { n: 1, claimed: 0 });
     }
 }

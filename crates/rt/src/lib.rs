@@ -5,10 +5,11 @@
 //! - [`bignum`] — arbitrary-precision [`bignum::Nat`] / [`bignum::Int`]
 //!   arithmetic (replaces GMP),
 //! - [`object`] — the uniform tagged value representation
-//!   ([`object::ObjRef`]): small scalars stored in the reference bits, heap
-//!   objects for constructors, closures, arrays, strings and big integers,
-//! - [`heap`] — the reference-counted slot heap with `inc`/`dec` and
-//!   allocation statistics,
+//!   ([`object::ObjRef`]): small scalars (and constructors without
+//!   fields) stored in the reference bits, heap objects for constructors
+//!   with fields, closures, arrays, strings and big integers,
+//! - [`heap`] — the reference-counted slot heap with `inc`/`dec`, a flat
+//!   arena for constructor fields, and allocation statistics,
 //! - [`closure`] — partial-application (`pap`/`papextend`) saturation
 //!   semantics shared by the interpreter and the VM,
 //! - [`builtins`] — the `lean_*` runtime-call surface (natural/integer

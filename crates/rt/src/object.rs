@@ -5,6 +5,9 @@
 //! heap-allocated, reference-counted object. [`ObjRef`] mirrors that scheme:
 //! the low bit distinguishes *scalars* (bit set; payload is a 63-bit signed
 //! integer) from *heap references* (bit clear; payload is a heap slot index).
+//! As in LEAN, a constructor without fields is the scalar of its tag and
+//! never a heap object; every other constructor is a heap slot whose
+//! fields live in the heap's field arena (see [`crate::heap`]).
 
 use crate::bignum::Int;
 use std::fmt;
@@ -115,12 +118,17 @@ impl fmt::Debug for ObjRef {
 /// Payload of a heap object.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ObjData {
-    /// A data-constructor cell: variant tag plus field values.
+    /// A data-constructor cell with at least one field: its variant tag
+    /// and where its fields sit in the heap's field arena (read them with
+    /// [`Heap::ctor_field`](crate::heap::Heap::ctor_field) or
+    /// [`Heap::ctor_fields`](crate::heap::Heap::ctor_fields)).
     Ctor {
         /// Which variant of the (erased) inductive type this is.
         tag: u32,
-        /// The constructor's fields.
-        fields: Box<[ObjRef]>,
+        /// Offset of the first field in the field arena.
+        off: u32,
+        /// Number of fields (at least 1).
+        len: u32,
     },
     /// A boxed arbitrary-precision integer (used when the value exceeds the
     /// scalar range).

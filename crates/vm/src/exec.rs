@@ -1624,13 +1624,15 @@ impl<'p> Vm<'p> {
                             inline_ret!(out.to_bits());
                         }
                         DecodedInstr::ConstructRet { tag, args } => {
-                            let fields: Vec<ObjRef> = f
-                                .arg_regs(args)
-                                .iter()
-                                .map(|&r| ObjRef::from_bits(frame.regs[r.0 as usize]))
-                                .collect();
-                            let obj = heap.alloc_ctor(tag, fields);
-                            class_allocs[OpClass::FusedConstructRet as usize] += 1;
+                            let obj = heap.alloc_ctor(
+                                tag,
+                                f.arg_regs(args)
+                                    .iter()
+                                    .map(|&r| ObjRef::from_bits(frame.regs[r.0 as usize])),
+                            );
+                            // A nullary ctor is a scalar, not an allocation.
+                            class_allocs[OpClass::FusedConstructRet as usize] +=
+                                u64::from(obj.is_heap());
                             inline_ret!(obj.to_bits());
                         }
                         DecodedInstr::SwitchDense {
@@ -1913,13 +1915,15 @@ fn cold_alloc(
             ctx.class_allocs[OpClass::Alloc as usize] += 1;
         }
         DecodedInstr::Construct { dst, tag, args } => {
-            let fields: Vec<ObjRef> = f
-                .arg_regs(args)
-                .iter()
-                .map(|&r| ObjRef::from_bits(frame.regs[r.0 as usize]))
-                .collect();
-            frame.regs[dst.0 as usize] = ctx.heap.alloc_ctor(tag, fields).to_bits();
-            ctx.class_allocs[OpClass::Alloc as usize] += 1;
+            let obj = ctx.heap.alloc_ctor(
+                tag,
+                f.arg_regs(args)
+                    .iter()
+                    .map(|&r| ObjRef::from_bits(frame.regs[r.0 as usize])),
+            );
+            frame.regs[dst.0 as usize] = obj.to_bits();
+            // A nullary ctor is a scalar, not an allocation.
+            ctx.class_allocs[OpClass::Alloc as usize] += u64::from(obj.is_heap());
         }
         _ => cold_mismatch(),
     }

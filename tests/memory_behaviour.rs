@@ -4,8 +4,19 @@
 
 use lambda_ssa::driver::pipelines::{compile_and_run, CompilerConfig};
 use lambda_ssa::driver::workloads::{all, by_name, Scale};
+use lambda_ssa::vm::{OpClass, RunOutcome};
 
 const MAX_STEPS: u64 = 500_000_000;
+
+/// The VM's per-opcode-class allocation counts account for every heap
+/// allocation, no more (a nullary constructor is not one) and no fewer.
+fn class_allocs_sum_to_heap_allocs(out: &RunOutcome) -> bool {
+    let by_class: u64 = OpClass::ALL
+        .iter()
+        .map(|&c| out.vm_stats.allocs_of(c))
+        .sum();
+    by_class == out.stats.heap.allocs
+}
 
 #[test]
 fn every_workload_frees_everything_on_every_pipeline() {
@@ -20,6 +31,7 @@ fn every_workload_frees_everything_on_every_pipeline() {
                 config.label()
             );
             assert_eq!(out.stats.heap.allocs, out.stats.heap.frees);
+            assert!(class_allocs_sum_to_heap_allocs(&out), "{}", w.name);
         }
     }
 }
@@ -62,12 +74,63 @@ fn peak_memory_comparable_across_backends() {
 
 #[test]
 fn allocation_counts_match_reference_interpreter() {
-    // The compiled pipelines must do the same number of allocations as the
-    // λrc reference interpreter (the RC insertion fixes the program's
+    // Every compiled pipeline must do the same number of allocations as
+    // the λrc reference interpreter (the RC insertion fixes the program's
     // allocation behaviour; backends must not add hidden allocations).
     let w = by_name("binarytrees", Scale::Test).unwrap();
     let rc = lambda_ssa::driver::pipelines::frontend(&w.src, CompilerConfig::none()).unwrap();
     let oracle = lambda_ssa::lambda::run_program(&rc, "main", true, MAX_STEPS).unwrap();
-    let compiled = compile_and_run(&w.src, CompilerConfig::none(), MAX_STEPS).unwrap();
-    assert_eq!(oracle.stats.allocs, compiled.stats.heap.allocs);
+    // The 30 `Node` cells of the test-scale trees; the 32 `Leaf`s are
+    // scalars and allocate nothing.
+    assert_eq!(oracle.stats.allocs, 30);
+    for config in lambda_ssa::driver::diff::configs() {
+        let compiled = compile_and_run(&w.src, config, MAX_STEPS).unwrap();
+        assert_eq!(
+            oracle.stats.allocs,
+            compiled.stats.heap.allocs,
+            "[{}]",
+            config.label()
+        );
+    }
+}
+
+#[test]
+fn nullary_constructors_are_scalars_in_every_engine() {
+    // `main` returns constructors without fields, bare or nested: the
+    // reference interpreter and every pipeline render them as their tag,
+    // allocate only the cells that have fields, and free everything.
+    let cases = [
+        (
+            "bare-nil",
+            "inductive List := Nil | Cons(h, t)\ndef main() := Nil",
+            "0",
+            0,
+        ),
+        (
+            "list",
+            "inductive List := Nil | Cons(h, t)\ndef main() := Cons(1, Cons(2, Nil))",
+            "ctor1(1, ctor1(2, 0))",
+            2,
+        ),
+        (
+            "enum",
+            "inductive Color := Red | Green | Blue\n\
+             def pick(n) := if n == 0 then Red else if n == 1 then Green else Blue\n\
+             def main() := pick(2)",
+            "2",
+            0,
+        ),
+    ];
+    for (name, src, rendered, allocs) in cases {
+        // The differential run compares every pipeline's rendering with
+        // the oracle's and fails on a live object anywhere.
+        let diff = lambda_ssa::driver::diff::run_differential(name, src, MAX_STEPS);
+        assert!(diff.passed(), "{name}: {:?}", diff.failure);
+        assert_eq!(diff.rendered.as_deref(), Some(rendered), "{name}");
+        for config in lambda_ssa::driver::diff::configs() {
+            let out = compile_and_run(src, config, MAX_STEPS).unwrap();
+            assert_eq!(out.stats.heap.allocs, allocs, "{name} [{}]", config.label());
+            assert!(class_allocs_sum_to_heap_allocs(&out), "{name}");
+        }
+    }
 }
