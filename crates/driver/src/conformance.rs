@@ -514,14 +514,13 @@ pub fn codegen_golden() -> String {
                 for f in &d.fns {
                     let _ = write!(
                         h,
-                        "{:?}{:?}{:?}{:?}{:?}{:?}{:?}{:?}{:?}",
+                        "{:?}{:?}{:?}{:?}{:?}{:?}{:?}{:?}",
                         f.name,
                         f.arity,
                         f.n_regs,
                         f.code,
                         f.args,
                         f.cases,
-                        f.classes,
                         f.cache_base,
                         f.cache_sites
                     );

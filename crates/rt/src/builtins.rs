@@ -193,6 +193,23 @@ impl Builtin {
         )
     }
 
+    /// Whether the builtin is a decidable comparison: its result is always
+    /// the scalar `0` or `1` (LEAN's unboxed `Bool`), never a heap object,
+    /// so reference counting it is a no-op and code may branch on it
+    /// directly.
+    pub fn returns_scalar(self) -> bool {
+        matches!(
+            self,
+            Builtin::NatDecEq
+                | Builtin::NatDecLt
+                | Builtin::NatDecLe
+                | Builtin::IntDecEq
+                | Builtin::IntDecLt
+                | Builtin::IntDecLe
+                | Builtin::StrDecEq
+        )
+    }
+
     /// Invokes the builtin. Consumes `args`, returns an owned result.
     ///
     /// # Panics
@@ -554,6 +571,25 @@ mod tests {
             &[ObjRef::scalar(48), ObjRef::scalar(36)],
         );
         assert_eq!(g.as_scalar(), Some(12));
+    }
+
+    #[test]
+    fn decided_builtins_return_scalar_booleans() {
+        let mut h = Heap::new();
+        let big = || Nat::from_str_decimal("123456789012345678901234567890").unwrap();
+        for &b in Builtin::ALL.iter().filter(|b| b.returns_scalar()) {
+            assert_eq!(b.arity(), 2, "{b}");
+            let args = if b == Builtin::StrDecEq {
+                [h.alloc_str("a".into()), h.alloc_str("b".into())]
+            } else {
+                [h.mk_nat(big()), ObjRef::scalar(3)]
+            };
+            let r = b.call(&mut h, &args);
+            assert!(matches!(r.as_scalar(), Some(0 | 1)), "{b} returned {r:?}");
+        }
+        assert_eq!(h.stats().live, 0);
+        assert!(!Builtin::NatAdd.returns_scalar());
+        assert!(!Builtin::ArraySize.returns_scalar());
     }
 
     #[test]

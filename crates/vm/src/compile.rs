@@ -4,12 +4,23 @@
 //! `func` ops plus the *data* subset of `lp` (constants, constructors,
 //! projections, closures, refcounting). Region-carrying ops are rejected —
 //! run the `lssa-core` lowerings first.
+//!
+//! Two choices here exist for the decoder's fusion pass
+//! ([`crate::decode`]), which only looks at adjacent cells:
+//!
+//! - a constant whose every use is a `cmpi` or builtin-call operand is
+//!   materialized in a fresh register directly in front of each use, not
+//!   once at its definition, so every such comparison and call sees its
+//!   constant in the preceding cell;
+//! - an `lp.inc`/`lp.dec` of a decided comparison's result
+//!   ([`Builtin::returns_scalar`]) emits nothing: the value is always a
+//!   scalar, on which these ops would only bump heap statistics.
 
 use crate::bytecode::{BinOp, CompiledFn, CompiledProgram, Instr, Reg};
 use lssa_ir::attr::AttrKey;
 use lssa_ir::body::{Body, ROOT_REGION};
 use lssa_ir::hash::FxHashMap;
-use lssa_ir::ids::{BlockId, Symbol, ValueId};
+use lssa_ir::ids::{BlockId, OpId, Symbol, ValueId};
 use lssa_ir::module::Module;
 use lssa_ir::opcode::Opcode;
 use lssa_rt::{Builtin, Nat};
@@ -44,12 +55,13 @@ fn err(message: impl Into<String>) -> CompileError {
 /// `lp.switch`, `rgn.*`) reaches the backend.
 pub fn compile_module(module: &Module) -> Result<CompiledProgram, CompileError> {
     let mut program = CompiledProgram::default();
-    // User functions get VM indices in module order.
-    let mut fn_indices: FxHashMap<Symbol, u32> = FxHashMap::default();
+    // User functions get VM indices in module order; builtins are resolved
+    // by name the first time a function calls them.
+    let mut callees: FxHashMap<Symbol, Callee> = FxHashMap::default();
     let mut next = 0u32;
     for f in &module.funcs {
         if !f.is_extern() {
-            fn_indices.insert(f.name, next);
+            callees.insert(f.name, Callee::Fn(next));
             next += 1;
         }
     }
@@ -61,10 +73,11 @@ pub fn compile_module(module: &Module) -> Result<CompiledProgram, CompileError> 
         let compiled = FnCompiler {
             module,
             body,
-            fn_indices: &fn_indices,
+            callees: &mut callees,
             program: &mut program,
             regs: vec![None; body.values.len()],
             next_reg: 0,
+            facts: vec![0; body.values.len()],
         }
         .compile(module.name_of(f.name), f.sig.params.len())?;
         program.fns.push(compiled);
@@ -72,15 +85,39 @@ pub fn compile_module(module: &Module) -> Result<CompiledProgram, CompileError> 
     Ok(program)
 }
 
+/// What a call's callee symbol resolves to.
+#[derive(Debug, Clone, Copy)]
+enum Callee {
+    /// A user function, by VM index.
+    Fn(u32),
+    /// A runtime builtin.
+    Builtin(Builtin),
+}
+
 struct FnCompiler<'a> {
     module: &'a Module,
     body: &'a Body,
-    fn_indices: &'a FxHashMap<Symbol, u32>,
+    /// The module's callee table, shared by all its functions.
+    callees: &'a mut FxHashMap<Symbol, Callee>,
     program: &'a mut CompiledProgram,
     /// Register of each value, indexed by [`ValueId::index`].
     regs: Vec<Option<Reg>>,
     next_reg: u32,
+    /// What [`FnCompiler::gather_facts`] learned about each value: a set of
+    /// `CONSTANT`, `ESCAPES` and `DECIDED` bits, indexed by
+    /// [`ValueId::index`].
+    facts: Vec<u8>,
 }
+
+/// The value is defined by `arith.constant` or `lp.int`.
+const CONSTANT: u8 = 1;
+/// Some op other than a `cmpi` or builtin call uses the value. A constant
+/// that does not escape is materialized at each use instead of at its
+/// definition.
+const ESCAPES: u8 = 2;
+/// The value is the result of a decided comparison
+/// ([`Builtin::returns_scalar`]): its `lp.inc`/`lp.dec` emit nothing.
+const DECIDED: u8 = 4;
 
 impl FnCompiler<'_> {
     fn reg(&mut self, v: ValueId) -> Reg {
@@ -99,11 +136,96 @@ impl FnCompiler<'_> {
         r
     }
 
-    fn callee_of(&self, op: lssa_ir::ids::OpId) -> Result<Symbol, CompileError> {
+    fn callee_of(&self, op: OpId) -> Result<Symbol, CompileError> {
         self.body.ops[op.index()]
             .attr(AttrKey::Callee)
             .and_then(|a| a.as_sym())
             .ok_or_else(|| err("call without callee"))
+    }
+
+    /// Resolves a call's callee, parsing a builtin's name only the first
+    /// time the module calls it.
+    fn callee(&mut self, op: OpId) -> Result<Callee, CompileError> {
+        let sym = self.callee_of(op)?;
+        if let Some(&c) = self.callees.get(&sym) {
+            return Ok(c);
+        }
+        let name = self.module.name_of(sym);
+        let builtin: Builtin = name
+            .parse()
+            .map_err(|_| err(format!("call to unknown extern @{name}")))?;
+        self.callees.insert(sym, Callee::Builtin(builtin));
+        Ok(Callee::Builtin(builtin))
+    }
+
+    /// Fills [`FnCompiler::facts`] in one walk over the function's ops.
+    fn gather_facts(&mut self, blocks: &[BlockId]) {
+        let body = self.body;
+        for &block in blocks {
+            for &op in &body.blocks[block.index()].ops {
+                let data = &body.ops[op.index()];
+                let fusible = match data.opcode {
+                    Opcode::ConstI | Opcode::LpInt => {
+                        if let Some(&r) = data.results.first() {
+                            self.facts[r.index()] |= CONSTANT;
+                        }
+                        false
+                    }
+                    Opcode::CmpI => true,
+                    Opcode::Call | Opcode::TailCall => match self.callee(op) {
+                        Ok(Callee::Builtin(b)) => {
+                            if let (true, Some(&r)) = (b.returns_scalar(), data.results.first()) {
+                                self.facts[r.index()] |= DECIDED;
+                            }
+                            true
+                        }
+                        _ => false,
+                    },
+                    _ => false,
+                };
+                if !fusible {
+                    for &v in &data.operands {
+                        self.facts[v.index()] |= ESCAPES;
+                    }
+                }
+                for s in &data.successors {
+                    for &v in &s.args {
+                        self.facts[v.index()] |= ESCAPES;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Materializes constant `v`, which does not escape, into a fresh
+    /// register right here, in front of the op using it.
+    fn materialize(&mut self, v: ValueId, code: &mut Vec<Instr>) -> Result<Reg, CompileError> {
+        let def = self
+            .body
+            .defining_op(v)
+            .ok_or_else(|| err("constant without defining op"))?;
+        let dst = self.fresh_reg();
+        code.push(self.constant(def, dst)?);
+        Ok(dst)
+    }
+
+    /// The cell loading the value of constant op `op` (`arith.constant`
+    /// or `lp.int`) into `dst`.
+    fn constant(&self, op: OpId, dst: Reg) -> Result<Instr, CompileError> {
+        let data = &self.body.ops[op.index()];
+        let v = data.attr(AttrKey::Value).and_then(|a| a.as_int());
+        if data.opcode == Opcode::LpInt {
+            let v = v.ok_or_else(|| err("lp.int without value"))?;
+            return Ok(Instr::LpInt { dst, v });
+        }
+        let v = v.ok_or_else(|| err("constant without value"))?;
+        let ty = self.body.value_type(data.results[0]);
+        // i8/i1 raw values are kept zero-extended.
+        let v = match ty.bit_width() {
+            Some(bits) if bits < 64 => v & ((1i64 << bits) - 1),
+            _ => v,
+        };
+        Ok(Instr::ConstInt { dst, v })
     }
 
     fn compile(mut self, name: &str, arity: usize) -> Result<CompiledFn, CompileError> {
@@ -113,6 +235,7 @@ impl FnCompiler<'_> {
         }
         debug_assert_eq!(self.next_reg as usize, arity);
         let blocks = self.body.regions[ROOT_REGION.index()].blocks.clone();
+        self.gather_facts(&blocks);
         let mut code: Vec<Instr> = Vec::new();
         // Code offset of each placed block, indexed by [`BlockId::index`].
         let mut block_offsets: Vec<Option<usize>> = vec![None; self.body.blocks.len()];
@@ -181,7 +304,7 @@ impl FnCompiler<'_> {
 
     fn compile_op(
         &mut self,
-        op: lssa_ir::ids::OpId,
+        op: OpId,
         code: &mut Vec<Instr>,
         fixups: &mut Vec<(usize, usize, BlockId)>,
     ) -> Result<(), CompileError> {
@@ -190,21 +313,21 @@ impl FnCompiler<'_> {
         let opcode = data.opcode;
         let operands = data.operands.clone();
         let result = data.results.first().copied();
-        let srcs: Vec<Reg> = operands.iter().map(|&v| self.reg(v)).collect();
+        let mut srcs = Vec::with_capacity(operands.len());
+        for &v in &operands {
+            srcs.push(if self.facts[v.index()] == CONSTANT {
+                self.materialize(v, code)?
+            } else {
+                self.reg(v)
+            });
+        }
         match opcode {
-            ConstI => {
-                let v = self.body.ops[op.index()]
-                    .attr(AttrKey::Value)
-                    .and_then(|a| a.as_int())
-                    .ok_or_else(|| err("constant without value"))?;
-                let ty = self.body.value_type(result.unwrap());
-                // i8/i1 raw values are kept zero-extended.
-                let v = match ty.bit_width() {
-                    Some(bits) if bits < 64 => v & ((1i64 << bits) - 1),
-                    _ => v,
-                };
-                let dst = self.reg(result.unwrap());
-                code.push(Instr::ConstInt { dst, v });
+            ConstI | LpInt => {
+                let value = result.ok_or_else(|| err("constant without result"))?;
+                if self.facts[value.index()] & ESCAPES != 0 {
+                    let dst = self.reg(value);
+                    code.push(self.constant(op, dst)?);
+                }
             }
             AddI | SubI | MulI | DivI | RemI | AndI | OrI | XorI => {
                 let binop = match opcode {
@@ -314,10 +437,8 @@ impl FnCompiler<'_> {
                 }
             }
             Unreachable => code.push(Instr::Trap),
-            Call | TailCall => {
-                let callee = self.callee_of(op)?;
-                let name = self.module.name_of(callee);
-                if let Some(&func) = self.fn_indices.get(&callee) {
+            Call | TailCall => match self.callee(op)? {
+                Callee::Fn(func) => {
                     if opcode == Call {
                         let dst = self.reg(result.unwrap());
                         code.push(Instr::Call {
@@ -328,10 +449,8 @@ impl FnCompiler<'_> {
                     } else {
                         code.push(Instr::TailCall { func, args: srcs });
                     }
-                } else {
-                    let builtin: Builtin = name
-                        .parse()
-                        .map_err(|_| err(format!("call to unknown extern @{name}")))?;
+                }
+                Callee::Builtin(builtin) => {
                     let mask = self.body.ops[op.index()]
                         .attr(AttrKey::BorrowMask)
                         .and_then(|a| a.as_int())
@@ -355,16 +474,8 @@ impl FnCompiler<'_> {
                         code.push(Instr::Ret { src: dst });
                     }
                 }
-            }
+            },
             Return => code.push(Instr::Ret { src: srcs[0] }),
-            LpInt => {
-                let v = self.body.ops[op.index()]
-                    .attr(AttrKey::Value)
-                    .and_then(|a| a.as_int())
-                    .ok_or_else(|| err("lp.int without value"))?;
-                let dst = self.reg(result.unwrap());
-                code.push(Instr::LpInt { dst, v });
-            }
             LpBigInt => {
                 let digits = self.body.ops[op.index()]
                     .attr(AttrKey::Value)
@@ -425,10 +536,9 @@ impl FnCompiler<'_> {
                     .attr(AttrKey::Arity)
                     .and_then(|a| a.as_int())
                     .ok_or_else(|| err("lp.pap without arity"))?;
-                let &func = self
-                    .fn_indices
-                    .get(&callee)
-                    .ok_or_else(|| err("pap of extern function"))?;
+                let Some(&Callee::Fn(func)) = self.callees.get(&callee) else {
+                    return Err(err("pap of extern function"));
+                };
                 let dst = self.reg(result.unwrap());
                 code.push(Instr::Pap {
                     dst,
@@ -445,6 +555,7 @@ impl FnCompiler<'_> {
                     args: srcs[1..].to_vec(),
                 });
             }
+            LpInc | LpDec if self.facts[operands[0].index()] & DECIDED != 0 => {}
             LpInc => code.push(Instr::Inc { src: srcs[0] }),
             LpDec => code.push(Instr::Dec { src: srcs[0] }),
             LpGlobalLoad | LpGlobalStore => {
@@ -501,6 +612,7 @@ fn patch_target(instr: &mut Instr, slot: usize, target: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytecode::CmpPred;
     use lssa_ir::builder::Builder;
     use lssa_ir::types::{Signature, Type};
 
@@ -587,5 +699,85 @@ mod tests {
             .count();
         // Non-conflicting edge: a single direct move.
         assert_eq!(moves, 1);
+    }
+
+    #[test]
+    fn constants_are_materialized_in_front_of_each_compare_or_builtin_use() {
+        // `zero` feeds two compares and `two` one builtin call: each use
+        // gets its own copy right in front of it. `one` is also returned,
+        // so it stays a single cell at its definition.
+        let mut m = Module::new();
+        let add = m.declare_extern("lean_nat_add", Signature::obj(2));
+        let (mut body, params) = Body::new(&[Type::Obj, Type::I64]);
+        let entry = body.entry_block();
+        let then_b = body.new_block(ROOT_REGION, &[]);
+        let else_b = body.new_block(ROOT_REGION, &[]);
+        let mut b = Builder::at_end(&mut body, entry);
+        let zero = b.const_i(0, Type::I64);
+        let one = b.lp_int(1);
+        let two = b.lp_int(2);
+        let eq = b.cmpi(CmpPred::Eq, params[1], zero);
+        let lt = b.cmpi(CmpPred::Slt, zero, params[1]);
+        let both = b.andi(eq, lt);
+        b.cond_br(both, (then_b, vec![]), (else_b, vec![]));
+        let mut bt = Builder::at_end(&mut body, then_b);
+        let sum = bt.call(add, vec![params[0], two], Type::Obj);
+        bt.ret(sum);
+        let mut be = Builder::at_end(&mut body, else_b);
+        be.ret(one);
+        m.add_function(
+            "f",
+            Signature::new(vec![Type::Obj, Type::I64], Type::Obj),
+            body,
+        );
+        let code = &compile_module(&m).unwrap().fns[0].code;
+        let one_reg = Reg(2);
+        let expected = [
+            Instr::LpInt { dst: one_reg, v: 1 },
+            Instr::ConstInt { dst: Reg(3), v: 0 },
+            Instr::Cmp {
+                pred: CmpPred::Eq,
+                dst: Reg(4),
+                a: Reg(1),
+                b: Reg(3),
+            },
+            Instr::ConstInt { dst: Reg(5), v: 0 },
+            Instr::Cmp {
+                pred: CmpPred::Slt,
+                dst: Reg(6),
+                a: Reg(5),
+                b: Reg(1),
+            },
+        ];
+        assert_eq!(&code[..5], &expected);
+        let call_at = code
+            .iter()
+            .position(|i| matches!(i, Instr::CallBuiltin { .. }))
+            .unwrap();
+        let Instr::LpInt { dst, v: 2 } = code[call_at - 1] else {
+            panic!("expected the constant in front of the call: {code:?}");
+        };
+        assert!(matches!(&code[call_at], Instr::CallBuiltin { args, .. } if args[1] == dst));
+        assert_eq!(code.last(), Some(&Instr::Ret { src: one_reg }));
+    }
+
+    #[test]
+    fn rc_ops_on_a_decided_result_emit_nothing() {
+        let mut m = Module::new();
+        let dec_eq = m.declare_extern("lean_nat_dec_eq", Signature::obj(2));
+        let (mut body, params) = Body::new(&[Type::Obj, Type::Obj]);
+        let entry = body.entry_block();
+        let mut b = Builder::at_end(&mut body, entry);
+        let d = b.call(dec_eq, vec![params[0], params[1]], Type::Obj);
+        b.lp_inc(d);
+        b.lp_dec(d);
+        b.lp_dec(params[0]);
+        b.ret(d);
+        m.add_function("f", Signature::obj(2), body);
+        let code = &compile_module(&m).unwrap().fns[0].code;
+        assert_eq!(code.len(), 3, "{code:?}");
+        assert!(matches!(code[0], Instr::CallBuiltin { .. }));
+        assert_eq!(code[1], Instr::Dec { src: Reg(0) });
+        assert!(matches!(code[2], Instr::Ret { .. }));
     }
 }

@@ -45,6 +45,9 @@
 //! | [`DecodedInstr::ProjInc2`] | `Project` + `Inc` + `Project` + `Inc` | 3 |
 //! | [`DecodedInstr::Dec4`] | `Dec` × 4 | 3 |
 //! | [`DecodedInstr::ProjInc2Dec`] | `Project` + `Inc` + `Project` + `Inc` + `Dec` | 4 |
+//! | [`DecodedInstr::BuiltinBr`] | (`LpInt` +) decided `CallBuiltin` + `GetLabel` + `ConstInt` + `Cmp` + `Branch` (mlir) or + `Switch` (leanc) | 2–5 |
+//! | [`DecodedInstr::BuiltinImm`] | `LpInt` + `CallBuiltin` | 1 |
+//! | retain folding | `Inc` × n + `CallBuiltin` → `CallBuiltin` with n more borrow bits | n |
 //!
 //! `Dec2` and `ProjInc2` came out of the `--pairs` histogram in
 //! `examples/dump_decoded.rs`: `dec+dec` and `projinc+projinc` were the
@@ -55,6 +58,22 @@
 //! the rc-opt pass's dec sinking stacks releases even deeper, and a
 //! pattern match that peels two fields immediately releases the
 //! scrutinee — hence `Dec4` and `ProjInc2Dec`.
+//!
+//! The last three rows make every scalar builtin one dispatch. LEAN's C
+//! backend branches on a decided comparison's unboxed `u8` directly; the
+//! type-erased `lp` dialect instead boxes it (`CallBuiltin`), reads its
+//! label (`GetLabel`) and compares that against a constant, and leanc
+//! switches on it. `BuiltinBr` folds the whole chain into one cell whose
+//! two targets decode works out from the swallowed predicate and
+//! constant, or from the switch table; a right operand from an `LpInt`
+//! rides along as an `i16` immediate. Retain folding moves `Inc`s of the
+//! call's arguments into its borrow mask, as rc-opt does at IR level
+//! (leanc runs no rc-opt), which also makes an `LpInt` adjacent to the
+//! call reading it. Two choices of the bytecode compiler
+//! ([`crate::compile`]) make these shapes adjacent in the first place: a
+//! constant used only by compares and builtin calls is materialized in
+//! front of each use, and the no-op `lp.inc`/`lp.dec` of a decided
+//! result is not emitted.
 //!
 //! Fusion **bails** conservatively: a pair is only combined when the
 //! swallowed instruction is not a jump target (control never enters the
@@ -193,11 +212,15 @@ pub enum OpClass {
     FusedDec4,
     /// Fused `Project` + `Inc` + `Project` + `Inc` + `Dec`.
     FusedProjInc2Dec,
+    /// Fused decided comparison and branch ([`DecodedInstr::BuiltinBr`]).
+    FusedBuiltinBr,
+    /// Fused `LpInt` + `CallBuiltin` ([`DecodedInstr::BuiltinImm`]).
+    FusedBuiltinImm,
 }
 
 impl OpClass {
     /// Number of classes (sizes the statistics arrays).
-    pub const COUNT: usize = 28;
+    pub const COUNT: usize = 30;
 
     /// All classes in display order.
     pub const ALL: [OpClass; OpClass::COUNT] = [
@@ -229,6 +252,8 @@ impl OpClass {
         OpClass::FusedProjInc2,
         OpClass::FusedDec4,
         OpClass::FusedProjInc2Dec,
+        OpClass::FusedBuiltinBr,
+        OpClass::FusedBuiltinImm,
     ];
 
     /// Stable display name.
@@ -262,6 +287,8 @@ impl OpClass {
             OpClass::FusedProjInc2 => "fused proj+inc x2",
             OpClass::FusedDec4 => "fused dec x4",
             OpClass::FusedProjInc2Dec => "fused proj+inc x2+dec",
+            OpClass::FusedBuiltinBr => "fused builtin+br",
+            OpClass::FusedBuiltinImm => "fused const+builtin",
         }
     }
 
@@ -395,7 +422,8 @@ pub enum DecodedInstr {
         mask: u8,
     },
     /// Guaranteed tail call: reuses the current frame in place. Flattened
-    /// argument slice, as in [`DecodedInstr::Call`].
+    /// argument slice, as in [`DecodedInstr::Call`]. No inline-cache slot:
+    /// the target is a static function index.
     TailCall {
         /// VM function index.
         func: u32,
@@ -403,8 +431,6 @@ pub enum DecodedInstr {
         args_off: u32,
         /// Arguments: count.
         args_len: u16,
-        /// Inline-cache slot (function-local; [`NO_CACHE`] when absent).
-        cache: u16,
     },
     /// Return `src` to the caller.
     Ret {
@@ -662,6 +688,47 @@ pub enum DecodedInstr {
         /// Object released after both projections.
         dec: Reg,
     },
+    /// A decided comparison and the branch on it in one cell: a
+    /// `CallBuiltin` of a [`Builtin::returns_scalar`] builtin whose result
+    /// only feeds the next `GetLabel`, whose label only feeds mlir's
+    /// `ConstInt` + `Cmp` + `Branch` or leanc's `Switch` — optionally with
+    /// the `LpInt` of its right operand in front, which `b` then holds as
+    /// an immediate. Decode worked out where each result goes from the
+    /// swallowed predicate and constant, or from the switch table.
+    BuiltinBr {
+        /// The comparison.
+        builtin: Builtin,
+        /// Borrowed argument positions, as in [`DecodedInstr::CallBuiltin`].
+        mask: u8,
+        /// Whether `b` is an `i16` immediate rather than a register.
+        imm: bool,
+        /// Left operand.
+        a: Reg,
+        /// Right operand: a register index, or the immediate's bits.
+        b: u16,
+        /// Target when the builtin returns 1.
+        on_true: u32,
+        /// Target when it returns 0.
+        on_false: u32,
+    },
+    /// Fused `LpInt` + two-operand `CallBuiltin` (one with a scalar fast
+    /// path, the only reader of the constant): `dst ← builtin(src, imm)`,
+    /// or `builtin(imm, src)` when `imm_left`.
+    BuiltinImm {
+        /// The builtin.
+        builtin: Builtin,
+        /// Borrowed argument positions, as in [`DecodedInstr::CallBuiltin`]
+        /// (bit 0 is the left operand, whichever side the immediate is on).
+        mask: u8,
+        /// Whether the immediate is the left operand.
+        imm_left: bool,
+        /// Destination.
+        dst: Reg,
+        /// The register operand.
+        src: Reg,
+        /// The scalar immediate operand.
+        imm: i32,
+    },
 }
 
 // The whole point of the decoded form: every instruction is one compact,
@@ -707,6 +774,8 @@ impl DecodedInstr {
             DecodedInstr::ProjInc2 { .. } => OpClass::FusedProjInc2,
             DecodedInstr::Dec4 { .. } => OpClass::FusedDec4,
             DecodedInstr::ProjInc2Dec { .. } => OpClass::FusedProjInc2Dec,
+            DecodedInstr::BuiltinBr { .. } => OpClass::FusedBuiltinBr,
+            DecodedInstr::BuiltinImm { .. } => OpClass::FusedBuiltinImm,
         }
     }
 }
@@ -743,6 +812,12 @@ pub struct FusionStats {
     pub dec4: u32,
     /// `Project`+`Inc`+`Project`+`Inc`+`Dec` groups fused.
     pub proj_inc2_dec: u32,
+    /// Decided comparisons fused with their branch.
+    pub builtin_br: u32,
+    /// `LpInt`+`CallBuiltin` pairs fused.
+    pub builtin_imm: u32,
+    /// `Inc` cells folded into a following `CallBuiltin`'s borrow mask.
+    pub retains_folded: u32,
     /// Original cells eliminated by fusion (static code shrink).
     pub cells_saved: u32,
 }
@@ -764,6 +839,8 @@ impl FusionStats {
             + u64::from(self.proj_inc2)
             + u64::from(self.dec4)
             + u64::from(self.proj_inc2_dec)
+            + u64::from(self.builtin_br)
+            + u64::from(self.builtin_imm)
     }
 
     /// Folds another function's statistics into this record.
@@ -782,6 +859,9 @@ impl FusionStats {
         self.proj_inc2 += other.proj_inc2;
         self.dec4 += other.dec4;
         self.proj_inc2_dec += other.proj_inc2_dec;
+        self.builtin_br += other.builtin_br;
+        self.builtin_imm += other.builtin_imm;
+        self.retains_folded += other.retains_folded;
         self.cells_saved += other.cells_saved;
     }
 }
@@ -829,10 +909,6 @@ pub struct DecodedFn {
     pub args: Vec<Reg>,
     /// Shared switch-table pool: `(value, target)` pairs.
     pub cases: Vec<(i64, u32)>,
-    /// Per-cell [`OpClass`] discriminants, parallel to `code` — the
-    /// "decoded opcode" byte the threaded dispatcher indexes its handler
-    /// table (and the statistics arrays) with.
-    pub classes: Vec<u8>,
     /// This function's first slot in the program-wide inline-cache pool;
     /// a call site's global slot is `cache_base + its local cache id`.
     pub cache_base: u32,
@@ -855,7 +931,6 @@ impl DecodedFn {
             code: Vec::with_capacity(f.code.len()),
             args: Vec::new(),
             cases: Vec::new(),
-            classes: Vec::new(),
             cache_base: 0,
             cache_sites: 0,
         };
@@ -944,7 +1019,13 @@ impl DecodedFn {
                     singles[1] = Some(b);
                 }
                 DecodedInstr::ConstCmpBr { a, .. } => singles[0] = Some(a),
-                DecodedInstr::ConstBin { src, .. } => singles[0] = Some(src),
+                DecodedInstr::ConstBin { src, .. } | DecodedInstr::BuiltinImm { src, .. } => {
+                    singles[0] = Some(src);
+                }
+                DecodedInstr::BuiltinBr { a, b, imm, .. } => {
+                    singles[0] = Some(a);
+                    singles[1] = (!imm).then_some(Reg(b));
+                }
                 DecodedInstr::Select { c, a, b, .. } => singles = [Some(c), Some(a), Some(b), None],
                 DecodedInstr::Dec2 { a, b } => {
                     singles[0] = Some(a);
@@ -1013,7 +1094,12 @@ impl DecodedFn {
                 DecodedInstr::Jump { target } => targets[target as usize] = true,
                 DecodedInstr::Branch { then_t, else_t, .. }
                 | DecodedInstr::CmpBr { then_t, else_t, .. }
-                | DecodedInstr::ConstCmpBr { then_t, else_t, .. } => {
+                | DecodedInstr::ConstCmpBr { then_t, else_t, .. }
+                | DecodedInstr::BuiltinBr {
+                    on_true: then_t,
+                    on_false: else_t,
+                    ..
+                } => {
                     targets[then_t as usize] = true;
                     targets[else_t as usize] = true;
                 }
@@ -1044,9 +1130,17 @@ impl DecodedFn {
         if self.has_out_of_range_target() {
             return stats;
         }
-        let reads = self.count_reads();
-        let targets = self.jump_targets();
-        let old = std::mem::take(&mut self.code);
+        let mut reads = self.count_reads();
+        let mut targets = self.jump_targets();
+        let mut old = std::mem::take(&mut self.code);
+        // Retain folding first: it is what makes an `LpInt` adjacent to
+        // the `CallBuiltin` reading it. `folded` maps each cell of the
+        // original stream onto the shortened one.
+        let folded = self.fold_retains(&mut old, &mut targets, &mut reads);
+        if let Some(f) = &folded {
+            stats.retains_folded = (f.len() - old.len()) as u32;
+            stats.cells_saved = stats.retains_folded;
+        }
         let mut map = vec![0u32; old.len()];
         let mut code: Vec<DecodedInstr> = Vec::with_capacity(old.len());
         let mut i = 0usize;
@@ -1075,6 +1169,8 @@ impl DecodedFn {
                 DecodedInstr::ProjInc2 { .. } => stats.proj_inc2 += 1,
                 DecodedInstr::Dec4 { .. } => stats.dec4 += 1,
                 DecodedInstr::ProjInc2Dec { .. } => stats.proj_inc2_dec += 1,
+                DecodedInstr::BuiltinBr { .. } => stats.builtin_br += 1,
+                DecodedInstr::BuiltinImm { .. } => stats.builtin_imm += 1,
                 _ => {}
             }
             stats.cells_saved += consumed as u32 - 1;
@@ -1082,6 +1178,12 @@ impl DecodedFn {
             i += consumed;
         }
         self.code = code;
+        if let Some(mut folded) = folded {
+            for m in &mut folded {
+                *m = map[*m as usize];
+            }
+            map = folded;
+        }
         // Remap jump targets onto the shortened stream. Case-pool runs are
         // remapped through the one instruction referencing them (decode and
         // `densify` both append a fresh run per switch, so no run is shared
@@ -1091,7 +1193,12 @@ impl DecodedFn {
                 DecodedInstr::Jump { target } => *target = map[*target as usize],
                 DecodedInstr::Branch { then_t, else_t, .. }
                 | DecodedInstr::CmpBr { then_t, else_t, .. }
-                | DecodedInstr::ConstCmpBr { then_t, else_t, .. } => {
+                | DecodedInstr::ConstCmpBr { then_t, else_t, .. }
+                | DecodedInstr::BuiltinBr {
+                    on_true: then_t,
+                    on_false: else_t,
+                    ..
+                } => {
                     *then_t = map[*then_t as usize];
                     *else_t = map[*else_t as usize];
                 }
@@ -1106,6 +1213,145 @@ impl DecodedFn {
             }
         }
         stats
+    }
+
+    /// Retain folding: `Inc x` cells directly in front of a `CallBuiltin`
+    /// fold into its borrow mask when `x` is an argument whose bit is
+    /// still clear — one bit per `Inc`, so a register passed twice can
+    /// take two. The retain then runs as the call's first step instead of
+    /// one dispatch earlier. Only the run's first cell may be a jump
+    /// target. (rc-opt already folds these retains at IR level, so this
+    /// matters for code compiled without it, such as leanc's.)
+    ///
+    /// Shortens `code` in place and updates `targets` and `reads` to
+    /// match. Returns `None` when nothing folded, else the map from each
+    /// original cell to its index in the shortened stream (a folded cell
+    /// maps to the cell after it).
+    fn fold_retains(
+        &self,
+        code: &mut Vec<DecodedInstr>,
+        targets: &mut Vec<bool>,
+        reads: &mut [u32],
+    ) -> Option<Vec<u32>> {
+        let mut keep: Vec<bool> = Vec::new();
+        for j in 0..code.len() {
+            let DecodedInstr::CallBuiltin {
+                dst,
+                builtin,
+                args,
+                mut mask,
+            } = code[j]
+            else {
+                continue;
+            };
+            let regs = self.arg_regs(args);
+            let mut k = j;
+            while k > 0 && !targets[k] {
+                let DecodedInstr::Inc { src } = code[k - 1] else {
+                    break;
+                };
+                k -= 1;
+                let Some(bit) =
+                    (0..regs.len().min(8)).find(|&b| regs[b] == src && mask & (1 << b) == 0)
+                else {
+                    continue;
+                };
+                mask |= 1 << bit;
+                if keep.is_empty() {
+                    keep = vec![true; code.len()];
+                }
+                keep[k] = false;
+                reads[src.0 as usize] -= 1;
+            }
+            code[j] = DecodedInstr::CallBuiltin {
+                dst,
+                builtin,
+                args,
+                mask,
+            };
+        }
+        if keep.is_empty() {
+            return None;
+        }
+        let mut map = Vec::with_capacity(code.len());
+        let mut next = 0usize;
+        for i in 0..code.len() {
+            map.push(next as u32);
+            if keep[i] {
+                code[next] = code[i];
+                next += 1;
+            }
+        }
+        code.truncate(next);
+        let mut shortened = vec![false; next];
+        for (i, _) in targets.iter().enumerate().filter(|&(_, &t)| t) {
+            shortened[map[i] as usize] = true;
+        }
+        *targets = shortened;
+        Some(map)
+    }
+
+    /// The branch a decided comparison feeds, when `old[at]` is a
+    /// `CallBuiltin` whose result only the next `GetLabel` reads, and the
+    /// label only mlir's `ConstInt` + `Cmp` + `Branch` or leanc's `Switch`
+    /// after it, with no jump target among those cells. Returns the
+    /// targets for results 1 and 0, and how many cells follow the call.
+    fn decided_branch(
+        &self,
+        old: &[DecodedInstr],
+        at: usize,
+        targets: &[bool],
+        reads: &[u32],
+    ) -> Option<(u32, u32, usize)> {
+        let dead = |r: Reg| reads.get(r.0 as usize).copied().unwrap_or(0) == 1;
+        let free = |k: usize| k < old.len() && !targets[k];
+        let DecodedInstr::CallBuiltin { dst: result, .. } = old[at] else {
+            return None;
+        };
+        if !(dead(result) && free(at + 1) && free(at + 2)) {
+            return None;
+        }
+        let DecodedInstr::GetLabel { dst: label, src } = old[at + 1] else {
+            return None;
+        };
+        if src != result || !dead(label) {
+            return None;
+        }
+        match old[at + 2] {
+            DecodedInstr::Switch {
+                idx,
+                cases,
+                default,
+            } if idx == label => {
+                let run = &self.cases[cases.range()];
+                let target = |v: i64| run.iter().find(|&&(c, _)| c == v).map_or(default, |c| c.1);
+                Some((target(1), target(0), 2))
+            }
+            DecodedInstr::ConstInt { dst: k, v } if dead(k) && free(at + 3) && free(at + 4) => {
+                let (
+                    DecodedInstr::Cmp { pred, dst, a, b },
+                    DecodedInstr::Branch {
+                        cond,
+                        then_t,
+                        else_t,
+                    },
+                ) = (old[at + 3], old[at + 4])
+                else {
+                    return None;
+                };
+                if cond != dst || !dead(dst) {
+                    return None;
+                }
+                let holds = |r: i64| match (a, b) {
+                    _ if (a, b) == (label, k) => Some(pred.eval(r, v)),
+                    _ if (a, b) == (k, label) => Some(pred.eval(v, r)),
+                    _ => None,
+                };
+                let target = |r: i64| holds(r).map(|h| if h { then_t } else { else_t });
+                Some((target(1)?, target(0)?, 4))
+            }
+            _ => None,
+        }
     }
 
     /// Tries to fuse the instruction group starting at `i` of the unfused
@@ -1218,6 +1464,55 @@ impl DecodedFn {
                 Some(DecodedInstr::Ret { src }) if src == dst => {
                     Some((DecodedInstr::ConstRet { v }, 2))
                 }
+                // The constant becomes an immediate of the builtin reading
+                // it — or, for a decided comparison branched on, of the
+                // BuiltinBr cell.
+                Some(DecodedInstr::CallBuiltin {
+                    dst: out,
+                    builtin,
+                    args,
+                    mask,
+                }) if dead(dst) => {
+                    let &[x, y] = self.arg_regs(args) else {
+                        return None;
+                    };
+                    let branch = builtin
+                        .returns_scalar()
+                        .then(|| self.decided_branch(old, i + 1, targets, reads))
+                        .flatten();
+                    if let Some((on_true, on_false, n)) = branch {
+                        // The call fuses with its branch either way; the
+                        // constant rides along only as a right-hand `i16`.
+                        let imm = i16::try_from(v).ok().filter(|_| y == dst)?;
+                        let cell = DecodedInstr::BuiltinBr {
+                            builtin,
+                            mask,
+                            imm: true,
+                            a: x,
+                            b: imm as u16,
+                            on_true,
+                            on_false,
+                        };
+                        return Some((cell, 2 + n));
+                    }
+                    let imm = i32::try_from(v).ok()?;
+                    let (imm_left, src) = match (x == dst, y == dst) {
+                        (true, false) => (true, y),
+                        (false, true) => (false, x),
+                        _ => return None,
+                    };
+                    crate::exec::has_scalar_fast_path(builtin).then_some((
+                        DecodedInstr::BuiltinImm {
+                            builtin,
+                            mask,
+                            imm_left,
+                            dst: out,
+                            src,
+                            imm,
+                        },
+                        2,
+                    ))
+                }
                 _ => None,
             },
             // Project + Inc keeps both effects (the projected value is
@@ -1310,6 +1605,22 @@ impl DecodedFn {
                     },
                     2,
                 )),
+                _ if builtin.returns_scalar() => {
+                    let &[a, b] = self.arg_regs(args) else {
+                        return None;
+                    };
+                    let (on_true, on_false, n) = self.decided_branch(old, i, targets, reads)?;
+                    let cell = DecodedInstr::BuiltinBr {
+                        builtin,
+                        mask,
+                        imm: false,
+                        a,
+                        b: b.0,
+                        on_true,
+                        on_false,
+                    };
+                    Some((cell, 1 + n))
+                }
                 _ => None,
             },
             DecodedInstr::Construct { dst, tag, args } if next_free => match next {
@@ -1382,7 +1693,8 @@ impl DecodedFn {
                 | DecodedInstr::ProjInc { dst, src, .. }
                 | DecodedInstr::Move { dst, src }
                 | DecodedInstr::Mask { dst, src, .. }
-                | DecodedInstr::ConstBin { dst, src, .. } => {
+                | DecodedInstr::ConstBin { dst, src, .. }
+                | DecodedInstr::BuiltinImm { dst, src, .. } => {
                     f(dst);
                     f(src);
                 }
@@ -1455,6 +1767,14 @@ impl DecodedFn {
                     f(b);
                 }
                 DecodedInstr::ConstCmpBr { a, .. } => f(a),
+                DecodedInstr::BuiltinBr { a, b, imm, .. } => {
+                    f(a);
+                    if !*imm {
+                        let mut r = Reg(*b);
+                        f(&mut r);
+                        *b = r.0;
+                    }
+                }
                 DecodedInstr::Dec2 { a, b } => {
                     f(a);
                     f(b);
@@ -1552,14 +1872,12 @@ impl DecodedFn {
 
     /// Assigns function-local inline-cache slot ids to the call-shaped
     /// cells ([`DecodedInstr::Call`]/[`DecodedInstr::PapExtend`]).
-    /// Tail-call cells are deliberately left at [`NO_CACHE`]: a
-    /// `TailCall`'s target is a static function index, so all a hit ever
-    /// bought was skipping one bounds-checked `fns` lookup and an arity
-    /// compare — on `binarytrees` the tail sites hit 94% of the time for
-    /// zero measurable payoff, leaving the probe itself as pure overhead
-    /// (and each skipped site also saves a pool slot per VM instance).
-    /// Sites past `u16::MAX - 1` keep the [`NO_CACHE`] sentinel and
-    /// execute uncached.
+    /// Tail-call cells have no slot: a `TailCall`'s target is a static
+    /// function index, so all a hit ever bought was skipping one
+    /// bounds-checked `fns` lookup and an arity compare — on `binarytrees`
+    /// the tail sites hit 94% of the time for zero measurable payoff,
+    /// leaving the probe itself as pure overhead. Sites past
+    /// `u16::MAX - 1` keep the [`NO_CACHE`] sentinel and execute uncached.
     fn assign_cache_slots(&mut self) {
         let mut next: u32 = 0;
         for instr in &mut self.code {
@@ -1655,7 +1973,6 @@ impl DecodedFn {
                     func,
                     args_off: s.off,
                     args_len: s.len,
-                    cache: NO_CACHE,
                 }
             }
             Instr::Ret { src } => DecodedInstr::Ret { src },
@@ -1770,7 +2087,6 @@ impl DecodedFn {
                 func,
                 args_off,
                 args_len,
-                ..
             } => Instr::TailCall {
                 func,
                 args: regs(ArgSlice {
@@ -1824,7 +2140,9 @@ impl DecodedFn {
             | DecodedInstr::Dec2 { .. }
             | DecodedInstr::ProjInc2 { .. }
             | DecodedInstr::Dec4 { .. }
-            | DecodedInstr::ProjInc2Dec { .. } => panic!(
+            | DecodedInstr::ProjInc2Dec { .. }
+            | DecodedInstr::BuiltinBr { .. }
+            | DecodedInstr::BuiltinImm { .. } => panic!(
                 "cannot encode superinstruction {:?}; decode with fusion disabled",
                 self.code[i]
             ),
@@ -1885,7 +2203,6 @@ pub fn decode_program_with(program: &CompiledProgram, opts: DecodeOptions) -> De
             cache_slots = cache_slots
                 .checked_add(u32::from(d.cache_sites))
                 .expect("inline-cache pool exhausted");
-            d.classes = d.code.iter().map(|i| i.class() as u8).collect();
             d
         })
         .collect();
@@ -1996,8 +2313,9 @@ mod tests {
 
     #[test]
     fn tail_call_cells_get_no_cache_slot() {
-        // Only `Call`/`PapExtend` sites earn inline-cache slots; tail
-        // calls keep the sentinel and consume no pool space.
+        // Only `Call`/`PapExtend` sites own inline-cache slots, numbered
+        // in stream order; a tail call, wherever it sits, owns none and
+        // `cache_sites` does not count it.
         let p = CompiledProgram {
             fns: vec![CompiledFn {
                 name: "f".into(),
@@ -2008,6 +2326,10 @@ mod tests {
                         dst: Reg(1),
                         func: 0,
                         args: vec![Reg(0)],
+                    },
+                    Instr::TailCall {
+                        func: 0,
+                        args: vec![Reg(1)],
                     },
                     Instr::PapExtend {
                         dst: Reg(2),
@@ -2024,19 +2346,23 @@ mod tests {
         };
         let d = decode_program_with(&p, DecodeOptions::fused());
         let f = &d.fns[0];
-        let (mut call, mut pap, mut tail) = (None, None, None);
-        for i in &f.code {
-            match *i {
-                DecodedInstr::Call { cache, .. } => call = Some(cache),
-                DecodedInstr::PapExtend { cache, .. } => pap = Some(cache),
-                DecodedInstr::TailCall { cache, .. } => tail = Some(cache),
-                _ => {}
-            }
-        }
-        assert_eq!(call, Some(0));
-        assert_eq!(pap, Some(1));
-        assert_eq!(tail, Some(NO_CACHE), "tail sites must keep the sentinel");
-        assert_eq!(f.cache_sites, 2, "tail site must not consume a pool slot");
+        let slots: Vec<(&str, u16)> = f
+            .code
+            .iter()
+            .filter_map(|i| match *i {
+                DecodedInstr::Call { cache, .. } => Some(("call", cache)),
+                DecodedInstr::PapExtend { cache, .. } => Some(("papextend", cache)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(slots, [("call", 0), ("papextend", 1)]);
+        let tails = f
+            .code
+            .iter()
+            .filter(|i| matches!(i, DecodedInstr::TailCall { .. }))
+            .count();
+        assert_eq!(tails, 2);
+        assert_eq!(f.cache_sites, 2, "tail sites must not consume a pool slot");
         assert_eq!(d.cache_slots, 2);
     }
 
@@ -2673,5 +2999,394 @@ mod tests {
         for (i, original) in p.fns[0].code.iter().enumerate() {
             assert_eq!(&d.fns[0].encode(i), original);
         }
+    }
+
+    // ---- scalar builtins: decided branches, immediates, retain folding ----
+
+    fn call2(dst: u16, builtin: Builtin, a: u16, b: u16, mask: u8) -> Instr {
+        Instr::CallBuiltin {
+            dst: Reg(dst),
+            builtin,
+            args: vec![Reg(a), Reg(b)],
+            mask,
+        }
+    }
+
+    /// `r2 ← builtin(r0, r1)`, `r3 ← label(r2)`, then mlir's
+    /// `ConstInt r4, 0` + `Cmp` (constant on the given side) + `Branch`
+    /// to `Ret r0` / `Ret r1`.
+    fn mlir_decided(builtin: Builtin, pred: CmpPred, const_left: bool) -> Vec<Instr> {
+        let (a, b) = if const_left {
+            (Reg(4), Reg(3))
+        } else {
+            (Reg(3), Reg(4))
+        };
+        vec![
+            call2(2, builtin, 0, 1, 0),
+            Instr::GetLabel {
+                dst: Reg(3),
+                src: Reg(2),
+            },
+            Instr::ConstInt { dst: Reg(4), v: 0 },
+            Instr::Cmp {
+                pred,
+                dst: Reg(5),
+                a,
+                b,
+            },
+            Instr::Branch {
+                cond: Reg(5),
+                then_t: 5,
+                else_t: 6,
+            },
+            Instr::Ret { src: Reg(0) },
+            Instr::Ret { src: Reg(1) },
+        ]
+    }
+
+    #[test]
+    fn fuses_decided_compare_and_branch_with_the_constant_either_side() {
+        // `label == 0` branches to `then` when the builtin returns 0.
+        let (f, stats) = fuse_one(2, 6, mlir_decided(Builtin::NatDecLt, CmpPred::Eq, false));
+        assert_eq!((stats.builtin_br, stats.cells_saved), (1, 4));
+        assert_eq!(
+            f.code[0],
+            DecodedInstr::BuiltinBr {
+                builtin: Builtin::NatDecLt,
+                mask: 0,
+                imm: false,
+                a: Reg(0),
+                b: 1,
+                on_true: 2,
+                on_false: 1,
+            }
+        );
+        assert_eq!(f.code.len(), 3);
+        // `0 < label` holds only for result 1.
+        let (f, stats) = fuse_one(2, 6, mlir_decided(Builtin::IntDecLe, CmpPred::Slt, true));
+        assert_eq!(stats.builtin_br, 1);
+        assert!(matches!(
+            f.code[0],
+            DecodedInstr::BuiltinBr {
+                builtin: Builtin::IntDecLe,
+                on_true: 1,
+                on_false: 2,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn fuses_decided_compare_and_switch_for_every_case_table() {
+        // Swallowing the GetLabel and the Switch shifts `Ret r0` to 1,
+        // `Ret r1` to 2 and the default `Trap` to 3.
+        for (cases, on_true, on_false) in [
+            (vec![(0, 3), (1, 4)], 2, 1),
+            (vec![(0, 3)], 3, 1),
+            (vec![(1, 4)], 2, 3),
+            (vec![], 3, 3),
+        ] {
+            let code = vec![
+                call2(2, Builtin::NatDecEq, 0, 1, 3),
+                Instr::GetLabel {
+                    dst: Reg(3),
+                    src: Reg(2),
+                },
+                Instr::Switch {
+                    idx: Reg(3),
+                    cases: cases.clone(),
+                    default: 5,
+                },
+                Instr::Ret { src: Reg(0) },
+                Instr::Ret { src: Reg(1) },
+                Instr::Trap,
+            ];
+            let (f, stats) = fuse_one(2, 4, code);
+            assert_eq!((stats.builtin_br, stats.cells_saved), (1, 2), "{cases:?}");
+            assert_eq!(
+                f.code[0],
+                DecodedInstr::BuiltinBr {
+                    builtin: Builtin::NatDecEq,
+                    mask: 3,
+                    imm: false,
+                    a: Reg(0),
+                    b: 1,
+                    on_true,
+                    on_false,
+                },
+                "{cases:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_small_right_constant_rides_along_in_the_decided_branch() {
+        let mut code = mlir_decided(Builtin::NatDecEq, CmpPred::Eq, false);
+        code.insert(0, Instr::LpInt { dst: Reg(1), v: -7 });
+        code[7] = Instr::Trap;
+        let code = retarget(code, 1);
+        let (f, stats) = fuse_one(1, 6, code);
+        assert_eq!((stats.builtin_br, stats.cells_saved), (1, 5));
+        assert_eq!(
+            f.code[0],
+            DecodedInstr::BuiltinBr {
+                builtin: Builtin::NatDecEq,
+                mask: 0,
+                imm: true,
+                a: Reg(0),
+                b: -7i16 as u16,
+                on_true: 2,
+                on_false: 1,
+            }
+        );
+    }
+
+    /// Shifts every jump target of `code` by `by` (for streams built by
+    /// prepending cells to another).
+    fn retarget(mut code: Vec<Instr>, by: usize) -> Vec<Instr> {
+        for i in &mut code {
+            match i {
+                Instr::Jump { target } => *target += by,
+                Instr::Branch { then_t, else_t, .. } => {
+                    *then_t += by;
+                    *else_t += by;
+                }
+                Instr::Switch { cases, default, .. } => {
+                    *default += by;
+                    for (_, t) in cases {
+                        *t += by;
+                    }
+                }
+                _ => {}
+            }
+        }
+        code
+    }
+
+    #[test]
+    fn fuses_constant_operand_into_builtin_either_side() {
+        // `r2 ← r0 - 1`.
+        let (f, stats) = fuse_one(
+            1,
+            3,
+            vec![
+                Instr::LpInt { dst: Reg(1), v: 1 },
+                call2(2, Builtin::NatSub, 0, 1, 1),
+                Instr::Ret { src: Reg(2) },
+            ],
+        );
+        assert_eq!((stats.builtin_imm, stats.cells_saved), (1, 1));
+        assert_eq!(
+            f.code[0],
+            DecodedInstr::BuiltinImm {
+                builtin: Builtin::NatSub,
+                mask: 1,
+                imm_left: false,
+                dst: Reg(2),
+                src: Reg(0),
+                imm: 1,
+            }
+        );
+        // `r2 ← -100 + r0`: the mask keeps naming argument positions.
+        let (f, stats) = fuse_one(
+            1,
+            3,
+            vec![
+                Instr::LpInt {
+                    dst: Reg(1),
+                    v: -100,
+                },
+                call2(2, Builtin::IntAdd, 1, 0, 2),
+                Instr::Ret { src: Reg(2) },
+            ],
+        );
+        assert_eq!(stats.builtin_imm, 1);
+        assert_eq!(
+            f.code[0],
+            DecodedInstr::BuiltinImm {
+                builtin: Builtin::IntAdd,
+                mask: 2,
+                imm_left: true,
+                dst: Reg(2),
+                src: Reg(0),
+                imm: -100,
+            }
+        );
+    }
+
+    #[test]
+    fn decided_branch_bails_when_the_result_is_read_elsewhere() {
+        // Returned after the branch, or stored into a constructor.
+        for reader in [
+            Instr::Ret { src: Reg(2) },
+            Instr::Construct {
+                dst: Reg(6),
+                tag: 1,
+                args: vec![Reg(2)],
+            },
+        ] {
+            let mut code = mlir_decided(Builtin::NatDecEq, CmpPred::Eq, false);
+            code[5] = reader;
+            let (f, stats) = fuse_one(2, 7, code);
+            assert_eq!(stats.builtin_br, 0);
+            assert!(matches!(f.code[0], DecodedInstr::CallBuiltin { .. }));
+        }
+        // Likewise the label.
+        let mut code = mlir_decided(Builtin::NatDecEq, CmpPred::Eq, false);
+        code[5] = Instr::Ret { src: Reg(3) };
+        let (_, stats) = fuse_one(2, 6, code);
+        assert_eq!(stats.builtin_br, 0);
+    }
+
+    #[test]
+    fn decided_branch_bails_when_a_swallowed_cell_is_a_jump_target() {
+        for target in 1..=4 {
+            let mut code = mlir_decided(Builtin::NatDecEq, CmpPred::Eq, false);
+            code[6] = Instr::Jump { target };
+            let (f, stats) = fuse_one(2, 6, code);
+            assert_eq!(stats.builtin_br, 0, "jump to {target}");
+            assert!(matches!(f.code[0], DecodedInstr::CallBuiltin { .. }));
+        }
+    }
+
+    #[test]
+    fn immediates_bail_beyond_their_width() {
+        // Beyond `i16` the constant stays a cell, and the call still
+        // fuses with its branch.
+        let mut code = mlir_decided(Builtin::NatDecEq, CmpPred::Eq, false);
+        code.insert(
+            0,
+            Instr::LpInt {
+                dst: Reg(1),
+                v: 40_000,
+            },
+        );
+        code[7] = Instr::Trap;
+        let (f, stats) = fuse_one(1, 6, retarget(code, 1));
+        assert_eq!((stats.builtin_br, stats.builtin_imm), (1, 0));
+        assert!(matches!(f.code[0], DecodedInstr::LpInt { v: 40_000, .. }));
+        assert!(matches!(
+            f.code[1],
+            DecodedInstr::BuiltinBr { imm: false, .. }
+        ));
+        // Beyond `i32` an arithmetic builtin keeps its constant cell.
+        let (f, stats) = fuse_one(
+            1,
+            3,
+            vec![
+                Instr::LpInt {
+                    dst: Reg(1),
+                    v: 1 << 40,
+                },
+                call2(2, Builtin::NatAdd, 0, 1, 0),
+                Instr::Ret { src: Reg(2) },
+            ],
+        );
+        assert_eq!(stats.builtin_imm, 0);
+        assert!(matches!(f.code[0], DecodedInstr::LpInt { .. }));
+    }
+
+    #[test]
+    fn builtins_without_a_scalar_fast_path_bail() {
+        // No immediate form for `NatPow`, and no branch form for a builtin
+        // whose result is not a decided boolean.
+        let (f, stats) = fuse_one(
+            1,
+            3,
+            vec![
+                Instr::LpInt { dst: Reg(1), v: 2 },
+                call2(2, Builtin::NatPow, 0, 1, 0),
+                Instr::Ret { src: Reg(2) },
+            ],
+        );
+        assert_eq!(stats.builtin_imm, 0);
+        assert!(matches!(f.code[0], DecodedInstr::LpInt { .. }));
+        let (f, stats) = fuse_one(2, 6, mlir_decided(Builtin::NatSub, CmpPred::Eq, false));
+        assert_eq!(stats.builtin_br, 0);
+        assert!(matches!(f.code[0], DecodedInstr::CallBuiltin { .. }));
+    }
+
+    #[test]
+    fn retains_fold_into_the_borrow_mask_of_the_next_builtin() {
+        // Adjacent `Inc`s of arguments with a clear bit fold, one bit each
+        // (a register passed twice takes two); an `Inc` of another
+        // register, or a third of the doubled one, stays.
+        let (f, stats) = fuse_one(
+            3,
+            4,
+            vec![
+                Instr::Inc { src: Reg(2) },
+                Instr::Inc { src: Reg(0) },
+                Instr::Inc { src: Reg(0) },
+                Instr::Inc { src: Reg(0) },
+                call2(3, Builtin::StrAppend, 0, 0, 0),
+                Instr::Ret { src: Reg(3) },
+            ],
+        );
+        assert_eq!((stats.retains_folded, stats.cells_saved), (2, 3));
+        assert_eq!(f.code[0], DecodedInstr::Inc { src: Reg(2) });
+        assert_eq!(f.code[1], DecodedInstr::Inc { src: Reg(0) });
+        assert!(matches!(
+            f.code[2],
+            DecodedInstr::CallBuiltinRet { mask: 3, .. }
+        ));
+        // A bit already set (an rc-opt borrow) takes no second retain.
+        let (f, stats) = fuse_one(
+            2,
+            3,
+            vec![
+                Instr::Inc { src: Reg(0) },
+                call2(2, Builtin::StrAppend, 0, 1, 1),
+                Instr::Ret { src: Reg(2) },
+            ],
+        );
+        assert_eq!(stats.retains_folded, 0);
+        assert_eq!(f.code[0], DecodedInstr::Inc { src: Reg(0) });
+    }
+
+    #[test]
+    fn retain_folding_stops_at_other_cells_and_jump_targets() {
+        // `Inc r0; LpInt r1; r2 ← r0 - r1`: the retain is not adjacent to
+        // the call and stays; the constant still folds into the builtin.
+        let (f, stats) = fuse_one(
+            1,
+            3,
+            vec![
+                Instr::Inc { src: Reg(0) },
+                Instr::LpInt { dst: Reg(1), v: 1 },
+                call2(2, Builtin::NatSub, 0, 1, 0),
+                Instr::Ret { src: Reg(2) },
+            ],
+        );
+        assert_eq!((stats.retains_folded, stats.builtin_imm), (0, 1));
+        assert_eq!(f.code[0], DecodedInstr::Inc { src: Reg(0) });
+        assert!(matches!(
+            f.code[1],
+            DecodedInstr::BuiltinImm {
+                mask: 0,
+                imm: 1,
+                ..
+            }
+        ));
+        // Control enters at the second `Inc`: the first stays, the second
+        // folds, and the jump lands on the call that now retains.
+        let (f, stats) = fuse_one(
+            2,
+            3,
+            vec![
+                Instr::Inc { src: Reg(0) },
+                Instr::Inc { src: Reg(1) },
+                call2(2, Builtin::StrAppend, 0, 1, 0),
+                Instr::Ret { src: Reg(2) },
+                Instr::Jump { target: 1 },
+            ],
+        );
+        assert_eq!(stats.retains_folded, 1);
+        assert_eq!(f.code[0], DecodedInstr::Inc { src: Reg(0) });
+        assert!(matches!(
+            f.code[1],
+            DecodedInstr::CallBuiltinRet { mask: 2, .. }
+        ));
+        assert_eq!(f.code[2], DecodedInstr::Jump { target: 1 });
     }
 }

@@ -25,9 +25,19 @@
 //! keeps the hot opcodes — arithmetic, branches, constants, moves, the
 //! loop-header/tail superinstructions, calls and returns — on an inlined
 //! fast path, and dispatches the cold classes (allocation, globals, rare
-//! arithmetic) through a function-pointer table indexed by the decoded
-//! opcode-class byte ([`crate::decode::DecodedFn::classes`]), one
-//! `#[inline(never)]` handler per cold class.
+//! arithmetic) through a function-pointer table indexed by the cell's
+//! [`OpClass`] ([`DecodedInstr::class`], the same index the per-class
+//! statistics use), one `#[inline(never)]` handler per cold class.
+//!
+//! **Scalar builtins** cost one dispatch where decode could fuse them:
+//! a decided comparison and its branch run as one
+//! [`DecodedInstr::BuiltinBr`], and a builtin with a small constant
+//! operand as one [`DecodedInstr::BuiltinImm`]. Both — like `CallBuiltin`
+//! itself — finish inline when every operand is a scalar, and otherwise
+//! fall back to the generic [`Builtin::call`] with its diagnostics. Every
+//! path leaves the counters exactly as the cells it replaced would: the
+//! borrow mask's retains, the consuming releases (statistics only, on
+//! scalars) and one call.
 //!
 //! **Inline caches** give every `Call`/`PapExtend` site a [`CacheSlot`]:
 //! the first successful execution proves the target's function index and
@@ -186,10 +196,10 @@ const SLOT_PAP: u8 = 2;
 /// (sized by [`DecodedProgram::cache_slots`]) so the shared, memoized
 /// decoded program stays immutable.
 ///
-/// A `Call`/`TailCall` site caches the proof that its (static) target
-/// index and argument count validated, plus the callee's register-file
-/// size; a `PapExtend` site caches the function id and arity of the last
-/// unapplied closure invoked at exact saturation.
+/// A `Call` site caches the proof that its (static) target index and
+/// argument count validated, plus the callee's register-file size; a
+/// `PapExtend` site caches the function id and arity of the last unapplied
+/// closure invoked at exact saturation.
 #[derive(Debug, Clone, Copy)]
 pub struct CacheSlot {
     /// Cached target function (VM index). Meaningful for `SLOT_PAP`.
@@ -537,14 +547,6 @@ struct Frame {
     after_ret: Vec<ObjRef>,
 }
 
-/// Wires a (possibly recycled) frame's register file: arguments copied
-/// from `scratch`, the remaining registers zeroed. Growth is *exact*,
-/// never amortized — a frame reallocates only when wired wider than ever
-/// before (a cold event), so the pool's retained footprint
-/// ([`VmStatistics::frame_pool_bytes`]) equals each frame's widest-ever
-/// wiring. `Vec`'s doubling policy would instead let a recycled frame
-/// jump to twice a stale capacity, making a *narrower* renumbered
-/// program retain a *larger* pool than the un-renumbered one.
 /// Scalar-scalar fast path for the hottest two-argument builtins: when
 /// both operands are scalars and the result provably fits a scalar, the
 /// whole builtin collapses to register arithmetic — no argument staging,
@@ -552,10 +554,8 @@ struct Frame {
 /// bits, or `None` when the generic [`Builtin::call`] must run (boxed
 /// operands, possible overflow into a bignum, or a builtin without a
 /// fast shape). On `Some` the caller still owes the runtime's
-/// consume-both convention: one `dec` per operand (statistics-only on
-/// scalars), keeping the heap counters bit-identical to the generic
-/// path.
-#[inline]
+/// consume-both convention ([`consume_scalars`]).
+#[inline(always)]
 fn builtin_fast2(builtin: Builtin, a: u64, b: u64) -> Option<u64> {
     if a & b & 1 != 1 {
         return None;
@@ -578,9 +578,6 @@ fn builtin_fast2(builtin: Builtin, a: u64, b: u64) -> Option<u64> {
             .and_then(|(x, y)| x.checked_mul(y).filter(|&s| s <= MAX_SMALL_NAT).map(scalar)),
         Builtin::NatDiv => nat_args().map(|(x, y)| scalar(x.checked_div(y).unwrap_or(0))),
         Builtin::NatMod => nat_args().map(|(x, y)| scalar(x.checked_rem(y).unwrap_or(x))),
-        Builtin::NatDecEq => nat_args().map(|(x, y)| scalar(u64::from(x == y))),
-        Builtin::NatDecLt => nat_args().map(|(x, y)| scalar(u64::from(x < y))),
-        Builtin::NatDecLe => nat_args().map(|(x, y)| scalar(u64::from(x <= y))),
         Builtin::IntAdd => ia
             .checked_add(ib)
             .filter(|&v| int_fits(v))
@@ -601,13 +598,108 @@ fn builtin_fast2(builtin: Builtin, a: u64, b: u64) -> Option<u64> {
             .filter(|&v| int_fits(v))
             .map(|v| scalar(v as u64)),
         Builtin::IntMod => Some(scalar(ia.checked_rem(ib).unwrap_or(ia) as u64)),
-        Builtin::IntDecEq => Some(scalar(u64::from(ia == ib))),
-        Builtin::IntDecLt => Some(scalar(u64::from(ia < ib))),
-        Builtin::IntDecLe => Some(scalar(u64::from(ia <= ib))),
+        _ => decide_fast(builtin, a, b).map(|d| scalar(u64::from(d))),
+    }
+}
+
+/// The scalar fast path of a decided comparison
+/// ([`Builtin::returns_scalar`]): the tagged encoding `(v << 1) | 1`
+/// keeps the order of the payloads, so two scalars compare as raw words.
+/// `None` sends boxed operands, negative `Nat` payloads (the runtime's
+/// diagnostics handle those) and other builtins to the generic call.
+#[inline(always)]
+fn decide_fast(builtin: Builtin, a: u64, b: u64) -> Option<bool> {
+    if a & b & 1 != 1 {
+        return None;
+    }
+    let (x, y) = (a as i64, b as i64);
+    let nat = x >= 0 && y >= 0;
+    match builtin {
+        Builtin::NatDecEq if nat => Some(x == y),
+        Builtin::NatDecLt if nat => Some(x < y),
+        Builtin::NatDecLe if nat => Some(x <= y),
+        Builtin::IntDecEq => Some(x == y),
+        Builtin::IntDecLt => Some(x < y),
+        Builtin::IntDecLe => Some(x <= y),
         _ => None,
     }
 }
 
+/// Whether [`builtin_fast2`] has a scalar fast path for `builtin`: the
+/// builtins decode fuses with a constant operand
+/// ([`DecodedInstr::BuiltinImm`]).
+pub(crate) fn has_scalar_fast_path(builtin: Builtin) -> bool {
+    matches!(
+        builtin,
+        Builtin::NatAdd
+            | Builtin::NatSub
+            | Builtin::NatMul
+            | Builtin::NatDiv
+            | Builtin::NatMod
+            | Builtin::NatDecEq
+            | Builtin::NatDecLt
+            | Builtin::NatDecLe
+            | Builtin::IntAdd
+            | Builtin::IntSub
+            | Builtin::IntMul
+            | Builtin::IntDiv
+            | Builtin::IntMod
+            | Builtin::IntDecEq
+            | Builtin::IntDecLt
+            | Builtin::IntDecLe
+    )
+}
+
+/// The counter effects a builtin call owes after a scalar fast path: the
+/// retains of `mask`, then the runtime's consume-both convention —
+/// statistics only, as both operands are scalars — so the heap counters
+/// match the generic path's.
+#[inline(always)]
+fn consume_scalars(heap: &mut Heap, mask: u8, a: u64, b: u64) {
+    if mask & 1 != 0 {
+        heap.inc(ObjRef::from_bits(a));
+    }
+    if mask & 2 != 0 {
+        heap.inc(ObjRef::from_bits(b));
+    }
+    heap.dec(ObjRef::from_bits(a));
+    heap.dec(ObjRef::from_bits(b));
+}
+
+/// The generic builtin call every fast path falls back to: stages the
+/// arguments in `staged`, retains the `mask` positions, and calls the
+/// runtime (which keeps its diagnostics). Returns the result and the
+/// number of heap objects the call allocated.
+#[inline(never)]
+fn call_generic(
+    heap: &mut Heap,
+    staged: &mut Vec<ObjRef>,
+    builtin: Builtin,
+    mask: u8,
+    args: impl Iterator<Item = ObjRef>,
+) -> (ObjRef, u64) {
+    staged.clear();
+    staged.extend(args);
+    if mask != 0 {
+        for (i, &v) in staged.iter().enumerate() {
+            if mask & (1 << i) != 0 {
+                heap.inc(v);
+            }
+        }
+    }
+    let a0 = heap.alloc_count();
+    let out = builtin.call(heap, staged);
+    (out, heap.alloc_count() - a0)
+}
+
+/// Wires a (possibly recycled) frame's register file: arguments copied
+/// from `scratch`, the remaining registers zeroed. Growth is *exact*,
+/// never amortized — a frame reallocates only when wired wider than ever
+/// before (a cold event), so the pool's retained footprint
+/// ([`VmStatistics::frame_pool_bytes`]) equals each frame's widest-ever
+/// wiring. `Vec`'s doubling policy would instead let a recycled frame
+/// jump to twice a stale capacity, making a *narrower* renumbered
+/// program retain a *larger* pool than the un-renumbered one.
 #[inline]
 fn wire_regs(regs: &mut Vec<u64>, scratch: &[u64], n_regs: u16) {
     regs.clear();
@@ -876,7 +968,7 @@ impl<'p> Vm<'p> {
     /// keeps the program counter and the current frame in locals (no
     /// per-instruction `stack.last()` / pool / function indexing), handles
     /// the hot opcodes inline, and routes the cold classes through
-    /// [`COLD_HANDLERS`], indexed by the decoded opcode-class byte. Frame
+    /// [`COLD_HANDLERS`], indexed by the cell's [`OpClass`]. Frame
     /// transitions exit the inner loop with a [`Transfer`] so the
     /// whole-`self` bookkeeping (frame push/pop, closure application) runs
     /// after the per-activation borrows are released — everything stays
@@ -1004,7 +1096,7 @@ impl<'p> Vm<'p> {
                         frame.pc = pc as u32;
                         break 'act Transfer::Error(err(format!("pc out of range in @{}", f.name)));
                     };
-                    let class = f.classes[pc];
+                    let class = instr.class();
                     executed[class as usize] += 1;
                     pc += 1;
                     match instr {
@@ -1322,93 +1414,51 @@ impl<'p> Vm<'p> {
                                 }
                                 _ => {}
                             }
+                            *calls += 1;
                             if let [ra, rb] = f.arg_regs(args) {
                                 let a = frame.regs[ra.0 as usize];
                                 let b = frame.regs[rb.0 as usize];
                                 if let Some(bits) = builtin_fast2(builtin, a, b) {
-                                    *calls += 1;
-                                    // Folded retains, then consume both
-                                    // operands (statistics only: all are
-                                    // scalars here).
-                                    if mask & 1 != 0 {
-                                        heap.inc(ObjRef::from_bits(a));
-                                    }
-                                    if mask & 2 != 0 {
-                                        heap.inc(ObjRef::from_bits(b));
-                                    }
-                                    heap.dec(ObjRef::from_bits(a));
-                                    heap.dec(ObjRef::from_bits(b));
+                                    consume_scalars(heap, mask, a, b);
                                     frame.regs[dst.0 as usize] = bits;
                                     continue;
                                 }
                             }
-                            scratch_objs.clear();
-                            scratch_objs.extend(
+                            let (out, allocs) = call_generic(
+                                heap,
+                                scratch_objs,
+                                builtin,
+                                mask,
                                 f.arg_regs(args)
                                     .iter()
                                     .map(|&r| ObjRef::from_bits(frame.regs[r.0 as usize])),
                             );
-                            if mask != 0 {
-                                for (i, &v) in scratch_objs.iter().enumerate() {
-                                    if mask & (1 << i) != 0 {
-                                        heap.inc(v);
-                                    }
-                                }
-                            }
-                            *calls += 1;
-                            let a0 = heap.alloc_count();
-                            let out = builtin.call(heap, &*scratch_objs);
-                            class_allocs[OpClass::CallBuiltin as usize] += heap.alloc_count() - a0;
+                            class_allocs[OpClass::CallBuiltin as usize] += allocs;
                             frame.regs[dst.0 as usize] = out.to_bits();
                         }
                         DecodedInstr::TailCall {
                             func,
                             args_off,
                             args_len,
-                            cache,
                         } => {
                             let args = ArgSlice {
                                 off: args_off,
                                 len: args_len,
                             };
-                            let slot = if cache != NO_CACHE {
-                                Some(f.cache_base as usize + cache as usize)
-                            } else {
-                                None
+                            let Some(target) = prog.fns.get(func as usize) else {
+                                frame.pc = pc as u32;
+                                break 'act Transfer::Error(err(format!(
+                                    "bad function index {func}"
+                                )));
                             };
-                            let n_regs = match slot {
-                                Some(g) if caches[g].state == SLOT_CALL => {
-                                    *cache_hits += 1;
-                                    caches[g].n_regs
-                                }
-                                _ => {
-                                    if slot.is_some() {
-                                        *cache_misses += 1;
-                                    }
-                                    let Some(target) = prog.fns.get(func as usize) else {
-                                        frame.pc = pc as u32;
-                                        break 'act Transfer::Error(err(format!(
-                                            "bad function index {func}"
-                                        )));
-                                    };
-                                    if args.len as usize != target.arity as usize {
-                                        frame.pc = pc as u32;
-                                        break 'act Transfer::Error(err(format!(
-                                            "@{} called with {} args (arity {})",
-                                            target.name, args.len, target.arity
-                                        )));
-                                    }
-                                    if let Some(g) = slot {
-                                        caches[g] = CacheSlot {
-                                            func,
-                                            arity: target.arity,
-                                            n_regs: target.n_regs,
-                                            state: SLOT_CALL,
-                                        };
-                                    }
-                                    target.n_regs
-                                }
-                            };
+                            if args.len != target.arity {
+                                frame.pc = pc as u32;
+                                break 'act Transfer::Error(err(format!(
+                                    "@{} called with {} args (arity {})",
+                                    target.name, args.len, target.arity
+                                )));
+                            }
+                            let n_regs = target.n_regs;
                             *calls += 1;
                             *tail_frame_reuses += 1;
                             scratch.clear();
@@ -1586,42 +1636,83 @@ impl<'p> Vm<'p> {
                             args,
                             mask,
                         } => {
+                            *calls += 1;
                             if let [ra, rb] = f.arg_regs(args) {
                                 let a = frame.regs[ra.0 as usize];
                                 let b = frame.regs[rb.0 as usize];
                                 if let Some(bits) = builtin_fast2(builtin, a, b) {
-                                    *calls += 1;
-                                    if mask & 1 != 0 {
-                                        heap.inc(ObjRef::from_bits(a));
-                                    }
-                                    if mask & 2 != 0 {
-                                        heap.inc(ObjRef::from_bits(b));
-                                    }
-                                    heap.dec(ObjRef::from_bits(a));
-                                    heap.dec(ObjRef::from_bits(b));
+                                    consume_scalars(heap, mask, a, b);
                                     inline_ret!(bits);
                                     continue;
                                 }
                             }
-                            scratch_objs.clear();
-                            scratch_objs.extend(
+                            let (out, allocs) = call_generic(
+                                heap,
+                                scratch_objs,
+                                builtin,
+                                mask,
                                 f.arg_regs(args)
                                     .iter()
                                     .map(|&r| ObjRef::from_bits(frame.regs[r.0 as usize])),
                             );
-                            if mask != 0 {
-                                for (i, &v) in scratch_objs.iter().enumerate() {
-                                    if mask & (1 << i) != 0 {
-                                        heap.inc(v);
-                                    }
-                                }
-                            }
-                            *calls += 1;
-                            let a0 = heap.alloc_count();
-                            let out = builtin.call(heap, &*scratch_objs);
-                            class_allocs[OpClass::FusedCallBuiltinRet as usize] +=
-                                heap.alloc_count() - a0;
+                            class_allocs[OpClass::FusedCallBuiltinRet as usize] += allocs;
                             inline_ret!(out.to_bits());
+                        }
+                        DecodedInstr::BuiltinBr {
+                            builtin,
+                            mask,
+                            imm,
+                            a,
+                            b,
+                            on_true,
+                            on_false,
+                        } => {
+                            let x = frame.regs[a.0 as usize];
+                            let y = if imm {
+                                ObjRef::scalar(i64::from(b as i16)).to_bits()
+                            } else {
+                                frame.regs[b as usize]
+                            };
+                            *calls += 1;
+                            let taken = match decide_fast(builtin, x, y) {
+                                Some(d) => {
+                                    consume_scalars(heap, mask, x, y);
+                                    d
+                                }
+                                // A decided comparison allocates nothing.
+                                None => {
+                                    let args = [x, y].map(ObjRef::from_bits).into_iter();
+                                    call_generic(heap, scratch_objs, builtin, mask, args).0
+                                        == ObjRef::scalar(1)
+                                }
+                            };
+                            pc = if taken { on_true } else { on_false } as usize;
+                        }
+                        DecodedInstr::BuiltinImm {
+                            builtin,
+                            mask,
+                            imm_left,
+                            dst,
+                            src,
+                            imm,
+                        } => {
+                            let s = frame.regs[src.0 as usize];
+                            let k = ObjRef::scalar(i64::from(imm)).to_bits();
+                            let (x, y) = if imm_left { (k, s) } else { (s, k) };
+                            *calls += 1;
+                            frame.regs[dst.0 as usize] = match builtin_fast2(builtin, x, y) {
+                                Some(bits) => {
+                                    consume_scalars(heap, mask, x, y);
+                                    bits
+                                }
+                                None => {
+                                    let args = [x, y].map(ObjRef::from_bits).into_iter();
+                                    let (out, allocs) =
+                                        call_generic(heap, scratch_objs, builtin, mask, args);
+                                    class_allocs[OpClass::FusedBuiltinImm as usize] += allocs;
+                                    out.to_bits()
+                                }
+                            };
                         }
                         DecodedInstr::ConstructRet { tag, args } => {
                             let obj = heap.alloc_ctor(
@@ -2011,10 +2102,9 @@ fn cold_never(
     cold_mismatch()
 }
 
-/// The cold-dispatch function-pointer table, indexed by the decoded
-/// opcode-class byte ([`DecodedFn::classes`], i.e. [`OpClass`]
-/// discriminants). Hot classes are fillers — their instructions never reach
-/// the table.
+/// The cold-dispatch function-pointer table, indexed by [`OpClass`]
+/// discriminant ([`DecodedInstr::class`]). Hot classes are fillers — their
+/// instructions never reach the table.
 static COLD_HANDLERS: [ColdHandler; OpClass::COUNT] = [
     cold_never,  // Const
     cold_alloc,  // Alloc
@@ -2044,6 +2134,8 @@ static COLD_HANDLERS: [ColdHandler; OpClass::COUNT] = [
     cold_never,  // FusedProjInc2
     cold_never,  // FusedDec4
     cold_never,  // FusedProjInc2Dec
+    cold_never,  // FusedBuiltinBr
+    cold_never,  // FusedBuiltinImm
 ];
 
 /// Runs `entry` of a pre-decoded program under explicit [`ExecOptions`]
@@ -2204,6 +2296,22 @@ mod tests {
                 },
             ],
             ..CompiledProgram::default()
+        }
+    }
+
+    #[test]
+    fn fast_path_predicates_match_the_fast_paths() {
+        // Decode fuses constants into exactly the builtins `builtin_fast2`
+        // finishes inline, and branches into the ones `decide_fast` does.
+        let s = |v: i64| ObjRef::scalar(v).to_bits();
+        for &b in Builtin::ALL {
+            let fast = builtin_fast2(b, s(6), s(3)).is_some();
+            assert_eq!(fast, has_scalar_fast_path(b), "{b}");
+            let decided = decide_fast(b, s(6), s(3));
+            assert_eq!(decided.is_some(), b.returns_scalar() && fast, "{b}");
+            if let Some(d) = decided {
+                assert_eq!(builtin_fast2(b, s(6), s(3)), Some(s(i64::from(d))), "{b}");
+            }
         }
     }
 

@@ -64,6 +64,8 @@ fn mnemonic(i: &DecodedInstr) -> &'static str {
         DecodedInstr::ProjInc2 { .. } => "projinc2",
         DecodedInstr::Dec4 { .. } => "dec4",
         DecodedInstr::ProjInc2Dec { .. } => "projinc2dec",
+        DecodedInstr::BuiltinBr { .. } => "builtinbr",
+        DecodedInstr::BuiltinImm { .. } => "builtinimm",
     }
 }
 
@@ -85,6 +87,7 @@ fn falls_through(i: &DecodedInstr) -> bool {
             | DecodedInstr::CallBuiltinRet { .. }
             | DecodedInstr::ConstructRet { .. }
             | DecodedInstr::SwitchDense { .. }
+            | DecodedInstr::BuiltinBr { .. }
     )
 }
 
