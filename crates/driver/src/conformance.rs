@@ -482,9 +482,14 @@ pub const GOLDEN_DRAW: (usize, u64) = (40, 2022);
 
 /// The codegen-stability golden: for each of the 8 workloads at
 /// `Scale::Test`, the handwritten cases and a seeded generated draw
-/// ([`GOLDEN_DRAW`]), one line with an FNV-1a digest of every function's
-/// decoded cells and pools under [`CompilerConfig::mlir`] and the default
-/// decode options, then one `total` line digesting all of them.
+/// ([`GOLDEN_DRAW`]), one line with three FNV-1a digests under
+/// [`CompilerConfig::mlir`], then one `total` line digesting all of them:
+///
+/// - `rc`: the printed λrc program the front half hands the backend
+///   (check, simplify, `insert_rc`);
+/// - `lp`: the printed `lp` module that program lowers to;
+/// - `code`: every function's decoded cells and pools under the default
+///   decode options.
 ///
 /// `tests/codegen_golden.rs` compares it with the committed
 /// `tests/golden/codegen.txt`; regenerate that file with
@@ -493,7 +498,7 @@ pub const GOLDEN_DRAW: (usize, u64) = (40, 2022);
 ///
 /// [`CompilerConfig::mlir`]: crate::pipelines::CompilerConfig::mlir
 pub fn codegen_golden() -> String {
-    use crate::pipelines::{compile, CompilerConfig};
+    use crate::pipelines::{compile, frontend, CompilerConfig};
     use crate::workloads::{all, Scale};
     use std::fmt::Write as _;
     let workloads = all(Scale::Test)
@@ -507,6 +512,18 @@ pub fn codegen_golden() -> String {
         .map(|c| (format!("generated/{}", c.name), c.src));
     let mut out = String::new();
     for (name, src) in workloads.chain(handwritten).chain(generated) {
+        let rc = match frontend(&src, CompilerConfig::mlir()) {
+            Ok(rc) => rc,
+            Err(e) => {
+                let _ = writeln!(out, "{name} error: {e}");
+                continue;
+            }
+        };
+        let mut rc_digest = Fnv1a::default();
+        let _ = rc_digest.write_str(&lssa_syntax::print_program(&rc));
+        let mut lp_digest = Fnv1a::default();
+        let lp = lssa_core::lp::from_lambda::lower_program(&rc);
+        let _ = lp_digest.write_str(&lssa_ir::printer::print_module(&lp));
         let _ = match compile(&src, CompilerConfig::mlir()) {
             Ok(p) => {
                 let mut h = Fnv1a::default();
@@ -526,7 +543,11 @@ pub fn codegen_golden() -> String {
                     );
                 }
                 let _ = write!(h, "{:?}{:?}{:?}", d.big_pool, d.str_pool, d.globals);
-                writeln!(out, "{name} {:016x}", h.0)
+                writeln!(
+                    out,
+                    "{name} rc {:016x} lp {:016x} code {:016x}",
+                    rc_digest.0, lp_digest.0, h.0
+                )
             }
             Err(e) => writeln!(out, "{name} error: {e}"),
         };

@@ -4,10 +4,11 @@
 //! cargo run --example gen_codegen_golden
 //! ```
 //!
-//! The file holds one digest of every function's decoded cells and pools per
-//! program: the 8 workloads at `Scale::Test`, the handwritten conformance
-//! cases and a seeded generated draw, all compiled with the `mlir`
-//! configuration (see `lssa_driver::conformance::codegen_golden`).
+//! The file holds three digests per program: the printed λrc program, the
+//! printed `lp` module it lowers to, and every function's decoded cells and
+//! pools. The programs are the 8 workloads at `Scale::Test`, the handwritten
+//! conformance cases and a seeded generated draw, all compiled with the
+//! `mlir` configuration (see `lssa_driver::conformance::codegen_golden`).
 //! `tests/codegen_golden.rs` asserts the committed file matches what the
 //! compiler produces now, so a change that should leave the generated code
 //! alone (a compile-time speed-up, a refactor) proves it by leaving this

@@ -1,7 +1,7 @@
-//! Codegen stability: the decoded code of every workload, handwritten
-//! conformance case and a seeded generated draw must match the committed
-//! digests in `tests/golden/codegen.txt` (regenerate with
-//! `cargo run --example gen_codegen_golden`).
+//! Codegen stability: the λrc program, the `lp` module and the decoded code
+//! of every workload, handwritten conformance case and a seeded generated
+//! draw must match the committed digests in `tests/golden/codegen.txt`
+//! (regenerate with `cargo run --example gen_codegen_golden`).
 //!
 //! Compile-time work that must not change the output (faster analyses,
 //! different data structures, refactors of the pass drivers) is held to
