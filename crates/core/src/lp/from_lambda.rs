@@ -7,9 +7,12 @@
 //! precisely what makes the `rgn` lowering (Figure 8) and its optimizations
 //! applicable.
 
+use lssa_ir::body::OperandList;
 use lssa_ir::prelude::*;
 use lssa_lambda::ast::{Expr, FnDef, Program, Value};
-use std::collections::HashMap;
+use lssa_lambda::dense::MAX_ID;
+use lssa_rt::Builtin;
+use std::fmt::Write as _;
 
 /// Lowers a λrc program to an lp-dialect module.
 ///
@@ -19,213 +22,228 @@ use std::collections::HashMap;
 /// first); the result verifies by construction.
 pub fn lower_program(program: &Program) -> Module {
     let mut module = Module::new();
+    module.reserve(Builtin::ALL.len() + program.fns.len());
     super::declare_externs(&mut module);
-    // Pre-declare every function so calls can reference any order.
+    // Pre-declare every function so calls can reference any order, and
+    // record each one's arity by symbol for `pap` (the first definition of
+    // a name wins, as a front-to-back lookup would).
+    let mut arities: Vec<Option<usize>> = Vec::new();
     for f in &program.fns {
-        module.intern(&f.name);
+        let sym = module.intern(&f.name);
+        if sym.index() >= arities.len() {
+            arities.resize(sym.index() + 1, None);
+        }
+        arities[sym.index()].get_or_insert(f.arity());
     }
-    // First create all signatures (needed for callee checks), then bodies.
-    let sigs: Vec<Signature> = program
-        .fns
-        .iter()
-        .map(|f| Signature::obj(f.arity()))
-        .collect();
-    for (f, sig) in program.fns.iter().zip(&sigs) {
-        let body = lower_fn(&mut module, program, f);
-        module.add_function(&f.name, sig.clone(), body);
+    let mut ctx = LowerCtx {
+        module: &mut module,
+        arities: &arities,
+        fname: "",
+        env: Vec::new(),
+        labels: Vec::new(),
+        label_text: String::new(),
+    };
+    for f in &program.fns {
+        let body = ctx.lower_fn(f);
+        ctx.module
+            .add_function(&f.name, Signature::obj(f.arity()), body);
     }
     module
 }
 
-fn lower_fn(module: &mut Module, program: &Program, f: &FnDef) -> Body {
-    let (mut body, params) = Body::new(&vec![Type::Obj; f.arity()]);
-    let mut env: HashMap<u32, ValueId> = HashMap::new();
-    for (&p, &v) in f.params.iter().zip(&params) {
-        env.insert(p, v);
-    }
-    let entry = body.entry_block();
-    let mut ctx = LowerCtx {
-        module,
-        program,
-        fname: &f.name,
-    };
-    ctx.lower_expr(&mut body, entry, &f.body, &mut env);
-    body
-}
+/// Marks a variable or label with no value yet.
+const UNSET: u32 = u32::MAX;
 
 struct LowerCtx<'a> {
     module: &'a mut Module,
-    program: &'a Program,
+    /// Arity per function symbol.
+    arities: &'a [Option<usize>],
     fname: &'a str,
+    /// The SSA value of each λ variable of the function being lowered. Its
+    /// binders are unique (E0102), so one table serves every arm and join
+    /// body.
+    env: Vec<ValueId>,
+    /// The symbol of each join label of the function, interned on first use.
+    labels: Vec<Symbol>,
+    /// Scratch text for a label's symbol name.
+    label_text: String,
 }
 
-impl LowerCtx<'_> {
-    /// Unique label symbol for a join point of this function.
-    fn label_sym(&mut self, label: u32) -> Symbol {
-        self.module.intern(&format!("{}.jp{label}", self.fname))
+impl<'a> LowerCtx<'a> {
+    fn lower_fn(&mut self, f: &'a FnDef) -> Body {
+        let (mut body, params) = Body::new(&Type::objs(f.arity()));
+        self.fname = &f.name;
+        self.env.clear();
+        self.env
+            .resize(f.next_var.min(MAX_ID) as usize, ValueId(UNSET));
+        self.labels.clear();
+        self.labels
+            .resize(f.next_join.min(MAX_ID) as usize, Symbol(UNSET));
+        for (&p, &v) in f.params.iter().zip(&params) {
+            self.bind(p, v);
+        }
+        let entry = body.entry_block();
+        self.lower_expr(&mut body, entry, &f.body);
+        body
     }
 
-    fn get(&self, env: &HashMap<u32, ValueId>, v: u32) -> ValueId {
-        *env.get(&v)
-            .unwrap_or_else(|| panic!("@{}: unbound λ variable x{v}", self.fname))
+    /// Unique label symbol for a join point of this function.
+    fn label_sym(&mut self, label: u32) -> Symbol {
+        let i = label as usize;
+        if i >= self.labels.len() {
+            self.labels.resize(i + 1, Symbol(UNSET));
+        }
+        if self.labels[i].0 == UNSET {
+            self.label_text.clear();
+            let _ = write!(self.label_text, "{}.jp{label}", self.fname);
+            self.labels[i] = self.module.intern(&self.label_text);
+        }
+        self.labels[i]
+    }
+
+    fn bind(&mut self, v: u32, value: ValueId) {
+        let i = v as usize;
+        if i >= self.env.len() {
+            self.env.resize(i + 1, ValueId(UNSET));
+        }
+        self.env[i] = value;
+    }
+
+    fn get(&self, v: u32) -> ValueId {
+        match self.env.get(v as usize) {
+            Some(&value) if value.0 != UNSET => value,
+            _ => panic!("@{}: unbound λ variable x{v}", self.fname),
+        }
     }
 
     /// Lowers `e` into `block` (which must be unterminated); always leaves
     /// the block terminated.
-    fn lower_expr(
-        &mut self,
-        body: &mut Body,
-        block: BlockId,
-        e: &Expr,
-        env: &mut HashMap<u32, ValueId>,
-    ) {
-        match e {
-            Expr::Let {
-                var,
-                val,
-                body: rest,
-            } => {
-                let v = self.lower_value(body, block, val, env);
-                env.insert(*var, v);
-                self.lower_expr(body, block, rest, env);
-            }
-            Expr::LetJoin {
-                label,
-                params,
-                jp_body,
-                body: rest,
-            } => {
-                let sym = self.label_sym(*label);
-                let (op, jp_entry, body_entry);
-                {
-                    let mut b = Builder::at_end(body, block);
-                    (op, jp_entry, body_entry) =
-                        b.lp_joinpoint(sym, &vec![Type::Obj; params.len()]);
+    ///
+    /// A form's continuation (a `let` body, the code after a join point's
+    /// declaration) is followed in a loop, so a long `let` chain lowers
+    /// without recursion.
+    fn lower_expr(&mut self, body: &mut Body, mut block: BlockId, mut e: &Expr) {
+        loop {
+            match e {
+                Expr::Let {
+                    var,
+                    val,
+                    body: rest,
+                } => {
+                    let v = self.lower_value(body, block, val);
+                    self.bind(*var, v);
+                    e = rest;
                 }
-                let _ = op;
-                // Join-point body: parameters map to the region's block args.
-                let mut jp_env = HashMap::new();
-                for (i, &p) in params.iter().enumerate() {
-                    jp_env.insert(p, body.blocks[jp_entry.index()].args[i]);
-                }
-                self.lower_expr(body, jp_entry, jp_body, &mut jp_env);
-                // Pre-jump code: same environment as the outer scope.
-                self.lower_expr(body, body_entry, rest, env);
-            }
-            Expr::Case {
-                scrutinee,
-                alts,
-                default,
-            } => {
-                let s = self.get(env, *scrutinee);
-                let tag = {
-                    let mut b = Builder::at_end(body, block);
-                    b.lp_getlabel(s)
-                };
-                // lp.switch needs a default region: if the source case is
-                // exhaustive without one, the last alternative serves as the
-                // default (LEAN does the same).
-                let (cases, arms, def): (Vec<i64>, Vec<&Expr>, &Expr) = match default {
-                    Some(d) => (
-                        alts.iter().map(|a| a.tag as i64).collect(),
-                        alts.iter().map(|a| &a.body).collect(),
-                        d,
-                    ),
-                    None => {
-                        let (last, init) = alts.split_last().expect("case with no arms");
-                        (
-                            init.iter().map(|a| a.tag as i64).collect(),
-                            init.iter().map(|a| &a.body).collect(),
-                            &last.body,
-                        )
+                Expr::LetJoin {
+                    label,
+                    params,
+                    jp_body,
+                    body: rest,
+                } => {
+                    let sym = self.label_sym(*label);
+                    let (_op, jp_entry, body_entry) =
+                        Builder::at_end(body, block).lp_joinpoint(sym, &Type::objs(params.len()));
+                    // Join-point body: parameters map to the region's block
+                    // args.
+                    for (i, &p) in params.iter().enumerate() {
+                        let arg = body.blocks[jp_entry.index()].args[i];
+                        self.bind(p, arg);
                     }
-                };
-                let blocks = {
-                    let mut b = Builder::at_end(body, block);
-                    let (_op, blocks) = b.lp_switch(tag, cases);
-                    blocks
-                };
-                for (arm, &arm_block) in arms.iter().zip(&blocks) {
-                    let mut arm_env = env.clone();
-                    self.lower_expr(body, arm_block, arm, &mut arm_env);
+                    self.lower_expr(body, jp_entry, jp_body);
+                    // Pre-jump code: same environment as the outer scope.
+                    block = body_entry;
+                    e = rest;
                 }
-                let mut def_env = env.clone();
-                self.lower_expr(body, *blocks.last().unwrap(), def, &mut def_env);
-            }
-            Expr::Jump { label, args } => {
-                let sym = self.label_sym(*label);
-                let vals: Vec<ValueId> = args.iter().map(|&a| self.get(env, a)).collect();
-                let mut b = Builder::at_end(body, block);
-                b.lp_jump(sym, vals);
-            }
-            Expr::Ret(v) => {
-                let v = self.get(env, *v);
-                let mut b = Builder::at_end(body, block);
-                b.lp_ret(v);
-            }
-            Expr::Inc { var, n, body: rest } => {
-                let v = self.get(env, *var);
-                {
+                Expr::Case {
+                    scrutinee,
+                    alts,
+                    default,
+                } => {
+                    let s = self.get(*scrutinee);
+                    let tag = Builder::at_end(body, block).lp_getlabel(s);
+                    // lp.switch needs a default region: if the source case is
+                    // exhaustive without one, the last alternative serves as
+                    // the default (LEAN does the same).
+                    let (arms, def) = match default {
+                        Some(d) => (&alts[..], &**d),
+                        None => {
+                            let (last, init) = alts.split_last().expect("case with no arms");
+                            (init, &last.body)
+                        }
+                    };
+                    let cases = arms.iter().map(|a| a.tag as i64).collect();
+                    let (_op, blocks) = Builder::at_end(body, block).lp_switch(tag, cases);
+                    for (arm, &arm_block) in arms.iter().zip(&blocks) {
+                        self.lower_expr(body, arm_block, &arm.body);
+                    }
+                    self.lower_expr(body, *blocks.last().unwrap(), def);
+                    return;
+                }
+                Expr::Jump { label, args } => {
+                    let sym = self.label_sym(*label);
+                    let vals: OperandList = args.iter().map(|&a| self.get(a)).collect();
+                    Builder::at_end(body, block).lp_jump(sym, vals);
+                    return;
+                }
+                Expr::Ret(v) => {
+                    let v = self.get(*v);
+                    Builder::at_end(body, block).lp_ret(v);
+                    return;
+                }
+                Expr::Inc { var, n, body: rest } => {
+                    let v = self.get(*var);
                     let mut b = Builder::at_end(body, block);
                     for _ in 0..*n {
                         b.lp_inc(v);
                     }
+                    e = rest;
                 }
-                self.lower_expr(body, block, rest, env);
-            }
-            Expr::Dec { var, body: rest } => {
-                let v = self.get(env, *var);
-                {
-                    let mut b = Builder::at_end(body, block);
-                    b.lp_dec(v);
+                Expr::Dec { var, body: rest } => {
+                    let v = self.get(*var);
+                    Builder::at_end(body, block).lp_dec(v);
+                    e = rest;
                 }
-                self.lower_expr(body, block, rest, env);
             }
         }
     }
 
-    fn lower_value(
-        &mut self,
-        body: &mut Body,
-        block: BlockId,
-        val: &Value,
-        env: &HashMap<u32, ValueId>,
-    ) -> ValueId {
+    fn lower_value(&mut self, body: &mut Body, block: BlockId, val: &Value) -> ValueId {
         let mut b = Builder::at_end(body, block);
         match val {
-            Value::Var(v) => *env.get(v).expect("unbound alias"),
+            Value::Var(v) => self.get(*v),
             Value::LitInt(n) => b.lp_int(*n),
             Value::LitBig(s) => b.lp_bigint(s),
             Value::LitStr(s) => b.lp_str(s),
             Value::Ctor { tag, args } => {
-                let fields = args.iter().map(|&a| self.get(env, a)).collect();
+                let fields: OperandList = args.iter().map(|&a| self.get(a)).collect();
                 b.lp_construct(*tag as i64, fields)
             }
             Value::Proj { var, idx } => {
-                let s = self.get(env, *var);
+                let s = self.get(*var);
                 b.lp_project(s, *idx as i64)
             }
             Value::Call { func, args } => {
                 let callee = self.module.intern(func);
-                let vals = args.iter().map(|&a| self.get(env, a)).collect();
+                let vals: OperandList = args.iter().map(|&a| self.get(a)).collect();
                 let mut b = Builder::at_end(body, block);
                 b.call(callee, vals, Type::Obj)
             }
             Value::Pap { func, args } => {
                 let callee = self.module.intern(func);
                 let arity = self
-                    .program
-                    .arity_of(func)
+                    .arities
+                    .get(callee.index())
+                    .copied()
+                    .flatten()
                     .unwrap_or_else(|| panic!("pap of unknown @{func}"))
                     as i64;
-                let vals = args.iter().map(|&a| self.get(env, a)).collect();
+                let vals: OperandList = args.iter().map(|&a| self.get(a)).collect();
                 let mut b = Builder::at_end(body, block);
                 b.lp_pap(callee, arity, vals)
             }
             Value::App { closure, args } => {
-                let c = self.get(env, *closure);
-                let vals = args.iter().map(|&a| self.get(env, a)).collect();
-                b.lp_papextend(c, vals)
+                let c = self.get(*closure);
+                b.lp_papextend(c, args.iter().map(|&a| self.get(a)))
             }
         }
     }

@@ -20,7 +20,7 @@ use lssa_rt::Builtin;
 /// scalar 0/1 result is a valid zero-field constructor encoding).
 pub fn declare_externs(module: &mut Module) {
     for &b in Builtin::ALL {
-        module.declare_extern(b.name(), Signature::obj(b.arity()));
+        module.declare_extern_static(b.name(), Signature::obj(b.arity()));
     }
 }
 

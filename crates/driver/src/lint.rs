@@ -102,8 +102,10 @@ fn at(code: &'static str, severity: Severity, message: String, span: Option<Span
 fn def_name_spans(src: &str) -> HashMap<String, Span> {
     let (forest, _) = lssa_syntax::sexp::read(src);
     let mut spans = HashMap::new();
-    for top in &forest {
-        let Some(items) = top.as_list() else { continue };
+    for top in forest.top() {
+        let Some(items) = forest.list(top) else {
+            continue;
+        };
         if items.first().and_then(Sexp::as_atom) != Some("def") || items.len() < 2 {
             continue;
         }

@@ -580,3 +580,128 @@ fn parse_error_is_reported() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("error"));
     std::fs::remove_file(path).ok();
 }
+
+/// Runs `lssa <verb> <path> [args]` and asserts a diagnostic failure: exit
+/// code exactly 1 (a signal or a panic's 101 fails), `code` reported
+/// (`check` prints to stdout, `run` to stderr) and no usage text.
+fn assert_rejected(verb: &str, path: &std::path::Path, args: &[&str], code: &str) {
+    let out = lssa().arg(verb).arg(path).args(args).output().unwrap();
+    let text = format!(
+        "{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(out.status.code(), Some(1), "{verb} {args:?}: {text}");
+    assert!(text.contains(&format!("error[{code}]")), "{verb}: {text}");
+    assert!(!text.contains("usage:"), "{verb}: no usage spam\n{text}");
+    assert!(!text.contains("panicked"), "{verb}: {text}");
+}
+
+#[test]
+fn ids_at_and_above_the_bound_are_out_of_range() {
+    let bound = lssa_lambda::dense::MAX_ID;
+    let last = format!(
+        "(def main () (let x{0} 7 (join j{0} (x0) (ret x0) (jump j{0} x{0}))))\n",
+        bound - 1
+    );
+    let path = write_lssa("id-last", &last);
+    let out = lssa().args(["run"]).arg(&path).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout).lines().next(),
+        Some("7")
+    );
+    std::fs::remove_file(path).ok();
+    for bad in [
+        format!("(def main () (let x{bound} 7 (ret x{bound})))\n"),
+        "(def main () (let x4294967295 7 (ret x4294967295)))\n".to_string(),
+        format!("(def main (x0) (join j{bound} (x1) (ret x1) (jump j{bound} x0)))\n"),
+        format!("(def f (x{bound}) (ret x{bound}))\n"),
+    ] {
+        let path = write_lssa("id-past", &bad);
+        for verb in ["check", "run"] {
+            assert_rejected(verb, &path, &[], "E0005");
+        }
+        std::fs::remove_file(path).ok();
+    }
+}
+
+/// A program whose lists nest exactly `depth` deep: `f` is a chain of
+/// `let`s adding its parameter (`f(1)` returns `depth - 1`).
+fn let_chain(depth: usize) -> String {
+    let n = depth - 2;
+    let mut s = String::from("(def f (x0)\n(let x1 (call lean_nat_add x0 x0)\n");
+    for i in 2..=n {
+        s.push_str(&format!("(let x{i} (call lean_nat_add x{} x0)\n", i - 1));
+    }
+    s.push_str(&format!("(ret x{n}){})\n", ")".repeat(n)));
+    s.push_str("(def main () (let x0 1 (let x1 (call f x0) (ret x1))))\n");
+    s
+}
+
+/// A program whose lists nest exactly `depth` deep: `f` is a chain of
+/// `case`s on its parameter (`f(0)` returns 0).
+fn case_chain(depth: usize) -> String {
+    let levels = (depth - 2) / 2;
+    let mut s = String::from("(def f (x0)\n");
+    s.push_str(&"(case x0 (0\n".repeat(levels));
+    // An odd depth needs one more list at the bottom.
+    s.push_str(if depth % 2 == 1 {
+        "(let x1 x0 (ret x1))"
+    } else {
+        "(ret x0)"
+    });
+    s.push_str(&") (else (ret x0)))".repeat(levels));
+    s.push_str(")\n(def main () (let x0 0 (let x1 (call f x0) (ret x1))))\n");
+    s
+}
+
+#[test]
+fn nesting_at_the_depth_bound_runs_and_one_past_is_e0006() {
+    let depth = lssa_syntax::sexp::MAX_DEPTH;
+    for (shape, src, want) in [
+        ("let", let_chain(depth), (depth - 1).to_string()),
+        ("case", case_chain(depth), "0".to_string()),
+    ] {
+        let path = write_lssa(&format!("deep-{shape}"), &src);
+        let out = lssa().args(["check"]).arg(&path).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{shape}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        for backend in ["leanc", "mlir", "rgn-only", "none"] {
+            let out = lssa()
+                .args(["run"])
+                .arg(&path)
+                .args(["--backend", backend])
+                .output()
+                .unwrap();
+            assert!(
+                out.status.success(),
+                "{shape} {backend}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert_eq!(
+                String::from_utf8_lossy(&out.stdout).lines().next(),
+                Some(want.as_str()),
+                "{shape} {backend}"
+            );
+        }
+        std::fs::remove_file(path).ok();
+    }
+    for (shape, src) in [
+        ("let", let_chain(depth + 1)),
+        ("case", case_chain(depth + 1)),
+    ] {
+        let path = write_lssa(&format!("too-deep-{shape}"), &src);
+        for verb in ["check", "run"] {
+            assert_rejected(verb, &path, &[], "E0006");
+        }
+        std::fs::remove_file(path).ok();
+    }
+}

@@ -1,5 +1,7 @@
 //! Typed arena indices for IR entities.
 
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt;
 
 macro_rules! define_id {
@@ -59,10 +61,15 @@ define_id!(
 );
 
 /// Interner for [`Symbol`]s.
+///
+/// A name given as a `&'static str` ([`Interner::intern_static`], e.g. a
+/// runtime builtin's) is kept by reference: declaring the runtime surface
+/// in every module copies no strings. Names come from program text, so the
+/// map keeps the default, seeded hasher.
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
-    strings: Vec<String>,
-    map: std::collections::HashMap<String, Symbol>,
+    strings: Vec<Cow<'static, str>>,
+    map: HashMap<Cow<'static, str>, Symbol>,
 }
 
 impl Interner {
@@ -71,14 +78,32 @@ impl Interner {
         Interner::default()
     }
 
+    /// Makes room for `additional` more symbols.
+    pub fn reserve(&mut self, additional: usize) {
+        self.strings.reserve(additional);
+        self.map.reserve(additional);
+    }
+
     /// Interns a string, returning its symbol.
     pub fn intern(&mut self, s: &str) -> Symbol {
-        if let Some(&sym) = self.map.get(s) {
-            return sym;
+        match self.map.get(s) {
+            Some(&sym) => sym,
+            None => self.push(Cow::Owned(s.to_string())),
         }
+    }
+
+    /// Interns a `'static` string without copying it.
+    pub fn intern_static(&mut self, s: &'static str) -> Symbol {
+        match self.map.get(s) {
+            Some(&sym) => sym,
+            None => self.push(Cow::Borrowed(s)),
+        }
+    }
+
+    fn push(&mut self, s: Cow<'static, str>) -> Symbol {
         let sym = Symbol(self.strings.len() as u32);
-        self.strings.push(s.to_string());
-        self.map.insert(s.to_string(), sym);
+        self.strings.push(s.clone());
+        self.map.insert(s, sym);
         sym
     }
 
@@ -108,6 +133,10 @@ mod tests {
         assert_eq!(i.resolve(a), "foo");
         assert_eq!(i.get("bar"), Some(b));
         assert_eq!(i.get("baz"), None);
+        let c = i.intern_static("lean_nat_add");
+        assert_eq!(i.intern("lean_nat_add"), c);
+        assert_eq!(i.intern_static("foo"), a);
+        assert_eq!(i.resolve(c), "lean_nat_add");
     }
 
     #[test]

@@ -51,6 +51,13 @@ impl Module {
         Module::default()
     }
 
+    /// Makes room for `additional` more functions and symbols.
+    pub fn reserve(&mut self, additional: usize) {
+        self.interner.reserve(additional);
+        self.funcs.reserve(additional);
+        self.func_index.reserve(additional);
+    }
+
     /// Interns a string.
     pub fn intern(&mut self, s: &str) -> Symbol {
         self.interner.intern(s)
@@ -84,10 +91,23 @@ impl Module {
     /// Declares an external function (resolved by the runtime/linker).
     pub fn declare_extern(&mut self, name: &str, sig: Signature) -> Symbol {
         let sym = self.intern(name);
+        self.declare_extern_sym(sym, sig)
+    }
+
+    /// [`Module::declare_extern`] for a `'static` name, which the interner
+    /// keeps without copying.
+    pub fn declare_extern_static(&mut self, name: &'static str, sig: Signature) -> Symbol {
+        let sym = self.interner.intern_static(name);
+        self.declare_extern_sym(sym, sig)
+    }
+
+    fn declare_extern_sym(&mut self, sym: Symbol, sig: Signature) -> Symbol {
         if let Some(&i) = self.func_index.get(&sym) {
             assert_eq!(
-                self.funcs[i].sig, sig,
-                "conflicting redeclaration of @{name}"
+                self.funcs[i].sig,
+                sig,
+                "conflicting redeclaration of @{}",
+                self.name_of(sym)
             );
             return sym;
         }

@@ -5,6 +5,7 @@
 //! arithmetic, plus `!rgn.region` — the type of region values created by
 //! `rgn.val` (§IV).
 
+use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
 
@@ -24,6 +25,16 @@ pub enum Type {
 }
 
 impl Type {
+    /// `n` copies of [`Type::Obj`], λrc's parameter list; up to 16 it
+    /// allocates nothing.
+    pub fn objs(n: usize) -> Cow<'static, [Type]> {
+        const OBJS: [Type; 16] = [Type::Obj; 16];
+        match OBJS.get(..n) {
+            Some(objs) => Cow::Borrowed(objs),
+            None => Cow::Owned(vec![Type::Obj; n]),
+        }
+    }
+
     /// Whether this is one of the machine integer types.
     pub fn is_int(self) -> bool {
         matches!(self, Type::I1 | Type::I8 | Type::I64)
@@ -97,7 +108,7 @@ impl FromStr for Type {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Signature {
     /// Parameter types.
-    pub params: Vec<Type>,
+    pub params: Cow<'static, [Type]>,
     /// Result type.
     pub ret: Type,
 }
@@ -105,13 +116,17 @@ pub struct Signature {
 impl Signature {
     /// Builds a signature.
     pub fn new(params: Vec<Type>, ret: Type) -> Signature {
-        Signature { params, ret }
+        Signature {
+            params: Cow::Owned(params),
+            ret,
+        }
     }
 
-    /// The common λrc signature: `(!lp.t)^n -> !lp.t`.
+    /// The common λrc signature: `(!lp.t)^n -> !lp.t`. Up to 16
+    /// parameters it allocates nothing.
     pub fn obj(n: usize) -> Signature {
         Signature {
-            params: vec![Type::Obj; n],
+            params: Type::objs(n),
             ret: Type::Obj,
         }
     }

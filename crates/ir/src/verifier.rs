@@ -613,7 +613,7 @@ impl<'a> Verifier<'a> {
         sig: &crate::types::Signature,
         res: Option<Type>,
     ) {
-        if tys != sig.params.as_slice() {
+        if tys != &sig.params[..] {
             self.error(
                 Some(op),
                 format!(

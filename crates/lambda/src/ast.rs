@@ -70,24 +70,23 @@ pub enum Value {
 }
 
 impl Value {
-    /// Variables this value mentions, with multiplicity.
-    pub fn operands(&self) -> Vec<VarId> {
+    /// Calls `f` on every variable this value mentions, with multiplicity,
+    /// in operand order.
+    pub fn for_each_operand(&self, mut f: impl FnMut(VarId)) {
         match self {
-            Value::Var(v) | Value::Proj { var: v, .. } => vec![*v],
-            Value::LitInt(_) | Value::LitBig(_) | Value::LitStr(_) => vec![],
+            Value::Var(v) | Value::Proj { var: v, .. } => f(*v),
+            Value::LitInt(_) | Value::LitBig(_) | Value::LitStr(_) => {}
             Value::Ctor { args, .. } | Value::Call { args, .. } | Value::Pap { args, .. } => {
-                args.clone()
+                args.iter().for_each(|&a| f(a))
             }
             Value::App { closure, args } => {
-                let mut v = vec![*closure];
-                v.extend(args);
-                v
+                f(*closure);
+                args.iter().for_each(|&a| f(a));
             }
         }
     }
 
-    /// Whether the value uses `var` (no allocation, unlike
-    /// [`Value::operands`]).
+    /// Whether the value uses `var`.
     pub fn mentions(&self, var: VarId) -> bool {
         match self {
             Value::Var(v) | Value::Proj { var: v, .. } => *v == var,
@@ -182,62 +181,10 @@ impl Expr {
     /// Free variables of the expression.
     pub fn free_vars(&self) -> BTreeSet<VarId> {
         let mut out = BTreeSet::new();
-        self.collect_free_vars(&mut BTreeSet::new(), &mut out);
+        FreeVars::default().for_each(self, &[], |v| {
+            out.insert(v);
+        });
         out
-    }
-
-    fn collect_free_vars(&self, bound: &mut BTreeSet<VarId>, out: &mut BTreeSet<VarId>) {
-        let record = |v: VarId, bound: &BTreeSet<VarId>, out: &mut BTreeSet<VarId>| {
-            if !bound.contains(&v) {
-                out.insert(v);
-            }
-        };
-        match self {
-            Expr::Let { var, val, body } => {
-                for v in val.operands() {
-                    record(v, bound, out);
-                }
-                let newly = bound.insert(*var);
-                body.collect_free_vars(bound, out);
-                if newly {
-                    bound.remove(var);
-                }
-            }
-            Expr::LetJoin {
-                params,
-                jp_body,
-                body,
-                ..
-            } => {
-                let mut jp_bound = bound.clone();
-                jp_bound.extend(params.iter().copied());
-                jp_body.collect_free_vars(&mut jp_bound, out);
-                body.collect_free_vars(bound, out);
-            }
-            Expr::Case {
-                scrutinee,
-                alts,
-                default,
-            } => {
-                record(*scrutinee, bound, out);
-                for alt in alts {
-                    alt.body.collect_free_vars(bound, out);
-                }
-                if let Some(d) = default {
-                    d.collect_free_vars(bound, out);
-                }
-            }
-            Expr::Jump { args, .. } => {
-                for &v in args {
-                    record(v, bound, out);
-                }
-            }
-            Expr::Ret(v) => record(*v, bound, out),
-            Expr::Inc { var, body, .. } | Expr::Dec { var, body } => {
-                record(*var, bound, out);
-                body.collect_free_vars(bound, out);
-            }
-        }
     }
 
     /// Whether `var` occurs as a use anywhere in the expression: an operand,
@@ -603,6 +550,130 @@ fn alpha_eq_rec(a: &Expr, b: &Expr, ctx: &mut AlphaCtx) -> bool {
             ctx.var_eq(*v1, *v2) && alpha_eq_rec(b1, b2, ctx)
         }
         _ => false,
+    }
+}
+
+/// Reusable scratch for free-variable walks: per variable, how many
+/// enclosing binders bind it, updated in place and undone on the way out.
+///
+/// Free is meant as [`Expr::free_vars`] defines it: a join point's body sees
+/// the binders around the join as well as its parameters.
+#[derive(Debug, Default)]
+pub(crate) struct FreeVars {
+    /// Per variable, the number of binders around the walk's position.
+    bound: Vec<u32>,
+    /// Variables bound by the `let` chain being walked, to unbind after it.
+    chain: Vec<VarId>,
+}
+
+impl FreeVars {
+    /// Calls `f` on every free occurrence in `e` of a variable not in
+    /// `bound`, in walk order (a variable occurring several times is passed
+    /// several times).
+    pub(crate) fn for_each(&mut self, e: &Expr, bound: &[VarId], mut f: impl FnMut(VarId)) {
+        for &v in bound {
+            self.bind(v);
+        }
+        self.walk(e, &mut f);
+        for &v in bound {
+            self.bound[v as usize] -= 1;
+        }
+    }
+
+    /// The smallest free variable of `e` that is not in `bound`.
+    pub(crate) fn first_outside(&mut self, e: &Expr, bound: &[VarId]) -> Option<VarId> {
+        let mut first: Option<VarId> = None;
+        self.for_each(e, bound, |v| {
+            first = Some(first.map_or(v, |m| m.min(v)));
+        });
+        first
+    }
+
+    fn bind(&mut self, v: VarId) {
+        let i = v as usize;
+        if i >= self.bound.len() {
+            self.bound.resize(i + 1, 0);
+        }
+        self.bound[i] += 1;
+    }
+
+    fn is_bound(&self, v: VarId) -> bool {
+        self.bound.get(v as usize).is_some_and(|&n| n > 0)
+    }
+
+    fn walk(&mut self, mut e: &Expr, f: &mut impl FnMut(VarId)) {
+        let mark = self.chain.len();
+        // Single-continuation forms are followed in a loop, so a long `let`
+        // chain costs no stack.
+        loop {
+            match e {
+                Expr::Let { var, val, body } => {
+                    val.for_each_operand(|v| {
+                        if !self.is_bound(v) {
+                            f(v)
+                        }
+                    });
+                    self.bind(*var);
+                    self.chain.push(*var);
+                    e = body;
+                }
+                Expr::LetJoin {
+                    params,
+                    jp_body,
+                    body,
+                    ..
+                } => {
+                    for &p in params {
+                        self.bind(p);
+                    }
+                    self.walk(jp_body, f);
+                    for &p in params {
+                        self.bound[p as usize] -= 1;
+                    }
+                    e = body;
+                }
+                Expr::Inc { var, body, .. } | Expr::Dec { var, body } => {
+                    if !self.is_bound(*var) {
+                        f(*var);
+                    }
+                    e = body;
+                }
+                Expr::Case {
+                    scrutinee,
+                    alts,
+                    default,
+                } => {
+                    if !self.is_bound(*scrutinee) {
+                        f(*scrutinee);
+                    }
+                    for alt in alts {
+                        self.walk(&alt.body, f);
+                    }
+                    if let Some(d) = default {
+                        self.walk(d, f);
+                    }
+                    break;
+                }
+                Expr::Jump { args, .. } => {
+                    for &v in args {
+                        if !self.is_bound(v) {
+                            f(v);
+                        }
+                    }
+                    break;
+                }
+                Expr::Ret(v) => {
+                    if !self.is_bound(*v) {
+                        f(*v);
+                    }
+                    break;
+                }
+            }
+        }
+        while self.chain.len() > mark {
+            let v = self.chain.pop().expect("above the mark");
+            self.bound[v as usize] -= 1;
+        }
     }
 }
 

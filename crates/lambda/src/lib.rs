@@ -5,6 +5,8 @@
 //!
 //! - [`ast`] — λpure/λrc terms (A-normal form, join points, constructors,
 //!   pattern matching, closures; λrc adds explicit `inc`/`dec`),
+//! - [`dense`] — the per-function id tables (bitsets, scopes, join
+//!   arities) the checkers and passes update in place,
 //! - [`parse`] — a small surface language and its ANF lowering (how the
 //!   benchmark programs and the conformance corpus are written),
 //! - [`wellformed`] — scoping/arity/join-point discipline checks,
@@ -28,6 +30,7 @@
 #![forbid(unsafe_code)]
 
 pub mod ast;
+pub mod dense;
 pub mod interp;
 pub mod parse;
 pub mod rc;

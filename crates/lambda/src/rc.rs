@@ -20,8 +20,8 @@
 //! The balance property is validated dynamically by the reference
 //! interpreter: after running a λrc program, the heap must be empty.
 
-use crate::ast::{Alt, Expr, FnDef, Program, Value, VarId};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::ast::{Alt, Expr, FnDef, JoinId, Program, Value, VarId};
+use crate::dense::{clear_bit, has_bit, iter_bits, set_bit, words_for};
 
 /// Inserts reference counting into every function of a λpure program.
 ///
@@ -29,6 +29,7 @@ use std::collections::{BTreeMap, BTreeSet};
 ///
 /// Panics if the program already contains `inc`/`dec` instructions.
 pub fn insert_rc(program: &Program) -> Program {
+    let mut rc = Inserter::default();
     let fns = program
         .fns
         .iter()
@@ -38,30 +39,16 @@ pub fn insert_rc(program: &Program) -> Program {
                 "insert_rc on a function that already has RC ops: @{}",
                 f.name
             );
-            let mut owned: BTreeSet<VarId> = f.params.iter().copied().collect();
-            let body = transform(&f.body, &mut owned);
             FnDef {
                 name: f.name.clone(),
                 params: f.params.clone(),
-                body,
+                body: rc.function(f),
                 next_var: f.next_var,
                 next_join: f.next_join,
             }
         })
         .collect();
     Program { fns }
-}
-
-/// Wraps `e` in `dec` instructions for each variable in `vars`.
-fn decs(vars: impl IntoIterator<Item = VarId>, e: Expr) -> Expr {
-    let mut out = e;
-    for v in vars {
-        out = Expr::Dec {
-            var: v,
-            body: Box::new(out),
-        };
-    }
-    out
 }
 
 /// Wraps `e` in an `inc var *n` when `n > 0`.
@@ -77,195 +64,506 @@ fn incs(var: VarId, n: u32, e: Expr) -> Expr {
     }
 }
 
-/// Operands a value takes *ownership* of (with multiplicity). `Proj` and
-/// `Var` borrow; everything else consumes.
-fn owned_operands(v: &Value) -> Vec<VarId> {
-    match v {
-        Value::Var(_) | Value::Proj { .. } => vec![],
-        Value::LitInt(_) | Value::LitBig(_) | Value::LitStr(_) => vec![],
-        Value::Ctor { args, .. } | Value::Call { args, .. } | Value::Pap { args, .. } => {
-            args.clone()
-        }
-        Value::App { closure, args } => {
-            let mut out = vec![*closure];
-            out.extend(args);
-            out
-        }
+/// Wraps `e` in a `dec var`.
+fn dec(var: VarId, e: Expr) -> Expr {
+    Expr::Dec {
+        var,
+        body: Box::new(e),
     }
 }
 
-fn multiset(vars: impl IntoIterator<Item = VarId>) -> BTreeMap<VarId, u32> {
-    let mut m = BTreeMap::new();
-    for v in vars {
-        *m.entry(v).or_insert(0) += 1;
-    }
-    m
+/// Per-function state of the insertion, reused across functions.
+///
+/// Sets of variables are bitsets of `words` words. The free variables of
+/// every node of the body are computed once, bottom up, into `free` (one
+/// row per node, in the pre-order [`Inserter::transform`] visits them), so
+/// each `let` and arm looks its body's set up.
+///
+/// Both walks follow a `let` chain in a loop, keeping what each level
+/// still needs on explicit stacks, so a long chain costs no native stack.
+#[derive(Default)]
+struct Inserter<'p> {
+    /// Words per variable set.
+    words: usize,
+    /// Free-variable rows, one per node in pre-order.
+    free: Vec<u64>,
+    /// The pre-order number of the next node `transform` visits.
+    cursor: usize,
+    /// The references the current path owns (one set, updated in place).
+    owned: Vec<u64>,
+    /// Saved `owned` sets: each `case` restores it for every arm, each join
+    /// body swaps in its parameters.
+    saved: Vec<u64>,
+    /// The sorted operands of the value or jump being accounted for.
+    operands: Vec<VarId>,
+    /// `(var, n)` retains waiting to wrap a `let` once its body is built.
+    pending_incs: Vec<(VarId, u32)>,
+    /// Variables waiting to be released once a body is built.
+    pending_decs: Vec<VarId>,
+    /// `fill`: the nodes of the continuation chain being walked, with their
+    /// pre-order numbers.
+    chain: Vec<(usize, &'p Expr)>,
+    /// `transform`: the `let`s whose bodies are being built.
+    lets: Vec<PendingLet<'p>>,
 }
 
-/// Transforms `e` so that every path consumes exactly the references in
-/// `owned`. On return, `owned` is left in an unspecified state (callers pass
-/// clones across branches).
-fn transform(e: &Expr, owned: &mut BTreeSet<VarId>) -> Expr {
-    match e {
-        Expr::Ret(x) => {
-            let mut rest: Vec<VarId> = owned.iter().copied().filter(|v| v != x).collect();
-            rest.reverse();
-            if owned.contains(x) {
-                decs(rest, Expr::Ret(*x))
-            } else {
-                // Borrowed return value: retain it first.
-                decs(rest, incs(*x, 1, Expr::Ret(*x)))
-            }
+/// A `let` whose body `transform` is building, and what wrapping that body
+/// needs.
+struct PendingLet<'p> {
+    var: VarId,
+    val: &'p Value,
+    /// Whether the bound variable is unused in the body.
+    dead: bool,
+    /// Where this `let`'s entries start in `pending_incs`/`pending_decs`.
+    incs_mark: usize,
+    decs_mark: usize,
+}
+
+impl<'p> Inserter<'p> {
+    fn function(&mut self, f: &'p FnDef) -> Expr {
+        let bound = f.params.iter().fold(max_id(&f.body), |m, &p| m.max(p + 1));
+        self.words = words_for(bound).max(1);
+        self.free.clear();
+        self.fill(&f.body);
+        self.cursor = 0;
+        self.owned.clear();
+        self.owned.resize(self.words, 0);
+        for &p in &f.params {
+            set_bit(&mut self.owned, p);
         }
-        Expr::Jump { label, args } => {
-            let counts = multiset(args.iter().copied());
-            let mut out = Expr::Jump {
-                label: *label,
-                args: args.clone(),
-            };
-            let mut consumed: BTreeSet<VarId> = BTreeSet::new();
-            for (&a, &m) in &counts {
-                if owned.contains(&a) {
-                    out = incs(a, m - 1, out);
-                    consumed.insert(a);
-                } else {
-                    out = incs(a, m, out);
+        let body = self.transform(&f.body);
+        debug_assert_eq!(self.cursor * self.words, self.free.len());
+        body
+    }
+
+    /// The free-variable row of the node with pre-order number `node`.
+    fn row(&self, node: usize) -> &[u64] {
+        &self.free[node * self.words..(node + 1) * self.words]
+    }
+
+    fn free_in(&self, node: usize, v: VarId) -> bool {
+        has_bit(self.row(node), v)
+    }
+
+    /// Appends an empty row; returns its node number.
+    fn reserve(&mut self) -> usize {
+        let node = self.free.len() / self.words;
+        self.free.resize(self.free.len() + self.words, 0);
+        node
+    }
+
+    /// Row `to` becomes a copy of row `from`.
+    fn copy_row(&mut self, from: usize, to: usize) {
+        let w = self.words;
+        self.free.copy_within(from * w..(from + 1) * w, to * w);
+    }
+
+    /// Row `to` gains the variables of row `from`.
+    fn or_row(&mut self, from: usize, to: usize) {
+        let w = self.words;
+        for i in 0..w {
+            self.free[to * w + i] |= self.free[from * w + i];
+        }
+    }
+
+    fn row_mut(&mut self, node: usize) -> &mut [u64] {
+        let w = self.words;
+        &mut self.free[node * w..(node + 1) * w]
+    }
+
+    /// Computes the free variables of `e` and of every node below it;
+    /// returns `e`'s pre-order number.
+    fn fill(&mut self, e: &'p Expr) -> usize {
+        let mark = self.chain.len();
+        let mut e = e;
+        // Down the continuation chain, numbering nodes in pre-order.
+        let tail = loop {
+            let node = self.reserve();
+            match e {
+                Expr::Let { body, .. } | Expr::Inc { body, .. } | Expr::Dec { body, .. } => {
+                    self.chain.push((node, e));
+                    e = body;
+                }
+                Expr::LetJoin { jp_body, body, .. } => {
+                    self.chain.push((node, e));
+                    self.fill(jp_body);
+                    e = body;
+                }
+                Expr::Case {
+                    scrutinee,
+                    alts,
+                    default,
+                } => {
+                    set_bit(self.row_mut(node), *scrutinee);
+                    for arm in alts.iter().map(|a| &a.body).chain(default.as_deref()) {
+                        let a = self.fill(arm);
+                        self.or_row(a, node);
+                    }
+                    break node;
+                }
+                Expr::Jump { args, .. } => {
+                    for &a in args {
+                        set_bit(self.row_mut(node), a);
+                    }
+                    break node;
+                }
+                Expr::Ret(v) => {
+                    set_bit(self.row_mut(node), *v);
+                    break node;
                 }
             }
-            let rest: Vec<VarId> = owned
-                .iter()
-                .copied()
-                .filter(|v| !consumed.contains(v))
-                .collect();
-            decs(rest, out)
+        };
+        // Back up: each node's set from the one below it.
+        let mut below = tail;
+        while self.chain.len() > mark {
+            let (node, e) = self.chain.pop().expect("above the mark");
+            match e {
+                Expr::Let { var, val, .. } => {
+                    self.copy_row(below, node);
+                    clear_bit(self.row_mut(node), *var);
+                    val.for_each_operand(|v| set_bit(self.row_mut(node), v));
+                }
+                Expr::LetJoin { params, .. } => {
+                    // The join body is the node right after the join.
+                    self.copy_row(node + 1, node);
+                    for &p in params {
+                        clear_bit(self.row_mut(node), p);
+                    }
+                    self.or_row(below, node);
+                }
+                Expr::Inc { var, .. } | Expr::Dec { var, .. } => {
+                    self.copy_row(below, node);
+                    set_bit(self.row_mut(node), *var);
+                }
+                _ => unreachable!("only continuation forms are chained"),
+            }
+            below = node;
         }
+        below
+    }
+
+    fn save_owned(&mut self) {
+        self.saved.extend_from_slice(&self.owned);
+    }
+
+    fn restore_owned(&mut self) {
+        let at = self.saved.len() - self.words;
+        self.owned.copy_from_slice(&self.saved[at..]);
+    }
+
+    fn drop_saved(&mut self) {
+        self.saved.truncate(self.saved.len() - self.words);
+    }
+
+    /// Transforms `e` so that every path consumes exactly the references in
+    /// `self.owned`. On return, `owned` is left in an unspecified state
+    /// (callers restore it across branches).
+    fn transform(&mut self, e: &'p Expr) -> Expr {
+        let mark = self.lets.len();
+        let mut e = e;
+        // Down the `let` chain: account for each binding before its body.
+        loop {
+            self.cursor += 1;
+            match e {
+                Expr::Let { var, val, body } => {
+                    let pending = self.enter_let(*var, val);
+                    self.lets.push(pending);
+                    e = body;
+                }
+                _ => break,
+            }
+        }
+        let mut out = match e {
+            Expr::Ret(x) => self.transform_ret(*x),
+            Expr::Jump { label, args } => self.transform_jump(*label, args),
+            Expr::Case {
+                scrutinee,
+                alts,
+                default,
+            } => self.transform_case(*scrutinee, alts, default.as_deref()),
+            Expr::LetJoin {
+                label,
+                params,
+                jp_body,
+                body,
+            } => self.transform_join(*label, params, jp_body, body),
+            Expr::Let { .. } => unreachable!("followed above"),
+            Expr::Inc { .. } | Expr::Dec { .. } => {
+                unreachable!("insert_rc input must be λpure")
+            }
+        };
+        // Back up: wrap each body in its `let`, innermost first.
+        while self.lets.len() > mark {
+            let pending = self.lets.pop().expect("above the mark");
+            out = self.leave_let(pending, out);
+        }
+        out
+    }
+
+    fn transform_ret(&mut self, x: VarId) -> Expr {
+        let mut out = if has_bit(&self.owned, x) {
+            Expr::Ret(x)
+        } else {
+            // Borrowed return value: retain it first.
+            incs(x, 1, Expr::Ret(x))
+        };
+        // Release everything else, smallest id outermost.
+        for v in iter_bits(&self.owned).rev().filter(|v| *v != x) {
+            out = dec(v, out);
+        }
+        out
+    }
+
+    fn transform_jump(&mut self, label: JoinId, args: &[VarId]) -> Expr {
+        let mut out = Expr::Jump {
+            label,
+            args: args.to_vec(),
+        };
+        self.operands.clear();
+        self.operands.extend_from_slice(args);
+        self.operands.sort_unstable();
+        for run in self.operands.chunk_by(|a, b| a == b) {
+            let (a, m) = (run[0], run.len() as u32);
+            if has_bit(&self.owned, a) {
+                // Transferred to the join point.
+                out = incs(a, m - 1, out);
+                clear_bit(&mut self.owned, a);
+            } else {
+                out = incs(a, m, out);
+            }
+        }
+        // Release the rest, largest id outermost.
+        for v in iter_bits(&self.owned) {
+            out = dec(v, out);
+        }
+        out
+    }
+
+    fn transform_case(
+        &mut self,
+        scrutinee: VarId,
+        alts: &'p [Alt],
+        default: Option<&'p Expr>,
+    ) -> Expr {
+        // The case borrows the scrutinee; each arm independently consumes
+        // the full owned set.
+        self.save_owned();
+        let alts = alts
+            .iter()
+            .map(|alt| {
+                self.restore_owned();
+                let body = self.shed_then_transform(&alt.body);
+                Alt { tag: alt.tag, body }
+            })
+            .collect();
+        let default = default.map(|d| {
+            self.restore_owned();
+            Box::new(self.shed_then_transform(d))
+        });
+        self.drop_saved();
         Expr::Case {
             scrutinee,
             alts,
             default,
-        } => {
-            // The case borrows the scrutinee; each arm independently
-            // consumes the full owned set.
-            let alts = alts
-                .iter()
-                .map(|alt| {
-                    let mut arm_owned = owned.clone();
-                    let body = shed_then_transform(&alt.body, &mut arm_owned);
-                    Alt { tag: alt.tag, body }
-                })
-                .collect();
-            let default = default.as_ref().map(|d| {
-                let mut arm_owned = owned.clone();
-                Box::new(shed_then_transform(d, &mut arm_owned))
-            });
-            Expr::Case {
-                scrutinee: *scrutinee,
-                alts,
-                default,
-            }
         }
+    }
+
+    fn transform_join(
+        &mut self,
+        label: JoinId,
+        params: &[VarId],
+        jp_body: &'p Expr,
+        body: &'p Expr,
+    ) -> Expr {
+        // The join body owns exactly its parameters.
+        self.save_owned();
+        self.owned.fill(0);
+        for &p in params {
+            set_bit(&mut self.owned, p);
+        }
+        let jp_body = self.shed_then_transform(jp_body);
+        self.restore_owned();
+        self.drop_saved();
+        let body = self.transform(body);
         Expr::LetJoin {
             label,
-            params,
-            jp_body,
-            body,
-        } => {
-            let mut jp_owned: BTreeSet<VarId> = params.iter().copied().collect();
-            let jp_body = shed_then_transform(jp_body, &mut jp_owned);
-            let body = transform(body, owned);
-            Expr::LetJoin {
-                label: *label,
-                params: params.clone(),
-                jp_body: Box::new(jp_body),
-                body: Box::new(body),
-            }
+            params: params.to_vec(),
+            jp_body: Box::new(jp_body),
+            body: Box::new(body),
         }
-        Expr::Let { var, val, body } => {
-            let x = *var;
-            let fv_body = body.free_vars();
-            // 1. Ownership accounting for the value's consumed operands.
-            let counts = multiset(owned_operands(val));
-            let mut pre_incs: Vec<(VarId, u32)> = Vec::new();
-            for (&a, &m) in &counts {
-                if owned.contains(&a) {
-                    if fv_body.contains(&a) {
-                        // Still needed later: keep ownership, add m refs.
-                        pre_incs.push((a, m));
-                    } else {
-                        // Last use: transfer one ref, add the rest.
-                        pre_incs.push((a, m - 1));
-                        owned.remove(&a);
-                    }
+    }
+
+    /// The accounting of `let x = val` before its body: retains of the
+    /// operands, ownership transfers, and which owned variables die here.
+    fn enter_let(&mut self, x: VarId, val: &'p Value) -> PendingLet<'p> {
+        // The body is the next node in pre-order.
+        let fv_body = self.cursor;
+        // 1. Ownership accounting for the value's consumed operands: `proj`
+        //    and `var` borrow, everything else consumes.
+        self.operands.clear();
+        match val {
+            Value::Var(_) | Value::Proj { .. } => {}
+            Value::LitInt(_) | Value::LitBig(_) | Value::LitStr(_) => {}
+            _ => val.for_each_operand(|v| self.operands.push(v)),
+        }
+        let incs_mark = self.pending_incs.len();
+        self.operands.sort_unstable();
+        for run in self.operands.chunk_by(|a, b| a == b) {
+            let (a, m) = (run[0], run.len() as u32);
+            if has_bit(&self.owned, a) {
+                if has_bit(self.row(fv_body), a) {
+                    // Still needed later: keep ownership, add m refs.
+                    self.pending_incs.push((a, m));
                 } else {
-                    pre_incs.push((a, m));
+                    // Last use: transfer one ref, add the rest.
+                    self.pending_incs.push((a, m - 1));
+                    clear_bit(&mut self.owned, a);
                 }
+            } else {
+                self.pending_incs.push((a, m));
             }
-            // `let x = y` aliases: one more reference to y's object.
-            if let Value::Var(y) = val {
-                if owned.contains(y) && !fv_body.contains(y) {
-                    owned.remove(y); // transfer
-                } else {
-                    pre_incs.push((*y, 1));
-                }
-            }
-            // 2. Projection results are borrowed: retain them.
-            let is_proj = matches!(val, Value::Proj { .. });
-            // 3. The binding itself becomes owned.
-            owned.insert(x);
-            // 4. Eagerly release anything that is now dead: owned vars that
-            //    do not appear free in the body (including x if unused).
-            let dead: Vec<VarId> = owned
-                .iter()
-                .copied()
-                .filter(|v| !fv_body.contains(v) && *v != x)
-                .collect();
-            let x_dead = !fv_body.contains(&x);
-            for d in &dead {
-                owned.remove(d);
-            }
-            if x_dead {
-                owned.remove(&x);
-            }
-            let tail = transform(body, owned);
-            // Assemble from the inside out:
-            //   incs; let x = v; [inc x]; [dec dead…]; [dec x]; tail
-            let mut after = tail;
-            if x_dead && !is_proj {
-                after = Expr::Dec {
-                    var: x,
-                    body: Box::new(after),
-                };
-            }
-            // A projection that is immediately dead is simply a borrow that
-            // was never retained: no inc, no dec.
-            after = decs(dead, after);
-            if is_proj && !x_dead {
-                after = incs(x, 1, after);
-            }
-            let mut out = Expr::Let {
-                var: x,
-                val: val.clone(),
-                body: Box::new(after),
-            };
-            for (a, m) in pre_incs.into_iter().rev() {
-                out = incs(a, m, out);
-            }
-            out
         }
-        Expr::Inc { .. } | Expr::Dec { .. } => {
-            unreachable!("insert_rc input must be λpure")
+        // `let x = y` aliases: one more reference to y's object.
+        if let Value::Var(y) = val {
+            if has_bit(&self.owned, *y) && !self.free_in(fv_body, *y) {
+                clear_bit(&mut self.owned, *y); // transfer
+            } else {
+                self.pending_incs.push((*y, 1));
+            }
         }
+        // 2. The binding itself becomes owned.
+        set_bit(&mut self.owned, x);
+        // 3. Eagerly release anything that is now dead: owned vars that do
+        //    not appear free in the body (including x if unused).
+        let dead = !self.free_in(fv_body, x);
+        let decs_mark = self.pending_decs.len();
+        for i in 0..self.words {
+            let gone = self.owned[i] & !self.free[fv_body * self.words + i];
+            self.owned[i] &= !gone;
+            self.pending_decs.extend(
+                iter_bits(std::slice::from_ref(&gone))
+                    .map(|b| b + 64 * i as u32)
+                    .filter(|&v| v != x),
+            );
+        }
+        PendingLet {
+            var: x,
+            val,
+            dead,
+            incs_mark,
+            decs_mark,
+        }
+    }
+
+    /// Wraps the transformed body of a `let` entered with [`enter_let`]:
+    ///
+    /// ```text
+    /// incs; let x = v; [inc x]; [dec dead…]; [dec x]; body
+    /// ```
+    ///
+    /// [`enter_let`]: Inserter::enter_let
+    fn leave_let(&mut self, pending: PendingLet, body: Expr) -> Expr {
+        let PendingLet {
+            var: x,
+            val,
+            dead,
+            incs_mark,
+            decs_mark,
+        } = pending;
+        // Projection results are borrowed: retain them. A projection that
+        // is immediately dead is simply a borrow that was never retained:
+        // no inc, no dec.
+        let is_proj = matches!(val, Value::Proj { .. });
+        let mut after = body;
+        if dead && !is_proj {
+            after = dec(x, after);
+        }
+        for &d in &self.pending_decs[decs_mark..] {
+            after = dec(d, after);
+        }
+        self.pending_decs.truncate(decs_mark);
+        if is_proj && !dead {
+            after = incs(x, 1, after);
+        }
+        let mut out = Expr::Let {
+            var: x,
+            val: val.clone(),
+            body: Box::new(after),
+        };
+        for &(a, m) in self.pending_incs[incs_mark..].iter().rev() {
+            out = incs(a, m, out);
+        }
+        self.pending_incs.truncate(incs_mark);
+        out
+    }
+
+    /// Eagerly releases owned variables not free in `e`, then transforms.
+    fn shed_then_transform(&mut self, e: &'p Expr) -> Expr {
+        // `e` is the next node in pre-order.
+        let fv = self.cursor;
+        let mark = self.pending_decs.len();
+        for i in 0..self.words {
+            let dead = self.owned[i] & !self.free[fv * self.words + i];
+            self.owned[i] &= !dead;
+            self.pending_decs
+                .extend(iter_bits(std::slice::from_ref(&dead)).map(|b| b + 64 * i as u32));
+        }
+        let mut out = self.transform(e);
+        for &d in &self.pending_decs[mark..] {
+            out = dec(d, out);
+        }
+        self.pending_decs.truncate(mark);
+        out
     }
 }
 
-/// Eagerly releases owned variables not free in `e`, then transforms.
-fn shed_then_transform(e: &Expr, owned: &mut BTreeSet<VarId>) -> Expr {
-    let fv = e.free_vars();
-    let dead: Vec<VarId> = owned.iter().copied().filter(|v| !fv.contains(v)).collect();
-    for d in &dead {
-        owned.remove(d);
+/// One past the largest variable id `e` mentions or binds (0 if none).
+fn max_id(e: &Expr) -> u32 {
+    let mut m = 0;
+    let mut see = |v: VarId| m = m.max(v + 1);
+    let mut e = e;
+    loop {
+        match e {
+            Expr::Let { var, val, body } => {
+                see(*var);
+                val.for_each_operand(&mut see);
+                e = body;
+            }
+            Expr::LetJoin {
+                params,
+                jp_body,
+                body,
+                ..
+            } => {
+                params.iter().for_each(|&p| see(p));
+                see(max_id(jp_body).saturating_sub(1));
+                e = body;
+            }
+            Expr::Case {
+                scrutinee,
+                alts,
+                default,
+            } => {
+                see(*scrutinee);
+                for arm in alts.iter().map(|a| &a.body).chain(default.as_deref()) {
+                    see(max_id(arm).saturating_sub(1));
+                }
+                return m;
+            }
+            Expr::Jump { args, .. } => {
+                args.iter().for_each(|&a| see(a));
+                return m;
+            }
+            Expr::Ret(v) => {
+                see(*v);
+                return m;
+            }
+            Expr::Inc { var, body, .. } | Expr::Dec { var, body } => {
+                see(*var);
+                e = body;
+            }
+        }
     }
-    decs(dead, transform(e, owned))
 }
 
 #[cfg(test)]

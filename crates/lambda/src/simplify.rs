@@ -16,7 +16,6 @@
 
 use crate::ast::{Alt, Expr, FnDef, JoinId, Program, Value, VarId};
 use lssa_rt::Nat;
-use std::collections::HashMap;
 
 /// Which simplifications to run (Figure 10's ablation needs to disable
 /// `simpcase` specifically).
@@ -61,54 +60,142 @@ impl SimplifyOptions {
 
 /// Simplifies a λpure program to a fixpoint (bounded).
 ///
+/// Each function is simplified on its own, so one that a sweep leaves
+/// unchanged is a fixpoint: later sweeps revisit only the functions the
+/// previous sweep changed. At most 10 sweeps run, as many as a
+/// whole-program loop would.
+///
 /// # Panics
 ///
 /// Panics if the program contains RC instructions (run before
 /// [`crate::rc::insert_rc`]).
 pub fn simplify_program(p: &Program, opts: SimplifyOptions) -> Program {
-    let mut cur = p.clone();
-    for _ in 0..10 {
-        let next = Program {
-            fns: cur.fns.iter().map(|f| simplify_fn(f, opts)).collect(),
-        };
-        if next == cur {
-            break;
-        }
-        cur = next;
-    }
-    cur
-}
-
-fn simplify_fn(f: &FnDef, opts: SimplifyOptions) -> FnDef {
-    assert!(!f.body.has_rc_ops(), "simplifier runs on λpure");
     let mut ctx = Ctx {
         opts,
-        env: HashMap::new(),
-        subst: HashMap::new(),
+        env: Vec::new(),
+        subst: Vec::new(),
+        fields: Vec::new(),
+        env_log: Vec::new(),
+        subst_log: Vec::new(),
     };
-    let body = ctx.expr(&f.body);
-    FnDef {
-        name: f.name.clone(),
-        params: f.params.clone(),
-        body,
-        next_var: f.next_var,
-        next_join: f.next_join,
+    let mut fns = Vec::with_capacity(p.fns.len());
+    let mut changed = Vec::with_capacity(p.fns.len());
+    for f in &p.fns {
+        let next = ctx.function(f);
+        changed.push(next != *f);
+        fns.push(next);
     }
+    for _ in 1..10 {
+        if !changed.contains(&true) {
+            break;
+        }
+        for (f, changed) in fns.iter_mut().zip(&mut changed) {
+            if *changed {
+                let next = ctx.function(f);
+                *changed = next != *f;
+                *f = next;
+            }
+        }
+    }
+    Program { fns }
 }
+
+/// What the simplifier knows about a variable's value.
+#[derive(Debug, Clone, Default)]
+enum Known {
+    #[default]
+    Nothing,
+    /// A constructor: its tag and its fields, `len` entries of
+    /// [`Ctx::fields`] from `start`.
+    Ctor {
+        tag: u32,
+        start: u32,
+        len: u32,
+    },
+    Int(i64),
+    Big(String),
+}
+
+/// No substitution.
+const NO_SUBST: VarId = VarId::MAX;
 
 struct Ctx {
     opts: SimplifyOptions,
-    /// Known bindings (constructors and literals only).
-    env: HashMap<VarId, Value>,
-    /// Copy-propagation substitution.
-    subst: HashMap<VarId, VarId>,
+    /// Known bindings (constructors and literals only), per variable.
+    env: Vec<Known>,
+    /// Copy-propagation substitution, per variable ([`NO_SUBST`]: none).
+    subst: Vec<VarId>,
+    /// The fields of the constructors in `env`.
+    fields: Vec<VarId>,
+    /// Overwritten `env` entries, undone when a case arm ends.
+    env_log: Vec<(VarId, Known)>,
+    /// Overwritten `subst` entries, undone when a case arm ends.
+    subst_log: Vec<(VarId, VarId)>,
 }
 
 impl Ctx {
+    fn function(&mut self, f: &FnDef) -> FnDef {
+        assert!(!f.body.has_rc_ops(), "simplifier runs on λpure");
+        self.env.clear();
+        self.subst.clear();
+        self.fields.clear();
+        self.env_log.clear();
+        self.subst_log.clear();
+        let bound = f.next_var.min(crate::dense::MAX_ID) as usize;
+        self.env.resize(bound, Known::Nothing);
+        self.subst.resize(bound, NO_SUBST);
+        let body = self.expr(&f.body);
+        FnDef {
+            name: f.name.clone(),
+            params: f.params.clone(),
+            body,
+            next_var: f.next_var,
+            next_join: f.next_join,
+        }
+    }
+
+    fn known(&self, v: VarId) -> &Known {
+        self.env.get(v as usize).unwrap_or(&Known::Nothing)
+    }
+
+    fn learn(&mut self, v: VarId, known: Known) {
+        let i = v as usize;
+        if i >= self.env.len() {
+            self.env.resize(i + 1, Known::Nothing);
+        }
+        let old = std::mem::replace(&mut self.env[i], known);
+        self.env_log.push((v, old));
+    }
+
+    fn substitute(&mut self, v: VarId, by: VarId) {
+        let i = v as usize;
+        if i >= self.subst.len() {
+            self.subst.resize(i + 1, NO_SUBST);
+        }
+        let old = std::mem::replace(&mut self.subst[i], by);
+        self.subst_log.push((v, old));
+    }
+
+    /// Undoes every `learn` and `substitute` since the log lengths `mark`.
+    fn undo_to(&mut self, (env_mark, subst_mark): (usize, usize)) {
+        while self.env_log.len() > env_mark {
+            let (v, old) = self.env_log.pop().expect("above the mark");
+            self.env[v as usize] = old;
+        }
+        while self.subst_log.len() > subst_mark {
+            let (v, old) = self.subst_log.pop().expect("above the mark");
+            self.subst[v as usize] = old;
+        }
+    }
+
+    fn mark(&self) -> (usize, usize) {
+        (self.env_log.len(), self.subst_log.len())
+    }
+
     fn resolve(&self, v: VarId) -> VarId {
         let mut cur = v;
         let mut hops = 0;
-        while let Some(&next) = self.subst.get(&cur) {
+        while let Some(&next) = self.subst.get(cur as usize).filter(|&&n| n != NO_SUBST) {
             cur = next;
             hops += 1;
             debug_assert!(hops < 10_000, "substitution cycle");
@@ -146,17 +233,17 @@ impl Ctx {
 
     /// The known tag of a variable, if statically determined.
     fn known_tag(&self, v: VarId) -> Option<u32> {
-        match self.env.get(&self.resolve(v))? {
-            Value::Ctor { tag, .. } => Some(*tag),
-            Value::LitInt(n) if *n >= 0 && *n <= u32::MAX as i64 => Some(*n as u32),
+        match self.known(self.resolve(v)) {
+            Known::Ctor { tag, .. } => Some(*tag),
+            Known::Int(n) if *n >= 0 && *n <= u32::MAX as i64 => Some(*n as u32),
             _ => None,
         }
     }
 
     fn nat_of(&self, v: VarId) -> Option<Nat> {
-        match self.env.get(&self.resolve(v))? {
-            Value::LitInt(n) if *n >= 0 => Some(Nat::from_u64(*n as u64)),
-            Value::LitBig(s) => Nat::from_str_decimal(s).ok(),
+        match self.known(self.resolve(v)) {
+            Known::Int(n) if *n >= 0 => Some(Nat::from_u64(*n as u64)),
+            Known::Big(s) => Nat::from_str_decimal(s).ok(),
             _ => None,
         }
     }
@@ -191,142 +278,21 @@ impl Ctx {
     }
 
     fn expr(&mut self, e: &Expr) -> Expr {
+        // Each form has its own function, so the recursion down a long
+        // `let` chain carries one small frame per level.
         match e {
-            Expr::Let { var, val, body } => {
-                let mut val = self.resolve_value(val);
-                // Copy propagation.
-                if let Value::Var(y) = val {
-                    self.subst.insert(*var, y);
-                    return self.expr(body);
-                }
-                // Projection of a known constructor.
-                if self.opts.case_of_known {
-                    if let Value::Proj { var: s, idx } = val {
-                        if let Some(Value::Ctor { args, .. }) = self.env.get(&s) {
-                            if let Some(&field) = args.get(idx as usize) {
-                                self.subst.insert(*var, field);
-                                return self.expr(body);
-                            }
-                        }
-                    }
-                }
-                // Constant folding.
-                if let Value::Call { func, args } = &val {
-                    if let Some(folded) = self.fold_call(func, args) {
-                        val = folded;
-                    }
-                }
-                // Record knowledge.
-                match &val {
-                    Value::Ctor { .. } | Value::LitInt(_) | Value::LitBig(_) => {
-                        self.env.insert(*var, val.clone());
-                    }
-                    _ => {}
-                }
-                let body = self.expr(body);
-                // Dead-let elimination. `var` is bound only here (E0102), so
-                // any occurrence in `body` is a free one.
-                if self.opts.basic && val.is_droppable() && !body.mentions(*var) {
-                    return body;
-                }
-                Expr::Let {
-                    var: *var,
-                    val,
-                    body: Box::new(body),
-                }
-            }
+            Expr::Let { var, val, body } => self.let_(*var, val, body),
             Expr::LetJoin {
                 label,
                 params,
                 jp_body,
                 body,
-            } => {
-                let body = self.expr(body);
-                let jumps = count_jumps(&body, *label);
-                if self.opts.basic && jumps == 0 {
-                    return body; // dead join point
-                }
-                let jp_body = self.expr(jp_body);
-                if self.opts.basic && jumps == 1 && count_jumps(&jp_body, *label) == 0 {
-                    // Inline the single jump site.
-                    return inline_jump(&body, *label, params, &jp_body);
-                }
-                Expr::LetJoin {
-                    label: *label,
-                    params: params.clone(),
-                    jp_body: Box::new(jp_body),
-                    body: Box::new(body),
-                }
-            }
+            } => self.join(*label, params, jp_body, body),
             Expr::Case {
                 scrutinee,
                 alts,
                 default,
-            } => {
-                let s = self.resolve(*scrutinee);
-                // Case-of-known-constructor.
-                if self.opts.case_of_known {
-                    if let Some(tag) = self.known_tag(s) {
-                        let arm = alts
-                            .iter()
-                            .find(|a| a.tag == tag)
-                            .map(|a| &a.body)
-                            .or(default.as_deref());
-                        if let Some(arm) = arm {
-                            return self.expr(arm);
-                        }
-                    }
-                }
-                let alts: Vec<Alt> = alts
-                    .iter()
-                    .map(|a| {
-                        let mut inner = Ctx {
-                            opts: self.opts,
-                            env: self.env.clone(),
-                            subst: self.subst.clone(),
-                        };
-                        Alt {
-                            tag: a.tag,
-                            body: inner.expr(&a.body),
-                        }
-                    })
-                    .collect();
-                let default = default.as_ref().map(|d| {
-                    let mut inner = Ctx {
-                        opts: self.opts,
-                        env: self.env.clone(),
-                        subst: self.subst.clone(),
-                    };
-                    Box::new(inner.expr(d))
-                });
-                // simpcase: all branches identical → keep just one.
-                if self.opts.simpcase {
-                    let mut bodies: Vec<&Expr> = alts.iter().map(|a| &a.body).collect();
-                    if let Some(d) = &default {
-                        bodies.push(d);
-                    }
-                    if let Some(first) = bodies.first() {
-                        if bodies.iter().all(|b| b.alpha_eq(first)) {
-                            return (*first).clone();
-                        }
-                    }
-                    // Arms identical to the default are redundant.
-                    if let Some(d) = &default {
-                        let alts: Vec<Alt> =
-                            alts.into_iter().filter(|a| !a.body.alpha_eq(d)).collect();
-                        return Expr::Case {
-                            scrutinee: s,
-                            alts,
-                            default: Some(d.clone()),
-                        };
-                    }
-                }
-                Expr::Case {
-                    scrutinee: s,
-                    alts,
-                    default,
-                }
-            }
+            } => self.case(*scrutinee, alts, default.as_deref()),
             Expr::Jump { label, args } => Expr::Jump {
                 label: *label,
                 args: args.iter().map(|&a| self.resolve(a)).collect(),
@@ -335,6 +301,145 @@ impl Ctx {
             Expr::Inc { .. } | Expr::Dec { .. } => {
                 unreachable!("simplifier runs on λpure")
             }
+        }
+    }
+
+    fn let_(&mut self, var: VarId, val: &Value, body: &Expr) -> Expr {
+        let mut val = self.resolve_value(val);
+        // Copy propagation.
+        if let Value::Var(y) = val {
+            self.substitute(var, y);
+            return self.expr(body);
+        }
+        // Projection of a known constructor.
+        if self.opts.case_of_known {
+            if let Value::Proj { var: s, idx } = val {
+                if let Known::Ctor { start, len, .. } = *self.known(s) {
+                    if idx < len {
+                        let field = self.fields[(start + idx) as usize];
+                        self.substitute(var, field);
+                        return self.expr(body);
+                    }
+                }
+            }
+        }
+        // Constant folding.
+        if let Value::Call { func, args } = &val {
+            if let Some(folded) = self.fold_call(func, args) {
+                val = folded;
+            }
+        }
+        // Record knowledge.
+        match &val {
+            Value::Ctor { tag, args } => {
+                let start = self.fields.len() as u32;
+                self.fields.extend_from_slice(args);
+                let len = args.len() as u32;
+                self.learn(
+                    var,
+                    Known::Ctor {
+                        tag: *tag,
+                        start,
+                        len,
+                    },
+                );
+            }
+            Value::LitInt(n) => self.learn(var, Known::Int(*n)),
+            Value::LitBig(s) => self.learn(var, Known::Big(s.clone())),
+            _ => {}
+        }
+        let body = self.expr(body);
+        // Dead-let elimination. `var` is bound only here (E0102), so any
+        // occurrence in `body` is a free one.
+        if self.opts.basic && val.is_droppable() && !body.mentions(var) {
+            return body;
+        }
+        Expr::Let {
+            var,
+            val,
+            body: Box::new(body),
+        }
+    }
+
+    fn join(&mut self, label: JoinId, params: &[VarId], jp_body: &Expr, body: &Expr) -> Expr {
+        let body = self.expr(body);
+        let jumps = count_jumps(&body, label);
+        if self.opts.basic && jumps == 0 {
+            return body; // dead join point
+        }
+        let jp_body = self.expr(jp_body);
+        if self.opts.basic && jumps == 1 && count_jumps(&jp_body, label) == 0 {
+            // Inline the single jump site.
+            return inline_jump(&body, label, params, &jp_body);
+        }
+        Expr::LetJoin {
+            label,
+            params: params.to_vec(),
+            jp_body: Box::new(jp_body),
+            body: Box::new(body),
+        }
+    }
+
+    fn case(&mut self, scrutinee: VarId, alts: &[Alt], default: Option<&Expr>) -> Expr {
+        let s = self.resolve(scrutinee);
+        // Case-of-known-constructor.
+        if self.opts.case_of_known {
+            if let Some(tag) = self.known_tag(s) {
+                let arm = alts
+                    .iter()
+                    .find(|a| a.tag == tag)
+                    .map(|a| &a.body)
+                    .or(default);
+                if let Some(arm) = arm {
+                    return self.expr(arm);
+                }
+            }
+        }
+        // Each arm starts from what is known here; what it learns is undone
+        // when it ends.
+        let mark = self.mark();
+        let alts: Vec<Alt> = alts
+            .iter()
+            .map(|a| {
+                let body = self.expr(&a.body);
+                self.undo_to(mark);
+                Alt { tag: a.tag, body }
+            })
+            .collect();
+        let default = default.map(|d| {
+            let body = self.expr(d);
+            self.undo_to(mark);
+            Box::new(body)
+        });
+        // simpcase: all branches identical → keep just one.
+        if self.opts.simpcase {
+            let first = alts.first().map(|a| &a.body).or(default.as_deref());
+            let identical = first.is_some_and(|first| {
+                alts.iter()
+                    .map(|a| &a.body)
+                    .chain(default.as_deref())
+                    .all(|b| b.alpha_eq(first))
+            });
+            if identical {
+                return match alts.into_iter().next() {
+                    Some(first) => first.body,
+                    None => *default.expect("a branch"),
+                };
+            }
+            // Arms identical to the default are redundant.
+            if let Some(d) = default {
+                let alts: Vec<Alt> = alts.into_iter().filter(|a| !a.body.alpha_eq(&d)).collect();
+                return Expr::Case {
+                    scrutinee: s,
+                    alts,
+                    default: Some(d),
+                };
+            }
+        }
+        Expr::Case {
+            scrutinee: s,
+            alts,
+            default,
         }
     }
 }

@@ -11,7 +11,8 @@
 //!    right arity; partial applications under-apply; closure applications
 //!    pass at least one argument.
 
-use crate::ast::{Expr, FnDef, Program, Value, VarId};
+use crate::ast::{Expr, FnDef, FreeVars, JoinId, Program, Value, VarId};
+use crate::dense::{IdSet, JoinArities, Scope};
 use lssa_rt::Builtin;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -84,18 +85,48 @@ impl std::error::Error for WfError {}
 /// Returns all violations found.
 pub fn check_program(p: &Program) -> Result<(), Vec<WfError>> {
     let mut errors = Vec::new();
-    let mut names = HashSet::new();
+    // One name → arity table per program, built once: calls and paps look
+    // up their callee here instead of scanning every function. A duplicate
+    // name keeps its first definition's arity, as a front-to-back scan
+    // would.
+    let mut arities: HashMap<&str, usize> = HashMap::with_capacity(p.fns.len());
     for f in &p.fns {
-        if !names.insert(f.name.clone()) {
+        if arities.contains_key(f.name.as_str()) {
             errors.push(WfError {
                 func: f.name.clone(),
                 code: codes::DUPLICATE_FUNCTION,
                 message: "duplicate function name".to_string(),
             });
+        } else {
+            arities.insert(&f.name, f.arity());
         }
     }
+    let Some(first) = p.fns.first() else {
+        return Ok(());
+    };
+    // One set of tables serves every function: the walk leaves them empty.
+    let mut c = Checker {
+        arities: &arities,
+        func: first,
+        errors: &mut errors,
+        bound_once: IdSet::default(),
+        scope: Scope::default(),
+        joins: JoinArities::default(),
+        bound: Vec::new(),
+        declared: Vec::new(),
+        fv: FreeVars::default(),
+    };
     for f in &p.fns {
-        check_fn(p, f, &mut errors);
+        c.func = f;
+        c.bound_once.clear();
+        c.scope.clear();
+        for &p in &f.params {
+            if !c.bound_once.insert(p) {
+                c.error(codes::REBOUND, format!("parameter x{p} bound twice"));
+            }
+            c.scope.bind(p);
+        }
+        c.check_expr(&f.body);
     }
     if errors.is_empty() {
         Ok(())
@@ -105,28 +136,19 @@ pub fn check_program(p: &Program) -> Result<(), Vec<WfError>> {
 }
 
 struct Checker<'a> {
-    program: &'a Program,
+    arities: &'a HashMap<&'a str, usize>,
     func: &'a FnDef,
     errors: &'a mut Vec<WfError>,
-    bound_once: HashSet<VarId>,
-}
-
-fn check_fn(program: &Program, func: &FnDef, errors: &mut Vec<WfError>) {
-    let mut c = Checker {
-        program,
-        func,
-        errors,
-        bound_once: HashSet::new(),
-    };
-    let mut scope: HashSet<VarId> = HashSet::new();
-    for &p in &func.params {
-        if !c.bound_once.insert(p) {
-            c.error(codes::REBOUND, format!("parameter x{p} bound twice"));
-        }
-        scope.insert(p);
-    }
-    let joins = HashMap::new();
-    c.check_expr(&func.body, &scope, &joins);
+    bound_once: IdSet,
+    /// The variables in scope at the expression being checked.
+    scope: Scope,
+    /// The join points a `jump` here may target.
+    joins: JoinArities,
+    /// The bindings the walk has made, with their unbind tokens.
+    bound: Vec<(VarId, u32)>,
+    /// The join points the walk has declared, with their restore tokens.
+    declared: Vec<(JoinId, u32)>,
+    fv: FreeVars,
 }
 
 impl Checker<'_> {
@@ -138,8 +160,8 @@ impl Checker<'_> {
         });
     }
 
-    fn check_var(&mut self, v: VarId, scope: &HashSet<VarId>) {
-        if !scope.contains(&v) {
+    fn check_var(&mut self, v: VarId) {
+        if !self.scope.contains(v) {
             self.error(codes::OUT_OF_SCOPE, format!("use of x{v} out of scope"));
         }
         if v >= self.func.next_var {
@@ -153,21 +175,19 @@ impl Checker<'_> {
         }
     }
 
-    fn bind(&mut self, v: VarId, scope: &mut HashSet<VarId>) {
+    /// Binds `v` in the current scope; returns the token that unbinds it.
+    fn bind(&mut self, v: VarId) -> u32 {
         if !self.bound_once.insert(v) {
             self.error(codes::REBOUND, format!("x{v} bound more than once"));
         }
-        scope.insert(v);
+        self.scope.bind(v)
     }
 
-    fn check_value(&mut self, val: &Value, scope: &HashSet<VarId>) {
-        for v in val.operands() {
-            self.check_var(v, scope);
-        }
+    fn check_value(&mut self, val: &Value) {
+        val.for_each_operand(|v| self.check_var(v));
         match val {
             Value::Call { func, args } => {
-                if let Some(stripped) = func.strip_prefix("lean_") {
-                    let _ = stripped;
+                if func.starts_with("lean_") {
                     match func.parse::<Builtin>() {
                         Ok(b) => {
                             if b.arity() != args.len() {
@@ -186,7 +206,7 @@ impl Checker<'_> {
                         }
                     }
                 } else {
-                    match self.program.arity_of(func) {
+                    match self.arities.get(func.as_str()).copied() {
                         Some(a) if a == args.len() => {}
                         Some(a) => self.error(
                             codes::CALL_ARITY,
@@ -199,7 +219,7 @@ impl Checker<'_> {
                     }
                 }
             }
-            Value::Pap { func, args } => match self.program.arity_of(func) {
+            Value::Pap { func, args } => match self.arities.get(func.as_str()).copied() {
                 Some(a) if args.len() < a => {}
                 Some(a) => self.error(
                     codes::BAD_PAP,
@@ -223,91 +243,122 @@ impl Checker<'_> {
         }
     }
 
-    fn check_expr(&mut self, e: &Expr, scope: &HashSet<VarId>, joins: &HashMap<u32, usize>) {
-        match e {
-            Expr::Let { var, val, body } => {
-                self.check_value(val, scope);
-                let mut scope = scope.clone();
-                self.bind(*var, &mut scope);
-                self.check_expr(body, &scope, joins);
-            }
-            Expr::LetJoin {
-                label,
-                params,
-                jp_body,
-                body,
-            } => {
-                // Join body sees only its parameters.
-                let mut jp_scope = HashSet::new();
-                for &p in params {
-                    self.bind(p, &mut jp_scope);
+    /// Checks `e`. A form's continuation (a `let` body, the code after a
+    /// join point's declaration) is followed in a loop, its bindings undone
+    /// when the walk ends, so a long `let` chain costs no stack.
+    fn check_expr(&mut self, mut e: &Expr) {
+        let (var_mark, join_mark) = (self.bound.len(), self.declared.len());
+        loop {
+            match e {
+                Expr::Let { var, val, body } => {
+                    self.check_value(val);
+                    let token = self.bind(*var);
+                    self.bound.push((*var, token));
+                    e = body;
                 }
-                // The join point itself is not in scope inside its own body
-                // (no recursive joins in λpure).
-                self.check_expr(jp_body, &jp_scope, joins);
-                let extra = jp_body
-                    .free_vars()
-                    .into_iter()
-                    .find(|v| !params.contains(v));
-                if let Some(v) = extra {
-                    self.error(
-                        codes::JOIN_CAPTURE,
-                        format!(
-                            "join point j{label} body references x{v}, which is not a parameter"
-                        ),
-                    );
-                }
-                let mut joins = joins.clone();
-                joins.insert(*label, params.len());
-                self.check_expr(body, scope, &joins);
-            }
-            Expr::Case {
-                scrutinee,
-                alts,
-                default,
-            } => {
-                self.check_var(*scrutinee, scope);
-                if alts.is_empty() && default.is_none() {
-                    self.error(codes::EMPTY_CASE, "case with no arms".to_string());
-                }
-                let mut seen = HashSet::new();
-                for alt in alts {
-                    if !seen.insert(alt.tag) {
+                Expr::LetJoin {
+                    label,
+                    params,
+                    jp_body,
+                    body,
+                } => {
+                    // Join body sees only its parameters.
+                    let outer = self.scope.enter_frame();
+                    let mark = self.bound.len();
+                    for &p in params {
+                        let token = self.bind(p);
+                        self.bound.push((p, token));
+                    }
+                    // The join point itself is not in scope inside its own
+                    // body (no recursive joins in λpure).
+                    self.check_expr(jp_body);
+                    self.unbind_to(mark);
+                    self.scope.leave_frame(outer);
+                    if let Some(v) = self.fv.first_outside(jp_body, params) {
                         self.error(
-                            codes::DUPLICATE_TAG,
-                            format!("duplicate case tag {}", alt.tag),
+                            codes::JOIN_CAPTURE,
+                            format!(
+                                "join point j{label} body references x{v}, which is not a parameter"
+                            ),
                         );
                     }
-                    self.check_expr(&alt.body, scope, joins);
+                    let token = self.joins.declare(*label, params.len());
+                    self.declared.push((*label, token));
+                    e = body;
                 }
-                if let Some(d) = default {
-                    self.check_expr(d, scope, joins);
+                Expr::Case {
+                    scrutinee,
+                    alts,
+                    default,
+                } => {
+                    self.check_var(*scrutinee);
+                    if alts.is_empty() && default.is_none() {
+                        self.error(codes::EMPTY_CASE, "case with no arms".to_string());
+                    }
+                    let mut seen = HashSet::new();
+                    for (i, alt) in alts.iter().enumerate() {
+                        // A short arm list is scanned; only a long one pays
+                        // for a hash set.
+                        let duplicate = if alts.len() <= 8 {
+                            alts[..i].iter().any(|a| a.tag == alt.tag)
+                        } else {
+                            !seen.insert(alt.tag)
+                        };
+                        if duplicate {
+                            self.error(
+                                codes::DUPLICATE_TAG,
+                                format!("duplicate case tag {}", alt.tag),
+                            );
+                        }
+                        self.check_expr(&alt.body);
+                    }
+                    if let Some(d) = default {
+                        self.check_expr(d);
+                    }
+                    break;
                 }
-            }
-            Expr::Jump { label, args } => {
-                for &a in args {
-                    self.check_var(a, scope);
-                }
-                match joins.get(label) {
-                    Some(&arity) if arity == args.len() => {}
-                    Some(&arity) => self.error(
-                        codes::JUMP_ARITY,
-                        format!(
-                            "jump to j{label} with {} args (expects {arity})",
-                            args.len()
+                Expr::Jump { label, args } => {
+                    for &a in args {
+                        self.check_var(a);
+                    }
+                    match self.joins.get(*label) {
+                        Some(arity) if arity == args.len() => {}
+                        Some(arity) => self.error(
+                            codes::JUMP_ARITY,
+                            format!(
+                                "jump to j{label} with {} args (expects {arity})",
+                                args.len()
+                            ),
                         ),
-                    ),
-                    None => self.error(
-                        codes::UNKNOWN_JOIN,
-                        format!("jump to unknown join point j{label}"),
-                    ),
+                        None => self.error(
+                            codes::UNKNOWN_JOIN,
+                            format!("jump to unknown join point j{label}"),
+                        ),
+                    }
+                    break;
+                }
+                Expr::Ret(v) => {
+                    self.check_var(*v);
+                    break;
+                }
+                Expr::Inc { var, body, .. } | Expr::Dec { var, body } => {
+                    self.check_var(*var);
+                    e = body;
                 }
             }
-            Expr::Ret(v) => self.check_var(*v, scope),
-            Expr::Inc { var, body, .. } | Expr::Dec { var, body } => {
-                self.check_var(*var, scope);
-                self.check_expr(body, scope, joins);
-            }
+        }
+        self.unbind_to(var_mark);
+        while self.declared.len() > join_mark {
+            let (label, token) = self.declared.pop().expect("above the mark");
+            self.joins.restore(label, token);
+        }
+    }
+
+    /// Undoes the bindings made since `self.bound` had `mark` entries.
+    fn unbind_to(&mut self, mark: usize) {
+        while self.bound.len() > mark {
+            let (v, token) = self.bound.pop().expect("above the mark");
+            self.scope.unbind(v, token);
         }
     }
 }

@@ -59,8 +59,11 @@ pub const E_LEX_STRING: &str = "E0002";
 pub const E_UNBALANCED: &str = "E0003";
 /// Structural error: malformed special form (wrong head or shape).
 pub const E_BAD_FORM: &str = "E0004";
-/// Structural error: malformed literal, variable, or label token.
+/// Structural error: malformed literal, variable, or label token (including
+/// an `x`/`j` id at or above [`lssa_lambda::dense::MAX_ID`]).
 pub const E_BAD_TOKEN: &str = "E0005";
+/// Structural error: lists nested deeper than [`crate::sexp::MAX_DEPTH`].
+pub const E_TOO_DEEP: &str = "E0006";
 
 /// One reported defect: a stable code, a message, an optional source span,
 /// and optional follow-up notes.

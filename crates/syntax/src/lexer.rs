@@ -8,91 +8,119 @@
 
 use crate::diag::{Diagnostic, E_LEX_CHAR, E_LEX_STRING};
 use crate::span::Span;
+use std::borrow::Cow;
 
 /// What kind of token this is.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind {
+pub enum TokenKind<'a> {
     /// `(`
     LParen,
     /// `)`
     RParen,
-    /// A bare atom (identifier, number, keyword).
-    Atom(String),
-    /// A string literal, with escapes already decoded.
-    Str(String),
+    /// A bare atom (identifier, number, keyword), borrowed from the source.
+    Atom(&'a str),
+    /// A string literal, with escapes already decoded. Only a literal that
+    /// has escapes owns its text.
+    Str(Cow<'a, str>),
 }
 
 /// One token with its source span.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+pub struct Token<'a> {
     /// The token's class and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Byte range in the source.
     pub span: Span,
 }
 
 /// Splits `src` into tokens. Lexical errors are collected (and the offending
 /// bytes skipped) so one bad character does not hide later diagnostics.
-pub fn lex(src: &str) -> (Vec<Token>, Vec<Diagnostic>) {
-    let bytes = src.as_bytes();
-    let mut tokens = Vec::new();
-    let mut diags = Vec::new();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        let b = bytes[i];
-        match b {
-            b' ' | b'\t' | b'\r' | b'\n' => i += 1,
-            b';' => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            b'(' => {
-                tokens.push(Token {
-                    kind: TokenKind::LParen,
-                    span: Span::new(i as u32, i as u32 + 1),
-                });
-                i += 1;
-            }
-            b')' => {
-                tokens.push(Token {
-                    kind: TokenKind::RParen,
-                    span: Span::new(i as u32, i as u32 + 1),
-                });
-                i += 1;
-            }
-            b'"' => {
-                let (len, result) = lex_string(&src[i..], i as u32);
-                match result {
-                    Ok(token) => tokens.push(token),
-                    Err(d) => diags.push(d),
-                }
-                i += len;
-            }
-            _ if is_atom_byte(b) => {
-                let start = i;
-                while i < bytes.len() && is_atom_byte(bytes[i]) {
-                    i += 1;
-                }
-                tokens.push(Token {
-                    kind: TokenKind::Atom(src[start..i].to_string()),
-                    span: Span::new(start as u32, i as u32),
-                });
-            }
-            _ => {
-                // A control byte or other character no token can start with.
-                // Skip the whole (possibly multi-byte) character.
-                let c = src[i..].chars().next().expect("in-bounds char");
-                diags.push(Diagnostic::new(
-                    E_LEX_CHAR,
-                    format!("unexpected character {:?}", c),
-                    Span::new(i as u32, (i + c.len_utf8()) as u32),
-                ));
-                i += c.len_utf8();
-            }
+pub fn lex(src: &str) -> (Vec<Token<'_>>, Vec<Diagnostic>) {
+    let mut lexer = Lexer::new(src);
+    let tokens = lexer.by_ref().collect();
+    (tokens, lexer.diags)
+}
+
+/// The lexer as an iterator over the tokens of one source: the reader
+/// pulls tokens one at a time, so no token list is built.
+#[derive(Debug)]
+pub struct Lexer<'a> {
+    src: &'a str,
+    pos: usize,
+    /// Lexical errors met so far, in source order.
+    pub diags: Vec<Diagnostic>,
+}
+
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `src`.
+    pub fn new(src: &'a str) -> Lexer<'a> {
+        Lexer {
+            src,
+            pos: 0,
+            diags: Vec::new(),
         }
     }
-    (tokens, diags)
+}
+
+impl<'a> Iterator for Lexer<'a> {
+    type Item = Token<'a>;
+
+    fn next(&mut self) -> Option<Token<'a>> {
+        let src = self.src;
+        let bytes = src.as_bytes();
+        while self.pos < bytes.len() {
+            let i = self.pos;
+            match bytes[i] {
+                b' ' | b'\t' | b'\r' | b'\n' => self.pos += 1,
+                b';' => {
+                    while self.pos < bytes.len() && bytes[self.pos] != b'\n' {
+                        self.pos += 1;
+                    }
+                }
+                b'(' | b')' => {
+                    self.pos += 1;
+                    let kind = if bytes[i] == b'(' {
+                        TokenKind::LParen
+                    } else {
+                        TokenKind::RParen
+                    };
+                    return Some(Token {
+                        kind,
+                        span: Span::new(i as u32, i as u32 + 1),
+                    });
+                }
+                b'"' => {
+                    let (len, result) = lex_string(&src[i..], i as u32);
+                    self.pos += len;
+                    match result {
+                        Ok(token) => return Some(token),
+                        Err(d) => self.diags.push(d),
+                    }
+                }
+                b if is_atom_byte(b) => {
+                    while self.pos < bytes.len() && is_atom_byte(bytes[self.pos]) {
+                        self.pos += 1;
+                    }
+                    return Some(Token {
+                        kind: TokenKind::Atom(&src[i..self.pos]),
+                        span: Span::new(i as u32, self.pos as u32),
+                    });
+                }
+                _ => {
+                    // A control byte or other character no token can start
+                    // with. Skip the whole (possibly multi-byte) character.
+                    let c = src[i..].chars().next().expect("in-bounds char");
+                    self.diags.push(Diagnostic::new(
+                        E_LEX_CHAR,
+                        format!("unexpected character {:?}", c),
+                        Span::new(i as u32, (i + c.len_utf8()) as u32),
+                    ));
+                    self.pos += c.len_utf8();
+                }
+            }
+        }
+        None
+    }
 }
 
 /// Whether `b` can appear inside a bare atom.
@@ -106,10 +134,12 @@ fn is_atom_byte(b: u8) -> bool {
 ///
 /// On a bad escape the first error is recorded but scanning continues to the
 /// closing quote, so the rest of the input still lexes token-aligned.
-fn lex_string(src: &str, base: u32) -> (usize, Result<Token, Diagnostic>) {
+fn lex_string(src: &str, base: u32) -> (usize, Result<Token<'_>, Diagnostic>) {
     let bytes = src.as_bytes();
     debug_assert_eq!(bytes[0], b'"');
-    let mut out = String::new();
+    // The decoded text is built only once an escape shows up; until then it
+    // is the source between the quotes.
+    let mut out: Option<String> = None;
     let mut err: Option<Diagnostic> = None;
     let mut i = 1usize;
     loop {
@@ -129,7 +159,10 @@ fn lex_string(src: &str, base: u32) -> (usize, Result<Token, Diagnostic>) {
                     match err {
                         Some(e) => Err(e),
                         None => Ok(Token {
-                            kind: TokenKind::Str(out),
+                            kind: TokenKind::Str(match out {
+                                Some(text) => Cow::Owned(text),
+                                None => Cow::Borrowed(&src[1..i - 1]),
+                            }),
                             span: Span::new(base, base + i as u32),
                         }),
                     },
@@ -137,6 +170,7 @@ fn lex_string(src: &str, base: u32) -> (usize, Result<Token, Diagnostic>) {
             }
             b'\\' => {
                 let escape_start = i;
+                let out = out.get_or_insert_with(|| src[1..i].to_string());
                 i += 1;
                 match bytes.get(i).copied() {
                     Some(b'"') => {
@@ -218,7 +252,9 @@ fn lex_string(src: &str, base: u32) -> (usize, Result<Token, Diagnostic>) {
             }
             _ => {
                 let c = src[i..].chars().next().expect("in-bounds char");
-                out.push(c);
+                if let Some(out) = &mut out {
+                    out.push(c);
+                }
                 i += c.len_utf8();
             }
         }
@@ -229,7 +265,7 @@ fn lex_string(src: &str, base: u32) -> (usize, Result<Token, Diagnostic>) {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         let (tokens, diags) = lex(src);
         assert!(diags.is_empty(), "{diags:?}");
         tokens.into_iter().map(|t| t.kind).collect()
@@ -241,11 +277,11 @@ mod tests {
         assert!(diags.is_empty());
         assert_eq!(tokens.len(), 5);
         assert_eq!(tokens[0].kind, TokenKind::LParen);
-        assert_eq!(tokens[1].kind, TokenKind::Atom("ret".into()));
+        assert_eq!(tokens[1].kind, TokenKind::Atom("ret"));
         assert_eq!(tokens[1].span, Span::new(1, 4));
-        assert_eq!(tokens[2].kind, TokenKind::Atom("x0".into()));
+        assert_eq!(tokens[2].kind, TokenKind::Atom("x0"));
         assert_eq!(tokens[3].kind, TokenKind::RParen);
-        assert_eq!(tokens[4].kind, TokenKind::Atom("42".into()));
+        assert_eq!(tokens[4].kind, TokenKind::Atom("42"));
         assert_eq!(tokens[4].span, Span::new(28, 30));
     }
 
@@ -255,6 +291,11 @@ mod tests {
             kinds(r#""a\nb\t\"\\\u{3b1}""#),
             vec![TokenKind::Str("a\nb\t\"\\α".into())]
         );
+        // Only a literal with escapes owns its text.
+        let tokens = kinds(r#""plain" "a\"""#);
+        assert!(matches!(&tokens[0], TokenKind::Str(Cow::Borrowed("plain"))));
+        assert!(matches!(&tokens[1], TokenKind::Str(Cow::Owned(s)) if s == "a\""));
+        assert!(matches!(kinds("abc")[0], TokenKind::Atom("abc")));
     }
 
     #[test]
@@ -285,9 +326,9 @@ mod tests {
         assert_eq!(
             kinds("-42 lean_nat_add else"),
             vec![
-                TokenKind::Atom("-42".into()),
-                TokenKind::Atom("lean_nat_add".into()),
-                TokenKind::Atom("else".into()),
+                TokenKind::Atom("-42"),
+                TokenKind::Atom("lean_nat_add"),
+                TokenKind::Atom("else"),
             ]
         );
     }

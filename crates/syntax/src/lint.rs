@@ -22,7 +22,7 @@ use crate::diag::{
     Diagnostic, E_LINT_DEAD_JOIN, E_LINT_SHADOWED_BINDING, E_LINT_UNREACHABLE_ARM,
     E_LINT_UNUSED_PARAM,
 };
-use crate::sexp::{read, Sexp, SexpKind};
+use crate::sexp::{read, Forest, Sexp, SexpKind};
 use std::collections::{HashMap, HashSet};
 
 /// Lints `src`, returning all findings (warnings). Returns an empty list if
@@ -37,9 +37,15 @@ pub fn lint_source(src: &str) -> Vec<Diagnostic> {
 }
 
 /// Lints an already-read forest (see [`lint_source`]).
-pub fn lint_forest(forest: &[Sexp]) -> Vec<Diagnostic> {
-    let mut linter = Linter::default();
-    for top in forest {
+pub fn lint_forest(forest: &Forest) -> Vec<Diagnostic> {
+    let mut linter = Linter {
+        forest,
+        out: Vec::new(),
+        func: String::new(),
+        used_vars: HashSet::new(),
+        joins: Vec::new(),
+    };
+    for top in forest.top() {
         linter.lint_def(top);
     }
     linter.out
@@ -51,8 +57,8 @@ struct JoinEntry {
     jumped: bool,
 }
 
-#[derive(Default)]
-struct Linter {
+struct Linter<'f, 'a> {
+    forest: &'f Forest<'a>,
     out: Vec<Diagnostic>,
     /// Name of the function being walked (for notes).
     func: String,
@@ -80,7 +86,7 @@ fn tag_of(sexp: &Sexp) -> Option<u32> {
     text.parse().ok()
 }
 
-impl Linter {
+impl Linter<'_, '_> {
     fn warn(&mut self, code: &'static str, message: String, span: crate::span::Span) {
         let note = format!("in function @{}", self.func);
         self.out
@@ -88,7 +94,9 @@ impl Linter {
     }
 
     fn lint_def(&mut self, top: &Sexp) {
-        let Some(items) = top.as_list() else { return };
+        let Some(items) = self.forest.list(top) else {
+            return;
+        };
         if items.first().and_then(Sexp::as_atom) != Some("def") || items.len() != 4 {
             return;
         }
@@ -99,7 +107,7 @@ impl Linter {
         self.used_vars = HashSet::new();
         self.joins = Vec::new();
         self.walk_expr(&items[3], &HashMap::new());
-        let Some(params) = items[2].as_list() else {
+        let Some(params) = self.forest.list(&items[2]) else {
             return;
         };
         for p in params {
@@ -125,7 +133,9 @@ impl Linter {
     /// tag they were bound to (`(let xN (ctor T ...) ...)`) in the enclosing
     /// `let` chain.
     fn walk_expr(&mut self, sexp: &Sexp, known: &HashMap<u32, u32>) {
-        let Some(items) = sexp.as_list() else { return };
+        let Some(items) = self.forest.list(sexp) else {
+            return;
+        };
         let Some(head) = items.first().and_then(Sexp::as_atom) else {
             return;
         };
@@ -133,7 +143,9 @@ impl Linter {
             ("let", 4) => {
                 self.walk_value(&items[2]);
                 let mut inner = known.clone();
-                if let (Some(v), Some(tag)) = (id_of(&items[1], 'x'), ctor_tag(&items[2])) {
+                if let (Some(v), Some(tag)) =
+                    (id_of(&items[1], 'x'), ctor_tag(self.forest, &items[2]))
+                {
                     inner.insert(v, tag);
                 }
                 self.walk_expr(&items[3], &inner);
@@ -175,7 +187,7 @@ impl Linter {
                 self.mark_use(&items[1]);
                 let scrutinee_tag = id_of(&items[1], 'x').and_then(|v| known.get(&v).copied());
                 for arm in &items[2..] {
-                    let Some(arm_items) = arm.as_list() else {
+                    let Some(arm_items) = self.forest.list(arm) else {
                         continue;
                     };
                     if arm_items.len() != 2 {
@@ -225,7 +237,8 @@ impl Linter {
         match &sexp.kind {
             SexpKind::Atom(_) => self.mark_use(sexp),
             SexpKind::Str(_) => {}
-            SexpKind::List(items) => {
+            SexpKind::List(_) => {
+                let items = self.forest.list(sexp).expect("a list");
                 let Some(head) = items.first().and_then(Sexp::as_atom) else {
                     return;
                 };
@@ -254,8 +267,8 @@ impl Linter {
 
 /// The constructor tag of a `(ctor T ...)` value form, if that is what
 /// `sexp` is.
-fn ctor_tag(sexp: &Sexp) -> Option<u32> {
-    let items = sexp.as_list()?;
+fn ctor_tag(forest: &Forest, sexp: &Sexp) -> Option<u32> {
+    let items = forest.list(sexp)?;
     if items.first().and_then(Sexp::as_atom) != Some("ctor") {
         return None;
     }

@@ -35,9 +35,10 @@
 //! `parse(print(p)) == p` hold structurally *and* on the id bounds.
 
 use crate::diag::{Diagnostic, E_BAD_FORM, E_BAD_TOKEN};
-use crate::sexp::{read, Sexp, SexpKind};
+use crate::sexp::{read, Forest, Sexp, SexpKind};
 use crate::span::Span;
 use lssa_lambda::ast::{Alt, Expr, FnDef, JoinId, Program, Value, VarId};
+use lssa_lambda::dense::{IdSet, JoinArities, Scope, MAX_ID};
 use lssa_lambda::wellformed::codes;
 use lssa_rt::Builtin;
 use std::collections::{HashMap, HashSet};
@@ -89,15 +90,19 @@ pub fn parse_source(src: &str) -> ParseOutcome {
     let (forest, mut diagnostics) = read(src);
     let structurally_clean = diagnostics.is_empty();
     let mut lowerer = Lowerer {
+        forest: &forest,
         diags: &mut diagnostics,
         structural_ok: structurally_clean,
         sigs: HashMap::new(),
-        func: String::new(),
-        bound_once: HashSet::new(),
+        func: "",
+        bound_once: IdSet::default(),
+        scope: Scope::default(),
+        joins: JoinArities::default(),
+        undo: Vec::new(),
         max_var: None,
         max_join: None,
     };
-    let program = lowerer.lower_program(&forest);
+    let program = lowerer.lower_program();
     let structural_ok = lowerer.structural_ok;
     ParseOutcome {
         program: structural_ok.then_some(program),
@@ -105,21 +110,57 @@ pub fn parse_source(src: &str) -> ParseOutcome {
     }
 }
 
-struct Lowerer<'a> {
-    diags: &'a mut Vec<Diagnostic>,
+/// Why an `x`/`j` id atom was refused.
+enum IdError {
+    /// Not the prefix followed by decimal digits.
+    Malformed,
+    /// Digits at or above [`MAX_ID`].
+    OutOfRange,
+}
+
+/// Parses `text` as `prefix` followed by an id below [`MAX_ID`].
+fn parse_id_text(text: &str, prefix: char) -> Result<u32, IdError> {
+    let digits = text
+        .strip_prefix(prefix)
+        .filter(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()))
+        .ok_or(IdError::Malformed)?;
+    match digits.parse::<u32>() {
+        Ok(id) if id < MAX_ID => Ok(id),
+        _ => Err(IdError::OutOfRange),
+    }
+}
+
+/// The text of a name atom or string.
+fn name_text<'f>(sexp: &'f Sexp) -> Option<&'f str> {
+    match &sexp.kind {
+        SexpKind::Atom(s) => Some(s),
+        SexpKind::Str(s) => Some(s),
+        SexpKind::List(_) => None,
+    }
+}
+
+struct Lowerer<'f, 'a> {
+    forest: &'f Forest<'a>,
+    diags: &'f mut Vec<Diagnostic>,
     /// False once any lexical/structural error was reported.
     structural_ok: bool,
     /// Top-level function name → arity (pass 1).
-    sigs: HashMap<String, usize>,
+    sigs: HashMap<&'f str, usize>,
     /// Name of the function currently being lowered (for notes).
-    func: String,
+    func: &'f str,
     /// Binders seen in the current function (uniqueness check).
-    bound_once: HashSet<VarId>,
+    bound_once: IdSet,
+    /// The variables in scope at the form being lowered.
+    scope: Scope,
+    /// The join points a `jump` here may target.
+    joins: JoinArities,
+    /// Unbind tokens of the join parameters in scope.
+    undo: Vec<(VarId, u32)>,
     max_var: Option<VarId>,
     max_join: Option<JoinId>,
 }
 
-impl Lowerer<'_> {
+impl<'f> Lowerer<'f, '_> {
     // ---- diagnostics ------------------------------------------------------
 
     fn form_error(&mut self, span: Span, message: impl Into<String>) {
@@ -141,6 +182,10 @@ impl Lowerer<'_> {
 
     // ---- token helpers ----------------------------------------------------
 
+    fn list(&self, sexp: &'f Sexp) -> Option<&'f [Sexp<'f>]> {
+        self.forest.list(sexp)
+    }
+
     fn parse_id(&mut self, sexp: &Sexp, prefix: char, what: &str) -> Option<u32> {
         let text = match sexp.as_atom() {
             Some(t) => t,
@@ -155,19 +200,16 @@ impl Lowerer<'_> {
                 return None;
             }
         };
-        let digits = text
-            .strip_prefix(prefix)
-            .filter(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()));
-        let Some(digits) = digits else {
-            self.token_error(
-                sexp.span,
-                format!("expected {what} like `{prefix}0`, found `{text}`"),
-            );
-            return None;
-        };
-        match digits.parse::<u32>() {
+        match parse_id_text(text, prefix) {
             Ok(id) => Some(id),
-            Err(_) => {
+            Err(IdError::Malformed) => {
+                self.token_error(
+                    sexp.span,
+                    format!("expected {what} like `{prefix}0`, found `{text}`"),
+                );
+                None
+            }
+            Err(IdError::OutOfRange) => {
                 self.token_error(sexp.span, format!("{what} `{text}` is out of range"));
                 None
             }
@@ -203,27 +245,25 @@ impl Lowerer<'_> {
         ok
     }
 
-    fn parse_name(&mut self, sexp: &Sexp) -> Option<String> {
-        match &sexp.kind {
-            SexpKind::Atom(s) => Some(s.clone()),
-            SexpKind::Str(s) => Some(s.clone()),
-            SexpKind::List(_) => {
-                self.token_error(sexp.span, "expected a function name".to_string());
-                None
-            }
+    fn parse_name(&mut self, sexp: &'f Sexp) -> Option<&'f str> {
+        let name = name_text(sexp);
+        if name.is_none() {
+            self.token_error(sexp.span, "expected a function name".to_string());
         }
+        name
     }
 
     // ---- program / defs ---------------------------------------------------
 
-    fn lower_program(&mut self, forest: &[Sexp]) -> Program {
+    fn lower_program(&mut self) -> Program {
         // Pass 1: signatures (arity of every def, for call checking).
-        // A def awaiting pass 2: its body form, name, and lowered params.
-        type PendingDef<'a> = (&'a Sexp, String, Vec<(VarId, Span)>);
-        let mut order: Vec<PendingDef> = Vec::new();
-        let mut seen_names: HashSet<String> = HashSet::new();
-        for top in forest {
-            let Some(items) = top.as_list() else {
+        // A def awaiting pass 2: its items, name, and where its lowered
+        // params sit in `params`.
+        let mut order: Vec<(&'f [Sexp<'f>], &'f str, std::ops::Range<usize>)> = Vec::new();
+        let mut params: Vec<(VarId, Span)> = Vec::new();
+        let forest = self.forest;
+        for top in forest.top() {
+            let Some(items) = self.list(top) else {
                 self.form_error(
                     top.span,
                     format!("expected a `(def ...)` form, found {}", top.describe()),
@@ -250,7 +290,7 @@ impl Lowerer<'_> {
             let Some(name) = self.parse_name(&items[1]) else {
                 continue;
             };
-            let Some(param_items) = items[2].as_list() else {
+            let Some(param_items) = self.list(&items[2]) else {
                 self.form_error(
                     items[2].span,
                     format!(
@@ -260,18 +300,18 @@ impl Lowerer<'_> {
                 );
                 continue;
             };
-            let mut params = Vec::new();
+            let start = params.len();
             let mut params_ok = true;
             for p in param_items {
                 // Ids are recorded during pass 2 (per-function max); here we
                 // only need the shape.
-                match p.as_atom().and_then(|t| {
-                    t.strip_prefix('x')
-                        .filter(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()))
-                        .and_then(|d| d.parse::<u32>().ok())
-                }) {
-                    Some(id) => params.push((id, p.span)),
-                    None => {
+                match p.as_atom().map(|t| (t, parse_id_text(t, 'x'))) {
+                    Some((_, Ok(id))) => params.push((id, p.span)),
+                    Some((text, Err(IdError::OutOfRange))) => {
+                        self.token_error(p.span, format!("parameter `{text}` is out of range"));
+                        params_ok = false;
+                    }
+                    _ => {
                         self.token_error(
                             p.span,
                             format!("expected a parameter like `x0`, found {}", p.describe()),
@@ -281,44 +321,42 @@ impl Lowerer<'_> {
                 }
             }
             if !params_ok {
+                params.truncate(start);
                 continue;
             }
-            if !seen_names.insert(name.clone()) {
-                self.func = name.clone();
+            let arity = params.len() - start;
+            if self.sigs.insert(name, arity).is_some() {
+                self.func = name;
                 self.wf(
                     codes::DUPLICATE_FUNCTION,
                     "duplicate function name".to_string(),
                     items[1].span,
                 );
             }
-            self.sigs.insert(name.clone(), params.len());
-            order.push((top, name, params));
+            order.push((items, name, start..params.len()));
         }
         // Pass 2: lower bodies.
-        let mut program = Program::default();
-        for (top, name, params) in order {
-            let items = top.as_list().expect("validated in pass 1");
-            self.func = name.clone();
-            self.bound_once = HashSet::new();
+        let mut program = Program {
+            fns: Vec::with_capacity(order.len()),
+        };
+        for (items, name, range) in order {
+            self.func = name;
+            self.bound_once.clear();
+            self.scope.clear();
             self.max_var = None;
             self.max_join = None;
-            let mut scope: HashSet<VarId> = HashSet::new();
-            let mut param_ids = Vec::new();
-            for (id, span) in &params {
-                self.max_var = Some(self.max_var.map_or(*id, |m| m.max(*id)));
-                if !self.bound_once.insert(*id) {
-                    self.wf(
-                        codes::REBOUND,
-                        format!("parameter x{id} bound twice"),
-                        *span,
-                    );
+            let mut param_ids = Vec::with_capacity(range.len());
+            for &(id, span) in &params[range] {
+                self.max_var = Some(self.max_var.map_or(id, |m| m.max(id)));
+                if !self.bound_once.insert(id) {
+                    self.wf(codes::REBOUND, format!("parameter x{id} bound twice"), span);
                 }
-                scope.insert(*id);
-                param_ids.push(*id);
+                self.scope.bind(id);
+                param_ids.push(id);
             }
-            let body = self.lower_expr(&items[3], &scope, &HashMap::new(), None);
+            let body = self.lower_expr(&items[3], None);
             program.fns.push(FnDef {
-                name,
+                name: name.to_string(),
                 params: param_ids,
                 body: body.unwrap_or(Expr::Ret(0)),
                 next_var: self.max_var.map_or(0, |m| m + 1),
@@ -330,257 +368,33 @@ impl Lowerer<'_> {
 
     // ---- expressions ------------------------------------------------------
 
-    /// Lowers one expression. `jp` is `Some((label, outer_scope))` while
-    /// inside a join-point body: `outer_scope` is what was visible at the
-    /// join's declaration, used to tell a *capture* (E0105) from a plain
-    /// out-of-scope use (E0101).
-    fn lower_expr(
-        &mut self,
-        sexp: &Sexp,
-        scope: &HashSet<VarId>,
-        joins: &HashMap<JoinId, usize>,
-        jp: Option<(JoinId, &HashSet<VarId>)>,
-    ) -> Option<Expr> {
-        let Some(items) = sexp.as_list() else {
+    /// Lowers one expression. `jp` is `Some((label, outer_frame))` while
+    /// inside a join-point body: `outer_frame` is the scope frame that was
+    /// visible at the join's declaration, used to tell a *capture* (E0105)
+    /// from a plain out-of-scope use (E0101).
+    fn lower_expr(&mut self, sexp: &'f Sexp, jp: Option<(JoinId, u32)>) -> Option<Expr> {
+        let Some(items) = self.list(sexp) else {
             self.form_error(
                 sexp.span,
                 format!("expected an expression form, found {}", sexp.describe()),
             );
             return None;
         };
-        let head = items.first().and_then(Sexp::as_atom).map(str::to_owned);
-        let Some(head) = head else {
+        let Some(head) = items.first().and_then(Sexp::as_atom) else {
             self.form_error(
                 sexp.span,
                 "expected an expression form like `(ret x0)`".to_string(),
             );
             return None;
         };
-        match head.as_str() {
-            "let" => {
-                if items.len() != 4 {
-                    self.form_error(sexp.span, "`let` takes a variable, a value, and a body");
-                    return None;
-                }
-                let var = self.parse_var(&items[1]);
-                let val = self.lower_value(&items[2], scope, jp);
-                let mut inner = scope.clone();
-                if let Some(v) = var {
-                    self.bind(v, items[1].span, &mut inner);
-                }
-                let body = self.lower_expr(&items[3], &inner, joins, jp);
-                Some(Expr::Let {
-                    var: var?,
-                    val: val?,
-                    body: Box::new(body?),
-                })
-            }
-            "join" => {
-                if items.len() != 5 {
-                    self.form_error(
-                        sexp.span,
-                        "`join` takes a label, a parameter list, the join body, and the scope body",
-                    );
-                    return None;
-                }
-                let label = self.parse_join(&items[1]);
-                let Some(param_items) = items[2].as_list() else {
-                    self.form_error(
-                        items[2].span,
-                        format!(
-                            "expected a parameter list `(x0 ...)`, found {}",
-                            items[2].describe()
-                        ),
-                    );
-                    return None;
-                };
-                let mut params = Vec::new();
-                let mut jp_scope = HashSet::new();
-                let mut params_ok = true;
-                for p in param_items {
-                    match self.parse_var(p) {
-                        Some(v) => {
-                            self.bind(v, p.span, &mut jp_scope);
-                            params.push(v);
-                        }
-                        None => params_ok = false,
-                    }
-                }
-                // The join point's body sees only its parameters; the current
-                // scope is carried for capture classification. Enclosing join
-                // points stay jumpable (mirroring the AST checker).
-                let jp_body =
-                    self.lower_expr(&items[3], &jp_scope, joins, label.map(|l| (l, scope)));
-                let mut body_joins = joins.clone();
-                if let Some(l) = label {
-                    body_joins.insert(l, params.len());
-                }
-                let body = self.lower_expr(&items[4], scope, &body_joins, jp);
-                if !params_ok {
-                    return None;
-                }
-                Some(Expr::LetJoin {
-                    label: label?,
-                    params,
-                    jp_body: Box::new(jp_body?),
-                    body: Box::new(body?),
-                })
-            }
-            "case" => {
-                if items.len() < 3 {
-                    self.form_error(sexp.span, "`case` takes a scrutinee and at least one arm");
-                    return None;
-                }
-                let scrutinee = self.parse_var(&items[1]);
-                if let Some(v) = scrutinee {
-                    self.check_use(v, items[1].span, scope, jp);
-                }
-                let mut alts: Vec<Alt> = Vec::new();
-                let mut default: Option<Box<Expr>> = None;
-                let mut seen_tags: HashSet<u32> = HashSet::new();
-                let mut ok = true;
-                for arm in &items[2..] {
-                    let Some(arm_items) = arm.as_list() else {
-                        self.form_error(
-                            arm.span,
-                            format!(
-                                "expected an arm `(tag body)` or `(else body)`, found {}",
-                                arm.describe()
-                            ),
-                        );
-                        ok = false;
-                        continue;
-                    };
-                    if arm_items.len() != 2 {
-                        self.form_error(arm.span, "an arm takes a tag (or `else`) and one body");
-                        ok = false;
-                        continue;
-                    }
-                    if arm_items[0].as_atom() == Some("else") {
-                        if default.is_some() {
-                            self.form_error(arm_items[0].span, "duplicate `else` arm");
-                            ok = false;
-                        }
-                        let body = self.lower_expr(&arm_items[1], scope, joins, jp);
-                        match body {
-                            Some(b) if default.is_none() => default = Some(Box::new(b)),
-                            _ => ok = false,
-                        }
-                        continue;
-                    }
-                    let tag = self.parse_u32(&arm_items[0], "a constructor tag");
-                    if let Some(t) = tag {
-                        if !seen_tags.insert(t) {
-                            self.wf(
-                                codes::DUPLICATE_TAG,
-                                format!("duplicate case tag {t}"),
-                                arm_items[0].span,
-                            );
-                        }
-                    }
-                    let body = self.lower_expr(&arm_items[1], scope, joins, jp);
-                    match (tag, body) {
-                        (Some(tag), Some(body)) => alts.push(Alt { tag, body }),
-                        _ => ok = false,
-                    }
-                }
-                if alts.is_empty() && default.is_none() && ok {
-                    self.wf(
-                        codes::EMPTY_CASE,
-                        "case with no arms".to_string(),
-                        sexp.span,
-                    );
-                }
-                if !ok {
-                    return None;
-                }
-                Some(Expr::Case {
-                    scrutinee: scrutinee?,
-                    alts,
-                    default,
-                })
-            }
-            "jump" => {
-                if items.len() < 2 {
-                    self.form_error(sexp.span, "`jump` takes a join label and arguments");
-                    return None;
-                }
-                let label = self.parse_join(&items[1]);
-                let mut args = Vec::new();
-                let mut ok = true;
-                for a in &items[2..] {
-                    match self.parse_var(a) {
-                        Some(v) => {
-                            self.check_use(v, a.span, scope, jp);
-                            args.push(v);
-                        }
-                        None => ok = false,
-                    }
-                }
-                if let Some(l) = label {
-                    match joins.get(&l) {
-                        Some(&arity) if arity == args.len() => {}
-                        Some(&arity) => self.wf(
-                            codes::JUMP_ARITY,
-                            format!("jump to j{l} with {} args (expects {arity})", args.len()),
-                            sexp.span,
-                        ),
-                        None => self.wf(
-                            codes::UNKNOWN_JOIN,
-                            format!("jump to unknown join point j{l}"),
-                            items[1].span,
-                        ),
-                    }
-                }
-                if !ok {
-                    return None;
-                }
-                Some(Expr::Jump {
-                    label: label?,
-                    args,
-                })
-            }
-            "ret" => {
-                if items.len() != 2 {
-                    self.form_error(sexp.span, "`ret` takes exactly one variable");
-                    return None;
-                }
-                let v = self.parse_var(&items[1])?;
-                self.check_use(v, items[1].span, scope, jp);
-                Some(Expr::Ret(v))
-            }
-            "inc" => {
-                if items.len() != 4 {
-                    self.form_error(sexp.span, "`inc` takes a variable, a count, and a body");
-                    return None;
-                }
-                let var = self.parse_var(&items[1]);
-                if let Some(v) = var {
-                    self.check_use(v, items[1].span, scope, jp);
-                }
-                let n = self.parse_u32(&items[2], "a retain count");
-                let body = self.lower_expr(&items[3], scope, joins, jp);
-                Some(Expr::Inc {
-                    var: var?,
-                    n: n?,
-                    body: Box::new(body?),
-                })
-            }
-            "dec" => {
-                if items.len() != 3 {
-                    self.form_error(sexp.span, "`dec` takes a variable and a body");
-                    return None;
-                }
-                let var = self.parse_var(&items[1]);
-                if let Some(v) = var {
-                    self.check_use(v, items[1].span, scope, jp);
-                }
-                let body = self.lower_expr(&items[2], scope, joins, jp);
-                Some(Expr::Dec {
-                    var: var?,
-                    body: Box::new(body?),
-                })
-            }
+        match head {
+            "let" => self.lower_let(sexp, items, jp),
+            "join" => self.lower_join(sexp, items, jp),
+            "case" => self.lower_case(sexp, items, jp),
+            "jump" => self.lower_jump(sexp, items, jp),
+            "ret" => self.lower_ret(sexp, items, jp),
+            "inc" => self.lower_inc(sexp, items, jp),
+            "dec" => self.lower_dec(sexp, items, jp),
             other => {
                 self.form_error(
                     sexp.span,
@@ -593,26 +407,314 @@ impl Lowerer<'_> {
         }
     }
 
+    /// Lowers `(let var value body)`; `items` are the form's list items.
+    fn lower_let(
+        &mut self,
+        sexp: &'f Sexp,
+        items: &'f [Sexp<'f>],
+        jp: Option<(JoinId, u32)>,
+    ) -> Option<Expr> {
+        if items.len() != 4 {
+            self.form_error(sexp.span, "`let` takes a variable, a value, and a body");
+            return None;
+        }
+        let var = self.parse_var(&items[1]);
+        let val = self.lower_value(&items[2], jp);
+        let token = var.map(|v| self.bind(v, items[1].span));
+        let body = self.lower_expr(&items[3], jp);
+        if let (Some(v), Some(token)) = (var, token) {
+            self.scope.unbind(v, token);
+        }
+        Some(Expr::Let {
+            var: var?,
+            val: val?,
+            body: Box::new(body?),
+        })
+    }
+
+    /// Lowers `(join label (params) jp_body body)`; `items` are the form's list items.
+    fn lower_join(
+        &mut self,
+        sexp: &'f Sexp,
+        items: &'f [Sexp<'f>],
+        jp: Option<(JoinId, u32)>,
+    ) -> Option<Expr> {
+        if items.len() != 5 {
+            self.form_error(
+                sexp.span,
+                "`join` takes a label, a parameter list, the join body, and the scope body",
+            );
+            return None;
+        }
+        let label = self.parse_join(&items[1]);
+        let Some(param_items) = self.list(&items[2]) else {
+            self.form_error(
+                items[2].span,
+                format!(
+                    "expected a parameter list `(x0 ...)`, found {}",
+                    items[2].describe()
+                ),
+            );
+            return None;
+        };
+        // The join point's body sees only its parameters; the scope
+        // at the declaration stays visible as the outer frame for
+        // capture classification. Enclosing join points stay
+        // jumpable (mirroring the AST checker).
+        let outer = self.scope.enter_frame();
+        let mark = self.undo.len();
+        let mut params = Vec::with_capacity(param_items.len());
+        let mut params_ok = true;
+        for p in param_items {
+            match self.parse_var(p) {
+                Some(v) => {
+                    let token = self.bind(v, p.span);
+                    self.undo.push((v, token));
+                    params.push(v);
+                }
+                None => params_ok = false,
+            }
+        }
+        let jp_body = self.lower_expr(&items[3], label.map(|l| (l, outer)));
+        while self.undo.len() > mark {
+            let (v, token) = self.undo.pop().expect("above the mark");
+            self.scope.unbind(v, token);
+        }
+        self.scope.leave_frame(outer);
+        let token = label.map(|l| self.joins.declare(l, params.len()));
+        let body = self.lower_expr(&items[4], jp);
+        if let (Some(l), Some(token)) = (label, token) {
+            self.joins.restore(l, token);
+        }
+        if !params_ok {
+            return None;
+        }
+        Some(Expr::LetJoin {
+            label: label?,
+            params,
+            jp_body: Box::new(jp_body?),
+            body: Box::new(body?),
+        })
+    }
+
+    /// Lowers `(case var arm+)`; `items` are the form's list items.
+    fn lower_case(
+        &mut self,
+        sexp: &'f Sexp,
+        items: &'f [Sexp<'f>],
+        jp: Option<(JoinId, u32)>,
+    ) -> Option<Expr> {
+        if items.len() < 3 {
+            self.form_error(sexp.span, "`case` takes a scrutinee and at least one arm");
+            return None;
+        }
+        let scrutinee = self.parse_var(&items[1]);
+        if let Some(v) = scrutinee {
+            self.check_use(v, items[1].span, jp);
+        }
+        let mut alts: Vec<Alt> = Vec::with_capacity(items.len() - 2);
+        let mut default: Option<Box<Expr>> = None;
+        // Tags seen so far: scanned while few, hashed past that.
+        let mut seen_tags: Vec<u32> = Vec::new();
+        let mut seen_many: HashSet<u32> = HashSet::new();
+        let mut ok = true;
+        for arm in &items[2..] {
+            let Some(arm_items) = self.list(arm) else {
+                self.form_error(
+                    arm.span,
+                    format!(
+                        "expected an arm `(tag body)` or `(else body)`, found {}",
+                        arm.describe()
+                    ),
+                );
+                ok = false;
+                continue;
+            };
+            if arm_items.len() != 2 {
+                self.form_error(arm.span, "an arm takes a tag (or `else`) and one body");
+                ok = false;
+                continue;
+            }
+            if arm_items[0].as_atom() == Some("else") {
+                if default.is_some() {
+                    self.form_error(arm_items[0].span, "duplicate `else` arm");
+                    ok = false;
+                }
+                let body = self.lower_expr(&arm_items[1], jp);
+                match body {
+                    Some(b) if default.is_none() => default = Some(Box::new(b)),
+                    _ => ok = false,
+                }
+                continue;
+            }
+            let tag = self.parse_u32(&arm_items[0], "a constructor tag");
+            if let Some(t) = tag {
+                let duplicate = if seen_tags.len() < 8 {
+                    let seen = seen_tags.contains(&t);
+                    seen_tags.push(t);
+                    seen
+                } else {
+                    if seen_many.is_empty() {
+                        seen_many.extend(&seen_tags);
+                    }
+                    !seen_many.insert(t)
+                };
+                if duplicate {
+                    self.wf(
+                        codes::DUPLICATE_TAG,
+                        format!("duplicate case tag {t}"),
+                        arm_items[0].span,
+                    );
+                }
+            }
+            let body = self.lower_expr(&arm_items[1], jp);
+            match (tag, body) {
+                (Some(tag), Some(body)) => alts.push(Alt { tag, body }),
+                _ => ok = false,
+            }
+        }
+        if alts.is_empty() && default.is_none() && ok {
+            self.wf(
+                codes::EMPTY_CASE,
+                "case with no arms".to_string(),
+                sexp.span,
+            );
+        }
+        if !ok {
+            return None;
+        }
+        Some(Expr::Case {
+            scrutinee: scrutinee?,
+            alts,
+            default,
+        })
+    }
+
+    /// Lowers `(jump label var*)`; `items` are the form's list items.
+    fn lower_jump(
+        &mut self,
+        sexp: &'f Sexp,
+        items: &'f [Sexp<'f>],
+        jp: Option<(JoinId, u32)>,
+    ) -> Option<Expr> {
+        if items.len() < 2 {
+            self.form_error(sexp.span, "`jump` takes a join label and arguments");
+            return None;
+        }
+        let label = self.parse_join(&items[1]);
+        let mut args = Vec::with_capacity(items.len() - 2);
+        let mut ok = true;
+        for a in &items[2..] {
+            match self.parse_var(a) {
+                Some(v) => {
+                    self.check_use(v, a.span, jp);
+                    args.push(v);
+                }
+                None => ok = false,
+            }
+        }
+        if let Some(l) = label {
+            match self.joins.get(l) {
+                Some(arity) if arity == args.len() => {}
+                Some(arity) => self.wf(
+                    codes::JUMP_ARITY,
+                    format!("jump to j{l} with {} args (expects {arity})", args.len()),
+                    sexp.span,
+                ),
+                None => self.wf(
+                    codes::UNKNOWN_JOIN,
+                    format!("jump to unknown join point j{l}"),
+                    items[1].span,
+                ),
+            }
+        }
+        if !ok {
+            return None;
+        }
+        Some(Expr::Jump {
+            label: label?,
+            args,
+        })
+    }
+
+    /// Lowers `(ret var)`; `items` are the form's list items.
+    fn lower_ret(
+        &mut self,
+        sexp: &'f Sexp,
+        items: &'f [Sexp<'f>],
+        jp: Option<(JoinId, u32)>,
+    ) -> Option<Expr> {
+        if items.len() != 2 {
+            self.form_error(sexp.span, "`ret` takes exactly one variable");
+            return None;
+        }
+        let v = self.parse_var(&items[1])?;
+        self.check_use(v, items[1].span, jp);
+        Some(Expr::Ret(v))
+    }
+
+    /// Lowers `(inc var n body)`; `items` are the form's list items.
+    fn lower_inc(
+        &mut self,
+        sexp: &'f Sexp,
+        items: &'f [Sexp<'f>],
+        jp: Option<(JoinId, u32)>,
+    ) -> Option<Expr> {
+        if items.len() != 4 {
+            self.form_error(sexp.span, "`inc` takes a variable, a count, and a body");
+            return None;
+        }
+        let var = self.parse_var(&items[1]);
+        if let Some(v) = var {
+            self.check_use(v, items[1].span, jp);
+        }
+        let n = self.parse_u32(&items[2], "a retain count");
+        let body = self.lower_expr(&items[3], jp);
+        Some(Expr::Inc {
+            var: var?,
+            n: n?,
+            body: Box::new(body?),
+        })
+    }
+
+    /// Lowers `(dec var body)`; `items` are the form's list items.
+    fn lower_dec(
+        &mut self,
+        sexp: &'f Sexp,
+        items: &'f [Sexp<'f>],
+        jp: Option<(JoinId, u32)>,
+    ) -> Option<Expr> {
+        if items.len() != 3 {
+            self.form_error(sexp.span, "`dec` takes a variable and a body");
+            return None;
+        }
+        let var = self.parse_var(&items[1]);
+        if let Some(v) = var {
+            self.check_use(v, items[1].span, jp);
+        }
+        let body = self.lower_expr(&items[2], jp);
+        Some(Expr::Dec {
+            var: var?,
+            body: Box::new(body?),
+        })
+    }
+
     // ---- values -----------------------------------------------------------
 
-    fn lower_value(
-        &mut self,
-        sexp: &Sexp,
-        scope: &HashSet<VarId>,
-        jp: Option<(JoinId, &HashSet<VarId>)>,
-    ) -> Option<Value> {
-        match &sexp.kind {
-            SexpKind::Str(s) => Some(Value::LitStr(s.clone())),
+    fn lower_value(&mut self, sexp: &'f Sexp, jp: Option<(JoinId, u32)>) -> Option<Value> {
+        let items = match &sexp.kind {
+            SexpKind::Str(s) => return Some(Value::LitStr(s.to_string())),
             SexpKind::Atom(text) => {
+                let text: &str = text;
                 if text.starts_with('x')
                     && text.len() > 1
                     && text.as_bytes()[1..].iter().all(u8::is_ascii_digit)
                 {
                     let v = self.parse_var(sexp)?;
-                    self.check_use(v, sexp.span, scope, jp);
+                    self.check_use(v, sexp.span, jp);
                     return Some(Value::Var(v));
                 }
-                match text.parse::<i64>() {
+                return match text.parse::<i64>() {
                     Ok(n) => Some(Value::LitInt(n)),
                     Err(_) if text.bytes().all(|b| b.is_ascii_digit()) && !text.is_empty() => {
                         self.token_error(
@@ -628,138 +730,133 @@ impl Lowerer<'_> {
                         );
                         None
                     }
-                }
+                };
             }
-            SexpKind::List(items) => {
-                let head = items.first().and_then(Sexp::as_atom).map(str::to_owned);
-                let Some(head) = head else {
-                    self.form_error(
-                        sexp.span,
-                        "expected a value form like `(call f x0)`".to_string(),
-                    );
+            SexpKind::List(_) => self.list(sexp).expect("a list"),
+        };
+        let Some(head) = items.first().and_then(Sexp::as_atom) else {
+            self.form_error(
+                sexp.span,
+                "expected a value form like `(call f x0)`".to_string(),
+            );
+            return None;
+        };
+        match head {
+            "big" => {
+                if items.len() != 2 {
+                    self.form_error(sexp.span, "`big` takes one digit sequence");
+                    return None;
+                }
+                let Some(digits) = name_text(&items[1]) else {
+                    self.token_error(items[1].span, "expected digits");
                     return None;
                 };
-                match head.as_str() {
-                    "big" => {
-                        if items.len() != 2 {
-                            self.form_error(sexp.span, "`big` takes one digit sequence");
-                            return None;
-                        }
-                        let digits = match &items[1].kind {
-                            SexpKind::Atom(s) => s.clone(),
-                            SexpKind::Str(s) => s.clone(),
-                            SexpKind::List(_) => {
-                                self.token_error(items[1].span, "expected digits");
-                                return None;
-                            }
-                        };
-                        if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
-                            self.wf(
-                                codes::BAD_BIGINT,
-                                format!("malformed bigint literal {digits:?}"),
-                                items[1].span,
-                            );
-                        }
-                        Some(Value::LitBig(digits))
-                    }
-                    "ctor" => {
-                        if items.len() < 2 {
-                            self.form_error(sexp.span, "`ctor` takes a tag and field variables");
-                            return None;
-                        }
-                        let tag = self.parse_u32(&items[1], "a constructor tag");
-                        let args = self.lower_var_list(&items[2..], scope, jp);
-                        Some(Value::Ctor {
-                            tag: tag?,
-                            args: args?,
-                        })
-                    }
-                    "proj" => {
-                        if items.len() != 3 {
-                            self.form_error(sexp.span, "`proj` takes a field index and a variable");
-                            return None;
-                        }
-                        let idx = self.parse_u32(&items[1], "a field index");
-                        let var = self.parse_var(&items[2]);
-                        if let Some(v) = var {
-                            self.check_use(v, items[2].span, scope, jp);
-                        }
-                        Some(Value::Proj {
-                            var: var?,
-                            idx: idx?,
-                        })
-                    }
-                    "call" | "pap" => {
-                        if items.len() < 2 {
-                            self.form_error(
-                                sexp.span,
-                                format!("`{head}` takes a function name and argument variables"),
-                            );
-                            return None;
-                        }
-                        let func = self.parse_name(&items[1]);
-                        let args = self.lower_var_list(&items[2..], scope, jp);
-                        let (func, args) = (func?, args?);
-                        if head == "call" {
-                            self.check_call(&func, args.len(), items[1].span);
-                            Some(Value::Call { func, args })
-                        } else {
-                            self.check_pap(&func, args.len(), items[1].span);
-                            Some(Value::Pap { func, args })
-                        }
-                    }
-                    "app" => {
-                        if items.len() < 2 {
-                            self.form_error(
-                                sexp.span,
-                                "`app` takes a closure variable and argument variables",
-                            );
-                            return None;
-                        }
-                        let closure = self.parse_var(&items[1]);
-                        if let Some(v) = closure {
-                            self.check_use(v, items[1].span, scope, jp);
-                        }
-                        let args = self.lower_var_list(&items[2..], scope, jp);
-                        let args = args?;
-                        if args.is_empty() {
-                            self.wf(
-                                codes::EMPTY_APP,
-                                "closure application with no arguments".to_string(),
-                                sexp.span,
-                            );
-                        }
-                        Some(Value::App {
-                            closure: closure?,
-                            args,
-                        })
-                    }
-                    other => {
-                        self.form_error(
-                            sexp.span,
-                            format!(
-                                "unknown value form `{other}` (expected big, ctor, proj, call, pap, or app)"
-                            ),
-                        );
-                        None
-                    }
+                if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+                    self.wf(
+                        codes::BAD_BIGINT,
+                        format!("malformed bigint literal {digits:?}"),
+                        items[1].span,
+                    );
                 }
+                Some(Value::LitBig(digits.to_string()))
+            }
+            "ctor" => {
+                if items.len() < 2 {
+                    self.form_error(sexp.span, "`ctor` takes a tag and field variables");
+                    return None;
+                }
+                let tag = self.parse_u32(&items[1], "a constructor tag");
+                let args = self.lower_var_list(&items[2..], jp);
+                Some(Value::Ctor {
+                    tag: tag?,
+                    args: args?,
+                })
+            }
+            "proj" => {
+                if items.len() != 3 {
+                    self.form_error(sexp.span, "`proj` takes a field index and a variable");
+                    return None;
+                }
+                let idx = self.parse_u32(&items[1], "a field index");
+                let var = self.parse_var(&items[2]);
+                if let Some(v) = var {
+                    self.check_use(v, items[2].span, jp);
+                }
+                Some(Value::Proj {
+                    var: var?,
+                    idx: idx?,
+                })
+            }
+            "call" | "pap" => {
+                if items.len() < 2 {
+                    self.form_error(
+                        sexp.span,
+                        format!("`{head}` takes a function name and argument variables"),
+                    );
+                    return None;
+                }
+                let func = self.parse_name(&items[1]);
+                let args = self.lower_var_list(&items[2..], jp);
+                let (func, args) = (func?, args?);
+                if head == "call" {
+                    self.check_call(func, args.len(), items[1].span);
+                    Some(Value::Call {
+                        func: func.to_string(),
+                        args,
+                    })
+                } else {
+                    self.check_pap(func, args.len(), items[1].span);
+                    Some(Value::Pap {
+                        func: func.to_string(),
+                        args,
+                    })
+                }
+            }
+            "app" => {
+                if items.len() < 2 {
+                    self.form_error(
+                        sexp.span,
+                        "`app` takes a closure variable and argument variables",
+                    );
+                    return None;
+                }
+                let closure = self.parse_var(&items[1]);
+                if let Some(v) = closure {
+                    self.check_use(v, items[1].span, jp);
+                }
+                let args = self.lower_var_list(&items[2..], jp);
+                let args = args?;
+                if args.is_empty() {
+                    self.wf(
+                        codes::EMPTY_APP,
+                        "closure application with no arguments".to_string(),
+                        sexp.span,
+                    );
+                }
+                Some(Value::App {
+                    closure: closure?,
+                    args,
+                })
+            }
+            other => {
+                self.form_error(
+                    sexp.span,
+                    format!(
+                        "unknown value form `{other}` (expected big, ctor, proj, call, pap, or app)"
+                    ),
+                );
+                None
             }
         }
     }
 
-    fn lower_var_list(
-        &mut self,
-        items: &[Sexp],
-        scope: &HashSet<VarId>,
-        jp: Option<(JoinId, &HashSet<VarId>)>,
-    ) -> Option<Vec<VarId>> {
+    fn lower_var_list(&mut self, items: &[Sexp], jp: Option<(JoinId, u32)>) -> Option<Vec<VarId>> {
         let mut out = Vec::with_capacity(items.len());
         let mut ok = true;
         for item in items {
             match self.parse_var(item) {
                 Some(v) => {
-                    self.check_use(v, item.span, scope, jp);
+                    self.check_use(v, item.span, jp);
                     out.push(v);
                 }
                 None => ok = false,
@@ -770,25 +867,20 @@ impl Lowerer<'_> {
 
     // ---- wellformedness ---------------------------------------------------
 
-    fn bind(&mut self, v: VarId, span: Span, scope: &mut HashSet<VarId>) {
+    /// Binds `v` in the current scope; returns the token that unbinds it.
+    fn bind(&mut self, v: VarId, span: Span) -> u32 {
         if !self.bound_once.insert(v) {
             self.wf(codes::REBOUND, format!("x{v} bound more than once"), span);
         }
-        scope.insert(v);
+        self.scope.bind(v)
     }
 
-    fn check_use(
-        &mut self,
-        v: VarId,
-        span: Span,
-        scope: &HashSet<VarId>,
-        jp: Option<(JoinId, &HashSet<VarId>)>,
-    ) {
-        if scope.contains(&v) {
+    fn check_use(&mut self, v: VarId, span: Span, jp: Option<(JoinId, u32)>) {
+        if self.scope.contains(v) {
             return;
         }
         match jp {
-            Some((label, outer)) if outer.contains(&v) => self.wf(
+            Some((label, outer)) if self.scope.visible_in(v, outer) => self.wf(
                 codes::JOIN_CAPTURE,
                 format!("join point j{label} body references x{v}, which is not a parameter"),
                 span,
