@@ -7,10 +7,8 @@
 //! precisely what makes the `rgn` lowering (Figure 8) and its optimizations
 //! applicable.
 
-use lssa_ir::body::OperandList;
 use lssa_ir::prelude::*;
 use lssa_lambda::ast::{Expr, FnDef, Program, Value};
-use lssa_lambda::dense::MAX_ID;
 use lssa_rt::Builtin;
 use std::fmt::Write as _;
 
@@ -41,6 +39,8 @@ pub fn lower_program(program: &Program) -> Module {
         fname: "",
         env: Vec::new(),
         labels: Vec::new(),
+        set_vars: Vec::new(),
+        set_labels: Vec::new(),
         label_text: String::new(),
     };
     for f in &program.fns {
@@ -65,6 +65,10 @@ struct LowerCtx<'a> {
     env: Vec<ValueId>,
     /// The symbol of each join label of the function, interned on first use.
     labels: Vec<Symbol>,
+    /// The variables and labels the function set in `env` and `labels`, to
+    /// unset when it is done.
+    set_vars: Vec<u32>,
+    set_labels: Vec<u32>,
     /// Scratch text for a label's symbol name.
     label_text: String,
 }
@@ -73,17 +77,19 @@ impl<'a> LowerCtx<'a> {
     fn lower_fn(&mut self, f: &'a FnDef) -> Body {
         let (mut body, params) = Body::new(&Type::objs(f.arity()));
         self.fname = &f.name;
-        self.env.clear();
-        self.env
-            .resize(f.next_var.min(MAX_ID) as usize, ValueId(UNSET));
-        self.labels.clear();
-        self.labels
-            .resize(f.next_join.min(MAX_ID) as usize, Symbol(UNSET));
         for (&p, &v) in f.params.iter().zip(&params) {
             self.bind(p, v);
         }
         let entry = body.entry_block();
         self.lower_expr(&mut body, entry, &f.body);
+        // Leave both tables empty for the next function, touching only the
+        // entries this one set.
+        for v in self.set_vars.drain(..) {
+            self.env[v as usize] = ValueId(UNSET);
+        }
+        for l in self.set_labels.drain(..) {
+            self.labels[l as usize] = Symbol(UNSET);
+        }
         body
     }
 
@@ -97,6 +103,7 @@ impl<'a> LowerCtx<'a> {
             self.label_text.clear();
             let _ = write!(self.label_text, "{}.jp{label}", self.fname);
             self.labels[i] = self.module.intern(&self.label_text);
+            self.set_labels.push(label);
         }
         self.labels[i]
     }
@@ -107,6 +114,7 @@ impl<'a> LowerCtx<'a> {
             self.env.resize(i + 1, ValueId(UNSET));
         }
         self.env[i] = value;
+        self.set_vars.push(v);
     }
 
     fn get(&self, v: u32) -> ValueId {
@@ -181,7 +189,7 @@ impl<'a> LowerCtx<'a> {
                 }
                 Expr::Jump { label, args } => {
                     let sym = self.label_sym(*label);
-                    let vals: OperandList = args.iter().map(|&a| self.get(a)).collect();
+                    let vals = args.iter().map(|&a| self.get(a)).collect();
                     Builder::at_end(body, block).lp_jump(sym, vals);
                     return;
                 }
@@ -215,7 +223,7 @@ impl<'a> LowerCtx<'a> {
             Value::LitBig(s) => b.lp_bigint(s),
             Value::LitStr(s) => b.lp_str(s),
             Value::Ctor { tag, args } => {
-                let fields: OperandList = args.iter().map(|&a| self.get(a)).collect();
+                let fields = args.iter().map(|&a| self.get(a)).collect();
                 b.lp_construct(*tag as i64, fields)
             }
             Value::Proj { var, idx } => {
@@ -224,7 +232,7 @@ impl<'a> LowerCtx<'a> {
             }
             Value::Call { func, args } => {
                 let callee = self.module.intern(func);
-                let vals: OperandList = args.iter().map(|&a| self.get(a)).collect();
+                let vals = args.iter().map(|&a| self.get(a)).collect();
                 let mut b = Builder::at_end(body, block);
                 b.call(callee, vals, Type::Obj)
             }
@@ -237,13 +245,13 @@ impl<'a> LowerCtx<'a> {
                     .flatten()
                     .unwrap_or_else(|| panic!("pap of unknown @{func}"))
                     as i64;
-                let vals: OperandList = args.iter().map(|&a| self.get(a)).collect();
+                let vals = args.iter().map(|&a| self.get(a)).collect();
                 let mut b = Builder::at_end(body, block);
                 b.lp_pap(callee, arity, vals)
             }
             Value::App { closure, args } => {
                 let c = self.get(*closure);
-                b.lp_papextend(c, args.iter().map(|&a| self.get(a)))
+                b.lp_papextend(c, args.iter().map(|&a| self.get(a)).collect())
             }
         }
     }
@@ -363,6 +371,22 @@ def f(x) := case x of | A => 1 | B => 2 end
         let text = print_module(&m);
         // Two arms, no explicit default → one case value + default region.
         assert!(text.contains("{cases = [0]}"), "{text}");
+    }
+
+    #[test]
+    #[should_panic(expected = "@g: unbound λ variable x0")]
+    fn a_function_sees_no_binding_of_the_one_before() {
+        use lssa_lambda::ast::{Expr, FnDef, Program};
+        let def = |name: &str, params: Vec<u32>| FnDef {
+            name: name.into(),
+            params,
+            body: Expr::Ret(0),
+            next_var: 1,
+            next_join: 0,
+        };
+        lower_program(&Program {
+            fns: vec![def("f", vec![0]), def("g", vec![])],
+        });
     }
 
     #[test]

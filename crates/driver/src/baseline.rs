@@ -185,7 +185,7 @@ impl Ctx<'_> {
             Value::LitBig(s) => b.lp_bigint(s),
             Value::LitStr(s) => b.lp_str(s),
             Value::Ctor { tag, args } => {
-                let fields: Vec<_> = args.iter().map(|&a| self.get(a)).collect();
+                let fields = args.iter().map(|&a| self.get(a)).collect();
                 b.lp_construct(*tag as i64, fields)
             }
             Value::Proj { var, idx } => {
@@ -194,7 +194,7 @@ impl Ctx<'_> {
             }
             Value::Call { func, args } => {
                 let callee = self.module.intern(func);
-                let vals: Vec<_> = args.iter().map(|&a| self.get(a)).collect();
+                let vals = args.iter().map(|&a| self.get(a)).collect();
                 let mut b = Builder::at_end(body, block);
                 b.call(callee, vals, Type::Obj)
             }
@@ -205,13 +205,13 @@ impl Ctx<'_> {
                     .arity_of(func)
                     .unwrap_or_else(|| panic!("pap of unknown @{func}"))
                     as i64;
-                let vals: Vec<_> = args.iter().map(|&a| self.get(a)).collect();
+                let vals = args.iter().map(|&a| self.get(a)).collect();
                 let mut b = Builder::at_end(body, block);
                 b.lp_pap(callee, arity, vals)
             }
             Value::App { closure, args } => {
                 let c = self.get(*closure);
-                let vals: Vec<_> = args.iter().map(|&a| self.get(a)).collect();
+                let vals = args.iter().map(|&a| self.get(a)).collect();
                 b.lp_papextend(c, vals)
             }
         }

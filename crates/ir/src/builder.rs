@@ -4,7 +4,7 @@
 //! method per opcode, so lowering code reads like the IR it produces.
 
 use crate::attr::{Attr, AttrKey, CmpPred};
-use crate::body::{AttrList, Body, OperandList, Successor};
+use crate::body::{Body, Successor};
 use crate::ids::{BlockId, OpId, Symbol, ValueId};
 use crate::opcode::Opcode;
 use crate::types::Type;
@@ -32,9 +32,9 @@ impl<'a> Builder<'a> {
     fn push(
         &mut self,
         opcode: Opcode,
-        operands: impl Into<OperandList>,
+        operands: Vec<ValueId>,
         result_tys: &[Type],
-        attrs: impl Into<AttrList>,
+        attrs: Vec<(AttrKey, Attr)>,
     ) -> OpId {
         let op = self.body.create_op(opcode, operands, result_tys, attrs);
         self.body.push_op(self.block, op);
@@ -44,9 +44,9 @@ impl<'a> Builder<'a> {
     fn push1(
         &mut self,
         opcode: Opcode,
-        operands: impl Into<OperandList>,
+        operands: Vec<ValueId>,
         ty: Type,
-        attrs: impl Into<AttrList>,
+        attrs: Vec<(AttrKey, Attr)>,
     ) -> ValueId {
         let op = self.push(opcode, operands, &[ty], attrs);
         self.body.ops[op.index()].result().unwrap()
@@ -56,7 +56,12 @@ impl<'a> Builder<'a> {
 
     /// `arith.constant` of the given type.
     pub fn const_i(&mut self, v: i64, ty: Type) -> ValueId {
-        self.push1(Opcode::ConstI, vec![], ty, [(AttrKey::Value, Attr::Int(v))])
+        self.push1(
+            Opcode::ConstI,
+            vec![],
+            ty,
+            vec![(AttrKey::Value, Attr::Int(v))],
+        )
     }
 
     /// Boolean constant (`i1`).
@@ -66,7 +71,7 @@ impl<'a> Builder<'a> {
 
     fn binop(&mut self, opcode: Opcode, a: ValueId, b: ValueId) -> ValueId {
         let ty = self.body.value_type(a);
-        self.push1(opcode, [a, b], ty, vec![])
+        self.push1(opcode, vec![a, b], ty, vec![])
     }
 
     /// `arith.addi`.
@@ -113,16 +118,16 @@ impl<'a> Builder<'a> {
     pub fn cmpi(&mut self, pred: CmpPred, a: ValueId, b: ValueId) -> ValueId {
         self.push1(
             Opcode::CmpI,
-            [a, b],
+            vec![a, b],
             Type::I1,
-            [(AttrKey::Pred, Attr::Pred(pred))],
+            vec![(AttrKey::Pred, Attr::Pred(pred))],
         )
     }
 
     /// `arith.select` (works on any type, including `!rgn.region`).
     pub fn select(&mut self, cond: ValueId, t: ValueId, f: ValueId) -> ValueId {
         let ty = self.body.value_type(t);
-        self.push1(Opcode::Select, [cond, t, f], ty, vec![])
+        self.push1(Opcode::Select, vec![cond, t, f], ty, vec![])
     }
 
     /// `arith.switch_val {cases}`: N-way value selection. `vals` pairs with
@@ -143,18 +148,18 @@ impl<'a> Builder<'a> {
             Opcode::SwitchVal,
             operands,
             ty,
-            [(AttrKey::Cases, Attr::IntList(cases.into()))],
+            vec![(AttrKey::Cases, Attr::IntList(cases.into()))],
         )
     }
 
     /// `arith.extui` to a wider integer type.
     pub fn extui(&mut self, v: ValueId, ty: Type) -> ValueId {
-        self.push1(Opcode::ExtUI, [v], ty, vec![])
+        self.push1(Opcode::ExtUI, vec![v], ty, vec![])
     }
 
     /// `arith.trunci` to a narrower integer type.
     pub fn trunci(&mut self, v: ValueId, ty: Type) -> ValueId {
-        self.push1(Opcode::TruncI, [v], ty, vec![])
+        self.push1(Opcode::TruncI, vec![v], ty, vec![])
     }
 
     // ---- cf ---------------------------------------------------------------
@@ -175,7 +180,7 @@ impl<'a> Builder<'a> {
         then_dest: (BlockId, Vec<ValueId>),
         else_dest: (BlockId, Vec<ValueId>),
     ) -> OpId {
-        let op = self.push(Opcode::CondBr, [cond], &[], vec![]);
+        let op = self.push(Opcode::CondBr, vec![cond], &[], vec![]);
         let succ = &mut self.body.ops[op.index()].successors;
         succ.push(Successor::with_args(then_dest.0, then_dest.1));
         succ.push(Successor::with_args(else_dest.0, else_dest.1));
@@ -194,9 +199,9 @@ impl<'a> Builder<'a> {
         assert_eq!(cases.len(), targets.len());
         let op = self.push(
             Opcode::SwitchBr,
-            [idx],
+            vec![idx],
             &[],
-            [(AttrKey::Cases, Attr::IntList(cases.into()))],
+            vec![(AttrKey::Cases, Attr::IntList(cases.into()))],
         );
         let succ = &mut self.body.ops[op.index()].successors;
         for (b, args) in targets {
@@ -214,12 +219,12 @@ impl<'a> Builder<'a> {
     // ---- func ---------------------------------------------------------------
 
     /// `func.call {callee}` with a single result of type `ret`.
-    pub fn call(&mut self, callee: Symbol, args: impl Into<OperandList>, ret: Type) -> ValueId {
+    pub fn call(&mut self, callee: Symbol, args: Vec<ValueId>, ret: Type) -> ValueId {
         self.push1(
             Opcode::Call,
             args,
             ret,
-            [(AttrKey::Callee, Attr::Sym(callee))],
+            vec![(AttrKey::Callee, Attr::Sym(callee))],
         )
     }
 
@@ -230,13 +235,13 @@ impl<'a> Builder<'a> {
             Opcode::TailCall,
             args,
             &[],
-            [(AttrKey::Callee, Attr::Sym(callee))],
+            vec![(AttrKey::Callee, Attr::Sym(callee))],
         )
     }
 
     /// `func.return`.
     pub fn ret(&mut self, v: ValueId) -> OpId {
-        self.push(Opcode::Return, [v], &[], vec![])
+        self.push(Opcode::Return, vec![v], &[], vec![])
     }
 
     // ---- lp ---------------------------------------------------------------
@@ -247,7 +252,7 @@ impl<'a> Builder<'a> {
             Opcode::LpInt,
             vec![],
             Type::Obj,
-            [(AttrKey::Value, Attr::Int(v))],
+            vec![(AttrKey::Value, Attr::Int(v))],
         )
     }
 
@@ -257,7 +262,7 @@ impl<'a> Builder<'a> {
             Opcode::LpBigInt,
             vec![],
             Type::Obj,
-            [(AttrKey::Value, Attr::Str(digits.into()))],
+            vec![(AttrKey::Value, Attr::Str(digits.into()))],
         )
     }
 
@@ -267,42 +272,42 @@ impl<'a> Builder<'a> {
             Opcode::LpStr,
             vec![],
             Type::Obj,
-            [(AttrKey::Value, Attr::Str(s.into()))],
+            vec![(AttrKey::Value, Attr::Str(s.into()))],
         )
     }
 
     /// `lp.construct {tag}`.
-    pub fn lp_construct(&mut self, tag: i64, fields: impl Into<OperandList>) -> ValueId {
+    pub fn lp_construct(&mut self, tag: i64, fields: Vec<ValueId>) -> ValueId {
         self.push1(
             Opcode::LpConstruct,
             fields,
             Type::Obj,
-            [(AttrKey::Tag, Attr::Int(tag))],
+            vec![(AttrKey::Tag, Attr::Int(tag))],
         )
     }
 
     /// `lp.getlabel` yielding `i8`.
     pub fn lp_getlabel(&mut self, v: ValueId) -> ValueId {
-        self.push1(Opcode::LpGetLabel, [v], Type::I8, vec![])
+        self.push1(Opcode::LpGetLabel, vec![v], Type::I8, vec![])
     }
 
     /// `lp.project {index}`.
     pub fn lp_project(&mut self, v: ValueId, index: i64) -> ValueId {
         self.push1(
             Opcode::LpProject,
-            [v],
+            vec![v],
             Type::Obj,
-            [(AttrKey::Index, Attr::Int(index))],
+            vec![(AttrKey::Index, Attr::Int(index))],
         )
     }
 
     /// `lp.pap {callee, arity}`.
-    pub fn lp_pap(&mut self, callee: Symbol, arity: i64, args: impl Into<OperandList>) -> ValueId {
+    pub fn lp_pap(&mut self, callee: Symbol, arity: i64, args: Vec<ValueId>) -> ValueId {
         self.push1(
             Opcode::LpPap,
             args,
             Type::Obj,
-            [
+            vec![
                 (AttrKey::Callee, Attr::Sym(callee)),
                 (AttrKey::Arity, Attr::Int(arity)),
             ],
@@ -310,13 +315,8 @@ impl<'a> Builder<'a> {
     }
 
     /// `lp.papextend`.
-    pub fn lp_papextend(
-        &mut self,
-        closure: ValueId,
-        args: impl IntoIterator<Item = ValueId>,
-    ) -> ValueId {
-        let mut operands = OperandList::new();
-        operands.push(closure);
+    pub fn lp_papextend(&mut self, closure: ValueId, args: Vec<ValueId>) -> ValueId {
+        let mut operands = vec![closure];
         operands.extend(args);
         self.push1(Opcode::LpPapExtend, operands, Type::Obj, vec![])
     }
@@ -328,9 +328,9 @@ impl<'a> Builder<'a> {
         let n = cases.len() + 1;
         let op = self.push(
             Opcode::LpSwitch,
-            [tag],
+            vec![tag],
             &[],
-            [(AttrKey::Cases, Attr::IntList(cases.into()))],
+            vec![(AttrKey::Cases, Attr::IntList(cases.into()))],
         );
         let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
@@ -348,7 +348,7 @@ impl<'a> Builder<'a> {
             Opcode::LpJoinPoint,
             vec![],
             &[],
-            [(AttrKey::Label, Attr::Sym(label))],
+            vec![(AttrKey::Label, Attr::Sym(label))],
         );
         let jp_region = self.body.new_region(op);
         let jp_entry = self.body.new_block(jp_region, jp_arg_tys);
@@ -358,28 +358,28 @@ impl<'a> Builder<'a> {
     }
 
     /// `lp.jump {label}` terminator.
-    pub fn lp_jump(&mut self, label: Symbol, args: impl Into<OperandList>) -> OpId {
+    pub fn lp_jump(&mut self, label: Symbol, args: Vec<ValueId>) -> OpId {
         self.push(
             Opcode::LpJump,
             args,
             &[],
-            [(AttrKey::Label, Attr::Sym(label))],
+            vec![(AttrKey::Label, Attr::Sym(label))],
         )
     }
 
     /// `lp.inc`.
     pub fn lp_inc(&mut self, v: ValueId) -> OpId {
-        self.push(Opcode::LpInc, [v], &[], vec![])
+        self.push(Opcode::LpInc, vec![v], &[], vec![])
     }
 
     /// `lp.dec`.
     pub fn lp_dec(&mut self, v: ValueId) -> OpId {
-        self.push(Opcode::LpDec, [v], &[], vec![])
+        self.push(Opcode::LpDec, vec![v], &[], vec![])
     }
 
     /// `lp.ret` terminator.
     pub fn lp_ret(&mut self, v: ValueId) -> OpId {
-        self.push(Opcode::LpReturn, [v], &[], vec![])
+        self.push(Opcode::LpReturn, vec![v], &[], vec![])
     }
 
     /// `lp.global.load {global}`.
@@ -388,7 +388,7 @@ impl<'a> Builder<'a> {
             Opcode::LpGlobalLoad,
             vec![],
             Type::Obj,
-            [(AttrKey::Global, Attr::Sym(global))],
+            vec![(AttrKey::Global, Attr::Sym(global))],
         )
     }
 
@@ -396,9 +396,9 @@ impl<'a> Builder<'a> {
     pub fn lp_global_store(&mut self, global: Symbol, v: ValueId) -> OpId {
         self.push(
             Opcode::LpGlobalStore,
-            [v],
+            vec![v],
             &[],
-            [(AttrKey::Global, Attr::Sym(global))],
+            vec![(AttrKey::Global, Attr::Sym(global))],
         )
     }
 

@@ -196,12 +196,6 @@ impl<T: Default, const N: usize> From<Vec<T>> for InlineVec<T, N> {
     }
 }
 
-impl<T: Default, const N: usize, const M: usize> From<[T; M]> for InlineVec<T, N> {
-    fn from(v: [T; M]) -> InlineVec<T, N> {
-        v.into_iter().collect()
-    }
-}
-
 impl<T: Clone + Default, const N: usize> From<&[T]> for InlineVec<T, N> {
     fn from(v: &[T]) -> InlineVec<T, N> {
         v.iter().cloned().collect()

@@ -7,10 +7,11 @@
 //! never cloned.
 //!
 //! Tables grow on demand to the largest id actually used and are reused
-//! from one function to the next, so memory follows the ids a program
-//! mentions. The `.lssa` reader rejects ids at or above [`MAX_ID`], which
-//! keeps every table of a parsed program under a few megabytes however the
-//! text declares its ids.
+//! from one function to the next; emptying one for the next function costs
+//! what the last function wrote, not the range of its ids. The `.lssa`
+//! reader rejects ids at or above [`MAX_ID`], so a table of a parsed
+//! program holds at most `MAX_ID` entries however the text declares its
+//! ids.
 //!
 //! [`FnDef::next_var`]: crate::ast::FnDef::next_var
 //! [`FnDef::next_join`]: crate::ast::FnDef::next_join
@@ -26,9 +27,11 @@ pub const MAX_ID: u32 = 1 << 20;
 
 /// A set of ids stored as a bitset: O(1) insert and membership, and no
 /// allocation once it has grown to the largest id.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct IdSet {
     words: Vec<u64>,
+    /// The ids inserted since the last [`IdSet::clear`].
+    ids: Vec<u32>,
 }
 
 impl IdSet {
@@ -38,72 +41,21 @@ impl IdSet {
         if w >= self.words.len() {
             self.words.resize(w + 1, 0);
         }
-        let fresh = !has_bit(&self.words, id);
-        set_bit(&mut self.words, id);
-        fresh
+        let (word, bit) = (&mut self.words[w], 1 << (id % 64));
+        if *word & bit != 0 {
+            return false;
+        }
+        *word |= bit;
+        self.ids.push(id);
+        true
     }
 
-    /// Removes every id, keeping the storage.
+    /// Removes every id, keeping the storage: zeroes only the words the
+    /// inserted ids are in.
     pub fn clear(&mut self) {
-        self.words.clear();
-    }
-}
-
-/// Number of words a bitset over ids below `bound` needs.
-pub fn words_for(bound: u32) -> usize {
-    (bound as usize).div_ceil(64)
-}
-
-/// Whether bit `id` is set in `words` (bit `id % 64` of word `id / 64`);
-/// ids past the end are unset.
-pub fn has_bit(words: &[u64], id: u32) -> bool {
-    words
-        .get((id / 64) as usize)
-        .is_some_and(|w| w & (1 << (id % 64)) != 0)
-}
-
-/// Sets bit `id`, which must lie inside `words`.
-pub fn set_bit(words: &mut [u64], id: u32) {
-    words[(id / 64) as usize] |= 1 << (id % 64);
-}
-
-/// Clears bit `id`, which must lie inside `words`.
-pub fn clear_bit(words: &mut [u64], id: u32) {
-    words[(id / 64) as usize] &= !(1 << (id % 64));
-}
-
-/// The ids set in `words`, ascending.
-pub fn iter_bits(words: &[u64]) -> impl DoubleEndedIterator<Item = u32> + '_ {
-    words.iter().enumerate().flat_map(|(w, &word)| {
-        let base = (w as u32) * 64;
-        Bits(word).map(move |b| base + b)
-    })
-}
-
-/// The set bits of one word, low to high.
-struct Bits(u64);
-
-impl Iterator for Bits {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        if self.0 == 0 {
-            return None;
+        for id in self.ids.drain(..) {
+            self.words[(id / 64) as usize] = 0;
         }
-        let b = self.0.trailing_zeros();
-        self.0 &= self.0 - 1;
-        Some(b)
-    }
-}
-
-impl DoubleEndedIterator for Bits {
-    fn next_back(&mut self) -> Option<u32> {
-        if self.0 == 0 {
-            return None;
-        }
-        let b = 63 - self.0.leading_zeros();
-        self.0 &= !(1 << b);
-        Some(b)
     }
 }
 
@@ -115,9 +67,13 @@ impl DoubleEndedIterator for Bits {
 /// fresh *frame* ([`Scope::enter_frame`]); a variable is in scope exactly
 /// when it was bound in the current frame, so the enclosing bindings are
 /// hidden without being touched and reappear when the frame is left.
+/// Frame numbers are never reused, so [`Scope::clear`] is one more fresh
+/// frame and touches no entry.
 #[derive(Debug, Clone)]
 pub struct Scope {
-    /// Per variable, the frame it is bound in (`0`: unbound).
+    /// Per variable, the frame of its current binding; a variable whose
+    /// frame is not the visible one (`0`, a closed frame, or a frame of an
+    /// earlier function) is out of scope.
     frame_of: Vec<u32>,
     /// The frame whose bindings are visible.
     frame: u32,
@@ -137,11 +93,19 @@ impl Default for Scope {
 }
 
 impl Scope {
-    /// Empties the scope for the next function, keeping the storage.
+    /// Empties the scope for the next function, keeping the storage: the
+    /// bindings of earlier functions are in frames that are not visible.
     pub fn clear(&mut self) {
-        self.frame_of.clear();
-        self.frame = 1;
-        self.frames = 1;
+        self.frame = self.fresh_frame();
+    }
+
+    /// A frame number never handed out before.
+    fn fresh_frame(&mut self) -> u32 {
+        self.frames = self
+            .frames
+            .checked_add(1)
+            .expect("fewer than 2^32 functions and join points");
+        self.frames
     }
 
     /// Whether `v` is visible.
@@ -174,8 +138,8 @@ impl Scope {
     /// Opens a fresh frame in which nothing is visible; returns the frame
     /// to give back to [`Scope::leave_frame`].
     pub fn enter_frame(&mut self) -> u32 {
-        self.frames += 1;
-        std::mem::replace(&mut self.frame, self.frames)
+        let fresh = self.fresh_frame();
+        std::mem::replace(&mut self.frame, fresh)
     }
 
     /// Returns to the frame `enter_frame` left.
@@ -222,7 +186,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn id_set_and_bit_rows() {
+    fn id_set_inserts_and_clears() {
         let mut s = IdSet::default();
         assert!(s.insert(130));
         assert!(s.insert(3));
@@ -230,16 +194,8 @@ mod tests {
         assert!(s.insert(64));
         assert!(!s.insert(64) && !s.insert(130));
         s.clear();
-        assert!(s.insert(3));
-        let mut row = vec![0u64; words_for(131)];
-        for id in [130, 3, 64] {
-            set_bit(&mut row, id);
-        }
-        assert!(has_bit(&row, 64) && !has_bit(&row, 65) && !has_bit(&row, 10_000));
-        assert_eq!(iter_bits(&row).collect::<Vec<_>>(), vec![3, 64, 130]);
-        assert_eq!(iter_bits(&row).rev().collect::<Vec<_>>(), vec![130, 64, 3]);
-        clear_bit(&mut row, 64);
-        assert_eq!(iter_bits(&row).collect::<Vec<_>>(), vec![3, 130]);
+        assert!(s.words.iter().all(|&w| w == 0));
+        assert!(s.insert(3) && s.insert(130) && s.insert(131));
     }
 
     #[test]
@@ -265,6 +221,12 @@ mod tests {
         s.unbind(1, t1);
         s.unbind(0, t0);
         assert!(!s.contains(0) && !s.contains(1));
+        // The next function sees none of this one's bindings.
+        s.bind(5);
+        s.clear();
+        assert!(!s.contains(5));
+        s.bind(6);
+        assert!(s.contains(6) && !s.contains(5));
     }
 
     #[test]

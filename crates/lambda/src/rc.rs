@@ -21,7 +21,6 @@
 //! interpreter: after running a λrc program, the heap must be empty.
 
 use crate::ast::{Alt, Expr, FnDef, JoinId, Program, Value, VarId};
-use crate::dense::{clear_bit, has_bit, iter_bits, set_bit, words_for};
 
 /// Inserts reference counting into every function of a λpure program.
 ///
@@ -74,26 +73,35 @@ fn dec(var: VarId, e: Expr) -> Expr {
 
 /// Per-function state of the insertion, reused across functions.
 ///
-/// Sets of variables are bitsets of `words` words. The free variables of
-/// every node of the body are computed once, bottom up, into `free` (one
-/// row per node, in the pre-order [`Inserter::transform`] visits them), so
-/// each `let` and arm looks its body's set up.
+/// The free variables of every node of the body are computed once, bottom
+/// up, as sorted runs of one arena (`free`), indexed by the node's number
+/// in the pre-order [`Inserter::transform`] visits them; each `let` and
+/// arm looks its body's run up. The arena holds the sum of the free-set
+/// sizes, so its size follows the variables a body uses, never the range
+/// of their ids: a use is in the run of each node that encloses it. The
+/// owned set is a sorted list of the owned variables.
 ///
 /// Both walks follow a `let` chain in a loop, keeping what each level
 /// still needs on explicit stacks, so a long chain costs no native stack.
 #[derive(Default)]
 struct Inserter<'p> {
-    /// Words per variable set.
-    words: usize,
-    /// Free-variable rows, one per node in pre-order.
-    free: Vec<u64>,
+    /// Per node in pre-order: where its free-variable run starts in `free`,
+    /// and its length.
+    runs: Vec<(u32, u32)>,
+    /// Every node's free variables, each run ascending.
+    free: Vec<VarId>,
+    /// Runs under construction, stacked: a node's variables are gathered
+    /// here (in any order) before [`Inserter::store`] files them.
+    gather: Vec<VarId>,
+    /// A join point's parameters, sorted.
+    params: Vec<VarId>,
     /// The pre-order number of the next node `transform` visits.
     cursor: usize,
-    /// The references the current path owns (one set, updated in place).
-    owned: Vec<u64>,
-    /// Saved `owned` sets: each `case` restores it for every arm, each join
-    /// body swaps in its parameters.
-    saved: Vec<u64>,
+    /// The references the current path owns, ascending.
+    owned: Vec<VarId>,
+    /// Saved `owned` sets, stacked: each `case` restores it for every arm,
+    /// each join body swaps in its parameters.
+    saved: Vec<VarId>,
     /// The sorted operands of the value or jump being accounted for.
     operands: Vec<VarId>,
     /// `(var, n)` retains waiting to wrap a `let` once its body is built.
@@ -121,54 +129,51 @@ struct PendingLet<'p> {
 
 impl<'p> Inserter<'p> {
     fn function(&mut self, f: &'p FnDef) -> Expr {
-        let bound = f.params.iter().fold(max_id(&f.body), |m, &p| m.max(p + 1));
-        self.words = words_for(bound).max(1);
+        self.runs.clear();
         self.free.clear();
         self.fill(&f.body);
         self.cursor = 0;
         self.owned.clear();
-        self.owned.resize(self.words, 0);
-        for &p in &f.params {
-            set_bit(&mut self.owned, p);
-        }
+        self.owned.extend_from_slice(&f.params);
+        self.owned.sort_unstable();
+        self.owned.dedup();
         let body = self.transform(&f.body);
-        debug_assert_eq!(self.cursor * self.words, self.free.len());
+        debug_assert_eq!(self.cursor, self.runs.len());
         body
     }
 
-    /// The free-variable row of the node with pre-order number `node`.
-    fn row(&self, node: usize) -> &[u64] {
-        &self.free[node * self.words..(node + 1) * self.words]
+    /// The free variables of the node with pre-order number `node`,
+    /// ascending.
+    fn run(&self, node: usize) -> &[VarId] {
+        let (start, len) = self.runs[node];
+        &self.free[start as usize..(start + len) as usize]
     }
 
     fn free_in(&self, node: usize, v: VarId) -> bool {
-        has_bit(self.row(node), v)
+        self.run(node).binary_search(&v).is_ok()
     }
 
-    /// Appends an empty row; returns its node number.
-    fn reserve(&mut self) -> usize {
-        let node = self.free.len() / self.words;
-        self.free.resize(self.free.len() + self.words, 0);
-        node
-    }
-
-    /// Row `to` becomes a copy of row `from`.
-    fn copy_row(&mut self, from: usize, to: usize) {
-        let w = self.words;
-        self.free.copy_within(from * w..(from + 1) * w, to * w);
-    }
-
-    /// Row `to` gains the variables of row `from`.
-    fn or_row(&mut self, from: usize, to: usize) {
-        let w = self.words;
-        for i in 0..w {
-            self.free[to * w + i] |= self.free[from * w + i];
+    /// Files `gather[mark..]`, sorted and without duplicates, as the run of
+    /// `node`, and pops it off `gather`.
+    fn store(&mut self, node: usize, mark: usize) {
+        let vars = &mut self.gather[mark..];
+        vars.sort_unstable();
+        let start = self.free.len();
+        for &v in vars.iter() {
+            if self.free.len() == start || self.free.last() != Some(&v) {
+                self.free.push(v);
+            }
         }
+        self.gather.truncate(mark);
+        let at = |i: usize| u32::try_from(i).expect("free-variable table under 2^32 entries");
+        self.runs[node] = (at(start), at(self.free.len() - start));
     }
 
-    fn row_mut(&mut self, node: usize) -> &mut [u64] {
-        let w = self.words;
-        &mut self.free[node * w..(node + 1) * w]
+    /// Pushes the run of `node` onto `gather`.
+    fn gather_run(&mut self, node: usize) {
+        let (start, len) = self.runs[node];
+        self.gather
+            .extend_from_slice(&self.free[start as usize..(start + len) as usize]);
     }
 
     /// Computes the free variables of `e` and of every node below it;
@@ -178,9 +183,10 @@ impl<'p> Inserter<'p> {
         let mut e = e;
         // Down the continuation chain, numbering nodes in pre-order.
         let tail = loop {
-            let node = self.reserve();
+            let node = self.runs.len();
+            self.runs.push((0, 0));
             match e {
-                Expr::Let { body, .. } | Expr::Inc { body, .. } | Expr::Dec { body, .. } => {
+                Expr::Let { body, .. } => {
                     self.chain.push((node, e));
                     e = body;
                 }
@@ -194,22 +200,29 @@ impl<'p> Inserter<'p> {
                     alts,
                     default,
                 } => {
-                    set_bit(self.row_mut(node), *scrutinee);
+                    let at = self.gather.len();
                     for arm in alts.iter().map(|a| &a.body).chain(default.as_deref()) {
                         let a = self.fill(arm);
-                        self.or_row(a, node);
+                        self.gather_run(a);
                     }
+                    self.gather.push(*scrutinee);
+                    self.store(node, at);
                     break node;
                 }
                 Expr::Jump { args, .. } => {
-                    for &a in args {
-                        set_bit(self.row_mut(node), a);
-                    }
+                    let at = self.gather.len();
+                    self.gather.extend_from_slice(args);
+                    self.store(node, at);
                     break node;
                 }
                 Expr::Ret(v) => {
-                    set_bit(self.row_mut(node), *v);
+                    let at = self.gather.len();
+                    self.gather.push(*v);
+                    self.store(node, at);
                     break node;
+                }
+                Expr::Inc { .. } | Expr::Dec { .. } => {
+                    unreachable!("insert_rc input must be λpure")
                 }
             }
         };
@@ -217,42 +230,84 @@ impl<'p> Inserter<'p> {
         let mut below = tail;
         while self.chain.len() > mark {
             let (node, e) = self.chain.pop().expect("above the mark");
+            let at = self.gather.len();
             match e {
                 Expr::Let { var, val, .. } => {
-                    self.copy_row(below, node);
-                    clear_bit(self.row_mut(node), *var);
-                    val.for_each_operand(|v| set_bit(self.row_mut(node), v));
+                    let (start, len) = self.runs[below];
+                    let body = &self.free[start as usize..(start + len) as usize];
+                    self.gather.extend(body.iter().filter(|&v| v != var));
+                    val.for_each_operand(|v| self.gather.push(v));
                 }
                 Expr::LetJoin { params, .. } => {
                     // The join body is the node right after the join.
-                    self.copy_row(node + 1, node);
-                    for &p in params {
-                        clear_bit(self.row_mut(node), p);
-                    }
-                    self.or_row(below, node);
-                }
-                Expr::Inc { var, .. } | Expr::Dec { var, .. } => {
-                    self.copy_row(below, node);
-                    set_bit(self.row_mut(node), *var);
+                    self.params.clear();
+                    self.params.extend_from_slice(params);
+                    self.params.sort_unstable();
+                    let (start, len) = self.runs[node + 1];
+                    let jp_body = &self.free[start as usize..(start + len) as usize];
+                    self.gather.extend(
+                        jp_body
+                            .iter()
+                            .filter(|v| self.params.binary_search(v).is_err()),
+                    );
+                    self.gather_run(below);
                 }
                 _ => unreachable!("only continuation forms are chained"),
             }
+            self.store(node, at);
             below = node;
         }
         below
     }
 
-    fn save_owned(&mut self) {
+    fn owns(&self, v: VarId) -> bool {
+        self.owned.binary_search(&v).is_ok()
+    }
+
+    fn own(&mut self, v: VarId) {
+        if let Err(i) = self.owned.binary_search(&v) {
+            self.owned.insert(i, v);
+        }
+    }
+
+    fn disown(&mut self, v: VarId) {
+        if let Ok(i) = self.owned.binary_search(&v) {
+            self.owned.remove(i);
+        }
+    }
+
+    /// Pushes `owned` onto `saved`; returns where it starts there.
+    fn save_owned(&mut self) -> usize {
+        let at = self.saved.len();
         self.saved.extend_from_slice(&self.owned);
+        at
     }
 
-    fn restore_owned(&mut self) {
-        let at = self.saved.len() - self.words;
-        self.owned.copy_from_slice(&self.saved[at..]);
+    /// Makes `owned` the set saved at `at` again.
+    fn restore_owned(&mut self, at: usize) {
+        self.owned.clear();
+        self.owned.extend_from_slice(&self.saved[at..]);
     }
 
-    fn drop_saved(&mut self) {
-        self.saved.truncate(self.saved.len() - self.words);
+    /// Drops from `owned` every variable not free in `node` and queues it,
+    /// ascending, on `pending_decs`; `keep` is dropped without being queued.
+    fn shed(&mut self, node: usize, keep: Option<VarId>) {
+        let (start, len) = self.runs[node];
+        let live = &self.free[start as usize..(start + len) as usize];
+        let (mut j, mut kept) = (0, 0);
+        for i in 0..self.owned.len() {
+            let v = self.owned[i];
+            while j < live.len() && live[j] < v {
+                j += 1;
+            }
+            if live.get(j) == Some(&v) {
+                self.owned[kept] = v;
+                kept += 1;
+            } else if keep != Some(v) {
+                self.pending_decs.push(v);
+            }
+        }
+        self.owned.truncate(kept);
     }
 
     /// Transforms `e` so that every path consumes exactly the references in
@@ -301,14 +356,14 @@ impl<'p> Inserter<'p> {
     }
 
     fn transform_ret(&mut self, x: VarId) -> Expr {
-        let mut out = if has_bit(&self.owned, x) {
+        let mut out = if self.owns(x) {
             Expr::Ret(x)
         } else {
             // Borrowed return value: retain it first.
             incs(x, 1, Expr::Ret(x))
         };
         // Release everything else, smallest id outermost.
-        for v in iter_bits(&self.owned).rev().filter(|v| *v != x) {
+        for &v in self.owned.iter().rev().filter(|&&v| v != x) {
             out = dec(v, out);
         }
         out
@@ -322,18 +377,20 @@ impl<'p> Inserter<'p> {
         self.operands.clear();
         self.operands.extend_from_slice(args);
         self.operands.sort_unstable();
-        for run in self.operands.chunk_by(|a, b| a == b) {
+        let operands = std::mem::take(&mut self.operands);
+        for run in operands.chunk_by(|a, b| a == b) {
             let (a, m) = (run[0], run.len() as u32);
-            if has_bit(&self.owned, a) {
+            if self.owns(a) {
                 // Transferred to the join point.
                 out = incs(a, m - 1, out);
-                clear_bit(&mut self.owned, a);
+                self.disown(a);
             } else {
                 out = incs(a, m, out);
             }
         }
+        self.operands = operands;
         // Release the rest, largest id outermost.
-        for v in iter_bits(&self.owned) {
+        for &v in &self.owned {
             out = dec(v, out);
         }
         out
@@ -347,20 +404,20 @@ impl<'p> Inserter<'p> {
     ) -> Expr {
         // The case borrows the scrutinee; each arm independently consumes
         // the full owned set.
-        self.save_owned();
+        let at = self.save_owned();
         let alts = alts
             .iter()
             .map(|alt| {
-                self.restore_owned();
+                self.restore_owned(at);
                 let body = self.shed_then_transform(&alt.body);
                 Alt { tag: alt.tag, body }
             })
             .collect();
         let default = default.map(|d| {
-            self.restore_owned();
+            self.restore_owned(at);
             Box::new(self.shed_then_transform(d))
         });
-        self.drop_saved();
+        self.saved.truncate(at);
         Expr::Case {
             scrutinee,
             alts,
@@ -376,14 +433,14 @@ impl<'p> Inserter<'p> {
         body: &'p Expr,
     ) -> Expr {
         // The join body owns exactly its parameters.
-        self.save_owned();
-        self.owned.fill(0);
-        for &p in params {
-            set_bit(&mut self.owned, p);
-        }
+        let at = self.save_owned();
+        self.owned.clear();
+        self.owned.extend_from_slice(params);
+        self.owned.sort_unstable();
+        self.owned.dedup();
         let jp_body = self.shed_then_transform(jp_body);
-        self.restore_owned();
-        self.drop_saved();
+        self.restore_owned(at);
+        self.saved.truncate(at);
         let body = self.transform(body);
         Expr::LetJoin {
             label,
@@ -408,44 +465,38 @@ impl<'p> Inserter<'p> {
         }
         let incs_mark = self.pending_incs.len();
         self.operands.sort_unstable();
-        for run in self.operands.chunk_by(|a, b| a == b) {
+        let operands = std::mem::take(&mut self.operands);
+        for run in operands.chunk_by(|a, b| a == b) {
             let (a, m) = (run[0], run.len() as u32);
-            if has_bit(&self.owned, a) {
-                if has_bit(self.row(fv_body), a) {
+            if self.owns(a) {
+                if self.free_in(fv_body, a) {
                     // Still needed later: keep ownership, add m refs.
                     self.pending_incs.push((a, m));
                 } else {
                     // Last use: transfer one ref, add the rest.
                     self.pending_incs.push((a, m - 1));
-                    clear_bit(&mut self.owned, a);
+                    self.disown(a);
                 }
             } else {
                 self.pending_incs.push((a, m));
             }
         }
+        self.operands = operands;
         // `let x = y` aliases: one more reference to y's object.
         if let Value::Var(y) = val {
-            if has_bit(&self.owned, *y) && !self.free_in(fv_body, *y) {
-                clear_bit(&mut self.owned, *y); // transfer
+            if self.owns(*y) && !self.free_in(fv_body, *y) {
+                self.disown(*y); // transfer
             } else {
                 self.pending_incs.push((*y, 1));
             }
         }
         // 2. The binding itself becomes owned.
-        set_bit(&mut self.owned, x);
+        self.own(x);
         // 3. Eagerly release anything that is now dead: owned vars that do
         //    not appear free in the body (including x if unused).
         let dead = !self.free_in(fv_body, x);
         let decs_mark = self.pending_decs.len();
-        for i in 0..self.words {
-            let gone = self.owned[i] & !self.free[fv_body * self.words + i];
-            self.owned[i] &= !gone;
-            self.pending_decs.extend(
-                iter_bits(std::slice::from_ref(&gone))
-                    .map(|b| b + 64 * i as u32)
-                    .filter(|&v| v != x),
-            );
-        }
+        self.shed(fv_body, Some(x));
         PendingLet {
             var: x,
             val,
@@ -500,69 +551,14 @@ impl<'p> Inserter<'p> {
     /// Eagerly releases owned variables not free in `e`, then transforms.
     fn shed_then_transform(&mut self, e: &'p Expr) -> Expr {
         // `e` is the next node in pre-order.
-        let fv = self.cursor;
         let mark = self.pending_decs.len();
-        for i in 0..self.words {
-            let dead = self.owned[i] & !self.free[fv * self.words + i];
-            self.owned[i] &= !dead;
-            self.pending_decs
-                .extend(iter_bits(std::slice::from_ref(&dead)).map(|b| b + 64 * i as u32));
-        }
+        self.shed(self.cursor, None);
         let mut out = self.transform(e);
         for &d in &self.pending_decs[mark..] {
             out = dec(d, out);
         }
         self.pending_decs.truncate(mark);
         out
-    }
-}
-
-/// One past the largest variable id `e` mentions or binds (0 if none).
-fn max_id(e: &Expr) -> u32 {
-    let mut m = 0;
-    let mut see = |v: VarId| m = m.max(v + 1);
-    let mut e = e;
-    loop {
-        match e {
-            Expr::Let { var, val, body } => {
-                see(*var);
-                val.for_each_operand(&mut see);
-                e = body;
-            }
-            Expr::LetJoin {
-                params,
-                jp_body,
-                body,
-                ..
-            } => {
-                params.iter().for_each(|&p| see(p));
-                see(max_id(jp_body).saturating_sub(1));
-                e = body;
-            }
-            Expr::Case {
-                scrutinee,
-                alts,
-                default,
-            } => {
-                see(*scrutinee);
-                for arm in alts.iter().map(|a| &a.body).chain(default.as_deref()) {
-                    see(max_id(arm).saturating_sub(1));
-                }
-                return m;
-            }
-            Expr::Jump { args, .. } => {
-                args.iter().for_each(|&a| see(a));
-                return m;
-            }
-            Expr::Ret(v) => {
-                see(*v);
-                return m;
-            }
-            Expr::Inc { var, body, .. } | Expr::Dec { var, body } => {
-                see(*var);
-                e = body;
-            }
-        }
     }
 }
 
@@ -711,6 +707,45 @@ def main() := append(Cons(1, Nil), Cons(2, Nil))
         // append's Cons arm duplicates nothing, but the Nil arm must release
         // the scrutinee; some function carries RC ops.
         assert!(rc.fns.iter().any(|f| f.body.has_rc_ops()));
+    }
+
+    #[test]
+    fn free_variable_table_follows_uses_not_ids() {
+        // A wide `case` on a parameter with the largest `.lssa` id: each
+        // arm binds and returns its own variable.
+        let big = crate::dense::MAX_ID - 1;
+        let arms = 10_000;
+        let f = FnDef {
+            name: "wide".into(),
+            params: vec![big],
+            body: Expr::Case {
+                scrutinee: big,
+                alts: (0..arms)
+                    .map(|k| Alt {
+                        tag: k,
+                        body: let_(k, Value::LitInt(k.into()), ret(k)),
+                    })
+                    .collect(),
+                default: None,
+            },
+            next_var: big + 1,
+            next_join: 0,
+        };
+        let mut rc = Inserter::default();
+        let body = rc.function(&f);
+        // One node for the case and two per arm. The table holds one
+        // variable per `ret` and the case's scrutinee, however large its id.
+        assert_eq!(rc.runs.len(), 1 + 2 * arms as usize);
+        assert_eq!(rc.free.len(), arms as usize + 1);
+        assert_eq!(rc.run(0), [big]);
+        let Expr::Case { alts, .. } = body else {
+            panic!("{body}")
+        };
+        assert_eq!(alts.len(), arms as usize);
+        assert_eq!(
+            alts[7].body.to_string(),
+            dec(big, let_(7, Value::LitInt(7), ret(7))).to_string()
+        );
     }
 
     #[test]

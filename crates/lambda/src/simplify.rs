@@ -136,15 +136,11 @@ struct Ctx {
 impl Ctx {
     fn function(&mut self, f: &FnDef) -> FnDef {
         assert!(!f.body.has_rc_ops(), "simplifier runs on λpure");
-        self.env.clear();
-        self.subst.clear();
-        self.fields.clear();
-        self.env_log.clear();
-        self.subst_log.clear();
-        let bound = f.next_var.min(crate::dense::MAX_ID) as usize;
-        self.env.resize(bound, Known::Nothing);
-        self.subst.resize(bound, NO_SUBST);
         let body = self.expr(&f.body);
+        // Every entry was set through the logs: undoing them all leaves the
+        // tables empty for the next function.
+        self.undo_to((0, 0));
+        self.fields.clear();
         FnDef {
             name: f.name.clone(),
             params: f.params.clone(),

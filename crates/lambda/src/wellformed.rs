@@ -114,6 +114,8 @@ pub fn check_program(p: &Program) -> Result<(), Vec<WfError>> {
         joins: JoinArities::default(),
         bound: Vec::new(),
         declared: Vec::new(),
+        cases: 0,
+        tags: HashSet::new(),
         fv: FreeVars::default(),
     };
     for f in &p.fns {
@@ -148,6 +150,10 @@ struct Checker<'a> {
     bound: Vec<(VarId, u32)>,
     /// The join points the walk has declared, with their restore tokens.
     declared: Vec<(JoinId, u32)>,
+    /// The `case` expressions checked so far.
+    cases: u32,
+    /// The tags each `case` has had, by the case's number.
+    tags: HashSet<(u32, u32)>,
     fv: FreeVars,
 }
 
@@ -295,16 +301,10 @@ impl Checker<'_> {
                     if alts.is_empty() && default.is_none() {
                         self.error(codes::EMPTY_CASE, "case with no arms".to_string());
                     }
-                    let mut seen = HashSet::new();
-                    for (i, alt) in alts.iter().enumerate() {
-                        // A short arm list is scanned; only a long one pays
-                        // for a hash set.
-                        let duplicate = if alts.len() <= 8 {
-                            alts[..i].iter().any(|a| a.tag == alt.tag)
-                        } else {
-                            !seen.insert(alt.tag)
-                        };
-                        if duplicate {
+                    let case = self.cases;
+                    self.cases = case.checked_add(1).expect("fewer than 2^32 case forms");
+                    for alt in alts {
+                        if !self.tags.insert((case, alt.tag)) {
                             self.error(
                                 codes::DUPLICATE_TAG,
                                 format!("duplicate case tag {}", alt.tag),
@@ -498,6 +498,30 @@ def length(xs) :=
         assert!(errs
             .iter()
             .any(|e| e.message.contains("duplicate case tag")));
+    }
+
+    #[test]
+    fn duplicate_tags_are_found_in_wide_and_nested_cases() {
+        // Twenty arms with tags 0..20, then repeats of 17 and 0; the inner
+        // case of arm 3 reuses the outer tags 0 and 1 without clashing.
+        let mut arms: Vec<(u32, Expr)> = (0..20).map(|t| (t, ret(0))).collect();
+        arms[3].1 = case(0, vec![(0, ret(0)), (1, ret(0)), (1, ret(0))], None);
+        arms.push((17, ret(0)));
+        arms.push((0, ret(0)));
+        let p = single_fn(case(0, arms, None), vec![0], 10);
+        let messages: Vec<String> = check_program(&p)
+            .unwrap_err()
+            .into_iter()
+            .map(|e| e.message)
+            .collect();
+        assert_eq!(
+            messages,
+            [
+                "duplicate case tag 1",
+                "duplicate case tag 17",
+                "duplicate case tag 0"
+            ]
+        );
     }
 
     #[test]

@@ -99,6 +99,8 @@ pub fn parse_source(src: &str) -> ParseOutcome {
         scope: Scope::default(),
         joins: JoinArities::default(),
         undo: Vec::new(),
+        cases: 0,
+        tags: HashSet::new(),
         max_var: None,
         max_join: None,
     };
@@ -156,6 +158,10 @@ struct Lowerer<'f, 'a> {
     joins: JoinArities,
     /// Unbind tokens of the join parameters in scope.
     undo: Vec<(VarId, u32)>,
+    /// The `case` forms lowered so far.
+    cases: u32,
+    /// The tags each `case` has had, by the case's number.
+    tags: HashSet<(u32, u32)>,
     max_var: Option<VarId>,
     max_join: Option<JoinId>,
 }
@@ -514,9 +520,8 @@ impl<'f> Lowerer<'f, '_> {
         }
         let mut alts: Vec<Alt> = Vec::with_capacity(items.len() - 2);
         let mut default: Option<Box<Expr>> = None;
-        // Tags seen so far: scanned while few, hashed past that.
-        let mut seen_tags: Vec<u32> = Vec::new();
-        let mut seen_many: HashSet<u32> = HashSet::new();
+        let case = self.cases;
+        self.cases = case.checked_add(1).expect("fewer than 2^32 case forms");
         let mut ok = true;
         for arm in &items[2..] {
             let Some(arm_items) = self.list(arm) else {
@@ -549,17 +554,7 @@ impl<'f> Lowerer<'f, '_> {
             }
             let tag = self.parse_u32(&arm_items[0], "a constructor tag");
             if let Some(t) = tag {
-                let duplicate = if seen_tags.len() < 8 {
-                    let seen = seen_tags.contains(&t);
-                    seen_tags.push(t);
-                    seen
-                } else {
-                    if seen_many.is_empty() {
-                        seen_many.extend(&seen_tags);
-                    }
-                    !seen_many.insert(t)
-                };
-                if duplicate {
+                if !self.tags.insert((case, t)) {
                     self.wf(
                         codes::DUPLICATE_TAG,
                         format!("duplicate case tag {t}"),
@@ -1072,6 +1067,30 @@ mod tests {
         assert_eq!(
             codes_of("(def main (x0) (case x0 (0 (ret x0)) (0 (ret x0))))"),
             vec![codes::DUPLICATE_TAG]
+        );
+    }
+
+    #[test]
+    fn duplicate_tags_are_found_in_wide_and_nested_cases() {
+        // Twenty arms with tags 0..20, then repeats of 17 and 0; the inner
+        // case of arm 3 reuses the outer tags 0 and 1 without clashing.
+        let mut arms: Vec<String> = (0..20).map(|t| format!("({t} (ret x0))")).collect();
+        arms[3] = "(3 (case x0 (0 (ret x0)) (1 (ret x0)) (1 (ret x0))))".to_string();
+        arms.push("(17 (ret x0))".to_string());
+        arms.push("(0 (ret x0))".to_string());
+        let src = format!("(def main (x0) (case x0 {}))", arms.join(" "));
+        let messages: Vec<String> = parse_source(&src)
+            .diagnostics
+            .into_iter()
+            .map(|d| d.message)
+            .collect();
+        assert_eq!(
+            messages,
+            [
+                "duplicate case tag 1",
+                "duplicate case tag 17",
+                "duplicate case tag 0"
+            ]
         );
     }
 
