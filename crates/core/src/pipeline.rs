@@ -1,24 +1,26 @@
 //! End-to-end pass pipelines: λrc → lp → rgn → CFG.
 //!
 //! This is the "MLIR backend" of the paper (Figure 3's lower path), with the
-//! knobs the evaluation turns:
+//! knobs the evaluation turns. `lssa bench` measures them on its six-rung
+//! ladder (`lssa_driver::benchjson`): every knob is on in the `full` and
+//! `rgn_only` rungs and off in `none`, Figure 10's no-optimization variant.
 //!
 //! - `region_opts` — the §IV-B region optimizations (DRE via DCE, select /
-//!   switch folding, run-of-known-region inlining, GRN). Figure 10 compares
-//!   pipelines with and without these.
+//!   switch folding, run-of-known-region inlining, GRN).
 //! - `generic_opts` — MLIR's stock CFG-level passes (canonicalize, CSE, DCE,
 //!   CFG simplification, inlining) that Figure 11 credits to the ecosystem.
-//! - `guaranteed_tco` — `musttail` semantics (§III-E); the heuristic
-//!   alternative models the C backend.
 //! - `rc_opt` — the §III reference-count optimization (borrow-driven
-//!   inc/dec pair elision and dec sinking) as a CFG-level pass.
+//!   inc/dec pair elision and dec sinking) as a CFG-level pass; off in the
+//!   `full_norc` rung, which isolates its win.
+//!
+//! Tail calls are always guaranteed (`musttail`, §III-E); the heuristic
+//! self-recursion-only alternative belongs to the `leanc` baseline.
 //!
 //! The phases are expressed as *named pipelines* on the instrumented
 //! [`PassManager`] engine — `rgn-opt`, `lower-cfg`, `generic-opt`,
 //! `rc-opt`, `tco`, `cleanup` — each driven to a fixpoint where iteration
-//! matters.
-//! [`compile_with_report`] returns the collected [`PipelineReport`] so
-//! drivers (the `lssa` CLI's `--pass-stats`, the `ablation` binary) can
+//! matters. [`compile_with_report`] returns the collected
+//! [`PipelineReport`] so drivers (the `lssa` CLI's `--pass-stats`) can
 //! show per-pass statistics, and `print_ir_after_all` streams the module
 //! after every pass for debugging.
 
@@ -46,8 +48,6 @@ pub struct PipelineOptions {
     pub region_opts: bool,
     /// Run the generic CFG-level optimizations.
     pub generic_opts: bool,
-    /// Guarantee all tail calls (vs. self-recursion only).
-    pub guaranteed_tco: bool,
     /// Run the reference-count optimization (§III): borrow-driven
     /// `lp.inc`/`lp.dec` pair elision and dec sinking.
     pub rc_opt: bool,
@@ -75,7 +75,6 @@ impl PipelineOptions {
         PipelineOptions {
             region_opts: true,
             generic_opts: true,
-            guaranteed_tco: true,
             rc_opt: true,
             verify: false,
             verify_rc: false,
@@ -277,9 +276,7 @@ pub fn compile_with_report(program: &Program, opts: PipelineOptions) -> (Module,
         with_dump(
             PassManager::named("tco")
                 .verify_rc(opts.verify_rc)
-                .add(TcoPass {
-                    only_self: !opts.guaranteed_tco,
-                }),
+                .add(TcoPass { only_self: false }),
             opts,
         )
         .run(&mut module),

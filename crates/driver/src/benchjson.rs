@@ -1,78 +1,95 @@
-//! Machine-readable benchmark results (`lssa bench --json` / `--check`).
+//! The one measurement engine behind `lssa bench` — text, `--json` and
+//! `--check` alike — and the paper's Figures 9 and 10.
 //!
-//! Every workload is compiled (full MLIR pipeline), then executed under
-//! each **knob configuration** in interleaved rounds (round-robin over the
-//! ladder, so a slow system phase taxes every config alike), recording
-//! the *minimum* wall time next to the deterministic counters
-//! (instructions executed, fused share, heap allocations, inline-cache
-//! hits/misses). The minimum, not the median: on a shared machine the
-//! best observed run is the least-noise estimate of a deterministic
-//! program's true cost. The ladder:
+//! Every workload is compiled once per distinct compiler configuration,
+//! then executed under each **rung** of the ladder in interleaved rounds
+//! (round-robin over the ladder, so a slow system phase taxes every rung
+//! alike), recording the *minimum* wall time next to the deterministic
+//! counters (instructions executed, fused share, heap allocations,
+//! inline-cache hits/misses, rc cells). The minimum, not the median: on a
+//! shared machine the best observed run is the least-noise estimate of a
+//! deterministic program's true cost. The ladder:
 //!
-//! | config        | fusion + renumbering | rc-opt |
-//! |---------------|----------------------|--------|
-//! | `full`        | on                   | on     |
-//! | `full_nofuse` | off                  | on     |
-//! | `full_norc`   | on                   | off    |
+//! | rung          | compiler configuration            | fusion + renumbering |
+//! |---------------|-----------------------------------|----------------------|
+//! | `full`        | [`CompilerConfig::mlir`]          | on                   |
+//! | `full_nofuse` | [`CompilerConfig::mlir`]          | off                  |
+//! | `full_norc`   | `mlir` with rc-opt off            | on                   |
+//! | `leanc`       | [`CompilerConfig::leanc`]         | on                   |
+//! | `rgn_only`    | [`CompilerConfig::rgn_only`]      | on                   |
+//! | `none`        | [`CompilerConfig::none`]          | on                   |
 //!
 //! `full` is what `lssa run` executes. `full_nofuse` runs the same
 //! compilation through the unfused decode, isolating what
-//! superinstruction fusion buys. `full_norc` is the only rung that
-//! recompiles: it drops the compile-time reference-count optimization
-//! pass, so `full` vs `full_norc` isolates the rc-opt win — watch the
-//! `rc_cells` column (executed plain `inc`/`dec` cells plus fused
-//! `dec+dec` cells) drop. The records serialize to
-//! `BENCH_<scale>.json`: commit the file, diff it later, and
-//! [`check_against`] a committed baseline to catch regressions in CI
-//! (every deterministic counter must match exactly; wall time within a
-//! tolerance).
+//! superinstruction fusion buys. `full_norc` drops the compile-time
+//! reference-count optimization pass, so `full` vs `full_norc` isolates
+//! the rc-opt win — watch the `rc_cells` column (executed plain
+//! `inc`/`dec` cells plus fused `dec+dec` cells) drop. The last three are
+//! the paper's comparisons, which [`render_text`] ends with: Figure 9 is
+//! `leanc` over `full` (the lp+rgn backend against LEAN's C backend),
+//! Figure 10 is `full` over `rgn_only` (rgn optimizations against the λrc
+//! simplifier) and `full` over `none` (against no optimization).
+//!
+//! The records serialize to `BENCH_<scale>.json`: commit the file, diff
+//! it later, and [`check_against`] a committed baseline to catch
+//! regressions in CI (every deterministic counter must match exactly;
+//! wall time within a tolerance).
 //!
 //! The JSON is written *and parsed* by hand — the workspace is offline and
 //! a perf baseline does not justify a serde dependency. The parser only
 //! accepts the shape [`render_json`] emits.
 
-use crate::pipelines::{compile, Backend, CompilerConfig};
+use crate::pipelines::{compile_ast_with_report, Backend, CompilerConfig};
 use crate::workloads::Workload;
 use lssa_core::PipelineOptions;
-use lssa_vm::{DecodeOptions, OpClass};
+use lssa_lambda::ast::Program;
+use lssa_syntax::escape_json;
+use lssa_vm::{CompiledProgram, DecodeOptions, OpClass};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// One knob configuration: a label plus the decode options and the
-/// compile-side rc-opt switch.
+/// One rung of the ladder: a label, the compiler configuration and the
+/// decode options it runs under.
 #[derive(Debug, Clone, Copy)]
 pub struct KnobConfig {
     /// Stable row label (a JSON key, so `[a-z_]+`).
     pub label: &'static str,
+    /// The compile pipeline.
+    pub config: CompilerConfig,
     /// Decode-time options (fusion and its register renumbering).
     pub decode: DecodeOptions,
-    /// Whether the compile pipeline runs the reference-count
-    /// optimization pass (`false` only on the `full_norc` rung).
-    pub rc_opt: bool,
 }
 
 /// The measured ladder, in ablation order (see the module docs).
-pub fn knob_configs() -> [KnobConfig; 3] {
-    [
-        KnobConfig {
-            label: "full",
-            decode: DecodeOptions::fused(),
-            rc_opt: true,
-        },
-        KnobConfig {
-            label: "full_nofuse",
-            decode: DecodeOptions::no_fuse(),
-            rc_opt: true,
-        },
-        KnobConfig {
-            label: "full_norc",
-            decode: DecodeOptions::fused(),
+pub fn knob_configs() -> [KnobConfig; 6] {
+    let rung = |label, config, decode| KnobConfig {
+        label,
+        config,
+        decode,
+    };
+    let fused = DecodeOptions::fused();
+    let norc = CompilerConfig {
+        backend: Backend::Mlir(PipelineOptions {
             rc_opt: false,
-        },
+            ..PipelineOptions::full()
+        }),
+        ..CompilerConfig::mlir()
+    };
+    [
+        rung("full", CompilerConfig::mlir(), fused),
+        rung(
+            "full_nofuse",
+            CompilerConfig::mlir(),
+            DecodeOptions::no_fuse(),
+        ),
+        rung("full_norc", norc, fused),
+        rung("leanc", CompilerConfig::leanc(), fused),
+        rung("rgn_only", CompilerConfig::rgn_only(), fused),
+        rung("none", CompilerConfig::none(), fused),
     ]
 }
 
-/// One knob configuration's measurement for one workload.
+/// One rung's measurement for one workload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KnobResult {
     /// Which [`KnobConfig`] produced this row.
@@ -122,59 +139,89 @@ impl KnobResult {
     }
 }
 
-/// All knob rows for one workload.
+/// All rung rows for one workload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
-    /// Workload name.
+    /// Workload name (or the `.lssa` file's path).
     pub name: String,
+    /// What `main` returned — the same on every rung.
+    pub result: String,
     /// One row per [`knob_configs`] entry, in ladder order.
     pub rows: Vec<KnobResult>,
 }
 
 impl BenchRecord {
-    /// The row for a config label, if measured.
+    /// The row for a rung label, if measured.
     pub fn row(&self, config: &str) -> Option<&KnobResult> {
         self.rows.iter().find(|r| r.config == config)
     }
 }
 
-/// Measures one workload under every knob configuration. The workload
-/// compiles twice — once with the full MLIR pipeline, once with rc-opt
-/// disabled for the `full_norc` rung — then the configs run in
-/// interleaved rounds — `full`, `full_nofuse`, `full_norc`, then the
-/// whole ladder again — and each row keeps its best time, so system-wide
-/// slow phases cannot bias one config against another.
+/// Measures one program under every rung. It compiles once per distinct
+/// compiler configuration (`full` and `full_nofuse` share one), then the
+/// rungs run in interleaved rounds — the whole ladder, then the whole
+/// ladder again — and each row keeps its best time, so system-wide slow
+/// phases cannot bias one rung against another.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the workload fails to compile or run — benchmarks must be
-/// green before being timed.
-pub fn measure_workload(w: &Workload, runs: usize, max_steps: u64) -> BenchRecord {
+/// Names the workload and rung when a compilation or a run fails, a run
+/// leaks heap objects, or two rungs disagree on the result: a benchmark
+/// must be green before it is timed.
+pub fn measure_program(
+    name: &str,
+    program: &Program,
+    runs: usize,
+    max_steps: u64,
+) -> Result<BenchRecord, String> {
     assert!(runs >= 1);
-    let program =
-        compile(&w.src, CompilerConfig::mlir()).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-    let norc_config = CompilerConfig {
-        backend: Backend::Mlir(PipelineOptions {
-            rc_opt: false,
-            ..PipelineOptions::full()
-        }),
-        ..CompilerConfig::mlir()
-    };
-    let program_norc = compile(&w.src, norc_config).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-    let configs = knob_configs();
-    let mut best: Vec<Option<KnobResult>> = vec![None; configs.len()];
+    let ladder = knob_configs();
+    let mut compiled: Vec<(CompilerConfig, CompiledProgram)> = Vec::new();
+    for k in &ladder {
+        if !compiled.iter().any(|(c, _)| *c == k.config) {
+            let (p, _) = compile_ast_with_report(program, k.config)
+                .map_err(|e| format!("{name} [{}]: {e}", k.label))?;
+            compiled.push((k.config, p));
+        }
+    }
+    let decoded: Vec<_> = ladder
+        .iter()
+        .map(|k| {
+            let (_, p) = compiled
+                .iter()
+                .find(|(c, _)| *c == k.config)
+                .expect("every configuration compiled above");
+            p.decoded(k.decode)
+        })
+        .collect();
+    let mut best: Vec<Option<KnobResult>> = vec![None; ladder.len()];
+    let mut result: Option<String> = None;
     for _ in 0..runs {
-        for (slot, cfg) in best.iter_mut().zip(&configs) {
-            let program = if cfg.rc_opt { &program } else { &program_norc };
-            let decoded = program.decoded(cfg.decode);
+        for ((slot, k), decoded) in best.iter_mut().zip(&ladder).zip(&decoded) {
             let start = Instant::now();
-            let out = lssa_vm::run_decoded(&decoded, "main", max_steps).expect("benchmark");
+            let out = lssa_vm::run_decoded(decoded, "main", max_steps)
+                .map_err(|e| format!("{name} [{}]: {e}", k.label))?;
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            assert_eq!(out.stats.heap.live, 0, "benchmark leaked");
+            if out.stats.heap.live != 0 {
+                return Err(format!(
+                    "{name} [{}]: {} heap objects leaked",
+                    k.label, out.stats.heap.live
+                ));
+            }
+            match &result {
+                None => result = Some(out.rendered),
+                Some(r) if *r != out.rendered => {
+                    return Err(format!(
+                        "{name} [{}]: result {} disagrees with {r}",
+                        k.label, out.rendered
+                    ))
+                }
+                Some(_) => {}
+            }
             let stats = out.vm_stats;
             if slot.as_ref().is_none_or(|r| wall_ms < r.wall_ms) {
                 *slot = Some(KnobResult {
-                    config: cfg.label,
+                    config: k.label,
                     wall_ms,
                     instructions: stats.instructions,
                     fused_cells: stats.fused_cells,
@@ -189,40 +236,131 @@ pub fn measure_workload(w: &Workload, runs: usize, max_steps: u64) -> BenchRecor
             }
         }
     }
-    BenchRecord {
-        name: w.name.to_string(),
+    Ok(BenchRecord {
+        name: name.to_string(),
+        result: result.expect("runs >= 1"),
         rows: best.into_iter().map(|r| r.expect("runs >= 1")).collect(),
-    }
+    })
 }
 
-/// Measures every given workload ([`measure_workload`]).
+/// Measures every given workload ([`measure_program`]).
 ///
-/// # Panics
+/// # Errors
 ///
-/// See [`measure_workload`].
-pub fn run_suite(workloads: &[Workload], runs: usize, max_steps: u64) -> Vec<BenchRecord> {
+/// The first workload that fails to parse or to measure.
+pub fn run_suite(
+    workloads: &[Workload],
+    runs: usize,
+    max_steps: u64,
+) -> Result<Vec<BenchRecord>, String> {
     workloads
         .iter()
-        .map(|w| measure_workload(w, runs, max_steps))
+        .map(|w| {
+            let program =
+                lssa_lambda::parse_program(&w.src).map_err(|e| format!("{}: {e}", w.name))?;
+            measure_program(w.name, &program, runs, max_steps)
+        })
         .collect()
+}
+
+/// Geometric mean (1 for an empty slice).
+pub fn geomean(xs: &[f64]) -> f64 {
+    if xs.is_empty() {
+        return 1.0;
+    }
+    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
+}
+
+/// The text report `lssa bench` prints in every mode: one row per rung
+/// per workload, then Figures 9 and 10 over those rows.
+pub fn render_text(records: &[BenchRecord]) -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{:<18} {:<12} {:>10} {:>13} {:>7} {:>10} {:>11}  result",
+        "workload", "rung", "wall ms", "instructions", "fused", "rc_cells", "heap_allocs"
+    );
+    for r in records {
+        for m in &r.rows {
+            let _ = writeln!(
+                out,
+                "{:<18} {:<12} {:>10.3} {:>13} {:>6.1}% {:>10} {:>11}  {}",
+                r.name,
+                m.config,
+                m.wall_ms,
+                m.instructions,
+                m.fused_share * 100.0,
+                m.rc_cells,
+                m.heap_allocs,
+                r.result
+            );
+        }
+    }
+    out.push('\n');
+    out.push_str(&render_figures(records));
+    out
+}
+
+/// One figure: for every workload, the wall-time and instruction ratios
+/// `base / variant` of each `(base, variant)` rung pair — the speedup of
+/// `variant` over `base` — then their geomeans.
+fn figure(out: &mut String, records: &[BenchRecord], pairs: &[(&str, &str)]) {
+    let _ = write!(out, "{:<18}", "workload");
+    for (base, variant) in pairs {
+        let _ = write!(
+            out,
+            " {:>24} {:>24}",
+            format!("{base}/{variant} wall ×"),
+            format!("{base}/{variant} instrs ×")
+        );
+    }
+    out.push('\n');
+    let mut columns = vec![Vec::with_capacity(records.len()); 2 * pairs.len()];
+    for r in records {
+        let _ = write!(out, "{:<18}", r.name);
+        for (i, (base, variant)) in pairs.iter().enumerate() {
+            let (b, v) = (
+                r.row(base).expect("every rung is measured"),
+                r.row(variant).expect("every rung is measured"),
+            );
+            let wall = b.wall_ms / v.wall_ms;
+            let instrs = b.instructions as f64 / v.instructions as f64;
+            let _ = write!(out, " {wall:>24.2} {instrs:>24.2}");
+            columns[2 * i].push(wall);
+            columns[2 * i + 1].push(instrs);
+        }
+        out.push('\n');
+    }
+    let _ = write!(out, "{:<18}", "geomean");
+    for column in &columns {
+        let _ = write!(out, " {:>24.2}", geomean(column));
+    }
+    out.push('\n');
+}
+
+/// The paper's two performance figures over measured records: Figure 9
+/// (`leanc` / `full`) and Figure 10 (`full` / `rgn_only`, `full` /
+/// `none`), each followed by the values the paper reports. Wall ratios
+/// carry the machine's noise; instruction ratios are deterministic.
+fn render_figures(records: &[BenchRecord]) -> String {
+    let mut out = String::new();
+    out.push_str("Figure 9: speedup of the lp+rgn backend over LEAN4's C backend (leanc / full)\n");
+    figure(&mut out, records, &[("leanc", "full")]);
+    out.push_str(
+        "paper reports: 1.05 1.12 1.01 1.04 0.93 0.99 1.39 1.27, geomean 1.09 (performance parity)\n\n",
+    );
+    out.push_str(
+        "Figure 10: speedup of rgn optimizations over the λrc simplifier (full / rgn_only) \
+         and over no optimization (full / none)\n",
+    );
+    figure(&mut out, records, &[("full", "rgn_only"), ("full", "none")]);
+    out.push_str("paper reports rgn-vs-λrc: 1.05 1.0 0.98 1.05 0.95 0.97 1.0 0.98, geomean 1.0\n");
+    out
 }
 
 /// The conventional output path for a scale: `BENCH_<scale>.json`.
 pub fn default_path(scale_label: &str) -> String {
     format!("BENCH_{scale_label}.json")
-}
-
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 fn row_json(out: &mut String, m: &KnobResult) {
@@ -249,7 +387,7 @@ fn row_json(out: &mut String, m: &KnobResult) {
 pub fn render_json(scale_label: &str, runs: usize, records: &[BenchRecord]) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"scale\": \"");
-    escape_into(&mut out, scale_label);
+    out.push_str(&escape_json(scale_label));
     let _ = writeln!(out, "\",\n  \"runs\": {runs},");
     out.push_str("  \"configs\": [");
     for (i, cfg) in knob_configs().iter().enumerate() {
@@ -259,7 +397,7 @@ pub fn render_json(scale_label: &str, runs: usize, records: &[BenchRecord]) -> S
     out.push_str("],\n  \"workloads\": [\n");
     for (i, r) in records.iter().enumerate() {
         out.push_str("    {\n      \"name\": \"");
-        escape_into(&mut out, &r.name);
+        out.push_str(&escape_json(&r.name));
         out.push_str("\",\n");
         for (j, m) in r.rows.iter().enumerate() {
             row_json(&mut out, m);
@@ -520,7 +658,22 @@ mod tests {
     #[test]
     fn measures_and_serializes_a_workload() {
         let w = by_name("filter", Scale::Test).unwrap();
-        let r = measure_workload(&w, 2, 500_000_000);
+        let r = run_suite(std::slice::from_ref(&w), 2, 500_000_000)
+            .unwrap()
+            .remove(0);
+        assert_eq!(r.result, w.expected_test);
+        let labels: Vec<_> = r.rows.iter().map(|m| m.config).collect();
+        assert_eq!(
+            labels,
+            [
+                "full",
+                "full_nofuse",
+                "full_norc",
+                "leanc",
+                "rgn_only",
+                "none"
+            ]
+        );
         let full = r.row("full").unwrap();
         let nofuse = r.row("full_nofuse").unwrap();
         let norc = r.row("full_norc").unwrap();
@@ -542,6 +695,8 @@ mod tests {
             full.cache_hits > 0,
             "a call-heavy workload must hit the inline caches"
         );
+        let none = r.row("none").unwrap();
+        assert!(full.instructions < none.instructions, "optimization pays");
         let json = render_json("test", 2, std::slice::from_ref(&r));
         assert!(json.contains("\"name\": \"filter\""));
         for cfg in knob_configs() {
@@ -585,10 +740,26 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_failing_program_is_an_error_naming_the_rung() {
+        let program = lssa_lambda::parse_program("def f(n) := f(n)\ndef main() := f(1)").unwrap();
+        let err = measure_program("spin", &program, 1, 1_000).unwrap_err();
+        assert!(err.starts_with("spin [full]: "), "{err}");
+    }
+
+    #[test]
+    fn geomean_basics() {
+        assert!((geomean(&[1.0, 1.0, 1.0]) - 1.0).abs() < 1e-12);
+        assert!((geomean(&[2.0, 0.5]) - 1.0).abs() < 1e-12);
+        assert!((geomean(&[4.0]) - 4.0).abs() < 1e-12);
+        assert_eq!(geomean(&[]), 1.0);
+    }
+
     /// One fresh `full` row of workload `w` with distinct counter values.
     fn fresh_record() -> BenchRecord {
         BenchRecord {
             name: "w".into(),
+            result: "0".into(),
             rows: vec![KnobResult {
                 config: "full",
                 wall_ms: 2.0,
@@ -607,6 +778,7 @@ mod tests {
     fn check_flags_instruction_and_wall_regressions() {
         let fresh = BenchRecord {
             name: "w".into(),
+            result: "0".into(),
             rows: vec![KnobResult {
                 config: "full",
                 wall_ms: 2.0,
@@ -742,9 +914,10 @@ mod tests {
 
     #[test]
     fn json_strings_are_escaped() {
-        let mut s = String::new();
-        escape_into(&mut s, "a\"b\\c\nd");
-        assert_eq!(s, "a\\\"b\\\\c\\u000ad");
+        let mut r = fresh_record();
+        r.name = "a\"b\\c\nd".into();
+        let json = render_json("test", 1, &[r]);
+        assert!(json.contains(r#""name": "a\"b\\c\nd","#), "{json}");
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! lssa fmt <file>... [--write | --check]
 //! lssa dump <file> [--stage lambda|lp|rgn|opt|cfg]
 //! lssa diff <file>
-//! lssa bench <name>|all|<file.lssa> [--scale quick|test|bench|stress] [--no-fuse] [--json]
-//!                 [--check] [--tolerance PCT] [--runs N] [--out FILE]
+//! lssa bench <name>|all|<file.lssa> [--scale quick|test|bench|stress] [--json] [--check]
+//!                 [--tolerance PCT] [--runs N] [--out FILE]
 //! lssa bench --diff <old.json> <new.json>
 //! ```
 //!
@@ -59,22 +59,26 @@
 //! all other errors 1), so callers can tell "the program is wrong" from
 //! "the program was stopped".
 //!
-//! `bench --json` measures the selected workloads under each of the three
-//! knob configurations (see `lssa_driver::benchjson`) and writes
-//! machine-readable records to `BENCH_<scale>.json` (or `--out FILE`) —
-//! the committed perf-trajectory baseline. `bench --check` re-measures
-//! and compares against that committed file instead of overwriting it:
-//! instruction counts must match exactly, wall time may regress by at
+//! `bench` measures the selected workloads — one by name, `all`, or a
+//! `.lssa` file — under each of the six rungs of `lssa_driver::benchjson`
+//! (`full`, `full_nofuse`, `full_norc`, `leanc`, `rgn_only`, `none`), in
+//! `--runs N` interleaved rounds (default 5), and prints one row per rung
+//! followed by the paper's Figures 9 and 10 over those rows. `--json`
+//! also writes the records to `BENCH_<scale>.json` (or `--out FILE`) —
+//! the committed perf-trajectory baseline. `--check` re-measures and
+//! compares against that committed file instead of overwriting it: every
+//! deterministic counter must match exactly, wall time may regress by at
 //! most `--tolerance PCT` (default 20), and any regression exits
 //! non-zero. `bench --diff <old.json> <new.json>` measures nothing: it
-//! prints the per-workload, per-config delta table between two baseline
+//! prints the per-workload, per-rung delta table between two baseline
 //! files, annotating wall-time changes inside a ±5% noise floor as
 //! `~noise` (the counter columns are deterministic, so any delta there
 //! is a real change).
 
+use lssa_driver::benchjson;
 use lssa_driver::pipelines::{
-    compile_and_run_ast_opts, compile_and_run_with_report_vm, compile_ast_with_report, frontend,
-    frontend_ast, Backend, CompilerConfig,
+    compile_and_run_with_report_vm, compile_ast_with_report, frontend, frontend_ast, Backend,
+    CompilerConfig,
 };
 use lssa_driver::workloads::{all, by_name, Scale, Workload};
 use lssa_lambda::ast::Program;
@@ -106,7 +110,7 @@ fn main() -> ExitCode {
             eprintln!("  lssa dump <file> [--stage lambda|lp|rgn|opt|cfg]");
             eprintln!("  lssa diff <file>");
             eprintln!(
-                "  lssa bench <name>|all|<file.lssa> [--scale quick|test|bench|stress] [--no-fuse] [--json] [--check] [--tolerance PCT] [--runs N] [--out FILE]"
+                "  lssa bench <name>|all|<file.lssa> [--scale quick|test|bench|stress] [--json] [--check] [--tolerance PCT] [--runs N] [--out FILE]"
             );
             eprintln!("  lssa bench --diff <old.json> <new.json>");
             ExitCode::FAILURE
@@ -157,7 +161,7 @@ fn verb_flags(verb: &str) -> Option<VerbFlags> {
         "dump" => (&[], &[("--stage", 1)]),
         "diff" => (&[], &[]),
         "bench" => (
-            &["--no-fuse", "--json", "--check"],
+            &["--json", "--check"],
             &[
                 ("--scale", 1),
                 ("--tolerance", 1),
@@ -531,44 +535,44 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 for path in [old_path, new_path] {
                     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
                     rows.push(
-                        lssa_driver::benchjson::parse_baseline(&text)
-                            .map_err(|e| format!("{path}: {e}"))?,
+                        benchjson::parse_baseline(&text).map_err(|e| format!("{path}: {e}"))?,
                     );
                 }
-                print!(
-                    "{}",
-                    lssa_driver::benchjson::render_diff(&rows[0], &rows[1])
-                );
+                print!("{}", benchjson::render_diff(&rows[0], &rows[1]));
                 return Ok(ExitCode::SUCCESS);
             }
             let name = *files.first().ok_or("missing benchmark name")?;
+            let want_json = has_flag(args, "--json");
+            let want_check = has_flag(args, "--check");
+            if want_json && want_check {
+                return Err("--json (regenerate) and --check (compare) are exclusive".to_string());
+            }
+            // Interleaved rounds per workload; raise on a noisy machine so
+            // every rung's best time catches a quiet window (the row keeps
+            // the minimum, see `benchjson`).
+            let runs = match flag_value(args, "--runs") {
+                None => 5,
+                Some(r) => match r.parse::<usize>() {
+                    Ok(n) if n >= 1 => n,
+                    _ => return Err(format!("bad --runs `{r}`")),
+                },
+            };
             if is_lssa(name) {
-                // A `.lssa` file: time it across all configurations, like a
-                // named workload (but ineligible for the committed JSON
-                // baseline, which is keyed by workload name and scale).
-                if has_flag(args, "--json") {
-                    return Err("--json measures the built-in workloads only".to_string());
+                // A `.lssa` file: measured like a named workload, but
+                // ineligible for the committed JSON baseline, which is
+                // keyed by workload name and scale.
+                if want_json || want_check {
+                    return Err(
+                        "--json and --check measure the built-in workloads only".to_string()
+                    );
                 }
                 let src = std::fs::read_to_string(name).map_err(|e| format!("{name}: {e}"))?;
                 let program = match load_lssa(name, &src) {
                     Ok(p) => p,
                     Err(code) => return Ok(code),
                 };
-                let decode = decode_options(args);
-                for config in lssa_driver::diff::configs() {
-                    let start = std::time::Instant::now();
-                    let out = compile_and_run_ast_opts(&program, config, MAX_STEPS, decode)
-                        .map_err(|e| e.to_string())?;
-                    let elapsed = start.elapsed();
-                    println!(
-                        "{:20} {:28} {:>12?} {:>14} instrs  result={}",
-                        name,
-                        config.label(),
-                        elapsed,
-                        out.stats.instructions,
-                        out.rendered
-                    );
-                }
+                let record = benchjson::measure_program(name, &program, runs, MAX_STEPS)?;
+                print!("{}", benchjson::render_text(&[record]));
                 return Ok(ExitCode::SUCCESS);
             }
             let (scale, scale_label) = match flag_value(args, "--scale").unwrap_or("test") {
@@ -583,119 +587,64 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             } else {
                 vec![by_name(name, scale).ok_or_else(|| format!("unknown benchmark `{name}`"))?]
             };
-            let want_json = has_flag(args, "--json");
-            let want_check = has_flag(args, "--check");
-            if want_json && want_check {
-                return Err("--json (regenerate) and --check (compare) are exclusive".to_string());
-            }
-            if want_json || want_check {
-                if has_flag(args, "--no-fuse") {
+            // The default path is the committed full-suite baseline; never
+            // let a single-workload run clobber it silently (and fail
+            // before spending minutes measuring).
+            let path = match flag_value(args, "--out") {
+                Some(out) => out.to_string(),
+                None if name == "all" || !want_json => benchjson::default_path(scale_label),
+                None => {
                     return Err(format!(
-                        "--{} always measures every knob configuration; drop --no-fuse",
-                        if want_json { "json" } else { "check" }
-                    ));
+                        "bench {name} --json would overwrite the full-suite \
+                         {}; pass --out FILE (or bench all)",
+                        benchjson::default_path(scale_label)
+                    ))
                 }
-                // The default path is the committed full-suite baseline;
-                // never let a single-workload run clobber it silently (and
-                // fail before spending minutes measuring).
-                let path = match flag_value(args, "--out") {
-                    Some(out) => out.to_string(),
-                    None if name == "all" || want_check => {
-                        lssa_driver::benchjson::default_path(scale_label)
-                    }
-                    None => {
-                        return Err(format!(
-                            "bench {name} --json would overwrite the full-suite \
-                             {}; pass --out FILE (or bench all)",
-                            lssa_driver::benchjson::default_path(scale_label)
-                        ))
-                    }
+            };
+            // Read the baseline up front: fail before spending minutes
+            // measuring if it is missing or malformed.
+            let baseline = if want_check {
+                let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
+                let mut rows =
+                    benchjson::parse_baseline(&text).map_err(|e| format!("{path}: {e}"))?;
+                // A partial run only checks the selected workloads.
+                rows.retain(|b| selected.iter().any(|w| w.name == b.name));
+                Some(rows)
+            } else {
+                None
+            };
+            let records = benchjson::run_suite(&selected, runs, MAX_STEPS)?;
+            print!("{}", benchjson::render_text(&records));
+            if let Some(baseline) = baseline {
+                let tolerance = match flag_value(args, "--tolerance") {
+                    None => 20.0,
+                    Some(t) => t
+                        .parse::<f64>()
+                        .map_err(|_| format!("bad --tolerance `{t}`"))?,
                 };
-                // Read the baseline up front: fail before spending minutes
-                // measuring if it is missing or malformed.
-                let baseline = if want_check {
-                    let text =
-                        std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-                    let mut rows = lssa_driver::benchjson::parse_baseline(&text)
-                        .map_err(|e| format!("{path}: {e}"))?;
-                    // A partial run only checks the selected workloads.
-                    rows.retain(|b| selected.iter().any(|w| w.name == b.name));
-                    Some(rows)
-                } else {
-                    None
-                };
-                // Interleaved rounds per workload; raise on a noisy
-                // machine so every config's best time catches a quiet
-                // window (the row keeps the minimum, see `benchjson`).
-                let bench_runs = match flag_value(args, "--runs") {
-                    None => 5,
-                    Some(r) => match r.parse::<usize>() {
-                        Ok(n) if n >= 1 => n,
-                        _ => return Err(format!("bad --runs `{r}`")),
-                    },
-                };
-                let records = lssa_driver::benchjson::run_suite(&selected, bench_runs, MAX_STEPS);
-                for r in &records {
-                    let full = r.row("full").expect("full row");
-                    println!(
-                        "{:20} full {:>9.3}ms   ({:>4.1}% fused, {:.1}% cache hits)",
-                        r.name,
-                        full.wall_ms,
-                        full.fused_share * 100.0,
-                        100.0 * full.cache_hits as f64
-                            / (full.cache_hits + full.cache_misses).max(1) as f64,
-                    );
+                let outcome = benchjson::check_against(&baseline, &records, tolerance);
+                for f in &outcome.failures {
+                    eprintln!("REGRESSION: {f}");
                 }
-                if let Some(baseline) = baseline {
-                    let tolerance = match flag_value(args, "--tolerance") {
-                        None => 20.0,
-                        Some(t) => t
-                            .parse::<f64>()
-                            .map_err(|_| format!("bad --tolerance `{t}`"))?,
-                    };
-                    let outcome =
-                        lssa_driver::benchjson::check_against(&baseline, &records, tolerance);
-                    for f in &outcome.failures {
-                        eprintln!("REGRESSION: {f}");
-                    }
-                    eprintln!(
-                        "-- checked {} rows against {path} (tolerance {tolerance}%): {}",
-                        outcome.compared,
-                        if outcome.failures.is_empty() {
-                            "ok".to_string()
-                        } else {
-                            format!("{} regression(s)", outcome.failures.len())
-                        }
-                    );
-                    return Ok(if outcome.failures.is_empty() {
-                        ExitCode::SUCCESS
+                eprintln!(
+                    "-- checked {} rows against {path} (tolerance {tolerance}%): {}",
+                    outcome.compared,
+                    if outcome.failures.is_empty() {
+                        "ok".to_string()
                     } else {
-                        ExitCode::FAILURE
-                    });
-                }
-                let json = lssa_driver::benchjson::render_json(scale_label, bench_runs, &records);
+                        format!("{} regression(s)", outcome.failures.len())
+                    }
+                );
+                return Ok(if outcome.failures.is_empty() {
+                    ExitCode::SUCCESS
+                } else {
+                    ExitCode::FAILURE
+                });
+            }
+            if want_json {
+                let json = benchjson::render_json(scale_label, runs, &records);
                 std::fs::write(&path, json).map_err(|e| format!("{path}: {e}"))?;
                 eprintln!("-- wrote {path}");
-                return Ok(ExitCode::SUCCESS);
-            }
-            let decode = decode_options(args);
-            for w in &selected {
-                for config in lssa_driver::diff::configs() {
-                    let start = std::time::Instant::now();
-                    let out = lssa_driver::pipelines::compile_and_run_opts(
-                        &w.src, config, MAX_STEPS, decode,
-                    )
-                    .map_err(|e| e.to_string())?;
-                    let elapsed = start.elapsed();
-                    println!(
-                        "{:20} {:28} {:>12?} {:>14} instrs  result={}",
-                        w.name,
-                        config.label(),
-                        elapsed,
-                        out.stats.instructions,
-                        out.rendered
-                    );
-                }
             }
             Ok(ExitCode::SUCCESS)
         }

@@ -27,6 +27,7 @@
 
 use crate::par::BatchRunner;
 use crate::pipelines::{compile, CompilerConfig, PipelineError};
+use lssa_syntax::escape_json;
 use lssa_vm::{CancelToken, DecodeOptions, DecodedProgram, ExecOptions, Vm, VmError, VmErrorKind};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -113,7 +114,7 @@ impl JobError {
                 format!(
                     "{{\"kind\":\"{}\",\"message\":\"{}\"}}",
                     self.code(),
-                    json_escape(message)
+                    escape_json(message)
                 )
             }
             _ => format!("{{\"kind\":\"{}\"}}", self.code()),
@@ -162,23 +163,6 @@ impl fmt::Display for JobError {
 }
 
 impl std::error::Error for JobError {}
-
-/// Minimal JSON string escaping (quotes, backslashes, control characters).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Bounded retry with linear backoff, applied only to
 /// [transient](JobError::is_transient) failures.
@@ -267,7 +251,7 @@ impl JobReport {
     /// e.g. for per-seed gauntlet artifacts.
     pub fn to_line(&self) -> String {
         let outcome = match &self.outcome {
-            Ok(r) => format!("ok {}", json_escape(r)),
+            Ok(r) => format!("ok {}", escape_json(r)),
             Err(e) => format!("err {}", e.to_json()),
         };
         let probe = match self.probe_ok {

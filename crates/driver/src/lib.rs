@@ -9,8 +9,9 @@
 //! - [`diff`] — differential testing against the reference interpreter,
 //! - [`conformance`] — the ≥648-program corpus (§V-A's test-suite analogue),
 //! - [`workloads`] — the eight benchmarks of §V-B,
-//! - [`benchjson`] — machine-readable benchmark records
-//!   (`lssa bench --json` → `BENCH_<scale>.json`, fused vs `--no-fuse`),
+//! - [`benchjson`] — the one measurement engine behind `lssa bench`: the
+//!   six-rung ladder, Figures 9 and 10 over it, and the
+//!   `BENCH_<scale>.json` records,
 //! - [`jobs`] — resource-governed, fault-tolerant job execution with
 //!   deterministic fault injection (the `gauntlet` harness),
 //! - [`par`] — the parallel batch executor every sharded run shares (the

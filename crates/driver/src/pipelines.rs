@@ -158,7 +158,8 @@ pub fn frontend(src: &str, config: CompilerConfig) -> Result<Program, PipelineEr
 ///
 /// # Errors
 ///
-/// Returns wellformedness failures.
+/// Returns wellformedness failures, and refuses a program that already
+/// holds `inc`/`dec` (λrc input).
 pub fn frontend_ast(program: &Program, config: CompilerConfig) -> Result<Program, PipelineError> {
     lssa_lambda::check_program(program).map_err(|errs| PipelineError {
         stage: "wellformedness",
@@ -169,6 +170,19 @@ pub fn frontend_ast(program: &Program, config: CompilerConfig) -> Result<Program
             .join("; "),
         vm: None,
     })?;
+    // The simplifier and RC insertion take λpure: a program that already
+    // counts its own references is λrc, which only `lssa lint` audits.
+    if let Some(f) = program.fns.iter().find(|f| f.body.has_rc_ops()) {
+        return Err(PipelineError {
+            stage: "frontend",
+            message: format!(
+                "@{} already holds inc/dec, but the pipelines insert reference \
+                 counting themselves; audit λrc as written with `lssa lint`",
+                f.name
+            ),
+            vm: None,
+        });
+    }
     let program = match config.simplify {
         Some(opts) => lssa_lambda::simplify_program(program, opts),
         None => program.clone(),
@@ -349,21 +363,6 @@ pub fn compile_and_run(
     compile_and_run_with_report(src, config, max_steps).map(|(o, _)| o)
 }
 
-/// [`compile_and_run`] with explicit decode options (`--no-fuse` plumbs
-/// through here).
-///
-/// # Errors
-///
-/// Returns compilation or execution failures.
-pub fn compile_and_run_opts(
-    src: &str,
-    config: CompilerConfig,
-    max_steps: u64,
-    decode: DecodeOptions,
-) -> Result<RunOutcome, PipelineError> {
-    compile_and_run_with_report_opts(src, config, max_steps, decode).map(|(o, _)| o)
-}
-
 /// [`compile_and_run`], also returning the backend's per-pass statistics.
 ///
 /// # Errors
@@ -374,24 +373,16 @@ pub fn compile_and_run_with_report(
     config: CompilerConfig,
     max_steps: u64,
 ) -> Result<(RunOutcome, Option<PipelineReport>), PipelineError> {
-    compile_and_run_with_report_opts(src, config, max_steps, DecodeOptions::default())
+    compile_and_run_with_report_vm(
+        src,
+        config,
+        max_steps,
+        DecodeOptions::default(),
+        ExecOptions::default(),
+    )
 }
 
-/// [`compile_and_run_with_report`] with explicit decode options.
-///
-/// # Errors
-///
-/// Returns compilation or execution failures.
-pub fn compile_and_run_with_report_opts(
-    src: &str,
-    config: CompilerConfig,
-    max_steps: u64,
-    decode: DecodeOptions,
-) -> Result<(RunOutcome, Option<PipelineReport>), PipelineError> {
-    compile_and_run_with_report_vm(src, config, max_steps, decode, ExecOptions::default())
-}
-
-/// [`compile_and_run_with_report_opts`] with explicit execution options
+/// [`compile_and_run_with_report`] with explicit decode and execution options
 /// (resource limits, fault injection) — the source entry point behind
 /// `lssa run`'s `--no-fuse` and budget flags.
 ///

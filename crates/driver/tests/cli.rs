@@ -236,10 +236,13 @@ fn bench_json_writes_records() {
     for needle in [
         "\"scale\": \"test\"",
         "\"name\": \"filter\"",
-        "\"configs\": [\"full\", \"full_nofuse\", \"full_norc\"]",
+        "\"configs\": [\"full\", \"full_nofuse\", \"full_norc\", \"leanc\", \"rgn_only\", \"none\"]",
         "\"full\":",
         "\"full_nofuse\":",
         "\"full_norc\":",
+        "\"leanc\":",
+        "\"rgn_only\":",
+        "\"none\":",
         "\"cache_hits\":",
         "\"rc_cells\":",
     ] {
@@ -295,13 +298,96 @@ fn bench_json_writes_records() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--out"));
-    // And --json refuses --no-fuse (it always measures both modes).
+    // `--no-fuse` is not a bench flag: every run measures both modes.
     let out = lssa()
         .args(["bench", "all", "--scale", "quick", "--json", "--no-fuse"])
         .output()
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--no-fuse"));
+}
+
+/// The six rungs of the bench ladder, in order.
+const RUNGS: [&str; 6] = [
+    "full",
+    "full_nofuse",
+    "full_norc",
+    "leanc",
+    "rgn_only",
+    "none",
+];
+
+/// Runs `lssa <args>`, asserts it prints one row per rung and both
+/// figures, and returns its stdout.
+fn assert_bench_report(args: &[&str]) -> String {
+    let out = lssa().args(args).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout).into_owned();
+    let rungs: Vec<&str> = text
+        .lines()
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .map(|l| l.split_whitespace().nth(1).unwrap())
+        .collect();
+    assert_eq!(rungs, RUNGS, "{args:?}\n{text}");
+    for needle in [
+        "Figure 9",
+        "leanc/full",
+        "Figure 10",
+        "full/rgn_only",
+        "full/none",
+    ] {
+        assert!(text.contains(needle), "{args:?}: missing {needle}\n{text}");
+    }
+    assert_eq!(text.matches("paper reports").count(), 2, "{text}");
+    text
+}
+
+#[test]
+fn bench_prints_every_rung_and_both_figures() {
+    let text = assert_bench_report(&["bench", "filter", "--scale", "quick", "--runs", "1"]);
+    assert!(text.contains("filter"), "{text}");
+}
+
+#[test]
+fn bench_check_pins_the_paper_rungs() {
+    // The committed quick-scale baseline, copied so it can be edited.
+    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_test.json");
+    let json = std::fs::read_to_string(committed).unwrap();
+    let copy =
+        std::env::temp_dir().join(format!("lssa-cli-bench-rungs-{}.json", std::process::id()));
+    // This is a debug build checked against release-build walls: the huge
+    // tolerance leaves only the deterministic counters to the check.
+    let check = |path: &std::path::Path| {
+        lssa()
+            .args(["bench", "all", "--scale", "quick", "--runs", "1", "--check"])
+            .args(["--tolerance", "1000000", "--out"])
+            .arg(path)
+            .output()
+            .unwrap()
+    };
+    std::fs::write(&copy, &json).unwrap();
+    let out = check(&copy);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("checked 48 rows"), "{stderr}");
+    // Move one counter of one `leanc` row: that exact row must fail.
+    let row = json.find("\"leanc\": {").unwrap();
+    let field = row + json[row..].find("\"instructions\": ").unwrap() + "\"instructions\": ".len();
+    std::fs::write(&copy, format!("{}9{}", &json[..field], &json[field..])).unwrap();
+    let out = check(&copy);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    assert!(
+        stderr.contains("REGRESSION: binarytrees/leanc: instructions changed 9"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("1 regression(s)"), "{stderr}");
+    std::fs::remove_file(copy).ok();
 }
 
 #[test]
@@ -496,16 +582,8 @@ fn diff_and_bench_accept_lssa_files() {
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("PASS"));
 
-    let out = lssa().args(["bench"]).arg(&path).output().unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(text.lines().count(), 4, "one line per config\n{text}");
-    assert!(text.contains("result=42"), "{text}");
-
+    let text = assert_bench_report(&["bench", path.to_str().unwrap(), "--runs", "1"]);
+    assert!(text.contains("  42\n"), "{text}");
     // The JSON baseline is keyed by workload name: .lssa files refuse it.
     let out = lssa()
         .args(["bench"])
@@ -515,6 +593,61 @@ fn diff_and_bench_accept_lssa_files() {
         .unwrap();
     assert!(!out.status.success());
     std::fs::remove_file(path).ok();
+}
+
+/// Runs `lssa <args> <path>` and asserts a plain error: exit 1, an
+/// `error` line on stderr, no panic.
+fn assert_plain_error(args: &[&str], path: &std::path::Path) -> String {
+    let out = lssa().args(args).arg(path).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(stderr.contains("error"), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    stderr
+}
+
+#[test]
+fn lambda_rc_input_is_an_error_not_a_panic() {
+    // Well-formed λrc: `check` accepts it and `lint` audits it as written,
+    // but the pipelines insert reference counting themselves.
+    let path = write_lssa(
+        "lambda-rc",
+        "(def main () (let x0 1 (inc x0 3 (dec x0 (dec x0 (dec x0 (ret x0)))))))\n",
+    );
+    let out = lssa().args(["check"]).arg(&path).output().unwrap();
+    assert!(out.status.success());
+    for args in [
+        &["run"][..],
+        &["run", "--backend", "leanc"],
+        &["run", "--backend", "none"],
+        &["dump", "--stage", "lp"],
+        &["diff"],
+    ] {
+        let stderr = assert_plain_error(args, &path);
+        assert!(
+            stderr.contains("@main already holds inc/dec"),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains("lssa lint"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn a_def_in_the_builtin_namespace_is_e0115() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/corpus/bad/builtin_name.lssa"
+    );
+    let path = std::path::Path::new(path);
+    for verb in ["run", "lint"] {
+        let out = lssa().args([verb]).arg(path).output().unwrap();
+        let text = String::from_utf8_lossy(&out.stdout).into_owned()
+            + &String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{verb}: {text}");
+        assert!(text.contains("error[E0115]"), "{verb}: {text}");
+        assert!(!text.contains("panicked"), "{verb}: {text}");
+    }
 }
 
 #[test]

@@ -19,7 +19,7 @@
 //! - [`PipelineRunReport`] — aggregated per-pass statistics for one
 //!   pipeline execution, renderable as a table
 //!   ([`PipelineRunReport::render_table`]) — the payload behind the `lssa`
-//!   CLI's `--pass-stats` and the `ablation` binary's statistics output.
+//!   CLI's `--pass-stats`.
 //! - A dump hook ([`PassManager::dump_after_each`]) invoked with the pass
 //!   path and the module after every pass — the engine behind
 //!   `--print-ir-after-all`-style debugging.

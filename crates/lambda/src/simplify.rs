@@ -17,16 +17,13 @@
 use crate::ast::{Alt, Expr, FnDef, JoinId, Program, Value, VarId};
 use lssa_rt::Nat;
 
-/// Which simplifications to run (Figure 10's ablation needs to disable
-/// `simpcase` specifically).
+/// Which of the optional simplifications to run (Figure 10's ablation
+/// needs to disable `simpcase` specifically). Copy propagation, dead-let
+/// and join-point cleanup and case-of-known-constructor always run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimplifyOptions {
-    /// Copy propagation, dead lets, join-point cleanup.
-    pub basic: bool,
     /// Constant folding of builtins.
     pub const_fold: bool,
-    /// Case-of-known-constructor.
-    pub case_of_known: bool,
     /// `simpcase`: common-branch fusion (the rgn-style switch
     /// simplification the paper disables in variant (b) of Figure 10).
     pub simpcase: bool,
@@ -42,9 +39,7 @@ impl SimplifyOptions {
     /// Everything on — LEAN's default pipeline.
     pub fn all() -> SimplifyOptions {
         SimplifyOptions {
-            basic: true,
             const_fold: true,
-            case_of_known: true,
             simpcase: true,
         }
     }
@@ -308,14 +303,12 @@ impl Ctx {
             return self.expr(body);
         }
         // Projection of a known constructor.
-        if self.opts.case_of_known {
-            if let Value::Proj { var: s, idx } = val {
-                if let Known::Ctor { start, len, .. } = *self.known(s) {
-                    if idx < len {
-                        let field = self.fields[(start + idx) as usize];
-                        self.substitute(var, field);
-                        return self.expr(body);
-                    }
+        if let Value::Proj { var: s, idx } = val {
+            if let Known::Ctor { start, len, .. } = *self.known(s) {
+                if idx < len {
+                    let field = self.fields[(start + idx) as usize];
+                    self.substitute(var, field);
+                    return self.expr(body);
                 }
             }
         }
@@ -347,7 +340,7 @@ impl Ctx {
         let body = self.expr(body);
         // Dead-let elimination. `var` is bound only here (E0102), so any
         // occurrence in `body` is a free one.
-        if self.opts.basic && val.is_droppable() && !body.mentions(var) {
+        if val.is_droppable() && !body.mentions(var) {
             return body;
         }
         Expr::Let {
@@ -360,11 +353,11 @@ impl Ctx {
     fn join(&mut self, label: JoinId, params: &[VarId], jp_body: &Expr, body: &Expr) -> Expr {
         let body = self.expr(body);
         let jumps = count_jumps(&body, label);
-        if self.opts.basic && jumps == 0 {
+        if jumps == 0 {
             return body; // dead join point
         }
         let jp_body = self.expr(jp_body);
-        if self.opts.basic && jumps == 1 && count_jumps(&jp_body, label) == 0 {
+        if jumps == 1 && count_jumps(&jp_body, label) == 0 {
             // Inline the single jump site.
             return inline_jump(&body, label, params, &jp_body);
         }
@@ -379,16 +372,14 @@ impl Ctx {
     fn case(&mut self, scrutinee: VarId, alts: &[Alt], default: Option<&Expr>) -> Expr {
         let s = self.resolve(scrutinee);
         // Case-of-known-constructor.
-        if self.opts.case_of_known {
-            if let Some(tag) = self.known_tag(s) {
-                let arm = alts
-                    .iter()
-                    .find(|a| a.tag == tag)
-                    .map(|a| &a.body)
-                    .or(default);
-                if let Some(arm) = arm {
-                    return self.expr(arm);
-                }
+        if let Some(tag) = self.known_tag(s) {
+            let arm = alts
+                .iter()
+                .find(|a| a.tag == tag)
+                .map(|a| &a.body)
+                .or(default);
+            if let Some(arm) = arm {
+                return self.expr(arm);
             }
         }
         // Each arm starts from what is known here; what it learns is undone

@@ -53,7 +53,8 @@ pub mod codes {
     pub const DUPLICATE_TAG: &str = "E0113";
     /// A `case` with neither arms nor a default.
     pub const EMPTY_CASE: &str = "E0114";
-    /// Two top-level functions with the same name.
+    /// Two top-level functions with the same name, or a function named
+    /// like a runtime builtin (`lean_…`).
     pub const DUPLICATE_FUNCTION: &str = "E0115";
     /// A variable id at or above the function's declared `next_var` bound.
     pub const VAR_BOUND: &str = "E0116";
@@ -78,6 +79,12 @@ impl fmt::Display for WfError {
 
 impl std::error::Error for WfError {}
 
+/// The message for a function defined in the runtime's `lean_` namespace,
+/// shared with the text frontend so both checkers word it alike.
+pub fn builtin_name_message(name: &str) -> String {
+    format!("`{name}` is in the runtime's `lean_` namespace: every call to it is a builtin call")
+}
+
 /// Checks a whole program.
 ///
 /// # Errors
@@ -91,7 +98,13 @@ pub fn check_program(p: &Program) -> Result<(), Vec<WfError>> {
     // would.
     let mut arities: HashMap<&str, usize> = HashMap::with_capacity(p.fns.len());
     for f in &p.fns {
-        if arities.contains_key(f.name.as_str()) {
+        if f.name.starts_with("lean_") {
+            errors.push(WfError {
+                func: f.name.clone(),
+                code: codes::DUPLICATE_FUNCTION,
+                message: builtin_name_message(&f.name),
+            });
+        } else if arities.contains_key(f.name.as_str()) {
             errors.push(WfError {
                 func: f.name.clone(),
                 code: codes::DUPLICATE_FUNCTION,

@@ -59,26 +59,6 @@ pub struct HeapStats {
     pub peak_bytes: u64,
 }
 
-impl HeapStats {
-    /// Folds the statistics of an independent heap into this record:
-    /// counts sum, the high-water mark takes the maximum.
-    pub fn absorb(&mut self, other: &HeapStats) {
-        self.allocs += other.allocs;
-        self.ctor_allocs += other.ctor_allocs;
-        self.closure_allocs += other.closure_allocs;
-        self.array_allocs += other.array_allocs;
-        self.str_allocs += other.str_allocs;
-        self.bigint_allocs += other.bigint_allocs;
-        self.frees += other.frees;
-        self.incs += other.incs;
-        self.decs += other.decs;
-        self.live += other.live;
-        self.peak_live = self.peak_live.max(other.peak_live);
-        self.live_bytes += other.live_bytes;
-        self.peak_bytes = self.peak_bytes.max(other.peak_bytes);
-    }
-}
-
 /// Approximate size in bytes of one heap object under a fixed cost model:
 /// a 16-byte header (rc + discriminant) plus 8 bytes per payload word
 /// (ctor fields, closure captures, array elements), the byte length for

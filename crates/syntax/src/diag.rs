@@ -230,7 +230,11 @@ pub enum RenderFormat {
     Json,
 }
 
-fn escape_json(s: &str) -> String {
+/// Escapes `s` for use inside a JSON string literal: quotes, backslashes,
+/// `\n`/`\t`/`\r`, and every other control character as `\u00xx`. The
+/// one escaper behind every hand-written JSON emitter in the workspace
+/// (diagnostics here, job reports and bench records in `lssa-driver`).
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

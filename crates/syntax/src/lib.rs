@@ -36,7 +36,7 @@ pub mod printer;
 pub mod sexp;
 pub mod span;
 
-pub use diag::{render_all, Diagnostic, RenderFormat, Severity};
+pub use diag::{escape_json, render_all, Diagnostic, RenderFormat, Severity};
 pub use lint::lint_source;
 pub use parse::{check_source, parse_program, parse_source, ParseOutcome};
 pub use printer::{format_source, print_fn_def, print_program};

@@ -39,7 +39,7 @@ use crate::sexp::{read, Forest, Sexp, SexpKind};
 use crate::span::Span;
 use lssa_lambda::ast::{Alt, Expr, FnDef, JoinId, Program, Value, VarId};
 use lssa_lambda::dense::{IdSet, JoinArities, Scope, MAX_ID};
-use lssa_lambda::wellformed::codes;
+use lssa_lambda::wellformed::{builtin_name_message, codes};
 use lssa_rt::Builtin;
 use std::collections::{HashMap, HashSet};
 
@@ -331,7 +331,14 @@ impl<'f> Lowerer<'f, '_> {
                 continue;
             }
             let arity = params.len() - start;
-            if self.sigs.insert(name, arity).is_some() {
+            if name.starts_with("lean_") {
+                self.func = name;
+                self.wf(
+                    codes::DUPLICATE_FUNCTION,
+                    builtin_name_message(name),
+                    items[1].span,
+                );
+            } else if self.sigs.insert(name, arity).is_some() {
                 self.func = name;
                 self.wf(
                     codes::DUPLICATE_FUNCTION,

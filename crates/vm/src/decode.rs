@@ -31,11 +31,7 @@
 //!
 //! | superinstruction | replaces | dispatches saved |
 //! |------------------|----------|------------------|
-//! | [`DecodedInstr::CmpBr`] | `Cmp` + `Branch` | 1 |
 //! | [`DecodedInstr::ConstCmpBr`] | `ConstInt` + `Cmp` + `Branch` | 2 |
-//! | [`DecodedInstr::ConstBin`] | `ConstInt` + `Bin` | 1 |
-//! | [`DecodedInstr::BinRet`] | `Bin` + `Ret` | 1 |
-//! | [`DecodedInstr::MovRet`] | `Move` + `Ret` | 1 |
 //! | [`DecodedInstr::ConstRet`] | `LpInt` + `Ret` | 1 |
 //! | [`DecodedInstr::ProjInc`] | `Project` + `Inc` | 1 |
 //! | [`DecodedInstr::CallBuiltinRet`] | `CallBuiltin` + `Ret` | 1 |
@@ -184,16 +180,8 @@ pub enum OpClass {
     Global,
     /// `Trap`.
     Trap,
-    /// Fused `Cmp` + `Branch`.
-    FusedCmpBr,
     /// Fused `ConstInt` + `Cmp` + `Branch`.
     FusedConstCmpBr,
-    /// Fused `ConstInt` + `Bin`.
-    FusedConstBin,
-    /// Fused `Bin` + `Ret`.
-    FusedBinRet,
-    /// Fused `Move` + `Ret`.
-    FusedMovRet,
     /// Fused `LpInt` + `Ret`.
     FusedConstRet,
     /// Fused `Project` + `Inc`.
@@ -220,7 +208,7 @@ pub enum OpClass {
 
 impl OpClass {
     /// Number of classes (sizes the statistics arrays).
-    pub const COUNT: usize = 30;
+    pub const COUNT: usize = 26;
 
     /// All classes in display order.
     pub const ALL: [OpClass; OpClass::COUNT] = [
@@ -238,11 +226,7 @@ impl OpClass {
         OpClass::Move,
         OpClass::Global,
         OpClass::Trap,
-        OpClass::FusedCmpBr,
         OpClass::FusedConstCmpBr,
-        OpClass::FusedConstBin,
-        OpClass::FusedBinRet,
-        OpClass::FusedMovRet,
         OpClass::FusedConstRet,
         OpClass::FusedProjInc,
         OpClass::FusedCallBuiltinRet,
@@ -273,11 +257,7 @@ impl OpClass {
             OpClass::Move => "move",
             OpClass::Global => "global",
             OpClass::Trap => "trap",
-            OpClass::FusedCmpBr => "fused cmp+br",
             OpClass::FusedConstCmpBr => "fused const+cmp+br",
-            OpClass::FusedConstBin => "fused const+bin",
-            OpClass::FusedBinRet => "fused bin+ret",
-            OpClass::FusedMovRet => "fused mov+ret",
             OpClass::FusedConstRet => "fused const+ret",
             OpClass::FusedProjInc => "fused proj+inc",
             OpClass::FusedCallBuiltinRet => "fused builtin+ret",
@@ -293,9 +273,9 @@ impl OpClass {
     }
 
     /// Whether this class is a superinstruction produced by the fusion
-    /// pass (the fused rows of `--vm-stats` / `ablation`).
+    /// pass (the fused rows of `--vm-stats`).
     pub fn is_fused(self) -> bool {
-        self as usize >= OpClass::FusedCmpBr as usize
+        self as usize >= OpClass::FusedConstCmpBr as usize
     }
 }
 
@@ -528,19 +508,6 @@ pub enum DecodedInstr {
     Trap,
 
     // ---- superinstructions (emitted only by the fusion pass) ----
-    /// Fused `Cmp` + `Branch`: branch directly on `pred(a, b)`.
-    CmpBr {
-        /// The predicate.
-        pred: CmpPred,
-        /// Left operand.
-        a: Reg,
-        /// Right operand.
-        b: Reg,
-        /// Target when the predicate holds.
-        then_t: u32,
-        /// Target when it does not.
-        else_t: u32,
-    },
     /// Fused `ConstInt` + `Cmp` + `Branch`: branch on `pred(a, imm)`.
     /// When the constant was the *left* comparison operand the stored
     /// predicate is the swapped one, so the semantics stay `pred(a, imm)`.
@@ -555,34 +522,6 @@ pub enum DecodedInstr {
         then_t: u32,
         /// Target when it does not.
         else_t: u32,
-    },
-    /// Fused `ConstInt` + `Bin`: `dst ← op(src, imm)` (or `op(imm, src)`
-    /// when `imm_rhs` is false).
-    ConstBin {
-        /// The operation.
-        op: BinOp,
-        /// Whether the immediate is the right operand.
-        imm_rhs: bool,
-        /// Destination.
-        dst: Reg,
-        /// The register operand.
-        src: Reg,
-        /// The immediate operand.
-        imm: i64,
-    },
-    /// Fused `Bin` + `Ret`: return `op(a, b)`.
-    BinRet {
-        /// The operation.
-        op: BinOp,
-        /// Left operand.
-        a: Reg,
-        /// Right operand.
-        b: Reg,
-    },
-    /// Fused `Move` + `Ret`: return `src`.
-    MovRet {
-        /// The result.
-        src: Reg,
     },
     /// Fused `LpInt` + `Ret`: return the scalar object `v`.
     ConstRet {
@@ -760,11 +699,7 @@ impl DecodedInstr {
             DecodedInstr::Move { .. } => OpClass::Move,
             DecodedInstr::GlobalLoad { .. } | DecodedInstr::GlobalStore { .. } => OpClass::Global,
             DecodedInstr::Trap => OpClass::Trap,
-            DecodedInstr::CmpBr { .. } => OpClass::FusedCmpBr,
             DecodedInstr::ConstCmpBr { .. } => OpClass::FusedConstCmpBr,
-            DecodedInstr::ConstBin { .. } => OpClass::FusedConstBin,
-            DecodedInstr::BinRet { .. } => OpClass::FusedBinRet,
-            DecodedInstr::MovRet { .. } => OpClass::FusedMovRet,
             DecodedInstr::ConstRet { .. } => OpClass::FusedConstRet,
             DecodedInstr::ProjInc { .. } => OpClass::FusedProjInc,
             DecodedInstr::CallBuiltinRet { .. } => OpClass::FusedCallBuiltinRet,
@@ -784,16 +719,8 @@ impl DecodedInstr {
 /// superinstructions emitted per kind, plus the net shrink of the stream.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FusionStats {
-    /// `Cmp`+`Branch` pairs fused.
-    pub cmp_br: u32,
     /// `ConstInt`+`Cmp`+`Branch` triples fused.
     pub const_cmp_br: u32,
-    /// `ConstInt`+`Bin` pairs fused.
-    pub const_bin: u32,
-    /// `Bin`+`Ret` pairs fused.
-    pub bin_ret: u32,
-    /// `Move`+`Ret` pairs fused.
-    pub mov_ret: u32,
     /// `LpInt`+`Ret` pairs fused.
     pub const_ret: u32,
     /// `Project`+`Inc` pairs fused.
@@ -825,11 +752,7 @@ pub struct FusionStats {
 impl FusionStats {
     /// Total superinstruction cells emitted.
     pub fn superinstructions(&self) -> u64 {
-        u64::from(self.cmp_br)
-            + u64::from(self.const_cmp_br)
-            + u64::from(self.const_bin)
-            + u64::from(self.bin_ret)
-            + u64::from(self.mov_ret)
+        u64::from(self.const_cmp_br)
             + u64::from(self.const_ret)
             + u64::from(self.proj_inc)
             + u64::from(self.call_builtin_ret)
@@ -845,11 +768,7 @@ impl FusionStats {
 
     /// Folds another function's statistics into this record.
     pub fn absorb(&mut self, other: &FusionStats) {
-        self.cmp_br += other.cmp_br;
         self.const_cmp_br += other.const_cmp_br;
-        self.const_bin += other.const_bin;
-        self.bin_ret += other.bin_ret;
-        self.mov_ret += other.mov_ret;
         self.const_ret += other.const_ret;
         self.proj_inc += other.proj_inc;
         self.call_builtin_ret += other.call_builtin_ret;
@@ -981,7 +900,6 @@ impl DecodedFn {
                 | DecodedInstr::Inc { src }
                 | DecodedInstr::Dec { src }
                 | DecodedInstr::Ret { src }
-                | DecodedInstr::MovRet { src }
                 | DecodedInstr::Mask { src, .. }
                 | DecodedInstr::Move { src, .. }
                 | DecodedInstr::GlobalStore { src, .. } => singles[0] = Some(src),
@@ -1011,17 +929,12 @@ impl DecodedFn {
                 DecodedInstr::Switch { idx, .. } | DecodedInstr::SwitchDense { idx, .. } => {
                     singles[0] = Some(idx);
                 }
-                DecodedInstr::Bin { a, b, .. }
-                | DecodedInstr::Cmp { a, b, .. }
-                | DecodedInstr::BinRet { a, b, .. }
-                | DecodedInstr::CmpBr { a, b, .. } => {
+                DecodedInstr::Bin { a, b, .. } | DecodedInstr::Cmp { a, b, .. } => {
                     singles[0] = Some(a);
                     singles[1] = Some(b);
                 }
                 DecodedInstr::ConstCmpBr { a, .. } => singles[0] = Some(a),
-                DecodedInstr::ConstBin { src, .. } | DecodedInstr::BuiltinImm { src, .. } => {
-                    singles[0] = Some(src);
-                }
+                DecodedInstr::BuiltinImm { src, .. } => singles[0] = Some(src),
                 DecodedInstr::BuiltinBr { a, b, imm, .. } => {
                     singles[0] = Some(a);
                     singles[1] = (!imm).then_some(Reg(b));
@@ -1093,7 +1006,6 @@ impl DecodedFn {
             match *instr {
                 DecodedInstr::Jump { target } => targets[target as usize] = true,
                 DecodedInstr::Branch { then_t, else_t, .. }
-                | DecodedInstr::CmpBr { then_t, else_t, .. }
                 | DecodedInstr::ConstCmpBr { then_t, else_t, .. }
                 | DecodedInstr::BuiltinBr {
                     on_true: then_t,
@@ -1155,11 +1067,7 @@ impl DecodedFn {
                 *slot = ni;
             }
             match cell {
-                DecodedInstr::CmpBr { .. } => stats.cmp_br += 1,
                 DecodedInstr::ConstCmpBr { .. } => stats.const_cmp_br += 1,
-                DecodedInstr::ConstBin { .. } => stats.const_bin += 1,
-                DecodedInstr::BinRet { .. } => stats.bin_ret += 1,
-                DecodedInstr::MovRet { .. } => stats.mov_ret += 1,
                 DecodedInstr::ConstRet { .. } => stats.const_ret += 1,
                 DecodedInstr::ProjInc { .. } => stats.proj_inc += 1,
                 DecodedInstr::CallBuiltinRet { .. } => stats.call_builtin_ret += 1,
@@ -1192,7 +1100,6 @@ impl DecodedFn {
             match instr {
                 DecodedInstr::Jump { target } => *target = map[*target as usize],
                 DecodedInstr::Branch { then_t, else_t, .. }
-                | DecodedInstr::CmpBr { then_t, else_t, .. }
                 | DecodedInstr::ConstCmpBr { then_t, else_t, .. }
                 | DecodedInstr::BuiltinBr {
                     on_true: then_t,
@@ -1371,95 +1278,47 @@ impl DecodedFn {
         let next = old.get(i + 1).copied();
         let next_free = i + 1 < old.len() && !targets[i + 1];
         match old[i] {
-            DecodedInstr::ConstInt { dst: c, v } if dead(c) => {
-                // Triple: ConstInt + Cmp + Branch → ConstCmpBr.
-                if i + 2 < old.len() && !targets[i + 1] && !targets[i + 2] {
-                    if let (
-                        DecodedInstr::Cmp { pred, dst, a, b },
-                        DecodedInstr::Branch {
-                            cond,
-                            then_t,
-                            else_t,
-                        },
-                    ) = (old[i + 1], old[i + 2])
-                    {
-                        if cond == dst && dead(dst) && (a == c) != (b == c) {
-                            if let Ok(imm) = i32::try_from(v) {
-                                // Keep the register operand on the left,
-                                // swapping the predicate when the constant
-                                // was the left operand.
-                                let (pred, a) = if b == c {
-                                    (pred, a)
-                                } else {
-                                    (pred.swapped(), b)
-                                };
-                                return Some((
-                                    DecodedInstr::ConstCmpBr {
-                                        pred,
-                                        a,
-                                        imm,
-                                        then_t,
-                                        else_t,
-                                    },
-                                    3,
-                                ));
-                            }
-                        }
-                    }
-                }
-                // Pair: ConstInt + Bin → ConstBin.
-                if next_free {
-                    if let Some(DecodedInstr::Bin { op, dst, a, b }) = next {
-                        if (a == c) != (b == c) {
-                            let (imm_rhs, src) = if b == c { (true, a) } else { (false, b) };
-                            return Some((
-                                DecodedInstr::ConstBin {
-                                    op,
-                                    imm_rhs,
-                                    dst,
-                                    src,
-                                    imm: v,
-                                },
-                                2,
-                            ));
-                        }
-                    }
-                }
-                None
-            }
-            DecodedInstr::Cmp { pred, dst, a, b } if next_free && dead(dst) => match next {
-                Some(DecodedInstr::Branch {
-                    cond,
-                    then_t,
-                    else_t,
-                }) if cond == dst => Some((
-                    DecodedInstr::CmpBr {
-                        pred,
-                        a,
-                        b,
+            // ConstInt + Cmp + Branch → ConstCmpBr.
+            DecodedInstr::ConstInt { dst: c, v }
+                if dead(c) && i + 2 < old.len() && !targets[i + 1] && !targets[i + 2] =>
+            {
+                let (
+                    DecodedInstr::Cmp { pred, dst, a, b },
+                    DecodedInstr::Branch {
+                        cond,
                         then_t,
                         else_t,
                     },
-                    2,
-                )),
-                _ => None,
-            },
+                ) = (old[i + 1], old[i + 2])
+                else {
+                    return None;
+                };
+                if cond != dst || !dead(dst) || (a == c) == (b == c) {
+                    return None;
+                }
+                let imm = i32::try_from(v).ok()?;
+                // Keep the register operand on the left, swapping the
+                // predicate when the constant was the left operand.
+                let (pred, a) = if b == c {
+                    (pred, a)
+                } else {
+                    (pred.swapped(), b)
+                };
+                Some((
+                    DecodedInstr::ConstCmpBr {
+                        pred,
+                        a,
+                        imm,
+                        then_t,
+                        else_t,
+                    },
+                    3,
+                ))
+            }
             // For every `*Ret` tail shape the group ends the frame's life:
             // registers do not survive a return, so the swallowed def needs
-            // no dead-register proof (unlike the branch-ending fusions
-            // above, whose targets could observe the eliminated write).
-            DecodedInstr::Bin { op, dst, a, b } if next_free => match next {
-                Some(DecodedInstr::Ret { src }) if src == dst => {
-                    Some((DecodedInstr::BinRet { op, a, b }, 2))
-                }
-                _ => None,
-            },
-            DecodedInstr::Move { dst, src } if next_free => match next {
-                Some(DecodedInstr::Ret { src: ret }) if ret == dst => {
-                    Some((DecodedInstr::MovRet { src }, 2))
-                }
-                _ => None,
-            },
+            // no dead-register proof (unlike the branch-ending fusions,
+            // whose targets could observe the eliminated write).
             DecodedInstr::LpInt { dst, v } if next_free => match next {
                 Some(DecodedInstr::Ret { src }) if src == dst => {
                     Some((DecodedInstr::ConstRet { v }, 2))
@@ -1693,7 +1552,6 @@ impl DecodedFn {
                 | DecodedInstr::ProjInc { dst, src, .. }
                 | DecodedInstr::Move { dst, src }
                 | DecodedInstr::Mask { dst, src, .. }
-                | DecodedInstr::ConstBin { dst, src, .. }
                 | DecodedInstr::BuiltinImm { dst, src, .. } => {
                     f(dst);
                     f(src);
@@ -1746,7 +1604,6 @@ impl DecodedFn {
                 DecodedInstr::Inc { src }
                 | DecodedInstr::Dec { src }
                 | DecodedInstr::Ret { src }
-                | DecodedInstr::MovRet { src }
                 | DecodedInstr::GlobalStore { src, .. } => f(src),
                 DecodedInstr::Jump { .. } | DecodedInstr::Trap | DecodedInstr::ConstRet { .. } => {}
                 DecodedInstr::Branch { cond, .. } => f(cond),
@@ -1759,10 +1616,6 @@ impl DecodedFn {
                 DecodedInstr::Select { dst, c, a, b } => {
                     f(dst);
                     f(c);
-                    f(a);
-                    f(b);
-                }
-                DecodedInstr::BinRet { a, b, .. } | DecodedInstr::CmpBr { a, b, .. } => {
                     f(a);
                     f(b);
                 }
@@ -2127,11 +1980,7 @@ impl DecodedFn {
             DecodedInstr::GlobalLoad { dst, idx } => Instr::GlobalLoad { dst, idx },
             DecodedInstr::GlobalStore { idx, src } => Instr::GlobalStore { idx, src },
             DecodedInstr::Trap => Instr::Trap,
-            DecodedInstr::CmpBr { .. }
-            | DecodedInstr::ConstCmpBr { .. }
-            | DecodedInstr::ConstBin { .. }
-            | DecodedInstr::BinRet { .. }
-            | DecodedInstr::MovRet { .. }
+            DecodedInstr::ConstCmpBr { .. }
             | DecodedInstr::ConstRet { .. }
             | DecodedInstr::ProjInc { .. }
             | DecodedInstr::CallBuiltinRet { .. }
@@ -2305,7 +2154,7 @@ mod tests {
             assert_eq!(*c as usize, i);
         }
         // Everything from the first fused class on is fused; nothing before.
-        let first_fused = OpClass::FusedCmpBr as usize;
+        let first_fused = OpClass::FusedConstCmpBr as usize;
         for c in OpClass::ALL {
             assert_eq!(c.is_fused(), c as usize >= first_fused, "{}", c.name());
         }
@@ -2382,50 +2231,14 @@ mod tests {
     }
 
     #[test]
-    fn fuses_cmp_branch_pair() {
-        let (f, stats) = fuse_one(
-            2,
-            3,
-            vec![
-                Instr::Cmp {
-                    pred: CmpPred::Slt,
-                    dst: Reg(2),
-                    a: Reg(0),
-                    b: Reg(1),
-                },
-                Instr::Branch {
-                    cond: Reg(2),
-                    then_t: 2,
-                    else_t: 3,
-                },
-                Instr::Ret { src: Reg(0) },
-                Instr::Ret { src: Reg(1) },
-            ],
-        );
-        assert_eq!(stats.cmp_br, 1);
-        assert_eq!(stats.cells_saved, 1);
-        assert_eq!(f.code.len(), 3);
-        // Targets shifted down by the swallowed Branch cell.
-        assert_eq!(
-            f.code[0],
-            DecodedInstr::CmpBr {
-                pred: CmpPred::Slt,
-                a: Reg(0),
-                b: Reg(1),
-                then_t: 1,
-                else_t: 2,
-            }
-        );
-    }
-
-    #[test]
     fn cmp_branch_bails_when_cond_is_read_elsewhere() {
         // The comparison result is also returned, so eliminating its write
         // would be wrong.
         let (f, stats) = fuse_one(
-            2,
+            1,
             3,
             vec![
+                Instr::ConstInt { dst: Reg(1), v: 7 },
                 Instr::Cmp {
                     pred: CmpPred::Eq,
                     dst: Reg(2),
@@ -2434,24 +2247,26 @@ mod tests {
                 },
                 Instr::Branch {
                     cond: Reg(2),
-                    then_t: 2,
-                    else_t: 2,
+                    then_t: 3,
+                    else_t: 3,
                 },
                 Instr::Ret { src: Reg(2) },
             ],
         );
-        assert_eq!(stats.cmp_br, 0);
-        assert!(matches!(f.code[0], DecodedInstr::Cmp { .. }));
+        assert_eq!(stats.const_cmp_br, 0);
+        assert!(matches!(f.code[0], DecodedInstr::ConstInt { .. }));
+        assert!(matches!(f.code[1], DecodedInstr::Cmp { .. }));
     }
 
     #[test]
     fn fusion_bails_when_swallowed_instruction_is_a_jump_target() {
         // Something jumps straight at the Branch (expecting the condition
-        // already computed), so the pair must stay two cells.
+        // already computed), so the triple must stay three cells.
         let (f, stats) = fuse_one(
-            2,
+            1,
             4,
             vec![
+                Instr::ConstInt { dst: Reg(1), v: 7 },
                 Instr::Cmp {
                     pred: CmpPred::Eq,
                     dst: Reg(2),
@@ -2460,16 +2275,16 @@ mod tests {
                 },
                 Instr::Branch {
                     cond: Reg(2),
-                    then_t: 2,
-                    else_t: 3,
+                    then_t: 3,
+                    else_t: 4,
                 },
                 Instr::Ret { src: Reg(0) },
                 Instr::ConstInt { dst: Reg(2), v: 1 },
-                Instr::Jump { target: 1 },
+                Instr::Jump { target: 2 },
             ],
         );
-        assert_eq!(stats.cmp_br, 0);
-        assert!(matches!(f.code[1], DecodedInstr::Branch { .. }));
+        assert_eq!(stats.const_cmp_br, 0);
+        assert!(matches!(f.code[2], DecodedInstr::Branch { .. }));
     }
 
     #[test]
@@ -2573,101 +2388,7 @@ mod tests {
     }
 
     #[test]
-    fn fuses_const_bin_either_side() {
-        // `dst ← a - 1` (immediate on the right).
-        let (f, stats) = fuse_one(
-            1,
-            3,
-            vec![
-                Instr::ConstInt { dst: Reg(1), v: 1 },
-                Instr::Bin {
-                    op: BinOp::Sub,
-                    dst: Reg(2),
-                    a: Reg(0),
-                    b: Reg(1),
-                },
-                Instr::Ret { src: Reg(2) },
-            ],
-        );
-        assert_eq!(stats.const_bin, 1);
-        assert_eq!(
-            f.code[0],
-            DecodedInstr::ConstBin {
-                op: BinOp::Sub,
-                imm_rhs: true,
-                dst: Reg(2),
-                src: Reg(0),
-                imm: 1,
-            }
-        );
-        // `dst ← 100 / a` (immediate on the left of a non-commutative op).
-        let (f, stats) = fuse_one(
-            1,
-            3,
-            vec![
-                Instr::ConstInt {
-                    dst: Reg(1),
-                    v: 100,
-                },
-                Instr::Bin {
-                    op: BinOp::Div,
-                    dst: Reg(2),
-                    a: Reg(1),
-                    b: Reg(0),
-                },
-                Instr::Ret { src: Reg(2) },
-            ],
-        );
-        assert_eq!(stats.const_bin, 1);
-        assert_eq!(
-            f.code[0],
-            DecodedInstr::ConstBin {
-                op: BinOp::Div,
-                imm_rhs: false,
-                dst: Reg(2),
-                src: Reg(0),
-                imm: 100,
-            }
-        );
-    }
-
-    #[test]
     fn fuses_ret_tail_shapes() {
-        let (f, stats) = fuse_one(
-            2,
-            3,
-            vec![
-                Instr::Bin {
-                    op: BinOp::Add,
-                    dst: Reg(2),
-                    a: Reg(0),
-                    b: Reg(1),
-                },
-                Instr::Ret { src: Reg(2) },
-            ],
-        );
-        assert_eq!(stats.bin_ret, 1);
-        assert_eq!(
-            f.code[0],
-            DecodedInstr::BinRet {
-                op: BinOp::Add,
-                a: Reg(0),
-                b: Reg(1),
-            }
-        );
-        let (f, stats) = fuse_one(
-            1,
-            2,
-            vec![
-                Instr::Move {
-                    dst: Reg(1),
-                    src: Reg(0),
-                },
-                Instr::Ret { src: Reg(1) },
-            ],
-        );
-        assert_eq!(stats.mov_ret, 1);
-        assert_eq!(f.code[0], DecodedInstr::MovRet { src: Reg(0) });
         let (f, stats) = fuse_one(
             0,
             1,

@@ -404,31 +404,6 @@ impl VmStatistics {
         }
     }
 
-    /// Folds statistics from an independent run into this record (counts
-    /// sum, depths take the maximum) — used to aggregate run-side costs
-    /// across a whole workload suite, like `PassStatistics::absorb_parallel`
-    /// on the compile side.
-    pub fn merge(&mut self, other: &VmStatistics) {
-        for i in 0..OpClass::COUNT {
-            self.executed[i] += other.executed[i];
-            self.class_allocs[i] += other.class_allocs[i];
-        }
-        self.instructions += other.instructions;
-        self.calls += other.calls;
-        self.max_depth = self.max_depth.max(other.max_depth);
-        self.frame_allocs += other.frame_allocs;
-        self.frame_reuses += other.frame_reuses;
-        self.tail_frame_reuses += other.tail_frame_reuses;
-        self.fused_cells += other.fused_cells;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.max_frame_width = self.max_frame_width.max(other.max_frame_width);
-        self.frame_pool_bytes = self.frame_pool_bytes.max(other.frame_pool_bytes);
-        self.regs_saved += other.regs_saved;
-        self.duration += other.duration;
-        self.heap.absorb(&other.heap);
-    }
-
     /// Inline-cache hit rate over all probed call sites (0..=1).
     pub fn cache_hit_rate(&self) -> f64 {
         let probes = self.cache_hits + self.cache_misses;
@@ -1512,21 +1487,6 @@ impl<'p> Vm<'p> {
                                 f.name
                             )));
                         }
-                        DecodedInstr::CmpBr {
-                            pred,
-                            a,
-                            b,
-                            then_t,
-                            else_t,
-                        } => {
-                            let x = frame.regs[a.0 as usize] as i64;
-                            let y = frame.regs[b.0 as usize] as i64;
-                            pc = if pred.eval(x, y) {
-                                then_t as usize
-                            } else {
-                                else_t as usize
-                            };
-                        }
                         DecodedInstr::ConstCmpBr {
                             pred,
                             a,
@@ -1540,33 +1500,6 @@ impl<'p> Vm<'p> {
                             } else {
                                 else_t as usize
                             };
-                        }
-                        DecodedInstr::ConstBin {
-                            op,
-                            imm_rhs,
-                            dst,
-                            src,
-                            imm,
-                        } => {
-                            let s = frame.regs[src.0 as usize] as i64;
-                            let (x, y) = if imm_rhs { (s, imm) } else { (imm, s) };
-                            let Some(v) = op.eval(x, y) else {
-                                frame.pc = pc as u32;
-                                break 'act Transfer::Error(err("integer division by zero"));
-                            };
-                            frame.regs[dst.0 as usize] = v as u64;
-                        }
-                        DecodedInstr::BinRet { op, a, b } => {
-                            let x = frame.regs[a.0 as usize] as i64;
-                            let y = frame.regs[b.0 as usize] as i64;
-                            let Some(v) = op.eval(x, y) else {
-                                frame.pc = pc as u32;
-                                break 'act Transfer::Error(err("integer division by zero"));
-                            };
-                            inline_ret!(v as u64);
-                        }
-                        DecodedInstr::MovRet { src } => {
-                            inline_ret!(frame.regs[src.0 as usize]);
                         }
                         DecodedInstr::ConstRet { v } => {
                             inline_ret!(ObjRef::scalar(v).to_bits());
@@ -2120,11 +2053,7 @@ static COLD_HANDLERS: [ColdHandler; OpClass::COUNT] = [
     cold_never,  // Move
     cold_global, // Global
     cold_never,  // Trap
-    cold_never,  // FusedCmpBr
     cold_never,  // FusedConstCmpBr
-    cold_never,  // FusedConstBin
-    cold_never,  // FusedBinRet
-    cold_never,  // FusedMovRet
     cold_never,  // FusedConstRet
     cold_never,  // FusedProjInc
     cold_never,  // FusedCallBuiltinRet

@@ -50,11 +50,7 @@ fn mnemonic(i: &DecodedInstr) -> &'static str {
         DecodedInstr::GlobalLoad { .. } => "globalload",
         DecodedInstr::GlobalStore { .. } => "globalstore",
         DecodedInstr::Trap => "trap",
-        DecodedInstr::CmpBr { .. } => "cmpbr",
         DecodedInstr::ConstCmpBr { .. } => "constcmpbr",
-        DecodedInstr::ConstBin { .. } => "constbin",
-        DecodedInstr::BinRet { .. } => "binret",
-        DecodedInstr::MovRet { .. } => "movret",
         DecodedInstr::ConstRet { .. } => "constret",
         DecodedInstr::ProjInc { .. } => "projinc",
         DecodedInstr::CallBuiltinRet { .. } => "callbuiltinret",
@@ -79,10 +75,7 @@ fn falls_through(i: &DecodedInstr) -> bool {
             | DecodedInstr::Ret { .. }
             | DecodedInstr::TailCall { .. }
             | DecodedInstr::Trap
-            | DecodedInstr::CmpBr { .. }
             | DecodedInstr::ConstCmpBr { .. }
-            | DecodedInstr::BinRet { .. }
-            | DecodedInstr::MovRet { .. }
             | DecodedInstr::ConstRet { .. }
             | DecodedInstr::CallBuiltinRet { .. }
             | DecodedInstr::ConstructRet { .. }

@@ -185,7 +185,7 @@ fn bad_corpus_diagnostics_are_stable() {
     // range of wellformedness codes it was built for.
     for code in [
         "E0003", "E0101", "E0102", "E0103", "E0104", "E0105", "E0106", "E0107", "E0108", "E0109",
-        "E0110", "E0112", "E0113",
+        "E0110", "E0112", "E0113", "E0115",
     ] {
         assert!(
             codes_seen.contains(code),

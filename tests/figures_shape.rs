@@ -1,39 +1,43 @@
 //! Shape checks for the evaluation figures: the reproduced numbers must
 //! show the same *qualitative* result as the paper even at test scale,
-//! using the deterministic instruction-count metric (wall time is checked
-//! by the bench harness).
+//! using the deterministic instruction counts of the `lssa bench` records
+//! (`benchjson`'s six-rung ladder; wall time is what `lssa bench` prints
+//! next to them).
 
+use lambda_ssa::driver::benchjson::{geomean, run_suite, BenchRecord};
 use lambda_ssa::driver::pipelines::{compile, CompilerConfig};
 use lambda_ssa::driver::workloads::{all, Scale};
+use std::sync::OnceLock;
 
 const MAX_STEPS: u64 = 500_000_000;
 
-fn instructions(src: &str, config: CompilerConfig) -> u64 {
-    let program = compile(src, config).unwrap();
-    lambda_ssa::vm::run_program(&program, "main", MAX_STEPS)
-        .unwrap()
-        .stats
-        .instructions
+/// The test-scale records every figure reads, measured once.
+fn records() -> &'static [BenchRecord] {
+    static RECORDS: OnceLock<Vec<BenchRecord>> = OnceLock::new();
+    RECORDS.get_or_init(|| run_suite(&all(Scale::Test), 1, MAX_STEPS).unwrap())
+}
+
+/// The instruction count of one rung of one record.
+fn instructions(r: &BenchRecord, rung: &str) -> f64 {
+    r.row(rung).unwrap().instructions as f64
 }
 
 #[test]
 fn fig9_shape_performance_parity() {
     // Paper: geomean 1.09× — parity. Here: the instruction-count ratio of
-    // baseline/mlir must be close to 1 on every benchmark (within ±40%)
+    // leanc/full must be close to 1 on every benchmark (within ±40%)
     // and the geomean within ±20%.
     let mut ratios = Vec::new();
-    for w in all(Scale::Test) {
-        let base = instructions(&w.src, CompilerConfig::leanc()) as f64;
-        let mlir = instructions(&w.src, CompilerConfig::mlir()) as f64;
-        let ratio = base / mlir;
+    for r in records() {
+        let ratio = instructions(r, "leanc") / instructions(r, "full");
         assert!(
             (0.6..=1.67).contains(&ratio),
-            "{}: baseline/mlir instruction ratio {ratio:.2} is far from parity",
-            w.name
+            "{}: leanc/full instruction ratio {ratio:.2} is far from parity",
+            r.name
         );
         ratios.push(ratio);
     }
-    let geomean = (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
+    let geomean = geomean(&ratios);
     assert!(
         (0.8..=1.25).contains(&geomean),
         "geomean {geomean:.2} breaks the parity claim"
@@ -45,18 +49,16 @@ fn fig10_shape_rgn_matches_simplifier() {
     // Paper: geomean 1.0× between the rgn pipeline on raw λrc and the
     // λrc-simplifier pipeline. Same tolerance discipline as Figure 9.
     let mut ratios = Vec::new();
-    for w in all(Scale::Test) {
-        let a = instructions(&w.src, CompilerConfig::mlir()) as f64;
-        let b = instructions(&w.src, CompilerConfig::rgn_only()) as f64;
-        let ratio = a / b;
+    for r in records() {
+        let ratio = instructions(r, "full") / instructions(r, "rgn_only");
         assert!(
             (0.6..=1.67).contains(&ratio),
-            "{}: rgn-vs-simplifier instruction ratio {ratio:.2} far from parity",
-            w.name
+            "{}: full/rgn_only instruction ratio {ratio:.2} far from parity",
+            r.name
         );
         ratios.push(ratio);
     }
-    let geomean = (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
+    let geomean = geomean(&ratios);
     assert!(
         (0.85..=1.18).contains(&geomean),
         "geomean {geomean:.2} breaks the Figure 10 parity claim"
@@ -67,13 +69,12 @@ fn fig10_shape_rgn_matches_simplifier() {
 fn optimizations_never_hurt_much_nor_explode_code() {
     // The unoptimized pipeline must not beat the optimized one by a large
     // margin anywhere (optimizations can be neutral, not harmful).
-    for w in all(Scale::Test) {
-        let opt = instructions(&w.src, CompilerConfig::mlir()) as f64;
-        let raw = instructions(&w.src, CompilerConfig::none()) as f64;
+    for r in records() {
+        let (opt, raw) = (instructions(r, "full"), instructions(r, "none"));
         assert!(
             opt <= raw * 1.15,
             "{}: optimized pipeline executes {opt} instrs vs {raw} unoptimized",
-            w.name
+            r.name
         );
     }
 }

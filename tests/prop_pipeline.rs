@@ -112,9 +112,7 @@ proptest! {
         let case = generated(1, seed as u64 ^ 0x9999).remove(0);
         let p = parse_program(&case.src).unwrap();
         let opts = SimplifyOptions {
-            basic: true,
             const_fold: fold,
-            case_of_known: true,
             simpcase,
         };
         let s = simplify_program(&p, opts);
