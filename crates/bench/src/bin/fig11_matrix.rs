@@ -40,11 +40,9 @@ def main() :=
     .unwrap();
     let mut unopt = lssa_core::pipeline::compile(&rc, lssa_core::PipelineOptions::no_opt());
     let before = unopt.live_op_count();
-    let mut changed_fold = lssa_ir::passes::CanonicalizePass::new()
-        .run(&mut unopt)
-        .changed;
-    changed_fold |= lssa_ir::passes::CsePass.run(&mut unopt).changed;
-    changed_fold |= lssa_ir::passes::DcePass.run(&mut unopt).changed;
+    let mut changed_fold = lssa_ir::passes::CanonicalizePass::new().run_on(&mut unopt);
+    changed_fold |= lssa_ir::passes::CsePass.run_on(&mut unopt);
+    changed_fold |= lssa_ir::passes::DcePass.run_on(&mut unopt);
     let after = unopt.live_op_count();
     rows.push(Row {
         feature: "Constant folding",

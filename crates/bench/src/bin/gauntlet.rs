@@ -8,8 +8,9 @@
 //! ```
 //!
 //! Each case derives a (workload, fault) pair from `--seed` and its case
-//! index alone: step-budget exhaustion at a planted count, a heap byte-cap
-//! trip, an allocation-count trip, a planted engine panic, cooperative
+//! index alone: step-budget exhaustion at a drawn count (two classes,
+//! `step-budget` and `exhaust-at`, with different ranges), a heap byte-cap
+//! trip, an allocation-count trip, a planted engine panic, a planned
 //! cancellation, a frame-depth cap, a zero wall-clock deadline, or no fault
 //! at all. Every distinct workload is compiled and decoded **once** and the
 //! `Arc<DecodedProgram>` shared across all jobs, so the run also proves the
@@ -157,7 +158,7 @@ fn plan_case(idx: usize, seed: u64, n_programs: usize) -> (usize, &'static str, 
             "step-budget"
         }
         2 => {
-            fault_plan.exhaust_at = Some(5_000 + p % 20_000);
+            limits = limits.with_steps(5_000 + p % 20_000);
             "exhaust-at"
         }
         3 => {

@@ -31,4 +31,4 @@ pub mod lp;
 pub mod pipeline;
 pub mod rgn;
 
-pub use pipeline::{compile, compile_batch, compile_with_report, PipelineOptions, PipelineReport};
+pub use pipeline::{compile, compile_with_report, PipelineOptions, PipelineReport};

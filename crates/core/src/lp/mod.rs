@@ -24,11 +24,6 @@ pub fn declare_externs(module: &mut Module) {
     }
 }
 
-/// Whether a symbol names a runtime builtin.
-pub fn is_builtin(module: &Module, sym: Symbol) -> bool {
-    module.name_of(sym).starts_with("lean_")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -41,7 +36,5 @@ mod tests {
         declare_externs(&mut m);
         assert_eq!(m.funcs.len(), n, "idempotent");
         assert!(m.func_by_name("lean_nat_add").unwrap().is_extern());
-        let sym = m.interner.get("lean_nat_add").unwrap();
-        assert!(is_builtin(&m, sym));
     }
 }

@@ -120,22 +120,6 @@ impl PipelineReport {
             .join("\n")
     }
 
-    /// Folds another compilation's report into this one, phase by phase
-    /// (matched by pipeline name) — used to aggregate statistics across a
-    /// benchmark suite.
-    pub fn merge(&mut self, other: &PipelineReport) {
-        for phase in &other.phases {
-            match self
-                .phases
-                .iter_mut()
-                .find(|p| p.pipeline == phase.pipeline)
-            {
-                Some(mine) => mine.merge(phase),
-                None => self.phases.push(phase.clone()),
-            }
-        }
-    }
-
     /// Total wall time across phases.
     pub fn total_duration(&self) -> std::time::Duration {
         self.phases.iter().map(|p| p.duration).sum()
@@ -290,33 +274,6 @@ pub fn compile_with_report(program: &Program, opts: PipelineOptions) -> (Module,
     (module, report)
 }
 
-/// Compiles a batch of λrc programs with one call, merging every
-/// compilation's per-pass statistics into a single [`PipelineReport`]
-/// (phase by phase, see [`PipelineReport::merge`]).
-///
-/// This is the core-level batch entry point for callers that already hold
-/// lowered λrc programs. For whole-source batches, `lssa-driver`'s
-/// `pipelines::compile_batch` is the source-level analogue: it adds
-/// parsing, per-source error capture, and the shared parallel executor
-/// (and therefore drives compilations itself rather than through this
-/// function).
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`compile`].
-pub fn compile_batch(programs: &[Program], opts: PipelineOptions) -> (Vec<Module>, PipelineReport) {
-    let mut merged = PipelineReport::default();
-    let modules = programs
-        .iter()
-        .map(|p| {
-            let (module, report) = compile_with_report(p, opts);
-            merged.merge(&report);
-            module
-        })
-        .collect();
-    (modules, merged)
-}
-
 fn maybe_verify(module: &Module, opts: PipelineOptions, phase: &str) {
     if !opts.verify {
         return;
@@ -449,13 +406,9 @@ def main() := ap42(k(10))
     }
 
     #[test]
-    fn compile_batch_merges_reports_across_programs() {
-        let a = insert_rc(&parse_program(LIST_SUM).unwrap());
-        let b = insert_rc(&parse_program("def main() := 6 * 7").unwrap());
-        let (modules, report) = compile_batch(&[a.clone(), b], PipelineOptions::full());
-        assert_eq!(modules.len(), 2);
-        assert!(modules.iter().all(|m| m.func_by_name("main").is_some()));
-        // Each phase appears once, with both compilations folded in.
+    fn one_compilation_reports_each_phase_once_with_one_row_per_pass() {
+        let rc = insert_rc(&parse_program(LIST_SUM).unwrap());
+        let (_, report) = compile_with_report(&rc, PipelineOptions::full());
         let names: Vec<&str> = report.phases.iter().map(|p| p.pipeline.as_str()).collect();
         assert_eq!(
             names,
@@ -468,21 +421,20 @@ def main() := ap42(k(10))
                 "cleanup"
             ]
         );
-        let (_, single) = compile_with_report(&a, PipelineOptions::full());
-        let batch_lower = report
-            .phases
-            .iter()
-            .find(|p| p.pipeline == "lower-cfg")
-            .unwrap();
-        let single_lower = single
-            .phases
-            .iter()
-            .find(|p| p.pipeline == "lower-cfg")
-            .unwrap();
-        assert!(
-            batch_lower.passes[0].runs > single_lower.passes[0].runs,
-            "merged report must accumulate runs across the batch"
-        );
+        let runs = |phase: &str, pass: &str| -> usize {
+            let phase = report.phases.iter().find(|p| p.pipeline == phase).unwrap();
+            let rows: Vec<_> = phase.passes.iter().filter(|s| s.pass == pass).collect();
+            assert_eq!(rows.len(), 1, "{pass} has one row in {}", phase.pipeline);
+            rows[0].runs
+        };
+        // A pass listed twice in a pipeline is one row counting both runs,
+        // in every sweep.
+        let rgn_sweeps = report.phases[0].iterations;
+        assert_eq!(runs("rgn-opt", "canonicalize"), 2 * rgn_sweeps);
+        assert_eq!(runs("rgn-opt", "dce"), rgn_sweeps);
+        assert_eq!(runs("generic-opt", "canonicalize"), 2);
+        assert_eq!(runs("generic-opt", "dce"), 2);
+        assert_eq!(runs("generic-opt", "inline"), 1);
     }
 
     #[test]

@@ -295,7 +295,7 @@ mod tests {
         let rc = insert_rc(&p);
         let mut m = lower_program(&rc);
         from_lp::lower_module(&mut m);
-        RgnToCfgPass.run(&mut m);
+        RgnToCfgPass.run_on(&mut m);
         if let Err(errs) = verify_module(&m) {
             let msgs: Vec<String> = errs.iter().map(|e| e.to_string()).collect();
             panic!(
@@ -430,7 +430,7 @@ def loop(n, acc) :=
 def start(n) := loop(n, 0)
 "#,
         );
-        assert!(TcoPass { only_self: false }.run(&mut m).changed);
+        assert!(TcoPass { only_self: false }.run_on(&mut m));
         verify_module(&m).unwrap();
         let text = print_module(&m);
         assert!(text.contains("func.tail_call"), "{text}");
@@ -453,7 +453,7 @@ def loop(n, acc) :=
 def start(n) := loop(n, 0)
 "#,
         );
-        assert!(TcoPass { only_self: true }.run(&mut m).changed);
+        assert!(TcoPass { only_self: true }.run_on(&mut m));
         verify_module(&m).unwrap();
         let start = m.func_by_name("start").unwrap();
         let body = start.body.as_ref().unwrap();
@@ -484,7 +484,7 @@ def drop_all(xs) :=
   end
 "#,
         );
-        TcoPass { only_self: false }.run(&mut m);
+        TcoPass { only_self: false }.run_on(&mut m);
         verify_module(&m).unwrap();
         let f = m.func_by_name("drop_all").unwrap();
         let body = f.body.as_ref().unwrap();

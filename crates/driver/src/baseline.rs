@@ -32,7 +32,7 @@ pub fn lower_program(program: &Program) -> Module {
         module.add_function(&f.name, Signature::obj(f.arity()), body);
     }
     // Heuristic TCO: what a C compiler reliably gives you.
-    TcoPass { only_self: true }.run(&mut module);
+    TcoPass { only_self: true }.run_on(&mut module);
     module
 }
 

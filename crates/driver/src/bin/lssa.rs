@@ -76,10 +76,7 @@
 //! is a real change).
 
 use lssa_driver::benchjson;
-use lssa_driver::pipelines::{
-    compile_and_run_with_report_vm, compile_ast_with_report, frontend, frontend_ast, Backend,
-    CompilerConfig,
-};
+use lssa_driver::pipelines::{compile_ast_with_report, frontend_ast, Backend, CompilerConfig};
 use lssa_driver::workloads::{all, by_name, Scale, Workload};
 use lssa_lambda::ast::Program;
 use lssa_vm::{DecodeOptions, ExecOptions, JobLimits};
@@ -89,7 +86,7 @@ use std::time::Duration;
 const MAX_STEPS: u64 = 2_000_000_000;
 
 /// Exit code for a run that exhausted a resource budget (step, heap,
-/// depth, deadline, cancellation) rather than failing on its own merits.
+/// depth, deadline) rather than failing on its own merits.
 /// 0 = success, 1 = any other error, 3 = resource exhaustion.
 const EXIT_RESOURCE: u8 = 3;
 
@@ -243,20 +240,25 @@ fn is_lssa(file: &str) -> bool {
     file.ends_with(".lssa")
 }
 
-/// Parses a `.lssa` source strictly. On any diagnostic (syntax *or*
-/// wellformedness — same `E01xx` codes as `lssa check`), renders them
-/// human-readably to stderr and yields the failure exit code.
-fn load_lssa(file: &str, src: &str) -> Result<Program, ExitCode> {
-    match lssa_syntax::parse_program(src) {
-        Ok(p) => Ok(p),
-        Err(diags) => {
-            eprint!(
-                "{}",
-                lssa_syntax::render_all(&diags, file, src, lssa_syntax::RenderFormat::Human)
-            );
-            Err(ExitCode::FAILURE)
-        }
+/// Parses `src`, read from `file`, into a λpure program: `.lssa` files
+/// through the text frontend, anything else through the built-in surface
+/// language, whose parse error is a plain `parse error: …`. A `.lssa`
+/// file is parsed strictly: any diagnostic (syntax *or* wellformedness —
+/// same `E01xx` codes as `lssa check`) is rendered human-readably to
+/// stderr, and the inner `Err` is the exit code to stop with.
+fn load(file: &str, src: &str) -> Result<Result<Program, ExitCode>, String> {
+    if !is_lssa(file) {
+        return lssa_lambda::parse_program(src)
+            .map(Ok)
+            .map_err(|e| format!("parse error: {e}"));
     }
+    Ok(lssa_syntax::parse_program(src).map_err(|diags| {
+        eprint!(
+            "{}",
+            lssa_syntax::render_all(&diags, file, src, lssa_syntax::RenderFormat::Human)
+        );
+        ExitCode::FAILURE
+    }))
 }
 
 #[allow(clippy::too_many_lines)]
@@ -308,35 +310,22 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     config.backend = Backend::Mlir(opts);
                 }
             }
-            let (out, report) = if is_lssa(file) {
-                let program = match load_lssa(file, &src) {
-                    Ok(p) => p,
-                    Err(code) => return Ok(code),
-                };
-                let (compiled, report) =
-                    compile_ast_with_report(&program, config).map_err(|e| e.to_string())?;
-                let out =
-                    match lssa_vm::run_program_opts(&compiled, "main", MAX_STEPS, decode, exec) {
-                        Ok(out) => out,
-                        // A budget/deadline/cancellation abort is a governed
-                        // outcome, not a usage error: report it plainly and exit
-                        // with the documented resource code.
-                        Err(e) if e.kind.is_resource() => {
-                            eprintln!("execution error: {e}");
-                            return Ok(ExitCode::from(EXIT_RESOURCE));
-                        }
-                        Err(e) => return Err(format!("execution error: {e}")),
-                    };
-                (out, report)
-            } else {
-                match compile_and_run_with_report_vm(&src, config, MAX_STEPS, decode, exec) {
-                    Ok(pair) => pair,
-                    Err(e) if e.vm_kind().is_some_and(|k| k.is_resource()) => {
-                        eprintln!("{e}");
-                        return Ok(ExitCode::from(EXIT_RESOURCE));
-                    }
-                    Err(e) => return Err(e.to_string()),
+            let program = match load(file, &src)? {
+                Ok(p) => p,
+                Err(code) => return Ok(code),
+            };
+            let (compiled, report) =
+                compile_ast_with_report(&program, config).map_err(|e| e.to_string())?;
+            let out = match lssa_vm::run_program_opts(&compiled, "main", MAX_STEPS, decode, exec) {
+                Ok(out) => out,
+                // A budget or deadline abort is a governed outcome, not a
+                // usage error: report it plainly and exit with the
+                // documented resource code.
+                Err(e) if e.kind.is_resource() => {
+                    eprintln!("execution error: {e}");
+                    return Ok(ExitCode::from(EXIT_RESOURCE));
                 }
+                Err(e) => return Err(format!("execution error: {e}")),
             };
             println!("{}", out.rendered);
             eprintln!(
@@ -460,15 +449,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let file = files.first().ok_or("missing file")?;
             let src = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
             let stage = flag_value(args, "--stage").unwrap_or("cfg");
-            let rc = if is_lssa(file) {
-                let program = match load_lssa(file, &src) {
-                    Ok(p) => p,
-                    Err(code) => return Ok(code),
-                };
-                frontend_ast(&program, CompilerConfig::mlir()).map_err(|e| e.to_string())?
-            } else {
-                frontend(&src, CompilerConfig::mlir()).map_err(|e| e.to_string())?
+            let program = match load(file, &src)? {
+                Ok(p) => p,
+                Err(code) => return Ok(code),
             };
+            let rc = frontend_ast(&program, CompilerConfig::mlir()).map_err(|e| e.to_string())?;
             match stage {
                 "lambda" => {
                     for f in &rc.fns {
@@ -504,15 +489,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         "diff" => {
             let file = files.first().ok_or("missing file")?;
             let src = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
-            let r = if is_lssa(file) {
-                let program = match load_lssa(file, &src) {
-                    Ok(p) => p,
-                    Err(code) => return Ok(code),
-                };
-                lssa_driver::diff::run_differential_ast(file, &program, MAX_STEPS)
-            } else {
-                lssa_driver::diff::run_differential(file, &src, MAX_STEPS)
+            let program = match load(file, &src)? {
+                Ok(p) => p,
+                Err(code) => return Ok(code),
             };
+            let r = lssa_driver::diff::run_differential_ast(file, &program, MAX_STEPS);
             match r.failure {
                 None => {
                     println!("PASS: all pipelines agree on {:?}", r.rendered.unwrap());
@@ -567,7 +548,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     );
                 }
                 let src = std::fs::read_to_string(name).map_err(|e| format!("{name}: {e}"))?;
-                let program = match load_lssa(name, &src) {
+                let program = match load(name, &src)? {
                     Ok(p) => p,
                     Err(code) => return Ok(code),
                 };

@@ -1,12 +1,12 @@
 //! Resource-governed, fault-tolerant job execution.
 //!
-//! A *job* is one source program (or pre-decoded program) executed under a
-//! [`JobSpec`]: a compiler configuration plus the resource envelope
-//! ([`lssa_vm::JobLimits`]), an optional injected fault plan
-//! ([`lssa_vm::FaultPlan`]), an optional cooperative [`CancelToken`], and a
-//! bounded [`RetryPolicy`]. Every failure mode — step/heap/depth budget,
-//! deadline, cancellation, a panic anywhere in the engine, a compile error —
-//! comes back as a structured [`JobError`], never as a process abort:
+//! A *job* is one source program (or pre-decoded program) executed once
+//! under a [`JobSpec`]: a compiler configuration plus the resource envelope
+//! ([`lssa_vm::JobLimits`]) and an optional injected fault plan
+//! ([`lssa_vm::FaultPlan`]). Every failure mode — step/heap/depth budget,
+//! deadline, planned cancellation, a panic anywhere in the engine, a
+//! compile error — comes back as a structured [`JobError`], never as a
+//! process abort:
 //!
 //! - the VM run itself executes under `catch_unwind`, so an engine panic
 //!   (including a [`lssa_vm::FaultPlan::panic_at`] planted one) becomes
@@ -20,15 +20,14 @@
 //!   inline caches and shared [`DecodedProgram`] survived the abort
 //!   ([`JobReport::probe_ok`]).
 //!
-//! Batches go through [`run_jobs`], which layers [`BatchRunner`]'s
-//! quarantine mode on top so even a panic *outside* the VM (compile,
-//! render) is a per-job failure. Reports are deterministic: everything
+//! Batches (the fault-injection gauntlet) run jobs through
+//! [`crate::par::BatchRunner::map_quarantined`], so even a panic *outside*
+//! the VM is a per-job failure. Reports are deterministic: everything
 //! except [`JobReport::duration`] is a pure function of (source, spec).
 
-use crate::par::BatchRunner;
 use crate::pipelines::{compile, CompilerConfig, PipelineError};
 use lssa_syntax::escape_json;
-use lssa_vm::{CancelToken, DecodeOptions, DecodedProgram, ExecOptions, Vm, VmError, VmErrorKind};
+use lssa_vm::{DecodeOptions, DecodedProgram, ExecOptions, Vm, VmError, VmErrorKind};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -49,7 +48,7 @@ pub enum JobError {
     DepthBudget,
     /// The wall-clock deadline passed ([`lssa_vm::JobLimits::deadline`]).
     Deadline,
-    /// The job was cancelled through its [`CancelToken`].
+    /// A planned cancellation fired ([`lssa_vm::FaultPlan::cancel_at`]).
     Cancelled,
     /// The engine panicked while running the job (caught; the process and
     /// sibling jobs survive).
@@ -57,7 +56,7 @@ pub enum JobError {
         /// The panic payload, when it was a string.
         message: String,
     },
-    /// The program failed to compile — never retried.
+    /// The program failed to compile.
     CompileError {
         /// The pipeline error, prefixed by its stage.
         message: String,
@@ -95,13 +94,6 @@ impl JobError {
                 | JobError::Deadline
                 | JobError::Cancelled
         )
-    }
-
-    /// Whether a retry could plausibly succeed: panics (environmental) and
-    /// deadlines (load-dependent). Budget exhaustion, cancellation, compile
-    /// errors and traps are deterministic and never retried.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, JobError::Panicked { .. } | JobError::Deadline)
     }
 
     /// The error as a single-line JSON object, e.g.
@@ -164,35 +156,6 @@ impl fmt::Display for JobError {
 
 impl std::error::Error for JobError {}
 
-/// Bounded retry with linear backoff, applied only to
-/// [transient](JobError::is_transient) failures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts, including the first (minimum 1).
-    pub max_attempts: u32,
-    /// Sleep between attempts, scaled linearly by the attempt number.
-    pub backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff: Duration::ZERO,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Up to `max_attempts` total attempts, no backoff.
-    pub fn attempts(max_attempts: u32) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts,
-            backoff: Duration::ZERO,
-        }
-    }
-}
-
 /// Everything a governed job run needs besides the program itself.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
@@ -203,13 +166,6 @@ pub struct JobSpec {
     /// Execution options: [`lssa_vm::JobLimits`] and an optional
     /// [`lssa_vm::FaultPlan`].
     pub exec: ExecOptions,
-    /// Cooperative cancellation token shared with the job's VM.
-    pub cancel: Option<CancelToken>,
-    /// Retry policy for transient failures.
-    pub retry: RetryPolicy,
-    /// Legacy absolute step cap (combined with
-    /// [`lssa_vm::JobLimits::steps`]; the tighter bound wins).
-    pub max_steps: u64,
 }
 
 impl Default for JobSpec {
@@ -218,9 +174,6 @@ impl Default for JobSpec {
             config: CompilerConfig::mlir(),
             decode: DecodeOptions::default(),
             exec: ExecOptions::default(),
-            cancel: None,
-            retry: RetryPolicy::default(),
-            max_steps: u64::MAX,
         }
     }
 }
@@ -230,9 +183,9 @@ impl Default for JobSpec {
 pub struct JobReport {
     /// The rendered result, or the structured failure.
     pub outcome: Result<String, JobError>,
-    /// Execution attempts made (0 when compilation failed).
+    /// Execution attempts made: 0 when compilation failed, 1 otherwise.
     pub attempts: u32,
-    /// VM steps executed by the last attempt.
+    /// VM steps executed.
     pub steps: u64,
     /// Heap-ledger drift detected across the job's cleanup sweeps: a
     /// nonzero value means objects leaked (or were double-freed) on an
@@ -241,7 +194,7 @@ pub struct JobReport {
     /// After an abort: whether the purged VM survived a fault-free re-run
     /// of the same program (`None` when the job succeeded — no probe).
     pub probe_ok: Option<bool>,
-    /// Wall-clock time for the whole job (all attempts + probes). Excluded
+    /// Wall-clock time for the whole job (compile, run and probe). Excluded
     /// from determinism comparisons.
     pub duration: Duration,
 }
@@ -267,8 +220,8 @@ impl JobReport {
 }
 
 /// Compiles `src` under the spec's config and executes it as a governed
-/// job. Compile errors are reported (never retried, never panic the
-/// caller); execution goes through [`execute_decoded`].
+/// job. Compile errors are reported (never panic the caller); execution
+/// goes through [`execute_decoded`].
 pub fn run_job(src: &str, spec: &JobSpec) -> JobReport {
     let start = Instant::now();
     let compiled = match compile(src, spec.config) {
@@ -290,38 +243,14 @@ pub fn run_job(src: &str, spec: &JobSpec) -> JobReport {
     report
 }
 
-/// Executes `entry` of a pre-decoded program as a governed job: the
-/// attempt/retry loop around one-VM-per-attempt runs. Public so harnesses (the
-/// fault-injection gauntlet) can share one decoded program — and its
-/// [`lssa_vm::DecodeCache`] — across thousands of jobs.
+/// Executes `entry` of a pre-decoded program as a governed job on a fresh
+/// VM: run under `catch_unwind`, then on any abort purge, leak-check, and
+/// probe. Public so harnesses (the fault-injection gauntlet) can share one
+/// decoded program — and its [`lssa_vm::DecodeCache`] — across thousands
+/// of jobs.
 pub fn execute_decoded(program: &DecodedProgram, entry: &str, spec: &JobSpec) -> JobReport {
     let start = Instant::now();
-    let max_attempts = spec.retry.max_attempts.max(1);
-    let mut attempts = 0;
-    loop {
-        attempts += 1;
-        let mut report = run_attempt(program, entry, spec);
-        report.attempts = attempts;
-        report.duration = start.elapsed();
-        match &report.outcome {
-            Ok(_) => return report,
-            Err(e) if attempts < max_attempts && e.is_transient() => {
-                if !spec.retry.backoff.is_zero() {
-                    std::thread::sleep(spec.retry.backoff * attempts);
-                }
-            }
-            Err(_) => return report,
-        }
-    }
-}
-
-/// One execution attempt on a fresh VM: run under `catch_unwind`, then on
-/// any abort purge, leak-check, and probe.
-fn run_attempt(program: &DecodedProgram, entry: &str, spec: &JobSpec) -> JobReport {
-    let mut vm = Vm::with_options(program, spec.max_steps, spec.exec);
-    if let Some(token) = &spec.cancel {
-        vm.set_cancel_token(token.clone());
-    }
+    let mut vm = Vm::with_options(program, u64::MAX, spec.exec);
     let run = catch_unwind(AssertUnwindSafe(|| vm.run(entry)));
     let outcome = match run {
         Ok(Ok(result)) => {
@@ -341,7 +270,6 @@ fn run_attempt(program: &DecodedProgram, entry: &str, spec: &JobSpec) -> JobRepo
         // the *same* VM — the frame pool, caches and decoded program must
         // all still work after the abort.
         vm.clear_fault();
-        vm.clear_cancel_token();
         vm.set_step_budget(steps.saturating_add(PROBE_BUDGET));
         let probe = catch_unwind(AssertUnwindSafe(|| vm.run(entry)));
         let ok = match probe {
@@ -365,7 +293,7 @@ fn run_attempt(program: &DecodedProgram, entry: &str, spec: &JobSpec) -> JobRepo
         steps,
         leaked,
         probe_ok,
-        duration: Duration::ZERO,
+        duration: start.elapsed(),
     }
 }
 
@@ -379,28 +307,6 @@ fn settle(vm: &mut Vm<'_>) -> u64 {
     // …and after it, lifetime allocs and frees must balance exactly.
     let stats = vm.heap.stats();
     drift + stats.allocs.abs_diff(stats.frees)
-}
-
-/// Runs one job per source across a [`BatchRunner`] in quarantine mode:
-/// any panic that escapes a job (even outside the VM) is folded into that
-/// job's report as [`JobError::Panicked`], and report order matches input
-/// order regardless of worker count.
-pub fn run_jobs(sources: &[&str], spec: &JobSpec, runner: &BatchRunner) -> Vec<JobReport> {
-    runner
-        .map_quarantined(sources, |src| run_job(src, spec))
-        .into_iter()
-        .map(|r| match r {
-            Ok(report) => report,
-            Err(p) => JobReport {
-                outcome: Err(JobError::Panicked { message: p.message }),
-                attempts: 1,
-                steps: 0,
-                leaked: 0,
-                probe_ok: None,
-                duration: Duration::ZERO,
-            },
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -462,64 +368,9 @@ mod tests {
 
     #[test]
     fn compile_errors_are_never_retried() {
-        let spec = JobSpec {
-            retry: RetryPolicy::attempts(5),
-            ..JobSpec::default()
-        };
-        let report = run_job("def main( := 1", &spec);
+        let report = run_job("def main( := 1", &JobSpec::default());
         assert!(matches!(report.outcome, Err(JobError::CompileError { .. })));
         assert_eq!(report.attempts, 0);
-    }
-
-    #[test]
-    fn transient_failures_retry_up_to_the_cap() {
-        // A planted panic fires every attempt, so the retry loop runs to its
-        // cap and reports the last failure.
-        let exec = ExecOptions::default()
-            .with_limits(JobLimits::default().with_steps(1 << 20))
-            .with_fault(FaultPlan {
-                panic_at: Some(1024),
-                ..FaultPlan::default()
-            });
-        let spec = JobSpec {
-            retry: RetryPolicy::attempts(3),
-            ..spec_with(exec)
-        };
-        let report = run_job(LOOP, &spec);
-        assert!(matches!(report.outcome, Err(JobError::Panicked { .. })));
-        assert_eq!(report.attempts, 3);
-    }
-
-    #[test]
-    fn cancellation_via_token_is_structured() {
-        let token = CancelToken::new();
-        token.cancel();
-        let spec = JobSpec {
-            cancel: Some(token),
-            exec: ExecOptions::default().with_limits(JobLimits::default().with_steps(1 << 24)),
-            ..JobSpec::default()
-        };
-        let report = run_job(LOOP, &spec);
-        assert_eq!(report.outcome, Err(JobError::Cancelled));
-        assert_eq!(report.leaked, 0);
-        assert_eq!(report.probe_ok, Some(true));
-    }
-
-    #[test]
-    fn batch_reports_are_input_ordered_and_quarantined() {
-        let exec = ExecOptions::default().with_limits(JobLimits::default().with_steps(50_000));
-        let spec = spec_with(exec);
-        let sources = [OK, LOOP, "def main( := 1", OK];
-        let runner = BatchRunner::new().with_jobs(2);
-        let reports = run_jobs(&sources, &spec, &runner);
-        assert_eq!(reports.len(), 4);
-        assert_eq!(reports[0].outcome, Ok("42".to_string()));
-        assert_eq!(reports[1].outcome, Err(JobError::StepBudget));
-        assert!(matches!(
-            reports[2].outcome,
-            Err(JobError::CompileError { .. })
-        ));
-        assert_eq!(reports[3].outcome, Ok("42".to_string()));
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! - [`jobs`] — resource-governed, fault-tolerant job execution with
 //!   deterministic fault injection (the `gauntlet` harness),
 //! - [`par`] — the parallel batch executor every sharded run shares (the
-//!   `correctness` binary, [`pipelines::compile_batch`], and the
-//!   integration-test harnesses).
+//!   `correctness` and `gauntlet` binaries and the integration-test
+//!   harnesses).
 //!
 //! ```
 //! use lssa_driver::pipelines::{compile_and_run, CompilerConfig};
@@ -37,4 +37,4 @@ pub mod par;
 pub mod pipelines;
 pub mod workloads;
 
-pub use pipelines::{compile, compile_and_run, compile_batch, Backend, CompilerConfig};
+pub use pipelines::{compile, compile_and_run, Backend, CompilerConfig};

@@ -1,10 +1,8 @@
 //! The parallel batch executor — one subsystem for every sharded run.
 //!
-//! PR 2 and PR 3 each hand-rolled their own `std::thread::scope` sharding
-//! (the workload smoke oracle, the conformance suite). This module replaces
-//! those one-offs with a single chunked work-queue executor that all batch
-//! consumers share: the `correctness` binary, [`crate::pipelines::compile_batch`],
-//! and the integration-test harnesses.
+//! One chunked work-queue executor that all batch consumers share: the
+//! `correctness` and `gauntlet` binaries and the integration-test
+//! harnesses (the workload smoke oracle, the conformance suites).
 //!
 //! Design:
 //!
@@ -13,19 +11,20 @@
 //!   pulling work instead of idling behind a static partition.
 //! - **Deterministic output.** Each job's result is tagged with its input
 //!   index and the merged output is in input order — byte-identical
-//!   regardless of `jobs`, chunk size, or scheduling.
+//!   regardless of `jobs` or scheduling.
 //! - **Panic transparency.** Every job runs under `catch_unwind`, so a
 //!   panicking job never wedges the batch or loses its worker's other
 //!   results. In the default mode the panic is re-raised on the caller's
 //!   thread after the whole batch completes — deterministically the
 //!   lowest-input-index panic, with a summary counting *all* panicked jobs
 //!   when there was more than one. In **quarantine mode**
-//!   ([`BatchRunner::map_quarantined`] / [`BatchRunner::run_quarantined`])
-//!   nothing is re-raised: each panic becomes a per-job [`JobPanic`] entry
-//!   and the rest of the batch is unaffected.
-//! - **Aggregation.** [`BatchRunner::run`] wraps each job with wall-clock
-//!   timing and returns a [`BatchReport`] carrying per-job durations, the
-//!   batch wall time, and (for `Result` jobs) failure accounting.
+//!   ([`BatchRunner::map_quarantined`]) nothing is re-raised: each panic
+//!   becomes a per-job [`JobPanic`] entry and the rest of the batch is
+//!   unaffected.
+//! - **Aggregation.** [`BatchRunner::run_with_progress`] wraps each job
+//!   with wall-clock timing and returns a [`BatchReport`] carrying per-job
+//!   durations, the batch wall time, and (for `Result` jobs) failure
+//!   accounting.
 //!
 //! ```
 //! use lssa_driver::par::BatchRunner;
@@ -78,12 +77,11 @@ pub fn available_jobs() -> usize {
 
 /// A configured batch executor.
 ///
-/// Cheap to build; carries only the thread count and chunk size. See the
-/// [module docs](self) for the execution model.
+/// Cheap to build; carries only the thread count. See the [module
+/// docs](self) for the execution model.
 #[derive(Debug, Clone)]
 pub struct BatchRunner {
     jobs: usize,
-    chunk: usize,
 }
 
 impl Default for BatchRunner {
@@ -93,11 +91,10 @@ impl Default for BatchRunner {
 }
 
 impl BatchRunner {
-    /// An executor using [`available_jobs`] threads and automatic chunking.
+    /// An executor using [`available_jobs`] threads.
     pub fn new() -> BatchRunner {
         BatchRunner {
             jobs: available_jobs(),
-            chunk: 0,
         }
     }
 
@@ -108,26 +105,16 @@ impl BatchRunner {
         self
     }
 
-    /// Sets the chunk size workers claim per queue pop. `0` (the default)
-    /// picks one automatically: small enough that every worker gets several
-    /// turns, large enough to keep queue traffic negligible.
-    pub fn with_chunk(mut self, chunk: usize) -> BatchRunner {
-        self.chunk = chunk;
-        self
-    }
-
     /// The worker-thread count a batch of `len` jobs would actually use
     /// (never more threads than jobs).
-    pub fn effective_jobs(&self, len: usize) -> usize {
+    fn effective_jobs(&self, len: usize) -> usize {
         self.jobs.max(1).min(len.max(1))
     }
 
-    fn effective_chunk(&self, len: usize, jobs: usize) -> usize {
-        if self.chunk > 0 {
-            return self.chunk;
-        }
-        // Aim for ~4 turns per worker so stragglers rebalance, capped so
-        // progress callbacks stay responsive on huge batches.
+    /// The chunk size workers claim per queue pop: ~4 turns per worker so
+    /// stragglers rebalance, capped so progress callbacks stay responsive
+    /// on huge batches.
+    fn effective_chunk(len: usize, jobs: usize) -> usize {
         (len / (jobs * 4)).clamp(1, 64)
     }
 
@@ -136,8 +123,11 @@ impl BatchRunner {
     ///
     /// # Panics
     ///
-    /// Re-raises the lowest-input-index job panic after the whole batch has
-    /// run (see [`BatchRunner::map_with_progress`]).
+    /// After the whole batch has run, re-raises the panic of the
+    /// lowest-input-index panicking job — deterministic regardless of thread
+    /// count. When several jobs panicked, the re-raised payload is a summary
+    /// counting all of them (with their input indices), so no failure is
+    /// silently dropped.
     pub fn map<T, R>(&self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R>
     where
         T: Sync,
@@ -149,15 +139,7 @@ impl BatchRunner {
     /// [`BatchRunner::map`], invoking `progress(done, total)` after each
     /// completed chunk. `progress` is called from worker threads; completion
     /// counts are monotone per call site but calls may interleave.
-    ///
-    /// # Panics
-    ///
-    /// After the whole batch has run, re-raises the panic of the
-    /// lowest-input-index panicking job — deterministic regardless of thread
-    /// count. When several jobs panicked, the re-raised payload is a summary
-    /// counting all of them (with their input indices), so no failure is
-    /// silently dropped.
-    pub fn map_with_progress<T, R>(
+    fn map_with_progress<T, R>(
         &self,
         items: &[T],
         f: impl Fn(&T) -> R + Sync,
@@ -231,7 +213,7 @@ impl BatchRunner {
     {
         let total = items.len();
         let jobs = self.effective_jobs(total);
-        let chunk = self.effective_chunk(total, jobs);
+        let chunk = BatchRunner::effective_chunk(total, jobs);
         let guarded = |item: &T| catch_unwind(AssertUnwindSafe(|| f(item)));
         if jobs <= 1 || total <= 1 {
             // Serial fast path — same chunk-grained progress reporting.
@@ -293,63 +275,13 @@ impl BatchRunner {
     }
 
     /// Runs the batch with per-job timing, aggregating into a
-    /// [`BatchReport`].
+    /// [`BatchReport`], and invokes `progress(done, total)` after each
+    /// completed chunk (from worker threads; completion counts are monotone
+    /// per call site but calls may interleave).
     ///
     /// # Panics
     ///
-    /// Re-raises the lowest-input-index job panic after the whole batch has
-    /// run (see [`BatchRunner::map_with_progress`]).
-    pub fn run<T, R>(&self, items: &[T], f: impl Fn(&T) -> R + Sync) -> BatchReport<R>
-    where
-        T: Sync,
-        R: Send,
-    {
-        self.run_with_progress(items, f, |_, _| {})
-    }
-
-    /// The quarantined sibling of [`BatchRunner::run`]: per-job timing and
-    /// batch accounting, with every job panic captured as a [`JobPanic`]
-    /// failure entry instead of unwinding — the mode the fault-tolerant job
-    /// layer ([`crate::jobs`]) builds on.
-    pub fn run_quarantined<T, R>(
-        &self,
-        items: &[T],
-        f: impl Fn(&T) -> R + Sync,
-    ) -> BatchReport<Result<R, JobPanic>>
-    where
-        T: Sync,
-        R: Send,
-    {
-        let start = Instant::now();
-        let timed = self.map_with_progress(
-            items,
-            |item| {
-                let t = Instant::now();
-                let result =
-                    catch_unwind(AssertUnwindSafe(|| f(item))).map_err(|payload| JobPanic {
-                        message: panic_message(&payload),
-                    });
-                (t.elapsed(), result)
-            },
-            |_, _| {},
-        );
-        BatchReport {
-            results: timed
-                .into_iter()
-                .map(|(duration, result)| JobResult { duration, result })
-                .collect(),
-            wall_time: start.elapsed(),
-            jobs: self.effective_jobs(items.len()),
-        }
-    }
-
-    /// [`BatchRunner::run`] with a chunk-grained progress callback (see
-    /// [`BatchRunner::map_with_progress`]).
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the lowest-input-index job panic after the whole batch has
-    /// run (see [`BatchRunner::map_with_progress`]).
+    /// Re-raises job panics as [`BatchRunner::map`] does.
     pub fn run_with_progress<T, R>(
         &self,
         items: &[T],
@@ -400,8 +332,8 @@ pub struct JobResult<R> {
     pub result: R,
 }
 
-/// Aggregate outcome of one [`BatchRunner::run`] batch: per-job results in
-/// input order plus batch-level accounting.
+/// Aggregate outcome of one [`BatchRunner::run_with_progress`] batch:
+/// per-job results in input order plus batch-level accounting.
 #[derive(Debug, Clone)]
 pub struct BatchReport<R> {
     /// Per-job outcomes, in input order.
@@ -427,11 +359,6 @@ impl<R> BatchReport<R> {
     /// across its workers.
     pub fn total_job_time(&self) -> Duration {
         self.results.iter().map(|j| j.duration).sum()
-    }
-
-    /// Drops the accounting, keeping the job results in input order.
-    pub fn into_results(self) -> Vec<R> {
-        self.results.into_iter().map(|j| j.result).collect()
     }
 }
 
@@ -466,13 +393,8 @@ mod tests {
         let items: Vec<usize> = (0..257).collect();
         let expected: Vec<usize> = items.iter().map(|n| n * 2).collect();
         for jobs in [1, 2, 7, 32] {
-            for chunk in [0, 1, 3] {
-                let got = BatchRunner::new()
-                    .with_jobs(jobs)
-                    .with_chunk(chunk)
-                    .map(&items, |n| n * 2);
-                assert_eq!(got, expected, "jobs={jobs} chunk={chunk}");
-            }
+            let got = BatchRunner::new().with_jobs(jobs).map(&items, |n| n * 2);
+            assert_eq!(got, expected, "jobs={jobs}");
         }
     }
 
@@ -480,7 +402,7 @@ mod tests {
     fn empty_batch_is_fine() {
         let got: Vec<usize> = BatchRunner::new().map(&[], |n: &usize| *n);
         assert!(got.is_empty());
-        let report = BatchRunner::new().run(&[], |n: &usize| *n);
+        let report = BatchRunner::new().run_with_progress(&[], |n: &usize| *n, |_, _| {});
         assert!(report.is_empty());
         assert_eq!(report.len(), 0);
     }
@@ -568,42 +490,15 @@ mod tests {
     }
 
     #[test]
-    fn run_quarantined_reports_are_deterministic_across_jobs() {
-        let items: Vec<usize> = (0..50).collect();
-        let outcome = |jobs: usize| -> Vec<Result<usize, JobPanic>> {
-            BatchRunner::new()
-                .with_jobs(jobs)
-                .run_quarantined(&items, |&n| {
-                    assert!(n % 9 != 4, "nope {n}");
-                    n + 1
-                })
-                .results
-                .into_iter()
-                .map(|j| j.result)
-                .collect()
-        };
-        let serial = outcome(1);
-        assert_eq!(serial, outcome(4), "parallel must match serial");
-        assert_eq!(serial, outcome(13));
-        assert_eq!(
-            serial.iter().filter(|r| r.is_err()).count(),
-            items.iter().filter(|&&n| n % 9 == 4).count()
-        );
-    }
-
-    #[test]
     fn progress_is_chunkwise_and_reaches_total() {
         let items: Vec<usize> = (0..100).collect();
         for jobs in [1, 8] {
             let seen = Mutex::new(Vec::new());
-            BatchRunner::new()
-                .with_jobs(jobs)
-                .with_chunk(16)
-                .map_with_progress(
-                    &items,
-                    |n| *n,
-                    |done, total| seen.lock().unwrap().push((done, total)),
-                );
+            BatchRunner::new().with_jobs(jobs).map_with_progress(
+                &items,
+                |n| *n,
+                |done, total| seen.lock().unwrap().push((done, total)),
+            );
             let seen = seen.into_inner().unwrap();
             assert!(!seen.is_empty());
             assert!(seen.iter().all(|&(_, t)| t == 100));
@@ -618,13 +513,17 @@ mod tests {
     #[test]
     fn run_reports_timing_and_failures() {
         let items: Vec<usize> = (0..20).collect();
-        let report = BatchRunner::new().with_jobs(4).run(&items, |&n| {
-            if n % 5 == 0 {
-                Err(format!("bad {n}"))
-            } else {
-                Ok(n)
-            }
-        });
+        let report = BatchRunner::new().with_jobs(4).run_with_progress(
+            &items,
+            |&n| {
+                if n % 5 == 0 {
+                    Err(format!("bad {n}"))
+                } else {
+                    Ok(n)
+                }
+            },
+            |_, _| {},
+        );
         assert_eq!(report.len(), 20);
         assert_eq!(report.failed(), 4);
         assert_eq!(report.passed(), 16);
@@ -640,7 +539,6 @@ mod tests {
         for (i, v) in ok.iter().enumerate() {
             assert_eq!(*v, (i % 5 != 0).then_some(i), "position {i}");
         }
-        assert_eq!(report.into_results().len(), 20);
     }
 
     #[test]

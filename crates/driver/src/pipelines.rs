@@ -11,7 +11,7 @@
 use lssa_core::pipeline::{PipelineOptions, PipelineReport};
 use lssa_lambda::ast::Program;
 use lssa_lambda::simplify::SimplifyOptions;
-use lssa_vm::{CompiledProgram, DecodeOptions, ExecOptions, RunOutcome};
+use lssa_vm::{CompiledProgram, DecodeOptions, RunOutcome};
 use std::borrow::Cow;
 use std::fmt;
 
@@ -112,16 +112,16 @@ pub struct PipelineError {
     /// Description.
     pub message: String,
     /// The underlying VM error when the failing stage was execution —
-    /// carries the structured [`lssa_vm::VmErrorKind`] so callers (the CLI's
-    /// exit-code mapping, the [`crate::jobs`] taxonomy) can distinguish
-    /// resource-governance aborts from program faults.
+    /// carries the structured [`lssa_vm::VmErrorKind`] so callers (the
+    /// [`crate::jobs`] taxonomy) can distinguish resource-governance aborts
+    /// from program faults.
     pub vm: Option<lssa_vm::VmError>,
 }
 
 impl PipelineError {
     /// The structured kind of the underlying VM error, when execution
-    /// failed ([`lssa_vm::VmErrorKind::Trap`] stands in for compile-stage
-    /// failures, which are never resource aborts).
+    /// failed (`None` for compile-stage failures, which are never resource
+    /// aborts).
     pub fn vm_kind(&self) -> Option<lssa_vm::VmErrorKind> {
         self.vm.as_ref().map(|e| e.kind)
     }
@@ -141,12 +141,15 @@ impl std::error::Error for PipelineError {}
 ///
 /// Returns the first front-end failure.
 pub fn frontend(src: &str, config: CompilerConfig) -> Result<Program, PipelineError> {
-    let program = lssa_lambda::parse_program(src).map_err(|e| PipelineError {
+    frontend_ast(&parse(src)?, config)
+}
+
+fn parse(src: &str) -> Result<Program, PipelineError> {
+    lssa_lambda::parse_program(src).map_err(|e| PipelineError {
         stage: "parse",
         message: e.to_string(),
         vm: None,
-    })?;
-    frontend_ast(&program, config)
+    })
 }
 
 /// Front-lowers an already-parsed λpure program into λrc under a config:
@@ -190,16 +193,8 @@ pub fn frontend_ast(program: &Program, config: CompilerConfig) -> Result<Program
     Ok(lssa_lambda::insert_rc(&program))
 }
 
-/// Compiles λrc to bytecode under a config's backend.
-///
-/// # Errors
-///
-/// Returns backend failures.
-pub fn backend(rc: &Program, config: CompilerConfig) -> Result<CompiledProgram, PipelineError> {
-    backend_with_report(rc, config).map(|(p, _)| p)
-}
-
-/// [`backend`], also returning the backend's per-pass statistics.
+/// Compiles λrc to bytecode under a config's backend, also returning the
+/// backend's per-pass statistics.
 ///
 /// The report is `None` for the baseline backend, which lowers directly
 /// without a pass pipeline.
@@ -260,36 +255,6 @@ pub fn compile_with_report(
     backend_with_report(&rc, config)
 }
 
-/// Compiles many sources with one call, sharded across `jobs` worker
-/// threads by the [`crate::par`] executor (`jobs == 0` means one per core).
-///
-/// Per-source outcomes come back in input order regardless of thread count;
-/// the backends' per-pass statistics are merged (phase by phase, see
-/// [`PipelineReport::merge`]) into one aggregate report covering every
-/// compilation that reached the backend.
-pub fn compile_batch(
-    sources: &[impl AsRef<str> + Sync],
-    config: CompilerConfig,
-    jobs: usize,
-) -> (Vec<Result<CompiledProgram, PipelineError>>, PipelineReport) {
-    let outcomes = crate::par::BatchRunner::new()
-        .with_jobs(jobs)
-        .map(sources, |src| compile_with_report(src.as_ref(), config));
-    let mut merged = PipelineReport::default();
-    let results = outcomes
-        .into_iter()
-        .map(|outcome| {
-            outcome.map(|(program, report)| {
-                if let Some(report) = report {
-                    merged.merge(&report);
-                }
-                program
-            })
-        })
-        .collect();
-    (results, merged)
-}
-
 /// Compiles an already-parsed program end-to-end, returning the backend's
 /// per-pass statistics alongside the bytecode.
 ///
@@ -302,32 +267,6 @@ pub fn compile_ast_with_report(
 ) -> Result<(CompiledProgram, Option<PipelineReport>), PipelineError> {
     let rc = frontend_ast(program, config)?;
     backend_with_report(&rc, config)
-}
-
-/// [`compile_batch`] over already-parsed programs: shards compilation across
-/// `jobs` worker threads, returning per-program outcomes in input order and
-/// the merged backend statistics.
-pub fn compile_batch_asts(
-    programs: &[Program],
-    config: CompilerConfig,
-    jobs: usize,
-) -> (Vec<Result<CompiledProgram, PipelineError>>, PipelineReport) {
-    let outcomes = crate::par::BatchRunner::new()
-        .with_jobs(jobs)
-        .map(programs, |p| compile_ast_with_report(p, config));
-    let mut merged = PipelineReport::default();
-    let results = outcomes
-        .into_iter()
-        .map(|outcome| {
-            outcome.map(|(program, report)| {
-                if let Some(report) = report {
-                    merged.merge(&report);
-                }
-                program
-            })
-        })
-        .collect();
-    (results, merged)
 }
 
 /// Compiles an already-parsed program and runs `main` with explicit decode
@@ -360,52 +299,7 @@ pub fn compile_and_run(
     config: CompilerConfig,
     max_steps: u64,
 ) -> Result<RunOutcome, PipelineError> {
-    compile_and_run_with_report(src, config, max_steps).map(|(o, _)| o)
-}
-
-/// [`compile_and_run`], also returning the backend's per-pass statistics.
-///
-/// # Errors
-///
-/// Returns compilation or execution failures.
-pub fn compile_and_run_with_report(
-    src: &str,
-    config: CompilerConfig,
-    max_steps: u64,
-) -> Result<(RunOutcome, Option<PipelineReport>), PipelineError> {
-    compile_and_run_with_report_vm(
-        src,
-        config,
-        max_steps,
-        DecodeOptions::default(),
-        ExecOptions::default(),
-    )
-}
-
-/// [`compile_and_run_with_report`] with explicit decode and execution options
-/// (resource limits, fault injection) — the source entry point behind
-/// `lssa run`'s `--no-fuse` and budget flags.
-///
-/// # Errors
-///
-/// Returns compilation or execution failures.
-pub fn compile_and_run_with_report_vm(
-    src: &str,
-    config: CompilerConfig,
-    max_steps: u64,
-    decode: DecodeOptions,
-    exec: ExecOptions,
-) -> Result<(RunOutcome, Option<PipelineReport>), PipelineError> {
-    let (program, report) = compile_with_report(src, config)?;
-    let outcome =
-        lssa_vm::run_program_opts(&program, "main", max_steps, decode, exec).map_err(|e| {
-            PipelineError {
-                stage: "execution",
-                message: e.to_string(),
-                vm: Some(e),
-            }
-        })?;
-    Ok((outcome, report))
+    compile_and_run_ast_opts(&parse(src)?, config, max_steps, DecodeOptions::default())
 }
 
 #[cfg(test)]
@@ -478,31 +372,6 @@ def main() := sum(build(50))
                 config.label()
             );
         }
-    }
-
-    #[test]
-    fn compile_batch_preserves_order_and_merges_reports() {
-        let sources = [SRC, "def !", "def main() := 6 * 7", SRC];
-        for jobs in [1, 4] {
-            let (results, report) = compile_batch(&sources, CompilerConfig::mlir(), jobs);
-            assert_eq!(results.len(), 4, "jobs={jobs}");
-            assert!(results[0].is_ok() && results[2].is_ok() && results[3].is_ok());
-            assert_eq!(results[1].as_ref().unwrap_err().stage, "parse");
-            // The merged report folds every successful compilation's phases.
-            let rgn_opt = report
-                .phases
-                .iter()
-                .find(|p| p.pipeline == "rgn-opt")
-                .expect("merged report keeps backend phases");
-            assert!(rgn_opt.passes.iter().all(|s| s.runs >= 1));
-        }
-    }
-
-    #[test]
-    fn compile_batch_of_nothing_is_empty() {
-        let (results, report) = compile_batch(&[] as &[&str], CompilerConfig::mlir(), 2);
-        assert!(results.is_empty());
-        assert!(report.phases.is_empty());
     }
 
     #[test]

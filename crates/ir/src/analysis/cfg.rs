@@ -1,10 +1,10 @@
 //! A cached view of one region's block graph.
 //!
 //! The arena ([`crate::body::Body`]) stores control flow one-directionally:
-//! each terminator lists its successor edges. Dataflow analyses need the
-//! other three derived artifacts — predecessors, a reverse-postorder, and
-//! the reachable set — so [`BlockGraph`] computes all of them once per
-//! region and hands out cheap slices.
+//! each terminator lists its successor edges. The RC-linearity checker
+//! needs the other three derived artifacts — predecessors, a
+//! reverse-postorder, and the reachable set — so [`BlockGraph`] computes
+//! all of them once per region and hands out cheap slices.
 
 use crate::body::Body;
 use crate::hash::FxHashMap;

@@ -1,40 +1,26 @@
-//! Reusable dataflow analyses over the flat-CFG form.
+//! The RC-linearity checker and the pieces it stands on, over the
+//! flat-CFG form.
 //!
-//! The pass pipeline (PR 8) made the compiler *rewrite* reference-count
-//! traffic; this module makes it possible to *prove* facts about the result.
-//! The pieces stack:
+//! The pass pipeline makes the compiler *rewrite* reference-count traffic;
+//! this module *proves* facts about the result:
 //!
 //! - [`cfg::BlockGraph`] — a cached successor/predecessor/reverse-postorder
 //!   view of one region's block graph (the raw [`crate::body::Body`] stores
 //!   only successors, on terminators).
-//! - [`dataflow`] — a direction-generic worklist solver: implement
-//!   [`dataflow::Analysis`] (transfer + join over a fact lattice) and
-//!   [`dataflow::solve`] computes the per-block fixpoint.
-//! - [`liveness::Liveness`] — per-block live-in/live-out value sets, as a
-//!   backward may-analysis on the solver.
-//! - [`usedef::UseDefChains`] — every use site of every value (operand and
-//!   successor-argument uses), the SSA form of reaching definitions.
 //! - [`rc_summary`] — value ownership classes and composable per-block
 //!   reference-count effect summaries (net delta + minimum prefix dip per
 //!   value).
-//! - [`rc_check`] — the RC-linearity checker built on all of the above: a
-//!   forward walk proving every owned value is released exactly once on
-//!   every path, with an explicit [`rc_check::RcVerdict::Unprovable`]
-//!   verdict where aliasing defeats the per-value ledger (never a false
-//!   positive).
+//! - [`rc_check`] — the RC-linearity checker built on both: a forward walk
+//!   proving every owned value is released exactly once on every path,
+//!   with an explicit [`rc_check::RcVerdict::Unprovable`] verdict where
+//!   aliasing defeats the per-value ledger (never a false positive).
 //!
 //! The checker is wired into [`crate::pass::PassManager::verify_rc`] (the
 //! pipeline's `verify-rc` mode) and the `lssa lint` driver.
 
 pub mod cfg;
-pub mod dataflow;
-pub mod liveness;
 pub mod rc_check;
 pub mod rc_summary;
-pub mod usedef;
 
 pub use cfg::BlockGraph;
-pub use dataflow::{solve, Analysis, Direction, Solution};
-pub use liveness::Liveness;
 pub use rc_check::{check_function, check_module, RcVerdict};
-pub use usedef::UseDefChains;

@@ -50,13 +50,6 @@ pub enum RcVerdict {
     },
 }
 
-impl RcVerdict {
-    /// Whether this verdict is a definite error.
-    pub fn is_unbalanced(&self) -> bool {
-        matches!(self, RcVerdict::Unbalanced { .. })
-    }
-}
-
 /// Checks every function body in `module`, in module order.
 pub fn check_module(module: &Module) -> Vec<(Symbol, RcVerdict)> {
     let externs: FxHashSet<Symbol> = module
@@ -572,6 +565,6 @@ mod tests {
         let verdicts = check_module(&module);
         assert_eq!(verdicts.len(), 2);
         assert_eq!(verdicts[0].1, RcVerdict::Balanced);
-        assert!(verdicts[1].1.is_unbalanced());
+        assert!(matches!(verdicts[1].1, RcVerdict::Unbalanced { .. }));
     }
 }

@@ -235,14 +235,6 @@ impl Body {
         id
     }
 
-    /// Adds an extra argument to a block, returning the new value.
-    pub fn add_block_arg(&mut self, block: BlockId, ty: Type) -> ValueId {
-        let idx = self.blocks[block.index()].args.len() as u32;
-        let v = self.new_value(ty, ValueDef::BlockArg(block, idx));
-        self.blocks[block.index()].args.push(v);
-        v
-    }
-
     /// Creates a detached operation. Result values are allocated with the
     /// given types. Attach it with [`Body::push_op`] or [`Body::insert_op`].
     ///
@@ -454,13 +446,6 @@ impl Body {
     pub fn walk_ops(&self) -> Vec<OpId> {
         let mut out = Vec::new();
         self.walk_region(ROOT_REGION, &mut out);
-        out
-    }
-
-    /// All live ops inside `region` (recursively).
-    pub fn walk_region_ops(&self, region: RegionId) -> Vec<OpId> {
-        let mut out = Vec::new();
-        self.walk_region(region, &mut out);
         out
     }
 

@@ -24,11 +24,6 @@ impl<'a> Builder<'a> {
         Builder { body, block }
     }
 
-    /// Repositions to another block.
-    pub fn set_block(&mut self, block: BlockId) {
-        self.block = block;
-    }
-
     fn push(
         &mut self,
         opcode: Opcode,

@@ -52,7 +52,7 @@ pub use hash::{FxHashMap, FxHashSet};
 
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::analysis::{BlockGraph, Liveness, RcVerdict, UseDefChains};
+    pub use crate::analysis::{BlockGraph, RcVerdict};
     pub use crate::attr::{Attr, AttrKey, CmpPred};
     pub use crate::body::{Body, OpData, Successor, ValueDef, ROOT_REGION};
     pub use crate::builder::Builder;

@@ -1,27 +1,21 @@
 //! Pass management and instrumentation.
 //!
 //! Mirrors MLIR's pass manager at the granularity we need, extended with the
-//! instrumentation the evaluation's ablations depend on. The pieces:
+//! per-pass instrumentation behind `lssa run --pass-stats`. The pieces:
 //!
-//! - [`Pass`] — a module transformation. Implementations provide
-//!   [`Pass::run_on`] (the raw transform, returning whether IR changed);
-//!   the provided [`Pass::run`] wraps it with instrumentation and returns a
-//!   [`PassStatistics`] record (runs, changed, live-op counts before/after,
-//!   wall time).
-//! - [`PassManager`] — a *named* sequence of passes and nested pipelines.
-//!   Nested pipelines ([`PassManager::add_pipeline`]) carry their own name,
-//!   verification setting, and fixpoint bound, so a driver can compose
-//!   e.g. `generic-opt = [cleanup*, inline, cleanup*]` declaratively.
-//! - [`PassManager::run_to_fixpoint`] — repeats the whole pipeline until a
-//!   full sweep reports no change (or the iteration bound is hit); this
-//!   replaces hand-rolled `for _ in 0..k { pm.run(..) }` loops and records
-//!   whether the pipeline actually converged.
-//! - [`PipelineRunReport`] — aggregated per-pass statistics for one
-//!   pipeline execution, renderable as a table
-//!   ([`PipelineRunReport::render_table`]) — the payload behind the `lssa`
-//!   CLI's `--pass-stats`.
+//! - [`Pass`] — a module transformation: [`Pass::run_on`] applies the raw
+//!   transform and returns whether IR changed.
+//! - [`PassManager`] — a *named*, flat sequence of passes with optional
+//!   inter-pass verification and a fixpoint bound
+//!   ([`PassManager::fixpoint`]): [`PassManager::run`] repeats the sequence
+//!   until a full sweep reports no change or the bound is hit, and records
+//!   whether the pipeline converged.
+//! - [`PipelineRunReport`] — per-pass statistics for one pipeline run (runs,
+//!   changed, live-op counts before/after, wall time), one row per pass
+//!   name, renderable as a table ([`PipelineRunReport::render_table`]) —
+//!   the payload behind the `lssa` CLI's `--pass-stats`.
 //! - A dump hook ([`PassManager::dump_after_each`]) invoked with the pass
-//!   path and the module after every pass — the engine behind
+//!   name and the module after every pass — the engine behind
 //!   `--print-ir-after-all`-style debugging.
 //!
 //! Function-scoped passes use [`for_each_function`], which temporarily
@@ -42,14 +36,6 @@ pub trait Pass {
     /// Runs the raw transform; returns whether anything changed.
     fn run_on(&self, module: &mut Module) -> bool;
 
-    /// Runs the pass with instrumentation: live-op counts before and after,
-    /// wall time, and the change flag, packaged as [`PassStatistics`].
-    fn run(&self, module: &mut Module) -> PassStatistics {
-        let mut stats = instrumented_run(|m| self.run_on(m), module, self.name());
-        stats.extra = self.stat_counters();
-        stats
-    }
-
     /// Pass-specific named counters for the last [`Pass::run_on`] execution
     /// (e.g. rc-opt's elided-pair count), folded into
     /// [`PassStatistics::extra`]. The default is no counters.
@@ -58,30 +44,12 @@ pub trait Pass {
     }
 }
 
-fn instrumented_run(
-    run: impl FnOnce(&mut Module) -> bool,
-    module: &mut Module,
-    path: &str,
-) -> PassStatistics {
-    let ops_before = module.live_op_count();
-    let start = Instant::now();
-    let changed = run(module);
-    PassStatistics {
-        pass: path.to_string(),
-        runs: 1,
-        changed,
-        ops_before,
-        ops_after: module.live_op_count(),
-        duration: start.elapsed(),
-        extra: Vec::new(),
-    }
-}
-
-/// Instrumentation record for one (or several merged) pass executions.
+/// Instrumentation record for every execution of one pass within one
+/// pipeline run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PassStatistics {
-    /// Pass path within its pipeline (e.g. `cleanup/dce` for a nested run).
-    pub pass: String,
+    /// The pass's [`Pass::name`].
+    pub pass: &'static str,
     /// How many executions this record aggregates.
     pub runs: usize,
     /// Whether any execution changed the IR.
@@ -93,35 +61,19 @@ pub struct PassStatistics {
     /// Total wall time across executions.
     pub duration: Duration,
     /// Pass-specific named counters (see [`Pass::stat_counters`]), summed
-    /// across merged executions.
+    /// across executions.
     pub extra: Vec<(&'static str, u64)>,
 }
 
 impl PassStatistics {
-    /// Folds a *later execution in the same compilation* into this record:
-    /// op counts stay first-before / last-after.
-    pub fn absorb(&mut self, later: &PassStatistics) {
+    /// Folds a later execution of the same pass into this record: op counts
+    /// stay first-before / last-after.
+    fn absorb(&mut self, later: PassStatistics) {
         self.runs += later.runs;
         self.changed |= later.changed;
         self.ops_after = later.ops_after;
         self.duration += later.duration;
-        self.absorb_extra(&later.extra);
-    }
-
-    /// Folds the same pass from an *independent compilation* into this
-    /// record: op counts sum, so `ops-in → ops-out` stays a meaningful
-    /// aggregate shrinkage measure.
-    pub fn absorb_parallel(&mut self, other: &PassStatistics) {
-        self.runs += other.runs;
-        self.changed |= other.changed;
-        self.ops_before += other.ops_before;
-        self.ops_after += other.ops_after;
-        self.duration += other.duration;
-        self.absorb_extra(&other.extra);
-    }
-
-    fn absorb_extra(&mut self, other: &[(&'static str, u64)]) {
-        for &(key, n) in other {
+        for (key, n) in later.extra {
             match self.extra.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, total)) => *total += n,
                 None => self.extra.push((key, n)),
@@ -130,60 +82,33 @@ impl PassStatistics {
     }
 }
 
-/// Aggregated statistics for one pipeline execution (or several merged
-/// executions across independent compilations — see
-/// [`PipelineRunReport::merge`]).
+/// Statistics for one pipeline run.
 #[derive(Debug, Clone)]
 pub struct PipelineRunReport {
     /// Pipeline name.
     pub pipeline: String,
-    /// How many independent executions this report aggregates (1 until
-    /// [`PipelineRunReport::merge`] is used).
-    pub invocations: usize,
     /// Whether the pipeline ran with a fixpoint bound above one sweep
     /// (controls how convergence is rendered).
     pub fixpoint: bool,
-    /// Number of full sweeps executed, summed across invocations.
+    /// Number of full sweeps executed.
     pub iterations: usize,
-    /// Whether every invocation ended with a sweep that reported no change
-    /// (fixpoint reached). A single-sweep run that changed the IR is *not*
-    /// converged.
+    /// Whether the run ended with a sweep that reported no change (fixpoint
+    /// reached). A single-sweep run that changed the IR is *not* converged.
     pub converged: bool,
     /// Whether any pass changed the IR.
     pub changed: bool,
-    /// Per-pass statistics, in first-execution order, merged across sweeps.
+    /// Per-pass statistics, one row per pass name in first-execution order,
+    /// merged across repeated listings and sweeps.
     pub passes: Vec<PassStatistics>,
     /// Total wall time of the run.
     pub duration: Duration,
 }
 
 impl PipelineRunReport {
-    /// Folds another run of the *same pipeline shape* into this report
-    /// (used to aggregate statistics across many compilations).
-    pub fn merge(&mut self, other: &PipelineRunReport) {
-        self.invocations += other.invocations;
-        self.fixpoint |= other.fixpoint;
-        self.iterations += other.iterations;
-        self.converged &= other.converged;
-        self.changed |= other.changed;
-        self.duration += other.duration;
-        for s in &other.passes {
-            match self.passes.iter_mut().find(|e| e.pass == s.pass) {
-                Some(existing) => existing.absorb_parallel(s),
-                None => self.passes.push(s.clone()),
-            }
-        }
-    }
-
     /// Renders the report as a fixed-width statistics table.
     pub fn render_table(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let invocations = if self.invocations == 1 {
-            String::new()
-        } else {
-            format!(" across {} invocations", self.invocations)
-        };
         let convergence = if !self.fixpoint {
             ""
         } else if self.converged {
@@ -201,11 +126,10 @@ impl PipelineRunReport {
         };
         let _ = writeln!(
             out,
-            "pipeline `{}`: {} {}{}{}, {:.3}ms",
+            "pipeline `{}`: {} {}{}, {:.3}ms",
             self.pipeline,
             self.iterations,
             noun,
-            invocations,
             convergence,
             self.duration.as_secs_f64() * 1e3,
         );
@@ -232,13 +156,6 @@ impl PipelineRunReport {
     }
 }
 
-fn merge_stat(stats: &mut Vec<PassStatistics>, s: PassStatistics) {
-    match stats.iter_mut().find(|e| e.pass == s.pass) {
-        Some(existing) => existing.absorb(&s),
-        None => stats.push(s),
-    }
-}
-
 /// Runs `f` on every function body, with the module visible (minus the body
 /// being transformed). Returns whether any function changed.
 pub fn for_each_function(
@@ -256,40 +173,27 @@ pub fn for_each_function(
     changed
 }
 
-/// Hook invoked with `(pass path, module)` after each pass execution.
+/// Hook invoked with `(pass name, module)` after each pass execution.
 pub type DumpHook = Box<dyn Fn(&str, &Module)>;
 
-/// Borrowed [`DumpHook`], threaded through nested sweep recursion.
-type DumpHookRef<'a> = &'a dyn Fn(&str, &Module);
-
-enum Entry {
-    Pass(Box<dyn Pass>),
-    Pipeline(PassManager),
-}
-
-/// A named sequence of passes and nested pipelines, with optional
-/// inter-pass verification, an iteration bound for fixpoint driving, and an
-/// IR dump hook.
+/// A named, flat sequence of passes, with optional inter-pass
+/// verification, an iteration bound for fixpoint driving, and an IR dump
+/// hook.
 pub struct PassManager {
     name: String,
-    entries: Vec<Entry>,
+    passes: Vec<Box<dyn Pass>>,
     verify_each: bool,
     verify_rc: bool,
     max_iters: usize,
     dump_after: Option<DumpHook>,
 }
 
-impl Default for PassManager {
-    fn default() -> PassManager {
-        PassManager::named("pipeline")
-    }
-}
-
 impl std::fmt::Debug for PassManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let passes: Vec<&str> = self.passes.iter().map(|p| p.name()).collect();
         f.debug_struct("PassManager")
             .field("name", &self.name)
-            .field("passes", &self.pipeline())
+            .field("passes", &passes)
             .field("verify_each", &self.verify_each)
             .field("verify_rc", &self.verify_rc)
             .field("max_iters", &self.max_iters)
@@ -298,16 +202,11 @@ impl std::fmt::Debug for PassManager {
 }
 
 impl PassManager {
-    /// Creates an empty, anonymous single-sweep pipeline.
-    pub fn new() -> PassManager {
-        PassManager::default()
-    }
-
     /// Creates an empty named pipeline.
     pub fn named(name: impl Into<String>) -> PassManager {
         PassManager {
             name: name.into(),
-            entries: Vec::new(),
+            passes: Vec::new(),
             verify_each: false,
             verify_rc: false,
             max_iters: 1,
@@ -337,9 +236,8 @@ impl PassManager {
         self
     }
 
-    /// Sets the fixpoint iteration bound used by [`PassManager::run`] (and
-    /// by the parent pipeline when this manager is nested). The default is
-    /// 1: a single sweep.
+    /// Sets the fixpoint iteration bound used by [`PassManager::run`]. The
+    /// default is 1: a single sweep.
     pub fn fixpoint(mut self, max_iters: usize) -> PassManager {
         assert!(max_iters >= 1, "a pipeline runs at least once");
         self.max_iters = max_iters;
@@ -349,66 +247,30 @@ impl PassManager {
     /// Appends a pass.
     #[allow(clippy::should_implement_trait)] // builder-style `add`, not ops::Add
     pub fn add(mut self, pass: impl Pass + 'static) -> PassManager {
-        self.entries.push(Entry::Pass(Box::new(pass)));
+        self.passes.push(Box::new(pass));
         self
     }
 
-    /// Appends a nested pipeline, which keeps its own name, verification
-    /// setting, and fixpoint bound when run by this manager.
-    pub fn add_pipeline(mut self, nested: PassManager) -> PassManager {
-        self.entries.push(Entry::Pipeline(nested));
-        self
-    }
-
-    /// Installs a hook called with `(pass path, module)` after every pass —
+    /// Installs a hook called with `(pass name, module)` after every pass —
     /// the engine behind `--print-ir-after-all`.
     pub fn dump_after_each(mut self, hook: impl Fn(&str, &Module) + 'static) -> PassManager {
         self.dump_after = Some(Box::new(hook));
         self
     }
 
-    /// Flattened pass paths in execution order (`nested/pass` for passes
-    /// inside nested pipelines).
-    pub fn pipeline(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_paths("", &mut out);
-        out
-    }
-
-    fn collect_paths(&self, prefix: &str, out: &mut Vec<String>) {
-        for entry in &self.entries {
-            match entry {
-                Entry::Pass(p) => out.push(join_path(prefix, p.name())),
-                Entry::Pipeline(nested) => {
-                    nested.collect_paths(&join_path(prefix, &nested.name), out)
-                }
-            }
-        }
-    }
-
-    /// Runs the pipeline: up to its configured [`PassManager::fixpoint`]
-    /// bound of sweeps (default one).
+    /// Runs the pipeline: sweeps over the passes until a sweep reports no
+    /// change, up to the [`PassManager::fixpoint`] bound (default one
+    /// sweep). The report records the sweep count and whether the pipeline
+    /// converged.
     ///
     /// # Panics
     ///
-    /// Panics if `verify_each` is enabled and a pass breaks the IR — that is
-    /// a compiler bug, and the panic message names the offending pass.
+    /// Panics if `verify_each` or `verify_rc` is enabled and a pass breaks
+    /// the IR — that is a compiler bug, and the panic message names the
+    /// offending pass.
     pub fn run(&self, module: &mut Module) -> PipelineRunReport {
-        self.run_to_fixpoint(module, self.max_iters)
-    }
-
-    /// Repeats the pipeline until a full sweep reports no change, up to
-    /// `max_iters` sweeps. The report records the sweep count and whether
-    /// the pipeline converged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `verify_each` is enabled and a pass breaks the IR, and if
-    /// `max_iters` is zero.
-    pub fn run_to_fixpoint(&self, module: &mut Module, max_iters: usize) -> PipelineRunReport {
-        assert!(max_iters >= 1, "a pipeline runs at least once");
         let start = Instant::now();
-        let mut passes = Vec::new();
+        let mut passes: Vec<PassStatistics> = Vec::new();
         let mut iterations = 0;
         let mut changed = false;
         let mut converged = false;
@@ -416,25 +278,26 @@ impl PassManager {
         // pass N+1's ops-before, so each pass costs one counting walk, not
         // two.
         let mut op_count = module.live_op_count();
-        while iterations < max_iters {
+        while iterations < self.max_iters {
             iterations += 1;
-            let sweep = self.run_sweep(
-                module,
-                "",
-                self.dump_after.as_deref(),
-                &mut passes,
-                &mut op_count,
-            );
-            changed |= sweep;
-            if !sweep {
+            let mut sweep_changed = false;
+            for pass in &self.passes {
+                let s = self.run_pass(pass.as_ref(), module, &mut op_count);
+                sweep_changed |= s.changed;
+                match passes.iter_mut().find(|e| e.pass == s.pass) {
+                    Some(existing) => existing.absorb(s),
+                    None => passes.push(s),
+                }
+            }
+            changed |= sweep_changed;
+            if !sweep_changed {
                 converged = true;
                 break;
             }
         }
         PipelineRunReport {
             pipeline: self.name.clone(),
-            invocations: 1,
-            fixpoint: max_iters > 1,
+            fixpoint: self.max_iters > 1,
             iterations,
             converged,
             changed,
@@ -443,80 +306,46 @@ impl PassManager {
         }
     }
 
-    /// One sweep over the entries. Nested pipelines run to their own
-    /// fixpoint bound. `op_count` is the module's current live-op count on
-    /// entry and is updated to the count after the sweep. Returns whether
-    /// anything changed.
-    fn run_sweep(
+    /// One instrumented execution of `pass`, followed by the configured
+    /// checks and the dump hook. `op_count` is the module's live-op count
+    /// on entry and is updated to the count after the pass.
+    fn run_pass(
         &self,
+        pass: &dyn Pass,
         module: &mut Module,
-        prefix: &str,
-        hook: Option<DumpHookRef<'_>>,
-        stats: &mut Vec<PassStatistics>,
         op_count: &mut usize,
-    ) -> bool {
-        let mut changed = false;
-        for entry in &self.entries {
-            match entry {
-                Entry::Pass(pass) => {
-                    let path = join_path(prefix, pass.name());
-                    let ops_before = *op_count;
-                    let start = Instant::now();
-                    let pass_changed = pass.run_on(module);
-                    let duration = start.elapsed();
-                    *op_count = module.live_op_count();
-                    let mut s = PassStatistics {
-                        pass: path.clone(),
-                        runs: 1,
-                        changed: pass_changed,
-                        ops_before,
-                        ops_after: *op_count,
-                        duration,
-                        extra: pass.stat_counters(),
-                    };
-                    if self.verify_rc {
-                        let rc_start = Instant::now();
-                        let result = rc_check::check_module_strict(module);
-                        let micros = rc_start.elapsed().as_micros() as u64;
-                        s.extra.push(("verify-rc-us", micros));
-                        if let Err(msg) = result {
-                            panic!("rc verification failed after pass `{path}`: {msg}");
-                        }
-                    }
-                    changed |= s.changed;
-                    merge_stat(stats, s);
-                    if let Some(h) = hook {
-                        h(&path, module);
-                    }
-                    if self.verify_each {
-                        verify_or_panic(module, &path);
-                    }
-                }
-                Entry::Pipeline(nested) => {
-                    let path = join_path(prefix, &nested.name);
-                    // A nested pipeline prefers its own dump hook.
-                    let hook = nested.dump_after.as_deref().or(hook);
-                    let mut iters = 0;
-                    loop {
-                        iters += 1;
-                        let sweep = nested.run_sweep(module, &path, hook, stats, op_count);
-                        changed |= sweep;
-                        if !sweep || iters >= nested.max_iters {
-                            break;
-                        }
-                    }
-                }
+    ) -> PassStatistics {
+        let name = pass.name();
+        let ops_before = *op_count;
+        let start = Instant::now();
+        let changed = pass.run_on(module);
+        let duration = start.elapsed();
+        *op_count = module.live_op_count();
+        let mut s = PassStatistics {
+            pass: name,
+            runs: 1,
+            changed,
+            ops_before,
+            ops_after: *op_count,
+            duration,
+            extra: pass.stat_counters(),
+        };
+        if self.verify_rc {
+            let rc_start = Instant::now();
+            let result = rc_check::check_module_strict(module);
+            let micros = rc_start.elapsed().as_micros() as u64;
+            s.extra.push(("verify-rc-us", micros));
+            if let Err(msg) = result {
+                panic!("rc verification failed after pass `{name}`: {msg}");
             }
         }
-        changed
-    }
-}
-
-fn join_path(prefix: &str, name: &str) -> String {
-    if prefix.is_empty() {
-        name.to_string()
-    } else {
-        format!("{prefix}/{name}")
+        if let Some(hook) = &self.dump_after {
+            hook(name, module);
+        }
+        if self.verify_each {
+            verify_or_panic(module, name);
+        }
+        s
     }
 }
 
@@ -586,7 +415,6 @@ mod tests {
         let pm = PassManager::named("test")
             .verify_each(true)
             .add(CountingPass(count.clone()));
-        assert_eq!(pm.pipeline(), vec!["counting"]);
         let report = pm.run(&mut m);
         assert!(!report.changed);
         assert!(report.converged);
@@ -598,11 +426,31 @@ mod tests {
     }
 
     #[test]
+    fn a_pass_listed_twice_reports_one_row_counting_both_runs() {
+        let mut m = tiny_module();
+        let count = Rc::new(Cell::new(0));
+        let left = Rc::new(Cell::new(0));
+        let pm = PassManager::named("twice")
+            .add(CountingPass(count.clone()))
+            .add(ChangesFor { left })
+            .add(CountingPass(count.clone()));
+        let report = pm.run(&mut m);
+        assert_eq!(count.get(), 2);
+        assert_eq!(report.passes.len(), 2);
+        assert_eq!(report.passes[0].pass, "counting");
+        assert_eq!(report.passes[0].runs, 2);
+        assert_eq!(report.passes[1].pass, "changes-for");
+        assert_eq!(report.passes[1].runs, 1);
+    }
+
+    #[test]
     fn fixpoint_stops_when_quiet_and_reports_convergence() {
         let mut m = tiny_module();
         let left = Rc::new(Cell::new(2));
-        let pm = PassManager::named("fp").add(ChangesFor { left });
-        let report = pm.run_to_fixpoint(&mut m, 10);
+        let pm = PassManager::named("fp")
+            .fixpoint(10)
+            .add(ChangesFor { left });
+        let report = pm.run(&mut m);
         // Two changing sweeps plus the quiet one that proves the fixpoint.
         assert_eq!(report.iterations, 3);
         assert!(report.converged);
@@ -614,34 +462,12 @@ mod tests {
     fn fixpoint_budget_hit_is_reported() {
         let mut m = tiny_module();
         let left = Rc::new(Cell::new(100));
-        let pm = PassManager::named("fp").add(ChangesFor { left });
-        let report = pm.run_to_fixpoint(&mut m, 2);
+        let pm = PassManager::named("fp")
+            .fixpoint(2)
+            .add(ChangesFor { left });
+        let report = pm.run(&mut m);
         assert_eq!(report.iterations, 2);
         assert!(!report.converged);
-        assert!(report.changed);
-    }
-
-    #[test]
-    fn nested_pipelines_get_path_names_and_own_fixpoint() {
-        let mut m = tiny_module();
-        let count = Rc::new(Cell::new(0));
-        let left = Rc::new(Cell::new(3));
-        let inner = PassManager::named("cleanup")
-            .fixpoint(8)
-            .add(ChangesFor { left });
-        let pm = PassManager::named("outer")
-            .add_pipeline(inner)
-            .add(CountingPass(count.clone()));
-        assert_eq!(pm.pipeline(), vec!["cleanup/changes-for", "counting"]);
-        let report = pm.run(&mut m);
-        // The nested pipeline fixpointed within the single outer sweep:
-        // three changing runs plus one quiet run.
-        let nested = report
-            .passes
-            .iter()
-            .find(|s| s.pass == "cleanup/changes-for");
-        assert_eq!(nested.unwrap().runs, 4);
-        assert_eq!(count.get(), 1);
         assert!(report.changed);
     }
 

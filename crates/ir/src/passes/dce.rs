@@ -119,7 +119,7 @@ mod tests {
         b.lp_dec(params[0]);
         b.lp_ret(params[0]);
         m.add_function("f", Signature::obj(1), body);
-        assert!(!DcePass.run(&mut m).changed);
+        assert!(!DcePass.run_on(&mut m));
         let body = m.func_by_name("f").unwrap().body.as_ref().unwrap();
         assert_eq!(body.live_op_count(), 3);
     }

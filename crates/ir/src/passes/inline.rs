@@ -269,11 +269,6 @@ fn on_cycle(succs: &[Vec<usize>]) -> Vec<bool> {
     cyclic
 }
 
-/// Convenience entry point used by callees of this crate.
-pub fn inline_module(module: &mut Module, max_callee_ops: usize) -> bool {
-    InlinePass { max_callee_ops }.run_on(module)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,7 +298,7 @@ mod tests {
         b.ret(s);
         m.add_function("f", Signature::new(vec![Type::I64], Type::I64), body);
 
-        assert!(InlinePass::default().run(&mut m).changed);
+        assert!(InlinePass::default().run_on(&mut m));
         crate::verifier::verify_module(&m).unwrap();
         let body = m.func_by_name("f").unwrap().body.as_ref().unwrap();
         let has_call = body
@@ -336,7 +331,7 @@ mod tests {
         let r = b.call(name, vec![params[0]], Type::I64);
         b.ret(r);
         m.add_function("main", Signature::new(vec![Type::I64], Type::I64), body);
-        assert!(!InlinePass::default().run(&mut m).changed);
+        assert!(!InlinePass::default().run_on(&mut m));
     }
 
     /// `name(x) = callee(x + 1)`: single-block, so inlinable by shape.
@@ -364,7 +359,7 @@ mod tests {
         let r = b.call(h, vec![params[0]], Type::I64);
         b.ret(r);
         m.add_function("main", Signature::new(vec![Type::I64], Type::I64), body);
-        assert!(InlinePass::default().run(&mut m).changed);
+        assert!(InlinePass::default().run_on(&mut m));
         crate::verifier::verify_module(&m).unwrap();
         let spin = m.intern("spin");
         let body = m.func_by_name("main").unwrap().body.as_ref().unwrap();
@@ -405,7 +400,7 @@ mod tests {
         b.ret(r);
         m.add_function("f", Signature::new(vec![Type::I64], Type::I64), body);
 
-        assert!(!InlinePass::default().run(&mut m).changed);
+        assert!(!InlinePass::default().run_on(&mut m));
     }
 
     #[test]
@@ -418,7 +413,7 @@ mod tests {
         let r = b.call(ext, vec![params[0]], Type::I64);
         b.ret(r);
         m.add_function("f", Signature::new(vec![Type::I64], Type::I64), body);
-        assert!(!InlinePass::default().run(&mut m).changed);
+        assert!(!InlinePass::default().run_on(&mut m));
     }
 
     #[test]
@@ -441,7 +436,7 @@ mod tests {
         b.ret(params[0]);
         m.add_function("f", Signature::new(vec![Type::I64], Type::I64), body);
 
-        assert!(!InlinePass::default().run(&mut m).changed);
+        assert!(!InlinePass::default().run_on(&mut m));
         let body = m.func_by_name("f").unwrap().body.as_ref().unwrap();
         let has_call = body
             .walk_ops()
@@ -468,7 +463,7 @@ mod tests {
         b.ret(r);
         m.add_function("f", Signature::new(vec![Type::I64], Type::I64), body);
 
-        assert!(!InlinePass::default().run(&mut m).changed);
+        assert!(!InlinePass::default().run_on(&mut m));
     }
 
     #[test]
@@ -492,7 +487,7 @@ mod tests {
         b.ret(result);
         m.add_function("f", Signature::new(vec![Type::I64], Type::I64), body);
 
-        assert!(!InlinePass::default().run(&mut m).changed);
+        assert!(!InlinePass::default().run_on(&mut m));
         let body = m.func_by_name("f").unwrap().body.as_ref().unwrap();
         let has_call = body
             .walk_ops()
@@ -524,8 +519,8 @@ mod tests {
         b.ret(r);
         m.add_function("f", Signature::new(vec![Type::I64], Type::I64), body);
 
-        InlinePass::default().run(&mut m);
-        InlinePass::default().run(&mut m);
+        InlinePass::default().run_on(&mut m);
+        InlinePass::default().run_on(&mut m);
         crate::verifier::verify_module(&m).unwrap();
         let body = m.func_by_name("f").unwrap().body.as_ref().unwrap();
         let has_call = body

@@ -22,7 +22,7 @@
 //! is canonical: `print(parse(print(m))) == print(m)`.
 
 use crate::attr::Attr;
-use crate::body::{Body, ValueDef};
+use crate::body::Body;
 use crate::hash::FxHashMap;
 use crate::ids::{BlockId, OpId, RegionId, ValueId};
 use crate::module::{Function, Module};
@@ -75,22 +75,6 @@ pub fn print_function(m: &Module, f: &Function, out: &mut String, indent: usize)
     let _ = writeln!(out, ") -> {} {{", f.sig.ret);
     p.print_region_blocks(crate::body::ROOT_REGION, out, indent + 1, true);
     let _ = writeln!(out, "{pad}}}");
-}
-
-/// Prints one op (with nested regions) for diagnostics.
-pub fn op_to_string(m: &Module, body: &Body, op: OpId) -> String {
-    let mut p = FuncPrinter::new(m, body);
-    p.number_region(crate::body::ROOT_REGION);
-    let mut out = String::new();
-    p.print_op(op, &mut out, 0);
-    out
-}
-
-/// Prints a function to a standalone string (testing convenience).
-pub fn function_to_string(m: &Module, f: &Function) -> String {
-    let mut out = String::new();
-    print_function(m, f, &mut out, 0);
-    out
 }
 
 struct FuncPrinter<'a> {
@@ -289,21 +273,6 @@ impl<'a> FuncPrinter<'a> {
                 let _ = write!(out, "{p}");
             }
         }
-    }
-}
-
-/// Checks that every value referenced is also numbered (printer diagnostic).
-pub fn has_invalid_refs(m: &Module) -> bool {
-    print_module(m).contains("<invalid:")
-}
-
-// The use of ValueDef here keeps the import exercised even though numbering
-// is definition-order based.
-#[allow(dead_code)]
-fn _def_order(v: &ValueDef) -> u32 {
-    match v {
-        ValueDef::OpResult(op, i) => op.0.wrapping_add(*i),
-        ValueDef::BlockArg(b, i) => b.0.wrapping_add(*i),
     }
 }
 

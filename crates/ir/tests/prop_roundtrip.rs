@@ -126,8 +126,8 @@ fn run(module: &Module, a: i64, b: i64) -> i64 {
     );
     // Evaluate by running canonicalization to a constant — the pure
     // straight-line function must fold completely.
-    lssa_ir::passes::CanonicalizePass::new().run(&mut m2);
-    lssa_ir::passes::DcePass.run(&mut m2);
+    lssa_ir::passes::CanonicalizePass::new().run_on(&mut m2);
+    lssa_ir::passes::DcePass.run_on(&mut m2);
     let body = m2.func_by_name("f").unwrap().body.as_ref().unwrap();
     let ret = body.terminator(body.entry_block()).unwrap();
     let v = body.ops[ret.index()].operands[0];
@@ -165,9 +165,9 @@ proptest! {
         let expected = run(&module, a, b);
         // Optimize the original (CSE + canonicalize), then fold again.
         let mut optimized = module.clone();
-        lssa_ir::passes::CsePass.run(&mut optimized);
-        lssa_ir::passes::CanonicalizePass::new().run(&mut optimized);
-        lssa_ir::passes::DcePass.run(&mut optimized);
+        lssa_ir::passes::CsePass.run_on(&mut optimized);
+        lssa_ir::passes::CanonicalizePass::new().run_on(&mut optimized);
+        lssa_ir::passes::DcePass.run_on(&mut optimized);
         lssa_ir::verifier::verify_module(&optimized).unwrap();
         let after = run(&optimized, a, b);
         prop_assert_eq!(expected, after);
@@ -177,7 +177,7 @@ proptest! {
     #[test]
     fn dce_keeps_live_values(ops in prop::collection::vec(op_kind(), 1..24)) {
         let mut module = build_module(&ops);
-        lssa_ir::passes::DcePass.run(&mut module);
+        lssa_ir::passes::DcePass.run_on(&mut module);
         lssa_ir::verifier::verify_module(&module).unwrap();
         let body = module.func_by_name("f").unwrap().body.as_ref().unwrap();
         prop_assert!(body.live_op_count() >= 1);

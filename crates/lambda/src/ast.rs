@@ -694,13 +694,6 @@ pub struct FnDef {
 }
 
 impl FnDef {
-    /// Allocates a fresh variable.
-    pub fn fresh_var(&mut self) -> VarId {
-        let v = self.next_var;
-        self.next_var += 1;
-        v
-    }
-
     /// The function's arity.
     pub fn arity(&self) -> usize {
         self.params.len()
@@ -1002,19 +995,5 @@ mod tests {
             args: vec![1]
         }
         .is_droppable());
-    }
-
-    #[test]
-    fn fresh_var_increments() {
-        let mut f = FnDef {
-            name: "t".into(),
-            params: vec![0],
-            body: ret(0),
-            next_var: 1,
-            next_join: 0,
-        };
-        assert_eq!(f.fresh_var(), 1);
-        assert_eq!(f.fresh_var(), 2);
-        assert_eq!(f.arity(), 1);
     }
 }

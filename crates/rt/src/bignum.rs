@@ -82,11 +82,6 @@ impl Nat {
         self.limbs.is_empty()
     }
 
-    /// Whether this value is one.
-    pub fn is_one(&self) -> bool {
-        self.limbs.len() == 1 && self.limbs[0] == 1
-    }
-
     /// Converts to `u64` if the value fits.
     pub fn to_u64(&self) -> Option<u64> {
         match self.limbs.len() {

@@ -119,13 +119,6 @@ impl Diagnostic {
         self
     }
 
-    /// Converts an AST-level wellformedness error. The span is unknown (the
-    /// AST carries no locations); the function name becomes a note.
-    pub fn from_wf(e: &lssa_lambda::wellformed::WfError) -> Diagnostic {
-        Diagnostic::spanless(e.code, e.message.clone())
-            .with_note(format!("in function @{}", e.func))
-    }
-
     /// Renders `file:line:col: error[CODE]: message` plus indented notes.
     pub fn render_human(&self, file: &str, index: &LineIndex) -> String {
         use fmt::Write;

@@ -59,13 +59,6 @@ pub struct ParseOutcome {
     pub diagnostics: Vec<Diagnostic>,
 }
 
-impl ParseOutcome {
-    /// Whether no diagnostics at all were reported.
-    pub fn is_clean(&self) -> bool {
-        self.diagnostics.is_empty()
-    }
-}
-
 /// Parses strictly: a program is returned only when there are no
 /// diagnostics of any kind.
 ///

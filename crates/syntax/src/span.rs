@@ -78,19 +78,6 @@ impl LineIndex {
         let col = offset - self.line_starts[line];
         (line as u32 + 1, col + 1)
     }
-
-    /// The span of the whole 1-based `line` (without its newline), if it
-    /// exists.
-    pub fn line_span(&self, line: u32, src_len: u32) -> Option<Span> {
-        let idx = line.checked_sub(1)? as usize;
-        let start = *self.line_starts.get(idx)?;
-        let end = self
-            .line_starts
-            .get(idx + 1)
-            .map(|&next| next.saturating_sub(1))
-            .unwrap_or(src_len);
-        Some(Span::new(start, end.max(start)))
-    }
 }
 
 #[cfg(test)]
@@ -117,14 +104,5 @@ mod tests {
         assert_eq!(idx.line_col(5), (2, 3));
         assert_eq!(idx.line_col(7), (3, 1));
         assert_eq!(idx.line_col(8), (4, 1));
-    }
-
-    #[test]
-    fn line_span_covers_lines() {
-        let src = "ab\ncde\n";
-        let idx = LineIndex::new(src);
-        assert_eq!(idx.line_span(1, src.len() as u32), Some(Span::new(0, 2)));
-        assert_eq!(idx.line_span(2, src.len() as u32), Some(Span::new(3, 6)));
-        assert_eq!(idx.line_span(0, src.len() as u32), None);
     }
 }

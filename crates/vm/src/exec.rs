@@ -53,11 +53,9 @@ use crate::decode::{
 };
 use lssa_rt::object::{MAX_SMALL_INT, MAX_SMALL_NAT, MIN_SMALL_INT};
 use lssa_rt::{
-    pap_extend, pap_new, ApplyOutcome, Builtin, FuncId, Heap, HeapStats, Int, ObjData, ObjRef,
+    pap_extend, pap_new, ApplyOutcome, Builtin, FuncId, Heap, HeapStats, ObjData, ObjRef,
 };
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Per-job resource limits, threaded through [`ExecOptions`] into the VM.
@@ -119,8 +117,6 @@ impl JobLimits {
 /// plan produces the identical failure at the identical point on every run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Force step-budget exhaustion once this many instructions executed.
-    pub exhaust_at: Option<u64>,
     /// Trip the heap budget at the Nth allocation.
     pub trip_alloc: Option<u64>,
     /// Plant a panic at the checkpoint following this instruction count.
@@ -133,29 +129,6 @@ impl FaultPlan {
     /// Whether the plan injects nothing.
     pub fn is_empty(&self) -> bool {
         *self == FaultPlan::default()
-    }
-}
-
-/// A shared cooperative-cancellation flag: clone it into a job, flip it from
-/// any thread, and the VM aborts with [`VmErrorKind::Cancelled`] at its next
-/// budget checkpoint (at most ~1024 instructions later).
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// Creates a token in the not-cancelled state.
-    pub fn new() -> CancelToken {
-        CancelToken::default()
-    }
-
-    /// Requests cancellation (sticky).
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -182,9 +155,9 @@ impl ExecOptions {
 }
 
 /// How many instructions may execute between budget checkpoints when any
-/// polled feature (deadline, cancellation, heap budget, injected fault) is
-/// armed. The hot loops compare `steps` against a precomputed `stop_at`, so
-/// polling costs nothing on the per-instruction path.
+/// polled feature (deadline, heap budget, injected fault) is armed. The hot
+/// loops compare `steps` against a precomputed `stop_at`, so polling costs
+/// nothing on the per-instruction path.
 const POLL_INTERVAL: u64 = 1024;
 
 /// Inline-cache slot states (see [`CacheSlot::state`]).
@@ -238,7 +211,7 @@ pub enum VmErrorKind {
     DepthBudget,
     /// The wall-clock deadline ([`JobLimits::deadline`]) passed.
     Deadline,
-    /// A [`CancelToken`] was flipped (or a planned cancellation fired).
+    /// A planned cancellation fired ([`FaultPlan::cancel_at`]).
     Cancelled,
 }
 
@@ -723,14 +696,12 @@ pub struct Vm<'p> {
     depth_limit: u64,
     /// Absolute wall-clock deadline, armed at each [`Vm::call`].
     deadline: Option<Instant>,
-    /// Cooperative cancellation flag, polled at budget checkpoints.
-    cancel: Option<CancelToken>,
     /// Injected fault: panic at the checkpoint after this step count.
     panic_at: Option<u64>,
     /// Injected fault: cancel at the checkpoint after this step count.
     cancel_at: Option<u64>,
-    /// Whether any checkpoint-polled feature (deadline, cancellation, heap
-    /// budget, planned fault) is armed. When false, `stop_at == max_steps`
+    /// Whether any checkpoint-polled feature (deadline, heap budget,
+    /// planned fault) is armed. When false, `stop_at == max_steps`
     /// and the hot loops pay nothing beyond the pre-existing step compare.
     poll: bool,
     /// The step count at which the interpreter loops leave the hot path for
@@ -752,9 +723,7 @@ impl<'p> Vm<'p> {
             heap.set_byte_limit(Some(opts.limits.heap_bytes));
         }
         heap.set_trip_alloc(opts.fault.trip_alloc);
-        let max_steps = max_steps
-            .min(opts.limits.steps)
-            .min(opts.fault.exhaust_at.unwrap_or(u64::MAX));
+        let max_steps = max_steps.min(opts.limits.steps);
         let mut vm = Vm {
             program,
             heap,
@@ -781,7 +750,6 @@ impl<'p> Vm<'p> {
             opts,
             depth_limit: opts.limits.max_depth,
             deadline: None,
-            cancel: None,
             panic_at: opts.fault.panic_at,
             cancel_at: opts.fault.cancel_at,
             poll: false,
@@ -789,18 +757,6 @@ impl<'p> Vm<'p> {
         };
         vm.refresh_schedule();
         vm
-    }
-
-    /// Installs a cooperative cancellation token (see [`CancelToken`]).
-    pub fn set_cancel_token(&mut self, token: CancelToken) {
-        self.cancel = Some(token);
-        self.refresh_schedule();
-    }
-
-    /// Removes any installed cancellation token.
-    pub fn clear_cancel_token(&mut self) {
-        self.cancel = None;
-        self.refresh_schedule();
     }
 
     /// Replaces the absolute step budget — e.g. to grant an aborted VM a
@@ -836,10 +792,9 @@ impl<'p> Vm<'p> {
         self.heap.free_all()
     }
 
-    /// Recomputes `poll` and `stop_at` after any limit/fault/token change.
+    /// Recomputes `poll` and `stop_at` after any limit or fault change.
     fn refresh_schedule(&mut self) {
         self.poll = self.deadline.is_some()
-            || self.cancel.is_some()
             || self.panic_at.is_some()
             || self.cancel_at.is_some()
             || self.heap.has_byte_budget();
@@ -876,9 +831,7 @@ impl<'p> Vm<'p> {
         if self.panic_at.is_some_and(|at| self.steps >= at) {
             panic!("fault injection: planted panic at step {}", self.steps);
         }
-        if self.cancel_at.is_some_and(|at| self.steps >= at)
-            || self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
-        {
+        if self.cancel_at.is_some_and(|at| self.steps >= at) {
             return Err(VmError::cancelled());
         }
         if self.heap.over_budget() {
@@ -1871,11 +1824,6 @@ impl<'p> Vm<'p> {
             duration: self.exec_time,
             heap: self.heap.stats(),
         }
-    }
-
-    /// Decodes an integer result (convenience for tests).
-    pub fn to_int(&self, r: ObjRef) -> Int {
-        self.heap.get_int(r)
     }
 }
 
@@ -2964,19 +2912,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_token_aborts_within_a_poll_interval() {
-        let p = single(vec![Instr::Jump { target: 0 }], 1);
-        let d = decode_program(&p);
-        let token = CancelToken::new();
-        token.cancel();
-        let mut vm = Vm::new(&d, u64::MAX);
-        vm.set_cancel_token(token);
-        let e = vm.run("main").unwrap_err();
-        assert_eq!(e.kind, VmErrorKind::Cancelled);
-        assert!(vm.stats().instructions <= POLL_INTERVAL);
-    }
-
-    #[test]
     fn planned_cancellation_is_deterministic() {
         let p = single(vec![Instr::Jump { target: 0 }], 1);
         let d = decode_program(&p);
@@ -3026,19 +2961,6 @@ mod tests {
         vm.set_step_budget(vm.stats().instructions + 10);
         let e = vm.run("main").unwrap_err();
         assert_eq!(e.kind, VmErrorKind::StepBudget, "probe hits the budget");
-    }
-
-    #[test]
-    fn exhaust_at_forces_step_budget() {
-        let d = decode_program(&tail_loop(1_000_000));
-        let opts = ExecOptions::default().with_fault(FaultPlan {
-            exhaust_at: Some(1234),
-            ..FaultPlan::default()
-        });
-        let mut vm = Vm::with_options(&d, u64::MAX, opts);
-        let e = vm.run("main").unwrap_err();
-        assert_eq!(e.kind, VmErrorKind::StepBudget);
-        assert_eq!(vm.stats().instructions, 1234);
     }
 
     #[test]

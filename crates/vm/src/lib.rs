@@ -33,7 +33,6 @@ pub use decode::{
     FusionStats, OpClass, RenumberStats,
 };
 pub use exec::{
-    run_decoded, run_decoded_with, run_program, run_program_opts, run_program_with, CancelToken,
-    ExecOptions, ExecStats, FaultPlan, JobLimits, RunOutcome, Vm, VmError, VmErrorKind,
-    VmStatistics,
+    run_decoded, run_decoded_with, run_program, run_program_opts, run_program_with, ExecOptions,
+    ExecStats, FaultPlan, JobLimits, RunOutcome, Vm, VmError, VmErrorKind, VmStatistics,
 };

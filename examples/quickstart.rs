@@ -54,9 +54,9 @@ fn main() {
 
     // Region optimizations (Figure 1 / §IV-B).
     lambda_ssa::ir::passes::CanonicalizePass::with_extra(lambda_ssa::core::rgn::opt::all_patterns)
-        .run(&mut module);
-    lambda_ssa::core::rgn::GrnPass.run(&mut module);
-    lambda_ssa::ir::passes::DcePass.run(&mut module);
+        .run_on(&mut module);
+    lambda_ssa::core::rgn::GrnPass.run_on(&mut module);
+    lambda_ssa::ir::passes::DcePass.run_on(&mut module);
     println!("=== rgn after region optimizations ===");
     print!("{}", lambda_ssa::ir::printer::print_module(&module));
 

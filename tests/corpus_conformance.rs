@@ -9,13 +9,14 @@
 //!    between the workloads, the lowering, and the formatter),
 //! 2. every file parses to the *same AST* as the programmatic build and
 //!    executes to its checksum under every compiler configuration and both
-//!    decode modes (fused and no-fuse), batch-compiled on the parallel
-//!    driver with one job per file,
+//!    decode modes (fused and no-fuse), compiled in parallel on the
+//!    shared batch executor,
 //! 3. `tests/corpus/bad/*.lssa` keep reporting byte-identical JSON
 //!    diagnostics (stable codes *and* spans) — the machine-readable
 //!    interface `lssa check --format json` promises to tooling.
 
-use lambda_ssa::driver::pipelines::{compile_batch_asts, CompilerConfig};
+use lambda_ssa::driver::par;
+use lambda_ssa::driver::pipelines::{compile_ast_with_report, CompilerConfig};
 use lambda_ssa::driver::workloads::{all, Scale};
 use lambda_ssa::{lambda, syntax, vm};
 use std::collections::BTreeSet;
@@ -126,11 +127,9 @@ fn corpus_executes_under_every_config_and_decode_mode() {
         CompilerConfig::rgn_only(),
         CompilerConfig::none(),
     ] {
-        // One batch job per file: the corpus doubles as a smoke test of the
-        // parallel batch driver on the AST entry point.
-        let (results, _report) = compile_batch_asts(&programs, config, files.len());
+        let results = par::par_map(&programs, |p| compile_ast_with_report(p, config));
         for ((path, compiled), want) in files.iter().zip(&results).zip(&expected) {
-            let compiled = compiled
+            let (compiled, _) = compiled
                 .as_ref()
                 .unwrap_or_else(|e| panic!("[{}] {}: {e}", config.label(), path.display()));
             for decode in [vm::DecodeOptions::fused(), vm::DecodeOptions::no_fuse()] {

@@ -90,8 +90,8 @@ fn figure7_top_level_closures_run_end_to_end() {
     lambda_ssa::ir::verifier::verify_module(&m).unwrap();
     // Through the full rgn pipeline.
     rgn::from_lp::lower_module(&mut m);
-    rgn::RgnToCfgPass.run(&mut m);
-    rgn::TcoPass { only_self: false }.run(&mut m);
+    rgn::RgnToCfgPass.run_on(&mut m);
+    rgn::TcoPass { only_self: false }.run_on(&mut m);
     lambda_ssa::ir::verifier::verify_module(&m).unwrap();
     let program = lambda_ssa::vm::compile_module(&m).unwrap();
     let out = lambda_ssa::vm::run_program(&program, "main", 1_000_000).unwrap();
@@ -126,7 +126,7 @@ fn uninitialized_global_reads_scalar_zero() {
     b.lp_ret(v);
     m.add_function("main", Signature::obj(0), body);
     rgn::from_lp::lower_module(&mut m);
-    rgn::RgnToCfgPass.run(&mut m);
+    rgn::RgnToCfgPass.run_on(&mut m);
     let program = lambda_ssa::vm::compile_module(&m).unwrap();
     let out = lambda_ssa::vm::run_program(&program, "main", 1_000).unwrap();
     assert_eq!(out.rendered, "0");

@@ -6,53 +6,24 @@
 use lambda_ssa::driver::conformance::full_corpus;
 use lambda_ssa::driver::diff::run_differential;
 use lambda_ssa::driver::par::BatchRunner;
-use lambda_ssa::driver::pipelines::{compile_batch, CompilerConfig};
 
 #[test]
 fn differential_batch_is_deterministic_across_job_counts() {
     let mut corpus = full_corpus(0, 0x5e5a_2022); // handwritten cases only
     corpus.truncate(24);
     let render = |jobs: usize| -> String {
-        let report = BatchRunner::new().with_jobs(jobs).run(&corpus, |case| {
+        let results = BatchRunner::new().with_jobs(jobs).map(&corpus, |case| {
             run_differential(&case.name, &case.src, 200_000_000)
         });
-        assert_eq!(report.len(), corpus.len());
-        report
-            .results
+        assert_eq!(results.len(), corpus.len());
+        results
             .iter()
             .enumerate()
-            .map(|(i, j)| {
-                format!(
-                    "{i} {} {:?} {:?}\n",
-                    j.result.name, j.result.rendered, j.result.failure
-                )
-            })
+            .map(|(i, r)| format!("{i} {} {:?} {:?}\n", r.name, r.rendered, r.failure))
             .collect()
     };
     let serial = render(1);
     for jobs in [2, 5, 16] {
-        assert_eq!(serial, render(jobs), "jobs={jobs} must match jobs=1");
-    }
-}
-
-#[test]
-fn compile_batch_outcomes_are_deterministic_across_job_counts() {
-    let corpus = full_corpus(0, 0x5e5a_2022);
-    let sources: Vec<&str> = corpus.iter().take(16).map(|c| c.src.as_str()).collect();
-    let render = |jobs: usize| -> String {
-        let (results, report) = compile_batch(&sources, CompilerConfig::mlir(), jobs);
-        let phases: Vec<&str> = report.phases.iter().map(|p| p.pipeline.as_str()).collect();
-        results
-            .iter()
-            .map(|r| match r {
-                Ok(p) => format!("ok {} funcs\n", p.fns.len()),
-                Err(e) => format!("err {e}\n"),
-            })
-            .chain(std::iter::once(format!("phases: {phases:?}\n")))
-            .collect()
-    };
-    let serial = render(1);
-    for jobs in [3, 8] {
         assert_eq!(serial, render(jobs), "jobs={jobs} must match jobs=1");
     }
 }

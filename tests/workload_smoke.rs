@@ -28,7 +28,6 @@ fn for_each_workload_parallel(scale: Scale, check: impl Fn(&Workload) + Sync) {
     let workloads = all(scale);
     BatchRunner::new()
         .with_jobs(workloads.len())
-        .with_chunk(1)
         .map(&workloads, |w| check(w));
 }
 
