@@ -480,21 +480,31 @@ pub fn full_corpus(min_total: usize, seed: u64) -> Vec<TestCase> {
 /// Size and seed of the generated draw pinned by [`codegen_golden`].
 pub const GOLDEN_DRAW: (usize, u64) = (40, 2022);
 
+/// Step budget of the oracle runs pinned by [`codegen_golden`].
+pub const GOLDEN_FUEL: u64 = 200_000_000;
+
 /// The codegen-stability golden: for each of the 8 workloads at
 /// `Scale::Test`, the handwritten cases and a seeded generated draw
 /// ([`GOLDEN_DRAW`]), one line with three FNV-1a digests under
-/// [`CompilerConfig::mlir`], then one `total` line digesting all of them:
+/// [`CompilerConfig::mlir`] and the oracle's outcome, then one `total` line
+/// digesting the three digests of every line:
 ///
 /// - `rc`: the printed λrc program the front half hands the backend
 ///   (check, simplify, `insert_rc`);
 /// - `lp`: the printed `lp` module that program lowers to;
 /// - `code`: every function's decoded cells and pools under the default
-///   decode options.
+///   decode options;
+/// - `oracle`: the reference interpreter's run, computed as
+///   [`crate::diff::oracle`] does it (unsimplified, rc-inserted, λrc mode,
+///   [`GOLDEN_FUEL`] steps): a digest of the rendered result, the `steps`
+///   taken and the heap's `allocs`, `frees`, `incs`, `decs` and
+///   `peak_live`; or `oracle-error` and a digest of the error message.
 ///
 /// `tests/codegen_golden.rs` compares it with the committed
 /// `tests/golden/codegen.txt`; regenerate that file with
 /// `cargo run --example gen_codegen_golden`. A compiler change that is
-/// meant to leave the generated code alone must leave the file unchanged.
+/// meant to leave the generated code alone, or an interpreter change meant
+/// to leave its results and counts alone, must leave the file unchanged.
 ///
 /// [`CompilerConfig::mlir`]: crate::pipelines::CompilerConfig::mlir
 pub fn codegen_golden() -> String {
@@ -511,11 +521,15 @@ pub fn codegen_golden() -> String {
         .into_iter()
         .map(|c| (format!("generated/{}", c.name), c.src));
     let mut out = String::new();
+    // What `total` digests: every line without its oracle fields.
+    let mut total = Fnv1a::default();
     for (name, src) in workloads.chain(handwritten).chain(generated) {
         let rc = match frontend(&src, CompilerConfig::mlir()) {
             Ok(rc) => rc,
             Err(e) => {
-                let _ = writeln!(out, "{name} error: {e}");
+                let line = format!("{name} error: {e}\n");
+                let _ = total.write_str(&line);
+                out.push_str(&line);
                 continue;
             }
         };
@@ -524,7 +538,7 @@ pub fn codegen_golden() -> String {
         let mut lp_digest = Fnv1a::default();
         let lp = lssa_core::lp::from_lambda::lower_program(&rc);
         let _ = lp_digest.write_str(&lssa_ir::printer::print_module(&lp));
-        let _ = match compile(&src, CompilerConfig::mlir()) {
+        let codegen = match compile(&src, CompilerConfig::mlir()) {
             Ok(p) => {
                 let mut h = Fnv1a::default();
                 let d = p.decoded(lssa_vm::DecodeOptions::default());
@@ -543,17 +557,34 @@ pub fn codegen_golden() -> String {
                     );
                 }
                 let _ = write!(h, "{:?}{:?}{:?}", d.big_pool, d.str_pool, d.globals);
-                writeln!(
-                    out,
+                format!(
                     "{name} rc {:016x} lp {:016x} code {:016x}",
                     rc_digest.0, lp_digest.0, h.0
                 )
             }
-            Err(e) => writeln!(out, "{name} error: {e}"),
+            Err(e) => format!("{name} error: {e}"),
+        };
+        let _ = writeln!(total, "{codegen}");
+        out.push_str(&codegen);
+        let program = lssa_lambda::parse_program(&src).expect("the front half parsed it");
+        let _ = match crate::diff::oracle(&program, GOLDEN_FUEL) {
+            Ok(o) => {
+                let mut h = Fnv1a::default();
+                let _ = h.write_str(&o.rendered);
+                let s = o.stats;
+                writeln!(
+                    out,
+                    " oracle {:016x} steps {} allocs {} frees {} incs {} decs {} peak_live {}",
+                    h.0, o.steps, s.allocs, s.frees, s.incs, s.decs, s.peak_live
+                )
+            }
+            Err(e) => {
+                let mut h = Fnv1a::default();
+                let _ = h.write_str(&e);
+                writeln!(out, " oracle-error {:016x}", h.0)
+            }
         };
     }
-    let mut total = Fnv1a::default();
-    let _ = total.write_str(&out);
     let _ = writeln!(out, "total {:016x}", total.0);
     out
 }

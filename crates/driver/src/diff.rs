@@ -9,6 +9,7 @@
 
 use crate::pipelines::{compile_and_run_ast_opts, frontend_ast, CompilerConfig};
 use lssa_lambda::ast::Program;
+use lssa_lambda::Outcome;
 use lssa_vm::DecodeOptions;
 
 /// Outcome of one differential test.
@@ -55,6 +56,18 @@ pub fn run_differential(name: &str, src: &str, max_steps: u64) -> DiffResult {
     run_differential_ast(name, &program, max_steps)
 }
 
+/// The oracle's outcome on `program`: `main` of the unsimplified program,
+/// rc-inserted, under the λrc reference interpreter.
+///
+/// # Errors
+///
+/// Returns the front-end or interpreter failure, prefixed with its stage
+/// (`frontend:` or `oracle:`).
+pub fn oracle(program: &Program, max_steps: u64) -> Result<Outcome, String> {
+    let rc = frontend_ast(program, CompilerConfig::none()).map_err(|e| format!("frontend: {e}"))?;
+    lssa_lambda::run_program(&rc, "main", true, max_steps).map_err(|e| format!("oracle: {e}"))
+}
+
 /// [`run_differential`] over an already-parsed program — the entry point for
 /// `.lssa` files, whose text frontend lives in `lssa-syntax`.
 pub fn run_differential_ast(name: &str, program: &Program, max_steps: u64) -> DiffResult {
@@ -63,14 +76,9 @@ pub fn run_differential_ast(name: &str, program: &Program, max_steps: u64) -> Di
         rendered: None,
         failure: Some(msg),
     };
-    // Oracle: the λrc reference interpreter on the unsimplified program.
-    let rc = match frontend_ast(program, CompilerConfig::none()) {
-        Ok(rc) => rc,
-        Err(e) => return fail(format!("frontend: {e}")),
-    };
-    let oracle = match lssa_lambda::run_program(&rc, "main", true, max_steps) {
+    let oracle = match oracle(program, max_steps) {
         Ok(o) => o,
-        Err(e) => return fail(format!("oracle: {e}")),
+        Err(e) => return fail(e),
     };
     if oracle.stats.live != 0 {
         return fail(format!("oracle leaked {} objects", oracle.stats.live));

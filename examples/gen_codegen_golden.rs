@@ -6,12 +6,14 @@
 //!
 //! The file holds three digests per program: the printed λrc program, the
 //! printed `lp` module it lowers to, and every function's decoded cells and
-//! pools. The programs are the 8 workloads at `Scale::Test`, the handwritten
-//! conformance cases and a seeded generated draw, all compiled with the
-//! `mlir` configuration (see `lssa_driver::conformance::codegen_golden`).
-//! `tests/codegen_golden.rs` asserts the committed file matches what the
-//! compiler produces now, so a change that should leave the generated code
-//! alone (a compile-time speed-up, a refactor) proves it by leaving this
+//! pools; then the reference interpreter's outcome: a digest of its result,
+//! its steps and its heap counters. The programs are the 8 workloads at
+//! `Scale::Test`, the handwritten conformance cases and a seeded generated
+//! draw, all compiled with the `mlir` configuration (see
+//! `lssa_driver::conformance::codegen_golden`). `tests/codegen_golden.rs`
+//! asserts the committed file matches what the compiler and the interpreter
+//! produce now, so a change that should leave the generated code and the
+//! oracle's results alone (a speed-up, a refactor) proves it by leaving this
 //! file unchanged.
 
 use lambda_ssa::driver::conformance::codegen_golden;

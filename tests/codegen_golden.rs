@@ -1,11 +1,13 @@
 //! Codegen stability: the λrc program, the `lp` module and the decoded code
 //! of every workload, handwritten conformance case and a seeded generated
-//! draw must match the committed digests in `tests/golden/codegen.txt`
+//! draw, and the reference interpreter's result, steps and heap counters on
+//! each, must match the committed record in `tests/golden/codegen.txt`
 //! (regenerate with `cargo run --example gen_codegen_golden`).
 //!
 //! Compile-time work that must not change the output (faster analyses,
 //! different data structures, refactors of the pass drivers) is held to
-//! byte-identical code by this test.
+//! byte-identical code by this test, and interpreter work that must not
+//! change what the oracle computes or counts is held to the same.
 
 use lambda_ssa::driver::conformance::codegen_golden;
 use std::path::Path;
@@ -55,5 +57,11 @@ fn golden_covers_every_program_and_compiles_them_all() {
     assert!(
         !now.contains(" error: "),
         "every pinned program compiles:\n{now}"
+    );
+    assert!(
+        lines[..lines.len() - 1]
+            .iter()
+            .all(|l| l.contains(" oracle ") && !l.contains("oracle-error")),
+        "the oracle runs every pinned program:\n{now}"
     );
 }
