@@ -14,11 +14,22 @@
 //!   instructions. Every consumption site retains its arguments first, so
 //!   the run leaks (nothing is ever freed) but can never double-free, and
 //!   in-place array updates always observe shared objects and copy.
+//!
+//! A run resolves every call and pap site's callee once, before it starts:
+//! a name is a function index or a runtime [`Builtin`], and a call followed
+//! only by `inc`/`dec` ops and the `ret` of its result is marked a tail
+//! call. All calls' variables live in one stack of frames, and operands are
+//! gathered in one reused buffer, so a call allocates nothing.
 
 use crate::ast::{Expr, FnDef, Program, Value};
-use lssa_rt::{pap_extend, pap_new, ApplyOutcome, Builtin, FuncId, Heap, HeapStats, Nat, ObjRef};
+use lssa_rt::builtins::UnknownBuiltinError;
+use lssa_rt::object::{MAX_SMALL_INT, MIN_SMALL_INT};
+use lssa_rt::{
+    pap_extend, pap_new, ApplyOutcome, Builtin, FuncId, Heap, HeapStats, Int, Nat, ObjRef,
+};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// An execution error (not a program value — those are `ObjRef`s).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,32 +52,117 @@ fn err(message: impl Into<String>) -> InterpError {
     }
 }
 
-/// One step of function evaluation: a result, or a tail call to trampoline.
+/// One step of function evaluation: a result, or a tail call (its
+/// arguments in the operand buffer) to trampoline.
 #[derive(Debug)]
 enum Step {
     Done(ObjRef),
-    Tail(usize, Vec<ObjRef>),
+    Tail(usize),
 }
 
-/// If `e` is a chain of `inc`/`dec` ops ending in `ret var`, none of which
-/// touch `var` itself, returns the chain as `(is_dec, var, n)` actions.
-fn tail_continuation(e: &Expr, var: u32) -> Option<Vec<(bool, u32, u32)>> {
-    let mut ops = Vec::new();
-    let mut cur = e;
+/// Whether `e` is a chain of `inc`/`dec` ops ending in `ret var`, none of
+/// which touch `var` itself.
+fn is_tail_continuation(mut e: &Expr, var: u32) -> bool {
     loop {
-        match cur {
-            Expr::Ret(v) if *v == var => return Some(ops),
-            Expr::Inc { var: v, n, body } if *v != var => {
-                ops.push((false, *v, *n));
-                cur = body;
-            }
-            Expr::Dec { var: v, body } if *v != var => {
-                ops.push((true, *v, 0));
-                cur = body;
-            }
-            _ => return None,
+        match e {
+            Expr::Ret(v) => return *v == var,
+            Expr::Inc { var: v, body, .. } | Expr::Dec { var: v, body } if *v != var => e = body,
+            _ => return false,
         }
     }
+}
+
+/// What a call or pap site names.
+#[derive(Debug, Clone, Copy)]
+enum Callee {
+    /// A function of the program, by index.
+    Fn(usize),
+    /// A runtime builtin (a call whose name starts with `lean_`).
+    Builtin(Builtin),
+    /// Nothing: an error if, and when, the site runs.
+    Unknown,
+}
+
+/// A call or pap site, resolved once per run.
+#[derive(Debug, Clone, Copy)]
+struct Site {
+    callee: Callee,
+    /// `let x = call f(…); [inc/dec…;] ret x` with rc-ops that leave `x`
+    /// alone, `f` a function of the program: the call is made by the
+    /// caller's trampoline, after the rc-ops.
+    tail: bool,
+}
+
+/// Hashes a site by its address, which is unique while the program is
+/// borrowed: one multiply, folded so the table's low index bits see the
+/// whole address.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    // Pointers hash through `write_usize`; other keys fold in bytewise.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_usize(self.0 as usize ^ usize::from(b));
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        let h = (n as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+type Sites = HashMap<*const Value, Site, BuildHasherDefault<AddrHasher>>;
+
+/// Resolves every call and pap site of `program`, walking the bodies on an
+/// explicit stack.
+fn resolve_sites(program: &Program, fn_index: &HashMap<&str, usize>) -> Sites {
+    let function = |name: &str| {
+        fn_index
+            .get(name)
+            .map_or(Callee::Unknown, |&i| Callee::Fn(i))
+    };
+    let mut sites = Sites::default();
+    let mut todo: Vec<&Expr> = program.fns.iter().map(|f| &f.body).collect();
+    while let Some(e) = todo.pop() {
+        match e {
+            Expr::Let { var, val, body } => {
+                todo.push(body);
+                let site = match val {
+                    Value::Call { func, .. } if func.starts_with("lean_") => Site {
+                        callee: func.parse().map_or(Callee::Unknown, Callee::Builtin),
+                        tail: false,
+                    },
+                    Value::Call { func, .. } => Site {
+                        callee: function(func),
+                        tail: is_tail_continuation(body, *var),
+                    },
+                    Value::Pap { func, .. } => Site {
+                        callee: function(func),
+                        tail: false,
+                    },
+                    _ => continue,
+                };
+                sites.insert(val, site);
+            }
+            Expr::LetJoin { jp_body, body, .. } => {
+                todo.push(jp_body);
+                todo.push(body);
+            }
+            Expr::Case { alts, default, .. } => {
+                todo.extend(alts.iter().map(|a| &a.body));
+                todo.extend(default.as_deref());
+            }
+            Expr::Inc { body, .. } | Expr::Dec { body, .. } => todo.push(body),
+            Expr::Jump { .. } | Expr::Ret(_) => {}
+        }
+    }
+    sites
 }
 
 /// Result of a program run.
@@ -76,36 +172,41 @@ pub struct Outcome {
     pub rendered: String,
     /// Heap statistics at the end of the run (after releasing the result).
     pub stats: HeapStats,
-    /// Number of interpreter steps taken.
+    /// Number of interpreter steps taken: one per function entry
+    /// (including each trampolined tail call), one per expression node
+    /// evaluated, and one more per builtin call.
     pub steps: u64,
 }
 
-/// The interpreter.
+/// The interpreter. An error ends the run: the frames and join points of
+/// the calls it unwound are not popped.
 #[derive(Debug)]
-pub struct Interp<'p> {
+struct Interp<'p> {
     program: &'p Program,
-    /// The runtime heap (public so tests can inspect it mid-run).
-    pub heap: Heap,
+    heap: Heap,
     rc_mode: bool,
     fuel: u64,
-    fn_index: HashMap<&'p str, usize>,
+    sites: Sites,
+    /// The variables of every active call: one frame of `next_var` slots
+    /// per call, each on top of its caller's.
+    env: Vec<Option<ObjRef>>,
+    /// The join points in scope in every active call, innermost last.
+    joins: Vec<(u32, &'p [u32], &'p Expr)>,
+    /// The operands of the call, builtin, constructor or jump being made.
+    args: Vec<ObjRef>,
 }
 
 impl<'p> Interp<'p> {
-    /// Creates an interpreter for `program`.
-    pub fn new(program: &'p Program, rc_mode: bool, fuel: u64) -> Interp<'p> {
-        let fn_index = program
-            .fns
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.name.as_str(), i))
-            .collect();
+    fn new(program: &'p Program, rc_mode: bool, fuel: u64, sites: Sites) -> Interp<'p> {
         Interp {
             program,
             heap: Heap::new(),
             rc_mode,
             fuel,
-            fn_index,
+            sites,
+            env: Vec::new(),
+            joins: Vec::new(),
+            args: Vec::new(),
         }
     }
 
@@ -120,89 +221,70 @@ impl<'p> Interp<'p> {
         Ok(())
     }
 
-    /// Calls a function by index with owned arguments.
+    fn site(&self, val: &Value) -> Site {
+        self.sites[&(val as *const Value)]
+    }
+
+    /// Calls a function by index; its owned arguments are the operands.
     ///
     /// Tail calls (`let x = call f(…); [inc/dec…;] ret x`) are executed with
-    /// a trampoline — LEAN guarantees tail-call elimination (§III-E), so the
-    /// oracle must too.
-    pub fn call_fn(
-        &mut self,
-        mut idx: usize,
-        mut args: Vec<ObjRef>,
-    ) -> Result<ObjRef, InterpError> {
+    /// a trampoline that reuses the frame — LEAN guarantees tail-call
+    /// elimination (§III-E), so the oracle must too.
+    fn call(&mut self, mut idx: usize) -> Result<ObjRef, InterpError> {
+        let base = self.env.len();
+        let program = self.program;
         loop {
             self.spend(1)?;
-            let f = &self.program.fns[idx];
-            if f.params.len() != args.len() {
+            let f = &program.fns[idx];
+            if f.params.len() != self.args.len() {
                 return Err(err(format!(
                     "@{} called with {} args (arity {})",
                     f.name,
-                    args.len(),
+                    self.args.len(),
                     f.params.len()
                 )));
             }
-            let mut env: Vec<Option<ObjRef>> = vec![None; f.next_var as usize];
-            for (&p, a) in f.params.iter().zip(args) {
-                env[p as usize] = Some(a);
+            self.env.truncate(base);
+            self.env.resize(base + f.next_var as usize, None);
+            for (&p, &a) in f.params.iter().zip(&self.args) {
+                self.env[base + p as usize] = Some(a);
             }
-            match self.eval_expr(f, &mut env, &f.body)? {
-                Step::Done(r) => return Ok(r),
-                Step::Tail(next_idx, next_args) => {
-                    idx = next_idx;
-                    args = next_args;
+            let joins = self.joins.len();
+            let step = self.eval_expr(f, base, joins);
+            self.joins.truncate(joins);
+            match step? {
+                Step::Done(r) => {
+                    self.env.truncate(base);
+                    return Ok(r);
                 }
+                Step::Tail(next) => idx = next,
             }
         }
     }
 
-    fn lookup(&self, env: &[Option<ObjRef>], v: u32) -> Result<ObjRef, InterpError> {
-        env.get(v as usize)
+    /// Reads variable `v` of the frame at `base`.
+    fn lookup(&self, base: usize, v: u32) -> Result<ObjRef, InterpError> {
+        self.env
+            .get(base + v as usize)
             .copied()
             .flatten()
             .ok_or_else(|| err(format!("read of unbound variable x{v}")))
     }
 
-    fn eval_expr(
-        &mut self,
-        f: &'p FnDef,
-        env: &mut [Option<ObjRef>],
-        mut cur: &'p Expr,
-    ) -> Result<Step, InterpError> {
-        // Join points in scope: (label, params, body).
-        let mut joins: Vec<(u32, &'p [u32], &'p Expr)> = Vec::new();
+    /// Evaluates `cur`, the body of `f`, in the frame at `base`; the join
+    /// points it declares go on the join stack above `joins`.
+    fn eval_expr(&mut self, f: &'p FnDef, base: usize, joins: usize) -> Result<Step, InterpError> {
+        let mut cur = &f.body;
         loop {
             self.spend(1)?;
             match cur {
-                Expr::Let { var, val, body } => {
-                    // Tail-call detection: `let x = call f(…); rc-ops; ret x`
-                    // where the rc-ops do not touch x. The rc-ops run before
-                    // the transfer (they only release dead locals).
-                    if let Value::Call { func, args } = val {
-                        if !func.starts_with("lean_") {
-                            if let Some(rc_ops) = tail_continuation(body, *var) {
-                                let callee =
-                                    *self.fn_index.get(func.as_str()).ok_or_else(|| {
-                                        err(format!("call to unknown function @{func}"))
-                                    })?;
-                                let call_args = self.owned_args(env, args)?;
-                                if self.rc_mode {
-                                    for (dec, v, n) in rc_ops {
-                                        let r = self.lookup(env, v)?;
-                                        if dec {
-                                            self.heap.dec(r);
-                                        } else {
-                                            self.heap.inc_n(r, n);
-                                        }
-                                    }
-                                }
-                                return Ok(Step::Tail(callee, call_args));
-                            }
-                        }
+                Expr::Let { var, val, body } => match self.eval_value(base, val, body)? {
+                    Step::Done(r) => {
+                        self.env[base + *var as usize] = Some(r);
+                        cur = body;
                     }
-                    let r = self.eval_value(env, val)?;
-                    env[*var as usize] = Some(r);
-                    cur = body;
-                }
+                    tail => return Ok(tail),
+                },
                 Expr::LetJoin {
                     label,
                     params,
@@ -210,7 +292,7 @@ impl<'p> Interp<'p> {
                     body,
                     ..
                 } => {
-                    joins.push((*label, params, jp_body));
+                    self.joins.push((*label, params, jp_body));
                     cur = body;
                 }
                 Expr::Case {
@@ -218,7 +300,7 @@ impl<'p> Interp<'p> {
                     alts,
                     default,
                 } => {
-                    let s = self.lookup(env, *scrutinee)?;
+                    let s = self.lookup(base, *scrutinee)?;
                     let tag = self.heap.ctor_tag(s);
                     let arm = alts.iter().find(|a| a.tag == tag).map(|a| &a.body);
                     match arm.or(default.as_deref()) {
@@ -232,22 +314,23 @@ impl<'p> Interp<'p> {
                     }
                 }
                 Expr::Jump { label, args } => {
-                    let target = joins
+                    let (_, params, jp_body) = *self.joins[joins..]
                         .iter()
                         .rev()
                         .find(|(l, ..)| l == label)
-                        .copied()
                         .ok_or_else(|| err(format!("jump to unknown join j{label}")))?;
-                    let vals: Result<Vec<ObjRef>, _> =
-                        args.iter().map(|&a| self.lookup(env, a)).collect();
-                    let vals = vals?;
-                    for (&p, v) in target.1.iter().zip(vals) {
-                        env[p as usize] = Some(v);
+                    self.args.clear();
+                    for &a in args {
+                        let r = self.lookup(base, a)?;
+                        self.args.push(r);
                     }
-                    cur = target.2;
+                    for (&p, &v) in params.iter().zip(&self.args) {
+                        self.env[base + p as usize] = Some(v);
+                    }
+                    cur = jp_body;
                 }
                 Expr::Ret(v) => {
-                    let r = self.lookup(env, *v)?;
+                    let r = self.lookup(base, *v)?;
                     if !self.rc_mode {
                         self.heap.inc(r);
                     }
@@ -255,14 +338,14 @@ impl<'p> Interp<'p> {
                 }
                 Expr::Inc { var, n, body } => {
                     if self.rc_mode {
-                        let r = self.lookup(env, *var)?;
+                        let r = self.lookup(base, *var)?;
                         self.heap.inc_n(r, *n);
                     }
                     cur = body;
                 }
                 Expr::Dec { var, body } => {
                     if self.rc_mode {
-                        let r = self.lookup(env, *var)?;
+                        let r = self.lookup(base, *var)?;
                         self.heap.dec(r);
                     }
                     cur = body;
@@ -271,95 +354,125 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// Collects argument references; in λpure mode retains each first.
-    fn owned_args(
-        &mut self,
-        env: &[Option<ObjRef>],
-        args: &[u32],
-    ) -> Result<Vec<ObjRef>, InterpError> {
-        let mut out = Vec::with_capacity(args.len());
+    /// Runs the `inc`/`dec` ops of a tail call's continuation.
+    fn run_rc_ops(&mut self, base: usize, mut e: &Expr) -> Result<(), InterpError> {
+        loop {
+            match e {
+                Expr::Inc { var, n, body } => {
+                    let r = self.lookup(base, *var)?;
+                    self.heap.inc_n(r, *n);
+                    e = body;
+                }
+                Expr::Dec { var, body } => {
+                    let r = self.lookup(base, *var)?;
+                    self.heap.dec(r);
+                    e = body;
+                }
+                _ => return Ok(()),
+            }
+        }
+    }
+
+    /// Gathers the owned operands `args` into the operand buffer; in λpure
+    /// mode retains each first.
+    fn gather(&mut self, base: usize, args: &[u32]) -> Result<(), InterpError> {
+        self.args.clear();
         for &a in args {
-            let r = self.lookup(env, a)?;
+            let r = self.lookup(base, a)?;
             if !self.rc_mode {
                 self.heap.inc(r);
             }
-            out.push(r);
+            self.args.push(r);
         }
-        Ok(out)
+        Ok(())
     }
 
-    fn eval_value(
-        &mut self,
-        env: &mut [Option<ObjRef>],
-        val: &Value,
-    ) -> Result<ObjRef, InterpError> {
-        match val {
-            Value::Var(v) => self.lookup(env, *v),
-            Value::LitInt(n) => Ok(self.heap.mk_int(lssa_rt::Int::from_i64(*n))),
+    /// Evaluates `val` of `let x = val; body`: the value to bind, or, when
+    /// `val` is a tail call, the call for the trampoline, after the rc-ops
+    /// of `body` ran (they only release dead locals).
+    fn eval_value(&mut self, base: usize, val: &Value, body: &Expr) -> Result<Step, InterpError> {
+        let r = match val {
+            Value::Var(v) => self.lookup(base, *v)?,
+            Value::LitInt(n) if (MIN_SMALL_INT..=MAX_SMALL_INT).contains(n) => ObjRef::scalar(*n),
+            Value::LitInt(n) => self.heap.mk_int(Int::from_i64(*n)),
             Value::LitBig(s) => {
                 let n = Nat::from_str_decimal(s).map_err(|e| err(e.to_string()))?;
-                Ok(self.heap.mk_nat(n))
+                self.heap.mk_nat(n)
             }
-            Value::LitStr(s) => Ok(self.heap.alloc_str(s.clone())),
+            Value::LitStr(s) => self.heap.alloc_str(s.clone()),
             Value::Ctor { tag, args } => {
-                let fields = self.owned_args(env, args)?;
-                Ok(self.heap.alloc_ctor(*tag, fields))
+                self.gather(base, args)?;
+                self.heap.alloc_ctor(*tag, self.args.drain(..))
             }
+            // λrc mode: borrowed — the explicit `inc` that follows owns it.
+            // λpure mode: nothing frees, borrow is safe too.
             Value::Proj { var, idx } => {
-                let s = self.lookup(env, *var)?;
-                let field = self.heap.ctor_field(s, *idx as usize);
-                // λrc mode: borrowed — the explicit `inc` that follows owns
-                // it. λpure mode: nothing frees, borrow is safe too.
-                Ok(field)
+                let s = self.lookup(base, *var)?;
+                self.heap.ctor_field(s, *idx as usize)
             }
             Value::Call { func, args } => {
-                if func.starts_with("lean_") {
-                    let b: Builtin = func
-                        .parse()
-                        .map_err(|e: lssa_rt::builtins::UnknownBuiltinError| err(e.to_string()))?;
-                    let args = self.owned_args(env, args)?;
-                    self.spend(1)?;
-                    Ok(b.call(&mut self.heap, &args))
-                } else {
-                    let idx = *self
-                        .fn_index
-                        .get(func.as_str())
-                        .ok_or_else(|| err(format!("call to unknown function @{func}")))?;
-                    let args = self.owned_args(env, args)?;
-                    self.call_fn(idx, args)
+                let site = self.site(val);
+                match site.callee {
+                    Callee::Fn(idx) => {
+                        self.gather(base, args)?;
+                        if site.tail {
+                            if self.rc_mode {
+                                self.run_rc_ops(base, body)?;
+                            }
+                            return Ok(Step::Tail(idx));
+                        }
+                        self.call(idx)?
+                    }
+                    Callee::Builtin(b) => {
+                        self.gather(base, args)?;
+                        self.spend(1)?;
+                        b.call(&mut self.heap, &self.args)
+                    }
+                    Callee::Unknown if func.starts_with("lean_") => {
+                        return Err(err(UnknownBuiltinError(func.clone()).to_string()))
+                    }
+                    Callee::Unknown => {
+                        return Err(err(format!("call to unknown function @{func}")))
+                    }
                 }
             }
             Value::Pap { func, args } => {
-                let idx = *self
-                    .fn_index
-                    .get(func.as_str())
-                    .ok_or_else(|| err(format!("pap of unknown function @{func}")))?;
+                let Callee::Fn(idx) = self.site(val).callee else {
+                    return Err(err(format!("pap of unknown function @{func}")));
+                };
                 let arity = self.program.fns[idx].params.len() as u16;
-                let args = self.owned_args(env, args)?;
+                self.gather(base, args)?;
+                let args = self.args.drain(..).collect();
                 let outcome = pap_new(&mut self.heap, FuncId(idx as u32), arity, args);
-                self.apply_outcome(outcome)
+                self.apply_outcome(outcome)?
             }
             Value::App { closure, args } => {
-                let c = self.lookup(env, *closure)?;
+                let c = self.lookup(base, *closure)?;
                 if !self.rc_mode {
                     self.heap.inc(c);
                 }
                 if !matches!(self.heap.data(c), lssa_rt::ObjData::Closure { .. }) {
                     return Err(err("application of a non-closure value"));
                 }
-                let args = self.owned_args(env, args)?;
+                self.gather(base, args)?;
+                let args = self.args.drain(..).collect();
                 let outcome = pap_extend(&mut self.heap, c, args);
-                self.apply_outcome(outcome)
+                self.apply_outcome(outcome)?
             }
-        }
+        };
+        Ok(Step::Done(r))
     }
 
     fn apply_outcome(&mut self, outcome: ApplyOutcome) -> Result<ObjRef, InterpError> {
         match outcome {
             ApplyOutcome::Partial(c) => Ok(c),
-            ApplyOutcome::Call { func, args } => self.call_fn(func.0 as usize, args),
+            ApplyOutcome::Call { func, args } => {
+                self.args = args;
+                self.call(func.0 as usize)
+            }
             ApplyOutcome::CallThen { func, args, rest } => {
-                let r = self.call_fn(func.0 as usize, args)?;
+                self.args = args;
+                let r = self.call(func.0 as usize)?;
                 if !matches!(self.heap.data(r), lssa_rt::ObjData::Closure { .. }) {
                     return Err(err("over-application of a non-closure result"));
                 }
@@ -385,13 +498,18 @@ pub fn run_program(
     rc_mode: bool,
     fuel: u64,
 ) -> Result<Outcome, InterpError> {
-    let mut interp = Interp::new(program, rc_mode, fuel);
-    let idx = *interp
-        .fn_index
+    // A name defined twice resolves to its last definition.
+    let fn_index: HashMap<&str, usize> = program
+        .fns
+        .iter()
+        .enumerate()
+        .map(|(i, f)| (f.name.as_str(), i))
+        .collect();
+    let idx = *fn_index
         .get(entry)
         .ok_or_else(|| err(format!("no entry function @{entry}")))?;
-    let start_fuel = fuel;
-    let result = interp.call_fn(idx, vec![])?;
+    let mut interp = Interp::new(program, rc_mode, fuel, resolve_sites(program, &fn_index));
+    let result = interp.call(idx)?;
     let rendered = interp.heap.render(result);
     if rc_mode {
         interp.heap.dec(result);
@@ -407,7 +525,7 @@ pub fn run_program(
     Ok(Outcome {
         rendered,
         stats,
-        steps: start_fuel - interp.fuel,
+        steps: fuel - interp.fuel,
     })
 }
 
@@ -606,6 +724,49 @@ def main() := spin(0)
     fn missing_entry_reported() {
         let p = parse_program("def f() := 1").unwrap();
         assert!(run_program(&p, "main", false, 100).is_err());
+    }
+
+    /// `main` returns 0 unless `b` is 1, when it calls `callee`.
+    fn calls_in_a_branch(callee: &str, b: i64) -> Program {
+        let call = Expr::Let {
+            var: 1,
+            val: Value::Call {
+                func: callee.into(),
+                args: vec![],
+            },
+            body: Box::new(Expr::Ret(1)),
+        };
+        let body = Expr::Let {
+            var: 0,
+            val: Value::LitInt(b),
+            body: Box::new(Expr::Case {
+                scrutinee: 0,
+                alts: vec![crate::ast::Alt { tag: 1, body: call }],
+                default: Some(Box::new(Expr::Ret(0))),
+            }),
+        };
+        Program {
+            fns: vec![FnDef {
+                name: "main".into(),
+                params: vec![],
+                body,
+                next_var: 2,
+                next_join: 0,
+            }],
+        }
+    }
+
+    #[test]
+    fn unknown_callees_fail_when_and_only_when_their_site_runs() {
+        for (callee, message) in [
+            ("nowhere", "call to unknown function @nowhere"),
+            ("lean_nowhere", "unknown runtime builtin `lean_nowhere`"),
+        ] {
+            let out = run_program(&calls_in_a_branch(callee, 0), "main", true, FUEL).unwrap();
+            assert_eq!(out.rendered, "0");
+            let e = run_program(&calls_in_a_branch(callee, 1), "main", true, FUEL).unwrap_err();
+            assert_eq!(e.message, message);
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::bignum::{Int, Nat};
 use crate::heap::Heap;
-use crate::object::ObjRef;
+use crate::object::{ObjRef, MAX_SMALL_INT, MIN_SMALL_INT};
 use std::fmt;
 use std::str::FromStr;
 
@@ -228,11 +228,21 @@ impl Builtin {
             args.len()
         );
         match self {
-            Builtin::NatAdd => nat_binop(heap, args, |a, b| a.add(&b)),
-            Builtin::NatSub => nat_binop(heap, args, |a, b| a.sat_sub(&b)),
-            Builtin::NatMul => nat_binop(heap, args, |a, b| a.mul(&b)),
-            Builtin::NatDiv => nat_binop(heap, args, |a, b| a.div(&b)),
-            Builtin::NatMod => nat_binop(heap, args, |a, b| a.rem(&b)),
+            Builtin::NatAdd => nat_binop(heap, args, |a, b| a + b, |a, b| a.add(&b)),
+            Builtin::NatSub => nat_binop(heap, args, |a, b| (a - b).max(0), |a, b| a.sat_sub(&b)),
+            Builtin::NatMul => nat_binop(heap, args, |a, b| a * b, |a, b| a.mul(&b)),
+            Builtin::NatDiv => nat_binop(
+                heap,
+                args,
+                |a, b| a.checked_div(b).unwrap_or(0),
+                |a, b| a.div(&b),
+            ),
+            Builtin::NatMod => nat_binop(
+                heap,
+                args,
+                |a, b| a.checked_rem(b).unwrap_or(a),
+                |a, b| a.rem(&b),
+            ),
             Builtin::NatPow => {
                 let a = heap.get_nat(args[0]);
                 let e = heap
@@ -243,15 +253,25 @@ impl Builtin {
                 let r = a.pow(e);
                 heap.mk_nat(r)
             }
-            Builtin::NatGcd => nat_binop(heap, args, |a, b| a.gcd(&b)),
+            Builtin::NatGcd => nat_binop(heap, args, gcd_word, |a, b| a.gcd(&b)),
             Builtin::NatDecEq => nat_cmp(heap, args, |o| o == std::cmp::Ordering::Equal),
             Builtin::NatDecLt => nat_cmp(heap, args, |o| o == std::cmp::Ordering::Less),
             Builtin::NatDecLe => nat_cmp(heap, args, |o| o != std::cmp::Ordering::Greater),
-            Builtin::IntAdd => int_binop(heap, args, |a, b| a.add(&b)),
-            Builtin::IntSub => int_binop(heap, args, |a, b| a.sub(&b)),
-            Builtin::IntMul => int_binop(heap, args, |a, b| a.mul(&b)),
-            Builtin::IntDiv => int_binop(heap, args, |a, b| a.div(&b)),
-            Builtin::IntMod => int_binop(heap, args, |a, b| a.rem(&b)),
+            Builtin::IntAdd => int_binop(heap, args, |a, b| a + b, |a, b| a.add(&b)),
+            Builtin::IntSub => int_binop(heap, args, |a, b| a - b, |a, b| a.sub(&b)),
+            Builtin::IntMul => int_binop(heap, args, |a, b| a * b, |a, b| a.mul(&b)),
+            Builtin::IntDiv => int_binop(
+                heap,
+                args,
+                |a, b| a.checked_div(b).unwrap_or(0),
+                |a, b| a.div(&b),
+            ),
+            Builtin::IntMod => int_binop(
+                heap,
+                args,
+                |a, b| a.checked_rem(b).unwrap_or(a),
+                |a, b| a.rem(&b),
+            ),
             Builtin::IntNeg => {
                 let a = heap.get_int(args[0]);
                 heap.dec(args[0]);
@@ -332,45 +352,106 @@ impl fmt::Display for Builtin {
     }
 }
 
+// The one-word path. Two scalar operands (non-negative ones for the `Nat`
+// builtins) are computed in i128, where no operation on two 63-bit
+// payloads can overflow, and the result is a scalar again unless it left
+// the small range; then it is boxed exactly as the bignum path boxes it.
+// Any other operands — a boxed big integer, or a negative scalar given to a
+// `Nat` builtin, which `Heap::get_nat` reports — take the bignum path.
+// Both paths consume the operands through `Heap::dec`, so they leave the
+// same `HeapStats`.
+
+/// Both operands as words, when both are non-negative scalars.
+fn word_nats(args: &[ObjRef]) -> Option<(i128, i128)> {
+    word_ints(args).filter(|&(a, b)| a >= 0 && b >= 0)
+}
+
+/// Both operands as words, when both are scalars.
+fn word_ints(args: &[ObjRef]) -> Option<(i128, i128)> {
+    Some((args[0].as_scalar()?.into(), args[1].as_scalar()?.into()))
+}
+
+/// A one-word result: the scalar, or the boxed integer when it left the
+/// small range.
+fn word_result(heap: &mut Heap, r: i128) -> ObjRef {
+    match i64::try_from(r) {
+        Ok(v) if (MIN_SMALL_INT..=MAX_SMALL_INT).contains(&v) => ObjRef::scalar(v),
+        _ => heap.mk_int(Int::from_parts(r < 0, Nat::from_u128(r.unsigned_abs()))),
+    }
+}
+
+/// Euclid on two non-negative words, as [`Nat::gcd`] runs it on limbs.
+fn gcd_word(mut a: i128, mut b: i128) -> i128 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
 fn consume2(heap: &mut Heap, args: &[ObjRef]) {
     heap.dec(args[0]);
     heap.dec(args[1]);
 }
 
-fn nat_binop(heap: &mut Heap, args: &[ObjRef], f: impl FnOnce(Nat, Nat) -> Nat) -> ObjRef {
-    // Fast path: both scalars and the u128 result fits back in a word.
+fn nat_binop(
+    heap: &mut Heap,
+    args: &[ObjRef],
+    word: impl FnOnce(i128, i128) -> i128,
+    big: impl FnOnce(Nat, Nat) -> Nat,
+) -> ObjRef {
+    if let Some((a, b)) = word_nats(args) {
+        consume2(heap, args);
+        return word_result(heap, word(a, b));
+    }
     let a = heap.get_nat(args[0]);
     let b = heap.get_nat(args[1]);
     consume2(heap, args);
-    heap.mk_nat(f(a, b))
+    heap.mk_nat(big(a, b))
 }
 
 fn nat_cmp(heap: &mut Heap, args: &[ObjRef], f: impl FnOnce(std::cmp::Ordering) -> bool) -> ObjRef {
-    let a = heap.get_nat(args[0]);
-    let b = heap.get_nat(args[1]);
+    let order = match word_nats(args) {
+        Some((a, b)) => a.cmp(&b),
+        None => heap.get_nat(args[0]).cmp_nat(&heap.get_nat(args[1])),
+    };
     consume2(heap, args);
-    ObjRef::scalar(f(a.cmp_nat(&b)) as i64)
+    ObjRef::scalar(f(order) as i64)
 }
 
-fn int_binop(heap: &mut Heap, args: &[ObjRef], f: impl FnOnce(Int, Int) -> Int) -> ObjRef {
+fn int_binop(
+    heap: &mut Heap,
+    args: &[ObjRef],
+    word: impl FnOnce(i128, i128) -> i128,
+    big: impl FnOnce(Int, Int) -> Int,
+) -> ObjRef {
+    if let Some((a, b)) = word_ints(args) {
+        consume2(heap, args);
+        return word_result(heap, word(a, b));
+    }
     let a = heap.get_int(args[0]);
     let b = heap.get_int(args[1]);
     consume2(heap, args);
-    heap.mk_int(f(a, b))
+    heap.mk_int(big(a, b))
 }
 
 fn int_cmp(heap: &mut Heap, args: &[ObjRef], f: impl FnOnce(std::cmp::Ordering) -> bool) -> ObjRef {
-    let a = heap.get_int(args[0]);
-    let b = heap.get_int(args[1]);
+    let order = match word_ints(args) {
+        Some((a, b)) => a.cmp(&b),
+        None => heap.get_int(args[0]).cmp_int(&heap.get_int(args[1])),
+    };
     consume2(heap, args);
-    ObjRef::scalar(f(a.cmp_int(&b)) as i64)
+    ObjRef::scalar(f(order) as i64)
 }
 
 fn index_of(heap: &Heap, r: ObjRef) -> usize {
-    heap.get_nat(r)
-        .to_u64()
-        .and_then(|v| usize::try_from(v).ok())
-        .expect("array index exceeds usize")
+    match r.as_scalar() {
+        Some(v) if v >= 0 => v as usize,
+        _ => heap
+            .get_nat(r)
+            .to_u64()
+            .and_then(|v| usize::try_from(v).ok())
+            .expect("array index exceeds usize"),
+    }
 }
 
 #[cfg(test)]

@@ -424,9 +424,19 @@ impl Heap {
     ///
     /// Panics if the value is negative or not an integer object.
     pub fn get_nat(&self, r: ObjRef) -> Nat {
-        let i = self.get_int(r);
-        assert!(!i.is_neg(), "expected natural, found negative {i}");
-        i.magnitude().clone()
+        match r.as_scalar() {
+            Some(v) => {
+                assert!(v >= 0, "expected natural, found negative {v}");
+                Nat::from_u64(v as u64)
+            }
+            None => match self.data(r) {
+                ObjData::BigInt(i) => {
+                    assert!(!i.is_neg(), "expected natural, found negative {i}");
+                    i.magnitude().clone()
+                }
+                other => panic!("expected integer object, found {other:?}"),
+            },
+        }
     }
 
     // ---- constructor access ---------------------------------------------
