@@ -763,6 +763,40 @@ fn ids_at_and_above_the_bound_are_out_of_range() {
     }
 }
 
+#[test]
+fn retain_counts_at_the_bound_lint_and_one_past_is_e0005() {
+    let bound = lssa_syntax::parse::MAX_RETAIN;
+    let path = write_lssa(
+        "inc-last",
+        &format!("(def main (x0) (inc x0 {bound} (ret x0)))\n"),
+    );
+    let out = lssa().args(["check"]).arg(&path).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    // `lint` audits the λrc as written: retains that are never released are
+    // an rc-linearity finding, not a refusal of the count.
+    let out = lssa().args(["lint"]).arg(&path).output().unwrap();
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("error[E0201]") && text.contains(&format!("leaks {bound} ")),
+        "{text}"
+    );
+    std::fs::remove_file(path).ok();
+    for n in [u64::from(bound) + 1, 4_000_000_000] {
+        let path = write_lssa(
+            "inc-past",
+            &format!("(def main (x0) (inc x0 {n} (ret x0)))\n"),
+        );
+        for verb in ["check", "lint", "run"] {
+            assert_rejected(verb, &path, &[], "E0005");
+        }
+        std::fs::remove_file(path).ok();
+    }
+}
+
 /// A program whose lists nest exactly `depth` deep: `f` is a chain of
 /// `let`s adding its parameter (`f(1)` returns `depth - 1`).
 fn let_chain(depth: usize) -> String {

@@ -43,6 +43,13 @@ use lssa_lambda::wellformed::{builtin_name_message, codes};
 use lssa_rt::Builtin;
 use std::collections::{HashMap, HashSet};
 
+/// The largest retain count `(inc var n body)` may ask for. Each retain
+/// lowers to one `lp.inc` op, so a larger count would let a few bytes of
+/// text cost the backend billions of ops; like an id at or above
+/// [`MAX_ID`], it is refused with `E0005`. No corpus or generated program
+/// comes near it.
+pub const MAX_RETAIN: u32 = u16::MAX as u32;
+
 /// Result of parsing a `.lssa` source: the program (when structurally
 /// recoverable) plus every diagnostic found.
 ///
@@ -663,7 +670,16 @@ impl<'f> Lowerer<'f, '_> {
         if let Some(v) = var {
             self.check_use(v, items[1].span, jp);
         }
-        let n = self.parse_u32(&items[2], "a retain count");
+        let n = match self.parse_u32(&items[2], "a retain count") {
+            Some(n) if n > MAX_RETAIN => {
+                self.token_error(
+                    items[2].span,
+                    format!("a retain count `{n}` is out of range (at most {MAX_RETAIN})"),
+                );
+                None
+            }
+            n => n,
+        };
         let body = self.lower_expr(&items[3], jp);
         Some(Expr::Inc {
             var: var?,
