@@ -95,7 +95,8 @@ struct Site {
 
 /// Hashes a site by its address, which is unique while the program is
 /// borrowed: one multiply, folded so the table's low index bits see the
-/// whole address.
+/// whole address. (`lssa_ir::hash::FxHasher` is the compiler's; the oracle
+/// depends on nothing but `lssa-rt`.)
 #[derive(Default)]
 struct AddrHasher(u64);
 
@@ -104,11 +105,8 @@ impl Hasher for AddrHasher {
         self.0
     }
 
-    // Pointers hash through `write_usize`; other keys fold in bytewise.
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_usize(self.0 as usize ^ usize::from(b));
-        }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a pointer key hashes through `write_usize`")
     }
 
     fn write_usize(&mut self, n: usize) {
@@ -271,8 +269,8 @@ impl<'p> Interp<'p> {
             .ok_or_else(|| err(format!("read of unbound variable x{v}")))
     }
 
-    /// Evaluates `cur`, the body of `f`, in the frame at `base`; the join
-    /// points it declares go on the join stack above `joins`.
+    /// Evaluates the body of `f` in the frame at `base`; the join points it
+    /// declares go on the join stack above `joins`.
     fn eval_expr(&mut self, f: &'p FnDef, base: usize, joins: usize) -> Result<Step, InterpError> {
         let mut cur = &f.body;
         loop {

@@ -444,14 +444,13 @@ fn int_cmp(heap: &mut Heap, args: &[ObjRef], f: impl FnOnce(std::cmp::Ordering) 
 }
 
 fn index_of(heap: &Heap, r: ObjRef) -> usize {
-    match r.as_scalar() {
-        Some(v) if v >= 0 => v as usize,
-        _ => heap
-            .get_nat(r)
-            .to_u64()
-            .and_then(|v| usize::try_from(v).ok())
-            .expect("array index exceeds usize"),
-    }
+    let index = match r.as_scalar() {
+        Some(v) if v >= 0 => Some(v.unsigned_abs()),
+        _ => heap.get_nat(r).to_u64(),
+    };
+    index
+        .and_then(|v| usize::try_from(v).ok())
+        .expect("array index exceeds usize")
 }
 
 #[cfg(test)]

@@ -427,7 +427,7 @@ impl Heap {
         match r.as_scalar() {
             Some(v) => {
                 assert!(v >= 0, "expected natural, found negative {v}");
-                Nat::from_u64(v as u64)
+                Nat::from_u64(v.unsigned_abs())
             }
             None => match self.data(r) {
                 ObjData::BigInt(i) => {
