@@ -485,15 +485,19 @@ pub const GOLDEN_FUEL: u64 = 200_000_000;
 
 /// The codegen-stability golden: for each of the 8 workloads at
 /// `Scale::Test`, the handwritten cases and a seeded generated draw
-/// ([`GOLDEN_DRAW`]), one line with three FNV-1a digests under
-/// [`CompilerConfig::mlir`] and the oracle's outcome, then one `total` line
-/// digesting the three digests of every line:
+/// ([`GOLDEN_DRAW`]), one line with four FNV-1a digests and the oracle's
+/// outcome, then one `total` line digesting the four digests of every
+/// line:
 ///
 /// - `rc`: the printed λrc program the front half hands the backend
-///   (check, simplify, `insert_rc`);
+///   (check, simplify, `insert_rc`) under [`CompilerConfig::mlir`];
 /// - `lp`: the printed `lp` module that program lowers to;
 /// - `code`: every function's decoded cells and pools under the default
-///   decode options;
+///   decode options, compiled with [`CompilerConfig::mlir`];
+/// - `rgn`: the same digest of the code compiled with
+///   [`CompilerConfig::rgn_only`], whose unsimplified input is where the
+///   region optimizations do their work (under `mlir` the λ simplifier
+///   has already done it);
 /// - `oracle`: the reference interpreter's run, computed as
 ///   [`crate::diff::oracle`] does it (unsimplified, rc-inserted, λrc mode,
 ///   [`GOLDEN_FUEL`] steps): a digest of the rendered result, the `steps`
@@ -507,6 +511,7 @@ pub const GOLDEN_FUEL: u64 = 200_000_000;
 /// to leave its results and counts alone, must leave the file unchanged.
 ///
 /// [`CompilerConfig::mlir`]: crate::pipelines::CompilerConfig::mlir
+/// [`CompilerConfig::rgn_only`]: crate::pipelines::CompilerConfig::rgn_only
 pub fn codegen_golden() -> String {
     use crate::pipelines::{compile, frontend, CompilerConfig};
     use crate::workloads::{all, Scale};
@@ -538,31 +543,18 @@ pub fn codegen_golden() -> String {
         let mut lp_digest = Fnv1a::default();
         let lp = lssa_core::lp::from_lambda::lower_program(&rc);
         let _ = lp_digest.write_str(&lssa_ir::printer::print_module(&lp));
-        let codegen = match compile(&src, CompilerConfig::mlir()) {
-            Ok(p) => {
-                let mut h = Fnv1a::default();
-                let d = p.decoded(lssa_vm::DecodeOptions::default());
-                for f in &d.fns {
-                    let _ = write!(
-                        h,
-                        "{:?}{:?}{:?}{:?}{:?}{:?}{:?}{:?}",
-                        f.name,
-                        f.arity,
-                        f.n_regs,
-                        f.code,
-                        f.args,
-                        f.cases,
-                        f.cache_base,
-                        f.cache_sites
-                    );
-                }
-                let _ = write!(h, "{:?}{:?}{:?}", d.big_pool, d.str_pool, d.globals);
-                format!(
-                    "{name} rc {:016x} lp {:016x} code {:016x}",
-                    rc_digest.0, lp_digest.0, h.0
-                )
-            }
-            Err(e) => format!("{name} error: {e}"),
+        let codegen = match (
+            compile(&src, CompilerConfig::mlir()),
+            compile(&src, CompilerConfig::rgn_only()),
+        ) {
+            (Ok(mlir), Ok(rgn)) => format!(
+                "{name} rc {:016x} lp {:016x} code {:016x} rgn {:016x}",
+                rc_digest.0,
+                lp_digest.0,
+                code_digest(&mlir),
+                code_digest(&rgn)
+            ),
+            (Err(e), _) | (_, Err(e)) => format!("{name} error: {e}"),
         };
         let _ = writeln!(total, "{codegen}");
         out.push_str(&codegen);
@@ -587,6 +579,23 @@ pub fn codegen_golden() -> String {
     }
     let _ = writeln!(out, "total {:016x}", total.0);
     out
+}
+
+/// The FNV-1a digest of every function's decoded cells and pools under the
+/// default decode options.
+fn code_digest(program: &lssa_vm::CompiledProgram) -> u64 {
+    use std::fmt::Write as _;
+    let mut h = Fnv1a::default();
+    let d = program.decoded(lssa_vm::DecodeOptions::default());
+    for f in &d.fns {
+        let _ = write!(
+            h,
+            "{:?}{:?}{:?}{:?}{:?}{:?}{:?}{:?}",
+            f.name, f.arity, f.n_regs, f.code, f.args, f.cases, f.cache_base, f.cache_sites
+        );
+    }
+    let _ = write!(h, "{:?}{:?}{:?}", d.big_pool, d.str_pool, d.globals);
+    h.0
 }
 
 /// 64-bit FNV-1a over everything written to it: a digest that is the same

@@ -4,12 +4,12 @@
 //! cargo run --example gen_codegen_golden
 //! ```
 //!
-//! The file holds three digests per program: the printed λrc program, the
+//! The file holds four digests per program: the printed λrc program, the
 //! printed `lp` module it lowers to, and every function's decoded cells and
-//! pools; then the reference interpreter's outcome: a digest of its result,
-//! its steps and its heap counters. The programs are the 8 workloads at
-//! `Scale::Test`, the handwritten conformance cases and a seeded generated
-//! draw, all compiled with the `mlir` configuration (see
+//! pools under the `mlir` and under the `rgn_only` configuration; then the
+//! reference interpreter's outcome: a digest of its result, its steps and
+//! its heap counters. The programs are the 8 workloads at `Scale::Test`,
+//! the handwritten conformance cases and a seeded generated draw (see
 //! `lssa_driver::conformance::codegen_golden`). `tests/codegen_golden.rs`
 //! asserts the committed file matches what the compiler and the interpreter
 //! produce now, so a change that should leave the generated code and the

@@ -1,8 +1,9 @@
-//! Codegen stability: the λrc program, the `lp` module and the decoded code
-//! of every workload, handwritten conformance case and a seeded generated
-//! draw, and the reference interpreter's result, steps and heap counters on
-//! each, must match the committed record in `tests/golden/codegen.txt`
-//! (regenerate with `cargo run --example gen_codegen_golden`).
+//! Codegen stability: the λrc program, the `lp` module, the decoded code
+//! under the `mlir` and the `rgn_only` configurations of every workload,
+//! handwritten conformance case and a seeded generated draw, and the
+//! reference interpreter's result, steps and heap counters on each, must
+//! match the committed record in `tests/golden/codegen.txt` (regenerate
+//! with `cargo run --example gen_codegen_golden`).
 //!
 //! Compile-time work that must not change the output (faster analyses,
 //! different data structures, refactors of the pass drivers) is held to
@@ -63,5 +64,13 @@ fn golden_covers_every_program_and_compiles_them_all() {
             .iter()
             .all(|l| l.contains(" oracle ") && !l.contains("oracle-error")),
         "the oracle runs every pinned program:\n{now}"
+    );
+    // Under `mlir` the region optimizations find nothing left to do, so
+    // every program also pins the code `rgn_only` compiles, where they do.
+    assert!(
+        lines[..lines.len() - 1]
+            .iter()
+            .all(|l| l.contains(" code ") && l.contains(" rgn ")),
+        "every pinned program carries its rgn_only code digest:\n{now}"
     );
 }
