@@ -5,10 +5,12 @@
 //! ladder (`lssa_driver::benchjson`): every knob is on in the `full` and
 //! `rgn_only` rungs and off in `none`, Figure 10's no-optimization variant.
 //!
-//! - `region_opts` — the §IV-B region optimizations (DRE via DCE, select /
-//!   switch folding, run-of-known-region inlining, GRN).
-//! - `generic_opts` — MLIR's stock CFG-level passes (canonicalize, CSE, DCE,
-//!   CFG simplification, inlining) that Figure 11 credits to the ecosystem.
+//! - `region_opts` — the §IV-B region optimizations (select / switch
+//!   folding, run-of-known-region inlining, GRN, and dead-region
+//!   elimination, which is the rewrite driver's dead-op erasure rather than
+//!   a pass of its own).
+//! - `generic_opts` — MLIR's stock CFG-level passes (CFG simplification,
+//!   CSE, inlining) that Figure 11 credits to the ecosystem.
 //! - `rc_opt` — the §III reference-count optimization (borrow-driven
 //!   inc/dec pair elision and dec sinking) as a CFG-level pass; off in the
 //!   `full_norc` rung, which isolates its win.
@@ -19,7 +21,11 @@
 //! The phases are expressed as *named pipelines* on the instrumented
 //! [`PassManager`] engine — `rgn-opt`, `lower-cfg`, `generic-opt`,
 //! `rc-opt`, `tco`, `cleanup` — each driven to a fixpoint where iteration
-//! matters. [`compile_with_report`] returns the collected
+//! matters. Every slot changes some program (`tests/pipeline_census.rs`
+//! keeps that true). So no pipeline has a DCE slot, because every
+//! canonicalize sweep already ends with the rewrite driver's dead-op
+//! erasure, and no canonicalize slot follows GRN, which re-canonicalizes
+//! only the bodies it merged. [`compile_with_report`] returns the collected
 //! [`PipelineReport`] so drivers (the `lssa` CLI's `--pass-stats`) can
 //! show per-pass statistics, and `print_ir_after_all` streams the module
 //! after every pass for debugging.
@@ -28,7 +34,7 @@ use crate::lp::from_lambda;
 use crate::rgn::{self, GrnPass, RgnToCfgPass, TcoPass};
 use lssa_ir::module::Module;
 use lssa_ir::pass::{PassManager, PipelineRunReport};
-use lssa_ir::passes::{CanonicalizePass, CsePass, DcePass, InlinePass, RcOptPass, SimplifyCfgPass};
+use lssa_ir::passes::{CanonicalizePass, CsePass, InlinePass, RcOptPass, SimplifyCfgPass};
 use lssa_lambda::ast::Program;
 
 /// Fixpoint bound for the `rgn-opt` pipeline (GRN can expose new folds and
@@ -37,8 +43,7 @@ pub const RGN_OPT_MAX_ITERS: usize = 3;
 
 /// Fixpoint bound for the post-TCO `cleanup` pipeline. Generous: the
 /// pipeline idempotence property (see [`reoptimize`]) relies on actually
-/// reaching the fixpoint, and each constituent pass already fixpoints
-/// internally, so convergence normally takes two or three sweeps.
+/// reaching the fixpoint, which normally takes one or two sweeps.
 pub const CLEANUP_MAX_ITERS: usize = 8;
 
 /// Pipeline configuration.
@@ -139,34 +144,31 @@ fn with_dump(pm: PassManager, opts: PipelineOptions) -> PassManager {
 }
 
 /// The `rgn-opt` pipeline: region optimizations (§IV-B) as rewrites over
-/// the canonicalization driver, plus GRN and DCE.
+/// the canonicalization driver, whose dead-op erasure is dead-region
+/// elimination, plus GRN, which re-canonicalizes the bodies it merged.
 pub fn rgn_opt_pipeline(opts: PipelineOptions) -> PassManager {
     with_dump(
         PassManager::named("rgn-opt")
             .verify_each(opts.verify)
             .fixpoint(RGN_OPT_MAX_ITERS)
             .add(CanonicalizePass::with_extra(rgn::opt::all_patterns))
-            .add(GrnPass)
-            .add(CanonicalizePass::with_extra(rgn::opt::all_patterns))
-            .add(DcePass),
+            .add(GrnPass),
         opts,
     )
 }
 
 /// The `generic-opt` pipeline: MLIR's stock CFG-level passes (Figure 11's
 /// "MLIR builtin" credit), run as a single sweep like MLIR's default
-/// pipeline — the trailing [`cleanup_pipeline`] fixpoints the cheap passes.
+/// pipeline — the trailing [`cleanup_pipeline`] fixpoints CSE.
+/// Canonicalization and DCE have no slot: on the lowered CFG they find
+/// nothing left to fold or erase.
 pub fn generic_opt_pipeline(opts: PipelineOptions) -> PassManager {
     with_dump(
         PassManager::named("generic-opt")
             .verify_each(opts.verify)
             .add(SimplifyCfgPass)
-            .add(CanonicalizePass::new())
             .add(CsePass)
-            .add(DcePass)
-            .add(InlinePass::default())
-            .add(CanonicalizePass::new())
-            .add(DcePass),
+            .add(InlinePass::default()),
         opts,
     )
 }
@@ -184,18 +186,17 @@ pub fn rc_opt_pipeline(opts: PipelineOptions) -> PassManager {
     )
 }
 
-/// The `cleanup` pipeline: the inliner-free subset of the generic passes,
-/// safe to fixpoint after TCO (none of them can grow the module).
+/// The `cleanup` pipeline: CSE to a fixpoint, for the duplicates the
+/// inliner exposes after `generic-opt`'s CSE has run (CSE cannot grow the
+/// module). CFG simplification, canonicalization and DCE have no slot:
+/// after `generic-opt`, `rc-opt` and `tco` they find nothing to change.
 pub fn cleanup_pipeline(opts: PipelineOptions) -> PassManager {
     with_dump(
         PassManager::named("cleanup")
             .verify_each(opts.verify)
             .verify_rc(opts.verify_rc)
             .fixpoint(CLEANUP_MAX_ITERS)
-            .add(SimplifyCfgPass)
-            .add(CanonicalizePass::new())
-            .add(CsePass)
-            .add(DcePass),
+            .add(CsePass),
         opts,
     )
 }
@@ -250,7 +251,7 @@ pub fn compile_with_report(program: &Program, opts: PipelineOptions) -> (Module,
             .push(generic_opt_pipeline(opts).run(&mut module));
     }
     // Reference-count optimization (§III): after generic-opt (whose
-    // CSE/DCE/inlining expose same-block pairs), before tco, with the
+    // CSE and inlining expose same-block pairs), before tco, with the
     // trailing cleanup still running behind it.
     if opts.rc_opt {
         report.phases.push(rc_opt_pipeline(opts).run(&mut module));
@@ -427,14 +428,22 @@ def main() := ap42(k(10))
             assert_eq!(rows.len(), 1, "{pass} has one row in {}", phase.pipeline);
             rows[0].runs
         };
-        // A pass listed twice in a pipeline is one row counting both runs,
-        // in every sweep.
+        // Each listed pass runs once per sweep.
         let rgn_sweeps = report.phases[0].iterations;
-        assert_eq!(runs("rgn-opt", "canonicalize"), 2 * rgn_sweeps);
-        assert_eq!(runs("rgn-opt", "dce"), rgn_sweeps);
-        assert_eq!(runs("generic-opt", "canonicalize"), 2);
-        assert_eq!(runs("generic-opt", "dce"), 2);
+        assert_eq!(runs("rgn-opt", "canonicalize"), rgn_sweeps);
+        assert_eq!(runs("rgn-opt", "global-region-numbering"), rgn_sweeps);
+        assert_eq!(runs("generic-opt", "simplify-cfg"), 1);
+        assert_eq!(runs("generic-opt", "cse"), 1);
         assert_eq!(runs("generic-opt", "inline"), 1);
+        assert_eq!(runs("cleanup", "cse"), report.phases[5].iterations);
+        // The rows are exactly the listed passes.
+        let rows = |phase: &str| -> Vec<&str> {
+            let phase = report.phases.iter().find(|p| p.pipeline == phase).unwrap();
+            phase.passes.iter().map(|s| s.pass).collect()
+        };
+        assert_eq!(rows("rgn-opt"), ["canonicalize", "global-region-numbering"]);
+        assert_eq!(rows("generic-opt"), ["simplify-cfg", "cse", "inline"]);
+        assert_eq!(rows("cleanup"), ["cse"]);
     }
 
     #[test]

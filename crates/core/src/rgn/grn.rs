@@ -10,6 +10,7 @@
 //! position. A fingerprint match is confirmed by a full structural
 //! comparison before merging, so hash collisions cannot miscompile.
 
+use crate::rgn::opt;
 use lssa_ir::body::Body;
 use lssa_ir::dom::DomTree;
 use lssa_ir::hash::{FxHashMap, FxHasher};
@@ -17,9 +18,14 @@ use lssa_ir::ids::{BlockId, OpId, RegionId, ValueId};
 use lssa_ir::module::Module;
 use lssa_ir::opcode::Opcode;
 use lssa_ir::pass::{for_each_function, Pass};
+use lssa_ir::rewrite::{apply_patterns_greedily, PatternSet, RewriteCtx};
 use std::hash::{Hash, Hasher};
 
-/// The GRN pass: merges structurally identical `rgn.val`s (region CSE).
+/// The GRN pass: merges structurally identical `rgn.val`s (region CSE),
+/// then re-canonicalizes, with the `rgn` patterns, each body in which it
+/// merged two regions: a merge is what lets `select(c, x, x) → x` and
+/// run-of-known-region inlining fire (Figure 1C). A body GRN left alone is
+/// not re-canonicalized.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct GrnPass;
 
@@ -29,7 +35,15 @@ impl Pass for GrnPass {
     }
 
     fn run_on(&self, module: &mut Module) -> bool {
-        for_each_function(module, |_, body| run_on_body(body))
+        let mut patterns = None;
+        for_each_function(module, |m, body| {
+            if !run_on_body(body) {
+                return false;
+            }
+            let patterns = patterns.get_or_insert_with(|| PatternSet::new(opt::all_patterns()));
+            apply_patterns_greedily(body, &RewriteCtx { module: m }, patterns);
+            true
+        })
     }
 }
 
@@ -51,12 +65,26 @@ pub fn run_on_body(body: &mut Body) -> bool {
 }
 
 fn grn_region(body: &mut Body, region: RegionId) -> bool {
-    let tree = DomTree::compute(body, region);
-    let blocks: Vec<BlockId> = body.regions[region.index()].blocks.clone();
+    let blocks = &body.regions[region.index()].blocks;
+    let region_vals = blocks
+        .iter()
+        .flat_map(|b| &body.blocks[b.index()].ops)
+        .filter(|op| body.ops[op.index()].opcode == Opcode::RgnVal)
+        .take(2)
+        .count();
+    if region_vals < 2 {
+        return false;
+    }
+    let blocks: Vec<BlockId> = blocks.clone();
+    // Dominance is needed only once two fingerprints meet. Until then
+    // nothing is merged, and the table holds every visited `rgn.val`; when
+    // the tree is built, those of unreachable blocks leave it, which is
+    // the table a walk of the reachable blocks alone would have built.
+    let mut tree: Option<DomTree> = None;
     let mut table: FxHashMap<u64, Vec<(OpId, ValueId, BlockId)>> = FxHashMap::default();
     let mut changed = false;
     for &block in &blocks {
-        if !tree.is_reachable(block) {
+        if tree.as_ref().is_some_and(|t| !t.is_reachable(block)) {
             continue;
         }
         let ops = body.blocks[block.index()].ops.clone();
@@ -67,13 +95,28 @@ fn grn_region(body: &mut Body, region: RegionId) -> bool {
             let Some(fp) = region_fingerprint(body, body.ops[op.index()].regions[0]) else {
                 continue;
             };
+            if tree.is_none() && table.contains_key(&fp) {
+                let t = DomTree::compute(body, region);
+                for entries in table.values_mut() {
+                    entries.retain(|&(_, _, b)| t.is_reachable(b));
+                }
+                let reachable = t.is_reachable(block);
+                tree = Some(t);
+                if !reachable {
+                    break;
+                }
+            }
             let candidates = table.entry(fp).or_default();
             let mut merged = false;
             for &(prev_op, prev_val, prev_block) in candidates.iter() {
                 if body.ops[prev_op.index()].dead {
                     continue;
                 }
-                let dominates = prev_block == block || tree.dominates(prev_block, block);
+                // A candidate exists only once the tree does.
+                let dominates = prev_block == block
+                    || tree
+                        .as_ref()
+                        .is_some_and(|t| t.dominates(prev_block, block));
                 if dominates
                     && regions_structurally_equal(
                         body,

@@ -3,7 +3,8 @@
 //! Most of the paper's region optimizations come *for free* from generic
 //! infrastructure once regions are SSA values:
 //!
-//! - dead region elimination = DCE on pure `rgn.val` ops,
+//! - dead region elimination = the rewrite driver's dead-op erasure on pure
+//!   `rgn.val` ops,
 //! - case elimination's selector step = `select`/`switch_val` constant
 //!   folding from `lssa-ir`'s canonicalizer,
 //! - common-branch elimination = GRN ([`crate::rgn::grn`]) + the generic
@@ -30,6 +31,10 @@ pub struct RunKnownRegion;
 impl RewritePattern for RunKnownRegion {
     fn name(&self) -> &'static str {
         "run-known-region"
+    }
+
+    fn roots(&self) -> &'static [Opcode] {
+        &[Opcode::RgnRun]
     }
 
     fn match_and_rewrite(&self, body: &mut Body, op: OpId, _ctx: &RewriteCtx<'_>) -> bool {
@@ -89,6 +94,10 @@ impl RewritePattern for FoldGetLabel {
         "fold-getlabel"
     }
 
+    fn roots(&self) -> &'static [Opcode] {
+        &[Opcode::LpGetLabel]
+    }
+
     fn match_and_rewrite(&self, body: &mut Body, op: OpId, _ctx: &RewriteCtx<'_>) -> bool {
         if body.ops[op.index()].opcode != Opcode::LpGetLabel {
             return false;
@@ -130,6 +139,10 @@ pub struct FoldProject;
 impl RewritePattern for FoldProject {
     fn name(&self) -> &'static str {
         "fold-project"
+    }
+
+    fn roots(&self) -> &'static [Opcode] {
+        &[Opcode::LpProject]
     }
 
     fn match_and_rewrite(&self, body: &mut Body, op: OpId, _ctx: &RewriteCtx<'_>) -> bool {
@@ -182,12 +195,12 @@ mod tests {
     use super::*;
     use lssa_ir::builder::Builder;
     use lssa_ir::prelude::*;
-    use lssa_ir::rewrite::apply_patterns_greedily;
+    use lssa_ir::rewrite::{apply_patterns_greedily, PatternSet};
 
     fn canonicalize(body: &mut Body) -> bool {
         let module = Module::new();
         let ctx = RewriteCtx { module: &module };
-        let patterns = all_patterns();
+        let patterns = PatternSet::new(all_patterns());
         apply_patterns_greedily(body, &ctx, &patterns)
     }
 
@@ -271,7 +284,7 @@ mod tests {
         assert_eq!(ops, vec![Opcode::LpInt, Opcode::LpReturn]);
     }
 
-    /// Figure 1A: dead region elimination is plain DCE.
+    /// Figure 1A: dead region elimination is the driver's dead-op erasure.
     #[test]
     fn dead_region_elimination_fig1a() {
         let (mut body, _) = Body::new(&[]);

@@ -115,9 +115,21 @@ fn pass_stats_prints_pipeline_tables() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
-    for needle in ["pipeline `rgn-opt`", "pipeline `cleanup`", "ops-in", "dce"] {
+    for needle in [
+        "pipeline `rgn-opt`",
+        "pipeline `cleanup`",
+        "ops-in",
+        "global-region-numbering",
+        "cse",
+    ] {
         assert!(text.contains(needle), "missing {needle}\n{text}");
     }
+    // Dead-op erasure ends every canonicalize sweep, so no pipeline has a
+    // DCE slot.
+    assert!(
+        !text.lines().any(|l| l.trim_start().starts_with("dce ")),
+        "unexpected dce row\n{text}"
+    );
     std::fs::remove_file(path).ok();
 }
 

@@ -14,7 +14,7 @@ use crate::module::Module;
 use crate::opcode::Opcode;
 use crate::pass::{for_each_function, Pass};
 use crate::passes::const_int_value;
-use crate::rewrite::{apply_patterns_greedily, RewriteCtx, RewritePattern};
+use crate::rewrite::{apply_patterns_greedily, PatternSet, RewriteCtx, RewritePattern};
 use crate::types::Type;
 
 /// Returns the standard canonicalization pattern set.
@@ -33,14 +33,9 @@ pub fn canonicalization_patterns() -> Vec<Box<dyn RewritePattern>> {
 
 /// The canonicalization pass. Extra pattern sets (e.g. the `rgn` dialect's)
 /// can be appended via the factory.
+#[derive(Debug)]
 pub struct CanonicalizePass {
-    extra: fn() -> Vec<Box<dyn RewritePattern>>,
-}
-
-impl std::fmt::Debug for CanonicalizePass {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("CanonicalizePass")
-    }
+    patterns: PatternSet,
 }
 
 impl Default for CanonicalizePass {
@@ -52,12 +47,16 @@ impl Default for CanonicalizePass {
 impl CanonicalizePass {
     /// Standard pattern set only.
     pub fn new() -> CanonicalizePass {
-        CanonicalizePass { extra: Vec::new }
+        CanonicalizePass::with_extra(Vec::new)
     }
 
     /// Standard patterns plus a dialect-specific set.
     pub fn with_extra(extra: fn() -> Vec<Box<dyn RewritePattern>>) -> CanonicalizePass {
-        CanonicalizePass { extra }
+        let mut patterns = canonicalization_patterns();
+        patterns.extend(extra());
+        CanonicalizePass {
+            patterns: PatternSet::new(patterns),
+        }
     }
 }
 
@@ -67,11 +66,9 @@ impl Pass for CanonicalizePass {
     }
 
     fn run_on(&self, module: &mut Module) -> bool {
-        let mut patterns = canonicalization_patterns();
-        patterns.extend((self.extra)());
         for_each_function(module, |m, body| {
             let ctx = RewriteCtx { module: m };
-            apply_patterns_greedily(body, &ctx, &patterns)
+            apply_patterns_greedily(body, &ctx, &self.patterns)
         })
     }
 }
@@ -102,6 +99,19 @@ struct FoldBinaryArith;
 impl RewritePattern for FoldBinaryArith {
     fn name(&self) -> &'static str {
         "fold-binary-arith"
+    }
+
+    fn roots(&self) -> &'static [Opcode] {
+        &[
+            Opcode::AddI,
+            Opcode::SubI,
+            Opcode::MulI,
+            Opcode::DivI,
+            Opcode::RemI,
+            Opcode::AndI,
+            Opcode::OrI,
+            Opcode::XorI,
+        ]
     }
 
     fn match_and_rewrite(&self, body: &mut Body, op: OpId, _ctx: &RewriteCtx<'_>) -> bool {
@@ -136,6 +146,10 @@ struct FoldCmp;
 impl RewritePattern for FoldCmp {
     fn name(&self) -> &'static str {
         "fold-cmp"
+    }
+
+    fn roots(&self) -> &'static [Opcode] {
+        &[Opcode::CmpI]
     }
 
     fn match_and_rewrite(&self, body: &mut Body, op: OpId, _ctx: &RewriteCtx<'_>) -> bool {
@@ -175,6 +189,17 @@ struct ArithIdentity;
 impl RewritePattern for ArithIdentity {
     fn name(&self) -> &'static str {
         "arith-identity"
+    }
+
+    fn roots(&self) -> &'static [Opcode] {
+        &[
+            Opcode::AddI,
+            Opcode::SubI,
+            Opcode::MulI,
+            Opcode::AndI,
+            Opcode::OrI,
+            Opcode::XorI,
+        ]
     }
 
     fn match_and_rewrite(&self, body: &mut Body, op: OpId, _ctx: &RewriteCtx<'_>) -> bool {
@@ -248,6 +273,10 @@ impl RewritePattern for FoldSelect {
         "fold-select"
     }
 
+    fn roots(&self) -> &'static [Opcode] {
+        &[Opcode::Select]
+    }
+
     fn match_and_rewrite(&self, body: &mut Body, op: OpId, _ctx: &RewriteCtx<'_>) -> bool {
         if body.ops[op.index()].opcode != Opcode::Select {
             return false;
@@ -280,6 +309,10 @@ struct FoldSwitchVal;
 impl RewritePattern for FoldSwitchVal {
     fn name(&self) -> &'static str {
         "fold-switch-val"
+    }
+
+    fn roots(&self) -> &'static [Opcode] {
+        &[Opcode::SwitchVal]
     }
 
     fn match_and_rewrite(&self, body: &mut Body, op: OpId, _ctx: &RewriteCtx<'_>) -> bool {
@@ -343,6 +376,10 @@ impl RewritePattern for FoldIntCast {
         "fold-int-cast"
     }
 
+    fn roots(&self) -> &'static [Opcode] {
+        &[Opcode::ExtUI, Opcode::TruncI]
+    }
+
     fn match_and_rewrite(&self, body: &mut Body, op: OpId, _ctx: &RewriteCtx<'_>) -> bool {
         let opcode = body.ops[op.index()].opcode;
         if !matches!(opcode, Opcode::ExtUI | Opcode::TruncI) {
@@ -382,6 +419,10 @@ impl RewritePattern for FoldCondBr {
         "fold-cond-br"
     }
 
+    fn roots(&self) -> &'static [Opcode] {
+        &[Opcode::CondBr]
+    }
+
     fn match_and_rewrite(&self, body: &mut Body, op: OpId, _ctx: &RewriteCtx<'_>) -> bool {
         if body.ops[op.index()].opcode != Opcode::CondBr {
             return false;
@@ -414,6 +455,10 @@ struct FoldSwitchBr;
 impl RewritePattern for FoldSwitchBr {
     fn name(&self) -> &'static str {
         "fold-switch-br"
+    }
+
+    fn roots(&self) -> &'static [Opcode] {
+        &[Opcode::SwitchBr]
     }
 
     fn match_and_rewrite(&self, body: &mut Body, op: OpId, _ctx: &RewriteCtx<'_>) -> bool {
@@ -462,7 +507,7 @@ mod tests {
             .body
             .take()
             .unwrap();
-        let patterns = canonicalization_patterns();
+        let patterns = PatternSet::new(canonicalization_patterns());
         let ctx = RewriteCtx { module: &m };
         apply_patterns_greedily(&mut body, &ctx, &patterns);
         body

@@ -56,12 +56,16 @@ pub fn run_on_body(body: &mut Body) -> bool {
 }
 
 fn cse_region(body: &mut Body, region: RegionId) -> bool {
-    let tree = DomTree::compute(body, region);
+    // Dominance is needed only once two keys meet. Until then nothing is
+    // replaced and every key in the table is distinct; when the tree is
+    // built, the entries of unreachable blocks leave the table, which is
+    // the table a walk of the reachable blocks alone would have built.
+    let mut tree: Option<DomTree> = None;
     let blocks: Vec<BlockId> = body.regions[region.index()].blocks.clone();
     let mut table: FxHashMap<CseKey, (ValueId, BlockId)> = FxHashMap::default();
     let mut changed = false;
     for &block in &blocks {
-        if !tree.is_reachable(block) {
+        if tree.as_ref().is_some_and(|t| !t.is_reachable(block)) {
             continue;
         }
         let ops = body.blocks[block.index()].ops.clone();
@@ -80,9 +84,20 @@ fn cse_region(body: &mut Body, region: RegionId) -> bool {
                 attrs: data.attrs.clone(),
                 ty: data.result().map(|r| body.value_type(r)),
             };
+            if tree.is_none() && table.contains_key(&key) {
+                let t = DomTree::compute(body, region);
+                table.retain(|_, &mut (_, b)| t.is_reachable(b));
+                let reachable = t.is_reachable(block);
+                tree = Some(t);
+                if !reachable {
+                    break;
+                }
+            }
             match table.get(&key) {
+                // An entry can meet `key` only once the tree exists.
                 Some(&(existing, def_block))
-                    if def_block == block || tree.dominates(def_block, block) =>
+                    if def_block == block
+                        || tree.as_ref().is_some_and(|t| t.dominates(def_block, block)) =>
                 {
                     let result = body.ops[op.index()].result().unwrap();
                     body.replace_all_uses(result, existing);

@@ -2,8 +2,11 @@
 //!
 //! Erases (a) pure/allocating ops with no remaining uses and (b) blocks
 //! unreachable from their region's entry. The paper's "dead region
-//! elimination" (§IV-B.1) is literally this pass applied to `rgn.val`: an
-//! unreferenced region value is a dead pure op.
+//! elimination" (§IV-B.1) is (a) applied to `rgn.val`: an unreferenced
+//! region value is a dead pure op. The compiler's pipelines have no DCE
+//! slot, because every sweep of the rewrite driver behind canonicalization
+//! already ends with (a) ([`erase_trivially_dead`]); this pass remains for
+//! standalone use and for Figure 11's matrix.
 
 use crate::body::Body;
 use crate::module::Module;

@@ -1,7 +1,16 @@
 //! Greedy pattern rewriting — the engine behind canonicalization.
 //!
-//! Patterns implement [`RewritePattern`]; [`apply_patterns_greedily`] walks
-//! the op list to a fixpoint, like MLIR's `applyPatternsAndFoldGreedily`.
+//! Patterns implement [`RewritePattern`] and name the opcodes they can
+//! rewrite, as an MLIR pattern names its root op. A [`PatternSet`] indexes
+//! them by those root opcodes, and [`apply_patterns_greedily`] sweeps the
+//! op list to a fixpoint, like MLIR's `applyPatternsAndFoldGreedily`: each
+//! op is offered only the patterns rooted at its opcode, in list order.
+//! Every sweep ends by erasing trivially dead ops
+//! ([`erase_trivially_dead`]), so dead-region elimination (§IV-B.1) needs
+//! no pass of its own: an unused `rgn.val` is a dead pure op. A sweep in
+//! which no pattern fired hands its own walk to that erasure, so a body
+//! with nothing to rewrite costs one walk of its region tree.
+//!
 //! The `rgn` dialect's optimizations in `lssa-core` are expressed as
 //! patterns over this same driver — that is the paper's point: region
 //! transformations *are* classical SSA rewrites.
@@ -9,7 +18,7 @@
 use crate::body::Body;
 use crate::ids::OpId;
 use crate::module::Module;
-use crate::opcode::Purity;
+use crate::opcode::{Opcode, Purity};
 
 /// Context visible to patterns (module-level lookups).
 #[derive(Debug, Clone, Copy)]
@@ -24,16 +33,64 @@ pub trait RewritePattern {
     /// Pattern name (debugging/statistics).
     fn name(&self) -> &'static str;
 
+    /// The opcodes this pattern can rewrite. The driver offers it no other
+    /// op, so the list must hold every opcode on which
+    /// [`RewritePattern::match_and_rewrite`] can return `true`.
+    fn roots(&self) -> &'static [Opcode];
+
     /// Attempts to rewrite `op`; returns `true` when IR changed. On `true`
     /// the driver re-enqueues everything, so a pattern may leave dead ops
     /// behind (DCE-style cleanup happens in the driver).
     fn match_and_rewrite(&self, body: &mut Body, op: OpId, ctx: &RewriteCtx<'_>) -> bool;
 }
 
+/// A list of patterns indexed by root opcode, built once and applied to
+/// many bodies (MLIR's frozen pattern set).
+pub struct PatternSet {
+    patterns: Vec<Box<dyn RewritePattern>>,
+    /// For each opcode (by discriminant), the indices of the patterns
+    /// rooted at it, ascending.
+    by_root: Vec<Vec<usize>>,
+}
+
+impl std::fmt::Debug for PatternSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list()
+            .entries(self.patterns.iter().map(|p| p.name()))
+            .finish()
+    }
+}
+
+impl PatternSet {
+    /// Indexes `patterns`; their list order is the order in which the
+    /// driver tries them on an op.
+    pub fn new(patterns: Vec<Box<dyn RewritePattern>>) -> PatternSet {
+        let mut by_root = vec![Vec::new(); Opcode::ALL.len()];
+        for (i, p) in patterns.iter().enumerate() {
+            for &root in p.roots() {
+                if by_root[root as usize].last() != Some(&i) {
+                    by_root[root as usize].push(i);
+                }
+            }
+        }
+        PatternSet { patterns, by_root }
+    }
+
+    /// The first pattern at index `from` or later rooted at `opcode`.
+    fn next_for(&self, opcode: Opcode, from: usize) -> Option<usize> {
+        self.by_root[opcode as usize]
+            .iter()
+            .copied()
+            .find(|&i| i >= from)
+    }
+}
+
 /// Applies `patterns` until no pattern fires anywhere.
 ///
-/// Between sweeps, trivially-dead pure ops are erased (patterns routinely
-/// strand constant or selector ops).
+/// Each sweep offers every op of the region tree the patterns rooted at its
+/// current opcode, in list order, until the op dies; then trivially-dead
+/// pure ops are erased (patterns routinely strand constant or selector
+/// ops).
 ///
 /// Returns whether anything changed.
 ///
@@ -44,7 +101,7 @@ pub trait RewritePattern {
 pub fn apply_patterns_greedily(
     body: &mut Body,
     ctx: &RewriteCtx<'_>,
-    patterns: &[Box<dyn RewritePattern>],
+    patterns: &PatternSet,
 ) -> bool {
     let mut changed_any = false;
     for sweep in 0.. {
@@ -52,21 +109,25 @@ pub fn apply_patterns_greedily(
             sweep < 1000,
             "pattern rewriting failed to converge after 1000 sweeps"
         );
-        let mut changed = false;
-        for op in body.walk_ops() {
-            if body.ops[op.index()].dead || body.ops[op.index()].parent.is_none() {
-                continue;
-            }
-            for p in patterns {
-                if body.ops[op.index()].dead || body.ops[op.index()].parent.is_none() {
+        let walk = body.walk_ops();
+        let mut fired = false;
+        for &op in &walk {
+            let mut from = 0;
+            loop {
+                let data = &body.ops[op.index()];
+                if data.dead || data.parent.is_none() {
                     break;
                 }
-                if p.match_and_rewrite(body, op, ctx) {
-                    changed = true;
-                }
+                let Some(i) = patterns.next_for(data.opcode, from) else {
+                    break;
+                };
+                from = i + 1;
+                fired |= patterns.patterns[i].match_and_rewrite(body, op, ctx);
             }
         }
-        changed |= erase_trivially_dead(body);
+        // A quiet sweep left the region tree as it walked it.
+        let walk = if fired { body.walk_ops() } else { walk };
+        let changed = erase_dead_ops(body, walk) | fired;
         changed_any |= changed;
         if !changed {
             break;
@@ -85,8 +146,13 @@ pub fn apply_patterns_greedily(
 /// erased. Erasure only ever removes uses, so the result does not depend
 /// on the order: it is the set a recount-until-stable loop reaches.
 pub fn erase_trivially_dead(body: &mut Body) -> bool {
+    let walk = body.walk_ops();
+    erase_dead_ops(body, walk)
+}
+
+/// [`erase_trivially_dead`] given the body's current region-tree walk.
+fn erase_dead_ops(body: &mut Body, mut worklist: Vec<OpId>) -> bool {
     let mut counts = body.use_counts();
-    let mut worklist = body.walk_ops();
     let mut in_tree = vec![false; body.ops.len()];
     for &op in &worklist {
         in_tree[op.index()] = true;
@@ -148,7 +214,6 @@ fn release_uses(
 mod tests {
     use super::*;
     use crate::builder::Builder;
-    use crate::opcode::Opcode;
     use crate::types::Type;
 
     /// A toy pattern: replaces `x + 0` with `x`.
@@ -156,6 +221,9 @@ mod tests {
     impl RewritePattern for AddZero {
         fn name(&self) -> &'static str {
             "add-zero"
+        }
+        fn roots(&self) -> &'static [Opcode] {
+            &[Opcode::AddI]
         }
         fn match_and_rewrite(&self, body: &mut Body, op: OpId, _ctx: &RewriteCtx<'_>) -> bool {
             if body.ops[op.index()].opcode != Opcode::AddI {
@@ -199,7 +267,7 @@ mod tests {
         let s1 = b.addi(params[0], z);
         let s2 = b.addi(s1, z);
         b.ret(s2);
-        let patterns: Vec<Box<dyn RewritePattern>> = vec![Box::new(AddZero)];
+        let patterns = PatternSet::new(vec![Box::new(AddZero)]);
         let changed = {
             let ctx = RewriteCtx { module: &module };
             apply_patterns_greedily(&mut body, &ctx, &patterns)
@@ -226,7 +294,7 @@ mod tests {
         let _unused = b.lp_construct(0, vec![]);
         let v = b.lp_int(1);
         b.lp_ret(v);
-        let patterns: Vec<Box<dyn RewritePattern>> = vec![];
+        let patterns = PatternSet::new(vec![]);
         let ctx = RewriteCtx { module: &module };
         assert!(apply_patterns_greedily(&mut body, &ctx, &patterns));
         assert_eq!(body.live_op_count(), 2);
@@ -241,7 +309,7 @@ mod tests {
         let mut b = Builder::at_end(&mut body, entry);
         b.lp_inc(params[0]);
         b.lp_ret(params[0]);
-        let patterns: Vec<Box<dyn RewritePattern>> = vec![];
+        let patterns = PatternSet::new(vec![]);
         let ctx = RewriteCtx { module: &module };
         assert!(!apply_patterns_greedily(&mut body, &ctx, &patterns));
         assert_eq!(body.live_op_count(), 2);
