@@ -351,7 +351,7 @@ fn assert_bench_report(args: &[&str]) -> String {
         "leanc/full",
         "Figure 10",
         "full/rgn_only",
-        "full/none",
+        "none/full",
     ] {
         assert!(text.contains(needle), "{args:?}: missing {needle}\n{text}");
     }
