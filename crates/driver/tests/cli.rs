@@ -809,6 +809,78 @@ fn retain_counts_at_the_bound_lint_and_one_past_is_e0005() {
     }
 }
 
+/// A `.fl` `main` of `depth` nested `let`s that returns the first binding,
+/// 0.
+fn fl_let_chain(depth: usize) -> String {
+    let mut s = String::from("def main() :=\n");
+    for i in 0..depth {
+        s.push_str(&format!("  let x{i} := {i};\n"));
+    }
+    s.push_str("  x0\n");
+    s
+}
+
+/// A `.fl` `main` of `depth` nested parenthesised additions,
+/// `(1 + (1 + … (1 + 1)))`, which is `depth + 1`.
+fn fl_nested_parens(depth: usize) -> String {
+    format!(
+        "def main() := {}1{}\n",
+        "(1 + ".repeat(depth),
+        ")".repeat(depth)
+    )
+}
+
+#[test]
+fn fl_nesting_at_the_depth_bound_runs_and_one_past_exits_1() {
+    let depth = lssa_lambda::MAX_DEPTH;
+    for (shape, src, want) in [
+        ("let", fl_let_chain(depth), "0".to_string()),
+        ("parens", fl_nested_parens(depth), (depth + 1).to_string()),
+    ] {
+        let path = write_temp(&format!("deep-{shape}"), &src);
+        for backend in ["leanc", "mlir", "rgn-only", "none"] {
+            let out = lssa()
+                .args(["run"])
+                .arg(&path)
+                .args(["--backend", backend])
+                .output()
+                .unwrap();
+            assert!(
+                out.status.success(),
+                "{shape} {backend}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert_eq!(
+                String::from_utf8_lossy(&out.stdout).lines().next(),
+                Some(want.as_str()),
+                "{shape} {backend}"
+            );
+        }
+        std::fs::remove_file(path).ok();
+    }
+    for (shape, src) in [
+        ("let", fl_let_chain(depth + 1)),
+        ("parens", fl_nested_parens(depth + 1)),
+        (
+            "sum",
+            format!("def main() := 1{}\n", " + 1".repeat(depth + 1)),
+        ),
+    ] {
+        let path = write_temp(&format!("too-deep-{shape}"), &src);
+        for verb in ["run", "dump", "diff"] {
+            let out = lssa().arg(verb).arg(&path).output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{verb} {shape}: {stderr}");
+            assert!(
+                stderr.contains(&format!("nest deeper than {depth} levels")),
+                "{verb} {shape}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{verb} {shape}: {stderr}");
+        }
+        std::fs::remove_file(path).ok();
+    }
+}
+
 /// A program whose lists nest exactly `depth` deep: `f` is a chain of
 /// `let`s adding its parameter (`f(1)` returns `depth - 1`).
 fn let_chain(depth: usize) -> String {

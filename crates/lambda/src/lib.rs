@@ -39,7 +39,7 @@ pub mod wellformed;
 
 pub use ast::{Expr, FnDef, Program, Value};
 pub use interp::{run_program, Outcome};
-pub use parse::parse_program;
+pub use parse::{parse_program, MAX_DEPTH};
 pub use rc::insert_rc;
 pub use simplify::{simplify_program, SimplifyOptions};
 pub use wellformed::check_program;

@@ -29,6 +29,20 @@ use crate::ast::{build, Alt, Expr, FnDef, JoinId, Program, Value, VarId};
 use std::collections::HashMap;
 use std::fmt;
 
+/// The deepest nesting either program reader accepts: the `.lssa` reader
+/// counts nested lists, this parser nested expressions (every parenthesis,
+/// `let`, `if`, `case` arm and argument list), the operator and call
+/// applications of a chain, and each integer arm of a `case`, which lowers
+/// to one more nested `if`. A `let` chain of depth *n* nests about *n*
+/// levels, and an `.lssa` `case` chain two per level.
+///
+/// At this depth every layer of the compiler and the VM runs any of these
+/// shapes in half of an 8 MiB main-thread stack. An unoptimized build's
+/// frames are several times larger: there, 1,000 nested parentheses of
+/// `.fl` took 13 MiB of stack to parse and lower (2.8 MiB optimized), so
+/// its bound is 250.
+pub const MAX_DEPTH: usize = if cfg!(debug_assertions) { 250 } else { 1_000 };
+
 /// A parse or lowering error with a source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SurfaceError {
@@ -270,7 +284,12 @@ enum SPat {
 struct Parser<'a> {
     lexer: Lexer<'a>,
     tok: Tok,
+    /// Expressions open around the one being parsed.
+    depth: usize,
 }
+
+/// A parsed expression and its height.
+type Parsed = (SExpr, usize);
 
 #[derive(Debug, Clone)]
 struct CtorInfo {
@@ -287,7 +306,11 @@ struct CtorInfo {
 pub fn parse_program(src: &str) -> Result<Program, SurfaceError> {
     let mut lexer = Lexer::new(src);
     let tok = lexer.next()?;
-    let mut p = Parser { lexer, tok };
+    let mut p = Parser {
+        lexer,
+        tok,
+        depth: 0,
+    };
     p.parse_program()
 }
 
@@ -401,7 +424,7 @@ impl<'a> Parser<'a> {
                     }
                     self.expect_punct(")")?;
                     self.expect_punct(":=")?;
-                    let body = self.parse_expr()?;
+                    let (body, _) = self.parse_expr()?;
                     defs.push((name, params, body));
                 }
                 other => return Err(self.err(format!("expected item, found {other:?}"))),
@@ -420,46 +443,87 @@ impl<'a> Parser<'a> {
         Ok(program)
     }
 
-    // Expressions.
-    fn parse_expr(&mut self) -> Result<SExpr, SurfaceError> {
-        match self.tok.clone() {
-            Tok::Kw("let") => {
-                self.advance()?;
-                let name = self.lower_ident()?;
-                self.expect_punct(":=")?;
-                let rhs = self.parse_expr()?;
-                self.expect_punct(";")?;
-                let body = self.parse_expr()?;
-                Ok(SExpr::Let(name, Box::new(rhs), Box::new(body)))
-            }
-            Tok::Kw("if") => {
-                self.advance()?;
-                let c = self.parse_expr()?;
-                self.expect_kw("then")?;
-                let t = self.parse_expr()?;
-                self.expect_kw("else")?;
-                let e = self.parse_expr()?;
-                Ok(SExpr::If(Box::new(c), Box::new(t), Box::new(e)))
-            }
-            Tok::Kw("case") => {
-                self.advance()?;
-                let scrut = self.parse_expr()?;
-                self.expect_kw("of")?;
-                let mut arms = Vec::new();
-                while self.eat_punct("|")? {
-                    let pat = self.parse_pattern()?;
-                    self.expect_punct("=>")?;
-                    let body = self.parse_expr()?;
-                    arms.push((pat, body));
-                }
-                self.expect_kw("end")?;
-                if arms.is_empty() {
-                    return Err(self.err("case needs at least one arm"));
-                }
-                Ok(SExpr::Case(Box::new(scrut), arms))
-            }
-            _ => self.parse_cmp(),
+    /// The error for an expression past [`MAX_DEPTH`].
+    fn too_deep(&self) -> SurfaceError {
+        self.err(format!("expressions nest deeper than {MAX_DEPTH} levels"))
+    }
+
+    /// The height of a node over children of height at most `children`,
+    /// refused past [`MAX_DEPTH`].
+    fn node(&self, children: usize) -> Result<usize, SurfaceError> {
+        if children >= MAX_DEPTH {
+            return Err(self.too_deep());
         }
+        Ok(children + 1)
+    }
+
+    // Expressions. Each returns the expression and its height: the
+    // compound nodes on its longest path (an atom is 0).
+    fn parse_expr(&mut self) -> Result<Parsed, SurfaceError> {
+        if self.depth > MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let e = self.parse_form();
+        self.depth -= 1;
+        e
+    }
+
+    // Each form parses in a function of its own, so the frames that a
+    // nesting level stacks up stay small even in an unoptimized build.
+    fn parse_form(&mut self) -> Result<Parsed, SurfaceError> {
+        match self.tok {
+            Tok::Kw("let") => self.parse_let(),
+            Tok::Kw("if") => self.parse_if(),
+            Tok::Kw("case") => self.parse_case(),
+            _ => self.parse_binary(0),
+        }
+    }
+
+    fn parse_let(&mut self) -> Result<Parsed, SurfaceError> {
+        self.advance()?;
+        let name = self.lower_ident()?;
+        self.expect_punct(":=")?;
+        let (rhs, hr) = self.parse_expr()?;
+        self.expect_punct(";")?;
+        let (body, hb) = self.parse_expr()?;
+        let h = self.node(hr.max(hb))?;
+        Ok((SExpr::Let(name, Box::new(rhs), Box::new(body)), h))
+    }
+
+    fn parse_if(&mut self) -> Result<Parsed, SurfaceError> {
+        self.advance()?;
+        let (c, hc) = self.parse_expr()?;
+        self.expect_kw("then")?;
+        let (t, ht) = self.parse_expr()?;
+        self.expect_kw("else")?;
+        let (e, he) = self.parse_expr()?;
+        let h = self.node(hc.max(ht).max(he))?;
+        Ok((SExpr::If(Box::new(c), Box::new(t), Box::new(e)), h))
+    }
+
+    fn parse_case(&mut self) -> Result<Parsed, SurfaceError> {
+        self.advance()?;
+        let (scrut, mut h) = self.parse_expr()?;
+        self.expect_kw("of")?;
+        let mut arms = Vec::new();
+        while self.eat_punct("|")? {
+            let pat = self.parse_pattern()?;
+            self.expect_punct("=>")?;
+            let (body, hb) = self.parse_expr()?;
+            h = h.max(hb);
+            // Integer arms lower to a chain of nested `if`s.
+            if matches!(pat, SPat::Int(_)) {
+                h = self.node(h)?;
+            }
+            arms.push((pat, body));
+        }
+        self.expect_kw("end")?;
+        if arms.is_empty() {
+            return Err(self.err("case needs at least one arm"));
+        }
+        let h = self.node(h)?;
+        Ok((SExpr::Case(Box::new(scrut), arms), h))
     }
 
     fn parse_pattern(&mut self) -> Result<SPat, SurfaceError> {
@@ -493,114 +557,89 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_cmp(&mut self) -> Result<SExpr, SurfaceError> {
-        let lhs = self.parse_add()?;
-        for op in ["==", "!=", "<=", ">=", "<", ">"] {
-            if self.tok == Tok::Punct(op) {
-                self.advance()?;
-                let rhs = self.parse_add()?;
-                return Ok(SExpr::Binop(
-                    match op {
-                        "==" => "==",
-                        "!=" => "!=",
-                        "<=" => "<=",
-                        ">=" => ">=",
-                        "<" => "<",
-                        ">" => ">",
-                        _ => unreachable!(),
-                    },
-                    Box::new(lhs),
-                    Box::new(rhs),
-                ));
+    /// A chain of binary operators binding at least as tightly as
+    /// `min_prec` (comparisons 0, `+ -` 1, `* / %` 2). Comparisons do not
+    /// chain; the other operators associate to the left.
+    fn parse_binary(&mut self, min_prec: u8) -> Result<Parsed, SurfaceError> {
+        let (mut lhs, mut h) = self.parse_apply()?;
+        while let Some((op, prec)) = self.binary_op().filter(|&(_, p)| p >= min_prec) {
+            self.advance()?;
+            let (rhs, hr) = self.parse_binary(prec + 1)?;
+            h = self.node(h.max(hr))?;
+            lhs = SExpr::Binop(op, Box::new(lhs), Box::new(rhs));
+            if prec == 0 {
+                break;
             }
         }
-        Ok(lhs)
+        Ok((lhs, h))
     }
 
-    fn parse_add(&mut self) -> Result<SExpr, SurfaceError> {
-        let mut lhs = self.parse_mul()?;
-        loop {
-            let op = if self.tok == Tok::Punct("+") {
-                "+"
-            } else if self.tok == Tok::Punct("-") {
-                "-"
-            } else {
-                break;
-            };
-            self.advance()?;
-            let rhs = self.parse_mul()?;
-            lhs = SExpr::Binop(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+    /// The binary operator at the current token, and its precedence.
+    fn binary_op(&self) -> Option<(&'static str, u8)> {
+        let Tok::Punct(p) = self.tok else {
+            return None;
+        };
+        let prec = match p {
+            "==" | "!=" | "<=" | ">=" | "<" | ">" => 0,
+            "+" | "-" => 1,
+            "*" | "/" | "%" => 2,
+            _ => return None,
+        };
+        Some((p, prec))
     }
 
-    fn parse_mul(&mut self) -> Result<SExpr, SurfaceError> {
-        let mut lhs = self.parse_apply()?;
-        loop {
-            let op = if self.tok == Tok::Punct("*") {
-                "*"
-            } else if self.tok == Tok::Punct("/") {
-                "/"
-            } else if self.tok == Tok::Punct("%") {
-                "%"
-            } else {
-                break;
-            };
-            self.advance()?;
-            let rhs = self.parse_apply()?;
-            lhs = SExpr::Binop(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_apply(&mut self) -> Result<SExpr, SurfaceError> {
-        let mut atom = self.parse_atom()?;
+    fn parse_apply(&mut self) -> Result<Parsed, SurfaceError> {
+        let (mut atom, mut h) = self.parse_atom()?;
         while self.tok == Tok::Punct("(") {
             self.advance()?;
-            let mut args = Vec::new();
-            if self.tok != Tok::Punct(")") {
-                loop {
-                    args.push(self.parse_expr()?);
-                    if !self.eat_punct(",")? {
-                        break;
-                    }
-                }
-            }
-            self.expect_punct(")")?;
+            let (args, ha) = self.parse_args()?;
+            h = self.node(h.max(ha))?;
             atom = SExpr::Apply(Box::new(atom), args);
         }
-        Ok(atom)
+        Ok((atom, h))
     }
 
-    fn parse_atom(&mut self) -> Result<SExpr, SurfaceError> {
-        match self.advance()? {
-            Tok::Int(s) => Ok(SExpr::Int(s)),
-            Tok::Str(s) => Ok(SExpr::Str(s)),
-            Tok::Kw("true") => Ok(SExpr::Bool(true)),
-            Tok::Kw("false") => Ok(SExpr::Bool(false)),
-            Tok::LowerIdent(s) => Ok(SExpr::Var(s)),
-            Tok::UpperIdent(s) => Ok(SExpr::CtorRef(s)),
+    /// Comma-separated arguments up to the closing `)`, and their greatest
+    /// height.
+    fn parse_args(&mut self) -> Result<(Vec<SExpr>, usize), SurfaceError> {
+        let mut args = Vec::new();
+        let mut h = 0;
+        if self.tok != Tok::Punct(")") {
+            loop {
+                let (arg, ha) = self.parse_expr()?;
+                args.push(arg);
+                h = h.max(ha);
+                if !self.eat_punct(",")? {
+                    break;
+                }
+            }
+        }
+        self.expect_punct(")")?;
+        Ok((args, h))
+    }
+
+    fn parse_atom(&mut self) -> Result<Parsed, SurfaceError> {
+        let atom = match self.advance()? {
+            Tok::Int(s) => SExpr::Int(s),
+            Tok::Str(s) => SExpr::Str(s),
+            Tok::Kw("true") => SExpr::Bool(true),
+            Tok::Kw("false") => SExpr::Bool(false),
+            Tok::LowerIdent(s) => SExpr::Var(s),
+            Tok::UpperIdent(s) => SExpr::CtorRef(s),
             Tok::AtIdent(s) => {
                 self.expect_punct("(")?;
-                let mut args = Vec::new();
-                if self.tok != Tok::Punct(")") {
-                    loop {
-                        args.push(self.parse_expr()?);
-                        if !self.eat_punct(",")? {
-                            break;
-                        }
-                    }
-                }
-                self.expect_punct(")")?;
-                Ok(SExpr::AtCall(s, args))
+                let (args, ha) = self.parse_args()?;
+                let h = self.node(ha)?;
+                return Ok((SExpr::AtCall(s, args), h));
             }
             Tok::Punct("(") => {
                 let e = self.parse_expr()?;
                 self.expect_punct(")")?;
-                Ok(e)
+                return Ok(e);
             }
-            other => Err(self.err(format!("expected expression, found {other:?}"))),
-        }
+            other => return Err(self.err(format!("expected expression, found {other:?}"))),
+        };
+        Ok((atom, 0))
     }
 }
 

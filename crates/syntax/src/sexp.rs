@@ -15,11 +15,7 @@ use crate::lexer::{Lexer, TokenKind};
 use crate::span::Span;
 use std::borrow::Cow;
 
-/// The deepest list nesting the reader accepts. A `let` chain of depth *n*
-/// nests about *n* lists, and a `case` chain two per level. At this depth
-/// every layer of the compiler and the VM runs either shape in half of an
-/// 8 MiB main-thread stack, even in an unoptimized build.
-pub const MAX_DEPTH: usize = 1_000;
+pub use lssa_lambda::MAX_DEPTH;
 
 /// A spanned S-expression node.
 #[derive(Debug, Clone, PartialEq, Eq)]
