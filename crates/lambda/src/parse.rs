@@ -29,19 +29,26 @@ use crate::ast::{build, Alt, Expr, FnDef, JoinId, Program, Value, VarId};
 use std::collections::HashMap;
 use std::fmt;
 
-/// The deepest nesting either program reader accepts: the `.lssa` reader
-/// counts nested lists, this parser nested expressions (every parenthesis,
-/// `let`, `if`, `case` arm and argument list), the operator and call
-/// applications of a chain, and each integer arm of a `case`, which lowers
-/// to one more nested `if`. A `let` chain of depth *n* nests about *n*
-/// levels, and an `.lssa` `case` chain two per level.
+/// The deepest nesting either program reader accepts. The `.lssa` reader
+/// counts nested lists. This parser counts nested expressions (every
+/// parenthesis, `let` and argument list) and each operator or call of a
+/// chain as one level, and each `if`, `case` and integer `case` arm as
+/// three. A `let` chain of depth *n* nests about *n* levels,
+/// and an `.lssa` `case` chain two per level.
 ///
-/// At this depth every layer of the compiler and the VM runs any of these
-/// shapes in half of an 8 MiB main-thread stack. An unoptimized build's
-/// frames are several times larger: there, 1,000 nested parentheses of
-/// `.fl` took 13 MiB of stack to parse and lower (2.8 MiB optimized), so
-/// its bound is 250.
+/// At this depth every layer of the compiler and the VM runs an `.lssa`
+/// `let` or `case` chain, and a `.fl` chain of any of these forms binding
+/// one value per level, in half of an 8 MiB main-thread stack. An
+/// unoptimized build's frames are several times larger (1,000 nested `.fl`
+/// parentheses took 13 MiB of stack to parse and lower, against 2.8 MiB
+/// optimized), so its bound is 250.
 pub const MAX_DEPTH: usize = if cfg!(debug_assertions) { 250 } else { 1_000 };
+
+/// The levels an `if`, a `case` or an integer `case` arm (which lowers to
+/// an `if`) counts toward [`MAX_DEPTH`]: each lowers to a bound value, a
+/// `case` and, in value position, a join point, which stack about three
+/// times the frames of a `let` in the later layers.
+const BRANCH_LEVELS: usize = 3;
 
 /// A parse or lowering error with a source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -448,17 +455,19 @@ impl<'a> Parser<'a> {
         self.err(format!("expressions nest deeper than {MAX_DEPTH} levels"))
     }
 
-    /// The height of a node over children of height at most `children`,
-    /// refused past [`MAX_DEPTH`].
-    fn node(&self, children: usize) -> Result<usize, SurfaceError> {
-        if children >= MAX_DEPTH {
+    /// The height of a node `levels` above children of height at most
+    /// `children`, refused past [`MAX_DEPTH`].
+    fn node(&self, children: usize, levels: usize) -> Result<usize, SurfaceError> {
+        let h = children + levels;
+        if h > MAX_DEPTH {
             return Err(self.too_deep());
         }
-        Ok(children + 1)
+        Ok(h)
     }
 
-    // Expressions. Each returns the expression and its height: the
-    // compound nodes on its longest path (an atom is 0).
+    // Expressions. Each returns the expression and its height: the levels
+    // on its longest path (an atom is 0, most nodes one level, a branch
+    // `BRANCH_LEVELS`).
     fn parse_expr(&mut self) -> Result<Parsed, SurfaceError> {
         if self.depth > MAX_DEPTH {
             return Err(self.too_deep());
@@ -487,7 +496,7 @@ impl<'a> Parser<'a> {
         let (rhs, hr) = self.parse_expr()?;
         self.expect_punct(";")?;
         let (body, hb) = self.parse_expr()?;
-        let h = self.node(hr.max(hb))?;
+        let h = self.node(hr.max(hb), 1)?;
         Ok((SExpr::Let(name, Box::new(rhs), Box::new(body)), h))
     }
 
@@ -498,7 +507,7 @@ impl<'a> Parser<'a> {
         let (t, ht) = self.parse_expr()?;
         self.expect_kw("else")?;
         let (e, he) = self.parse_expr()?;
-        let h = self.node(hc.max(ht).max(he))?;
+        let h = self.node(hc.max(ht).max(he), BRANCH_LEVELS)?;
         Ok((SExpr::If(Box::new(c), Box::new(t), Box::new(e)), h))
     }
 
@@ -514,7 +523,7 @@ impl<'a> Parser<'a> {
             h = h.max(hb);
             // Integer arms lower to a chain of nested `if`s.
             if matches!(pat, SPat::Int(_)) {
-                h = self.node(h)?;
+                h = self.node(h, BRANCH_LEVELS)?;
             }
             arms.push((pat, body));
         }
@@ -522,7 +531,7 @@ impl<'a> Parser<'a> {
         if arms.is_empty() {
             return Err(self.err("case needs at least one arm"));
         }
-        let h = self.node(h)?;
+        let h = self.node(h, BRANCH_LEVELS)?;
         Ok((SExpr::Case(Box::new(scrut), arms), h))
     }
 
@@ -565,7 +574,7 @@ impl<'a> Parser<'a> {
         while let Some((op, prec)) = self.binary_op().filter(|&(_, p)| p >= min_prec) {
             self.advance()?;
             let (rhs, hr) = self.parse_binary(prec + 1)?;
-            h = self.node(h.max(hr))?;
+            h = self.node(h.max(hr), 1)?;
             lhs = SExpr::Binop(op, Box::new(lhs), Box::new(rhs));
             if prec == 0 {
                 break;
@@ -593,7 +602,7 @@ impl<'a> Parser<'a> {
         while self.tok == Tok::Punct("(") {
             self.advance()?;
             let (args, ha) = self.parse_args()?;
-            h = self.node(h.max(ha))?;
+            h = self.node(h.max(ha), 1)?;
             atom = SExpr::Apply(Box::new(atom), args);
         }
         Ok((atom, h))
@@ -629,7 +638,7 @@ impl<'a> Parser<'a> {
             Tok::AtIdent(s) => {
                 self.expect_punct("(")?;
                 let (args, ha) = self.parse_args()?;
-                let h = self.node(ha)?;
+                let h = self.node(ha, 1)?;
                 return Ok((SExpr::AtCall(s, args), h));
             }
             Tok::Punct("(") => {
@@ -1299,6 +1308,42 @@ def use() := pair(1)(2, 3)
         let text = p.fn_by_name("f").unwrap().body.to_string();
         assert!(text.contains("lean_int_add"), "{text}");
         assert!(text.contains("lean_int_neg"), "{text}");
+    }
+
+    #[test]
+    fn chains_and_branches_count_toward_the_depth_bound() {
+        let sum = |n: usize| format!("def main() := 1{}", " + 1".repeat(n));
+        let calls = |n: usize| format!("def f(x) := f\ndef main() := f{}", "(1)".repeat(n));
+        let ifs = |n: usize| format!("def main() := {}0", "if 1 == 1 then 1 else ".repeat(n));
+        let arms = |n: usize| {
+            let arms: String = (0..n).map(|i| format!("| {i} => {i} ")).collect();
+            format!("def main() := case 7 of {arms}| _ => 0 end")
+        };
+        // An `if` sits a level above its `==`; a `case` counts its own
+        // levels above its integer arms'.
+        let most_ifs = (MAX_DEPTH - 1) / BRANCH_LEVELS;
+        let most_arms = (MAX_DEPTH - BRANCH_LEVELS) / BRANCH_LEVELS;
+        // Lowering at the bound needs the 8 MiB a main thread has, not a
+        // test thread's 2 MiB.
+        let check = move || {
+            for (shape, at, past) in [
+                ("sum", sum(MAX_DEPTH), sum(MAX_DEPTH + 1)),
+                ("calls", calls(MAX_DEPTH), calls(MAX_DEPTH + 1)),
+                ("ifs", ifs(most_ifs), ifs(most_ifs + 1)),
+                ("arms", arms(most_arms), arms(most_arms + 1)),
+            ] {
+                assert!(parse_program(&at).is_ok(), "{shape} at the bound");
+                let e = parse_program(&past).unwrap_err();
+                let bound = format!("nest deeper than {MAX_DEPTH} levels");
+                assert!(e.message.contains(&bound), "{shape}: {}", e.message);
+            }
+        };
+        std::thread::Builder::new()
+            .stack_size(8 << 20)
+            .spawn(check)
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]
