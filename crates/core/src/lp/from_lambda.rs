@@ -6,7 +6,14 @@
 //! level — all control flow is expressed through nested regions, which is
 //! precisely what makes the `rgn` lowering (Figure 8) and its optimizations
 //! applicable.
+//!
+//! Before lowering a function, one walk of its λ body counts the ops and
+//! blocks it will become, and the body's arenas are reserved to that size;
+//! each block's op list is reserved for the chain lowered into it. Call and
+//! constructor operands go straight into the ops' inline lists, and the
+//! variable and label tables are reused across the module's functions.
 
+use lssa_ir::body::OperandList;
 use lssa_ir::prelude::*;
 use lssa_lambda::ast::{Expr, FnDef, Program, Value};
 use lssa_rt::Builtin;
@@ -76,6 +83,8 @@ struct LowerCtx<'a> {
 impl<'a> LowerCtx<'a> {
     fn lower_fn(&mut self, f: &'a FnDef) -> Body {
         let (mut body, params) = Body::new(&Type::objs(f.arity()));
+        let (ops, blocks) = lowered_size(&f.body);
+        body.reserve(ops, blocks);
         self.fname = &f.name;
         for (&p, &v) in f.params.iter().zip(&params) {
             self.bind(p, v);
@@ -131,6 +140,7 @@ impl<'a> LowerCtx<'a> {
     /// declaration) is followed in a loop, so a long `let` chain lowers
     /// without recursion.
     fn lower_expr(&mut self, body: &mut Body, mut block: BlockId, mut e: &Expr) {
+        body.blocks[block.index()].ops.reserve_exact(block_len(e));
         loop {
             match e {
                 Expr::Let {
@@ -161,6 +171,7 @@ impl<'a> LowerCtx<'a> {
                     // Pre-jump code: same environment as the outer scope.
                     block = body_entry;
                     e = rest;
+                    body.blocks[block.index()].ops.reserve_exact(block_len(e));
                 }
                 Expr::Case {
                     scrutinee,
@@ -179,17 +190,23 @@ impl<'a> LowerCtx<'a> {
                             (init, &last.body)
                         }
                     };
-                    let cases = arms.iter().map(|a| a.tag as i64).collect();
-                    let (_op, blocks) = Builder::at_end(body, block).lp_switch(tag, cases);
-                    for (arm, &arm_block) in arms.iter().zip(&blocks) {
-                        self.lower_expr(body, arm_block, &arm.body);
+                    let cases: Box<[i64]> = arms.iter().map(|a| a.tag as i64).collect();
+                    let op = Builder::at_end(body, block).lp_switch(tag, cases);
+                    // The entry block of the op's `i`-th region; the
+                    // default region is last.
+                    let arm_entry = |body: &Body, i: usize| {
+                        let r = body.ops[op.index()].regions[i];
+                        body.regions[r.index()].blocks[0]
+                    };
+                    for (i, arm) in arms.iter().enumerate() {
+                        self.lower_expr(body, arm_entry(body, i), &arm.body);
                     }
-                    self.lower_expr(body, *blocks.last().unwrap(), def);
+                    self.lower_expr(body, arm_entry(body, arms.len()), def);
                     return;
                 }
                 Expr::Jump { label, args } => {
                     let sym = self.label_sym(*label);
-                    let vals = args.iter().map(|&a| self.get(a)).collect();
+                    let vals: OperandList = args.iter().map(|&a| self.get(a)).collect();
                     Builder::at_end(body, block).lp_jump(sym, vals);
                     return;
                 }
@@ -223,7 +240,7 @@ impl<'a> LowerCtx<'a> {
             Value::LitBig(s) => b.lp_bigint(s),
             Value::LitStr(s) => b.lp_str(s),
             Value::Ctor { tag, args } => {
-                let fields = args.iter().map(|&a| self.get(a)).collect();
+                let fields: OperandList = args.iter().map(|&a| self.get(a)).collect();
                 b.lp_construct(*tag as i64, fields)
             }
             Value::Proj { var, idx } => {
@@ -232,7 +249,7 @@ impl<'a> LowerCtx<'a> {
             }
             Value::Call { func, args } => {
                 let callee = self.module.intern(func);
-                let vals = args.iter().map(|&a| self.get(a)).collect();
+                let vals: OperandList = args.iter().map(|&a| self.get(a)).collect();
                 let mut b = Builder::at_end(body, block);
                 b.call(callee, vals, Type::Obj)
             }
@@ -245,14 +262,83 @@ impl<'a> LowerCtx<'a> {
                     .flatten()
                     .unwrap_or_else(|| panic!("pap of unknown @{func}"))
                     as i64;
-                let vals = args.iter().map(|&a| self.get(a)).collect();
+                let vals: OperandList = args.iter().map(|&a| self.get(a)).collect();
                 let mut b = Builder::at_end(body, block);
                 b.lp_pap(callee, arity, vals)
             }
             Value::App { closure, args } => {
                 let c = self.get(*closure);
-                b.lp_papextend(c, args.iter().map(|&a| self.get(a)).collect())
+                let vals: OperandList = args.iter().map(|&a| self.get(a)).collect();
+                b.lp_papextend(c, vals)
             }
+        }
+    }
+}
+
+/// The ops and blocks lowering `e` creates, to reserve the arenas with:
+/// walked as [`LowerCtx::lower_expr`] walks, along continuations in a loop
+/// and recursing only into join bodies and case arms.
+fn lowered_size(mut e: &Expr) -> (usize, usize) {
+    let (mut ops, mut blocks) = (0, 0);
+    loop {
+        match e {
+            Expr::Let { val, body, .. } => {
+                ops += usize::from(!matches!(val, Value::Var(_)));
+                e = body;
+            }
+            Expr::LetJoin { jp_body, body, .. } => {
+                let (o, b) = lowered_size(jp_body);
+                ops += 1 + o;
+                blocks += 2 + b;
+                e = body;
+            }
+            Expr::Case { alts, default, .. } => {
+                ops += 2;
+                blocks += alts.len() + usize::from(default.is_some());
+                for (o, b) in alts
+                    .iter()
+                    .map(|a| &a.body)
+                    .chain(default.as_deref())
+                    .map(lowered_size)
+                {
+                    ops += o;
+                    blocks += b;
+                }
+                return (ops, blocks);
+            }
+            Expr::Jump { .. } | Expr::Ret(_) => return (ops + 1, blocks),
+            Expr::Inc { n, body, .. } => {
+                ops += *n as usize;
+                e = body;
+            }
+            Expr::Dec { body, .. } => {
+                ops += 1;
+                e = body;
+            }
+        }
+    }
+}
+
+/// The ops lowering `e` appends to the block it starts in: its chain up to
+/// the first terminator or join point.
+fn block_len(mut e: &Expr) -> usize {
+    let mut ops = 0;
+    loop {
+        match e {
+            Expr::Let { val, body, .. } => {
+                ops += usize::from(!matches!(val, Value::Var(_)));
+                e = body;
+            }
+            Expr::Inc { n, body, .. } => {
+                ops += *n as usize;
+                e = body;
+            }
+            Expr::Dec { body, .. } => {
+                ops += 1;
+                e = body;
+            }
+            Expr::LetJoin { .. } | Expr::Jump { .. } | Expr::Ret(_) => return ops + 1,
+            Expr::Case { .. } => return ops + 2,
         }
     }
 }
@@ -263,6 +349,13 @@ mod tests {
     use lssa_ir::printer::print_module;
     use lssa_ir::verifier::verify_module;
     use lssa_lambda::{insert_rc, parse_program};
+
+    /// The body's ops in walk order.
+    fn walk(body: &lssa_ir::body::Body) -> Vec<lssa_ir::ids::OpId> {
+        let mut ops = Vec::new();
+        body.walk_ops(&mut ops);
+        ops
+    }
 
     fn lower(src: &str) -> Module {
         let p = parse_program(src).unwrap();
@@ -403,7 +496,7 @@ def sum(xs) :=
         );
         for f in &m.funcs {
             let Some(body) = &f.body else { continue };
-            for op in body.walk_ops() {
+            for op in walk(&body) {
                 let d = body.ops[op.index()].opcode.dialect();
                 assert!(d != "cf" && d != "rgn", "unexpected {d} op at lp level");
             }

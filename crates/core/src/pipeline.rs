@@ -295,6 +295,13 @@ mod tests {
     use lssa_ir::opcode::Opcode;
     use lssa_lambda::{insert_rc, parse_program};
 
+    /// The body's ops in walk order.
+    fn walk(body: &lssa_ir::body::Body) -> Vec<lssa_ir::ids::OpId> {
+        let mut ops = Vec::new();
+        body.walk_ops(&mut ops);
+        ops
+    }
+
     fn compile_src(src: &str, opts: PipelineOptions) -> Module {
         let p = parse_program(src).unwrap();
         lssa_lambda::check_program(&p).unwrap();
@@ -356,7 +363,7 @@ def main() := sum(build(20))
         );
         let body = m.func_by_name("main").unwrap().body.as_ref().unwrap();
         // No branches survive.
-        let has_branch = body.walk_ops().iter().any(|&op| {
+        let has_branch = walk(&body).iter().any(|&op| {
             matches!(
                 body.ops[op.index()].opcode,
                 Opcode::CondBr | Opcode::SwitchBr

@@ -10,12 +10,27 @@
 //! `lp.jump`: every transfer of control is `rgn.run` on a region value that
 //! flows through ordinary `select` / `switch_val` — which is what lets
 //! classical SSA optimizations act on functional control flow.
+//!
+//! One walk of a body finds every `lp.switch` and `lp.joinpoint`; they are
+//! lowered in that walk's order, which no lowering disturbs (a lowering
+//! moves the regions and code after its op in place of the op). The walk
+//! and the jump-rewriting worklist are buffers one [`lower_module`] reuses
+//! for every function.
 
 use lssa_ir::attr::{AttrKey, CmpPred};
-use lssa_ir::body::Body;
+use lssa_ir::body::{Body, OperandList};
 use lssa_ir::ids::{OpId, Symbol};
 use lssa_ir::opcode::Opcode;
 use lssa_ir::prelude::*;
+
+/// Buffers of the lowering, reused across the functions of a module.
+#[derive(Debug, Default)]
+pub struct RgnLowering {
+    /// The body's `lp.switch` and `lp.joinpoint` ops, in walk order.
+    targets: Vec<OpId>,
+    /// Worklist of the jump rewrite.
+    work: Vec<OpId>,
+}
 
 /// Converts every structured `lp` terminator in `body` to `rgn` form.
 ///
@@ -23,25 +38,38 @@ use lssa_ir::prelude::*;
 ///
 /// Panics on malformed lp input (multi-block pre-jump regions, switches
 /// without attributes) — the lp verifier rules these out.
-pub fn lower_body(body: &mut Body) {
-    loop {
-        let target = body.walk_ops().into_iter().find(|&op| {
-            matches!(
-                body.ops[op.index()].opcode,
-                Opcode::LpSwitch | Opcode::LpJoinPoint
-            )
-        });
-        match target {
-            Some(op) if body.ops[op.index()].opcode == Opcode::LpSwitch => lower_switch(body, op),
-            Some(op) => lower_joinpoint(body, op),
-            None => break,
+pub fn lower_body(body: &mut Body, bufs: &mut RgnLowering) {
+    let targets = &mut bufs.targets;
+    body.walk_ops(targets);
+    // Reserve for the ops the lowering adds: a `rgn.val` per region, the
+    // selector and its inputs and a `rgn.run` per switch, and a `rgn.run`
+    // per jump.
+    let mut added = 0;
+    targets.retain(|&op| {
+        let data = &body.ops[op.index()];
+        match data.opcode {
+            Opcode::LpSwitch => added += data.regions.len() + 4,
+            Opcode::LpJoinPoint => added += 1,
+            Opcode::LpJump => added += 1,
+            _ => {}
+        }
+        matches!(data.opcode, Opcode::LpSwitch | Opcode::LpJoinPoint)
+    });
+    body.reserve(added, 0);
+    for &op in targets.iter() {
+        if body.ops[op.index()].opcode == Opcode::LpSwitch {
+            lower_switch(body, op);
+        } else {
+            lower_joinpoint(body, op, &mut bufs.work);
         }
     }
     debug_assert!(
-        !body
-            .walk_ops()
-            .iter()
-            .any(|&op| body.ops[op.index()].opcode == Opcode::LpJump),
+        {
+            body.walk_ops(targets);
+            !targets
+                .iter()
+                .any(|&op| body.ops[op.index()].opcode == Opcode::LpJump)
+        },
         "dangling lp.jump after rgn lowering"
     );
 }
@@ -53,64 +81,69 @@ fn lower_switch(body: &mut Body, op: OpId) {
     let cases = body.ops[op.index()]
         .attr(AttrKey::Cases)
         .and_then(|a| a.as_int_list())
-        .expect("lp.switch without cases")
-        .to_vec();
-    let regions = body.ops[op.index()].regions.clone();
-    debug_assert_eq!(regions.len(), cases.len() + 1);
+        .expect("lp.switch without cases");
+    let (n_cases, single) = (cases.len(), cases.first().copied());
+    debug_assert_eq!(body.ops[op.index()].regions.len(), n_cases + 1);
     body.detach_op(op);
-    // One rgn.val per case region (transferring the region).
-    let mut region_vals = Vec::with_capacity(regions.len());
-    for &r in &regions {
+    // One rgn.val per case region (transferring the region); detaching a
+    // region drops it from the op's list.
+    let mut region_vals = OperandList::new();
+    while let Some(&r) = body.ops[op.index()].regions.first() {
         body.detach_region(r);
-        let rv = body.create_op(Opcode::RgnVal, vec![], &[Type::Rgn], vec![]);
+        let rv = body.create_op(Opcode::RgnVal, [], &[Type::Rgn], []);
         body.attach_region(rv, r);
         body.push_op(block, rv);
         region_vals.push(body.ops[rv.index()].result().unwrap());
     }
     let default_val = *region_vals.last().unwrap();
-    let selected = {
-        let mut b = Builder::at_end(body, block);
-        match cases.as_slice() {
-            [] => default_val,
-            [single] => {
-                // Two-way: select on an equality comparison.
-                let c = b.const_i(*single, Type::I8);
-                let eq = b.cmpi(CmpPred::Eq, tag, c);
-                b.select(eq, region_vals[0], default_val)
-            }
-            _ => b.switch_val(
+    let selected = match (n_cases, single) {
+        (0, _) => default_val,
+        (1, Some(single)) => {
+            // Two-way: select on an equality comparison.
+            let mut b = Builder::at_end(body, block);
+            let c = b.const_i(single, Type::I8);
+            let eq = b.cmpi(CmpPred::Eq, tag, c);
+            b.select(eq, region_vals[0], default_val)
+        }
+        _ => {
+            let cases: Box<[i64]> = body.ops[op.index()]
+                .attr(AttrKey::Cases)
+                .and_then(|a| a.as_int_list())
+                .expect("lp.switch without cases")
+                .into();
+            let mut b = Builder::at_end(body, block);
+            b.switch_val(
                 tag,
-                cases.clone(),
-                region_vals[..region_vals.len() - 1].to_vec(),
+                cases,
+                &region_vals[..region_vals.len() - 1],
                 default_val,
-            ),
+            )
         }
     };
     let mut b = Builder::at_end(body, block);
-    b.rgn_run(selected, vec![]);
+    b.rgn_run(selected, []);
     body.erase_op(op);
 }
 
 /// Fig 8C: joinpoint → rgn.val + inline pre-jump code; jump → run.
-fn lower_joinpoint(body: &mut Body, op: OpId) {
+fn lower_joinpoint(body: &mut Body, op: OpId, work: &mut Vec<OpId>) {
     let block = body.ops[op.index()].parent.expect("detached joinpoint");
     let label = body.ops[op.index()]
         .attr(AttrKey::Label)
         .and_then(|a| a.as_sym())
         .expect("lp.joinpoint without label");
-    let regions = body.ops[op.index()].regions.clone();
-    let [jp_region, pre_region] = regions[..] else {
+    let [jp_region, pre_region] = body.ops[op.index()].regions[..] else {
         panic!("lp.joinpoint needs exactly two regions");
     };
     body.detach_op(op);
     // The join-point region becomes a first-class region value.
     body.detach_region(jp_region);
-    let rv = body.create_op(Opcode::RgnVal, vec![], &[Type::Rgn], vec![]);
+    let rv = body.create_op(Opcode::RgnVal, [], &[Type::Rgn], []);
     body.attach_region(rv, jp_region);
     body.push_op(block, rv);
     let lbl = body.ops[rv.index()].result().unwrap();
     // Splice the (single-block) pre-jump code inline.
-    let pre_blocks = body.regions[pre_region.index()].blocks.clone();
+    let pre_blocks = &body.regions[pre_region.index()].blocks;
     assert_eq!(
         pre_blocks.len(),
         1,
@@ -128,18 +161,25 @@ fn lower_joinpoint(body: &mut Body, op: OpId) {
     body.erase_op(op);
     // Rewrite jumps to this label (they are all inside the spliced code or
     // regions nested within it) into rgn.run of the region value.
-    rewrite_jumps(body, &moved, label, lbl);
+    rewrite_jumps(body, &moved, label, lbl, work);
 }
 
-fn rewrite_jumps(body: &mut Body, roots: &[OpId], label: Symbol, lbl: lssa_ir::ids::ValueId) {
-    let mut work: Vec<OpId> = roots.to_vec();
+fn rewrite_jumps(
+    body: &mut Body,
+    roots: &[OpId],
+    label: Symbol,
+    lbl: lssa_ir::ids::ValueId,
+    work: &mut Vec<OpId>,
+) {
+    work.clear();
+    work.extend_from_slice(roots);
     while let Some(op) = work.pop() {
         if body.ops[op.index()].dead {
             continue;
         }
-        for &r in &body.ops[op.index()].regions.clone() {
-            for &b in &body.regions[r.index()].blocks.clone() {
-                work.extend(body.blocks[b.index()].ops.iter().copied());
+        for &r in &body.ops[op.index()].regions {
+            for &b in &body.regions[r.index()].blocks {
+                work.extend_from_slice(&body.blocks[b.index()].ops);
             }
         }
         let is_target = body.ops[op.index()].opcode == Opcode::LpJump
@@ -148,12 +188,12 @@ fn rewrite_jumps(body: &mut Body, roots: &[OpId], label: Symbol, lbl: lssa_ir::i
                 .and_then(|a| a.as_sym())
                 == Some(label);
         if is_target {
-            let args = body.ops[op.index()].operands.clone();
+            let operands: OperandList = std::iter::once(lbl)
+                .chain(body.ops[op.index()].operands.iter().copied())
+                .collect();
             let parent = body.ops[op.index()].parent.expect("detached jump");
             body.erase_op(op);
-            let mut operands = vec![lbl];
-            operands.extend(args);
-            let run = body.create_op(Opcode::RgnRun, operands, &[], vec![]);
+            let run = body.create_op(Opcode::RgnRun, operands, &[], []);
             body.push_op(parent, run);
         }
     }
@@ -161,8 +201,9 @@ fn rewrite_jumps(body: &mut Body, roots: &[OpId], label: Symbol, lbl: lssa_ir::i
 
 /// Convenience: lowers every function of a module.
 pub fn lower_module(module: &mut Module) {
+    let mut bufs = RgnLowering::default();
     lssa_ir::pass::for_each_function(module, |_, body| {
-        lower_body(body);
+        lower_body(body, &mut bufs);
         true
     });
 }
@@ -174,6 +215,13 @@ mod tests {
     use lssa_ir::printer::print_module;
     use lssa_ir::verifier::verify_module;
     use lssa_lambda::{insert_rc, parse_program};
+
+    /// The body's ops in walk order.
+    fn walk(body: &lssa_ir::body::Body) -> Vec<lssa_ir::ids::OpId> {
+        let mut ops = Vec::new();
+        body.walk_ops(&mut ops);
+        ops
+    }
 
     fn lower(src: &str) -> Module {
         let p = parse_program(src).unwrap();
@@ -195,7 +243,7 @@ mod tests {
     fn assert_no_lp_control(m: &Module) {
         for f in &m.funcs {
             let Some(body) = &f.body else { continue };
-            for op in body.walk_ops() {
+            for op in walk(&body) {
                 assert!(
                     !matches!(
                         body.ops[op.index()].opcode,
@@ -260,7 +308,7 @@ def f(b, y) :=
         assert!(text.contains("rgn.run"), "{text}");
         let f = m.func_by_name("f").unwrap();
         let body = f.body.as_ref().unwrap();
-        let has_run_with_args = body.walk_ops().iter().any(|&op| {
+        let has_run_with_args = walk(&body).iter().any(|&op| {
             body.ops[op.index()].opcode == Opcode::RgnRun && body.ops[op.index()].operands.len() > 1
         });
         assert!(has_run_with_args, "{text}");
@@ -288,8 +336,7 @@ def eval(x, y, z) :=
         assert_no_lp_control(&m);
         let f = m.func_by_name("eval").unwrap();
         let body = f.body.as_ref().unwrap();
-        let n_vals = body
-            .walk_ops()
+        let n_vals = walk(&body)
             .iter()
             .filter(|&&op| body.ops[op.index()].opcode == Opcode::RgnVal)
             .count();
@@ -312,7 +359,7 @@ def len(xs) :=
         // this spells the property out.
         for f in &m.funcs {
             let Some(body) = &f.body else { continue };
-            for op in body.walk_ops() {
+            for op in walk(&body) {
                 for (i, &v) in body.ops[op.index()].operands.iter().enumerate() {
                     if body.value_type(v) == Type::Rgn {
                         let ok = matches!(

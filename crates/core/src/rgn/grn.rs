@@ -9,6 +9,10 @@
 //! conservative value numbering); values defined *inside* participate by
 //! position. A fingerprint match is confirmed by a full structural
 //! comparison before merging, so hash collisions cannot miscompile.
+//!
+//! The fingerprint table, the value numberings and a dominator tree live
+//! in [`GrnBuffers`], one per pass run, so numbering a body allocates only
+//! while it outgrows the bodies before it.
 
 use crate::rgn::opt;
 use lssa_ir::body::Body;
@@ -18,7 +22,7 @@ use lssa_ir::ids::{BlockId, OpId, RegionId, ValueId};
 use lssa_ir::module::Module;
 use lssa_ir::opcode::Opcode;
 use lssa_ir::pass::{for_each_function, Pass};
-use lssa_ir::rewrite::{apply_patterns_greedily, PatternSet, RewriteCtx};
+use lssa_ir::rewrite::{apply_patterns_greedily, PatternSet, RewriteBuffers, RewriteCtx};
 use std::hash::{Hash, Hasher};
 
 /// The GRN pass: merges structurally identical `rgn.val`s (region CSE),
@@ -36,19 +40,39 @@ impl Pass for GrnPass {
 
     fn run_on(&self, module: &mut Module) -> bool {
         let mut patterns = None;
+        let mut bufs = GrnBuffers::default();
+        let mut rewrite = RewriteBuffers::default();
         for_each_function(module, |m, body| {
-            if !run_on_body(body) {
+            if !run_on_body(body, &mut bufs) {
                 return false;
             }
             let patterns = patterns.get_or_insert_with(|| PatternSet::new(opt::all_patterns()));
-            apply_patterns_greedily(body, &RewriteCtx { module: m }, patterns);
+            apply_patterns_greedily(body, &RewriteCtx { module: m }, patterns, &mut rewrite);
             true
         })
     }
 }
 
+/// GRN's tables, reused for every region and body of a pass run. Each is
+/// only probed by key, so a capacity left by an earlier body cannot steer
+/// a decision.
+#[derive(Debug, Default)]
+pub struct GrnBuffers {
+    /// Per fingerprint, the first and last of its `rgn.val`s in `entries`.
+    heads: FxHashMap<u64, (u32, u32)>,
+    /// Visited `rgn.val`s: op, value, block and the next entry with the
+    /// same fingerprint (`u32::MAX` ends the chain), in visiting order.
+    entries: Vec<(OpId, ValueId, BlockId, u32)>,
+    /// The op list of the block being scanned.
+    ops: Vec<OpId>,
+    /// Value numbering of a fingerprint, and value map of a comparison.
+    numbering: FxHashMap<ValueId, u64>,
+    map: FxHashMap<ValueId, ValueId>,
+    tree: DomTree,
+}
+
 /// Runs GRN on one body. Returns whether any regions were merged.
-pub fn run_on_body(body: &mut Body) -> bool {
+pub fn run_on_body(body: &mut Body, bufs: &mut GrnBuffers) -> bool {
     let mut changed = false;
     // Process every containing region like classical dominance-scoped CSE.
     for ri in 0..body.regions.len() {
@@ -59,12 +83,12 @@ pub fn run_on_body(body: &mut Body) -> bool {
         if ri != 0 && body.regions[ri].parent.is_none() {
             continue;
         }
-        changed |= grn_region(body, region);
+        changed |= grn_region(body, region, bufs);
     }
     changed
 }
 
-fn grn_region(body: &mut Body, region: RegionId) -> bool {
+fn grn_region(body: &mut Body, region: RegionId, bufs: &mut GrnBuffers) -> bool {
     let blocks = &body.regions[region.index()].blocks;
     let region_vals = blocks
         .iter()
@@ -75,53 +99,73 @@ fn grn_region(body: &mut Body, region: RegionId) -> bool {
     if region_vals < 2 {
         return false;
     }
-    let blocks: Vec<BlockId> = blocks.clone();
     // Dominance is needed only once two fingerprints meet. Until then
-    // nothing is merged, and the table holds every visited `rgn.val`; when
-    // the tree is built, those of unreachable blocks leave it, which is
-    // the table a walk of the reachable blocks alone would have built.
-    let mut tree: Option<DomTree> = None;
-    let mut table: FxHashMap<u64, Vec<(OpId, ValueId, BlockId)>> = FxHashMap::default();
+    // nothing is merged, and the table holds every visited `rgn.val`; once
+    // the tree is built, those of unreachable blocks can never match (an
+    // unreachable block dominates nothing), which is the table a walk of
+    // the reachable blocks alone would have built.
+    let GrnBuffers {
+        heads,
+        entries,
+        ops,
+        numbering,
+        map,
+        tree,
+    } = bufs;
+    let mut have_tree = false;
+    heads.clear();
+    entries.clear();
     let mut changed = false;
-    for &block in &blocks {
-        if tree.as_ref().is_some_and(|t| !t.is_reachable(block)) {
+    // Merging erases ops; it never changes the region's block list.
+    for k in 0..body.regions[region.index()].blocks.len() {
+        let block = body.regions[region.index()].blocks[k];
+        if have_tree && !tree.is_reachable(block) {
             continue;
         }
-        let ops = body.blocks[block.index()].ops.clone();
-        for op in ops {
+        ops.clear();
+        ops.extend_from_slice(&body.blocks[block.index()].ops);
+        for &op in ops.iter() {
             if body.ops[op.index()].dead || body.ops[op.index()].opcode != Opcode::RgnVal {
                 continue;
             }
-            let Some(fp) = region_fingerprint(body, body.ops[op.index()].regions[0]) else {
+            let mut hasher = FxHasher::default();
+            numbering.clear();
+            if fingerprint_into(
+                body,
+                body.ops[op.index()].regions[0],
+                &mut hasher,
+                numbering,
+            )
+            .is_none()
+            {
                 continue;
-            };
-            if tree.is_none() && table.contains_key(&fp) {
-                let t = DomTree::compute(body, region);
-                for entries in table.values_mut() {
-                    entries.retain(|&(_, _, b)| t.is_reachable(b));
-                }
-                let reachable = t.is_reachable(block);
-                tree = Some(t);
-                if !reachable {
+            }
+            let fp = hasher.finish();
+            let chain = heads.get(&fp).copied();
+            if !have_tree && chain.is_some() {
+                tree.recompute(body, region);
+                have_tree = true;
+                if !tree.is_reachable(block) {
                     break;
                 }
             }
-            let candidates = table.entry(fp).or_default();
             let mut merged = false;
-            for &(prev_op, prev_val, prev_block) in candidates.iter() {
+            let mut next = chain.map_or(u32::MAX, |(head, _)| head);
+            while let Some(&(prev_op, prev_val, prev_block, after)) = entries.get(next as usize) {
+                next = after;
                 if body.ops[prev_op.index()].dead {
                     continue;
                 }
                 // A candidate exists only once the tree does.
-                let dominates = prev_block == block
-                    || tree
-                        .as_ref()
-                        .is_some_and(|t| t.dominates(prev_block, block));
+                let dominates =
+                    prev_block == block || (have_tree && tree.dominates(prev_block, block));
+                map.clear();
                 if dominates
-                    && regions_structurally_equal(
+                    && regions_eq_rec(
                         body,
                         body.ops[prev_op.index()].regions[0],
                         body.ops[op.index()].regions[0],
+                        map,
                     )
                 {
                     let this_val = body.ops[op.index()].result().unwrap();
@@ -134,7 +178,17 @@ fn grn_region(body: &mut Body, region: RegionId) -> bool {
             }
             if !merged {
                 let val = body.ops[op.index()].result().unwrap();
-                candidates.push((op, val, block));
+                let at = entries.len() as u32;
+                entries.push((op, val, block, u32::MAX));
+                match chain {
+                    Some((head, tail)) => {
+                        entries[tail as usize].3 = at;
+                        heads.insert(fp, (head, at));
+                    }
+                    None => {
+                        heads.insert(fp, (at, at));
+                    }
+                }
             }
         }
     }
@@ -330,7 +384,7 @@ mod tests {
         let mut b = Builder::at_end(&mut body, entry);
         let sel = b.select(params[0], x, y);
         b.rgn_run(sel, vec![]);
-        assert!(run_on_body(&mut body));
+        assert!(run_on_body(&mut body, &mut GrnBuffers::default()));
         // The select now sees the same region on both sides.
         let sel_op = body.defining_op(sel).unwrap();
         let ops = &body.ops[sel_op.index()].operands;

@@ -50,7 +50,7 @@ impl RewritePattern for RunKnownRegion {
         }
         // Unique use: inlining must not duplicate code (the paper's
         // deduplication guarantee for join points).
-        if body.users_of(rv).len() != 1 {
+        if body.users_of(rv).take(2).count() != 1 {
             return false;
         }
         let region = body.ops[def.index()].regions[0];
@@ -195,13 +195,20 @@ mod tests {
     use super::*;
     use lssa_ir::builder::Builder;
     use lssa_ir::prelude::*;
-    use lssa_ir::rewrite::{apply_patterns_greedily, PatternSet};
+    use lssa_ir::rewrite::{apply_patterns_greedily, PatternSet, RewriteBuffers};
+
+    /// The body's ops in walk order.
+    fn walk(body: &lssa_ir::body::Body) -> Vec<lssa_ir::ids::OpId> {
+        let mut ops = Vec::new();
+        body.walk_ops(&mut ops);
+        ops
+    }
 
     fn canonicalize(body: &mut Body) -> bool {
         let module = Module::new();
         let ctx = RewriteCtx { module: &module };
         let patterns = PatternSet::new(all_patterns());
-        apply_patterns_greedily(body, &ctx, &patterns)
+        apply_patterns_greedily(body, &ctx, &patterns, &mut RewriteBuffers::default())
     }
 
     /// Figure 1B, complete pipeline:
@@ -231,13 +238,12 @@ mod tests {
 
         assert!(canonicalize(&mut body));
         // Everything folds down to `lp.int 3; lp.ret`.
-        let ops: Vec<Opcode> = body
-            .walk_ops()
+        let ops: Vec<Opcode> = walk(&body)
             .iter()
             .map(|&op| body.ops[op.index()].opcode)
             .collect();
         assert_eq!(ops, vec![Opcode::LpInt, Opcode::LpReturn]);
-        let ret = body.walk_ops()[1];
+        let ret = walk(&body)[1];
         let v = body.ops[ret.index()].operands[0];
         let def = body.defining_op(v).unwrap();
         assert_eq!(
@@ -260,8 +266,7 @@ mod tests {
             ib.lp_ret(v);
         }
         let (x, y) = {
-            let vals: Vec<ValueId> = body
-                .walk_ops()
+            let vals: Vec<ValueId> = walk(&body)
                 .iter()
                 .filter(|&&op| body.ops[op.index()].opcode == Opcode::RgnVal)
                 .map(|&op| body.ops[op.index()].result().unwrap())
@@ -273,11 +278,13 @@ mod tests {
         b.rgn_run(sel, vec![]);
 
         // Step 1: GRN merges the two regions (select sees %w, %w).
-        assert!(crate::rgn::grn::run_on_body(&mut body));
+        assert!(crate::rgn::grn::run_on_body(
+            &mut body,
+            &mut Default::default()
+        ));
         // Step 2: canonicalize folds the select and inlines the run.
         assert!(canonicalize(&mut body));
-        let ops: Vec<Opcode> = body
-            .walk_ops()
+        let ops: Vec<Opcode> = walk(&body)
             .iter()
             .map(|&op| body.ops[op.index()].opcode)
             .collect();
@@ -307,8 +314,7 @@ mod tests {
         b.rgn_run(live, vec![]);
         assert!(canonicalize(&mut body));
         // The dead region is gone and the live one inlined.
-        let ops: Vec<Opcode> = body
-            .walk_ops()
+        let ops: Vec<Opcode> = walk(&body)
             .iter()
             .map(|&op| body.ops[op.index()].opcode)
             .collect();
@@ -330,8 +336,7 @@ mod tests {
         let mut b = Builder::at_end(&mut body, entry);
         b.rgn_run(rv, vec![params[0]]);
         assert!(canonicalize(&mut body));
-        let construct = body
-            .walk_ops()
+        let construct = walk(&body)
             .into_iter()
             .find(|&op| body.ops[op.index()].opcode == Opcode::LpConstruct)
             .unwrap();
@@ -357,8 +362,7 @@ mod tests {
         Builder::at_end(&mut body, b2).rgn_run(rv, vec![]);
         Builder::at_end(&mut body, b3).rgn_run(rv, vec![]);
         assert!(!canonicalize(&mut body));
-        let n_runs = body
-            .walk_ops()
+        let n_runs = walk(&body)
             .iter()
             .filter(|&&op| body.ops[op.index()].opcode == Opcode::RgnRun)
             .count();

@@ -7,17 +7,34 @@
 //! is compiled to a branch of the region that is run, (2) a rgn.run of a
 //! switch (or select) is compiled to a jump-table. Finally, dead rgn.val
 //! instructions are entirely dropped."
+//!
+//! The lowering's tables (the region-value cache, the dead-op erasure's
+//! and the block walk's buffers) live in [`CfgLowering`], one per pass run,
+//! and edge arguments go straight into the branches' inline lists.
 
 use lssa_ir::attr::AttrKey;
-use lssa_ir::body::{Body, ROOT_REGION};
+use lssa_ir::body::{Body, OperandList, SuccessorArgs, ROOT_REGION};
 use lssa_ir::builder::Builder;
 use lssa_ir::hash::{FxHashMap, FxHashSet};
 use lssa_ir::ids::{BlockId, OpId, Symbol, ValueId};
+use lssa_ir::inline_vec::InlineVec;
 use lssa_ir::module::Module;
 use lssa_ir::opcode::Opcode;
 use lssa_ir::pass::{for_each_function, Pass};
-use lssa_ir::rewrite::erase_trivially_dead;
+use lssa_ir::passes::simplify_cfg::{remove_unreachable_blocks, CfgBuffers};
+use lssa_ir::rewrite::{erase_trivially_dead, RewriteBuffers};
 use lssa_ir::types::Type;
+
+/// Buffers of the CFG lowering, reused across the functions of a module.
+#[derive(Debug, Default)]
+pub struct CfgLowering {
+    dead: RewriteBuffers,
+    cfg: CfgBuffers,
+    /// The branch target of each region value already lowered.
+    cache: FxHashMap<ValueId, BlockId>,
+    /// Argument types of the `rgn.run` being lowered.
+    arg_tys: Vec<Type>,
+}
 
 /// Lowers every `rgn.run` in `body` to CFG branches, flattening region
 /// values into real basic blocks; `lp.ret` becomes `func.return`.
@@ -26,26 +43,32 @@ use lssa_ir::types::Type;
 ///
 /// Panics if a region value flows from anything other than `rgn.val`,
 /// `arith.select`, or `arith.switch_val` (the rgn verifier forbids it).
-pub fn lower_body(body: &mut Body) {
+pub fn lower_body(body: &mut Body, bufs: &mut CfgLowering) {
     // Drop dead region values first so unreferenced regions never
     // materialize ("dead rgn.val instructions are entirely dropped").
-    erase_trivially_dead(body);
-    let mut cache: FxHashMap<ValueId, BlockId> = FxHashMap::default();
+    erase_trivially_dead(body, &mut bufs.dead);
+    // The cache is only probed by key: its capacity cannot steer the
+    // lowering.
+    let CfgLowering { cache, arg_tys, .. } = bufs;
+    cache.clear();
     loop {
         let run = find_root_run(body);
         let Some(run) = run else { break };
         let operands = body.ops[run.index()].operands.clone();
         let rv = operands[0];
-        let args = operands[1..].to_vec();
-        let arg_tys: Vec<Type> = args.iter().map(|&a| body.value_type(a)).collect();
-        let target = target_for(body, rv, &arg_tys, &mut cache);
+        let args = &operands[1..];
+        arg_tys.clear();
+        arg_tys.extend(args.iter().map(|&a| body.value_type(a)));
+        let target = target_for(body, rv, arg_tys, cache);
         let parent = body.ops[run.index()].parent.expect("detached run");
         body.erase_op(run);
         let mut b = Builder::at_end(body, parent);
         b.br(target, args);
     }
-    // lp.ret → func.return.
-    for block in body.regions[ROOT_REGION.index()].blocks.clone() {
+    // lp.ret → func.return. Rewriting a terminator leaves the root
+    // region's block list alone.
+    for k in 0..body.regions[ROOT_REGION.index()].blocks.len() {
+        let block = body.regions[ROOT_REGION.index()].blocks[k];
         if let Some(term) = body.terminator(block) {
             if body.ops[term.index()].opcode == Opcode::LpReturn {
                 let v = body.ops[term.index()].operands[0];
@@ -56,8 +79,8 @@ pub fn lower_body(body: &mut Body) {
         }
     }
     // Selector chains and emptied rgn.vals are now dead.
-    erase_trivially_dead(body);
-    lssa_ir::passes::simplify_cfg::remove_unreachable_blocks(body);
+    erase_trivially_dead(body, &mut bufs.dead);
+    remove_unreachable_blocks(body, &mut bufs.cfg);
 }
 
 /// Finds a `rgn.run` attached to a root-region block.
@@ -105,7 +128,7 @@ fn target_for(
             let ta = target_for(body, a, arg_tys, cache);
             let tb = target_for(body, bb, arg_tys, cache);
             let dispatch = body.new_block(ROOT_REGION, arg_tys);
-            let dargs = body.blocks[dispatch.index()].args.clone();
+            let dargs = SuccessorArgs::from(body.blocks[dispatch.index()].args.as_slice());
             let mut b = Builder::at_end(body, dispatch);
             b.cond_br(c, (ta, dargs.clone()), (tb, dargs));
             dispatch
@@ -113,27 +136,27 @@ fn target_for(
         Opcode::SwitchVal => {
             // (2') Jump table.
             let ops = body.ops[def.index()].operands.clone();
-            let cases = body.ops[def.index()]
+            let cases: Box<[i64]> = body.ops[def.index()]
                 .attr(AttrKey::Cases)
                 .and_then(|a| a.as_int_list())
                 .expect("switch_val without cases")
-                .to_vec();
+                .into();
             let idx = ops[0];
             let vals = &ops[1..ops.len() - 1];
             let default = ops[ops.len() - 1];
-            let targets: Vec<BlockId> = vals
+            let targets: InlineVec<BlockId, 4> = vals
                 .iter()
                 .map(|&x| target_for(body, x, arg_tys, cache))
                 .collect();
             let tdefault = target_for(body, default, arg_tys, cache);
             let dispatch = body.new_block(ROOT_REGION, arg_tys);
-            let dargs = body.blocks[dispatch.index()].args.clone();
+            let dargs = SuccessorArgs::from(body.blocks[dispatch.index()].args.as_slice());
             let mut b = Builder::at_end(body, dispatch);
             b.switch_br(
                 idx,
                 cases,
-                targets.into_iter().map(|t| (t, dargs.clone())).collect(),
-                (tdefault, dargs),
+                targets.iter().map(|&t| (t, dargs.clone())),
+                (tdefault, dargs.clone()),
             );
             dispatch
         }
@@ -153,8 +176,9 @@ impl Pass for RgnToCfgPass {
     }
 
     fn run_on(&self, module: &mut Module) -> bool {
+        let mut bufs = CfgLowering::default();
         for_each_function(module, |_, body| {
-            lower_body(body);
+            lower_body(body, &mut bufs);
             true
         })
     }
@@ -195,7 +219,10 @@ impl Pass for TcoPass {
                 continue;
             };
             let me = module.funcs[i].name;
-            for block in body.regions[ROOT_REGION.index()].blocks.clone() {
+            // A tail call replaces a block's last two ops and leaves the
+            // root region's block list alone.
+            for k in 0..body.regions[ROOT_REGION.index()].blocks.len() {
+                let block = body.regions[ROOT_REGION.index()].blocks[k];
                 changed |= try_tco_block(&mut body, block, self.only_self, me, &user_fns);
             }
             module.funcs[i].body = Some(body);
@@ -211,7 +238,7 @@ fn try_tco_block(
     me: Symbol,
     user_fns: &FxHashSet<Symbol>,
 ) -> bool {
-    let ops = body.blocks[block.index()].ops.clone();
+    let ops = &body.blocks[block.index()].ops;
     if ops.len() < 2 {
         return false;
     }
@@ -220,8 +247,8 @@ fn try_tco_block(
         return false;
     }
     let returned = body.ops[term.index()].operands[0];
-    // Scan backwards over rc ops to the producing call.
-    let mut rc_ops = Vec::new();
+    // Scan backwards over rc ops to the producing call: `ops[idx + 1..]`,
+    // terminator excluded, once the call is found at `idx`.
     let mut idx = ops.len() - 1;
     let call = loop {
         if idx == 0 {
@@ -234,7 +261,6 @@ fn try_tco_block(
                 if body.ops[op.index()].operands[0] == returned {
                     return false; // rc op touches the result
                 }
-                rc_ops.push(op);
             }
             Opcode::Call => break op,
             _ => return false,
@@ -244,7 +270,7 @@ fn try_tco_block(
         return false;
     }
     // The result must have no other uses.
-    if body.users_of(returned).len() != 1 {
+    if body.users_of(returned).take(2).count() != 1 {
         return false;
     }
     let callee = body.ops[call.index()]
@@ -258,21 +284,18 @@ fn try_tco_block(
     if !user_fns.contains(&callee) {
         return false;
     }
-    let args = body.ops[call.index()].operands.to_vec();
+    let args: OperandList = body.ops[call.index()].operands.clone();
+    let n = ops.len();
     // The rc ops must not release a value being passed to the callee.
-    for &rc in &rc_ops {
+    for &rc in &ops[idx + 1..n - 1] {
         if args.contains(&body.ops[rc.index()].operands[0]) {
             return false;
         }
     }
     // Hoist the rc ops before the call (they only touch values dead after
-    // the call), then replace call+return with a tail call.
-    for &rc in rc_ops.iter().rev() {
-        body.detach_op(rc);
-    }
-    for &rc in rc_ops.iter().rev() {
-        body.insert_op_before(call, rc);
-    }
+    // the call), then replace call+return with a tail call: the call moves
+    // behind them, which keeps every other op where it was.
+    body.blocks[block.index()].ops[idx..n - 1].rotate_left(1);
     body.erase_op(term);
     body.erase_op(call);
     let mut b = Builder::at_end(body, block);
@@ -288,6 +311,13 @@ mod tests {
     use lssa_ir::printer::print_module;
     use lssa_ir::verifier::verify_module;
     use lssa_lambda::{insert_rc, parse_program};
+
+    /// The body's ops in walk order.
+    fn walk(body: &lssa_ir::body::Body) -> Vec<lssa_ir::ids::OpId> {
+        let mut ops = Vec::new();
+        body.walk_ops(&mut ops);
+        ops
+    }
 
     fn compile(src: &str) -> Module {
         let p = parse_program(src).unwrap();
@@ -310,7 +340,7 @@ mod tests {
     fn assert_flat(m: &Module) {
         for f in &m.funcs {
             let Some(body) = &f.body else { continue };
-            for op in body.walk_ops() {
+            for op in walk(&body) {
                 let opcode = body.ops[op.index()].opcode;
                 assert!(
                     opcode.dialect() != "rgn"
@@ -392,8 +422,7 @@ def eval(x, y, z) :=
         // literally per arm. Count lp.int {value = 60}: must be ≤ 2 (the
         // surface program spells it twice; the match compiler must not
         // *add* copies).
-        let sixties = body
-            .walk_ops()
+        let sixties = walk(&body)
             .iter()
             .filter(|&&op| {
                 body.ops[op.index()].opcode == Opcode::LpInt
@@ -437,8 +466,7 @@ def start(n) := loop(n, 0)
         // `start`'s call to loop is also a tail call under the guarantee.
         let start = m.func_by_name("start").unwrap();
         let body = start.body.as_ref().unwrap();
-        let has_tail = body
-            .walk_ops()
+        let has_tail = walk(&body)
             .iter()
             .any(|&op| body.ops[op.index()].opcode == Opcode::TailCall);
         assert!(has_tail, "{text}");
@@ -457,15 +485,13 @@ def start(n) := loop(n, 0)
         verify_module(&m).unwrap();
         let start = m.func_by_name("start").unwrap();
         let body = start.body.as_ref().unwrap();
-        let has_tail = body
-            .walk_ops()
+        let has_tail = walk(&body)
             .iter()
             .any(|&op| body.ops[op.index()].opcode == Opcode::TailCall);
         assert!(!has_tail, "cross-function call must stay a plain call");
         let lp = m.func_by_name("loop").unwrap();
         let body = lp.body.as_ref().unwrap();
-        let has_tail = body
-            .walk_ops()
+        let has_tail = walk(&body)
             .iter()
             .any(|&op| body.ops[op.index()].opcode == Opcode::TailCall);
         assert!(has_tail, "self recursion is the heuristic case");
@@ -488,8 +514,7 @@ def drop_all(xs) :=
         verify_module(&m).unwrap();
         let f = m.func_by_name("drop_all").unwrap();
         let body = f.body.as_ref().unwrap();
-        let has_tail = body
-            .walk_ops()
+        let has_tail = walk(&body)
             .iter()
             .any(|&op| body.ops[op.index()].opcode == Opcode::TailCall);
         assert!(has_tail, "{}", print_module(&m));

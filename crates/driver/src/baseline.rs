@@ -10,6 +10,7 @@
 //! paper's Figure 11 row.
 
 use lssa_core::rgn::TcoPass;
+use lssa_ir::body::OperandList;
 use lssa_ir::pass::Pass;
 use lssa_ir::prelude::*;
 use lssa_lambda::ast::{Expr, FnDef, Program, Value};
@@ -121,8 +122,8 @@ impl Ctx<'_> {
                     b.switch_br(
                         tag8,
                         cases,
-                        arm_blocks.iter().map(|&bl| (bl, vec![])).collect(),
-                        (default_block, vec![]),
+                        arm_blocks.iter().map(|&bl| (bl, [])),
+                        (default_block, []),
                     );
                 }
                 for (alt, &bl) in alts.iter().zip(&arm_blocks) {
@@ -185,7 +186,7 @@ impl Ctx<'_> {
             Value::LitBig(s) => b.lp_bigint(s),
             Value::LitStr(s) => b.lp_str(s),
             Value::Ctor { tag, args } => {
-                let fields = args.iter().map(|&a| self.get(a)).collect();
+                let fields: OperandList = args.iter().map(|&a| self.get(a)).collect();
                 b.lp_construct(*tag as i64, fields)
             }
             Value::Proj { var, idx } => {
@@ -194,7 +195,7 @@ impl Ctx<'_> {
             }
             Value::Call { func, args } => {
                 let callee = self.module.intern(func);
-                let vals = args.iter().map(|&a| self.get(a)).collect();
+                let vals: OperandList = args.iter().map(|&a| self.get(a)).collect();
                 let mut b = Builder::at_end(body, block);
                 b.call(callee, vals, Type::Obj)
             }
@@ -205,13 +206,13 @@ impl Ctx<'_> {
                     .arity_of(func)
                     .unwrap_or_else(|| panic!("pap of unknown @{func}"))
                     as i64;
-                let vals = args.iter().map(|&a| self.get(a)).collect();
+                let vals: OperandList = args.iter().map(|&a| self.get(a)).collect();
                 let mut b = Builder::at_end(body, block);
                 b.lp_pap(callee, arity, vals)
             }
             Value::App { closure, args } => {
                 let c = self.get(*closure);
-                let vals = args.iter().map(|&a| self.get(a)).collect();
+                let vals: OperandList = args.iter().map(|&a| self.get(a)).collect();
                 b.lp_papextend(c, vals)
             }
         }
@@ -224,6 +225,13 @@ mod tests {
     use lssa_ir::opcode::Opcode;
     use lssa_ir::verifier::verify_module;
     use lssa_lambda::{insert_rc, parse_program};
+
+    /// The body's ops in walk order.
+    fn walk(body: &lssa_ir::body::Body) -> Vec<lssa_ir::ids::OpId> {
+        let mut ops = Vec::new();
+        body.walk_ops(&mut ops);
+        ops
+    }
 
     fn lower(src: &str) -> Module {
         let p = parse_program(src).unwrap();
@@ -255,14 +263,12 @@ def len(xs) :=
         );
         let f = m.func_by_name("len").unwrap();
         let body = f.body.as_ref().unwrap();
-        let has_switch = body
-            .walk_ops()
+        let has_switch = walk(&body)
             .iter()
             .any(|&op| body.ops[op.index()].opcode == Opcode::SwitchBr);
         assert!(has_switch);
         // No rgn ops in the baseline path, ever.
-        let has_rgn = body
-            .walk_ops()
+        let has_rgn = walk(&body)
             .iter()
             .any(|&op| body.ops[op.index()].opcode.dialect() == "rgn");
         assert!(!has_rgn);
@@ -298,8 +304,7 @@ def loop(n, acc) := if n == 0 then acc else loop(n - 1, acc + n)
         );
         let f = m.func_by_name("loop").unwrap();
         let body = f.body.as_ref().unwrap();
-        let has_tail = body
-            .walk_ops()
+        let has_tail = walk(&body)
             .iter()
             .any(|&op| body.ops[op.index()].opcode == Opcode::TailCall);
         assert!(has_tail);

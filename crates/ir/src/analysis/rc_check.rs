@@ -103,7 +103,9 @@ pub fn check_module_strict(module: &Module) -> Result<(), String> {
 pub fn check_body(body: &Body, externs: &FxHashSet<Symbol>) -> RcVerdict {
     // Region-carrying ops defeat the flat ledger; the checker targets the
     // post-`lower-cfg` form.
-    for op in body.walk_ops() {
+    let mut walk = Vec::new();
+    body.walk_ops(&mut walk);
+    for &op in &walk {
         if !body.ops[op.index()].regions.is_empty() {
             return RcVerdict::Unprovable {
                 reason: "region-structured IR (checker runs after lower-cfg)".into(),
@@ -122,7 +124,7 @@ pub fn check_body(body: &Body, externs: &FxHashSet<Symbol>) -> RcVerdict {
     // even at ledger count 0 (the container holds the reference), so probe
     // failures on them are unprovable rather than definite.
     let mut containerized: FxHashSet<ValueId> = FxHashSet::default();
-    for op in body.walk_ops() {
+    for &op in &walk {
         let data = &body.ops[op.index()];
         match data.opcode {
             Opcode::Select | Opcode::SwitchVal => {

@@ -29,8 +29,9 @@ pub type OperandList = InlineVec<ValueId, 4>;
 pub type ResultList = InlineVec<ValueId, 2>;
 /// Successor list storage: `cf.cond_br` fits inline; jump tables spill.
 pub type SuccessorList = InlineVec<Successor, 2>;
-/// Nested-region list storage: only `rgn.val` carries a region.
-pub type RegionList = InlineVec<RegionId, 1>;
+/// Nested-region list storage: `rgn.val` carries one region, `lp.joinpoint`
+/// two and `lp.switch` one per arm. Three fit in the space one takes.
+pub type RegionList = InlineVec<RegionId, 3>;
 /// Attribute list storage: ops carry at most one attribute today.
 pub type AttrList = InlineVec<(AttrKey, Attr), 1>;
 /// Successor-argument storage (block-parameter arguments on a CFG edge).
@@ -56,7 +57,7 @@ impl Successor {
     }
 
     /// An edge passing `args`.
-    pub fn with_args(block: BlockId, args: Vec<ValueId>) -> Successor {
+    pub fn with_args(block: BlockId, args: impl Into<SuccessorArgs>) -> Successor {
         Successor {
             block,
             args: args.into(),
@@ -184,6 +185,18 @@ impl Body {
         let entry = body.new_block(root, params);
         let args = body.blocks[entry.index()].args.clone();
         (body, args)
+    }
+
+    /// Makes room for `ops` more operations (and as many result values)
+    /// and `blocks` more blocks (and as many regions), so a lowering that
+    /// knows roughly how much it will build grows each arena once instead
+    /// of doubling it.
+    pub fn reserve(&mut self, ops: usize, blocks: usize) {
+        self.ops.reserve(ops);
+        self.live.reserve(ops);
+        self.values.reserve(ops + blocks);
+        self.blocks.reserve(blocks);
+        self.regions.reserve(blocks);
     }
 
     /// The entry block of the root region.
@@ -396,9 +409,12 @@ impl Body {
     }
 
     /// Counts uses of every value (operand and successor-arg positions) by
-    /// live, attached ops, indexed by [`ValueId::index`].
-    pub fn use_counts(&self) -> Vec<u32> {
-        let mut counts = vec![0u32; self.values.len()];
+    /// live, attached ops into `counts`, indexed by [`ValueId::index`].
+    /// `counts` is overwritten; a caller that counts many bodies passes the
+    /// same buffer each time.
+    pub fn use_counts(&self, counts: &mut Vec<u32>) {
+        counts.clear();
+        counts.resize(self.values.len(), 0);
         for &id in &self.live {
             let op = &self.ops[id.index()];
             if op.dead || op.parent.is_none() {
@@ -406,24 +422,17 @@ impl Body {
             }
             op.for_each_use(|v| counts[v.index()] += 1);
         }
-        counts
     }
 
-    /// All attached (live) ops that use `v`, in arena order.
-    pub fn users_of(&self, v: ValueId) -> Vec<OpId> {
-        let mut out = Vec::new();
-        for &id in &self.live {
+    /// All attached (live) ops that use `v`, in arena order. A caller that
+    /// only needs to know whether there is exactly one can stop at two.
+    pub fn users_of(&self, v: ValueId) -> impl Iterator<Item = OpId> + '_ {
+        self.live.iter().copied().filter(move |&id| {
             let op = &self.ops[id.index()];
-            if op.dead || op.parent.is_none() {
-                continue;
-            }
-            let uses =
-                op.operands.contains(&v) || op.successors.iter().any(|s| s.args.contains(&v));
-            if uses {
-                out.push(id);
-            }
-        }
-        out
+            !op.dead
+                && op.parent.is_some()
+                && (op.operands.contains(&v) || op.successors.iter().any(|s| s.args.contains(&v)))
+        })
     }
 
     /// The type of a value.
@@ -441,12 +450,13 @@ impl Body {
 
     // ---- traversal --------------------------------------------------------
 
-    /// All live ops in the region tree, pre-order (op before its regions),
-    /// blocks in region order.
-    pub fn walk_ops(&self) -> Vec<OpId> {
-        let mut out = Vec::new();
-        self.walk_region(ROOT_REGION, &mut out);
-        out
+    /// Writes all live ops in the region tree to `out`, pre-order (op
+    /// before its regions), blocks in region order. `out` is overwritten; a
+    /// pass that walks many bodies passes the same buffer each time, so a
+    /// walk allocates only when a body is larger than every one before it.
+    pub fn walk_ops(&self, out: &mut Vec<OpId>) {
+        out.clear();
+        self.walk_region(ROOT_REGION, out);
     }
 
     fn walk_region(&self, region: RegionId, out: &mut Vec<OpId>) {
@@ -621,7 +631,9 @@ mod tests {
         let c2 = const_op(&mut body, 2);
         body.push_op(e, c1);
         body.push_op(e, c2);
-        assert_eq!(body.walk_ops(), vec![c1, c2]);
+        let mut walk = Vec::new();
+        body.walk_ops(&mut walk);
+        assert_eq!(walk, vec![c1, c2]);
     }
 
     #[test]
@@ -656,7 +668,9 @@ mod tests {
         body.replace_all_uses(v1, v2);
         assert_eq!(body.ops[add.index()].operands, vec![v2, v2]);
         assert_eq!(body.ops[br.index()].successors[0].args, vec![v2]);
-        let counts = body.use_counts();
+        let mut counts = vec![7; 2];
+        body.use_counts(&mut counts);
+        assert_eq!(counts.len(), body.values.len());
         assert_eq!(counts[v1.index()], 0);
         assert_eq!(counts[v2.index()], 3);
     }
@@ -685,7 +699,9 @@ mod tests {
         body.push_op(e, rv);
         let c2 = const_op(&mut body, 8);
         body.push_op(e, c2);
-        assert_eq!(body.walk_ops(), vec![rv, c, c2]);
+        let mut walk = vec![c];
+        body.walk_ops(&mut walk);
+        assert_eq!(walk, vec![rv, c, c2]);
     }
 
     #[test]
@@ -754,6 +770,6 @@ mod tests {
         let a2 = body.create_op(Opcode::MulI, vec![v, v], &[Type::I64], vec![]);
         body.push_op(e, a1);
         body.push_op(e, a2);
-        assert_eq!(body.users_of(v), vec![a1, a2]);
+        assert_eq!(body.users_of(v).collect::<Vec<_>>(), vec![a1, a2]);
     }
 }

@@ -2,9 +2,13 @@
 //!
 //! [`Builder`] wraps a [`Body`] plus an insertion block and provides one
 //! method per opcode, so lowering code reads like the IR it produces.
+//!
+//! Operand and argument lists are taken as anything that converts into the
+//! op's inline list types — an array, a slice, an iterator's `collect`, or
+//! a `Vec` — so building a small op allocates nothing beyond the arenas.
 
 use crate::attr::{Attr, AttrKey, CmpPred};
-use crate::body::{Body, Successor};
+use crate::body::{AttrList, Body, OperandList, Successor, SuccessorArgs};
 use crate::ids::{BlockId, OpId, Symbol, ValueId};
 use crate::opcode::Opcode;
 use crate::types::Type;
@@ -27,9 +31,9 @@ impl<'a> Builder<'a> {
     fn push(
         &mut self,
         opcode: Opcode,
-        operands: Vec<ValueId>,
+        operands: impl Into<OperandList>,
         result_tys: &[Type],
-        attrs: Vec<(AttrKey, Attr)>,
+        attrs: impl Into<AttrList>,
     ) -> OpId {
         let op = self.body.create_op(opcode, operands, result_tys, attrs);
         self.body.push_op(self.block, op);
@@ -39,9 +43,9 @@ impl<'a> Builder<'a> {
     fn push1(
         &mut self,
         opcode: Opcode,
-        operands: Vec<ValueId>,
+        operands: impl Into<OperandList>,
         ty: Type,
-        attrs: Vec<(AttrKey, Attr)>,
+        attrs: impl Into<AttrList>,
     ) -> ValueId {
         let op = self.push(opcode, operands, &[ty], attrs);
         self.body.ops[op.index()].result().unwrap()
@@ -51,12 +55,7 @@ impl<'a> Builder<'a> {
 
     /// `arith.constant` of the given type.
     pub fn const_i(&mut self, v: i64, ty: Type) -> ValueId {
-        self.push1(
-            Opcode::ConstI,
-            vec![],
-            ty,
-            vec![(AttrKey::Value, Attr::Int(v))],
-        )
+        self.push1(Opcode::ConstI, [], ty, [(AttrKey::Value, Attr::Int(v))])
     }
 
     /// Boolean constant (`i1`).
@@ -66,7 +65,7 @@ impl<'a> Builder<'a> {
 
     fn binop(&mut self, opcode: Opcode, a: ValueId, b: ValueId) -> ValueId {
         let ty = self.body.value_type(a);
-        self.push1(opcode, vec![a, b], ty, vec![])
+        self.push1(opcode, [a, b], ty, [])
     }
 
     /// `arith.addi`.
@@ -113,16 +112,16 @@ impl<'a> Builder<'a> {
     pub fn cmpi(&mut self, pred: CmpPred, a: ValueId, b: ValueId) -> ValueId {
         self.push1(
             Opcode::CmpI,
-            vec![a, b],
+            [a, b],
             Type::I1,
-            vec![(AttrKey::Pred, Attr::Pred(pred))],
+            [(AttrKey::Pred, Attr::Pred(pred))],
         )
     }
 
     /// `arith.select` (works on any type, including `!rgn.region`).
     pub fn select(&mut self, cond: ValueId, t: ValueId, f: ValueId) -> ValueId {
         let ty = self.body.value_type(t);
-        self.push1(Opcode::Select, vec![cond, t, f], ty, vec![])
+        self.push1(Opcode::Select, [cond, t, f], ty, [])
     }
 
     /// `arith.switch_val {cases}`: N-way value selection. `vals` pairs with
@@ -130,38 +129,40 @@ impl<'a> Builder<'a> {
     pub fn switch_val(
         &mut self,
         idx: ValueId,
-        cases: Vec<i64>,
-        vals: Vec<ValueId>,
+        cases: impl Into<Box<[i64]>>,
+        vals: &[ValueId],
         default: ValueId,
     ) -> ValueId {
+        let cases = cases.into();
         assert_eq!(cases.len(), vals.len());
         let ty = self.body.value_type(default);
-        let mut operands = vec![idx];
-        operands.extend(vals);
+        let mut operands = OperandList::new();
+        operands.push(idx);
+        operands.extend(vals.iter().copied());
         operands.push(default);
         self.push1(
             Opcode::SwitchVal,
             operands,
             ty,
-            vec![(AttrKey::Cases, Attr::IntList(cases.into()))],
+            [(AttrKey::Cases, Attr::IntList(cases))],
         )
     }
 
     /// `arith.extui` to a wider integer type.
     pub fn extui(&mut self, v: ValueId, ty: Type) -> ValueId {
-        self.push1(Opcode::ExtUI, vec![v], ty, vec![])
+        self.push1(Opcode::ExtUI, [v], ty, [])
     }
 
     /// `arith.trunci` to a narrower integer type.
     pub fn trunci(&mut self, v: ValueId, ty: Type) -> ValueId {
-        self.push1(Opcode::TruncI, vec![v], ty, vec![])
+        self.push1(Opcode::TruncI, [v], ty, [])
     }
 
     // ---- cf ---------------------------------------------------------------
 
     /// `cf.br`.
-    pub fn br(&mut self, dest: BlockId, args: Vec<ValueId>) -> OpId {
-        let op = self.push(Opcode::Br, vec![], &[], vec![]);
+    pub fn br(&mut self, dest: BlockId, args: impl Into<SuccessorArgs>) -> OpId {
+        let op = self.push(Opcode::Br, [], &[], []);
         self.body.ops[op.index()]
             .successors
             .push(Successor::with_args(dest, args));
@@ -172,10 +173,10 @@ impl<'a> Builder<'a> {
     pub fn cond_br(
         &mut self,
         cond: ValueId,
-        then_dest: (BlockId, Vec<ValueId>),
-        else_dest: (BlockId, Vec<ValueId>),
+        then_dest: (BlockId, impl Into<SuccessorArgs>),
+        else_dest: (BlockId, impl Into<SuccessorArgs>),
     ) -> OpId {
-        let op = self.push(Opcode::CondBr, vec![cond], &[], vec![]);
+        let op = self.push(Opcode::CondBr, [cond], &[], []);
         let succ = &mut self.body.ops[op.index()].successors;
         succ.push(Successor::with_args(then_dest.0, then_dest.1));
         succ.push(Successor::with_args(else_dest.0, else_dest.1));
@@ -184,59 +185,61 @@ impl<'a> Builder<'a> {
 
     /// `cf.switch {cases}`: `targets` pairs with `cases`; last successor is
     /// the default.
-    pub fn switch_br(
+    pub fn switch_br<A: Into<SuccessorArgs>>(
         &mut self,
         idx: ValueId,
-        cases: Vec<i64>,
-        targets: Vec<(BlockId, Vec<ValueId>)>,
-        default: (BlockId, Vec<ValueId>),
+        cases: impl Into<Box<[i64]>>,
+        targets: impl IntoIterator<Item = (BlockId, A)>,
+        default: (BlockId, impl Into<SuccessorArgs>),
     ) -> OpId {
-        assert_eq!(cases.len(), targets.len());
+        let cases = cases.into();
+        let n = cases.len();
         let op = self.push(
             Opcode::SwitchBr,
-            vec![idx],
+            [idx],
             &[],
-            vec![(AttrKey::Cases, Attr::IntList(cases.into()))],
+            [(AttrKey::Cases, Attr::IntList(cases))],
         );
         let succ = &mut self.body.ops[op.index()].successors;
         for (b, args) in targets {
             succ.push(Successor::with_args(b, args));
         }
+        assert_eq!(n, succ.len(), "one target per case");
         succ.push(Successor::with_args(default.0, default.1));
         op
     }
 
     /// `cf.unreachable`.
     pub fn unreachable(&mut self) -> OpId {
-        self.push(Opcode::Unreachable, vec![], &[], vec![])
+        self.push(Opcode::Unreachable, [], &[], [])
     }
 
     // ---- func ---------------------------------------------------------------
 
     /// `func.call {callee}` with a single result of type `ret`.
-    pub fn call(&mut self, callee: Symbol, args: Vec<ValueId>, ret: Type) -> ValueId {
+    pub fn call(&mut self, callee: Symbol, args: impl Into<OperandList>, ret: Type) -> ValueId {
         self.push1(
             Opcode::Call,
             args,
             ret,
-            vec![(AttrKey::Callee, Attr::Sym(callee))],
+            [(AttrKey::Callee, Attr::Sym(callee))],
         )
     }
 
     /// `func.tail_call {callee}` (terminator; callee result becomes this
     /// function's result).
-    pub fn tail_call(&mut self, callee: Symbol, args: Vec<ValueId>) -> OpId {
+    pub fn tail_call(&mut self, callee: Symbol, args: impl Into<OperandList>) -> OpId {
         self.push(
             Opcode::TailCall,
             args,
             &[],
-            vec![(AttrKey::Callee, Attr::Sym(callee))],
+            [(AttrKey::Callee, Attr::Sym(callee))],
         )
     }
 
     /// `func.return`.
     pub fn ret(&mut self, v: ValueId) -> OpId {
-        self.push(Opcode::Return, vec![v], &[], vec![])
+        self.push(Opcode::Return, [v], &[], [])
     }
 
     // ---- lp ---------------------------------------------------------------
@@ -245,9 +248,9 @@ impl<'a> Builder<'a> {
     pub fn lp_int(&mut self, v: i64) -> ValueId {
         self.push1(
             Opcode::LpInt,
-            vec![],
+            [],
             Type::Obj,
-            vec![(AttrKey::Value, Attr::Int(v))],
+            [(AttrKey::Value, Attr::Int(v))],
         )
     }
 
@@ -255,9 +258,9 @@ impl<'a> Builder<'a> {
     pub fn lp_bigint(&mut self, digits: &str) -> ValueId {
         self.push1(
             Opcode::LpBigInt,
-            vec![],
+            [],
             Type::Obj,
-            vec![(AttrKey::Value, Attr::Str(digits.into()))],
+            [(AttrKey::Value, Attr::Str(digits.into()))],
         )
     }
 
@@ -265,44 +268,44 @@ impl<'a> Builder<'a> {
     pub fn lp_str(&mut self, s: &str) -> ValueId {
         self.push1(
             Opcode::LpStr,
-            vec![],
+            [],
             Type::Obj,
-            vec![(AttrKey::Value, Attr::Str(s.into()))],
+            [(AttrKey::Value, Attr::Str(s.into()))],
         )
     }
 
     /// `lp.construct {tag}`.
-    pub fn lp_construct(&mut self, tag: i64, fields: Vec<ValueId>) -> ValueId {
+    pub fn lp_construct(&mut self, tag: i64, fields: impl Into<OperandList>) -> ValueId {
         self.push1(
             Opcode::LpConstruct,
             fields,
             Type::Obj,
-            vec![(AttrKey::Tag, Attr::Int(tag))],
+            [(AttrKey::Tag, Attr::Int(tag))],
         )
     }
 
     /// `lp.getlabel` yielding `i8`.
     pub fn lp_getlabel(&mut self, v: ValueId) -> ValueId {
-        self.push1(Opcode::LpGetLabel, vec![v], Type::I8, vec![])
+        self.push1(Opcode::LpGetLabel, [v], Type::I8, [])
     }
 
     /// `lp.project {index}`.
     pub fn lp_project(&mut self, v: ValueId, index: i64) -> ValueId {
         self.push1(
             Opcode::LpProject,
-            vec![v],
+            [v],
             Type::Obj,
-            vec![(AttrKey::Index, Attr::Int(index))],
+            [(AttrKey::Index, Attr::Int(index))],
         )
     }
 
     /// `lp.pap {callee, arity}`.
-    pub fn lp_pap(&mut self, callee: Symbol, arity: i64, args: Vec<ValueId>) -> ValueId {
+    pub fn lp_pap(&mut self, callee: Symbol, arity: i64, args: impl Into<OperandList>) -> ValueId {
         self.push1(
             Opcode::LpPap,
             args,
             Type::Obj,
-            vec![
+            [
                 (AttrKey::Callee, Attr::Sym(callee)),
                 (AttrKey::Arity, Attr::Int(arity)),
             ],
@@ -310,29 +313,32 @@ impl<'a> Builder<'a> {
     }
 
     /// `lp.papextend`.
-    pub fn lp_papextend(&mut self, closure: ValueId, args: Vec<ValueId>) -> ValueId {
-        let mut operands = vec![closure];
-        operands.extend(args);
-        self.push1(Opcode::LpPapExtend, operands, Type::Obj, vec![])
+    pub fn lp_papextend(
+        &mut self,
+        closure: ValueId,
+        args: impl IntoIterator<Item = ValueId>,
+    ) -> ValueId {
+        let operands: OperandList = std::iter::once(closure).chain(args).collect();
+        self.push1(Opcode::LpPapExtend, operands, Type::Obj, [])
     }
 
     /// `lp.switch {cases}` terminator. One region per case plus a default
-    /// region, created here; each gets an empty entry block. Returns
-    /// `(op, case-entry-blocks..including default)`.
-    pub fn lp_switch(&mut self, tag: ValueId, cases: Vec<i64>) -> (OpId, Vec<BlockId>) {
+    /// region, created here; each gets an empty entry block, which is the
+    /// first block of the op's `i`-th region (the default region last).
+    pub fn lp_switch(&mut self, tag: ValueId, cases: impl Into<Box<[i64]>>) -> OpId {
+        let cases = cases.into();
         let n = cases.len() + 1;
         let op = self.push(
             Opcode::LpSwitch,
-            vec![tag],
+            [tag],
             &[],
-            vec![(AttrKey::Cases, Attr::IntList(cases.into()))],
+            [(AttrKey::Cases, Attr::IntList(cases))],
         );
-        let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
             let r = self.body.new_region(op);
-            entries.push(self.body.new_block(r, &[]));
+            self.body.new_block(r, &[]);
         }
-        (op, entries)
+        op
     }
 
     /// `lp.joinpoint {label}` terminator. Creates the join-point region (its
@@ -341,9 +347,9 @@ impl<'a> Builder<'a> {
     pub fn lp_joinpoint(&mut self, label: Symbol, jp_arg_tys: &[Type]) -> (OpId, BlockId, BlockId) {
         let op = self.push(
             Opcode::LpJoinPoint,
-            vec![],
+            [],
             &[],
-            vec![(AttrKey::Label, Attr::Sym(label))],
+            [(AttrKey::Label, Attr::Sym(label))],
         );
         let jp_region = self.body.new_region(op);
         let jp_entry = self.body.new_block(jp_region, jp_arg_tys);
@@ -353,37 +359,37 @@ impl<'a> Builder<'a> {
     }
 
     /// `lp.jump {label}` terminator.
-    pub fn lp_jump(&mut self, label: Symbol, args: Vec<ValueId>) -> OpId {
+    pub fn lp_jump(&mut self, label: Symbol, args: impl Into<OperandList>) -> OpId {
         self.push(
             Opcode::LpJump,
             args,
             &[],
-            vec![(AttrKey::Label, Attr::Sym(label))],
+            [(AttrKey::Label, Attr::Sym(label))],
         )
     }
 
     /// `lp.inc`.
     pub fn lp_inc(&mut self, v: ValueId) -> OpId {
-        self.push(Opcode::LpInc, vec![v], &[], vec![])
+        self.push(Opcode::LpInc, [v], &[], [])
     }
 
     /// `lp.dec`.
     pub fn lp_dec(&mut self, v: ValueId) -> OpId {
-        self.push(Opcode::LpDec, vec![v], &[], vec![])
+        self.push(Opcode::LpDec, [v], &[], [])
     }
 
     /// `lp.ret` terminator.
     pub fn lp_ret(&mut self, v: ValueId) -> OpId {
-        self.push(Opcode::LpReturn, vec![v], &[], vec![])
+        self.push(Opcode::LpReturn, [v], &[], [])
     }
 
     /// `lp.global.load {global}`.
     pub fn lp_global_load(&mut self, global: Symbol) -> ValueId {
         self.push1(
             Opcode::LpGlobalLoad,
-            vec![],
+            [],
             Type::Obj,
-            vec![(AttrKey::Global, Attr::Sym(global))],
+            [(AttrKey::Global, Attr::Sym(global))],
         )
     }
 
@@ -391,9 +397,9 @@ impl<'a> Builder<'a> {
     pub fn lp_global_store(&mut self, global: Symbol, v: ValueId) -> OpId {
         self.push(
             Opcode::LpGlobalStore,
-            vec![v],
+            [v],
             &[],
-            vec![(AttrKey::Global, Attr::Sym(global))],
+            [(AttrKey::Global, Attr::Sym(global))],
         )
     }
 
@@ -403,7 +409,7 @@ impl<'a> Builder<'a> {
     /// arguments of types `arg_tys` (join-point parameters). Returns
     /// `(region-value, entry-block)`.
     pub fn rgn_val(&mut self, arg_tys: &[Type]) -> (ValueId, BlockId) {
-        let op = self.push(Opcode::RgnVal, vec![], &[Type::Rgn], vec![]);
+        let op = self.push(Opcode::RgnVal, [], &[Type::Rgn], []);
         let region = self.body.new_region(op);
         let entry = self.body.new_block(region, arg_tys);
         let v = self.body.ops[op.index()].result().unwrap();
@@ -411,10 +417,9 @@ impl<'a> Builder<'a> {
     }
 
     /// `rgn.run` terminator.
-    pub fn rgn_run(&mut self, r: ValueId, args: Vec<ValueId>) -> OpId {
-        let mut operands = vec![r];
-        operands.extend(args);
-        self.push(Opcode::RgnRun, operands, &[], vec![])
+    pub fn rgn_run(&mut self, r: ValueId, args: impl IntoIterator<Item = ValueId>) -> OpId {
+        let operands: OperandList = std::iter::once(r).chain(args).collect();
+        self.push(Opcode::RgnRun, operands, &[], [])
     }
 }
 
@@ -443,12 +448,16 @@ mod tests {
         let entry = body.entry_block();
         let mut b = Builder::at_end(&mut body, entry);
         let tag = b.lp_getlabel(params[0]);
-        let (op, blocks) = b.lp_switch(tag, vec![0, 1]);
-        assert_eq!(blocks.len(), 3, "two cases plus default");
-        assert_eq!(body.ops[op.index()].regions.len(), 3);
-        for (i, &bl) in blocks.iter().enumerate() {
-            let r = body.ops[op.index()].regions[i];
-            assert_eq!(body.regions[r.index()].blocks[0], bl);
+        let op = b.lp_switch(tag, vec![0, 1]);
+        assert_eq!(
+            body.ops[op.index()].regions.len(),
+            3,
+            "two cases plus default"
+        );
+        for &r in &body.ops[op.index()].regions {
+            let blocks = &body.regions[r.index()].blocks;
+            assert_eq!(blocks.len(), 1);
+            assert!(body.blocks[blocks[0].index()].ops.is_empty());
         }
     }
 
@@ -464,7 +473,7 @@ mod tests {
             ib.lp_ret(v);
         }
         let mut b = Builder::at_end(&mut body, entry);
-        b.rgn_run(r, vec![]);
+        b.rgn_run(r, []);
         assert_eq!(body.value_type(r), Type::Rgn);
         assert_eq!(body.live_op_count(), 4);
     }
@@ -487,7 +496,7 @@ mod tests {
         let (mut body, params) = Body::new(&[Type::I8, Type::Rgn, Type::Rgn, Type::Rgn]);
         let entry = body.entry_block();
         let mut b = Builder::at_end(&mut body, entry);
-        let v = b.switch_val(params[0], vec![0, 1], vec![params[1], params[2]], params[3]);
+        let v = b.switch_val(params[0], [0, 1], &[params[1], params[2]], params[3]);
         assert_eq!(body.value_type(v), Type::Rgn);
         let op = body.defining_op(v).unwrap();
         assert_eq!(body.ops[op.index()].operands.len(), 4);

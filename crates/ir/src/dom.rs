@@ -10,7 +10,10 @@
 //! their size follows the region's block-id span, so the many small regions
 //! of an `rgn` body each cost what they contain. A single-block region —
 //! most `rgn.val` bodies — takes a fast path and allocates nothing, as in
-//! MLIR's `DominanceInfo`.
+//! MLIR's `DominanceInfo`. [`DomTree::recompute`] and
+//! [`DomInfo::recompute`] rebuild a tree in the tables of the last one, so
+//! a pass that needs dominance in many regions or bodies keeps one and
+//! allocates only when a region is larger than every one before it.
 
 use crate::body::{Body, Successor, ValueDef};
 use crate::ids::{BlockId, OpId, RegionId, ValueId};
@@ -27,7 +30,7 @@ pub(crate) fn successors(body: &Body, block: BlockId) -> &[Successor] {
 }
 
 /// Dominator tree for one region.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DomTree {
     /// The region's entry block.
     entry: BlockId,
@@ -41,28 +44,56 @@ pub struct DomTree {
     /// Immediate dominator of each reachable block, both as reverse-postorder
     /// numbers (the entry, number 0, is its own).
     idom: Vec<u32>,
+    /// Working tables of the computation, kept for the next one.
+    scratch: DomScratch,
+}
+
+/// The tables [`DomTree::recompute`] builds the tree from.
+#[derive(Debug, Clone, Default)]
+struct DomScratch {
+    /// Reachable blocks in postorder, then reversed.
+    order: Vec<BlockId>,
+    /// DFS stack: a block and the index of its next successor.
+    stack: Vec<(BlockId, usize)>,
+    /// Row starts of `preds`, by reverse-postorder number.
+    start: Vec<u32>,
+    /// Predecessors by reverse-postorder number, in compressed rows.
+    preds: Vec<u32>,
 }
 
 impl DomTree {
     /// Computes the dominator tree for `region` of `body`.
     pub fn compute(body: &Body, region: RegionId) -> DomTree {
+        let mut tree = DomTree::default();
+        tree.recompute(body, region);
+        tree
+    }
+
+    /// Replaces this tree by the dominator tree for `region` of `body`,
+    /// reusing its tables.
+    pub fn recompute(&mut self, body: &Body, region: RegionId) {
         let blocks = &body.regions[region.index()].blocks;
         let entry = blocks[0];
-        let mut tree = DomTree {
-            entry,
-            base: entry.0,
-            rpo: Vec::new(),
-            idom: Vec::new(),
-        };
+        let tree = self;
+        tree.entry = entry;
+        tree.base = entry.0;
+        tree.rpo.clear();
+        tree.idom.clear();
         if blocks.len() == 1 {
-            return tree;
+            return;
         }
         let (lo, hi) = blocks
             .iter()
             .fold((u32::MAX, 0), |(lo, hi), b| (lo.min(b.0), hi.max(b.0)));
         let span = (hi - lo) as usize + 1;
         tree.base = lo;
-        tree.rpo = vec![NONE; span];
+        tree.rpo.resize(span, NONE);
+        let DomScratch {
+            order,
+            stack,
+            start,
+            preds,
+        } = &mut tree.scratch;
         // A block's slot in `rpo`, if it belongs to this region.
         let slot = |b: BlockId| {
             let i = b.0.wrapping_sub(lo) as usize;
@@ -71,8 +102,9 @@ impl DomTree {
         // Postorder by iterative DFS over the region's own blocks; `rpo`
         // doubles as the visited set until the numbers are assigned.
         const SEEN: u32 = NONE - 1;
-        let mut postorder: Vec<BlockId> = Vec::with_capacity(blocks.len());
-        let mut stack: Vec<(BlockId, usize)> = vec![(entry, 0)];
+        order.clear();
+        stack.clear();
+        stack.push((entry, 0));
         tree.rpo[(entry.0 - lo) as usize] = SEEN;
         while let Some(&mut (b, ref mut i)) = stack.last_mut() {
             match successors(body, b).get(*i) {
@@ -85,24 +117,29 @@ impl DomTree {
                     }
                 }
                 None => {
-                    postorder.push(b);
+                    order.push(b);
                     stack.pop();
                 }
             }
         }
-        let n = postorder.len();
-        postorder.reverse();
-        let order = postorder;
+        let n = order.len();
+        order.reverse();
         for (i, &b) in order.iter().enumerate() {
             tree.rpo[(b.0 - lo) as usize] = i as u32;
         }
+        let rpo = &tree.rpo;
+        let number = |b: BlockId| {
+            let n = *rpo.get(b.0.wrapping_sub(lo) as usize)?;
+            (n != NONE).then_some(n)
+        };
         // Predecessors by reverse-postorder number, in compressed rows:
         // `preds[start[b]..start[b + 1]]`. Count each row's edges, turn the
         // counts into row ends, then fill every row back to front.
-        let mut start = vec![0u32; n + 1];
-        for &b in &order {
+        start.clear();
+        start.resize(n + 1, 0);
+        for &b in order.iter() {
             for s in successors(body, b) {
-                if let Some(sn) = tree.number(s.block) {
+                if let Some(sn) = number(s.block) {
                     start[sn as usize] += 1;
                 }
             }
@@ -110,10 +147,11 @@ impl DomTree {
         for i in 1..=n {
             start[i] += start[i - 1];
         }
-        let mut preds = vec![0u32; start[n] as usize];
+        preds.clear();
+        preds.resize(start[n] as usize, 0);
         for (bn, &b) in order.iter().enumerate() {
             for s in successors(body, b) {
-                if let Some(sn) = tree.number(s.block) {
+                if let Some(sn) = number(s.block) {
                     start[sn as usize] -= 1;
                     preds[start[sn as usize] as usize] = bn as u32;
                 }
@@ -121,7 +159,8 @@ impl DomTree {
         }
         // Iterative idom fixpoint. Dominators precede in reverse postorder,
         // so walking up the tree strictly decreases the number.
-        let mut idom = vec![NONE; n];
+        let idom = &mut tree.idom;
+        idom.resize(n, NONE);
         idom[0] = 0;
         let intersect = |idom: &[u32], mut a: u32, mut b: u32| {
             while a != b {
@@ -146,7 +185,7 @@ impl DomTree {
                     new_idom = if new_idom == NONE {
                         p
                     } else {
-                        intersect(&idom, new_idom, p)
+                        intersect(idom, new_idom, p)
                     };
                 }
                 if new_idom != NONE && idom[b] != new_idom {
@@ -155,8 +194,6 @@ impl DomTree {
                 }
             }
         }
-        tree.idom = idom;
-        tree
     }
 
     /// The reverse-postorder number of `b`, or `None` when it is
@@ -191,10 +228,12 @@ impl DomTree {
 }
 
 /// Dominance info for a whole body (all regions).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DomInfo {
-    /// Tree per region id; `None` for regions without blocks.
-    trees: Vec<Option<DomTree>>,
+    /// Tree per region id; meaningful only where `has_tree` is set.
+    trees: Vec<DomTree>,
+    /// Per region id: the region has blocks, so `trees` holds its tree.
+    has_tree: Vec<bool>,
     /// Each op's index in its parent block's op list, or `NONE` for ops
     /// not listed there.
     op_pos: Vec<u32>,
@@ -203,15 +242,28 @@ pub struct DomInfo {
 impl DomInfo {
     /// Computes dominance for every region in `body`.
     pub fn compute(body: &Body) -> DomInfo {
-        let trees = body
-            .regions
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                (!r.blocks.is_empty()).then(|| DomTree::compute(body, RegionId(i as u32)))
-            })
-            .collect();
-        let mut op_pos = vec![NONE; body.ops.len()];
+        let mut info = DomInfo::default();
+        info.recompute(body);
+        info
+    }
+
+    /// Replaces this info by the dominance of `body`, reusing the tables
+    /// of the trees it held.
+    pub fn recompute(&mut self, body: &Body) {
+        let n = body.regions.len();
+        if self.trees.len() < n {
+            self.trees.resize_with(n, DomTree::default);
+        }
+        self.has_tree.clear();
+        for (i, r) in body.regions.iter().enumerate() {
+            self.has_tree.push(!r.blocks.is_empty());
+            if !r.blocks.is_empty() {
+                self.trees[i].recompute(body, RegionId(i as u32));
+            }
+        }
+        let op_pos = &mut self.op_pos;
+        op_pos.clear();
+        op_pos.resize(body.ops.len(), NONE);
         for (bi, block) in body.blocks.iter().enumerate() {
             for (i, &op) in block.ops.iter().enumerate() {
                 let pos = &mut op_pos[op.index()];
@@ -220,12 +272,12 @@ impl DomInfo {
                 }
             }
         }
-        DomInfo { trees, op_pos }
     }
 
     /// The tree for `region`, if it has blocks.
     pub fn tree(&self, region: RegionId) -> Option<&DomTree> {
-        self.trees.get(region.index())?.as_ref()
+        let i = region.index();
+        self.has_tree.get(i).copied()?.then(|| &self.trees[i])
     }
 
     /// Whether the definition of `v` properly dominates `user` — including

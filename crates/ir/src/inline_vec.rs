@@ -196,6 +196,19 @@ impl<T: Default, const N: usize> From<Vec<T>> for InlineVec<T, N> {
     }
 }
 
+/// An array literal fills the inline buffer directly: `[a, b]` builds a
+/// two-element list without the `Vec` that `vec![a, b]` would allocate.
+impl<T: Default, const N: usize, const K: usize> From<[T; K]> for InlineVec<T, N> {
+    fn from(v: [T; K]) -> InlineVec<T, N> {
+        if K > N {
+            return InlineVec {
+                repr: Repr::Heap(Vec::from(v)),
+            };
+        }
+        v.into_iter().collect()
+    }
+}
+
 impl<T: Clone + Default, const N: usize> From<&[T]> for InlineVec<T, N> {
     fn from(v: &[T]) -> InlineVec<T, N> {
         v.iter().cloned().collect()
@@ -375,6 +388,18 @@ mod tests {
         let v: InlineVec<u32, 4> = vec![7].into();
         assert!(!v.spilled());
         assert_eq!(v.to_vec(), vec![7]);
+    }
+
+    #[test]
+    fn from_array_fills_inline_until_it_spills() {
+        let v: InlineVec<u32, 2> = [7, 8].into();
+        assert!(!v.spilled());
+        assert_eq!(v, [7, 8]);
+        let v: InlineVec<u32, 2> = [7, 8, 9].into();
+        assert!(v.spilled());
+        assert_eq!(v, [7, 8, 9]);
+        let v: InlineVec<u32, 2> = [].into();
+        assert!(v.is_empty());
     }
 
     #[test]

@@ -871,6 +871,13 @@ mod tests {
     use super::*;
     use crate::printer::print_module;
 
+    /// The body's ops in walk order.
+    fn walk(body: &crate::body::Body) -> Vec<crate::ids::OpId> {
+        let mut ops = Vec::new();
+        body.walk_ops(&mut ops);
+        ops
+    }
+
     fn round_trip(src: &str) {
         let m = parse_module(src).expect("first parse");
         let printed = print_module(&m);
@@ -952,8 +959,7 @@ module {
         let m = parse_module(src).unwrap();
         let f = m.func_by_name("h").unwrap();
         let body = f.body.as_ref().unwrap();
-        let switch = body
-            .walk_ops()
+        let switch = walk(&body)
             .into_iter()
             .find(|&op| body.ops[op.index()].opcode == Opcode::LpSwitch)
             .unwrap();
@@ -983,8 +989,7 @@ module {
         let m = parse_module(src).unwrap();
         let f = m.func_by_name("r").unwrap();
         let body = f.body.as_ref().unwrap();
-        let vals: Vec<_> = body
-            .walk_ops()
+        let vals: Vec<_> = walk(&body)
             .into_iter()
             .filter(|&op| body.ops[op.index()].opcode == Opcode::RgnVal)
             .collect();
@@ -1063,7 +1068,7 @@ module {
         round_trip(src);
         let f = m.func_by_name("big").unwrap();
         let body = f.body.as_ref().unwrap();
-        let op = body.walk_ops()[0];
+        let op = walk(&body)[0];
         assert_eq!(
             body.ops[op.index()].attr(AttrKey::Value).unwrap().as_str(),
             Some("99999999999999999999")

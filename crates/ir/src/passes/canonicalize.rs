@@ -14,7 +14,9 @@ use crate::module::Module;
 use crate::opcode::Opcode;
 use crate::pass::{for_each_function, Pass};
 use crate::passes::const_int_value;
-use crate::rewrite::{apply_patterns_greedily, PatternSet, RewriteCtx, RewritePattern};
+use crate::rewrite::{
+    apply_patterns_greedily, PatternSet, RewriteBuffers, RewriteCtx, RewritePattern,
+};
 use crate::types::Type;
 
 /// Returns the standard canonicalization pattern set.
@@ -66,9 +68,10 @@ impl Pass for CanonicalizePass {
     }
 
     fn run_on(&self, module: &mut Module) -> bool {
+        let mut bufs = RewriteBuffers::default();
         for_each_function(module, |m, body| {
             let ctx = RewriteCtx { module: m };
-            apply_patterns_greedily(body, &ctx, &self.patterns)
+            apply_patterns_greedily(body, &ctx, &self.patterns, &mut bufs)
         })
     }
 }
@@ -509,7 +512,7 @@ mod tests {
             .unwrap();
         let patterns = PatternSet::new(canonicalization_patterns());
         let ctx = RewriteCtx { module: &m };
-        apply_patterns_greedily(&mut body, &ctx, &patterns);
+        apply_patterns_greedily(&mut body, &ctx, &patterns, &mut RewriteBuffers::default());
         body
     }
 
@@ -582,7 +585,7 @@ mod tests {
         let entry = body.entry_block();
         let mut b = Builder::at_end(&mut body, entry);
         let idx = b.const_i(1, Type::I8);
-        let s = b.switch_val(idx, vec![0, 1], vec![params[0], params[1]], params[2]);
+        let s = b.switch_val(idx, [0, 1], &[params[0], params[1]], params[2]);
         b.ret(s);
         let body = canonicalized(body);
         let ret = body.terminator(body.entry_block()).unwrap();
@@ -595,7 +598,7 @@ mod tests {
         let entry = body.entry_block();
         let mut b = Builder::at_end(&mut body, entry);
         let idx = b.const_i(9, Type::I8);
-        let s = b.switch_val(idx, vec![0], vec![params[0]], params[1]);
+        let s = b.switch_val(idx, [0], &[params[0]], params[1]);
         b.ret(s);
         let body = canonicalized(body);
         let ret = body.terminator(body.entry_block()).unwrap();

@@ -4,12 +4,13 @@
 //! The `rgn` dialect extends this with *global region numbering* (§IV-B.2 of
 //! the paper) in `lssa-core`; this pass is the MLIR-builtin baseline it
 //! builds on (allocating ops are skipped — merging them would change
-//! reference counts).
+//! reference counts). One [`CseBuffers`] serves every region and body of a
+//! pass run, so scanning a body allocates only when it outgrows them.
 
 use crate::body::Body;
 use crate::dom::DomTree;
 use crate::hash::FxHashMap;
-use crate::ids::{BlockId, RegionId, ValueId};
+use crate::ids::{BlockId, OpId, RegionId, ValueId};
 use crate::module::Module;
 use crate::opcode::{Opcode, Purity};
 use crate::pass::{for_each_function, Pass};
@@ -25,8 +26,19 @@ impl Pass for CsePass {
     }
 
     fn run_on(&self, module: &mut Module) -> bool {
-        for_each_function(module, |_, body| run_on_body(body))
+        let mut bufs = CseBuffers::default();
+        for_each_function(module, |_, body| run_on_body(body, &mut bufs))
     }
+}
+
+/// CSE's tables, reused for every region and body of a pass run: the
+/// value table (cleared per region, so it keeps its capacity), the op list
+/// of the block being scanned and a dominator tree rebuilt in place.
+#[derive(Debug, Default)]
+pub struct CseBuffers {
+    table: FxHashMap<CseKey, (ValueId, BlockId)>,
+    ops: Vec<OpId>,
+    tree: DomTree,
 }
 
 /// A structural key identifying a pure computation. Reuses the op's inline
@@ -40,7 +52,7 @@ struct CseKey {
 }
 
 /// Runs CSE on one body. Returns whether anything changed.
-pub fn run_on_body(body: &mut Body) -> bool {
+pub fn run_on_body(body: &mut Body, bufs: &mut CseBuffers) -> bool {
     let mut changed = false;
     for ri in 0..body.regions.len() {
         let region = RegionId(ri as u32);
@@ -50,26 +62,31 @@ pub fn run_on_body(body: &mut Body) -> bool {
         if ri != 0 && body.regions[ri].parent.is_none() {
             continue;
         }
-        changed |= cse_region(body, region);
+        changed |= cse_region(body, region, bufs);
     }
     changed
 }
 
-fn cse_region(body: &mut Body, region: RegionId) -> bool {
+fn cse_region(body: &mut Body, region: RegionId, bufs: &mut CseBuffers) -> bool {
     // Dominance is needed only once two keys meet. Until then nothing is
     // replaced and every key in the table is distinct; when the tree is
     // built, the entries of unreachable blocks leave the table, which is
     // the table a walk of the reachable blocks alone would have built.
-    let mut tree: Option<DomTree> = None;
-    let blocks: Vec<BlockId> = body.regions[region.index()].blocks.clone();
-    let mut table: FxHashMap<CseKey, (ValueId, BlockId)> = FxHashMap::default();
+    // The table is only ever probed by key, so its capacity — and with it
+    // its iteration order — cannot steer a decision.
+    let CseBuffers { table, ops, tree } = bufs;
+    let mut have_tree = false;
+    table.clear();
     let mut changed = false;
-    for &block in &blocks {
-        if tree.as_ref().is_some_and(|t| !t.is_reachable(block)) {
+    // Erasing ops never changes a region's block list.
+    for k in 0..body.regions[region.index()].blocks.len() {
+        let block = body.regions[region.index()].blocks[k];
+        if have_tree && !tree.is_reachable(block) {
             continue;
         }
-        let ops = body.blocks[block.index()].ops.clone();
-        for op in ops {
+        ops.clear();
+        ops.extend_from_slice(&body.blocks[block.index()].ops);
+        for &op in ops.iter() {
             let data = &body.ops[op.index()];
             if data.dead
                 || data.opcode.purity() != Purity::Pure
@@ -84,20 +101,18 @@ fn cse_region(body: &mut Body, region: RegionId) -> bool {
                 attrs: data.attrs.clone(),
                 ty: data.result().map(|r| body.value_type(r)),
             };
-            if tree.is_none() && table.contains_key(&key) {
-                let t = DomTree::compute(body, region);
-                table.retain(|_, &mut (_, b)| t.is_reachable(b));
-                let reachable = t.is_reachable(block);
-                tree = Some(t);
-                if !reachable {
+            if !have_tree && table.contains_key(&key) {
+                tree.recompute(body, region);
+                have_tree = true;
+                table.retain(|_, &mut (_, b)| tree.is_reachable(b));
+                if !tree.is_reachable(block) {
                     break;
                 }
             }
             match table.get(&key) {
                 // An entry can meet `key` only once the tree exists.
                 Some(&(existing, def_block))
-                    if def_block == block
-                        || tree.as_ref().is_some_and(|t| t.dominates(def_block, block)) =>
+                    if def_block == block || (have_tree && tree.dominates(def_block, block)) =>
                 {
                     let result = body.ops[op.index()].result().unwrap();
                     body.replace_all_uses(result, existing);
@@ -130,7 +145,7 @@ mod tests {
         let c2 = b.const_i(7, Type::I64);
         let s = b.addi(c1, c2);
         b.ret(s);
-        assert!(run_on_body(&mut body));
+        assert!(run_on_body(&mut body, &mut CseBuffers::default()));
         let add = body.defining_op(s).unwrap();
         let ops = body.ops[add.index()].operands.clone();
         assert_eq!(ops[0], ops[1]);
@@ -146,7 +161,7 @@ mod tests {
         let c2 = b.const_i(8, Type::I64);
         let s = b.addi(c1, c2);
         b.ret(s);
-        assert!(!run_on_body(&mut body));
+        assert!(!run_on_body(&mut body, &mut CseBuffers::default()));
     }
 
     #[test]
@@ -160,7 +175,7 @@ mod tests {
         let mut bn = Builder::at_end(&mut body, next);
         let e2 = bn.muli(params[0], params[0]);
         bn.ret(e2);
-        assert!(run_on_body(&mut body));
+        assert!(run_on_body(&mut body, &mut CseBuffers::default()));
         let ret = body.terminator(next).unwrap();
         assert_eq!(body.ops[ret.index()].operands, vec![e1]);
     }
@@ -180,7 +195,7 @@ mod tests {
         let mut bc = Builder::at_end(&mut body, c);
         let vc = bc.muli(params[1], params[1]);
         bc.ret(vc);
-        assert!(!run_on_body(&mut body));
+        assert!(!run_on_body(&mut body, &mut CseBuffers::default()));
         assert!(!body.ops[body.defining_op(vc).unwrap().index()].dead);
         assert!(!body.ops[body.defining_op(va).unwrap().index()].dead);
     }
@@ -196,7 +211,7 @@ mod tests {
         let n2 = b.lp_construct(0, vec![]);
         let pair = b.lp_construct(1, vec![n1, n2]);
         b.lp_ret(pair);
-        assert!(!run_on_body(&mut body));
+        assert!(!run_on_body(&mut body, &mut CseBuffers::default()));
         assert_eq!(body.live_op_count(), 4);
     }
 
@@ -212,7 +227,7 @@ mod tests {
         let y = b.andi(x, c3);
         b.ret(y);
         let before = body.live_op_count();
-        assert!(run_on_body(&mut body));
+        assert!(run_on_body(&mut body, &mut CseBuffers::default()));
         assert_eq!(body.live_op_count(), before - 1);
     }
 }

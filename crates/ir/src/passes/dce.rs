@@ -11,7 +11,8 @@
 use crate::body::Body;
 use crate::module::Module;
 use crate::pass::{for_each_function, Pass};
-use crate::rewrite::erase_trivially_dead;
+use crate::passes::simplify_cfg::{remove_unreachable_blocks, CfgBuffers};
+use crate::rewrite::{erase_trivially_dead, RewriteBuffers};
 
 /// The DCE pass.
 #[derive(Debug, Default, Clone, Copy)]
@@ -23,16 +24,17 @@ impl Pass for DcePass {
     }
 
     fn run_on(&self, module: &mut Module) -> bool {
-        for_each_function(module, |_, body| run_on_body(body))
+        let (mut dead, mut cfg) = (RewriteBuffers::default(), CfgBuffers::default());
+        for_each_function(module, |_, body| run_on_body(body, &mut dead, &mut cfg))
     }
 }
 
 /// Runs DCE on one body. Returns whether anything changed.
-pub fn run_on_body(body: &mut Body) -> bool {
+pub fn run_on_body(body: &mut Body, dead: &mut RewriteBuffers, cfg: &mut CfgBuffers) -> bool {
     let mut changed = false;
     loop {
-        let mut round = erase_trivially_dead(body);
-        round |= crate::passes::simplify_cfg::remove_unreachable_blocks(body);
+        let mut round = erase_trivially_dead(body, dead);
+        round |= remove_unreachable_blocks(body, cfg);
         changed |= round;
         if !round {
             break;
@@ -57,7 +59,11 @@ mod tests {
         let dead1 = b.muli(params[0], c);
         let _dead2 = b.addi(dead1, c); // uses dead1; both must go
         b.ret(params[0]);
-        assert!(run_on_body(&mut body));
+        assert!(run_on_body(
+            &mut body,
+            &mut RewriteBuffers::default(),
+            &mut CfgBuffers::default()
+        ));
         assert_eq!(body.live_op_count(), 1);
     }
 
@@ -82,8 +88,13 @@ mod tests {
         }
         let mut b = Builder::at_end(&mut body, entry);
         b.rgn_run(live_rgn, vec![]);
-        assert!(run_on_body(&mut body));
-        let ops = body.walk_ops();
+        assert!(run_on_body(
+            &mut body,
+            &mut RewriteBuffers::default(),
+            &mut CfgBuffers::default()
+        ));
+        let mut ops = Vec::new();
+        body.walk_ops(&mut ops);
         let opcodes: Vec<Opcode> = ops.iter().map(|o| body.ops[o.index()].opcode).collect();
         assert_eq!(
             opcodes,
@@ -107,7 +118,11 @@ mod tests {
         let mut bd = Builder::at_end(&mut body, dead);
         let v = bd.const_i(1, Type::I64);
         bd.ret(v);
-        assert!(run_on_body(&mut body));
+        assert!(run_on_body(
+            &mut body,
+            &mut RewriteBuffers::default(),
+            &mut CfgBuffers::default()
+        ));
         assert_eq!(body.regions[0].blocks.len(), 1);
         assert_eq!(body.live_op_count(), 2);
     }

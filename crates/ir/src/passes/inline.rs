@@ -6,8 +6,8 @@
 //! builtin inliner in the role Figure 11 assigns it; the restriction keeps
 //! the transformation obviously sound (no block splitting required).
 
-use crate::body::Body;
-use crate::hash::{FxHashMap, FxHashSet};
+use crate::body::{Body, OperandList};
+use crate::hash::FxHashMap;
 use crate::ids::{OpId, ValueId};
 use crate::module::Module;
 use crate::opcode::Opcode;
@@ -35,10 +35,12 @@ impl Pass for InlinePass {
     fn run_on(&self, module: &mut Module) -> bool {
         let mut changed = false;
         // Snapshot which callees are inlinable, then rewrite call sites.
+        let mut snippets = Snippets::default();
+        let mut known = Vec::new();
         let mut inlinable: Vec<Option<InlinableCallee>> = module
             .funcs
             .iter()
-            .map(|f| InlinableCallee::extract(f.body.as_ref(), self.max_callee_ops))
+            .map(|f| snippets.extract(f.body.as_ref(), self.max_callee_ops, &mut known))
             .collect();
         // A callee that reaches itself through inlinable callees would be
         // spliced forever (each splice re-creates the call it replaced).
@@ -50,8 +52,8 @@ impl Pass for InlinePass {
                 let Some(snippet) = snippet else {
                     return Vec::new();
                 };
-                snippet
-                    .ops
+                snippets
+                    .ops(snippet)
                     .iter()
                     .filter(|data| data.opcode == Opcode::Call)
                     .filter_map(|data| data.attr(crate::attr::AttrKey::Callee)?.as_sym())
@@ -65,6 +67,8 @@ impl Pass for InlinePass {
                 *snippet = None;
             }
         }
+        let mut walk = Vec::new();
+        let mut map = FxHashMap::default();
         for i in 0..module.funcs.len() {
             let Some(mut body) = module.funcs[i].body.take() else {
                 continue;
@@ -72,7 +76,8 @@ impl Pass for InlinePass {
             let caller = module.funcs[i].name;
             loop {
                 let mut did = false;
-                for op in body.walk_ops() {
+                body.walk_ops(&mut walk);
+                for &op in &walk {
                     if body.ops[op.index()].dead || body.ops[op.index()].opcode != Opcode::Call {
                         continue;
                     }
@@ -91,7 +96,7 @@ impl Pass for InlinePass {
                     let Some(snippet) = &inlinable[pos] else {
                         continue;
                     };
-                    if !inline_at(&mut body, op, snippet) {
+                    if !snippets.inline_at(&mut body, op, snippet, &mut map) {
                         continue; // malformed call site (arity/result shape)
                     }
                     did = true;
@@ -108,24 +113,43 @@ impl Pass for InlinePass {
     }
 }
 
-/// A callee captured in an inlinable form.
+/// A callee captured in an inlinable form: its place in [`Snippets`].
 ///
 /// The snapshot is self-contained: op data plus the result *types* of every
 /// op, captured at extraction time, so splicing never needs the callee's
 /// `Body` (which used to be cloned wholesale just for `value_type` lookups).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct InlinableCallee {
-    params: Vec<ValueId>,
-    /// Ops in order, excluding the terminator.
-    ops: Vec<crate::body::OpData>,
-    /// Result types of each op, parallel to `ops`.
-    result_tys: Vec<Vec<Type>>,
+    /// The callee's parameters: `Snippets::params[params.0..params.1]`.
+    params: (u32, u32),
+    /// Its ops in order, excluding the terminator: `Snippets::ops[ops.0..ops.1]`.
+    ops: (u32, u32),
+    /// Where the result types of its first op start in
+    /// `Snippets::result_tys`; the ops' types follow one another.
+    result_tys: u32,
     /// The callee value returned by the terminator.
     returned: ValueId,
 }
 
-impl InlinableCallee {
-    fn extract(body: Option<&Body>, max_ops: usize) -> Option<InlinableCallee> {
+/// Every inlinable callee of a module, in three shared arrays, so that
+/// snapshotting a module costs a few allocations rather than a few per
+/// callee and op.
+#[derive(Debug, Default)]
+struct Snippets {
+    params: Vec<ValueId>,
+    ops: Vec<crate::body::OpData>,
+    result_tys: Vec<Type>,
+}
+
+impl Snippets {
+    /// Captures `body` if it is inlinable. `known` is a per-value scratch
+    /// table, all `false` between calls.
+    fn extract(
+        &mut self,
+        body: Option<&Body>,
+        max_ops: usize,
+        known: &mut Vec<bool>,
+    ) -> Option<InlinableCallee> {
         let body = body?;
         let root = &body.regions[crate::body::ROOT_REGION.index()];
         if root.blocks.len() != 1 {
@@ -146,68 +170,113 @@ impl InlinableCallee {
         // Every value the snippet mentions must be a parameter or a result
         // of an earlier snippet op; anything else (a use of a detached or
         // malformed value) would be unmappable at the call site.
-        let mut known: FxHashSet<ValueId> = body.params().iter().copied().collect();
-        let mut cloned = Vec::new();
-        let mut result_tys = Vec::new();
-        for &op in &ops[..ops.len() - 1] {
-            let data = &body.ops[op.index()];
-            if !data.regions.is_empty() || !data.successors.is_empty() {
-                return None;
-            }
-            if !data.operands.iter().all(|v| known.contains(v)) {
-                return None;
-            }
-            known.extend(data.results.iter().copied());
-            result_tys.push(data.results.iter().map(|&r| body.value_type(r)).collect());
-            cloned.push(data.clone());
+        let body_ops = &ops[..ops.len() - 1];
+        if known.len() < body.values.len() {
+            known.resize(body.values.len(), false);
         }
-        if !known.contains(&returned) {
+        let mark = |known: &mut [bool], vs: &[ValueId], on: bool| {
+            for &v in vs {
+                known[v.index()] = on;
+            }
+        };
+        mark(known, body.params(), true);
+        let mut ok = true;
+        for &op in body_ops {
+            let data = &body.ops[op.index()];
+            if !data.regions.is_empty()
+                || !data.successors.is_empty()
+                || !data.operands.iter().all(|v| known[v.index()])
+            {
+                ok = false;
+                break;
+            }
+            mark(known, &data.results, true);
+        }
+        ok &= known[returned.index()];
+        // Leave the table all `false` for the next body.
+        mark(known, body.params(), false);
+        for &op in body_ops {
+            mark(known, &body.ops[op.index()].results, false);
+        }
+        if !ok {
             return None;
         }
-        Some(InlinableCallee {
-            params: body.params().to_vec(),
-            ops: cloned,
-            result_tys,
+        let callee = InlinableCallee {
+            params: self.span_params(body.params()),
+            ops: (
+                self.ops.len() as u32,
+                (self.ops.len() + body_ops.len()) as u32,
+            ),
+            result_tys: self.result_tys.len() as u32,
             returned,
-        })
-    }
-}
-
-/// Splices `snippet` in place of `call`. Returns `false` — leaving the body
-/// untouched — when the call site does not match the snapshot's shape: an
-/// argument count different from the callee's parameter count (zipping
-/// would silently mis-map values) or a call without exactly one result
-/// (there would be nothing to substitute the returned value for).
-fn inline_at(body: &mut Body, call: OpId, snippet: &InlinableCallee) -> bool {
-    let args = body.ops[call.index()].operands.clone();
-    if args.len() != snippet.params.len() {
-        return false;
-    }
-    let Some(call_result) = body.ops[call.index()].result() else {
-        return false;
-    };
-    let mut map: FxHashMap<ValueId, ValueId> = FxHashMap::default();
-    for (&p, &a) in snippet.params.iter().zip(&args) {
-        map.insert(p, a);
-    }
-    for (data, result_tys) in snippet.ops.iter().zip(&snippet.result_tys) {
-        let operands: Vec<ValueId> = data
-            .operands
-            .iter()
-            .map(|v| *map.get(v).expect("extract() checked every operand"))
-            .collect();
-        let new_op = body.create_op(data.opcode, operands, result_tys, data.attrs.clone());
-        body.insert_op_before(call, new_op);
-        for (i, &old_r) in data.results.iter().enumerate() {
-            map.insert(old_r, body.ops[new_op.index()].results[i]);
+        };
+        for &op in body_ops {
+            let data = &body.ops[op.index()];
+            self.result_tys
+                .extend(data.results.iter().map(|&r| body.value_type(r)));
+            self.ops.push(data.clone());
         }
+        Some(callee)
     }
-    let returned = *map
-        .get(&snippet.returned)
-        .expect("extract() checked the returned value");
-    body.replace_all_uses(call_result, returned);
-    body.erase_op(call);
-    true
+
+    fn span_params(&mut self, params: &[ValueId]) -> (u32, u32) {
+        let start = self.params.len() as u32;
+        self.params.extend_from_slice(params);
+        (start, self.params.len() as u32)
+    }
+
+    /// The ops of `snippet`, excluding its terminator.
+    fn ops(&self, snippet: &InlinableCallee) -> &[crate::body::OpData] {
+        &self.ops[snippet.ops.0 as usize..snippet.ops.1 as usize]
+    }
+
+    /// Splices `snippet` in place of `call`. Returns `false` — leaving the
+    /// body untouched — when the call site does not match the snapshot's
+    /// shape: an argument count different from the callee's parameter
+    /// count (zipping would silently mis-map values) or a call without
+    /// exactly one result (there would be nothing to substitute the
+    /// returned value for). `map` is scratch, reused across splices.
+    fn inline_at(
+        &self,
+        body: &mut Body,
+        call: OpId,
+        snippet: &InlinableCallee,
+        map: &mut FxHashMap<ValueId, ValueId>,
+    ) -> bool {
+        let params = &self.params[snippet.params.0 as usize..snippet.params.1 as usize];
+        let args = body.ops[call.index()].operands.clone();
+        if args.len() != params.len() {
+            return false;
+        }
+        let Some(call_result) = body.ops[call.index()].result() else {
+            return false;
+        };
+        map.clear();
+        for (&p, &a) in params.iter().zip(&args) {
+            map.insert(p, a);
+        }
+        let mut tys = snippet.result_tys as usize;
+        for data in self.ops(snippet) {
+            let operands: OperandList = data
+                .operands
+                .iter()
+                .map(|v| *map.get(v).expect("extract() checked every operand"))
+                .collect();
+            let result_tys = &self.result_tys[tys..tys + data.results.len()];
+            tys += data.results.len();
+            let new_op = body.create_op(data.opcode, operands, result_tys, data.attrs.clone());
+            body.insert_op_before(call, new_op);
+            for (i, &old_r) in data.results.iter().enumerate() {
+                map.insert(old_r, body.ops[new_op.index()].results[i]);
+            }
+        }
+        let returned = *map
+            .get(&snippet.returned)
+            .expect("extract() checked the returned value");
+        body.replace_all_uses(call_result, returned);
+        body.erase_op(call);
+        true
+    }
 }
 
 /// Which nodes of the graph `succs` lie on a cycle (a strongly connected
@@ -221,11 +290,12 @@ fn on_cycle(succs: &[Vec<usize>]) -> Vec<bool> {
     let mut component = Vec::new();
     let mut cyclic = vec![false; n];
     let mut next = 0;
+    let mut dfs = Vec::new();
     for root in 0..n {
         if index[root].is_some() {
             continue;
         }
-        let mut dfs = vec![(root, 0)];
+        dfs.push((root, 0));
         index[root] = Some(next);
         low[root] = next;
         next += 1;
@@ -257,9 +327,8 @@ fn on_cycle(succs: &[Vec<usize>]) -> Vec<bool> {
                     .iter()
                     .rposition(|&w| w == v)
                     .expect("a component root is on the stack");
-                let members = component.split_off(start);
-                let is_cycle = members.len() > 1 || succs[v].contains(&v);
-                for w in members {
+                let is_cycle = component.len() - start > 1 || succs[v].contains(&v);
+                for w in component.drain(start..) {
                     on_stack[w] = false;
                     cyclic[w] = is_cycle;
                 }
@@ -275,6 +344,13 @@ mod tests {
     use crate::builder::Builder;
     use crate::ids::Symbol;
     use crate::types::{Signature, Type};
+
+    /// The body's ops in walk order.
+    fn walk(body: &crate::body::Body) -> Vec<crate::ids::OpId> {
+        let mut ops = Vec::new();
+        body.walk_ops(&mut ops);
+        ops
+    }
 
     fn make_square(m: &mut Module) -> Symbol {
         let (mut body, params) = Body::new(&[Type::I64]);
@@ -301,13 +377,11 @@ mod tests {
         assert!(InlinePass::default().run_on(&mut m));
         crate::verifier::verify_module(&m).unwrap();
         let body = m.func_by_name("f").unwrap().body.as_ref().unwrap();
-        let has_call = body
-            .walk_ops()
+        let has_call = walk(&body)
             .iter()
             .any(|&op| body.ops[op.index()].opcode == Opcode::Call);
         assert!(!has_call, "call must be inlined");
-        let has_mul = body
-            .walk_ops()
+        let has_mul = walk(&body)
             .iter()
             .any(|&op| body.ops[op.index()].opcode == Opcode::MulI);
         assert!(has_mul, "callee body must be spliced in");
@@ -363,8 +437,7 @@ mod tests {
         crate::verifier::verify_module(&m).unwrap();
         let spin = m.intern("spin");
         let body = m.func_by_name("main").unwrap().body.as_ref().unwrap();
-        let callees: Vec<Symbol> = body
-            .walk_ops()
+        let callees: Vec<Symbol> = walk(&body)
             .iter()
             .filter_map(|&op| body.ops[op.index()].attr(crate::attr::AttrKey::Callee))
             .filter_map(|a| a.as_sym())
@@ -438,8 +511,7 @@ mod tests {
 
         assert!(!InlinePass::default().run_on(&mut m));
         let body = m.func_by_name("f").unwrap().body.as_ref().unwrap();
-        let has_call = body
-            .walk_ops()
+        let has_call = walk(&body)
             .iter()
             .any(|&op| body.ops[op.index()].opcode == Opcode::Call);
         assert!(has_call, "the malformed call site must be left alone");
@@ -489,8 +561,7 @@ mod tests {
 
         assert!(!InlinePass::default().run_on(&mut m));
         let body = m.func_by_name("f").unwrap().body.as_ref().unwrap();
-        let has_call = body
-            .walk_ops()
+        let has_call = walk(&body)
             .iter()
             .any(|&op| body.ops[op.index()].opcode == Opcode::Call);
         assert!(has_call, "the mis-arity call site must be left alone");
@@ -523,8 +594,7 @@ mod tests {
         InlinePass::default().run_on(&mut m);
         crate::verifier::verify_module(&m).unwrap();
         let body = m.func_by_name("f").unwrap().body.as_ref().unwrap();
-        let has_call = body
-            .walk_ops()
+        let has_call = walk(&body)
             .iter()
             .any(|&op| body.ops[op.index()].opcode == Opcode::Call);
         assert!(!has_call);

@@ -105,8 +105,9 @@ impl Pass for RcOptPass {
             .filter(|f| f.is_extern())
             .map(|f| f.name)
             .collect();
+        let mut bufs = RcOptBuffers::default();
         let changed = for_each_function(module, |_, body| {
-            let stats = run_on_body(&externs, body);
+            let stats = run_on_body(&externs, body, &mut bufs);
             total.elided_pairs += stats.elided_pairs;
             total.sunk_decs += stats.sunk_decs;
             total.folded_incs += stats.folded_incs;
@@ -127,26 +128,52 @@ impl Pass for RcOptPass {
     }
 }
 
+/// The pass's working tables, reused for every block and body of a run.
+#[derive(Debug, Default)]
+pub struct RcOptBuffers {
+    /// The op list of the block being rewritten.
+    ops: Vec<OpId>,
+    /// The body's region-tree walk.
+    walk: Vec<OpId>,
+    borrows: Borrows,
+}
+
+/// Immediate borrow sources per value, in compressed rows: value `x` may
+/// borrow from `of[start[x]..start[x + 1]]`. `lp.project` results borrow
+/// from the projected object; `select`/`switch_val` results may alias any
+/// of their operands.
+#[derive(Debug, Default)]
+struct Borrows {
+    start: Vec<u32>,
+    of: Vec<ValueId>,
+    /// Scratch of [`Borrows::borrows_from`].
+    work: Vec<ValueId>,
+    seen: Vec<ValueId>,
+}
+
 /// Runs the optimization on one body, to a fixpoint. `externs` names the
 /// module's extern (builtin) functions — borrow folding applies only to
 /// calls targeting them. Returns the counters.
-pub fn run_on_body(externs: &FxHashSet<Symbol>, body: &mut Body) -> RcOptStats {
+pub fn run_on_body(
+    externs: &FxHashSet<Symbol>,
+    body: &mut Body,
+    bufs: &mut RcOptBuffers,
+) -> RcOptStats {
     let mut stats = RcOptStats::default();
-    // Immediate borrow sources per value: `lp.project` results borrow from
-    // the projected object; `select`/`switch_val` results may alias any of
-    // their operands. Indexed by value id; rebuilt only when ops are erased
-    // (erasing never adds aliases, so reuse across rounds is sound — but a
-    // stale entry could only make the check *more* conservative anyway).
-    let sources = borrow_sources(body);
+    // Borrow sources are built once per body (erasing never adds aliases,
+    // so reuse across rounds is sound — but a stale entry could only make
+    // the check *more* conservative anyway).
+    body.walk_ops(&mut bufs.walk);
+    bufs.borrows.build(body, &bufs.walk);
     for b in 0..body.blocks.len() {
         if body.blocks[b].parent.is_none() {
             continue;
         }
         loop {
             let mut round = false;
-            round |= fold_borrows(externs, body, b, &mut stats);
-            round |= sink_decs(body, b, &sources, &mut stats);
-            round |= elide_pairs(body, b, &mut stats);
+            round |= fold_borrows(externs, body, b, &mut bufs.ops, &mut stats);
+            round |= sink_decs(body, b, bufs, &mut stats);
+            round |= elide_pairs(body, b, &mut bufs.ops, &mut stats);
             if !round {
                 break;
             }
@@ -155,47 +182,78 @@ pub fn run_on_body(externs: &FxHashSet<Symbol>, body: &mut Body) -> RcOptStats {
     stats
 }
 
-/// For each value, the values it may borrow from (immediate, not
-/// transitive). Dense over the value arena.
-fn borrow_sources(body: &Body) -> Vec<Vec<ValueId>> {
-    let mut sources: Vec<Vec<ValueId>> = vec![Vec::new(); body.values.len()];
-    for op in body.walk_ops() {
-        let d = &body.ops[op.index()];
-        let aliasing = matches!(
-            d.opcode,
-            Opcode::LpProject | Opcode::Select | Opcode::SwitchVal
-        );
-        if !aliasing {
-            continue;
+impl Borrows {
+    /// Fills the rows from the ops of `walk`.
+    fn build(&mut self, body: &Body, walk: &[OpId]) {
+        let aliasing = |d: &OpData| {
+            matches!(
+                d.opcode,
+                Opcode::LpProject | Opcode::Select | Opcode::SwitchVal
+            )
+        };
+        // Count each row, turn the counts into row ends, then fill every
+        // row back to front: rows keep the walk's order.
+        self.start.clear();
+        self.start.resize(body.values.len() + 1, 0);
+        for &op in walk {
+            let d = &body.ops[op.index()];
+            if aliasing(d) {
+                for &r in d.results.as_slice() {
+                    self.start[r.index()] += d.operands.len() as u32;
+                }
+            }
         }
-        for &r in d.results.as_slice() {
-            for &o in d.operands.as_slice() {
-                sources[r.index()].push(o);
+        for i in 1..self.start.len() {
+            self.start[i] += self.start[i - 1];
+        }
+        self.of.clear();
+        self.of
+            .resize(*self.start.last().unwrap() as usize, ValueId::default());
+        for &op in walk.iter().rev() {
+            let d = &body.ops[op.index()];
+            if aliasing(d) {
+                for &r in d.results.as_slice() {
+                    for &o in d.operands.as_slice().iter().rev() {
+                        self.start[r.index()] -= 1;
+                        self.of[self.start[r.index()] as usize] = o;
+                    }
+                }
             }
         }
     }
-    sources
-}
 
-/// Whether `u` is `v` or (transitively) borrows from `v`.
-fn borrows_from(u: ValueId, v: ValueId, sources: &[Vec<ValueId>]) -> bool {
-    if u == v {
-        return true;
+    fn of(&self, x: ValueId) -> &[ValueId] {
+        &self.of[self.start[x.index()] as usize..self.start[x.index() + 1] as usize]
     }
-    let mut work = vec![u];
-    let mut seen = vec![u];
-    while let Some(x) = work.pop() {
-        for &s in &sources[x.index()] {
-            if s == v {
-                return true;
-            }
-            if !seen.contains(&s) {
-                seen.push(s);
-                work.push(s);
+
+    /// Whether `u` is `v` or (transitively) borrows from `v`.
+    fn borrows_from(&mut self, u: ValueId, v: ValueId) -> bool {
+        if u == v {
+            return true;
+        }
+        let mut work = std::mem::take(&mut self.work);
+        let mut seen = std::mem::take(&mut self.seen);
+        work.clear();
+        seen.clear();
+        work.push(u);
+        seen.push(u);
+        let mut found = false;
+        'search: while let Some(x) = work.pop() {
+            for &s in self.of(x) {
+                if s == v {
+                    found = true;
+                    break 'search;
+                }
+                if !seen.contains(&s) {
+                    seen.push(s);
+                    work.push(s);
+                }
             }
         }
+        self.work = work;
+        self.seen = seen;
+        found
     }
-    false
 }
 
 /// Folds `lp.inc %v` ops into the `borrow_mask` of a downstream extern
@@ -205,11 +263,13 @@ fn fold_borrows(
     externs: &FxHashSet<Symbol>,
     body: &mut Body,
     b: usize,
+    ops: &mut Vec<OpId>,
     stats: &mut RcOptStats,
 ) -> bool {
     let mut changed = false;
     'restart: loop {
-        let ops = body.blocks[b].ops.clone();
+        ops.clear();
+        ops.extend_from_slice(&body.blocks[b].ops);
         for (k, &call) in ops.iter().enumerate() {
             let c = &body.ops[call.index()];
             if c.opcode != Opcode::Call {
@@ -224,8 +284,10 @@ fn fold_borrows(
                 .and_then(Attr::as_int)
                 .unwrap_or(0);
             // The mask is a u8 on the VM side; positions past 8 stay owned.
-            let args: Vec<ValueId> = c.operands.as_slice().iter().copied().take(8).collect();
-            for (p, &v) in args.iter().enumerate() {
+            let mut args = [ValueId::default(); 8];
+            let n = c.operands.len().min(8);
+            args[..n].copy_from_slice(&c.operands[..n]);
+            for (p, &v) in args[..n].iter().enumerate() {
                 if mask & (1 << p) != 0 {
                     continue;
                 }
@@ -276,8 +338,10 @@ fn set_borrow_mask(body: &mut Body, op: OpId, mask: i64) {
 }
 
 /// Moves every `lp.dec` in the block to its earliest safe point.
-fn sink_decs(body: &mut Body, b: usize, sources: &[Vec<ValueId>], stats: &mut RcOptStats) -> bool {
-    let mut ops = body.blocks[b].ops.clone();
+fn sink_decs(body: &mut Body, b: usize, bufs: &mut RcOptBuffers, stats: &mut RcOptStats) -> bool {
+    let RcOptBuffers { ops, borrows, .. } = bufs;
+    ops.clear();
+    ops.extend_from_slice(&body.blocks[b].ops);
     let mut changed = false;
     for i in 1..ops.len() {
         let d = &body.ops[ops[i].index()];
@@ -286,7 +350,7 @@ fn sink_decs(body: &mut Body, b: usize, sources: &[Vec<ValueId>], stats: &mut Rc
         }
         let v = d.operands.as_slice()[0];
         let mut j = i;
-        while j > 0 && may_hop_above(body, ops[j - 1], v, sources) {
+        while j > 0 && may_hop_above(body, ops[j - 1], v, borrows) {
             j -= 1;
         }
         if j < i {
@@ -296,14 +360,14 @@ fn sink_decs(body: &mut Body, b: usize, sources: &[Vec<ValueId>], stats: &mut Rc
         }
     }
     if changed {
-        body.blocks[b].ops = ops;
+        body.blocks[b].ops.copy_from_slice(ops);
     }
     changed
 }
 
 /// Whether `lp.dec %v` may move from directly after `prev` to directly
 /// before it.
-fn may_hop_above(body: &Body, prev: OpId, v: ValueId, sources: &[Vec<ValueId>]) -> bool {
+fn may_hop_above(body: &Body, prev: OpId, v: ValueId, borrows: &mut Borrows) -> bool {
     let d = &body.ops[prev.index()];
     // Anything with observable reference-count behaviour pins the dec:
     // other inc/dec ops (a crossed dec could free an object this dec's
@@ -323,15 +387,16 @@ fn may_hop_above(body: &Body, prev: OpId, v: ValueId, sources: &[Vec<ValueId>]) 
     !d.operands
         .as_slice()
         .iter()
-        .any(|&u| borrows_from(u, v, sources))
+        .any(|&u| borrows.borrows_from(u, v))
 }
 
 /// Deletes `lp.inc %v` / `lp.dec %v` pairs whose window contains no
 /// decrement-capable operation.
-fn elide_pairs(body: &mut Body, b: usize, stats: &mut RcOptStats) -> bool {
+fn elide_pairs(body: &mut Body, b: usize, ops: &mut Vec<OpId>, stats: &mut RcOptStats) -> bool {
     let mut changed = false;
     'restart: loop {
-        let ops = body.blocks[b].ops.clone();
+        ops.clear();
+        ops.extend_from_slice(&body.blocks[b].ops);
         for (j, &dec) in ops.iter().enumerate() {
             let d = &body.ops[dec.index()];
             if d.opcode != Opcode::LpDec {
@@ -373,6 +438,13 @@ mod tests {
     use crate::types::{Signature, Type};
     use crate::verifier::verify_module;
 
+    /// The body's ops in walk order.
+    fn walk(body: &crate::body::Body) -> Vec<crate::ids::OpId> {
+        let mut ops = Vec::new();
+        body.walk_ops(&mut ops);
+        ops
+    }
+
     fn obj_fn(build: impl FnOnce(&mut Builder<'_>, &[ValueId])) -> Module {
         let mut m = Module::new();
         let (mut body, params) = Body::new(&[Type::Obj]);
@@ -385,7 +457,7 @@ mod tests {
 
     fn opcodes(m: &Module) -> Vec<Opcode> {
         let body = m.func_by_name("f").unwrap().body.as_ref().unwrap();
-        body.walk_ops()
+        walk(&body)
             .iter()
             .map(|o| body.ops[o.index()].opcode)
             .collect()
@@ -548,8 +620,7 @@ mod tests {
 
     fn mask_of(m: &Module) -> i64 {
         let body = m.func_by_name("f").unwrap().body.as_ref().unwrap();
-        let call = body
-            .walk_ops()
+        let call = walk(&body)
             .into_iter()
             .find(|o| body.ops[o.index()].opcode == Opcode::Call)
             .expect("call survives");

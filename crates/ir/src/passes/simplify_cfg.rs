@@ -1,11 +1,13 @@
 //! CFG simplification: unreachable-block removal and straight-line block
 //! merging. Runs after the `rgn`→CFG lowering to tidy the jump-table code it
 //! emits (§IV-C).
+//!
+//! Both walks keep their tables in [`CfgBuffers`], dense over block ids and
+//! reused for every body of a pass run.
 
 use crate::body::Body;
 use crate::dom::successors;
-use crate::hash::FxHashMap;
-use crate::ids::BlockId;
+use crate::ids::{BlockId, ValueId};
 use crate::module::Module;
 use crate::opcode::Opcode;
 use crate::pass::{for_each_function, Pass};
@@ -20,16 +22,32 @@ impl Pass for SimplifyCfgPass {
     }
 
     fn run_on(&self, module: &mut Module) -> bool {
-        for_each_function(module, |_, body| run_on_body(body))
+        let mut bufs = CfgBuffers::default();
+        for_each_function(module, |_, body| run_on_body(body, &mut bufs))
     }
 }
 
+/// The tables of the CFG walks, reused across bodies; every call resets
+/// what it uses.
+#[derive(Debug, Default)]
+pub struct CfgBuffers {
+    /// Per block id: reached from its region's entry. All `false` between
+    /// calls.
+    reached: Vec<bool>,
+    /// The blocks reached so far, in discovery order.
+    seen: Vec<BlockId>,
+    /// Per block id: predecessor edges within the region being merged.
+    pred_edges: Vec<u32>,
+    /// The arguments of the branch being folded into its successor.
+    args: Vec<ValueId>,
+}
+
 /// Runs CFG simplification on one body. Returns whether anything changed.
-pub fn run_on_body(body: &mut Body) -> bool {
+pub fn run_on_body(body: &mut Body, bufs: &mut CfgBuffers) -> bool {
     let mut changed = false;
     loop {
-        let mut round = remove_unreachable_blocks(body);
-        round |= merge_straightline_blocks(body);
+        let mut round = remove_unreachable_blocks(body, bufs);
+        round |= merge_straightline_blocks(body, bufs);
         changed |= round;
         if !round {
             break;
@@ -44,10 +62,9 @@ pub fn run_on_body(body: &mut Body) -> bool {
 /// Reachability is a plain graph walk (no dominator tree) over one bitmap
 /// shared by all regions; a single-block region is skipped outright, since
 /// its only block is the entry.
-pub fn remove_unreachable_blocks(body: &mut Body) -> bool {
+pub fn remove_unreachable_blocks(body: &mut Body, bufs: &mut CfgBuffers) -> bool {
     let mut changed = false;
-    let mut reached: Vec<bool> = Vec::new();
-    let mut seen: Vec<BlockId> = Vec::new();
+    let CfgBuffers { reached, seen, .. } = bufs;
     for ri in 0..body.regions.len() {
         if body.regions[ri].blocks.len() < 2 {
             continue;
@@ -56,8 +73,8 @@ pub fn remove_unreachable_blocks(body: &mut Body) -> bool {
         if ri != 0 && body.regions[ri].parent.is_none() {
             continue;
         }
-        if reached.is_empty() {
-            reached = vec![false; body.blocks.len()];
+        if reached.len() < body.blocks.len() {
+            reached.resize(body.blocks.len(), false);
         }
         let entry = body.regions[ri].blocks[0];
         reached[entry.index()] = true;
@@ -72,14 +89,14 @@ pub fn remove_unreachable_blocks(body: &mut Body) -> bool {
                 }
             }
         }
-        let dead: Vec<BlockId> = body.regions[ri]
-            .blocks
-            .iter()
-            .copied()
-            .filter(|b| !reached[b.index()])
-            .collect();
-        if !dead.is_empty() {
-            for &b in &dead {
+        if body.regions[ri].blocks.iter().any(|b| !reached[b.index()]) {
+            // The region's block list is not changed by erasing the ops of
+            // its dead blocks, only by the `retain` below.
+            for k in 0..body.regions[ri].blocks.len() {
+                let b = body.regions[ri].blocks[k];
+                if reached[b.index()] {
+                    continue;
+                }
                 let ops = std::mem::take(&mut body.blocks[b.index()].ops);
                 for op in ops {
                     body.ops[op.index()].parent = None;
@@ -100,8 +117,11 @@ pub fn remove_unreachable_blocks(body: &mut Body) -> bool {
 /// Merges each block that is the unique successor of a block ending in an
 /// unconditional branch, when it is also that block's unique predecessor
 /// edge. Returns whether anything changed.
-pub fn merge_straightline_blocks(body: &mut Body) -> bool {
+pub fn merge_straightline_blocks(body: &mut Body, bufs: &mut CfgBuffers) -> bool {
     let mut changed = false;
+    let CfgBuffers {
+        pred_edges, args, ..
+    } = bufs;
     for ri in 0..body.regions.len() {
         if body.regions[ri].blocks.len() < 2 {
             continue;
@@ -111,16 +131,19 @@ pub fn merge_straightline_blocks(body: &mut Body) -> bool {
         }
         'merge: loop {
             // Count predecessor edges per block within this region.
-            let blocks = body.regions[ri].blocks.clone();
-            let mut pred_edges: FxHashMap<BlockId, usize> = FxHashMap::default();
-            for &b in &blocks {
+            pred_edges.clear();
+            pred_edges.resize(body.blocks.len(), 0);
+            for &b in &body.regions[ri].blocks {
                 if let Some(t) = body.terminator(b) {
                     for s in &body.ops[t.index()].successors {
-                        *pred_edges.entry(s.block).or_default() += 1;
+                        pred_edges[s.block.index()] += 1;
                     }
                 }
             }
-            for &pred in &blocks {
+            // The region's block list changes only when a merge restarts
+            // the loop.
+            for k in 0..body.regions[ri].blocks.len() {
+                let pred = body.regions[ri].blocks[k];
                 let Some(term) = body.terminator(pred) else {
                     continue;
                 };
@@ -131,15 +154,17 @@ pub fn merge_straightline_blocks(body: &mut Body) -> bool {
                 // Never merge the region entry (it has an implicit
                 // predecessor: the region's own entry edge).
                 if succ == pred
-                    || succ == blocks[0]
-                    || pred_edges.get(&succ).copied().unwrap_or(0) != 1
+                    || succ == body.regions[ri].blocks[0]
+                    || pred_edges[succ.index()] != 1
                 {
                     continue;
                 }
                 // Rewire: block args become the branch operands.
-                let args = body.ops[term.index()].successors[0].args.clone();
-                let params = body.blocks[succ.index()].args.clone();
-                for (&p, &a) in params.iter().zip(&args) {
+                args.clear();
+                args.extend_from_slice(&body.ops[term.index()].successors[0].args);
+                let params = body.blocks[succ.index()].args.len().min(args.len());
+                for (i, &a) in args[..params].iter().enumerate() {
+                    let p = body.blocks[succ.index()].args[i];
                     body.replace_all_uses(p, a);
                 }
                 body.erase_op(term);
@@ -181,7 +206,7 @@ mod tests {
         bb1.br(b2, vec![]);
         let mut bb2 = Builder::at_end(&mut body, b2);
         bb2.ret(arg);
-        assert!(run_on_body(&mut body));
+        assert!(run_on_body(&mut body, &mut CfgBuffers::default()));
         assert_eq!(body.regions[0].blocks.len(), 1);
         // return now directly uses the add result.
         let ret = body.terminator(entry).unwrap();
@@ -206,7 +231,7 @@ mod tests {
         let arg = body.blocks[join.index()].args[0];
         let mut bj = Builder::at_end(&mut body, join);
         bj.ret(arg);
-        assert!(!run_on_body(&mut body));
+        assert!(!run_on_body(&mut body, &mut CfgBuffers::default()));
         assert_eq!(body.regions[0].blocks.len(), 4);
     }
 
@@ -219,7 +244,7 @@ mod tests {
         Builder::at_end(&mut body, lp).br(lp, vec![]);
         // entry->lp merges (single edge), then lp self-branches; must not
         // merge the self loop or loop forever.
-        run_on_body(&mut body);
+        run_on_body(&mut body, &mut CfgBuffers::default());
         assert!(!body.regions[0].blocks.is_empty());
     }
 }

@@ -309,7 +309,12 @@ mod tests {
         let entry = body.entry_block();
         let mut b = Builder::at_end(&mut body, entry);
         let tag = b.lp_getlabel(params[0]);
-        let (_op, blocks) = b.lp_switch(tag, vec![0]);
+        let op = b.lp_switch(tag, vec![0]);
+        let blocks: Vec<_> = body.ops[op.index()]
+            .regions
+            .iter()
+            .map(|&r| body.regions[r.index()].blocks[0])
+            .collect();
         {
             let mut b0 = Builder::at_end(&mut body, blocks[0]);
             let v = b0.lp_int(0);

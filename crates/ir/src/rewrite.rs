@@ -11,6 +11,11 @@
 //! which no pattern fired hands its own walk to that erasure, so a body
 //! with nothing to rewrite costs one walk of its region tree.
 //!
+//! The walk, the use counts and the erasure worklist live in
+//! [`RewriteBuffers`], which a pass creates once per run and hands to the
+//! driver for every body: after the first few bodies a sweep allocates
+//! nothing.
+//!
 //! The `rgn` dialect's optimizations in `lssa-core` are expressed as
 //! patterns over this same driver — that is the paper's point: region
 //! transformations *are* classical SSA rewrites.
@@ -48,9 +53,21 @@ pub trait RewritePattern {
 /// many bodies (MLIR's frozen pattern set).
 pub struct PatternSet {
     patterns: Vec<Box<dyn RewritePattern>>,
-    /// For each opcode (by discriminant), the indices of the patterns
-    /// rooted at it, ascending.
-    by_root: Vec<Vec<usize>>,
+    /// For each opcode (by discriminant) `o`, the indices of the patterns
+    /// rooted at it, ascending, are `by_root[starts[o]..starts[o + 1]]`.
+    starts: Vec<u32>,
+    by_root: Vec<u32>,
+}
+
+/// The greedy driver's buffers: a region-tree walk, use counts, the
+/// region-tree membership of each op and the erasure worklist. One set
+/// serves every body of a pass run; each call overwrites what it uses.
+#[derive(Debug, Default)]
+pub struct RewriteBuffers {
+    walk: Vec<OpId>,
+    counts: Vec<u32>,
+    in_tree: Vec<bool>,
+    worklist: Vec<OpId>,
 }
 
 impl std::fmt::Debug for PatternSet {
@@ -65,22 +82,42 @@ impl PatternSet {
     /// Indexes `patterns`; their list order is the order in which the
     /// driver tries them on an op.
     pub fn new(patterns: Vec<Box<dyn RewritePattern>>) -> PatternSet {
-        let mut by_root = vec![Vec::new(); Opcode::ALL.len()];
-        for (i, p) in patterns.iter().enumerate() {
-            for &root in p.roots() {
-                if by_root[root as usize].last() != Some(&i) {
-                    by_root[root as usize].push(i);
+        // Compressed rows, one per opcode: count each row, turn the counts
+        // into row ends, then fill every row back to front, so the index
+        // costs two allocations however many opcodes the patterns root at.
+        let mut starts = vec![0u32; Opcode::ALL.len() + 1];
+        for p in &patterns {
+            for (k, &root) in p.roots().iter().enumerate() {
+                if !p.roots()[..k].contains(&root) {
+                    starts[root as usize] += 1;
                 }
             }
         }
-        PatternSet { patterns, by_root }
+        for i in 1..starts.len() {
+            starts[i] += starts[i - 1];
+        }
+        let mut by_root = vec![0u32; starts[Opcode::ALL.len()] as usize];
+        for (i, p) in patterns.iter().enumerate().rev() {
+            for (k, &root) in p.roots().iter().enumerate().rev() {
+                if !p.roots()[..k].contains(&root) {
+                    starts[root as usize] -= 1;
+                    by_root[starts[root as usize] as usize] = i as u32;
+                }
+            }
+        }
+        PatternSet {
+            patterns,
+            starts,
+            by_root,
+        }
     }
 
     /// The first pattern at index `from` or later rooted at `opcode`.
     fn next_for(&self, opcode: Opcode, from: usize) -> Option<usize> {
-        self.by_root[opcode as usize]
+        let row = self.starts[opcode as usize] as usize..self.starts[opcode as usize + 1] as usize;
+        self.by_root[row]
             .iter()
-            .copied()
+            .map(|&i| i as usize)
             .find(|&i| i >= from)
     }
 }
@@ -102,6 +139,7 @@ pub fn apply_patterns_greedily(
     body: &mut Body,
     ctx: &RewriteCtx<'_>,
     patterns: &PatternSet,
+    bufs: &mut RewriteBuffers,
 ) -> bool {
     let mut changed_any = false;
     for sweep in 0.. {
@@ -109,9 +147,9 @@ pub fn apply_patterns_greedily(
             sweep < 1000,
             "pattern rewriting failed to converge after 1000 sweeps"
         );
-        let walk = body.walk_ops();
+        body.walk_ops(&mut bufs.walk);
         let mut fired = false;
-        for &op in &walk {
+        for &op in &bufs.walk {
             let mut from = 0;
             loop {
                 let data = &body.ops[op.index()];
@@ -126,8 +164,10 @@ pub fn apply_patterns_greedily(
             }
         }
         // A quiet sweep left the region tree as it walked it.
-        let walk = if fired { body.walk_ops() } else { walk };
-        let changed = erase_dead_ops(body, walk) | fired;
+        if fired {
+            body.walk_ops(&mut bufs.walk);
+        }
+        let changed = erase_dead_ops(body, bufs) | fired;
         changed_any |= changed;
         if !changed {
             break;
@@ -145,26 +185,39 @@ pub fn apply_patterns_greedily(
 /// defining op. Only ops of the region tree ([`Body::walk_ops`]) are
 /// erased. Erasure only ever removes uses, so the result does not depend
 /// on the order: it is the set a recount-until-stable loop reaches.
-pub fn erase_trivially_dead(body: &mut Body) -> bool {
-    let walk = body.walk_ops();
-    erase_dead_ops(body, walk)
+pub fn erase_trivially_dead(body: &mut Body, bufs: &mut RewriteBuffers) -> bool {
+    body.walk_ops(&mut bufs.walk);
+    erase_dead_ops(body, bufs)
 }
 
-/// [`erase_trivially_dead`] given the body's current region-tree walk.
-fn erase_dead_ops(body: &mut Body, mut worklist: Vec<OpId>) -> bool {
-    let mut counts = body.use_counts();
-    let mut in_tree = vec![false; body.ops.len()];
-    for &op in &worklist {
+/// [`erase_trivially_dead`] given the body's current region-tree walk in
+/// `bufs.walk`.
+fn erase_dead_ops(body: &mut Body, bufs: &mut RewriteBuffers) -> bool {
+    let RewriteBuffers {
+        walk,
+        counts,
+        in_tree,
+        worklist,
+    } = bufs;
+    body.use_counts(counts);
+    in_tree.clear();
+    in_tree.resize(body.ops.len(), false);
+    for &op in walk.iter() {
         in_tree[op.index()] = true;
     }
-    worklist.retain(|&op| is_trivially_dead(body, &counts, op));
+    worklist.clear();
+    worklist.extend(
+        walk.iter()
+            .copied()
+            .filter(|&op| is_trivially_dead(body, counts, op)),
+    );
     let mut changed = false;
     while let Some(op) = worklist.pop() {
         // An op queued twice, or erased with an enclosing region, is gone.
-        if !is_trivially_dead(body, &counts, op) {
+        if !is_trivially_dead(body, counts, op) {
             continue;
         }
-        release_uses(body, op, &mut counts, &in_tree, &mut worklist);
+        release_uses(body, op, counts, in_tree, worklist);
         body.erase_op(op);
         changed = true;
     }
@@ -270,12 +323,14 @@ mod tests {
         let patterns = PatternSet::new(vec![Box::new(AddZero)]);
         let changed = {
             let ctx = RewriteCtx { module: &module };
-            apply_patterns_greedily(&mut body, &ctx, &patterns)
+            apply_patterns_greedily(&mut body, &ctx, &patterns, &mut RewriteBuffers::default())
         };
         assert!(changed);
         // Both adds and the constant should be gone; only return remains.
         assert_eq!(body.live_op_count(), 1);
-        let ret = body.walk_ops()[0];
+        let mut walk = Vec::new();
+        body.walk_ops(&mut walk);
+        let ret = walk[0];
         assert_eq!(body.ops[ret.index()].operands, vec![params[0]]);
         module.add_function(
             "f",
@@ -296,7 +351,10 @@ mod tests {
         b.lp_ret(v);
         let patterns = PatternSet::new(vec![]);
         let ctx = RewriteCtx { module: &module };
-        assert!(apply_patterns_greedily(&mut body, &ctx, &patterns));
+        let mut bufs = RewriteBuffers::default();
+        assert!(apply_patterns_greedily(
+            &mut body, &ctx, &patterns, &mut bufs
+        ));
         assert_eq!(body.live_op_count(), 2);
         module.add_function("f", crate::types::Signature::obj(0), body);
     }
@@ -311,7 +369,10 @@ mod tests {
         b.lp_ret(params[0]);
         let patterns = PatternSet::new(vec![]);
         let ctx = RewriteCtx { module: &module };
-        assert!(!apply_patterns_greedily(&mut body, &ctx, &patterns));
+        let mut bufs = RewriteBuffers::default();
+        assert!(!apply_patterns_greedily(
+            &mut body, &ctx, &patterns, &mut bufs
+        ));
         assert_eq!(body.live_op_count(), 2);
     }
 }

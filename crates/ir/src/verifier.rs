@@ -7,6 +7,11 @@
 //! argument, or return value. This guarantees every use of a region value is
 //! statically analyzable, which is what lets the region optimizations of
 //! `lssa-core` reason about regions like ordinary SSA values.
+//!
+//! [`verify_module`] checks every body with one set of tables (the walk,
+//! the operand types, the dominator trees), so verifying a module
+//! allocates only while a body outgrows the ones before it, or to report
+//! an error.
 
 use crate::attr::AttrKey;
 use crate::body::Body;
@@ -41,6 +46,7 @@ impl std::error::Error for VerifyError {}
 /// Returns every violation found (the check does not stop at the first).
 pub fn verify_module(m: &Module) -> Result<(), Vec<VerifyError>> {
     let mut errors = Vec::new();
+    let mut bufs = VerifyBuffers::default();
     for f in &m.funcs {
         let Some(body) = &f.body else { continue };
         let mut v = Verifier {
@@ -49,7 +55,7 @@ pub fn verify_module(m: &Module) -> Result<(), Vec<VerifyError>> {
             func: m.name_of(f.name),
             ret_ty: f.sig.ret,
             errors: &mut errors,
-            tys: Vec::new(),
+            bufs: &mut bufs,
         };
         v.verify_body();
     }
@@ -77,7 +83,7 @@ pub fn verify_function(m: &Module, name: &str) -> Result<(), Vec<VerifyError>> {
         func: name,
         ret_ty: f.sig.ret,
         errors: &mut errors,
-        tys: Vec::new(),
+        bufs: &mut VerifyBuffers::default(),
     };
     v.verify_body();
     if errors.is_empty() {
@@ -93,9 +99,17 @@ struct Verifier<'a> {
     func: &'a str,
     ret_ty: Type,
     errors: &'a mut Vec<VerifyError>,
-    /// Operand types of the op being verified; one buffer reused by every
-    /// op.
+    bufs: &'a mut VerifyBuffers,
+}
+
+/// Tables one verification reuses for every body it checks.
+#[derive(Default)]
+struct VerifyBuffers {
+    /// The body's region-tree walk.
+    walk: Vec<OpId>,
+    /// Operand types of the op being verified.
     tys: Vec<Type>,
+    dom: DomInfo,
 }
 
 impl<'a> Verifier<'a> {
@@ -117,12 +131,14 @@ impl<'a> Verifier<'a> {
     fn verify_body(&mut self) {
         let body = self.body;
         self.verify_region_structure(crate::body::ROOT_REGION);
-        let ops = body.walk_ops();
+        let mut ops = std::mem::take(&mut self.bufs.walk);
+        body.walk_ops(&mut ops);
         for &op in &ops {
             self.verify_op(op);
         }
         // Dominance.
-        let dom = DomInfo::compute(body);
+        let mut dom = std::mem::take(&mut self.bufs.dom);
+        dom.recompute(body);
         for &op in &ops {
             let data = &body.ops[op.index()];
             for &v in &data.operands {
@@ -142,6 +158,8 @@ impl<'a> Verifier<'a> {
             }
         }
         self.verify_rgn_restrictions(&ops);
+        self.bufs.walk = ops;
+        self.bufs.dom = dom;
     }
 
     fn verify_region_structure(&mut self, region: RegionId) {
@@ -256,7 +274,7 @@ impl<'a> Verifier<'a> {
 
     fn verify_op(&mut self, op: OpId) {
         let body = self.body;
-        let mut tys = std::mem::take(&mut self.tys);
+        let mut tys = std::mem::take(&mut self.bufs.tys);
         tys.clear();
         tys.extend(
             body.ops[op.index()]
@@ -265,7 +283,7 @@ impl<'a> Verifier<'a> {
                 .map(|&v| body.value_type(v)),
         );
         self.check_op(op, &tys);
-        self.tys = tys;
+        self.bufs.tys = tys;
     }
 
     /// The per-opcode rules; `tys` are the operand types.
@@ -914,7 +932,12 @@ mod tests {
             let (mut body, params) = Body::new(&[Type::I8]);
             let entry = body.entry_block();
             let mut b = Builder::at_end(&mut body, entry);
-            let (op, blocks) = b.lp_switch(params[0], vec![0, 1]);
+            let op = b.lp_switch(params[0], vec![0, 1]);
+            let blocks: Vec<_> = b.body.ops[op.index()]
+                .regions
+                .iter()
+                .map(|&r| b.body.regions[r.index()].blocks[0])
+                .collect();
             for &bl in &blocks {
                 let mut cb = Builder::at_end(b.body, bl);
                 let v = cb.lp_int(0);

@@ -15,6 +15,11 @@
 //! - an `lp.inc`/`lp.dec` of a decided comparison's result
 //!   ([`Builtin::returns_scalar`]) emits nothing: the value is always a
 //!   scalar, on which these ops would only bump heap statistics.
+//!
+//! The per-function tables (registers, facts, block offsets, branch
+//! fixups, operand registers) are buffers one [`compile_module`] reuses for
+//! every function; a function allocates its name, its code and the
+//! argument lists its call and constructor cells own.
 
 use crate::bytecode::{BinOp, CompiledFn, CompiledProgram, Instr, Reg};
 use lssa_ir::attr::AttrKey;
@@ -57,7 +62,9 @@ pub fn compile_module(module: &Module) -> Result<CompiledProgram, CompileError> 
     let mut program = CompiledProgram::default();
     // User functions get VM indices in module order; builtins are resolved
     // by name the first time a function calls them.
+    let user_fns = module.funcs.iter().filter(|f| !f.is_extern()).count();
     let mut callees: FxHashMap<Symbol, Callee> = FxHashMap::default();
+    callees.reserve(user_fns);
     let mut next = 0u32;
     for f in &module.funcs {
         if !f.is_extern() {
@@ -68,21 +75,45 @@ pub fn compile_module(module: &Module) -> Result<CompiledProgram, CompileError> 
     for g in &module.globals {
         program.globals.push(module.name_of(g.name).to_string());
     }
+    program.fns.reserve_exact(user_fns);
+    let mut bufs = FnBuffers::default();
     for f in &module.funcs {
         let Some(body) = &f.body else { continue };
+        bufs.regs.clear();
+        bufs.regs.resize(body.values.len(), None);
+        bufs.facts.clear();
+        bufs.facts.resize(body.values.len(), 0);
         let compiled = FnCompiler {
             module,
             body,
             callees: &mut callees,
             program: &mut program,
-            regs: vec![None; body.values.len()],
             next_reg: 0,
-            facts: vec![0; body.values.len()],
+            bufs: &mut bufs,
         }
         .compile(module.name_of(f.name), f.sig.params.len())?;
         program.fns.push(compiled);
     }
     Ok(program)
+}
+
+/// The tables of one function's compilation, reused for the next.
+#[derive(Debug, Default)]
+struct FnBuffers {
+    /// Register of each value, indexed by [`ValueId::index`].
+    regs: Vec<Option<Reg>>,
+    /// What [`FnCompiler::gather_facts`] learned about each value: a set of
+    /// `CONSTANT`, `ESCAPES` and `DECIDED` bits, indexed by
+    /// [`ValueId::index`].
+    facts: Vec<u8>,
+    /// Code offset of each placed block, indexed by [`BlockId::index`].
+    block_offsets: Vec<Option<usize>>,
+    /// Fixups: (instruction index, which target slot, destination block).
+    fixups: Vec<(usize, usize, BlockId)>,
+    /// The operand registers of the op being compiled.
+    srcs: Vec<Reg>,
+    /// Source, then destination registers of the edge being compiled.
+    edge: Vec<Reg>,
 }
 
 /// What a call's callee symbol resolves to.
@@ -100,13 +131,8 @@ struct FnCompiler<'a> {
     /// The module's callee table, shared by all its functions.
     callees: &'a mut FxHashMap<Symbol, Callee>,
     program: &'a mut CompiledProgram,
-    /// Register of each value, indexed by [`ValueId::index`].
-    regs: Vec<Option<Reg>>,
     next_reg: u32,
-    /// What [`FnCompiler::gather_facts`] learned about each value: a set of
-    /// `CONSTANT`, `ESCAPES` and `DECIDED` bits, indexed by
-    /// [`ValueId::index`].
-    facts: Vec<u8>,
+    bufs: &'a mut FnBuffers,
 }
 
 /// The value is defined by `arith.constant` or `lp.int`.
@@ -121,12 +147,12 @@ const DECIDED: u8 = 4;
 
 impl FnCompiler<'_> {
     fn reg(&mut self, v: ValueId) -> Reg {
-        if let Some(r) = self.regs[v.index()] {
+        if let Some(r) = self.bufs.regs[v.index()] {
             return r;
         }
         let r = Reg(u16::try_from(self.next_reg).expect("register file exhausted"));
         self.next_reg += 1;
-        self.regs[v.index()] = Some(r);
+        self.bufs.regs[v.index()] = Some(r);
         r
     }
 
@@ -167,7 +193,7 @@ impl FnCompiler<'_> {
                 let fusible = match data.opcode {
                     Opcode::ConstI | Opcode::LpInt => {
                         if let Some(&r) = data.results.first() {
-                            self.facts[r.index()] |= CONSTANT;
+                            self.bufs.facts[r.index()] |= CONSTANT;
                         }
                         false
                     }
@@ -175,7 +201,7 @@ impl FnCompiler<'_> {
                     Opcode::Call | Opcode::TailCall => match self.callee(op) {
                         Ok(Callee::Builtin(b)) => {
                             if let (true, Some(&r)) = (b.returns_scalar(), data.results.first()) {
-                                self.facts[r.index()] |= DECIDED;
+                                self.bufs.facts[r.index()] |= DECIDED;
                             }
                             true
                         }
@@ -185,12 +211,12 @@ impl FnCompiler<'_> {
                 };
                 if !fusible {
                     for &v in &data.operands {
-                        self.facts[v.index()] |= ESCAPES;
+                        self.bufs.facts[v.index()] |= ESCAPES;
                     }
                 }
                 for s in &data.successors {
                     for &v in &s.args {
-                        self.facts[v.index()] |= ESCAPES;
+                        self.bufs.facts[v.index()] |= ESCAPES;
                     }
                 }
             }
@@ -234,27 +260,45 @@ impl FnCompiler<'_> {
             self.reg(p);
         }
         debug_assert_eq!(self.next_reg as usize, arity);
-        let blocks = self.body.regions[ROOT_REGION.index()].blocks.clone();
-        self.gather_facts(&blocks);
-        let mut code: Vec<Instr> = Vec::new();
-        // Code offset of each placed block, indexed by [`BlockId::index`].
-        let mut block_offsets: Vec<Option<usize>> = vec![None; self.body.blocks.len()];
-        // Fixups: (instruction index, which target slot, destination block).
-        let mut fixups: Vec<(usize, usize, BlockId)> = Vec::new();
-        for &block in &blocks {
+        let body = self.body;
+        let blocks = &body.regions[ROOT_REGION.index()].blocks;
+        self.gather_facts(blocks);
+        // About one cell per op: constants that materialize at their uses
+        // and edge moves add some, folded incs and decs remove some.
+        let ops = blocks
+            .iter()
+            .map(|b| body.blocks[b.index()].ops.len())
+            .sum();
+        let mut code: Vec<Instr> = Vec::with_capacity(ops);
+        let mut block_offsets = std::mem::take(&mut self.bufs.block_offsets);
+        block_offsets.clear();
+        block_offsets.resize(body.blocks.len(), None);
+        let mut fixups = std::mem::take(&mut self.bufs.fixups);
+        fixups.clear();
+        let mut compiled = Ok(());
+        'blocks: for &block in blocks {
             block_offsets[block.index()] = Some(code.len());
-            for &op in &self.body.blocks[block.index()].ops.clone() {
-                self.compile_op(op, &mut code, &mut fixups)?;
+            for &op in &body.blocks[block.index()].ops {
+                compiled = self.compile_op(op, &mut code, &mut fixups);
+                if compiled.is_err() {
+                    break 'blocks;
+                }
             }
         }
-        for (at, slot, dest) in fixups {
-            let target = block_offsets
-                .get(dest.index())
-                .copied()
-                .flatten()
-                .ok_or_else(|| err(format!("branch to unplaced block {dest}")))?;
-            patch_target(&mut code[at], slot, target);
-        }
+        let patched = compiled.and_then(|()| {
+            fixups.iter().try_for_each(|&(at, slot, dest)| {
+                let target = block_offsets
+                    .get(dest.index())
+                    .copied()
+                    .flatten()
+                    .ok_or_else(|| err(format!("branch to unplaced block {dest}")))?;
+                patch_target(&mut code[at], slot, target);
+                Ok(())
+            })
+        });
+        self.bufs.block_offsets = block_offsets;
+        self.bufs.fixups = fixups;
+        patched?;
         Ok(CompiledFn {
             name: name.to_string(),
             arity: arity as u16,
@@ -274,31 +318,40 @@ impl FnCompiler<'_> {
         if args.is_empty() {
             return Ok(());
         }
-        let params = self.body.blocks[dest.index()].args.clone();
-        let srcs: Vec<Reg> = args.iter().map(|&a| self.reg(a)).collect();
-        let dsts: Vec<Reg> = params.iter().map(|&p| self.reg(p)).collect();
+        let params = &self.body.blocks[dest.index()].args;
+        let mut regs = std::mem::take(&mut self.bufs.edge);
+        regs.clear();
+        for &a in args {
+            let r = self.reg(a);
+            regs.push(r);
+        }
+        for &p in params {
+            let r = self.reg(p);
+            regs.push(r);
+        }
+        let (srcs, dsts) = regs.split_at(args.len());
         // Fast path: no destination is also a source — plain moves suffice.
         let conflict = dsts.iter().any(|d| srcs.contains(d));
         if !conflict {
-            for (&dst, &src) in dsts.iter().zip(&srcs) {
+            for (&dst, &src) in dsts.iter().zip(srcs) {
                 if dst != src {
                     code.push(Instr::Move { dst, src });
                 }
             }
-            return Ok(());
-        }
-        // General parallel move: stage through temporaries.
-        let temps: Vec<Reg> = srcs
-            .iter()
-            .map(|&src| {
+        } else {
+            // General parallel move: stage through temporaries, which are
+            // the next registers in turn.
+            let first = self.next_reg;
+            for &src in srcs {
                 let t = self.fresh_reg();
                 code.push(Instr::Move { dst: t, src });
-                t
-            })
-            .collect();
-        for (&dst, t) in dsts.iter().zip(temps) {
-            code.push(Instr::Move { dst, src: t });
+            }
+            for (&dst, t) in dsts.iter().zip(first..self.next_reg) {
+                let src = Reg(u16::try_from(t).expect("register file exhausted"));
+                code.push(Instr::Move { dst, src });
+            }
         }
+        self.bufs.edge = regs;
         Ok(())
     }
 
@@ -308,23 +361,47 @@ impl FnCompiler<'_> {
         code: &mut Vec<Instr>,
         fixups: &mut Vec<(usize, usize, BlockId)>,
     ) -> Result<(), CompileError> {
-        use Opcode::*;
-        let data = &self.body.ops[op.index()];
-        let opcode = data.opcode;
-        let operands = data.operands.clone();
-        let result = data.results.first().copied();
-        let mut srcs = Vec::with_capacity(operands.len());
-        for &v in &operands {
-            srcs.push(if self.facts[v.index()] == CONSTANT {
-                self.materialize(v, code)?
+        let mut srcs = std::mem::take(&mut self.bufs.srcs);
+        srcs.clear();
+        let body = self.body;
+        let mut compiled = Ok(());
+        for &v in &body.ops[op.index()].operands {
+            let r = if self.bufs.facts[v.index()] == CONSTANT {
+                match self.materialize(v, code) {
+                    Ok(r) => r,
+                    Err(e) => {
+                        compiled = Err(e);
+                        break;
+                    }
+                }
             } else {
                 self.reg(v)
-            });
+            };
+            srcs.push(r);
         }
+        let compiled = compiled.and_then(|()| self.emit(op, &srcs, code, fixups));
+        self.bufs.srcs = srcs;
+        compiled
+    }
+
+    /// The cells of `op`, whose operands are in registers `srcs`.
+    fn emit(
+        &mut self,
+        op: OpId,
+        srcs: &[Reg],
+        code: &mut Vec<Instr>,
+        fixups: &mut Vec<(usize, usize, BlockId)>,
+    ) -> Result<(), CompileError> {
+        use Opcode::*;
+        let body = self.body;
+        let data = &body.ops[op.index()];
+        let opcode = data.opcode;
+        let operands = &data.operands;
+        let result = data.results.first().copied();
         match opcode {
             ConstI | LpInt => {
                 let value = result.ok_or_else(|| err("constant without result"))?;
-                if self.facts[value.index()] & ESCAPES != 0 {
+                if self.bufs.facts[value.index()] & ESCAPES != 0 {
                     let dst = self.reg(value);
                     code.push(self.constant(op, dst)?);
                 }
@@ -385,13 +462,13 @@ impl FnCompiler<'_> {
                 });
             }
             Br => {
-                let succ = self.body.ops[op.index()].successors[0].clone();
+                let succ = &data.successors[0];
                 self.emit_edge(code, succ.block, &succ.args)?;
                 fixups.push((code.len(), 0, succ.block));
                 code.push(Instr::Jump { target: usize::MAX });
             }
             CondBr => {
-                let succs = self.body.ops[op.index()].successors.clone();
+                let succs = &data.successors;
                 // Edge trampolines handle per-edge argument transfer.
                 let branch_at = code.len();
                 code.push(Instr::Branch {
@@ -412,12 +489,11 @@ impl FnCompiler<'_> {
                 }
             }
             SwitchBr => {
-                let cases = self.body.ops[op.index()]
+                let cases = data
                     .attr(AttrKey::Cases)
                     .and_then(|a| a.as_int_list())
-                    .ok_or_else(|| err("switch without cases"))?
-                    .to_vec();
-                let succs = self.body.ops[op.index()].successors.clone();
+                    .ok_or_else(|| err("switch without cases"))?;
+                let succs = &data.successors;
                 let switch_at = code.len();
                 code.push(Instr::Switch {
                     idx: srcs[0],
@@ -444,10 +520,13 @@ impl FnCompiler<'_> {
                         code.push(Instr::Call {
                             dst,
                             func,
-                            args: srcs,
+                            args: srcs.to_vec(),
                         });
                     } else {
-                        code.push(Instr::TailCall { func, args: srcs });
+                        code.push(Instr::TailCall {
+                            func,
+                            args: srcs.to_vec(),
+                        });
                     }
                 }
                 Callee::Builtin(builtin) => {
@@ -460,7 +539,7 @@ impl FnCompiler<'_> {
                         code.push(Instr::CallBuiltin {
                             dst,
                             builtin,
-                            args: srcs,
+                            args: srcs.to_vec(),
                             mask,
                         });
                     } else {
@@ -468,7 +547,7 @@ impl FnCompiler<'_> {
                         code.push(Instr::CallBuiltin {
                             dst,
                             builtin,
-                            args: srcs,
+                            args: srcs.to_vec(),
                             mask,
                         });
                         code.push(Instr::Ret { src: dst });
@@ -511,7 +590,7 @@ impl FnCompiler<'_> {
                 code.push(Instr::Construct {
                     dst,
                     tag: tag as u32,
-                    args: srcs,
+                    args: srcs.to_vec(),
                 });
             }
             LpGetLabel => {
@@ -544,7 +623,7 @@ impl FnCompiler<'_> {
                     dst,
                     func,
                     arity: arity as u16,
-                    args: srcs,
+                    args: srcs.to_vec(),
                 });
             }
             LpPapExtend => {
@@ -555,7 +634,7 @@ impl FnCompiler<'_> {
                     args: srcs[1..].to_vec(),
                 });
             }
-            LpInc | LpDec if self.facts[operands[0].index()] & DECIDED != 0 => {}
+            LpInc | LpDec if self.bufs.facts[operands[0].index()] & DECIDED != 0 => {}
             LpInc => code.push(Instr::Inc { src: srcs[0] }),
             LpDec => code.push(Instr::Dec { src: srcs[0] }),
             LpGlobalLoad | LpGlobalStore => {

@@ -841,15 +841,26 @@ impl DecodedFn {
         &self.args[s.range()]
     }
 
-    /// Lowers one [`CompiledFn`].
+    /// Lowers one [`CompiledFn`]. The code and both pools are allocated
+    /// once, at the size the compiled code needs.
     fn decode(f: &CompiledFn) -> DecodedFn {
+        let (args, cases) = f.code.iter().fold((0, 0), |(a, c), instr| match instr {
+            Instr::Construct { args, .. }
+            | Instr::Pap { args, .. }
+            | Instr::PapExtend { args, .. }
+            | Instr::Call { args, .. }
+            | Instr::CallBuiltin { args, .. }
+            | Instr::TailCall { args, .. } => (a + args.len(), c),
+            Instr::Switch { cases, .. } => (a, c + cases.len()),
+            _ => (a, c),
+        });
         let mut d = DecodedFn {
             name: f.name.clone(),
             arity: f.arity,
             n_regs: f.n_regs,
             code: Vec::with_capacity(f.code.len()),
-            args: Vec::new(),
-            cases: Vec::new(),
+            args: Vec::with_capacity(args),
+            cases: Vec::with_capacity(cases),
             cache_base: 0,
             cache_sites: 0,
         };
@@ -880,8 +891,9 @@ impl DecodedFn {
     /// register dead: a register read exactly once — by the instruction
     /// that swallows its def — can safely stop being written, whatever
     /// block structure or register reuse surrounds the pair.
-    fn count_reads(&self) -> Vec<u32> {
-        let mut reads = vec![0u32; self.n_regs as usize];
+    fn count_reads(&self, reads: &mut Vec<u32>) {
+        reads.clear();
+        reads.resize(self.n_regs as usize, 0);
         for instr in &self.code {
             let mut singles: [Option<Reg>; 4] = [None, None, None, None];
             let mut slice: Option<ArgSlice> = None;
@@ -970,15 +982,14 @@ impl DecodedFn {
                 reads[i] += 1;
             };
             for r in singles.into_iter().flatten() {
-                bump(&mut reads, r);
+                bump(reads, r);
             }
             if let Some(s) = slice {
                 for &r in self.arg_regs(s) {
-                    bump(&mut reads, r);
+                    bump(reads, r);
                 }
             }
         }
-        reads
     }
 
     /// Whether any jump target points past the end of the code (legal to
@@ -999,9 +1010,11 @@ impl DecodedFn {
     /// the *first* cell of a fused group, so fusion bails when a would-be
     /// swallowed instruction appears here. Public so fusion-tuning tools
     /// (`examples/dump_decoded.rs --pairs`) can apply the same fusibility
-    /// filter the pass itself uses.
-    pub fn jump_targets(&self) -> Vec<bool> {
-        let mut targets = vec![false; self.code.len()];
+    /// filter the pass itself uses. `targets` is overwritten, one flag per
+    /// cell.
+    pub fn jump_targets(&self, targets: &mut Vec<bool>) {
+        targets.clear();
+        targets.resize(self.code.len(), false);
         for instr in &self.code {
             match *instr {
                 DecodedInstr::Jump { target } => targets[target as usize] = true,
@@ -1025,15 +1038,16 @@ impl DecodedFn {
                 _ => {}
             }
         }
-        targets
     }
 
     /// The peephole fusion pass: combines adjacent cells into the
     /// superinstructions documented at module level, rewrites contiguous
     /// switches to dense dispatch, and remaps every jump target over the
     /// shortened stream. Swallowed pool runs stay in the pools (they are
-    /// small and decode happens once per program).
-    fn fuse(&mut self) -> FusionStats {
+    /// small and decode happens once per program). The fused stream is
+    /// written back into the function's own code vector, and the pass's
+    /// tables are `bufs`, shared by every function of a program.
+    fn fuse(&mut self, bufs: &mut DecodeBuffers) -> FusionStats {
         let mut stats = FusionStats::default();
         // A malformed function can carry out-of-range jump targets; the
         // unfused VM reports those as a recoverable "pc out of range"
@@ -1042,25 +1056,34 @@ impl DecodedFn {
         if self.has_out_of_range_target() {
             return stats;
         }
-        let mut reads = self.count_reads();
-        let mut targets = self.jump_targets();
-        let mut old = std::mem::take(&mut self.code);
+        let DecodeBuffers {
+            reads,
+            targets,
+            old,
+            map,
+            ..
+        } = bufs;
+        self.count_reads(reads);
+        self.jump_targets(targets);
+        old.clear();
+        old.extend_from_slice(&self.code);
+        // Fused cells replace the cells they swallow, so the stream only
+        // shrinks and fits the vector it is written back into.
+        self.code.clear();
         // Retain folding first: it is what makes an `LpInt` adjacent to
         // the `CallBuiltin` reading it. `folded` maps each cell of the
         // original stream onto the shortened one.
-        let folded = self.fold_retains(&mut old, &mut targets, &mut reads);
+        let folded = self.fold_retains(old, targets, reads);
         if let Some(f) = &folded {
             stats.retains_folded = (f.len() - old.len()) as u32;
             stats.cells_saved = stats.retains_folded;
         }
-        let mut map = vec![0u32; old.len()];
-        let mut code: Vec<DecodedInstr> = Vec::with_capacity(old.len());
+        map.clear();
+        map.resize(old.len(), 0);
         let mut i = 0usize;
         while i < old.len() {
-            let ni = u32::try_from(code.len()).expect("fused stream too large");
-            let (cell, consumed) = self
-                .try_fuse(&old, i, &targets, &reads)
-                .unwrap_or((old[i], 1));
+            let ni = u32::try_from(self.code.len()).expect("fused stream too large");
+            let (cell, consumed) = self.try_fuse(old, i, targets, reads).unwrap_or((old[i], 1));
             // Swallowed cells map to the fused cell; nothing jumps at them
             // (guaranteed by the `targets` bail), this is belt and braces.
             for slot in &mut map[i..i + consumed] {
@@ -1082,15 +1105,14 @@ impl DecodedFn {
                 _ => {}
             }
             stats.cells_saved += consumed as u32 - 1;
-            code.push(cell);
+            self.code.push(cell);
             i += consumed;
         }
-        self.code = code;
         if let Some(mut folded) = folded {
             for m in &mut folded {
                 *m = map[*m as usize];
             }
-            map = folded;
+            *map = folded;
         }
         // Remap jump targets onto the shortened stream. Case-pool runs are
         // remapped through the one instruction referencing them (decode and
@@ -1680,14 +1702,18 @@ impl DecodedFn {
     /// shrinking the pooled frame's register file. Post-fusion streams
     /// profit most: every register whose only read was swallowed by a
     /// superinstruction stops occupying a frame word.
-    fn renumber(&mut self) -> RenumberStats {
+    fn renumber(&mut self, bufs: &mut DecodeBuffers) -> RenumberStats {
         let n = self.n_regs as usize;
         let mut stats = RenumberStats {
             regs_before: n as u64,
             regs_after: n as u64,
             fns_compacted: 0,
         };
-        let mut used = vec![false; n];
+        let DecodeBuffers {
+            used, regs: map, ..
+        } = bufs;
+        used.clear();
+        used.resize(n, false);
         let mut out_of_range = false;
         self.for_each_reg_mut(|r| match used.get_mut(r.0 as usize) {
             Some(u) => *u = true,
@@ -1708,7 +1734,8 @@ impl DecodedFn {
         if live == n {
             return stats;
         }
-        let mut map = vec![Reg(0); n];
+        map.clear();
+        map.resize(n, Reg(0));
         let mut next: u16 = 0;
         for (i, &u) in used.iter().enumerate() {
             if u {
@@ -2038,14 +2065,15 @@ pub fn decode_program_with(program: &CompiledProgram, opts: DecodeOptions) -> De
     let mut fusion = FusionStats::default();
     let mut renumber = RenumberStats::default();
     let mut cache_slots: u32 = 0;
+    let mut bufs = DecodeBuffers::default();
     let fns = program
         .fns
         .iter()
         .map(|f| {
             let mut d = DecodedFn::decode(f);
             if opts.fuse {
-                fusion.absorb(&d.fuse());
-                renumber.absorb(&d.renumber());
+                fusion.absorb(&d.fuse(&mut bufs));
+                renumber.absorb(&d.renumber(&mut bufs));
             }
             d.assign_cache_slots();
             d.cache_base = cache_slots;
@@ -2064,6 +2092,23 @@ pub fn decode_program_with(program: &CompiledProgram, opts: DecodeOptions) -> De
         renumber,
         cache_slots,
     }
+}
+
+/// The tables of fusion and renumbering, reused for every function of a
+/// program.
+#[derive(Debug, Default)]
+struct DecodeBuffers {
+    /// Per register: reads in the whole function.
+    reads: Vec<u32>,
+    /// Per cell: whether a jump can land on it.
+    targets: Vec<bool>,
+    /// The stream being fused.
+    old: Vec<DecodedInstr>,
+    /// Per cell of `old`: its index in the fused stream.
+    map: Vec<u32>,
+    /// Per register: referenced, then its new number.
+    used: Vec<bool>,
+    regs: Vec<Reg>,
 }
 
 /// [`decode_program_with`] under the default options (fusion on).
@@ -2226,7 +2271,7 @@ mod tests {
             n_regs,
             code,
         });
-        let stats = d.fuse();
+        let stats = d.fuse(&mut DecodeBuffers::default());
         (d, stats)
     }
 

@@ -27,6 +27,13 @@ def main() :=
   a * 10000 + b * 100 + c
 "#;
 
+/// The body's ops in walk order.
+fn walk(body: &lambda_ssa::ir::body::Body) -> Vec<lambda_ssa::ir::ids::OpId> {
+    let mut ops = Vec::new();
+    body.walk_ops(&mut ops);
+    ops
+}
+
 fn main() {
     let program = lambda_ssa::lambda::parse_program(PROGRAM).expect("parse");
     let rc = lambda_ssa::lambda::insert_rc(&program);
@@ -35,13 +42,11 @@ fn main() {
     println!("=== closure operations in the lp module ===");
     for f in &module.funcs {
         let Some(body) = &f.body else { continue };
-        let paps = body
-            .walk_ops()
+        let paps = walk(&body)
             .iter()
             .filter(|&&op| body.ops[op.index()].opcode == Opcode::LpPap)
             .count();
-        let extends = body
-            .walk_ops()
+        let extends = walk(&body)
             .iter()
             .filter(|&&op| body.ops[op.index()].opcode == Opcode::LpPapExtend)
             .count();

@@ -89,8 +89,9 @@ fn pair_histogram() {
     for w in all(Scale::Test) {
         let p = compile(&w.src, CompilerConfig::mlir()).expect("workload compiles");
         let fused = decode_program_with(&p, DecodeOptions::fused());
+        let mut targets = Vec::new();
         for f in &fused.fns {
-            let targets = f.jump_targets();
+            f.jump_targets(&mut targets);
             for i in 0..f.code.len().saturating_sub(1) {
                 if !falls_through(&f.code[i]) || targets[i + 1] {
                     continue;

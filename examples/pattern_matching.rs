@@ -30,9 +30,16 @@ def eval(x, y, z) :=
 def main() := eval(0, 2, 7) + eval(0, 7, 2) + eval(1, 0, 0) + eval(0, 0, 0)
 "#;
 
+/// The body's ops in walk order.
+fn walk(body: &lambda_ssa::ir::body::Body) -> Vec<lambda_ssa::ir::ids::OpId> {
+    let mut ops = Vec::new();
+    body.walk_ops(&mut ops);
+    ops
+}
+
 fn count_constant(module: &Module, func: &str, value: i64) -> usize {
     let body = module.func_by_name(func).unwrap().body.as_ref().unwrap();
-    body.walk_ops()
+    walk(&body)
         .iter()
         .filter(|&&op| {
             body.ops[op.index()].opcode == Opcode::LpInt
@@ -71,8 +78,7 @@ fn main() {
     // branch runs it.
     lambda_ssa::core::rgn::from_lp::lower_module(&mut module);
     let body = module.func_by_name("eval").unwrap().body.as_ref().unwrap();
-    let runs = body
-        .walk_ops()
+    let runs = walk(&body)
         .iter()
         .filter(|&&op| body.ops[op.index()].opcode == Opcode::RgnRun)
         .count();

@@ -11,7 +11,7 @@
 
 use lambda_ssa::ir::builder::Builder;
 use lambda_ssa::ir::prelude::*;
-use lambda_ssa::ir::rewrite::{apply_patterns_greedily, PatternSet, RewriteCtx};
+use lambda_ssa::ir::rewrite::{apply_patterns_greedily, PatternSet, RewriteBuffers, RewriteCtx};
 
 /// Builds `%r = rgn.val { lp.int k; lp.ret }` and returns the region value.
 fn const_region(body: &mut Body, block: BlockId, k: i64) -> ValueId {
@@ -38,10 +38,10 @@ fn optimize(module: &mut Module, name: &str) {
     let sym = module.interner.get(name).unwrap();
     let idx = module.func_position(sym).unwrap();
     let mut body = module.funcs[idx].body.take().unwrap();
-    lambda_ssa::core::rgn::grn::run_on_body(&mut body);
+    lambda_ssa::core::rgn::grn::run_on_body(&mut body, &mut Default::default());
     let patterns = PatternSet::new(lambda_ssa::core::rgn::opt::all_patterns());
     let ctx = RewriteCtx { module };
-    apply_patterns_greedily(&mut body, &ctx, &patterns);
+    apply_patterns_greedily(&mut body, &ctx, &patterns, &mut RewriteBuffers::default());
     module.funcs[idx].body = Some(body);
 }
 

@@ -4,10 +4,12 @@
 //! - Dominance: [`DomTree`] must match the definition — `a` dominates a
 //!   reachable `b` iff `b` becomes unreachable from the entry once `a` is
 //!   removed — on random multi-region CFGs and on every region of compiled
-//!   programs at the `rgn` and CFG levels.
+//!   programs at the `rgn` and CFG levels, both freshly computed and
+//!   recomputed in a tree that served other regions and bodies before.
 //! - Dead-op erasure: the worklist [`erase_trivially_dead`] must erase
 //!   exactly the ops the recount-until-stable loop it replaced erases (kept
-//!   here, and only here, as the oracle).
+//!   here, and only here, as the oracle), also with buffers that earlier
+//!   bodies left behind.
 
 use lambda_ssa::driver::conformance::generated;
 use lambda_ssa::ir::body::{Body, ROOT_REGION};
@@ -16,7 +18,7 @@ use lambda_ssa::ir::dom::DomTree;
 use lambda_ssa::ir::ids::{BlockId, RegionId, ValueId};
 use lambda_ssa::ir::module::Module;
 use lambda_ssa::ir::opcode::Purity;
-use lambda_ssa::ir::rewrite::erase_trivially_dead;
+use lambda_ssa::ir::rewrite::{erase_trivially_dead, RewriteBuffers};
 use lambda_ssa::ir::types::Type;
 use lambda_ssa::ir::FxHashSet as HashSet;
 use lambda_ssa::lambda::{insert_rc, parse_program};
@@ -49,17 +51,20 @@ fn reachable_without(body: &Body, region: RegionId, removed: Option<BlockId>) ->
 }
 
 /// Checks every ordered block pair of every region with blocks against
-/// the definition of dominance.
-fn check_dominance(body: &Body) -> Result<(), TestCaseError> {
+/// the definition of dominance, in a fresh tree and in `reused`, which is
+/// recomputed for each region.
+fn check_dominance(body: &Body, reused: &mut DomTree) -> Result<(), TestCaseError> {
     for (ri, r) in body.regions.iter().enumerate() {
         if r.blocks.is_empty() {
             continue;
         }
         let region = RegionId(ri as u32);
         let tree = DomTree::compute(body, region);
+        reused.recompute(body, region);
         let reachable = reachable_without(body, region, None);
         for &b in &r.blocks {
             prop_assert_eq!(tree.is_reachable(b), reachable.contains(&b), "{:?}", b);
+            prop_assert_eq!(reused.is_reachable(b), reachable.contains(&b), "{:?}", b);
         }
         for &a in &r.blocks {
             let without_a = reachable_without(body, region, Some(a));
@@ -74,6 +79,7 @@ fn check_dominance(body: &Body) -> Result<(), TestCaseError> {
                     b,
                     region
                 );
+                prop_assert_eq!(reused.dominates(a, b), expected, "reused tree");
             }
         }
     }
@@ -154,10 +160,12 @@ fn rgn_and_cfg_modules(seed: u64) -> (Module, Module) {
 /// until a sweep erases nothing.
 fn erase_trivially_dead_by_recount(body: &mut Body) -> bool {
     let mut changed = false;
+    let (mut counts, mut walk) = (Vec::new(), Vec::new());
     loop {
-        let counts = body.use_counts();
+        body.use_counts(&mut counts);
+        body.walk_ops(&mut walk);
         let mut erased = false;
-        for op in body.walk_ops() {
+        for &op in &walk {
             let data = &body.ops[op.index()];
             if data.dead || data.opcode.purity() == Purity::Effect {
                 continue;
@@ -176,11 +184,12 @@ fn erase_trivially_dead_by_recount(body: &mut Body) -> bool {
 }
 
 /// Runs both erasers on copies of `body` and requires the same report, the
-/// same erased ops and the same block and region contents.
-fn check_erasure(body: &Body) -> Result<(), TestCaseError> {
+/// same erased ops and the same block and region contents. The worklist
+/// eraser runs with `bufs`, which earlier bodies may have used.
+fn check_erasure(body: &Body, bufs: &mut RewriteBuffers) -> Result<(), TestCaseError> {
     let (mut fast, mut oracle) = (body.clone(), body.clone());
     prop_assert_eq!(
-        erase_trivially_dead(&mut fast),
+        erase_trivially_dead(&mut fast, bufs),
         erase_trivially_dead_by_recount(&mut oracle)
     );
     let dead = |b: &Body| b.ops.iter().map(|o| o.dead).collect::<Vec<_>>();
@@ -257,7 +266,7 @@ proptest! {
     fn dom_tree_matches_definition_on_random_cfgs(
         shape in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 2..24)
     ) {
-        check_dominance(&random_cfg(&shape))?;
+        check_dominance(&random_cfg(&shape), &mut DomTree::default())?;
     }
 
     /// ... and on every region of generated programs, both at the `rgn`
@@ -265,8 +274,9 @@ proptest! {
     #[test]
     fn dom_tree_matches_definition_on_compiled_programs(seed in any::<u32>()) {
         let (rgn, cfg) = rgn_and_cfg_modules(u64::from(seed) ^ 0xd0_0d1e);
+        let mut reused = DomTree::default();
         for body in bodies(&rgn).chain(bodies(&cfg)) {
-            check_dominance(body)?;
+            check_dominance(body, &mut reused)?;
         }
     }
 
@@ -277,7 +287,7 @@ proptest! {
         steps in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 0..40),
         exit in (any::<bool>(), any::<u8>())
     ) {
-        check_erasure(&random_dead_code(&steps, exit))?;
+        check_erasure(&random_dead_code(&steps, exit), &mut RewriteBuffers::default())?;
     }
 
     /// ... and on generated programs at the `rgn` level, where lowering
@@ -285,8 +295,9 @@ proptest! {
     #[test]
     fn worklist_erasure_matches_recount_loop_on_rgn_bodies(seed in any::<u32>()) {
         let (rgn, _) = rgn_and_cfg_modules(u64::from(seed) ^ 0xe2a5e);
+        let mut bufs = RewriteBuffers::default();
         for body in bodies(&rgn) {
-            check_erasure(body)?;
+            check_erasure(body, &mut bufs)?;
         }
     }
 }
