@@ -8,7 +8,8 @@
 //! applicable.
 //!
 //! Before lowering a function, one walk of its λ body counts the ops and
-//! blocks it will become, and the body's arenas are reserved to that size;
+//! blocks it will become here and in the `rgn` and CFG lowerings, and the
+//! body's arenas are reserved to that size;
 //! each block's op list is reserved for the chain lowered into it. Call and
 //! constructor operands go straight into the ops' inline lists, and the
 //! variable and label tables are reused across the module's functions.
@@ -82,9 +83,8 @@ struct LowerCtx<'a> {
 
 impl<'a> LowerCtx<'a> {
     fn lower_fn(&mut self, f: &'a FnDef) -> Body {
-        let (mut body, params) = Body::new(&Type::objs(f.arity()));
         let (ops, blocks) = lowered_size(&f.body);
-        body.reserve(ops, blocks);
+        let (mut body, params) = Body::with_capacity(&Type::objs(f.arity()), ops, blocks);
         self.fname = &f.name;
         for (&p, &v) in f.params.iter().zip(&params) {
             self.bind(p, v);
@@ -275,9 +275,17 @@ impl<'a> LowerCtx<'a> {
     }
 }
 
-/// The ops and blocks lowering `e` creates, to reserve the arenas with:
-/// walked as [`LowerCtx::lower_expr`] walks, along continuations in a loop
-/// and recursing only into join bodies and case arms.
+/// The ops and blocks lowering `e` creates, here and in the `rgn` and CFG
+/// lowerings after it, to reserve the arenas with: walked as
+/// [`LowerCtx::lower_expr`] walks, along continuations in a loop and
+/// recursing only into join bodies and case arms.
+///
+/// Per form: a `case` of `r` arms lowers to a `lp.getlabel` and a
+/// `lp.switch`, then to `r` `rgn.val`s, at most three selector ops and a
+/// `rgn.run`, then to a branch and a dispatch block with its terminator; a
+/// join point to a `lp.joinpoint`, then a `rgn.val`; a jump to a `lp.jump`,
+/// then a `rgn.run`, then a branch; a return to a `lp.ret`, then a
+/// `func.return`.
 fn lowered_size(mut e: &Expr) -> (usize, usize) {
     let (mut ops, mut blocks) = (0, 0);
     loop {
@@ -288,13 +296,14 @@ fn lowered_size(mut e: &Expr) -> (usize, usize) {
             }
             Expr::LetJoin { jp_body, body, .. } => {
                 let (o, b) = lowered_size(jp_body);
-                ops += 1 + o;
+                ops += 2 + o;
                 blocks += 2 + b;
                 e = body;
             }
             Expr::Case { alts, default, .. } => {
-                ops += 2;
-                blocks += alts.len() + usize::from(default.is_some());
+                let arms = alts.len() + usize::from(default.is_some());
+                ops += arms + 8;
+                blocks += arms + 1;
                 for (o, b) in alts
                     .iter()
                     .map(|a| &a.body)
@@ -306,7 +315,8 @@ fn lowered_size(mut e: &Expr) -> (usize, usize) {
                 }
                 return (ops, blocks);
             }
-            Expr::Jump { .. } | Expr::Ret(_) => return (ops + 1, blocks),
+            Expr::Jump { .. } => return (ops + 3, blocks),
+            Expr::Ret(_) => return (ops + 2, blocks),
             Expr::Inc { n, body, .. } => {
                 ops += *n as usize;
                 e = body;

@@ -389,7 +389,7 @@ def main() := ap42(k(10))
         let p = parse_program(LIST_SUM).unwrap();
         let rc = insert_rc(&p);
         let (_, report) = compile_with_report(&rc, PipelineOptions::full());
-        let names: Vec<&str> = report.phases.iter().map(|p| p.pipeline.as_str()).collect();
+        let names: Vec<&str> = report.phases.iter().map(|p| p.pipeline).collect();
         assert_eq!(
             names,
             vec![
@@ -409,7 +409,7 @@ def main() := ap42(k(10))
             }
         }
         let (_, minimal) = compile_with_report(&rc, PipelineOptions::no_opt());
-        let names: Vec<&str> = minimal.phases.iter().map(|p| p.pipeline.as_str()).collect();
+        let names: Vec<&str> = minimal.phases.iter().map(|p| p.pipeline).collect();
         assert_eq!(names, vec!["lower-cfg", "tco"]);
     }
 
@@ -417,7 +417,7 @@ def main() := ap42(k(10))
     fn one_compilation_reports_each_phase_once_with_one_row_per_pass() {
         let rc = insert_rc(&parse_program(LIST_SUM).unwrap());
         let (_, report) = compile_with_report(&rc, PipelineOptions::full());
-        let names: Vec<&str> = report.phases.iter().map(|p| p.pipeline.as_str()).collect();
+        let names: Vec<&str> = report.phases.iter().map(|p| p.pipeline).collect();
         assert_eq!(
             names,
             vec![

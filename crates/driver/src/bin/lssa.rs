@@ -15,7 +15,10 @@
 //! ```
 //!
 //! Each verb accepts exactly the flags listed for it: any other `--flag`,
-//! or a valued flag without its value, is a usage error (exit 1).
+//! or a valued flag without its value, is a usage error (exit 1), and a
+//! usage error is followed by the usage text. A failure of the input — a
+//! file that cannot be read, a program that does not parse, check, compile
+//! or run — is reported alone (exit 1).
 //!
 //! Files ending in `.lssa` are parsed by the S-expression text frontend
 //! (`lssa-syntax`); anything else uses the built-in surface language. The
@@ -24,9 +27,12 @@
 //! one JSON object per line with `--format json`) and exits non-zero when
 //! any are found; `run`/`dump`/`diff`/`bench` on a `.lssa` file report the
 //! *same* codes on the same defects, because the `E01xx` wellformedness
-//! codes are shared with the AST-level checker.
+//! codes are shared with the AST-level checker. `check` reads a
+//! surface-language file through the same loader as `run`, and reports its
+//! parse error (as `E0003`, at the line the parser names) or its
+//! wellformedness errors in the same renderings.
 //!
-//! `lint` accepts what `check` accepts and reports `E02xx` hygiene
+//! `lint` accepts the `.lssa` files `check` accepts and reports `E02xx` hygiene
 //! findings in the same renderings: source-level lints (dead join points,
 //! unused parameters, unreachable case arms, shadowed join labels) and the
 //! RC-linearity verdicts of the IR analysis framework (`error[E0201]` for
@@ -90,11 +96,44 @@ const MAX_STEPS: u64 = 2_000_000_000;
 /// 0 = success, 1 = any other error, 3 = resource exhaustion.
 const EXIT_RESOURCE: u8 = 3;
 
+/// Why a command failed.
+#[derive(Debug)]
+enum Failure {
+    /// The command line is wrong: a missing or unknown command, file
+    /// argument or flag, or a flag's bad value. The usage text follows the
+    /// message.
+    Usage(String),
+    /// The input is wrong: a file that cannot be read, or a program that
+    /// does not parse, check, compile or run. The message stands alone.
+    Input(String),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Failure {
+        Failure::Usage(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Failure {
+        Failure::Usage(msg.to_string())
+    }
+}
+
+/// Reads `path`; failing to is an input error.
+fn read(path: &str) -> Result<String, Failure> {
+    std::fs::read_to_string(path).map_err(|e| Failure::Input(format!("{path}: {e}")))
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(code) => code,
-        Err(msg) => {
+        Err(Failure::Input(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("usage:");
@@ -242,15 +281,16 @@ fn is_lssa(file: &str) -> bool {
 
 /// Parses `src`, read from `file`, into a λpure program: `.lssa` files
 /// through the text frontend, anything else through the built-in surface
-/// language, whose parse error is a plain `parse error: …`. A `.lssa`
-/// file is parsed strictly: any diagnostic (syntax *or* wellformedness —
-/// same `E01xx` codes as `lssa check`) is rendered human-readably to
-/// stderr, and the inner `Err` is the exit code to stop with.
-fn load(file: &str, src: &str) -> Result<Result<Program, ExitCode>, String> {
+/// language, whose parse error is a plain `parse error: …` input error. A
+/// `.lssa` file is parsed strictly: any diagnostic (syntax *or*
+/// wellformedness — same `E01xx` codes as `lssa check`) is rendered
+/// human-readably to stderr, and the inner `Err` is the exit code to stop
+/// with.
+fn load(file: &str, src: &str) -> Result<Result<Program, ExitCode>, Failure> {
     if !is_lssa(file) {
         return lssa_lambda::parse_program(src)
             .map(Ok)
-            .map_err(|e| format!("parse error: {e}"));
+            .map_err(|e| Failure::Input(format!("{file}: parse error: {e}")));
     }
     Ok(lssa_syntax::parse_program(src).map_err(|diags| {
         eprint!(
@@ -261,14 +301,60 @@ fn load(file: &str, src: &str) -> Result<Result<Program, ExitCode>, String> {
     }))
 }
 
+/// `check` on a surface-language file: what `run` would refuse before
+/// compiling — its parse error, or its wellformedness errors — as
+/// diagnostics. A parse error sits at the line the parser names.
+fn check_fl(src: &str) -> Vec<lssa_syntax::Diagnostic> {
+    let program = match lssa_lambda::parse_program(src) {
+        Ok(p) => p,
+        Err(e) => {
+            let start = src
+                .split_inclusive('\n')
+                .take(e.line.saturating_sub(1))
+                .map(str::len)
+                .sum::<usize>();
+            let end = src[start..].find('\n').map_or(src.len(), |n| start + n);
+            let span = lssa_syntax::Span {
+                start: u32::try_from(start).unwrap_or(u32::MAX),
+                end: u32::try_from(end).unwrap_or(u32::MAX),
+            };
+            return vec![lssa_syntax::Diagnostic::new(
+                "E0003",
+                format!("parse error: {}", e.message),
+                span,
+            )];
+        }
+    };
+    match lssa_lambda::check_program(&program) {
+        Ok(()) => Vec::new(),
+        Err(errs) => errs
+            .iter()
+            .map(|e| {
+                lssa_syntax::Diagnostic::spanless(e.code, format!("@{}: {}", e.func, e.message))
+            })
+            .collect(),
+    }
+}
+
+/// Refuses a surface-language file for a verb that works on `.lssa` text.
+fn lssa_only(verb: &str, file: &str) -> Result<(), Failure> {
+    if is_lssa(file) {
+        Ok(())
+    } else {
+        Err(Failure::Input(format!(
+            "{file}: `lssa {verb}` works on `.lssa` files only"
+        )))
+    }
+}
+
 #[allow(clippy::too_many_lines)]
-fn run(args: &[String]) -> Result<ExitCode, String> {
+fn run(args: &[String]) -> Result<ExitCode, Failure> {
     let cmd = args.first().ok_or("missing command")?;
     let files = positionals(args)?;
     match cmd.as_str() {
         "run" => {
             let file = files.first().ok_or("missing file")?;
-            let src = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
+            let src = read(file)?;
             let mut config = config_of(flag_value(args, "--backend").unwrap_or("mlir"))?;
             let want_stats = has_flag(args, "--pass-stats");
             let want_vm_stats = has_flag(args, "--vm-stats");
@@ -283,7 +369,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     Backend::Baseline => {
                         return Err(
                             "--print-ir-after-all requires an MLIR-style backend (not leanc)"
-                                .to_string(),
+                                .into(),
                         )
                     }
                 }
@@ -295,9 +381,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                         config.backend = Backend::Mlir(opts);
                     }
                     Backend::Baseline => {
-                        return Err(
-                            "--no-rc-opt requires an MLIR-style backend (not leanc)".to_string()
-                        )
+                        return Err("--no-rc-opt requires an MLIR-style backend (not leanc)".into())
                     }
                 }
             }
@@ -314,8 +398,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 Ok(p) => p,
                 Err(code) => return Ok(code),
             };
-            let (compiled, report) =
-                compile_ast_with_report(&program, config).map_err(|e| e.to_string())?;
+            let (compiled, report) = compile_ast_with_report(&program, config)
+                .map_err(|e| Failure::Input(e.to_string()))?;
             let out = match lssa_vm::run_program_opts(&compiled, "main", MAX_STEPS, decode, exec) {
                 Ok(out) => out,
                 // A budget or deadline abort is a governed outcome, not a
@@ -325,7 +409,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     eprintln!("execution error: {e}");
                     return Ok(ExitCode::from(EXIT_RESOURCE));
                 }
-                Err(e) => return Err(format!("execution error: {e}")),
+                Err(e) => return Err(Failure::Input(format!("execution error: {e}"))),
             };
             println!("{}", out.rendered);
             eprintln!(
@@ -352,17 +436,21 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         }
         "check" => {
             if files.is_empty() {
-                return Err("missing file".to_string());
+                return Err("missing file".into());
             }
             let format = match flag_value(args, "--format") {
                 None | Some("human") => lssa_syntax::RenderFormat::Human,
                 Some("json") => lssa_syntax::RenderFormat::Json,
-                Some(other) => return Err(format!("unknown format `{other}`")),
+                Some(other) => return Err(format!("unknown format `{other}`").into()),
             };
             let mut failed = false;
             for file in files {
-                let src = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
-                let diags = lssa_syntax::check_source(&src);
+                let src = read(file)?;
+                let diags = if is_lssa(file) {
+                    lssa_syntax::check_source(&src)
+                } else {
+                    check_fl(&src)
+                };
                 if !diags.is_empty() {
                     failed = true;
                     print!("{}", lssa_syntax::render_all(&diags, file, &src, format));
@@ -376,16 +464,19 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         }
         "lint" => {
             if files.is_empty() {
-                return Err("missing file".to_string());
+                return Err("missing file".into());
             }
             let format = match flag_value(args, "--format") {
                 None | Some("human") => lssa_syntax::RenderFormat::Human,
                 Some("json") => lssa_syntax::RenderFormat::Json,
-                Some(other) => return Err(format!("unknown format `{other}`")),
+                Some(other) => return Err(format!("unknown format `{other}`").into()),
             };
             let mut failed = false;
+            for file in &files {
+                lssa_only("lint", file)?;
+            }
             for file in files {
-                let src = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
+                let src = read(file)?;
                 let diags = lssa_driver::lint::lint_source(&src);
                 failed |= lssa_driver::lint::has_errors(&diags);
                 if !diags.is_empty() {
@@ -400,16 +491,19 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         }
         "fmt" => {
             if files.is_empty() {
-                return Err("missing file".to_string());
+                return Err("missing file".into());
             }
             let write = has_flag(args, "--write");
             let check = has_flag(args, "--check");
             if write && check {
-                return Err("--write and --check are mutually exclusive".to_string());
+                return Err("--write and --check are mutually exclusive".into());
             }
             let mut drifted = false;
+            for file in &files {
+                lssa_only("fmt", file)?;
+            }
             for file in files {
-                let src = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
+                let src = read(file)?;
                 let formatted = match lssa_syntax::format_source(&src) {
                     Ok(f) => f,
                     Err(diags) => {
@@ -427,7 +521,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 };
                 if write {
                     if formatted != src {
-                        std::fs::write(file, &formatted).map_err(|e| format!("{file}: {e}"))?;
+                        std::fs::write(file, &formatted)
+                            .map_err(|e| Failure::Input(format!("{file}: {e}")))?;
                         eprintln!("-- rewrote {file}");
                     }
                 } else if check {
@@ -447,13 +542,14 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         }
         "dump" => {
             let file = files.first().ok_or("missing file")?;
-            let src = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
+            let src = read(file)?;
             let stage = flag_value(args, "--stage").unwrap_or("cfg");
             let program = match load(file, &src)? {
                 Ok(p) => p,
                 Err(code) => return Ok(code),
             };
-            let rc = frontend_ast(&program, CompilerConfig::mlir()).map_err(|e| e.to_string())?;
+            let rc = frontend_ast(&program, CompilerConfig::mlir())
+                .map_err(|e| Failure::Input(e.to_string()))?;
             match stage {
                 "lambda" => {
                     for f in &rc.fns {
@@ -482,13 +578,13 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     let m = lssa_core::pipeline::compile(&rc, lssa_core::PipelineOptions::full());
                     print!("{}", lssa_ir::printer::print_module(&m));
                 }
-                other => return Err(format!("unknown stage `{other}`")),
+                other => return Err(format!("unknown stage `{other}`").into()),
             }
             Ok(ExitCode::SUCCESS)
         }
         "diff" => {
             let file = files.first().ok_or("missing file")?;
-            let src = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
+            let src = read(file)?;
             let program = match load(file, &src)? {
                 Ok(p) => p,
                 Err(code) => return Ok(code),
@@ -499,7 +595,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     println!("PASS: all pipelines agree on {:?}", r.rendered.unwrap());
                     Ok(ExitCode::SUCCESS)
                 }
-                Some(f) => Err(format!("differential mismatch: {f}")),
+                Some(f) => Err(Failure::Input(format!("differential mismatch: {f}"))),
             }
         }
         "bench" => {
@@ -514,9 +610,10 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     .ok_or("--diff needs <old.json> <new.json>")?;
                 let mut rows = Vec::new();
                 for path in [old_path, new_path] {
-                    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+                    let text = read(path)?;
                     rows.push(
-                        benchjson::parse_baseline(&text).map_err(|e| format!("{path}: {e}"))?,
+                        benchjson::parse_baseline(&text)
+                            .map_err(|e| Failure::Input(format!("{path}: {e}")))?,
                     );
                 }
                 print!("{}", benchjson::render_diff(&rows[0], &rows[1]));
@@ -526,7 +623,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let want_json = has_flag(args, "--json");
             let want_check = has_flag(args, "--check");
             if want_json && want_check {
-                return Err("--json (regenerate) and --check (compare) are exclusive".to_string());
+                return Err("--json (regenerate) and --check (compare) are exclusive".into());
             }
             // Interleaved rounds per workload; raise on a noisy machine so
             // every rung's best time catches a quiet window (the row keeps
@@ -535,7 +632,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 None => 5,
                 Some(r) => match r.parse::<usize>() {
                     Ok(n) if n >= 1 => n,
-                    _ => return Err(format!("bad --runs `{r}`")),
+                    _ => return Err(format!("bad --runs `{r}`").into()),
                 },
             };
             if is_lssa(name) {
@@ -543,16 +640,15 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 // ineligible for the committed JSON baseline, which is
                 // keyed by workload name and scale.
                 if want_json || want_check {
-                    return Err(
-                        "--json and --check measure the built-in workloads only".to_string()
-                    );
+                    return Err("--json and --check measure the built-in workloads only".into());
                 }
-                let src = std::fs::read_to_string(name).map_err(|e| format!("{name}: {e}"))?;
+                let src = read(name)?;
                 let program = match load(name, &src)? {
                     Ok(p) => p,
                     Err(code) => return Ok(code),
                 };
-                let record = benchjson::measure_program(name, &program, runs, MAX_STEPS)?;
+                let record = benchjson::measure_program(name, &program, runs, MAX_STEPS)
+                    .map_err(Failure::Input)?;
                 print!("{}", benchjson::render_text(&[record]));
                 return Ok(ExitCode::SUCCESS);
             }
@@ -561,7 +657,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 "test" | "quick" => (Scale::Test, "test"),
                 "bench" => (Scale::Bench, "bench"),
                 "stress" => (Scale::Stress, "stress"),
-                other => return Err(format!("unknown scale `{other}`")),
+                other => return Err(format!("unknown scale `{other}`").into()),
             };
             let selected: Vec<Workload> = if name == "all" {
                 all(scale)
@@ -579,22 +675,24 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                         "bench {name} --json would overwrite the full-suite \
                          {}; pass --out FILE (or bench all)",
                         benchjson::default_path(scale_label)
-                    ))
+                    )
+                    .into())
                 }
             };
             // Read the baseline up front: fail before spending minutes
             // measuring if it is missing or malformed.
             let baseline = if want_check {
-                let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-                let mut rows =
-                    benchjson::parse_baseline(&text).map_err(|e| format!("{path}: {e}"))?;
+                let text = read(&path)?;
+                let mut rows = benchjson::parse_baseline(&text)
+                    .map_err(|e| Failure::Input(format!("{path}: {e}")))?;
                 // A partial run only checks the selected workloads.
                 rows.retain(|b| selected.iter().any(|w| w.name == b.name));
                 Some(rows)
             } else {
                 None
             };
-            let records = benchjson::run_suite(&selected, runs, MAX_STEPS)?;
+            let records =
+                benchjson::run_suite(&selected, runs, MAX_STEPS).map_err(Failure::Input)?;
             print!("{}", benchjson::render_text(&records));
             if let Some(baseline) = baseline {
                 let tolerance = match flag_value(args, "--tolerance") {
@@ -624,7 +722,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             }
             if want_json {
                 let json = benchjson::render_json(scale_label, runs, &records);
-                std::fs::write(&path, json).map_err(|e| format!("{path}: {e}"))?;
+                std::fs::write(&path, json).map_err(|e| Failure::Input(format!("{path}: {e}")))?;
                 eprintln!("-- wrote {path}");
             }
             Ok(ExitCode::SUCCESS)

@@ -876,7 +876,79 @@ fn fl_nesting_at_the_depth_bound_runs_and_one_past_exits_1() {
                 "{verb} {shape}: {stderr}"
             );
             assert!(!stderr.contains("panicked"), "{verb} {shape}: {stderr}");
+            // A parse error is the input's fault, not the command line's.
+            assert!(!stderr.contains("usage:"), "{verb} {shape}: {stderr}");
         }
+        std::fs::remove_file(path).ok();
+    }
+}
+
+/// `check` reads a surface-language file as `run` does; `lint` and `fmt`,
+/// which work on `.lssa` text, refuse one in a line of their own.
+#[test]
+fn check_lint_and_fmt_on_surface_language_files() {
+    const SUM: &str = "inductive List := Nil | Cons(h, t)\n\
+        def sum(xs) := case xs of | Nil => 0 | Cons(h, t) => h + sum(t) end\n\
+        def main() := sum(Cons(1, Cons(2, Nil)))\n";
+    let path = write_temp("check-sum", SUM);
+    let out = lssa().arg("run").arg(&path).output().unwrap();
+    assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "3");
+    for format in ["human", "json"] {
+        let out = lssa()
+            .arg("check")
+            .arg(&path)
+            .args(["--format", format])
+            .output()
+            .unwrap();
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{format}: {}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(out.stdout.is_empty() && out.stderr.is_empty(), "{format}");
+    }
+    for verb in [
+        &["lint"][..],
+        &["fmt"],
+        &["fmt", "--check"],
+        &["fmt", "--write"],
+    ] {
+        let out = lssa().args(verb).arg(&path).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{verb:?}: {stderr}");
+        assert!(stderr.contains(".lssa"), "{verb:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{verb:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{verb:?}");
+    }
+    assert_eq!(
+        std::fs::read_to_string(&path).unwrap(),
+        SUM,
+        "fmt left it alone"
+    );
+    std::fs::remove_file(path).ok();
+    // A parse error and a wellformedness error each exit 1 with a coded
+    // diagnostic and no usage text.
+    for (name, src, code) in [
+        ("check-parse", "def main() := (1 +\n", "E0003"),
+        (
+            "check-wf",
+            "def f(x) := @nosuch(x)\ndef main() := f(1)\n",
+            "E0108",
+        ),
+    ] {
+        let path = write_temp(name, src);
+        assert_rejected("check", &path, &[], code);
+        let out = lssa()
+            .arg("check")
+            .arg(&path)
+            .args(["--format", "json"])
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stdout}");
+        assert!(stdout.contains(&format!("\"code\":\"{code}\"")), "{stdout}");
         std::fs::remove_file(path).ok();
     }
 }

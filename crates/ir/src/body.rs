@@ -143,11 +143,15 @@ pub struct BlockData {
     pub parent: Option<RegionId>,
 }
 
+/// Block list storage of a region: nested regions hold one block until
+/// the CFG lowering moves them into the root region.
+pub type BlockList = InlineVec<BlockId, 1>;
+
 /// Data for a region: a nested, single-entry sub-CFG.
 #[derive(Debug, Clone, Default)]
 pub struct RegionData {
     /// Blocks; the first is the region's entry.
-    pub blocks: Vec<BlockId>,
+    pub blocks: BlockList,
     /// The op owning this region (`None` for the function root region).
     pub parent: Option<OpId>,
 }
@@ -179,7 +183,15 @@ impl Body {
     /// Creates a body with a root region and an entry block whose arguments
     /// have types `params`. Returns the body and the parameter values.
     pub fn new(params: &[Type]) -> (Body, Vec<ValueId>) {
+        Body::with_capacity(params, 0, 0)
+    }
+
+    /// [`Body::new`], with the arenas reserved for `ops` operations and
+    /// `blocks` blocks more (see [`Body::reserve`]).
+    pub fn with_capacity(params: &[Type], ops: usize, blocks: usize) -> (Body, Vec<ValueId>) {
         let mut body = Body::default();
+        body.reserve(ops, blocks + 1);
+        body.values.reserve(params.len());
         let root = body.new_region_detached();
         debug_assert_eq!(root, ROOT_REGION);
         let entry = body.new_block(root, params);
@@ -456,6 +468,9 @@ impl Body {
     /// walk allocates only when a body is larger than every one before it.
     pub fn walk_ops(&self, out: &mut Vec<OpId>) {
         out.clear();
+        // The live index bounds the walk (it holds every attached op), so
+        // the buffer grows at most once.
+        out.reserve(self.live.len());
         self.walk_region(ROOT_REGION, out);
     }
 

@@ -86,7 +86,7 @@ impl PassStatistics {
 #[derive(Debug, Clone)]
 pub struct PipelineRunReport {
     /// Pipeline name.
-    pub pipeline: String,
+    pub pipeline: &'static str,
     /// Whether the pipeline ran with a fixpoint bound above one sweep
     /// (controls how convergence is rendered).
     pub fixpoint: bool,
@@ -180,7 +180,7 @@ pub type DumpHook = Box<dyn Fn(&str, &Module)>;
 /// verification, an iteration bound for fixpoint driving, and an IR dump
 /// hook.
 pub struct PassManager {
-    name: String,
+    name: &'static str,
     passes: Vec<Box<dyn Pass>>,
     verify_each: bool,
     verify_rc: bool,
@@ -203,9 +203,9 @@ impl std::fmt::Debug for PassManager {
 
 impl PassManager {
     /// Creates an empty named pipeline.
-    pub fn named(name: impl Into<String>) -> PassManager {
+    pub fn named(name: &'static str) -> PassManager {
         PassManager {
-            name: name.into(),
+            name,
             passes: Vec::new(),
             verify_each: false,
             verify_rc: false,
@@ -215,8 +215,8 @@ impl PassManager {
     }
 
     /// The pipeline's name.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// Enables verification after every pass.
@@ -270,7 +270,7 @@ impl PassManager {
     /// offending pass.
     pub fn run(&self, module: &mut Module) -> PipelineRunReport {
         let start = Instant::now();
-        let mut passes: Vec<PassStatistics> = Vec::new();
+        let mut passes: Vec<PassStatistics> = Vec::with_capacity(self.passes.len());
         let mut iterations = 0;
         let mut changed = false;
         let mut converged = false;
@@ -296,7 +296,7 @@ impl PassManager {
             }
         }
         PipelineRunReport {
-            pipeline: self.name.clone(),
+            pipeline: self.name,
             fixpoint: self.max_iters > 1,
             iterations,
             converged,

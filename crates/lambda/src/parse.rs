@@ -1136,31 +1136,32 @@ impl<'a> Lowerer<'a> {
     /// with their variables.
     fn lower_args<'k>(
         &mut self,
-        args: &[SExpr],
+        args: &'k [SExpr],
         f: impl FnOnce(&mut Lowerer<'_>, Vec<VarId>) -> Result<Expr, SurfaceError> + 'k,
     ) -> Result<Expr, SurfaceError> {
-        self.lower_args_acc(args, Vec::new(), Box::new(f))
+        self.lower_args_acc(args, Vec::with_capacity(args.len()), Box::new(f))
     }
 
+    /// Lowers `rest`, then calls `f` with `acc` and the variables of `rest`.
+    /// Each argument's continuation borrows the arguments after it, so an
+    /// n-argument call costs O(n), not a copy of the remaining list per
+    /// argument.
     #[allow(clippy::type_complexity)]
     fn lower_args_acc<'k>(
         &mut self,
-        rest: &[SExpr],
+        rest: &'k [SExpr],
         mut acc: Vec<VarId>,
         f: Box<dyn FnOnce(&mut Lowerer<'_>, Vec<VarId>) -> Result<Expr, SurfaceError> + 'k>,
     ) -> Result<Expr, SurfaceError> {
         match rest.split_first() {
             None => f(self, acc),
-            Some((first, tail)) => {
-                let tail = tail.to_vec();
-                self.lower(
-                    first,
-                    Kont::Then(Box::new(move |this, v| {
-                        acc.push(v);
-                        this.lower_args_acc(&tail, acc, f)
-                    })),
-                )
-            }
+            Some((first, tail)) => self.lower(
+                first,
+                Kont::Then(Box::new(move |this, v| {
+                    acc.push(v);
+                    this.lower_args_acc(tail, acc, f)
+                })),
+            ),
         }
     }
 

@@ -20,7 +20,7 @@ fn every_pipeline_slot_changes_some_program() {
     let mut cases = handwritten();
     cases.extend(generated(DRAW.0, DRAW.1));
     // (pipeline, pass) in first-seen order, and whether any run changed.
-    let mut slots: Vec<(String, &'static str, bool)> = Vec::new();
+    let mut slots: Vec<(&'static str, &'static str, bool)> = Vec::new();
     for config in [CompilerConfig::mlir(), CompilerConfig::rgn_only()] {
         for case in &cases {
             let (_, report) = compile_with_report(&case.src, config)
@@ -33,7 +33,7 @@ fn every_pipeline_slot_changes_some_program() {
                         .find(|(p, pass, _)| *p == phase.pipeline && *pass == row.pass);
                     match seen {
                         Some(slot) => slot.2 |= row.changed,
-                        None => slots.push((phase.pipeline.clone(), row.pass, row.changed)),
+                        None => slots.push((phase.pipeline, row.pass, row.changed)),
                     }
                 }
             }
@@ -48,7 +48,7 @@ fn every_pipeline_slot_changes_some_program() {
         "cleanup",
     ] {
         assert!(
-            slots.iter().any(|(p, _, _)| p == pipeline),
+            slots.iter().any(|(p, _, _)| *p == pipeline),
             "no `{pipeline}` rows were reported"
         );
     }
