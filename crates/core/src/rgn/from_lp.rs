@@ -64,12 +64,10 @@ pub fn lower_body(body: &mut Body, bufs: &mut RgnLowering) {
         }
     }
     debug_assert!(
-        {
-            body.walk_ops(targets);
-            !targets
-                .iter()
-                .any(|&op| body.ops[op.index()].opcode == Opcode::LpJump)
-        },
+        !body
+            .ops
+            .iter()
+            .any(|d| !d.dead && d.parent.is_some() && d.opcode == Opcode::LpJump),
         "dangling lp.jump after rgn lowering"
     );
 }
