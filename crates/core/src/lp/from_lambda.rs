@@ -506,7 +506,7 @@ def sum(xs) :=
         );
         for f in &m.funcs {
             let Some(body) = &f.body else { continue };
-            for op in walk(&body) {
+            for op in walk(body) {
                 let d = body.ops[op.index()].opcode.dialect();
                 assert!(d != "cf" && d != "rgn", "unexpected {d} op at lp level");
             }

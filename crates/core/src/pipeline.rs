@@ -363,7 +363,7 @@ def main() := sum(build(20))
         );
         let body = m.func_by_name("main").unwrap().body.as_ref().unwrap();
         // No branches survive.
-        let has_branch = walk(&body).iter().any(|&op| {
+        let has_branch = walk(body).iter().any(|&op| {
             matches!(
                 body.ops[op.index()].opcode,
                 Opcode::CondBr | Opcode::SwitchBr

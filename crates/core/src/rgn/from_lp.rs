@@ -241,7 +241,7 @@ mod tests {
     fn assert_no_lp_control(m: &Module) {
         for f in &m.funcs {
             let Some(body) = &f.body else { continue };
-            for op in walk(&body) {
+            for op in walk(body) {
                 assert!(
                     !matches!(
                         body.ops[op.index()].opcode,
@@ -306,7 +306,7 @@ def f(b, y) :=
         assert!(text.contains("rgn.run"), "{text}");
         let f = m.func_by_name("f").unwrap();
         let body = f.body.as_ref().unwrap();
-        let has_run_with_args = walk(&body).iter().any(|&op| {
+        let has_run_with_args = walk(body).iter().any(|&op| {
             body.ops[op.index()].opcode == Opcode::RgnRun && body.ops[op.index()].operands.len() > 1
         });
         assert!(has_run_with_args, "{text}");
@@ -334,7 +334,7 @@ def eval(x, y, z) :=
         assert_no_lp_control(&m);
         let f = m.func_by_name("eval").unwrap();
         let body = f.body.as_ref().unwrap();
-        let n_vals = walk(&body)
+        let n_vals = walk(body)
             .iter()
             .filter(|&&op| body.ops[op.index()].opcode == Opcode::RgnVal)
             .count();
@@ -357,7 +357,7 @@ def len(xs) :=
         // this spells the property out.
         for f in &m.funcs {
             let Some(body) = &f.body else { continue };
-            for op in walk(&body) {
+            for op in walk(body) {
                 for (i, &v) in body.ops[op.index()].operands.iter().enumerate() {
                     if body.value_type(v) == Type::Rgn {
                         let ok = matches!(

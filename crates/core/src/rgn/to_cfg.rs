@@ -340,7 +340,7 @@ mod tests {
     fn assert_flat(m: &Module) {
         for f in &m.funcs {
             let Some(body) = &f.body else { continue };
-            for op in walk(&body) {
+            for op in walk(body) {
                 let opcode = body.ops[op.index()].opcode;
                 assert!(
                     opcode.dialect() != "rgn"
@@ -422,7 +422,7 @@ def eval(x, y, z) :=
         // literally per arm. Count lp.int {value = 60}: must be ≤ 2 (the
         // surface program spells it twice; the match compiler must not
         // *add* copies).
-        let sixties = walk(&body)
+        let sixties = walk(body)
             .iter()
             .filter(|&&op| {
                 body.ops[op.index()].opcode == Opcode::LpInt
@@ -466,7 +466,7 @@ def start(n) := loop(n, 0)
         // `start`'s call to loop is also a tail call under the guarantee.
         let start = m.func_by_name("start").unwrap();
         let body = start.body.as_ref().unwrap();
-        let has_tail = walk(&body)
+        let has_tail = walk(body)
             .iter()
             .any(|&op| body.ops[op.index()].opcode == Opcode::TailCall);
         assert!(has_tail, "{text}");
@@ -485,13 +485,13 @@ def start(n) := loop(n, 0)
         verify_module(&m).unwrap();
         let start = m.func_by_name("start").unwrap();
         let body = start.body.as_ref().unwrap();
-        let has_tail = walk(&body)
+        let has_tail = walk(body)
             .iter()
             .any(|&op| body.ops[op.index()].opcode == Opcode::TailCall);
         assert!(!has_tail, "cross-function call must stay a plain call");
         let lp = m.func_by_name("loop").unwrap();
         let body = lp.body.as_ref().unwrap();
-        let has_tail = walk(&body)
+        let has_tail = walk(body)
             .iter()
             .any(|&op| body.ops[op.index()].opcode == Opcode::TailCall);
         assert!(has_tail, "self recursion is the heuristic case");
@@ -514,7 +514,7 @@ def drop_all(xs) :=
         verify_module(&m).unwrap();
         let f = m.func_by_name("drop_all").unwrap();
         let body = f.body.as_ref().unwrap();
-        let has_tail = walk(&body)
+        let has_tail = walk(body)
             .iter()
             .any(|&op| body.ops[op.index()].opcode == Opcode::TailCall);
         assert!(has_tail, "{}", print_module(&m));

@@ -263,12 +263,12 @@ def len(xs) :=
         );
         let f = m.func_by_name("len").unwrap();
         let body = f.body.as_ref().unwrap();
-        let has_switch = walk(&body)
+        let has_switch = walk(body)
             .iter()
             .any(|&op| body.ops[op.index()].opcode == Opcode::SwitchBr);
         assert!(has_switch);
         // No rgn ops in the baseline path, ever.
-        let has_rgn = walk(&body)
+        let has_rgn = walk(body)
             .iter()
             .any(|&op| body.ops[op.index()].opcode.dialect() == "rgn");
         assert!(!has_rgn);
@@ -304,7 +304,7 @@ def loop(n, acc) := if n == 0 then acc else loop(n - 1, acc + n)
         );
         let f = m.func_by_name("loop").unwrap();
         let body = f.body.as_ref().unwrap();
-        let has_tail = walk(&body)
+        let has_tail = walk(body)
             .iter()
             .any(|&op| body.ops[op.index()].opcode == Opcode::TailCall);
         assert!(has_tail);

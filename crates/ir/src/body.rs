@@ -11,10 +11,15 @@
 //! [`Body::use_counts`], [`Body::users_of`]) stop paying for tombstones
 //! shortly after erasure instead of rescanning the whole arena forever.
 //!
-//! Per-op lists (operands, results, successors, regions, attributes) use
-//! [`InlineVec`] storage: small lists — the overwhelmingly common case —
-//! live inside `OpData` itself, so building or cloning an op does not
-//! allocate.
+//! Per-op lists (operands, results, successors, regions, attributes) and a
+//! region's block list use [`InlineVec`] storage: small lists — the
+//! overwhelmingly common case — live inside their owner, so building or
+//! cloning an op does not allocate.
+//!
+//! The walks that produce a list ([`Body::walk_ops`], [`Body::use_counts`])
+//! fill a buffer the caller owns, so a pass that visits many bodies reuses
+//! one; [`Body::with_capacity`] and [`Body::reserve`] size the arenas for a
+//! lowering that knows roughly how much it will build.
 
 use crate::attr::{Attr, AttrKey};
 use crate::hash::FxHashMap;

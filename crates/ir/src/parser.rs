@@ -959,7 +959,7 @@ module {
         let m = parse_module(src).unwrap();
         let f = m.func_by_name("h").unwrap();
         let body = f.body.as_ref().unwrap();
-        let switch = walk(&body)
+        let switch = walk(body)
             .into_iter()
             .find(|&op| body.ops[op.index()].opcode == Opcode::LpSwitch)
             .unwrap();
@@ -989,7 +989,7 @@ module {
         let m = parse_module(src).unwrap();
         let f = m.func_by_name("r").unwrap();
         let body = f.body.as_ref().unwrap();
-        let vals: Vec<_> = walk(&body)
+        let vals: Vec<_> = walk(body)
             .into_iter()
             .filter(|&op| body.ops[op.index()].opcode == Opcode::RgnVal)
             .collect();
@@ -1068,7 +1068,7 @@ module {
         round_trip(src);
         let f = m.func_by_name("big").unwrap();
         let body = f.body.as_ref().unwrap();
-        let op = walk(&body)[0];
+        let op = walk(body)[0];
         assert_eq!(
             body.ops[op.index()].attr(AttrKey::Value).unwrap().as_str(),
             Some("99999999999999999999")

@@ -5,6 +5,11 @@
 //! after the `rgn`→CFG lowering for leaf functions. This mirrors MLIR's
 //! builtin inliner in the role Figure 11 assigns it; the restriction keeps
 //! the transformation obviously sound (no block splitting required).
+//!
+//! The snapshot of every inlinable callee lives in three arrays shared by
+//! the module, and the cycle search, the body walk and the splice's value
+//! map are buffers one run reuses, so a run allocates per module, not per
+//! callee, op or call site.
 
 use crate::body::{Body, OperandList};
 use crate::hash::FxHashMap;
@@ -377,11 +382,11 @@ mod tests {
         assert!(InlinePass::default().run_on(&mut m));
         crate::verifier::verify_module(&m).unwrap();
         let body = m.func_by_name("f").unwrap().body.as_ref().unwrap();
-        let has_call = walk(&body)
+        let has_call = walk(body)
             .iter()
             .any(|&op| body.ops[op.index()].opcode == Opcode::Call);
         assert!(!has_call, "call must be inlined");
-        let has_mul = walk(&body)
+        let has_mul = walk(body)
             .iter()
             .any(|&op| body.ops[op.index()].opcode == Opcode::MulI);
         assert!(has_mul, "callee body must be spliced in");
@@ -437,7 +442,7 @@ mod tests {
         crate::verifier::verify_module(&m).unwrap();
         let spin = m.intern("spin");
         let body = m.func_by_name("main").unwrap().body.as_ref().unwrap();
-        let callees: Vec<Symbol> = walk(&body)
+        let callees: Vec<Symbol> = walk(body)
             .iter()
             .filter_map(|&op| body.ops[op.index()].attr(crate::attr::AttrKey::Callee))
             .filter_map(|a| a.as_sym())
@@ -511,7 +516,7 @@ mod tests {
 
         assert!(!InlinePass::default().run_on(&mut m));
         let body = m.func_by_name("f").unwrap().body.as_ref().unwrap();
-        let has_call = walk(&body)
+        let has_call = walk(body)
             .iter()
             .any(|&op| body.ops[op.index()].opcode == Opcode::Call);
         assert!(has_call, "the malformed call site must be left alone");
@@ -561,7 +566,7 @@ mod tests {
 
         assert!(!InlinePass::default().run_on(&mut m));
         let body = m.func_by_name("f").unwrap().body.as_ref().unwrap();
-        let has_call = walk(&body)
+        let has_call = walk(body)
             .iter()
             .any(|&op| body.ops[op.index()].opcode == Opcode::Call);
         assert!(has_call, "the mis-arity call site must be left alone");
@@ -594,7 +599,7 @@ mod tests {
         InlinePass::default().run_on(&mut m);
         crate::verifier::verify_module(&m).unwrap();
         let body = m.func_by_name("f").unwrap().body.as_ref().unwrap();
-        let has_call = walk(&body)
+        let has_call = walk(body)
             .iter()
             .any(|&op| body.ops[op.index()].opcode == Opcode::Call);
         assert!(!has_call);

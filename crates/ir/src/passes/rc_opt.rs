@@ -38,6 +38,10 @@
 //!    and both behaviours depend only on the count *trajectory outside*
 //!    the window, which the cancelling pair leaves untouched.
 //!
+//! A block's op list is scanned through a buffer, and the borrow sources
+//! are compressed rows, both in [`RcOptBuffers`], which one run reuses for
+//! every block and body.
+//!
 //! The two steps run to a joint fixpoint per block: sinking creates
 //! adjacent `inc/dec` pairs for elision, and each elided pair removes a
 //! barrier that may unblock further sinking. Re-running the pass on its
@@ -208,7 +212,7 @@ impl Borrows {
         }
         self.of.clear();
         self.of
-            .resize(*self.start.last().unwrap() as usize, ValueId::default());
+            .resize(self.start[body.values.len()] as usize, ValueId::default());
         for &op in walk.iter().rev() {
             let d = &body.ops[op.index()];
             if aliasing(d) {
@@ -457,7 +461,7 @@ mod tests {
 
     fn opcodes(m: &Module) -> Vec<Opcode> {
         let body = m.func_by_name("f").unwrap().body.as_ref().unwrap();
-        walk(&body)
+        walk(body)
             .iter()
             .map(|o| body.ops[o.index()].opcode)
             .collect()
@@ -620,7 +624,7 @@ mod tests {
 
     fn mask_of(m: &Module) -> i64 {
         let body = m.func_by_name("f").unwrap().body.as_ref().unwrap();
-        let call = walk(&body)
+        let call = walk(body)
             .into_iter()
             .find(|o| body.ops[o.index()].opcode == Opcode::Call)
             .expect("call survives");

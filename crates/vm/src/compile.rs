@@ -275,30 +275,24 @@ impl FnCompiler<'_> {
         block_offsets.resize(body.blocks.len(), None);
         let mut fixups = std::mem::take(&mut self.bufs.fixups);
         fixups.clear();
-        let mut compiled = Ok(());
-        'blocks: for &block in blocks {
+        // An error ends the module's compilation, so the buffers taken out
+        // need to go back only on success.
+        for &block in blocks {
             block_offsets[block.index()] = Some(code.len());
             for &op in &body.blocks[block.index()].ops {
-                compiled = self.compile_op(op, &mut code, &mut fixups);
-                if compiled.is_err() {
-                    break 'blocks;
-                }
+                self.compile_op(op, &mut code, &mut fixups)?;
             }
         }
-        let patched = compiled.and_then(|()| {
-            fixups.iter().try_for_each(|&(at, slot, dest)| {
-                let target = block_offsets
-                    .get(dest.index())
-                    .copied()
-                    .flatten()
-                    .ok_or_else(|| err(format!("branch to unplaced block {dest}")))?;
-                patch_target(&mut code[at], slot, target);
-                Ok(())
-            })
-        });
+        for &(at, slot, dest) in &fixups {
+            let target = block_offsets
+                .get(dest.index())
+                .copied()
+                .flatten()
+                .ok_or_else(|| err(format!("branch to unplaced block {dest}")))?;
+            patch_target(&mut code[at], slot, target);
+        }
         self.bufs.block_offsets = block_offsets;
         self.bufs.fixups = fixups;
-        patched?;
         Ok(CompiledFn {
             name: name.to_string(),
             arity: arity as u16,
@@ -364,24 +358,17 @@ impl FnCompiler<'_> {
         let mut srcs = std::mem::take(&mut self.bufs.srcs);
         srcs.clear();
         let body = self.body;
-        let mut compiled = Ok(());
         for &v in &body.ops[op.index()].operands {
             let r = if self.bufs.facts[v.index()] == CONSTANT {
-                match self.materialize(v, code) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        compiled = Err(e);
-                        break;
-                    }
-                }
+                self.materialize(v, code)?
             } else {
                 self.reg(v)
             };
             srcs.push(r);
         }
-        let compiled = compiled.and_then(|()| self.emit(op, &srcs, code, fixups));
+        self.emit(op, &srcs, code, fixups)?;
         self.bufs.srcs = srcs;
-        compiled
+        Ok(())
     }
 
     /// The cells of `op`, whose operands are in registers `srcs`.

@@ -20,6 +20,11 @@
 //! enum instruction exactly (the round-trip the unit tests pin down), so
 //! the decoded form executes identically by construction.
 //!
+//! Each function's code and pools are allocated once, at the size its
+//! compiled code needs; fusion writes the fused stream back into the code
+//! vector, and fusion's and renumbering's per-cell and per-register tables
+//! are buffers one [`decode_program_with`] reuses for every function.
+//!
 //! ## Superinstruction fusion
 //!
 //! On top of the base lowering, [`decode_program_with`] runs a peephole

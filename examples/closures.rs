@@ -42,11 +42,11 @@ fn main() {
     println!("=== closure operations in the lp module ===");
     for f in &module.funcs {
         let Some(body) = &f.body else { continue };
-        let paps = walk(&body)
+        let paps = walk(body)
             .iter()
             .filter(|&&op| body.ops[op.index()].opcode == Opcode::LpPap)
             .count();
-        let extends = walk(&body)
+        let extends = walk(body)
             .iter()
             .filter(|&&op| body.ops[op.index()].opcode == Opcode::LpPapExtend)
             .count();

@@ -39,7 +39,7 @@ fn walk(body: &lambda_ssa::ir::body::Body) -> Vec<lambda_ssa::ir::ids::OpId> {
 
 fn count_constant(module: &Module, func: &str, value: i64) -> usize {
     let body = module.func_by_name(func).unwrap().body.as_ref().unwrap();
-    walk(&body)
+    walk(body)
         .iter()
         .filter(|&&op| {
             body.ops[op.index()].opcode == Opcode::LpInt
@@ -78,7 +78,7 @@ fn main() {
     // branch runs it.
     lambda_ssa::core::rgn::from_lp::lower_module(&mut module);
     let body = module.func_by_name("eval").unwrap().body.as_ref().unwrap();
-    let runs = walk(&body)
+    let runs = walk(body)
         .iter()
         .filter(|&&op| body.ops[op.index()].opcode == Opcode::RgnRun)
         .count();
