@@ -7,7 +7,7 @@
 //! precisely what makes the `rgn` lowering (Figure 8) and its optimizations
 //! applicable.
 //!
-//! Before lowering a function, one walk of its λ body counts the ops and
+//! Before lowering a function, one walk of its λ blocks counts the ops and
 //! blocks it will become here and in the `rgn` and CFG lowerings, and the
 //! body's arenas are reserved to that size;
 //! each block's op list is reserved for the chain lowered into it. Call and
@@ -16,7 +16,7 @@
 
 use lssa_ir::body::OperandList;
 use lssa_ir::prelude::*;
-use lssa_lambda::ast::{Expr, FnDef, Program, Value};
+use lssa_lambda::ast::{Arena, BlockId as LamBlock, FnDef, Name, Program, Stmt, Terminator, Value};
 use lssa_rt::Builtin;
 use std::fmt::Write as _;
 
@@ -34,8 +34,10 @@ pub fn lower_program(program: &Program) -> Module {
     // record each one's arity by symbol for `pap` (the first definition of
     // a name wins, as a front-to-back lookup would).
     let mut arities: Vec<Option<usize>> = Vec::new();
+    let mut symbols = vec![Symbol(UNSET); program.names.len()];
     for f in &program.fns {
-        let sym = module.intern(&f.name);
+        let sym = module.intern(program.name(f));
+        symbols[f.name.index()] = sym;
         if sym.index() >= arities.len() {
             arities.resize(sym.index() + 1, None);
         }
@@ -43,6 +45,8 @@ pub fn lower_program(program: &Program) -> Module {
     }
     let mut ctx = LowerCtx {
         module: &mut module,
+        program,
+        symbols,
         arities: &arities,
         fname: "",
         env: Vec::new(),
@@ -54,16 +58,19 @@ pub fn lower_program(program: &Program) -> Module {
     for f in &program.fns {
         let body = ctx.lower_fn(f);
         ctx.module
-            .add_function(&f.name, Signature::obj(f.arity()), body);
+            .add_function(program.name(f), Signature::obj(f.arity()), body);
     }
     module
 }
 
-/// Marks a variable or label with no value yet.
+/// Marks a variable or label with no value yet, or a name not yet interned.
 const UNSET: u32 = u32::MAX;
 
 struct LowerCtx<'a> {
     module: &'a mut Module,
+    program: &'a Program,
+    /// The module symbol of each program name, interned on first use.
+    symbols: Vec<Symbol>,
     /// Arity per function symbol.
     arities: &'a [Option<usize>],
     fname: &'a str,
@@ -83,14 +90,14 @@ struct LowerCtx<'a> {
 
 impl<'a> LowerCtx<'a> {
     fn lower_fn(&mut self, f: &'a FnDef) -> Body {
-        let (ops, blocks) = lowered_size(&f.body);
+        let (ops, blocks) = lowered_size(&f.arena, f.body);
         let (mut body, params) = Body::with_capacity(&Type::objs(f.arity()), ops, blocks);
-        self.fname = &f.name;
-        for (&p, &v) in f.params.iter().zip(&params) {
+        self.fname = self.program.name(f);
+        for (&p, &v) in f.params().iter().zip(&params) {
             self.bind(p, v);
         }
         let entry = body.entry_block();
-        self.lower_expr(&mut body, entry, &f.body);
+        self.lower_block(&mut body, entry, &f.arena, f.body);
         // Leave both tables empty for the next function, touching only the
         // entries this one set.
         for v in self.set_vars.drain(..) {
@@ -100,6 +107,15 @@ impl<'a> LowerCtx<'a> {
             self.labels[l as usize] = Symbol(UNSET);
         }
         body
+    }
+
+    /// The module symbol of program name `n`.
+    fn symbol(&mut self, n: Name) -> Symbol {
+        let sym = &mut self.symbols[n.index()];
+        if sym.0 == UNSET {
+            *sym = self.module.intern(self.program.names.resolve(n));
+        }
+        *sym
     }
 
     /// Unique label symbol for a join point of this function.
@@ -133,152 +149,155 @@ impl<'a> LowerCtx<'a> {
         }
     }
 
-    /// Lowers `e` into `block` (which must be unterminated); always leaves
-    /// the block terminated.
+    fn operands(&self, arena: &Arena, args: lssa_lambda::ast::Slice) -> OperandList {
+        arena.vars(args).iter().map(|&a| self.get(a)).collect()
+    }
+
+    /// Lowers λ block `lb` into `block` (which must be unterminated);
+    /// always leaves the block terminated.
     ///
-    /// A form's continuation (a `let` body, the code after a join point's
-    /// declaration) is followed in a loop, so a long `let` chain lowers
-    /// without recursion.
-    fn lower_expr(&mut self, body: &mut Body, mut block: BlockId, mut e: &Expr) {
-        body.blocks[block.index()].ops.reserve_exact(block_len(e));
-        loop {
-            match e {
-                Expr::Let {
-                    var,
-                    val,
-                    body: rest,
-                } => {
-                    let v = self.lower_value(body, block, val);
-                    self.bind(*var, v);
-                    e = rest;
+    /// The statements are lowered in a loop; after a join point's
+    /// declaration the rest of them go to the block the join point's
+    /// scope starts, so a long run of bindings lowers without recursion.
+    fn lower_block(&mut self, body: &mut Body, mut block: BlockId, arena: &Arena, lb: LamBlock) {
+        let stmts = arena.stmts(lb);
+        let term = arena.term(lb);
+        body.blocks[block.index()]
+            .ops
+            .reserve_exact(block_len(stmts, term));
+        for (k, s) in stmts.iter().enumerate() {
+            match *s {
+                Stmt::Let { var, ref val } => {
+                    let v = self.lower_value(body, block, arena, val);
+                    self.bind(var, v);
                 }
-                Expr::LetJoin {
+                Stmt::Join {
                     label,
                     params,
-                    jp_body,
-                    body: rest,
+                    body: jp_body,
                 } => {
-                    let sym = self.label_sym(*label);
+                    let sym = self.label_sym(label);
                     let (_op, jp_entry, body_entry) =
                         Builder::at_end(body, block).lp_joinpoint(sym, &Type::objs(params.len()));
                     // Join-point body: parameters map to the region's block
                     // args.
-                    for (i, &p) in params.iter().enumerate() {
+                    for (i, &p) in arena.vars(params).iter().enumerate() {
                         let arg = body.blocks[jp_entry.index()].args[i];
                         self.bind(p, arg);
                     }
-                    self.lower_expr(body, jp_entry, jp_body);
+                    self.lower_block(body, jp_entry, arena, jp_body);
                     // Pre-jump code: same environment as the outer scope.
                     block = body_entry;
-                    e = rest;
-                    body.blocks[block.index()].ops.reserve_exact(block_len(e));
+                    body.blocks[block.index()]
+                        .ops
+                        .reserve_exact(block_len(&stmts[k + 1..], term));
                 }
-                Expr::Case {
-                    scrutinee,
-                    alts,
-                    default,
-                } => {
-                    let s = self.get(*scrutinee);
-                    let tag = Builder::at_end(body, block).lp_getlabel(s);
-                    // lp.switch needs a default region: if the source case is
-                    // exhaustive without one, the last alternative serves as
-                    // the default (LEAN does the same).
-                    let (arms, def) = match default {
-                        Some(d) => (&alts[..], &**d),
-                        None => {
-                            let (last, init) = alts.split_last().expect("case with no arms");
-                            (init, &last.body)
-                        }
-                    };
-                    let cases: Box<[i64]> = arms.iter().map(|a| a.tag as i64).collect();
-                    let op = Builder::at_end(body, block).lp_switch(tag, cases);
-                    // The entry block of the op's `i`-th region; the
-                    // default region is last.
-                    let arm_entry = |body: &Body, i: usize| {
-                        let r = body.ops[op.index()].regions[i];
-                        body.regions[r.index()].blocks[0]
-                    };
-                    for (i, arm) in arms.iter().enumerate() {
-                        self.lower_expr(body, arm_entry(body, i), &arm.body);
-                    }
-                    self.lower_expr(body, arm_entry(body, arms.len()), def);
-                    return;
-                }
-                Expr::Jump { label, args } => {
-                    let sym = self.label_sym(*label);
-                    let vals: OperandList = args.iter().map(|&a| self.get(a)).collect();
-                    Builder::at_end(body, block).lp_jump(sym, vals);
-                    return;
-                }
-                Expr::Ret(v) => {
-                    let v = self.get(*v);
-                    Builder::at_end(body, block).lp_ret(v);
-                    return;
-                }
-                Expr::Inc { var, n, body: rest } => {
-                    let v = self.get(*var);
+                Stmt::Inc { var, n } => {
+                    let v = self.get(var);
                     let mut b = Builder::at_end(body, block);
-                    for _ in 0..*n {
+                    for _ in 0..n {
                         b.lp_inc(v);
                     }
-                    e = rest;
                 }
-                Expr::Dec { var, body: rest } => {
-                    let v = self.get(*var);
+                Stmt::Dec { var } => {
+                    let v = self.get(var);
                     Builder::at_end(body, block).lp_dec(v);
-                    e = rest;
                 }
+            }
+        }
+        match *term {
+            Terminator::Case {
+                scrutinee,
+                alts,
+                default,
+            } => {
+                let s = self.get(scrutinee);
+                let tag = Builder::at_end(body, block).lp_getlabel(s);
+                // lp.switch needs a default region: if the source case is
+                // exhaustive without one, the last alternative serves as
+                // the default (LEAN does the same).
+                let mut arms = arena.alts(alts);
+                let def = match default {
+                    Some(d) => d,
+                    None => arms.next_back().expect("case with no arms").body,
+                };
+                let cases: Box<[i64]> = arms.clone().map(|a| a.tag as i64).collect();
+                let op = Builder::at_end(body, block).lp_switch(tag, cases);
+                // The entry block of the op's `i`-th region; the
+                // default region is last.
+                let arm_entry = |body: &Body, i: usize| {
+                    let r = body.ops[op.index()].regions[i];
+                    body.regions[r.index()].blocks[0]
+                };
+                let n = arms.len();
+                for (i, arm) in arms.enumerate() {
+                    self.lower_block(body, arm_entry(body, i), arena, arm.body);
+                }
+                self.lower_block(body, arm_entry(body, n), arena, def);
+            }
+            Terminator::Jump { label, args } => {
+                let sym = self.label_sym(label);
+                let vals = self.operands(arena, args);
+                Builder::at_end(body, block).lp_jump(sym, vals);
+            }
+            Terminator::Ret(v) => {
+                let v = self.get(v);
+                Builder::at_end(body, block).lp_ret(v);
             }
         }
     }
 
-    fn lower_value(&mut self, body: &mut Body, block: BlockId, val: &Value) -> ValueId {
-        let mut b = Builder::at_end(body, block);
-        match val {
-            Value::Var(v) => self.get(*v),
-            Value::LitInt(n) => b.lp_int(*n),
-            Value::LitBig(s) => b.lp_bigint(s),
-            Value::LitStr(s) => b.lp_str(s),
+    fn lower_value(
+        &mut self,
+        body: &mut Body,
+        block: BlockId,
+        arena: &Arena,
+        val: &Value,
+    ) -> ValueId {
+        match *val {
+            Value::Var(v) => self.get(v),
+            Value::LitInt(n) => Builder::at_end(body, block).lp_int(n),
+            Value::LitBig(s) => Builder::at_end(body, block).lp_bigint(arena.text(s)),
+            Value::LitStr(s) => Builder::at_end(body, block).lp_str(arena.text(s)),
             Value::Ctor { tag, args } => {
-                let fields: OperandList = args.iter().map(|&a| self.get(a)).collect();
-                b.lp_construct(*tag as i64, fields)
+                let fields = self.operands(arena, args);
+                Builder::at_end(body, block).lp_construct(tag as i64, fields)
             }
             Value::Proj { var, idx } => {
-                let s = self.get(*var);
-                b.lp_project(s, *idx as i64)
+                let s = self.get(var);
+                Builder::at_end(body, block).lp_project(s, idx as i64)
             }
             Value::Call { func, args } => {
-                let callee = self.module.intern(func);
-                let vals: OperandList = args.iter().map(|&a| self.get(a)).collect();
-                let mut b = Builder::at_end(body, block);
-                b.call(callee, vals, Type::Obj)
+                let callee = self.symbol(func);
+                let vals = self.operands(arena, args);
+                Builder::at_end(body, block).call(callee, vals, Type::Obj)
             }
             Value::Pap { func, args } => {
-                let callee = self.module.intern(func);
+                let callee = self.symbol(func);
                 let arity = self
                     .arities
                     .get(callee.index())
                     .copied()
                     .flatten()
-                    .unwrap_or_else(|| panic!("pap of unknown @{func}"))
-                    as i64;
-                let vals: OperandList = args.iter().map(|&a| self.get(a)).collect();
-                let mut b = Builder::at_end(body, block);
-                b.lp_pap(callee, arity, vals)
+                    .unwrap_or_else(|| {
+                        panic!("pap of unknown @{}", self.program.names.resolve(func))
+                    }) as i64;
+                let vals = self.operands(arena, args);
+                Builder::at_end(body, block).lp_pap(callee, arity, vals)
             }
             Value::App { closure, args } => {
-                let c = self.get(*closure);
-                let vals: OperandList = args.iter().map(|&a| self.get(a)).collect();
-                b.lp_papextend(c, vals)
+                let c = self.get(closure);
+                let vals = self.operands(arena, args);
+                Builder::at_end(body, block).lp_papextend(c, vals)
             }
         }
     }
 }
 
-/// The ops and blocks lowering `e` creates, here and in the `rgn` and CFG
-/// lowerings after it, to reserve the arenas with: walked as
-/// [`LowerCtx::lower_expr`] walks, along continuations in a loop and
-/// recursing only into join bodies and case arms.
+/// The ops and blocks lowering λ block `b` creates, here and in the `rgn`
+/// and CFG lowerings after it, to reserve the arenas with: walked as
+/// [`LowerCtx::lower_block`] walks, recursing only into join bodies and
+/// case arms.
 ///
 /// Per form: a `case` of `r` arms lowers to a `lp.getlabel` and a
 /// `lp.switch`, then to `r` `rgn.val`s, at most three selector ops and a
@@ -286,70 +305,52 @@ impl<'a> LowerCtx<'a> {
 /// join point to a `lp.joinpoint`, then a `rgn.val`; a jump to a `lp.jump`,
 /// then a `rgn.run`, then a branch; a return to a `lp.ret`, then a
 /// `func.return`.
-fn lowered_size(mut e: &Expr) -> (usize, usize) {
+fn lowered_size(arena: &Arena, b: LamBlock) -> (usize, usize) {
     let (mut ops, mut blocks) = (0, 0);
-    loop {
-        match e {
-            Expr::Let { val, body, .. } => {
-                ops += usize::from(!matches!(val, Value::Var(_)));
-                e = body;
-            }
-            Expr::LetJoin { jp_body, body, .. } => {
-                let (o, b) = lowered_size(jp_body);
+    for s in arena.stmts(b) {
+        match *s {
+            Stmt::Let { ref val, .. } => ops += usize::from(!matches!(val, Value::Var(_))),
+            Stmt::Join { body, .. } => {
+                let (o, b) = lowered_size(arena, body);
                 ops += 2 + o;
                 blocks += 2 + b;
-                e = body;
             }
-            Expr::Case { alts, default, .. } => {
-                let arms = alts.len() + usize::from(default.is_some());
-                ops += arms + 8;
-                blocks += arms + 1;
-                for (o, b) in alts
-                    .iter()
-                    .map(|a| &a.body)
-                    .chain(default.as_deref())
-                    .map(lowered_size)
-                {
-                    ops += o;
-                    blocks += b;
-                }
-                return (ops, blocks);
-            }
-            Expr::Jump { .. } => return (ops + 3, blocks),
-            Expr::Ret(_) => return (ops + 2, blocks),
-            Expr::Inc { n, body, .. } => {
-                ops += *n as usize;
-                e = body;
-            }
-            Expr::Dec { body, .. } => {
-                ops += 1;
-                e = body;
-            }
+            Stmt::Inc { n, .. } => ops += n as usize,
+            Stmt::Dec { .. } => ops += 1,
         }
+    }
+    let term = arena.term(b);
+    match *term {
+        Terminator::Case { alts, default, .. } => {
+            let arms = alts.len() + usize::from(default.is_some());
+            ops += arms + 8;
+            blocks += arms + 1;
+            for (o, b) in arena.successors(term).map(|arm| lowered_size(arena, arm)) {
+                ops += o;
+                blocks += b;
+            }
+            (ops, blocks)
+        }
+        Terminator::Jump { .. } => (ops + 3, blocks),
+        Terminator::Ret(_) => (ops + 2, blocks),
     }
 }
 
-/// The ops lowering `e` appends to the block it starts in: its chain up to
-/// the first terminator or join point.
-fn block_len(mut e: &Expr) -> usize {
+/// The ops lowering `stmts`, then `term`, appends to the block it starts
+/// in: up to the first join point or the terminator.
+fn block_len(stmts: &[Stmt], term: &Terminator) -> usize {
     let mut ops = 0;
-    loop {
-        match e {
-            Expr::Let { val, body, .. } => {
-                ops += usize::from(!matches!(val, Value::Var(_)));
-                e = body;
-            }
-            Expr::Inc { n, body, .. } => {
-                ops += *n as usize;
-                e = body;
-            }
-            Expr::Dec { body, .. } => {
-                ops += 1;
-                e = body;
-            }
-            Expr::LetJoin { .. } | Expr::Jump { .. } | Expr::Ret(_) => return ops + 1,
-            Expr::Case { .. } => return ops + 2,
+    for s in stmts {
+        match *s {
+            Stmt::Let { ref val, .. } => ops += usize::from(!matches!(val, Value::Var(_))),
+            Stmt::Inc { n, .. } => ops += n as usize,
+            Stmt::Dec { .. } => ops += 1,
+            Stmt::Join { .. } => return ops + 1,
         }
+    }
+    match term {
+        Terminator::Jump { .. } | Terminator::Ret(_) => ops + 1,
+        Terminator::Case { .. } => ops + 2,
     }
 }
 
@@ -479,16 +480,19 @@ def f(x) := case x of | A => 1 | B => 2 end
     #[test]
     #[should_panic(expected = "@g: unbound λ variable x0")]
     fn a_function_sees_no_binding_of_the_one_before() {
-        use lssa_lambda::ast::{Expr, FnDef, Program};
-        let def = |name: &str, params: Vec<u32>| FnDef {
-            name: name.into(),
-            params,
-            body: Expr::Ret(0),
-            next_var: 1,
-            next_join: 0,
+        use lssa_lambda::ast::{BodyBuilder, Names};
+        let mut names = Names::default();
+        let mut b = BodyBuilder::default();
+        let mut def = |name: &str, params: &[u32]| {
+            let name = names.intern(name);
+            b.open();
+            let body = b.ret(0);
+            b.finish(name, params, body, 1, 0)
         };
+        let fns = vec![def("f", &[0]), def("g", &[])];
         lower_program(&Program {
-            fns: vec![def("f", vec![0]), def("g", vec![])],
+            fns,
+            names: std::sync::Arc::new(names),
         });
     }
 

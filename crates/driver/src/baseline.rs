@@ -13,7 +13,7 @@ use lssa_core::rgn::TcoPass;
 use lssa_ir::body::OperandList;
 use lssa_ir::pass::Pass;
 use lssa_ir::prelude::*;
-use lssa_lambda::ast::{Expr, FnDef, Program, Value};
+use lssa_lambda::ast::{Arena, BlockId as LamBlock, FnDef, Program, Stmt, Terminator, Value};
 use std::collections::HashMap;
 
 /// Lowers a λrc program directly to a flat-CFG module, C-backend style.
@@ -26,11 +26,11 @@ pub fn lower_program(program: &Program) -> Module {
     let mut module = Module::new();
     lssa_core::lp::declare_externs(&mut module);
     for f in &program.fns {
-        module.intern(&f.name);
+        module.intern(program.name(f));
     }
     for f in &program.fns {
         let body = lower_fn(&mut module, program, f);
-        module.add_function(&f.name, Signature::obj(f.arity()), body);
+        module.add_function(program.name(f), Signature::obj(f.arity()), body);
     }
     // Heuristic TCO: what a C compiler reliably gives you.
     TcoPass { only_self: true }.run_on(&mut module);
@@ -40,6 +40,7 @@ pub fn lower_program(program: &Program) -> Module {
 struct Ctx<'a> {
     module: &'a mut Module,
     program: &'a Program,
+    arena: &'a Arena,
     env: HashMap<u32, ValueId>,
     /// Join label → (block, its parameter values).
     joins: HashMap<u32, (BlockId, Vec<ValueId>)>,
@@ -50,14 +51,15 @@ fn lower_fn(module: &mut Module, program: &Program, f: &FnDef) -> Body {
     let mut ctx = Ctx {
         module,
         program,
+        arena: &f.arena,
         env: HashMap::new(),
         joins: HashMap::new(),
     };
-    for (&p, &v) in f.params.iter().zip(&params) {
+    for (&p, &v) in f.params().iter().zip(&params) {
         ctx.env.insert(p, v);
     }
     let entry = body.entry_block();
-    ctx.lower_expr(&mut body, entry, &f.body);
+    ctx.lower_block(&mut body, entry, f.body);
     body
 }
 
@@ -69,151 +71,138 @@ impl Ctx<'_> {
             .unwrap_or_else(|| panic!("unbound λ variable x{v}"))
     }
 
-    /// Lowers `e` into `block`, leaving it terminated.
-    fn lower_expr(&mut self, body: &mut Body, block: BlockId, e: &Expr) {
-        match e {
-            Expr::Let {
-                var,
-                val,
-                body: rest,
-            } => {
-                let v = self.lower_value(body, block, val);
-                self.env.insert(*var, v);
-                self.lower_expr(body, block, rest);
-            }
-            Expr::LetJoin {
-                label,
-                params,
-                jp_body,
-                body: rest,
-            } => {
-                // The join point is just a labelled block with arguments.
-                let jp_block = body.new_block(ROOT_REGION, &vec![Type::Obj; params.len()]);
-                let jp_args = body.blocks[jp_block.index()].args.clone();
-                self.joins.insert(*label, (jp_block, jp_args.clone()));
-                // jp body sees only its params.
-                let saved = std::mem::take(&mut self.env);
-                for (&p, &v) in params.iter().zip(&jp_args) {
-                    self.env.insert(p, v);
+    fn operands(&self, args: lssa_lambda::ast::Slice) -> OperandList {
+        self.arena.vars(args).iter().map(|&a| self.get(a)).collect()
+    }
+
+    /// Lowers λ block `lb` into `block`, leaving it terminated: its
+    /// statements in a loop, recursing only into join bodies and arms.
+    fn lower_block(&mut self, body: &mut Body, block: BlockId, lb: LamBlock) {
+        let arena = self.arena;
+        for s in arena.stmts(lb) {
+            match *s {
+                Stmt::Let { var, ref val } => {
+                    let v = self.lower_value(body, block, val);
+                    self.env.insert(var, v);
                 }
-                self.lower_expr(body, jp_block, jp_body);
-                self.env = saved;
-                self.lower_expr(body, block, rest);
+                Stmt::Join {
+                    label,
+                    params,
+                    body: jp_body,
+                } => {
+                    // The join point is just a labelled block with arguments.
+                    let jp_block = body.new_block(ROOT_REGION, &vec![Type::Obj; params.len()]);
+                    let jp_args = body.blocks[jp_block.index()].args.clone();
+                    self.joins.insert(label, (jp_block, jp_args.clone()));
+                    // jp body sees only its params.
+                    let saved = std::mem::take(&mut self.env);
+                    for (&p, &v) in arena.vars(params).iter().zip(&jp_args) {
+                        self.env.insert(p, v);
+                    }
+                    self.lower_block(body, jp_block, jp_body);
+                    self.env = saved;
+                }
+                Stmt::Inc { var, n } => {
+                    let v = self.get(var);
+                    let mut b = Builder::at_end(body, block);
+                    for _ in 0..n {
+                        b.lp_inc(v);
+                    }
+                }
+                Stmt::Dec { var } => {
+                    let v = self.get(var);
+                    Builder::at_end(body, block).lp_dec(v);
+                }
             }
-            Expr::Case {
+        }
+        match *arena.term(lb) {
+            Terminator::Case {
                 scrutinee,
                 alts,
                 default,
             } => {
-                let s = self.get(*scrutinee);
-                let tag8 = {
-                    let mut b = Builder::at_end(body, block);
-                    b.lp_getlabel(s)
-                };
+                let alts = arena.alts(alts);
+                let s = self.get(scrutinee);
+                let tag8 = Builder::at_end(body, block).lp_getlabel(s);
                 // One block per arm, plus a default block; C-style switch.
-                let mut arm_blocks = Vec::new();
-                for _ in alts {
-                    arm_blocks.push(body.new_block(ROOT_REGION, &[]));
-                }
+                let arm_blocks: Vec<BlockId> = alts
+                    .clone()
+                    .map(|_| body.new_block(ROOT_REGION, &[]))
+                    .collect();
                 let default_block = body.new_block(ROOT_REGION, &[]);
-                let cases: Vec<i64> = alts.iter().map(|a| a.tag as i64).collect();
-                {
-                    let mut b = Builder::at_end(body, block);
-                    b.switch_br(
-                        tag8,
-                        cases,
-                        arm_blocks.iter().map(|&bl| (bl, [])),
-                        (default_block, []),
-                    );
-                }
-                for (alt, &bl) in alts.iter().zip(&arm_blocks) {
+                let cases: Vec<i64> = alts.clone().map(|a| a.tag as i64).collect();
+                Builder::at_end(body, block).switch_br(
+                    tag8,
+                    cases,
+                    arm_blocks.iter().map(|&bl| (bl, [])),
+                    (default_block, []),
+                );
+                for (alt, &bl) in alts.zip(&arm_blocks) {
                     let saved = self.env.clone();
-                    self.lower_expr(body, bl, &alt.body);
+                    self.lower_block(body, bl, alt.body);
                     self.env = saved;
                 }
                 match default {
                     Some(d) => {
                         let saved = self.env.clone();
-                        self.lower_expr(body, default_block, d);
+                        self.lower_block(body, default_block, d);
                         self.env = saved;
                     }
                     None => {
-                        let mut b = Builder::at_end(body, default_block);
-                        b.unreachable();
+                        Builder::at_end(body, default_block).unreachable();
                     }
                 }
             }
-            Expr::Jump { label, args } => {
+            Terminator::Jump { label, args } => {
                 let (jp_block, _) = *self
                     .joins
-                    .get(label)
+                    .get(&label)
                     .unwrap_or_else(|| panic!("jump to unknown join j{label}"));
-                let vals: Vec<ValueId> = args.iter().map(|&a| self.get(a)).collect();
-                let mut b = Builder::at_end(body, block);
-                b.br(jp_block, vals);
+                let vals: Vec<ValueId> = arena.vars(args).iter().map(|&a| self.get(a)).collect();
+                Builder::at_end(body, block).br(jp_block, vals);
             }
-            Expr::Ret(v) => {
-                let v = self.get(*v);
-                let mut b = Builder::at_end(body, block);
-                b.ret(v);
-            }
-            Expr::Inc { var, n, body: rest } => {
-                let v = self.get(*var);
-                {
-                    let mut b = Builder::at_end(body, block);
-                    for _ in 0..*n {
-                        b.lp_inc(v);
-                    }
-                }
-                self.lower_expr(body, block, rest);
-            }
-            Expr::Dec { var, body: rest } => {
-                let v = self.get(*var);
-                {
-                    let mut b = Builder::at_end(body, block);
-                    b.lp_dec(v);
-                }
-                self.lower_expr(body, block, rest);
+            Terminator::Ret(v) => {
+                let v = self.get(v);
+                Builder::at_end(body, block).ret(v);
             }
         }
     }
 
     fn lower_value(&mut self, body: &mut Body, block: BlockId, val: &Value) -> ValueId {
-        let mut b = Builder::at_end(body, block);
-        match val {
-            Value::Var(v) => self.get(*v),
-            Value::LitInt(n) => b.lp_int(*n),
-            Value::LitBig(s) => b.lp_bigint(s),
-            Value::LitStr(s) => b.lp_str(s),
+        let arena = self.arena;
+        match *val {
+            Value::Var(v) => self.get(v),
+            Value::LitInt(n) => Builder::at_end(body, block).lp_int(n),
+            Value::LitBig(s) => Builder::at_end(body, block).lp_bigint(arena.text(s)),
+            Value::LitStr(s) => Builder::at_end(body, block).lp_str(arena.text(s)),
             Value::Ctor { tag, args } => {
-                let fields: OperandList = args.iter().map(|&a| self.get(a)).collect();
-                b.lp_construct(*tag as i64, fields)
+                let fields = self.operands(args);
+                Builder::at_end(body, block).lp_construct(tag as i64, fields)
             }
             Value::Proj { var, idx } => {
-                let s = self.get(*var);
-                b.lp_project(s, *idx as i64)
+                let s = self.get(var);
+                Builder::at_end(body, block).lp_project(s, idx as i64)
             }
             Value::Call { func, args } => {
-                let callee = self.module.intern(func);
-                let vals: OperandList = args.iter().map(|&a| self.get(a)).collect();
-                let mut b = Builder::at_end(body, block);
-                b.call(callee, vals, Type::Obj)
+                let callee = self.module.intern(self.program.names.resolve(func));
+                let vals = self.operands(args);
+                Builder::at_end(body, block).call(callee, vals, Type::Obj)
             }
             Value::Pap { func, args } => {
-                let callee = self.module.intern(func);
+                let name = self.program.names.resolve(func);
+                let callee = self.module.intern(name);
                 let arity = self
                     .program
-                    .arity_of(func)
-                    .unwrap_or_else(|| panic!("pap of unknown @{func}"))
+                    .arity_of(name)
+                    .unwrap_or_else(|| panic!("pap of unknown @{name}"))
                     as i64;
-                let vals: OperandList = args.iter().map(|&a| self.get(a)).collect();
-                let mut b = Builder::at_end(body, block);
-                b.lp_pap(callee, arity, vals)
+                let vals = self.operands(args);
+                Builder::at_end(body, block).lp_pap(callee, arity, vals)
             }
             Value::App { closure, args } => {
-                let c = self.get(*closure);
-                let vals: OperandList = args.iter().map(|&a| self.get(a)).collect();
-                b.lp_papextend(c, vals)
+                let c = self.get(closure);
+                let vals = self.operands(args);
+                Builder::at_end(body, block).lp_papextend(c, vals)
             }
         }
     }

@@ -519,10 +519,17 @@ pub struct CheckOutcome {
     pub failures: Vec<String>,
 }
 
+/// The least a wall time must exceed its baseline by, in milliseconds,
+/// before [`check_against`] fails it: quick-scale rows run for a few
+/// microseconds, where scheduling jitter alone moves a time by more than
+/// any relative tolerance.
+pub const WALL_FLOOR_MS: f64 = 0.01;
+
 /// Compares fresh measurements against a committed baseline: the
 /// instruction, fused-cell, heap-allocation, cache-hit, cache-miss and
-/// rc-cell counters must each match **exactly** (they are deterministic),
-/// wall time may regress by at most `tolerance_pct` percent. A fresh row
+/// rc-cell counters must each match **exactly** (they are deterministic);
+/// a wall time fails when it exceeds the baseline by more than
+/// `tolerance_pct` percent *and* by more than [`WALL_FLOOR_MS`]. A fresh row
 /// missing from the baseline is skipped (new workloads are not
 /// regressions); a baseline row missing from the fresh set is a failure
 /// (a workload or config silently disappeared).
@@ -556,7 +563,7 @@ pub fn check_against(
             }
         }
         let limit = b.wall_ms * (1.0 + tolerance_pct / 100.0);
-        if row.wall_ms > limit {
+        if row.wall_ms > limit && row.wall_ms - b.wall_ms > WALL_FLOOR_MS {
             failures.push(format!(
                 "{}/{}: wall time {:.3}ms exceeds baseline {:.3}ms by more than {}%",
                 b.name, b.config, row.wall_ms, b.wall_ms, tolerance_pct
@@ -804,6 +811,25 @@ mod tests {
         // Generous tolerance forgives the wall slip but not the counter.
         let out = check_against(&baseline[..1], std::slice::from_ref(&fresh), 200.0);
         assert_eq!(out.failures.len(), 1);
+    }
+
+    #[test]
+    fn wall_time_fails_past_both_the_tolerance_and_the_floor() {
+        // The failures of a 20% check of `fresh_ms` against `baseline_ms`.
+        let check = |baseline_ms: f64, fresh_ms: f64| {
+            let mut fresh = fresh_record();
+            let json = render_json("test", 1, std::slice::from_ref(&fresh));
+            let mut baseline = parse_baseline(&json).unwrap();
+            baseline[0].wall_ms = baseline_ms;
+            fresh.rows[0].wall_ms = fresh_ms;
+            check_against(&baseline, std::slice::from_ref(&fresh), 20.0).failures
+        };
+        // 2 µs over a 6 µs baseline is a third over it, but under the floor.
+        assert_eq!(check(0.006, 0.008), Vec::<String>::new());
+        // 0.3 ms over 1 ms is past both.
+        let failures = check(1.0, 1.3);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("wall time 1.300ms exceeds baseline 1.000ms"));
     }
 
     /// Writes a fresh record as a baseline, moves one counter by one, and

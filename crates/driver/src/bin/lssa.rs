@@ -551,11 +551,7 @@ fn run(args: &[String]) -> Result<ExitCode, Failure> {
             let rc = frontend_ast(&program, CompilerConfig::mlir())
                 .map_err(|e| Failure::Input(e.to_string()))?;
             match stage {
-                "lambda" => {
-                    for f in &rc.fns {
-                        println!("{f}");
-                    }
-                }
+                "lambda" => print!("{rc}"),
                 "lp" => {
                     let m = lssa_core::lp::from_lambda::lower_program(&rc);
                     print!("{}", lssa_ir::printer::print_module(&m));

@@ -42,7 +42,7 @@ pub fn lint_source(src: &str) -> Vec<Diagnostic> {
         .program
         .expect("clean parse always yields a program");
     let mut diags = lssa_syntax::lint_source(src);
-    let rc = if program.fns.iter().any(|f| f.body.has_rc_ops()) {
+    let rc = if program.fns.iter().any(|f| f.arena.has_rc_ops()) {
         program
     } else {
         lssa_lambda::insert_rc(&program)

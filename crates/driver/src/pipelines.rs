@@ -175,13 +175,13 @@ pub fn frontend_ast(program: &Program, config: CompilerConfig) -> Result<Program
     })?;
     // The simplifier and RC insertion take λpure: a program that already
     // counts its own references is λrc, which only `lssa lint` audits.
-    if let Some(f) = program.fns.iter().find(|f| f.body.has_rc_ops()) {
+    if let Some(f) = program.fns.iter().find(|f| f.arena.has_rc_ops()) {
         return Err(PipelineError {
             stage: "frontend",
             message: format!(
                 "@{} already holds inc/dec, but the pipelines insert reference \
                  counting themselves; audit λrc as written with `lssa lint`",
-                f.name
+                program.name(f)
             ),
             vm: None,
         });

@@ -1,8 +1,11 @@
 //! Typed arena indices for IR entities.
 
-use std::borrow::Cow;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::sync::Arc;
 
 macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
@@ -60,16 +63,58 @@ define_id!(
     "@sym"
 );
 
+/// A symbol's text: a `'static` name kept by reference, or the one copy
+/// of a name given by reference, shared by the symbol table and the map.
+#[derive(Debug, Clone)]
+enum Text {
+    Static(&'static str),
+    Shared(Arc<str>),
+}
+
+impl Deref for Text {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        match self {
+            Text::Static(s) => s,
+            Text::Shared(s) => s,
+        }
+    }
+}
+
+impl Borrow<str> for Text {
+    fn borrow(&self) -> &str {
+        self
+    }
+}
+
+// Hashing and equality are the text's, so the map can be probed with a
+// plain `&str`.
+impl Hash for Text {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl PartialEq for Text {
+    fn eq(&self, other: &Text) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Text {}
+
 /// Interner for [`Symbol`]s.
 ///
 /// A name given as a `&'static str` ([`Interner::intern_static`], e.g. a
 /// runtime builtin's) is kept by reference: declaring the runtime surface
-/// in every module copies no strings. Names come from program text, so the
-/// map keeps the default, seeded hasher.
+/// in every module copies no strings. Any other name is copied once, into
+/// a buffer the symbol table and the map share. Names come from program
+/// text, so the map keeps the default, seeded hasher.
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
-    strings: Vec<Cow<'static, str>>,
-    map: HashMap<Cow<'static, str>, Symbol>,
+    strings: Vec<Text>,
+    map: HashMap<Text, Symbol>,
 }
 
 impl Interner {
@@ -88,7 +133,7 @@ impl Interner {
     pub fn intern(&mut self, s: &str) -> Symbol {
         match self.map.get(s) {
             Some(&sym) => sym,
-            None => self.push(Cow::Owned(s.to_string())),
+            None => self.push(Text::Shared(Arc::from(s))),
         }
     }
 
@@ -96,11 +141,11 @@ impl Interner {
     pub fn intern_static(&mut self, s: &'static str) -> Symbol {
         match self.map.get(s) {
             Some(&sym) => sym,
-            None => self.push(Cow::Borrowed(s)),
+            None => self.push(Text::Static(s)),
         }
     }
 
-    fn push(&mut self, s: Cow<'static, str>) -> Symbol {
+    fn push(&mut self, s: Text) -> Symbol {
         let sym = Symbol(self.strings.len() as u32);
         self.strings.push(s.clone());
         self.map.insert(s, sym);
@@ -137,6 +182,19 @@ mod tests {
         assert_eq!(i.intern("lean_nat_add"), c);
         assert_eq!(i.intern_static("foo"), a);
         assert_eq!(i.resolve(c), "lean_nat_add");
+    }
+
+    #[test]
+    fn a_name_is_stored_once() {
+        let mut i = Interner::new();
+        let a = i.intern("foo");
+        let Text::Shared(held) = &i.strings[a.index()] else {
+            panic!("an owned name is shared")
+        };
+        // The symbol table and the map hold the one copy.
+        assert_eq!(Arc::strong_count(held), 2);
+        let b = i.intern_static("lean_nat_add");
+        assert!(matches!(i.strings[b.index()], Text::Static(_)));
     }
 
     #[test]

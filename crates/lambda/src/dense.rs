@@ -50,6 +50,22 @@ impl IdSet {
         true
     }
 
+    /// Whether `id` is in the set.
+    pub fn contains(&self, id: u32) -> bool {
+        self.words
+            .get((id / 64) as usize)
+            .is_some_and(|w| w & (1 << (id % 64)) != 0)
+    }
+
+    /// Makes room for the ids below `ids` without growing.
+    pub fn reserve(&mut self, ids: usize) {
+        let words = ids.div_ceil(64);
+        if words > self.words.len() {
+            self.words.resize(words, 0);
+        }
+        self.ids.reserve(ids.saturating_sub(self.ids.len()));
+    }
+
     /// Removes every id, keeping the storage: zeroes only the words the
     /// inserted ids are in.
     pub fn clear(&mut self) {
@@ -108,6 +124,13 @@ impl Scope {
         self.frames
     }
 
+    /// Makes room for the variables below `ids` without growing.
+    pub fn reserve(&mut self, ids: usize) {
+        if ids > self.frame_of.len() {
+            self.frame_of.resize(ids, 0);
+        }
+    }
+
     /// Whether `v` is visible.
     pub fn contains(&self, v: VarId) -> bool {
         self.frame_of.get(v as usize) == Some(&self.frame)
@@ -157,6 +180,13 @@ pub struct JoinArities {
 }
 
 impl JoinArities {
+    /// Makes room for the labels below `labels` without growing.
+    pub fn reserve(&mut self, labels: usize) {
+        if labels > self.arity.len() {
+            self.arity.resize(labels, 0);
+        }
+    }
+
     /// The arity of `label`, if it is in scope.
     pub fn get(&self, label: u32) -> Option<usize> {
         match self.arity.get(label as usize) {

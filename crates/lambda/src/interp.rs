@@ -1,6 +1,6 @@
 //! The λpure/λrc reference interpreter.
 //!
-//! A direct tree-walking evaluator over the `lssa-rt` heap. It is the
+//! A direct evaluator of λ blocks over the `lssa-rt` heap. It is the
 //! semantic oracle of the project: the differential test harness compares
 //! its results against both compiled pipelines.
 //!
@@ -15,21 +15,20 @@
 //!   the run leaks (nothing is ever freed) but can never double-free, and
 //!   in-place array updates always observe shared objects and copy.
 //!
-//! A run resolves every call and pap site's callee once, before it starts:
-//! a name is a function index or a runtime [`Builtin`], and a call followed
-//! only by `inc`/`dec` ops and the `ret` of its result is marked a tail
-//! call. All calls' variables live in one stack of frames, and operands are
-//! gathered in one reused buffer, so a call allocates nothing.
+//! A run resolves every call and pap site's callee once, before it starts,
+//! in a table keyed by statement: a name is a function index or a runtime
+//! [`Builtin`], and a call followed only by `inc`/`dec` ops and the `ret`
+//! of its result is marked a tail call. All calls' variables live in one
+//! stack of frames, and operands are gathered in one reused buffer, so a
+//! call allocates nothing.
 
-use crate::ast::{Expr, FnDef, Program, Value};
+use crate::ast::{BlockId, FnDef, Program, Slice, Stmt, Terminator, Value};
 use lssa_rt::builtins::UnknownBuiltinError;
 use lssa_rt::object::{MAX_SMALL_INT, MIN_SMALL_INT};
 use lssa_rt::{
     pap_extend, pap_new, ApplyOutcome, Builtin, FuncId, Heap, HeapStats, Int, Nat, ObjRef,
 };
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// An execution error (not a program value — those are `ObjRef`s).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,16 +59,13 @@ enum Step {
     Tail(usize),
 }
 
-/// Whether `e` is a chain of `inc`/`dec` ops ending in `ret var`, none of
-/// which touch `var` itself.
-fn is_tail_continuation(mut e: &Expr, var: u32) -> bool {
-    loop {
-        match e {
-            Expr::Ret(v) => return *v == var,
-            Expr::Inc { var: v, body, .. } | Expr::Dec { var: v, body } if *v != var => e = body,
-            _ => return false,
-        }
-    }
+/// Whether `rest`, the statements after a `let var = …` and `term`, the
+/// terminator of its block, are `inc`/`dec` ops that leave `var` alone and
+/// the `ret` of `var`.
+fn is_tail_continuation(rest: &[Stmt], term: &Terminator, var: u32) -> bool {
+    rest.iter()
+        .all(|s| matches!(*s, Stmt::Inc { var: v, .. } | Stmt::Dec { var: v } if v != var))
+        && *term == Terminator::Ret(var)
 }
 
 /// What a call or pap site names.
@@ -93,72 +89,72 @@ struct Site {
     tail: bool,
 }
 
-/// Hashes a site by its address, which is unique while the program is
-/// borrowed: one multiply, folded so the table's low index bits see the
-/// whole address. (`lssa_ir::hash::FxHasher` is the compiler's; the oracle
-/// depends on nothing but `lssa-rt`.)
-#[derive(Default)]
-struct AddrHasher(u64);
-
-impl Hasher for AddrHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("a pointer key hashes through `write_usize`")
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        let h = (n as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = h ^ (h >> 32);
-    }
+/// The call and pap sites of a program, keyed by statement: function `i`'s
+/// statement `k` is site `base[i] + k`.
+#[derive(Debug)]
+struct Sites {
+    base: Vec<usize>,
+    sites: Vec<Site>,
 }
 
-type Sites = HashMap<*const Value, Site, BuildHasherDefault<AddrHasher>>;
-
-/// Resolves every call and pap site of `program`, walking the bodies on an
-/// explicit stack.
-fn resolve_sites(program: &Program, fn_index: &HashMap<&str, usize>) -> Sites {
-    let function = |name: &str| {
-        fn_index
-            .get(name)
-            .map_or(Callee::Unknown, |&i| Callee::Fn(i))
+/// Resolves every call and pap site of `program`: its callee by name, once
+/// per name, and whether it is a tail call. `fn_of` gives each name's
+/// function, if any.
+fn resolve_sites(program: &Program, fn_of: &[Option<usize>]) -> Sites {
+    let function = |i: usize| fn_of[i].map_or(Callee::Unknown, Callee::Fn);
+    let builtins: Vec<Option<Callee>> = program
+        .names
+        .iter()
+        .map(|name| {
+            name.starts_with("lean_")
+                .then(|| name.parse().map_or(Callee::Unknown, Callee::Builtin))
+        })
+        .collect();
+    let none = Site {
+        callee: Callee::Unknown,
+        tail: false,
     };
-    let mut sites = Sites::default();
-    let mut todo: Vec<&Expr> = program.fns.iter().map(|f| &f.body).collect();
-    while let Some(e) = todo.pop() {
-        match e {
-            Expr::Let { var, val, body } => {
-                todo.push(body);
-                let site = match val {
-                    Value::Call { func, .. } if func.starts_with("lean_") => Site {
-                        callee: func.parse().map_or(Callee::Unknown, Callee::Builtin),
+    let total = program.fns.iter().map(|f| f.arena.stmt_count()).sum();
+    let mut sites = Sites {
+        base: Vec::with_capacity(program.fns.len()),
+        sites: vec![none; total],
+    };
+    let mut base = 0;
+    for f in &program.fns {
+        sites.base.push(base);
+        let arena = &f.arena;
+        for b in 0..arena.block_count() {
+            let block = arena.block(BlockId(b as u32));
+            let stmts = arena.stmts(BlockId(b as u32));
+            for (k, s) in stmts.iter().enumerate() {
+                let site = match *s {
+                    Stmt::Let {
+                        val: Value::Call { func, .. },
+                        ..
+                    } if builtins[func.index()].is_some() => Site {
+                        callee: builtins[func.index()].expect("a builtin"),
                         tail: false,
                     },
-                    Value::Call { func, .. } => Site {
-                        callee: function(func),
-                        tail: is_tail_continuation(body, *var),
+                    Stmt::Let {
+                        var,
+                        val: Value::Call { func, .. },
+                    } => Site {
+                        callee: function(func.index()),
+                        tail: is_tail_continuation(&stmts[k + 1..], &block.term, var),
                     },
-                    Value::Pap { func, .. } => Site {
-                        callee: function(func),
+                    Stmt::Let {
+                        val: Value::Pap { func, .. },
+                        ..
+                    } => Site {
+                        callee: function(func.index()),
                         tail: false,
                     },
                     _ => continue,
                 };
-                sites.insert(val, site);
+                sites.sites[base + block.stmts.start as usize + k] = site;
             }
-            Expr::LetJoin { jp_body, body, .. } => {
-                todo.push(jp_body);
-                todo.push(body);
-            }
-            Expr::Case { alts, default, .. } => {
-                todo.extend(alts.iter().map(|a| &a.body));
-                todo.extend(default.as_deref());
-            }
-            Expr::Inc { body, .. } | Expr::Dec { body, .. } => todo.push(body),
-            Expr::Jump { .. } | Expr::Ret(_) => {}
         }
+        base += arena.stmt_count();
     }
     sites
 }
@@ -188,8 +184,9 @@ struct Interp<'p> {
     /// The variables of every active call: one frame of `next_var` slots
     /// per call, each on top of its caller's.
     env: Vec<Option<ObjRef>>,
-    /// The join points in scope in every active call, innermost last.
-    joins: Vec<(u32, &'p [u32], &'p Expr)>,
+    /// The join points in scope in every active call, innermost last: label,
+    /// parameters and body.
+    joins: Vec<(u32, Slice, BlockId)>,
     /// The operands of the call, builtin, constructor or jump being made.
     args: Vec<ObjRef>,
 }
@@ -219,10 +216,6 @@ impl<'p> Interp<'p> {
         Ok(())
     }
 
-    fn site(&self, val: &Value) -> Site {
-        self.sites[&(val as *const Value)]
-    }
-
     /// Calls a function by index; its owned arguments are the operands.
     ///
     /// Tail calls (`let x = call f(…); [inc/dec…;] ret x`) are executed with
@@ -234,21 +227,21 @@ impl<'p> Interp<'p> {
         loop {
             self.spend(1)?;
             let f = &program.fns[idx];
-            if f.params.len() != self.args.len() {
+            if f.arity() != self.args.len() {
                 return Err(err(format!(
                     "@{} called with {} args (arity {})",
-                    f.name,
+                    program.name(f),
                     self.args.len(),
-                    f.params.len()
+                    f.arity()
                 )));
             }
             self.env.truncate(base);
             self.env.resize(base + f.next_var as usize, None);
-            for (&p, &a) in f.params.iter().zip(&self.args) {
+            for (&p, &a) in f.params().iter().zip(&self.args) {
                 self.env[base + p as usize] = Some(a);
             }
             let joins = self.joins.len();
-            let step = self.eval_expr(f, base, joins);
+            let step = self.eval_body(idx, base, joins);
             self.joins.truncate(joins);
             match step? {
                 Step::Done(r) => {
@@ -269,106 +262,109 @@ impl<'p> Interp<'p> {
             .ok_or_else(|| err(format!("read of unbound variable x{v}")))
     }
 
-    /// Evaluates the body of `f` in the frame at `base`; the join points it
-    /// declares go on the join stack above `joins`.
-    fn eval_expr(&mut self, f: &'p FnDef, base: usize, joins: usize) -> Result<Step, InterpError> {
-        let mut cur = &f.body;
+    /// Evaluates the body of function `fi` in the frame at `base`; the
+    /// join points it declares go on the join stack above `joins`. Every
+    /// statement and terminator evaluated is a step.
+    fn eval_body(&mut self, fi: usize, base: usize, joins: usize) -> Result<Step, InterpError> {
+        let f: &'p FnDef = &self.program.fns[fi];
+        let arena = &f.arena;
+        let sites = self.sites.base[fi];
+        let mut cur = f.body;
         loop {
-            self.spend(1)?;
-            match cur {
-                Expr::Let { var, val, body } => match self.eval_value(base, val, body)? {
-                    Step::Done(r) => {
-                        self.env[base + *var as usize] = Some(r);
-                        cur = body;
+            let block = arena.block(cur);
+            let stmts = arena.stmts(cur);
+            for (k, s) in stmts.iter().enumerate() {
+                self.spend(1)?;
+                match *s {
+                    Stmt::Let { var, ref val } => {
+                        let site = sites + block.stmts.start as usize + k;
+                        match self.eval_value(f, base, val, site, &stmts[k + 1..])? {
+                            Step::Done(r) => self.env[base + var as usize] = Some(r),
+                            tail => return Ok(tail),
+                        }
                     }
-                    tail => return Ok(tail),
-                },
-                Expr::LetJoin {
-                    label,
-                    params,
-                    jp_body,
-                    body,
-                    ..
-                } => {
-                    self.joins.push((*label, params, jp_body));
-                    cur = body;
+                    Stmt::Join {
+                        label,
+                        params,
+                        body,
+                    } => self.joins.push((label, params, body)),
+                    Stmt::Inc { var, n } => {
+                        if self.rc_mode {
+                            let r = self.lookup(base, var)?;
+                            self.heap.inc_n(r, n);
+                        }
+                    }
+                    Stmt::Dec { var } => {
+                        if self.rc_mode {
+                            let r = self.lookup(base, var)?;
+                            self.heap.dec(r);
+                        }
+                    }
                 }
-                Expr::Case {
+            }
+            self.spend(1)?;
+            match block.term {
+                Terminator::Case {
                     scrutinee,
                     alts,
                     default,
                 } => {
-                    let s = self.lookup(base, *scrutinee)?;
+                    let s = self.lookup(base, scrutinee)?;
                     let tag = self.heap.ctor_tag(s);
-                    let arm = alts.iter().find(|a| a.tag == tag).map(|a| &a.body);
-                    match arm.or(default.as_deref()) {
+                    let arm = arena.alts(alts).find(|a| a.tag == tag).map(|a| a.body);
+                    match arm.or(default) {
                         Some(a) => cur = a,
                         None => {
                             return Err(err(format!(
                                 "case on tag {tag} has no matching arm in @{}",
-                                f.name
+                                self.program.name(f)
                             )))
                         }
                     }
                 }
-                Expr::Jump { label, args } => {
-                    let (_, params, jp_body) = *self.joins[joins..]
+                Terminator::Jump { label, args } => {
+                    let (_, params, body) = *self.joins[joins..]
                         .iter()
                         .rev()
-                        .find(|(l, ..)| l == label)
+                        .find(|(l, ..)| *l == label)
                         .ok_or_else(|| err(format!("jump to unknown join j{label}")))?;
                     self.args.clear();
-                    for &a in args {
+                    for &a in arena.vars(args) {
                         let r = self.lookup(base, a)?;
                         self.args.push(r);
                     }
-                    for (&p, &v) in params.iter().zip(&self.args) {
+                    for (&p, &v) in arena.vars(params).iter().zip(&self.args) {
                         self.env[base + p as usize] = Some(v);
                     }
-                    cur = jp_body;
+                    cur = body;
                 }
-                Expr::Ret(v) => {
-                    let r = self.lookup(base, *v)?;
+                Terminator::Ret(v) => {
+                    let r = self.lookup(base, v)?;
                     if !self.rc_mode {
                         self.heap.inc(r);
                     }
                     return Ok(Step::Done(r));
-                }
-                Expr::Inc { var, n, body } => {
-                    if self.rc_mode {
-                        let r = self.lookup(base, *var)?;
-                        self.heap.inc_n(r, *n);
-                    }
-                    cur = body;
-                }
-                Expr::Dec { var, body } => {
-                    if self.rc_mode {
-                        let r = self.lookup(base, *var)?;
-                        self.heap.dec(r);
-                    }
-                    cur = body;
                 }
             }
         }
     }
 
     /// Runs the `inc`/`dec` ops of a tail call's continuation.
-    fn run_rc_ops(&mut self, base: usize, mut e: &Expr) -> Result<(), InterpError> {
-        loop {
-            match e {
-                Expr::Inc { var, n, body } => {
-                    let r = self.lookup(base, *var)?;
-                    self.heap.inc_n(r, *n);
-                    e = body;
+    fn run_rc_ops(&mut self, base: usize, rest: &[Stmt]) -> Result<(), InterpError> {
+        for s in rest {
+            match *s {
+                Stmt::Inc { var, n } => {
+                    let r = self.lookup(base, var)?;
+                    self.heap.inc_n(r, n);
                 }
-                Expr::Dec { var, body } => {
-                    let r = self.lookup(base, *var)?;
+                Stmt::Dec { var } => {
+                    let r = self.lookup(base, var)?;
                     self.heap.dec(r);
-                    e = body;
                 }
                 _ => return Ok(()),
             }
         }
+        Ok(())
     }
 
     /// Gathers the owned operands `args` into the operand buffer; in λpure
@@ -385,74 +381,86 @@ impl<'p> Interp<'p> {
         Ok(())
     }
 
-    /// Evaluates `val` of `let x = val; body`: the value to bind, or, when
-    /// `val` is a tail call, the call for the trampoline, after the rc-ops
-    /// of `body` ran (they only release dead locals).
-    fn eval_value(&mut self, base: usize, val: &Value, body: &Expr) -> Result<Step, InterpError> {
-        let r = match val {
-            Value::Var(v) => self.lookup(base, *v)?,
-            Value::LitInt(n) if (MIN_SMALL_INT..=MAX_SMALL_INT).contains(n) => ObjRef::scalar(*n),
-            Value::LitInt(n) => self.heap.mk_int(Int::from_i64(*n)),
+    /// Evaluates `val` of `let x = val`, call site `site`, followed in its
+    /// block by `rest`: the value to bind, or, when `val` is a tail call,
+    /// the call for the trampoline, after the rc-ops of `rest` ran (they
+    /// only release dead locals).
+    fn eval_value(
+        &mut self,
+        f: &'p FnDef,
+        base: usize,
+        val: &Value,
+        site: usize,
+        rest: &[Stmt],
+    ) -> Result<Step, InterpError> {
+        let arena = &f.arena;
+        let r = match *val {
+            Value::Var(v) => self.lookup(base, v)?,
+            Value::LitInt(n) if (MIN_SMALL_INT..=MAX_SMALL_INT).contains(&n) => ObjRef::scalar(n),
+            Value::LitInt(n) => self.heap.mk_int(Int::from_i64(n)),
             Value::LitBig(s) => {
-                let n = Nat::from_str_decimal(s).map_err(|e| err(e.to_string()))?;
+                let n = Nat::from_str_decimal(arena.text(s)).map_err(|e| err(e.to_string()))?;
                 self.heap.mk_nat(n)
             }
-            Value::LitStr(s) => self.heap.alloc_str(s.clone()),
+            Value::LitStr(s) => self.heap.alloc_str(arena.text(s).to_string()),
             Value::Ctor { tag, args } => {
-                self.gather(base, args)?;
-                self.heap.alloc_ctor(*tag, self.args.drain(..))
+                self.gather(base, arena.vars(args))?;
+                self.heap.alloc_ctor(tag, self.args.drain(..))
             }
             // λrc mode: borrowed — the explicit `inc` that follows owns it.
             // λpure mode: nothing frees, borrow is safe too.
             Value::Proj { var, idx } => {
-                let s = self.lookup(base, *var)?;
-                self.heap.ctor_field(s, *idx as usize)
+                let s = self.lookup(base, var)?;
+                self.heap.ctor_field(s, idx as usize)
             }
             Value::Call { func, args } => {
-                let site = self.site(val);
+                let site = self.sites.sites[site];
                 match site.callee {
                     Callee::Fn(idx) => {
-                        self.gather(base, args)?;
+                        self.gather(base, arena.vars(args))?;
                         if site.tail {
                             if self.rc_mode {
-                                self.run_rc_ops(base, body)?;
+                                self.run_rc_ops(base, rest)?;
                             }
                             return Ok(Step::Tail(idx));
                         }
                         self.call(idx)?
                     }
                     Callee::Builtin(b) => {
-                        self.gather(base, args)?;
+                        self.gather(base, arena.vars(args))?;
                         self.spend(1)?;
                         b.call(&mut self.heap, &self.args)
                     }
-                    Callee::Unknown if func.starts_with("lean_") => {
-                        return Err(err(UnknownBuiltinError(func.clone()).to_string()))
-                    }
                     Callee::Unknown => {
-                        return Err(err(format!("call to unknown function @{func}")))
+                        let name = self.program.names.resolve(func);
+                        return Err(err(if name.starts_with("lean_") {
+                            UnknownBuiltinError(name.to_string()).to_string()
+                        } else {
+                            format!("call to unknown function @{name}")
+                        }));
                     }
                 }
             }
             Value::Pap { func, args } => {
-                let Callee::Fn(idx) = self.site(val).callee else {
-                    return Err(err(format!("pap of unknown function @{func}")));
+                let Callee::Fn(idx) = self.sites.sites[site].callee else {
+                    let name = self.program.names.resolve(func);
+                    return Err(err(format!("pap of unknown function @{name}")));
                 };
-                let arity = self.program.fns[idx].params.len() as u16;
-                self.gather(base, args)?;
+                let arity = self.program.fns[idx].arity() as u16;
+                self.gather(base, arena.vars(args))?;
                 let args = self.args.drain(..).collect();
                 let outcome = pap_new(&mut self.heap, FuncId(idx as u32), arity, args);
                 self.apply_outcome(outcome)?
             }
             Value::App { closure, args } => {
-                let c = self.lookup(base, *closure)?;
+                let c = self.lookup(base, closure)?;
                 if !self.rc_mode {
                     self.heap.inc(c);
                 }
                 if !matches!(self.heap.data(c), lssa_rt::ObjData::Closure { .. }) {
                     return Err(err("application of a non-closure value"));
                 }
-                self.gather(base, args)?;
+                self.gather(base, arena.vars(args))?;
                 let args = self.args.drain(..).collect();
                 let outcome = pap_extend(&mut self.heap, c, args);
                 self.apply_outcome(outcome)?
@@ -497,16 +505,16 @@ pub fn run_program(
     fuel: u64,
 ) -> Result<Outcome, InterpError> {
     // A name defined twice resolves to its last definition.
-    let fn_index: HashMap<&str, usize> = program
-        .fns
-        .iter()
-        .enumerate()
-        .map(|(i, f)| (f.name.as_str(), i))
-        .collect();
-    let idx = *fn_index
+    let mut fn_of = vec![None; program.names.len()];
+    for (i, f) in program.fns.iter().enumerate() {
+        fn_of[f.name.index()] = Some(i);
+    }
+    let idx = program
+        .names
         .get(entry)
+        .and_then(|n| fn_of[n.index()])
         .ok_or_else(|| err(format!("no entry function @{entry}")))?;
-    let mut interp = Interp::new(program, rc_mode, fuel, resolve_sites(program, &fn_index));
+    let mut interp = Interp::new(program, rc_mode, fuel, resolve_sites(program, &fn_of));
     let result = interp.call(idx)?;
     let rendered = interp.heap.render(result);
     if rc_mode {
@@ -726,31 +734,27 @@ def main() := spin(0)
 
     /// `main` returns 0 unless `b` is 1, when it calls `callee`.
     fn calls_in_a_branch(callee: &str, b: i64) -> Program {
-        let call = Expr::Let {
-            var: 1,
-            val: Value::Call {
-                func: callee.into(),
-                args: vec![],
+        let mut names = crate::ast::Names::default();
+        let main = names.intern("main");
+        let func = names.intern(callee);
+        let mut builder = crate::ast::BodyBuilder::default();
+        builder.open();
+        builder.let_(0, Value::LitInt(b));
+        builder.open();
+        builder.let_(
+            1,
+            Value::Call {
+                func,
+                args: Slice::default(),
             },
-            body: Box::new(Expr::Ret(1)),
-        };
-        let body = Expr::Let {
-            var: 0,
-            val: Value::LitInt(b),
-            body: Box::new(Expr::Case {
-                scrutinee: 0,
-                alts: vec![crate::ast::Alt { tag: 1, body: call }],
-                default: Some(Box::new(Expr::Ret(0))),
-            }),
-        };
+        );
+        let call = builder.ret(1);
+        builder.open();
+        let default = builder.ret(0);
+        let body = builder.case(0, &[(1, call)], Some(default));
         Program {
-            fns: vec![FnDef {
-                name: "main".into(),
-                params: vec![],
-                body,
-                next_var: 2,
-                next_join: 0,
-            }],
+            fns: vec![builder.finish(main, &[], body, 2, 0)],
+            names: std::sync::Arc::new(names),
         }
     }
 

@@ -4,7 +4,8 @@
 //! representations the SSA backend consumes.
 //!
 //! - [`ast`] — λpure/λrc terms (A-normal form, join points, constructors,
-//!   pattern matching, closures; λrc adds explicit `inc`/`dec`),
+//!   pattern matching, closures; λrc adds explicit `inc`/`dec`), stored as
+//!   blocks in per-function arenas,
 //! - [`dense`] — the per-function id tables (bitsets, scopes, join
 //!   arities) the checkers and passes update in place,
 //! - [`parse`] — a small surface language and its ANF lowering (how the
@@ -37,7 +38,9 @@ pub mod rc;
 pub mod simplify;
 pub mod wellformed;
 
-pub use ast::{Expr, FnDef, Program, Value};
+pub use ast::{
+    Arena, Block, BlockId, BodyBuilder, FnDef, Name, Names, Program, Stmt, Terminator, Value,
+};
 pub use interp::{run_program, Outcome};
 pub use parse::{parse_program, MAX_DEPTH};
 pub use rc::insert_rc;

@@ -21,13 +21,23 @@
 //! through projections, and integer patterns are staged through
 //! `lean_nat_dec_eq` exactly as §III-A describes.
 //!
+//! The parser desugars `if`, `!=`, `>`, `>=` and integer patterns as it
+//! reads them, so lowering sees only constructor `case`s. Lowering emits
+//! into the current block: each value's bindings are appended to it, and
+//! a `case` in value position opens its join point's body as the new
+//! current block, its arms lowered once that body is closed.
+//!
 //! Operators map to runtime builtins: `+ - * / % == != < <= > >=` are the
 //! `Nat` operations; `@name(args)` calls the runtime builtin `lean_name`
 //! directly (e.g. `@int_add`, `@array_get`).
 
-use crate::ast::{build, Alt, Expr, FnDef, JoinId, Program, Value, VarId};
+use crate::ast::{
+    Alt, BlockId, BodyBuilder, FreeVars, JoinId, Names, Program, Slice, Stmt, Terminator, Value,
+    VarId,
+};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// The deepest nesting either program reader accepts. The `.lssa` reader
 /// counts nested lists. This parser counts nested expressions (every
@@ -263,6 +273,10 @@ impl<'a> Lexer<'a> {
 
 // ---- surface AST -----------------------------------------------------------
 
+/// A surface expression, desugared as it is parsed: `if` is a `case` on
+/// `true`/`false`, `!=` a `case` on `==`, `>` and `>=` are `<` and `<=`
+/// with their operands swapped, and a `case` on integer patterns is a chain
+/// of `case`s on `==`.
 #[derive(Debug, Clone)]
 enum SExpr {
     Int(String),
@@ -272,10 +286,63 @@ enum SExpr {
     CtorRef(String),
     Apply(Box<SExpr>, Vec<SExpr>),
     AtCall(String, Vec<SExpr>),
+    /// `+ - * / % == < <=`.
     Binop(&'static str, Box<SExpr>, Box<SExpr>),
     Let(String, Box<SExpr>, Box<SExpr>),
-    If(Box<SExpr>, Box<SExpr>, Box<SExpr>),
     Case(Box<SExpr>, Vec<(SPat, SExpr)>),
+    /// An integer `case` that cannot be desugared: lowering reports the
+    /// message when it reaches it.
+    Invalid(String),
+}
+
+/// `if c then t else e`, as the `case` it lowers to.
+fn if_(c: SExpr, t: SExpr, e: SExpr) -> SExpr {
+    SExpr::Case(
+        Box::new(c),
+        vec![(SPat::Bool(true), t), (SPat::Bool(false), e)],
+    )
+}
+
+/// `a op b`, with the comparisons lowering has no builtin for rewritten.
+fn binop(op: &'static str, a: SExpr, b: SExpr) -> SExpr {
+    match op {
+        // a > b ⇔ b < a
+        ">" => SExpr::Binop("<", Box::new(b), Box::new(a)),
+        ">=" => SExpr::Binop("<=", Box::new(b), Box::new(a)),
+        // if a == b then false else true
+        "!=" => if_(
+            SExpr::Binop("==", Box::new(a), Box::new(b)),
+            SExpr::Bool(false),
+            SExpr::Bool(true),
+        ),
+        _ => SExpr::Binop(op, Box::new(a), Box::new(b)),
+    }
+}
+
+/// Rewrites `case e of | 0 => .. | 42 => .. | _ => ..` into an
+/// `if e == 0 then .. else if e == 42 then .. else ..` chain.
+fn desugar_int_case(scrut: SExpr, arms: Vec<(SPat, SExpr)>) -> SExpr {
+    let mut default: Option<SExpr> = None;
+    let mut int_arms: Vec<(String, SExpr)> = Vec::new();
+    for (pat, body) in arms {
+        match pat {
+            SPat::Int(digits) => int_arms.push((digits, body)),
+            SPat::Wild => default = Some(body),
+            other => {
+                return SExpr::Invalid(format!(
+                    "cannot mix integer and constructor patterns ({other:?})"
+                ))
+            }
+        }
+    }
+    let Some(mut out) = default else {
+        return SExpr::Invalid("integer case needs a `_` default arm".to_string());
+    };
+    for (digits, body) in int_arms.into_iter().rev() {
+        let cmp = SExpr::Binop("==", Box::new(scrut.clone()), Box::new(SExpr::Int(digits)));
+        out = if_(cmp, body, out);
+    }
+    out
 }
 
 #[derive(Debug, Clone)]
@@ -438,16 +505,39 @@ impl<'a> Parser<'a> {
             }
         }
         // Arities of all defs (needed to classify applications).
-        let arities: HashMap<String, usize> = defs
+        let arities: HashMap<&str, usize> = defs
             .iter()
-            .map(|(n, ps, _)| (n.clone(), ps.len()))
+            .map(|(n, ps, _)| (n.as_str(), ps.len()))
             .collect();
-        let mut program = Program::default();
-        for (name, params, body) in defs {
-            let f = Lowerer::new(&ctors, &arities).lower_fn(&name, &params, &body)?;
-            program.fns.push(f);
+        let mut names = Names::default();
+        for (name, ..) in &defs {
+            names.intern(name);
         }
-        Ok(program)
+        let mut lowerer = Lowerer {
+            ctors: &ctors,
+            arities: &arities,
+            names,
+            b: BodyBuilder::default(),
+            scope: Vec::new(),
+            next_var: 0,
+            next_join: 0,
+            frames: Vec::new(),
+            operands: Vec::new(),
+            arms: Vec::new(),
+            captured: Vec::new(),
+            fv: FreeVars::default(),
+            free: Vec::new(),
+            rename: Vec::new(),
+            builtin: String::new(),
+        };
+        let mut fns = Vec::with_capacity(defs.len());
+        for (name, params, body) in &defs {
+            fns.push(lowerer.lower_fn(name, params, body)?);
+        }
+        Ok(Program {
+            fns,
+            names: Arc::new(lowerer.names),
+        })
     }
 
     /// The error for an expression past [`MAX_DEPTH`].
@@ -508,7 +598,7 @@ impl<'a> Parser<'a> {
         self.expect_kw("else")?;
         let (e, he) = self.parse_expr()?;
         let h = self.node(hc.max(ht).max(he), BRANCH_LEVELS)?;
-        Ok((SExpr::If(Box::new(c), Box::new(t), Box::new(e)), h))
+        Ok((if_(c, t, e), h))
     }
 
     fn parse_case(&mut self) -> Result<Parsed, SurfaceError> {
@@ -532,6 +622,10 @@ impl<'a> Parser<'a> {
             return Err(self.err("case needs at least one arm"));
         }
         let h = self.node(h, BRANCH_LEVELS)?;
+        // Integer patterns are staged via dec_eq chains (§III-A).
+        if arms.iter().any(|(p, _)| matches!(p, SPat::Int(_))) {
+            return Ok((desugar_int_case(scrut, arms), h));
+        }
         Ok((SExpr::Case(Box::new(scrut), arms), h))
     }
 
@@ -575,7 +669,7 @@ impl<'a> Parser<'a> {
             self.advance()?;
             let (rhs, hr) = self.parse_binary(prec + 1)?;
             h = self.node(h.max(hr), 1)?;
-            lhs = SExpr::Binop(op, Box::new(lhs), Box::new(rhs));
+            lhs = binop(op, lhs, rhs);
             if prec == 0 {
                 break;
             }
@@ -654,37 +748,66 @@ impl<'a> Parser<'a> {
 
 // ---- lowering to λpure --------------------------------------------------
 
+/// No join parameter (in [`Lowerer::rename`]).
+const NO_PARAM: VarId = VarId::MAX;
+
 struct Lowerer<'a> {
     ctors: &'a HashMap<String, CtorInfo>,
-    arities: &'a HashMap<String, usize>,
-    scope: Vec<(String, VarId)>,
+    arities: &'a HashMap<&'a str, usize>,
+    names: Names,
+    b: BodyBuilder,
+    /// The names in scope, innermost last. A `let` leaves its name here
+    /// until the block or arm that reached it ends.
+    scope: Vec<(&'a str, VarId)>,
     next_var: VarId,
     next_join: JoinId,
+    /// Per open block of `b`: the value-position `case` whose join body it
+    /// is, if any.
+    frames: Vec<Option<Deferred<'a>>>,
+    /// Operand lists under construction, stacked.
+    operands: Vec<VarId>,
+    /// Case arms under construction, stacked.
+    arms: Vec<Alt>,
+    /// What the arms of each value-position `case` being lowered pass
+    /// their join point besides their value, stacked.
+    captured: Vec<VarId>,
+    fv: FreeVars,
+    /// A join body's free variables.
+    free: Vec<VarId>,
+    /// Per variable, the join parameter that replaces it while a join body
+    /// is renamed ([`NO_PARAM`]: none).
+    rename: Vec<VarId>,
+    /// A builtin's `lean_` name.
+    builtin: String,
 }
 
-/// Continuation for ANF lowering: what to do with the value's variable.
-#[allow(clippy::type_complexity)]
-enum Kont<'k> {
+/// A `case` in value position, its join body being lowered: its arms are
+/// lowered when that body is closed.
+struct Deferred<'a> {
+    label: JoinId,
+    /// The join point's last parameter: the case's value.
+    result: VarId,
+    scrutinee: VarId,
+    arms: &'a [(SPat, SExpr)],
+    /// The scope entries the arms see.
+    scope: usize,
+}
+
+/// Where the code being lowered sends its value when it ends.
+#[derive(Debug, Clone, Copy)]
+enum Exit {
     /// Tail position: return it.
     Ret,
-    /// Feed it to the rest of the computation.
-    Then(Box<dyn FnOnce(&mut Lowerer<'_>, VarId) -> Result<Expr, SurfaceError> + 'k>),
+    /// An arm of a value-position `case`: jump to its join point with the
+    /// variables of `Lowerer::captured[captured.0..captured.1]`, then the
+    /// value.
+    Jump {
+        label: JoinId,
+        captured: (usize, usize),
+    },
 }
 
 impl<'a> Lowerer<'a> {
-    fn new(
-        ctors: &'a HashMap<String, CtorInfo>,
-        arities: &'a HashMap<String, usize>,
-    ) -> Lowerer<'a> {
-        Lowerer {
-            ctors,
-            arities,
-            scope: Vec::new(),
-            next_var: 0,
-            next_join: 0,
-        }
-    }
-
     fn err(&self, message: impl Into<String>) -> SurfaceError {
         SurfaceError {
             line: 0,
@@ -702,401 +825,190 @@ impl<'a> Lowerer<'a> {
         self.scope
             .iter()
             .rev()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| *n == name)
             .map(|&(_, v)| v)
     }
 
+    fn ctor(&self, name: &str) -> Result<CtorInfo, SurfaceError> {
+        self.ctors
+            .get(name)
+            .cloned()
+            .ok_or_else(|| self.err(format!("unknown constructor `{name}`")))
+    }
+
     fn lower_fn(
-        mut self,
+        &mut self,
         name: &str,
-        params: &[String],
-        body: &SExpr,
-    ) -> Result<FnDef, SurfaceError> {
-        let mut param_ids = Vec::new();
+        params: &'a [String],
+        body: &'a SExpr,
+    ) -> Result<crate::ast::FnDef, SurfaceError> {
+        self.scope.clear();
+        self.next_var = 0;
+        self.next_join = 0;
         for p in params {
             let v = self.fresh();
-            self.scope.push((p.clone(), v));
-            param_ids.push(v);
+            self.scope.push((p, v));
+            self.operands.push(v);
         }
-        let body = self.lower(body, Kont::Ret)?;
-        Ok(FnDef {
-            name: name.to_string(),
-            params: param_ids,
-            body,
-            next_var: self.next_var,
-            next_join: self.next_join,
-        })
+        self.open();
+        let body = self.lower_exit(body, Exit::Ret)?;
+        let name = self.names.intern(name);
+        let f = self
+            .b
+            .finish(name, &self.operands, body, self.next_var, self.next_join);
+        self.operands.clear();
+        Ok(f)
     }
 
-    /// Lowers `e`, delivering its result to `k`.
-    fn lower(&mut self, e: &SExpr, k: Kont<'_>) -> Result<Expr, SurfaceError> {
-        match e {
-            SExpr::Int(digits) => {
-                let val = match digits.parse::<i64>() {
-                    // Stays within the unboxed scalar range.
-                    Ok(v) if v < (1 << 62) => Value::LitInt(v),
-                    _ => Value::LitBig(digits.clone()),
-                };
-                self.bind_value(val, k)
-            }
-            SExpr::Str(s) => self.bind_value(Value::LitStr(s.clone()), k),
-            SExpr::Bool(b) => self.bind_value(
-                Value::Ctor {
-                    tag: *b as u32,
-                    args: vec![],
-                },
-                k,
-            ),
-            SExpr::Var(name) => match self.lookup(name) {
-                Some(v) => self.apply_kont(k, v),
-                None => {
-                    // A function mentioned without arguments: a closure.
-                    if self.arities.contains_key(name) {
-                        self.bind_value(
-                            Value::Pap {
-                                func: name.clone(),
-                                args: vec![],
-                            },
-                            k,
-                        )
-                    } else {
-                        Err(self.err(format!("unknown variable `{name}`")))
-                    }
+    /// Opens a block for an arm or a function body.
+    fn open(&mut self) {
+        self.b.open();
+        self.frames.push(None);
+    }
+
+    /// Appends `let v = val;` for a fresh `v`; returns `v`.
+    fn bind(&mut self, val: Value) -> VarId {
+        let v = self.fresh();
+        self.b.let_(v, val);
+        v
+    }
+
+    /// Lowers `e` to the end of the current block: its bindings, then its
+    /// value sent to `exit`. Returns the block closed last, the one the
+    /// arm or body started in.
+    fn lower_exit(&mut self, mut e: &'a SExpr, exit: Exit) -> Result<BlockId, SurfaceError> {
+        loop {
+            match (e, exit) {
+                (SExpr::Let(name, rhs, body), _) => {
+                    let v = self.value(rhs)?;
+                    self.scope.push((name, v));
+                    e = body;
                 }
-            },
-            SExpr::CtorRef(name) => {
-                let info = self
-                    .ctors
-                    .get(name)
-                    .ok_or_else(|| self.err(format!("unknown constructor `{name}`")))?
-                    .clone();
-                if info.arity != 0 {
-                    return Err(self.err(format!(
-                        "constructor `{name}` expects {} fields",
-                        info.arity
-                    )));
-                }
-                self.bind_value(
-                    Value::Ctor {
-                        tag: info.tag,
-                        args: vec![],
-                    },
-                    k,
-                )
-            }
-            SExpr::AtCall(builtin, args) => {
-                let func = format!("lean_{builtin}");
-                self.lower_args(args, move |this, arg_vars| {
-                    this.bind_value(
-                        Value::Call {
-                            func,
-                            args: arg_vars,
-                        },
-                        k,
-                    )
-                })
-            }
-            SExpr::Binop(op, a, b) => {
-                let func = match *op {
-                    "+" => "lean_nat_add",
-                    "-" => "lean_nat_sub",
-                    "*" => "lean_nat_mul",
-                    "/" => "lean_nat_div",
-                    "%" => "lean_nat_mod",
-                    "==" => "lean_nat_dec_eq",
-                    "<" => "lean_nat_dec_lt",
-                    "<=" => "lean_nat_dec_le",
-                    "!=" | ">" | ">=" => "", // handled by swapping/negating below
-                    _ => unreachable!(),
-                };
-                match *op {
-                    ">" => {
-                        // a > b ⇔ b < a
-                        let swapped = SExpr::Binop("<", b.clone(), a.clone());
-                        self.lower(&swapped, k)
-                    }
-                    ">=" => {
-                        let swapped = SExpr::Binop("<=", b.clone(), a.clone());
-                        self.lower(&swapped, k)
-                    }
-                    "!=" => {
-                        // if a == b then false else true
-                        let eq = SExpr::Binop("==", a.clone(), b.clone());
-                        let negated = SExpr::If(
-                            Box::new(eq),
-                            Box::new(SExpr::Bool(false)),
-                            Box::new(SExpr::Bool(true)),
-                        );
-                        self.lower(&negated, k)
-                    }
-                    _ => {
-                        let func = func.to_string();
-                        let args = vec![(**a).clone(), (**b).clone()];
-                        self.lower_args(&args, move |this, arg_vars| {
-                            this.bind_value(
-                                Value::Call {
-                                    func,
-                                    args: arg_vars,
-                                },
-                                k,
-                            )
-                        })
-                    }
-                }
-            }
-            SExpr::Apply(head, args) => match &**head {
-                SExpr::CtorRef(name) => {
-                    let info = self
-                        .ctors
-                        .get(name)
-                        .ok_or_else(|| self.err(format!("unknown constructor `{name}`")))?
-                        .clone();
-                    if info.arity != args.len() {
-                        return Err(self.err(format!(
-                            "constructor `{name}` expects {} fields, got {}",
-                            info.arity,
-                            args.len()
-                        )));
-                    }
-                    self.lower_args(args, move |this, arg_vars| {
-                        this.bind_value(
-                            Value::Ctor {
-                                tag: info.tag,
-                                args: arg_vars,
-                            },
-                            k,
-                        )
-                    })
-                }
-                SExpr::Var(name) if self.lookup(name).is_none() => {
-                    // Top-level function application.
-                    let arity = *self
-                        .arities
-                        .get(name)
-                        .ok_or_else(|| self.err(format!("unknown function `{name}`")))?;
-                    let func = name.clone();
-                    let n = args.len();
-                    self.lower_args(args, move |this, arg_vars| {
-                        use std::cmp::Ordering;
-                        match n.cmp(&arity) {
-                            Ordering::Equal => this.bind_value(
-                                Value::Call {
-                                    func,
-                                    args: arg_vars,
-                                },
-                                k,
-                            ),
-                            Ordering::Less => this.bind_value(
-                                Value::Pap {
-                                    func,
-                                    args: arg_vars,
-                                },
-                                k,
-                            ),
-                            Ordering::Greater => {
-                                // Full call, then apply the returned closure
-                                // to the remaining arguments.
-                                let first: Vec<VarId> = arg_vars[..arity].to_vec();
-                                let rest: Vec<VarId> = arg_vars[arity..].to_vec();
-                                let clos = this.fresh();
-                                let inner =
-                                    this.bind_value_into(clos, Value::Call { func, args: first });
-                                let app = Value::App {
-                                    closure: clos,
-                                    args: rest,
-                                };
-                                let tail = this.bind_value(app, k)?;
-                                Ok(inner(tail))
-                            }
-                        }
-                    })
+                // A `case` in tail position needs no join point.
+                (SExpr::Case(scrut, arms), Exit::Ret) => {
+                    let sv = self.value(scrut)?;
+                    let term = self.lower_arms(sv, arms, Exit::Ret)?;
+                    return self.close(term);
                 }
                 _ => {
-                    // Closure application.
-                    let head = (**head).clone();
-                    let args_cloned = args.clone();
-                    self.lower(
-                        &head,
-                        Kont::Then(Box::new(move |this, clos| {
-                            this.lower_args(&args_cloned, move |this, arg_vars| {
-                                this.bind_value(
-                                    Value::App {
-                                        closure: clos,
-                                        args: arg_vars,
-                                    },
-                                    k,
-                                )
-                            })
-                        })),
-                    )
+                    let v = self.value(e)?;
+                    let term = match exit {
+                        Exit::Ret => Terminator::Ret(v),
+                        Exit::Jump {
+                            label,
+                            captured: (from, to),
+                        } => {
+                            let mark = self.operands.len();
+                            self.operands.extend_from_slice(&self.captured[from..to]);
+                            self.operands.push(v);
+                            let args = self.b.list(&self.operands[mark..]);
+                            self.operands.truncate(mark);
+                            Terminator::Jump { label, args }
+                        }
+                    };
+                    return self.close(term);
                 }
-            },
-            SExpr::Let(name, rhs, body) => {
-                let name = name.clone();
-                let body = (**body).clone();
-                self.lower(
-                    rhs,
-                    Kont::Then(Box::new(move |this, v| {
-                        this.scope.push((name, v));
-                        let out = this.lower(&body, k);
-                        this.scope.pop();
-                        out
-                    })),
-                )
-            }
-            SExpr::If(c, t, e) => {
-                let case = SExpr::Case(
-                    c.clone(),
-                    vec![
-                        (SPat::Bool(true), (**t).clone()),
-                        (SPat::Bool(false), (**e).clone()),
-                    ],
-                );
-                self.lower(&case, k)
-            }
-            SExpr::Case(scrut, arms) => {
-                // Integer patterns are staged via dec_eq chains (§III-A).
-                if arms.iter().any(|(p, _)| matches!(p, SPat::Int(_))) {
-                    let desugared = self.desugar_int_case(scrut, arms)?;
-                    return self.lower(&desugared, k);
-                }
-                let arms = arms.clone();
-                self.lower(
-                    scrut,
-                    Kont::Then(Box::new(move |this, sv| this.lower_ctor_case(sv, &arms, k))),
-                )
             }
         }
     }
 
-    /// Rewrites `case e of | 0 => .. | 42 => .. | _ => ..` into an
-    /// `if e == 0 then .. else if e == 42 then .. else ..` chain.
-    fn desugar_int_case(
-        &self,
-        scrut: &SExpr,
-        arms: &[(SPat, SExpr)],
-    ) -> Result<SExpr, SurfaceError> {
-        let mut default: Option<SExpr> = None;
-        let mut int_arms: Vec<(String, SExpr)> = Vec::new();
-        for (pat, body) in arms {
-            match pat {
-                SPat::Int(digits) => int_arms.push((digits.clone(), body.clone())),
-                SPat::Wild => default = Some(body.clone()),
-                other => {
-                    return Err(self.err(format!(
-                        "cannot mix integer and constructor patterns ({other:?})"
-                    )))
-                }
+    /// Closes the current block with `term`. A block that is a deferred
+    /// case's join body then declares the join point in the block below
+    /// it, whose `case` the case's arms close in turn. Returns the last
+    /// block closed.
+    fn close(&mut self, mut term: Terminator) -> Result<BlockId, SurfaceError> {
+        loop {
+            let block = self.b.close(term);
+            match self.frames.pop().expect("an open block") {
+                None => return Ok(block),
+                Some(case) => term = self.join_then_arms(case, block)?,
             }
         }
-        let mut out =
-            default.ok_or_else(|| self.err("integer case needs a `_` default arm".to_string()))?;
-        for (digits, body) in int_arms.into_iter().rev() {
-            let cmp = SExpr::Binop("==", Box::new(scrut.clone()), Box::new(SExpr::Int(digits)));
-            out = SExpr::If(Box::new(cmp), Box::new(body), Box::new(out));
-        }
-        Ok(out)
     }
 
-    fn lower_ctor_case(
+    /// Declares the join point of `case`, whose body `jp_body` is closed,
+    /// and lowers the case's arms to jump to it; returns the `case`.
+    ///
+    /// The join point must be self-contained: its body's free variables
+    /// (besides the case's value) become extra parameters, with fresh names
+    /// so every binder in the function stays unique, and the arms pass them.
+    fn join_then_arms(
         &mut self,
-        sv: VarId,
-        arms: &[(SPat, SExpr)],
-        k: Kont<'_>,
-    ) -> Result<Expr, SurfaceError> {
-        match k {
-            Kont::Ret => {
-                let (alts, default) = self.lower_arms(sv, arms, None)?;
-                Ok(Expr::Case {
-                    scrutinee: sv,
-                    alts,
-                    default,
-                })
+        case: Deferred<'a>,
+        jp_body: BlockId,
+    ) -> Result<Terminator, SurfaceError> {
+        let free = &mut self.free;
+        free.clear();
+        self.fv
+            .for_each(self.b.arena(), jp_body, &[], |v| free.push(v));
+        free.sort_unstable();
+        free.dedup();
+        free.retain(|&v| v != case.result);
+        let (captured, params) = (self.captured.len(), self.operands.len());
+        for i in 0..self.free.len() {
+            let (v, p) = (self.free[i], self.fresh());
+            if v as usize >= self.rename.len() {
+                self.rename.resize(v as usize + 1, NO_PARAM);
             }
-            Kont::Then(f) => {
-                // Value-position case: introduce a join point (Figure 5).
-                let label = self.next_join;
-                self.next_join += 1;
-                let pvar = self.fresh();
-                let jp_body = f(self, pvar)?;
-                // The join point must be self-contained: its free variables
-                // (besides pvar) become extra parameters. Parameters get
-                // fresh names so every binder in the function stays unique.
-                let mut fv: Vec<VarId> = jp_body
-                    .free_vars()
-                    .into_iter()
-                    .filter(|&v| v != pvar)
-                    .collect();
-                fv.sort_unstable();
-                let mut rename = HashMap::new();
-                let mut params = Vec::with_capacity(fv.len() + 1);
-                for &v in &fv {
-                    let fresh = self.fresh();
-                    rename.insert(v, fresh);
-                    params.push(fresh);
-                }
-                params.push(pvar);
-                let jp_body = jp_body.rename_free(&rename);
-                let captured = fv;
-                let (alts, default) = self.lower_arms(sv, arms, Some((label, captured)))?;
-                Ok(Expr::LetJoin {
-                    label,
-                    params,
-                    jp_body: Box::new(jp_body),
-                    body: Box::new(Expr::Case {
-                        scrutinee: sv,
-                        alts,
-                        default,
-                    }),
-                })
-            }
+            self.rename[v as usize] = p;
+            self.captured.push(v);
+            self.operands.push(p);
         }
+        self.operands.push(case.result);
+        let rename = &self.rename;
+        self.b.arena_mut().rename_free(jp_body, |v| {
+            rename.get(v as usize).copied().filter(|&p| p != NO_PARAM)
+        });
+        for &v in &self.captured[captured..] {
+            self.rename[v as usize] = NO_PARAM;
+        }
+        let params_list = self.b.list(&self.operands[params..]);
+        self.operands.truncate(params);
+        self.b.push(Stmt::Join {
+            label: case.label,
+            params: params_list,
+            body: jp_body,
+        });
+        self.scope.truncate(case.scope);
+        let exit = Exit::Jump {
+            label: case.label,
+            captured: (captured, self.captured.len()),
+        };
+        let term = self.lower_arms(case.scrutinee, case.arms, exit)?;
+        self.captured.truncate(captured);
+        Ok(term)
     }
 
-    #[allow(clippy::type_complexity)]
+    /// Lowers the arms of a `case` on `sv`, each in a block of its own
+    /// that ends in `exit`; returns the `case`.
     fn lower_arms(
         &mut self,
         sv: VarId,
-        arms: &[(SPat, SExpr)],
-        jump_to: Option<(JoinId, Vec<VarId>)>,
-    ) -> Result<(Vec<Alt>, Option<Box<Expr>>), SurfaceError> {
-        let mut alts = Vec::new();
+        arms: &'a [(SPat, SExpr)],
+        exit: Exit,
+    ) -> Result<Terminator, SurfaceError> {
+        let mark = self.arms.len();
         let mut default = None;
         for (pat, body) in arms {
-            let arm_kont = || -> Kont<'_> {
-                match &jump_to {
-                    None => Kont::Ret,
-                    Some((label, captured)) => {
-                        let label = *label;
-                        let captured = captured.clone();
-                        Kont::Then(Box::new(move |_this, v| {
-                            let mut args = captured;
-                            args.push(v);
-                            Ok(Expr::Jump { label, args })
-                        }))
-                    }
-                }
-            };
+            let scope = self.scope.len();
             match pat {
                 SPat::Wild => {
                     if default.is_some() {
                         return Err(self.err("duplicate default arm"));
                     }
-                    default = Some(Box::new(self.lower(body, arm_kont())?));
+                    self.open();
+                    default = Some(self.lower_exit(body, exit)?);
                 }
                 SPat::Bool(b) => {
-                    let lowered = self.lower(body, arm_kont())?;
-                    alts.push(Alt {
+                    self.open();
+                    let body = self.lower_exit(body, exit)?;
+                    self.arms.push(Alt {
                         tag: *b as u32,
-                        body: lowered,
+                        body,
                     });
                 }
                 SPat::Ctor(name, binders) => {
-                    let info = self
-                        .ctors
-                        .get(name)
-                        .ok_or_else(|| self.err(format!("unknown constructor `{name}`")))?
-                        .clone();
+                    let info = self.ctor(name)?;
                     if info.arity != binders.len() {
                         return Err(self.err(format!(
                             "pattern `{name}` expects {} fields, got {}",
@@ -1105,82 +1017,204 @@ impl<'a> Lowerer<'a> {
                         )));
                     }
                     // Bind fields via projections.
-                    let mut field_vars = Vec::new();
-                    let scope_depth = self.scope.len();
+                    self.open();
                     for (i, b) in binders.iter().enumerate() {
                         let v = self.fresh();
                         if b != "_" {
-                            self.scope.push((b.clone(), v));
+                            self.scope.push((b, v));
                         }
-                        field_vars.push((i as u32, v));
+                        self.b.let_(
+                            v,
+                            Value::Proj {
+                                var: sv,
+                                idx: i as u32,
+                            },
+                        );
                     }
-                    let inner = self.lower(body, arm_kont())?;
-                    self.scope.truncate(scope_depth);
-                    let mut armed = inner;
-                    for &(idx, v) in field_vars.iter().rev() {
-                        armed = build::let_(v, Value::Proj { var: sv, idx }, armed);
-                    }
-                    alts.push(Alt {
+                    let body = self.lower_exit(body, exit)?;
+                    self.arms.push(Alt {
                         tag: info.tag,
-                        body: armed,
+                        body,
                     });
                 }
-                SPat::Int(_) => unreachable!("int patterns desugared earlier"),
+                SPat::Int(_) => unreachable!("integer patterns are desugared when parsed"),
             }
+            self.scope.truncate(scope);
         }
-        alts.sort_by_key(|a| a.tag);
-        Ok((alts, default))
+        self.arms[mark..].sort_by_key(|a| a.tag);
+        let alts = self.b.alts(&self.arms[mark..]);
+        self.arms.truncate(mark);
+        Ok(Terminator::Case {
+            scrutinee: sv,
+            alts,
+            default,
+        })
     }
 
-    /// Lowers a list of argument expressions left-to-right, then calls `f`
-    /// with their variables.
-    fn lower_args<'k>(
+    /// Lowers `args` left to right; returns the list of their variables.
+    fn operands(
         &mut self,
-        args: &'k [SExpr],
-        f: impl FnOnce(&mut Lowerer<'_>, Vec<VarId>) -> Result<Expr, SurfaceError> + 'k,
-    ) -> Result<Expr, SurfaceError> {
-        self.lower_args_acc(args, Vec::with_capacity(args.len()), Box::new(f))
-    }
-
-    /// Lowers `rest`, then calls `f` with `acc` and the variables of `rest`.
-    /// Each argument's continuation borrows the arguments after it, so an
-    /// n-argument call costs O(n), not a copy of the remaining list per
-    /// argument.
-    #[allow(clippy::type_complexity)]
-    fn lower_args_acc<'k>(
-        &mut self,
-        rest: &'k [SExpr],
-        mut acc: Vec<VarId>,
-        f: Box<dyn FnOnce(&mut Lowerer<'_>, Vec<VarId>) -> Result<Expr, SurfaceError> + 'k>,
-    ) -> Result<Expr, SurfaceError> {
-        match rest.split_first() {
-            None => f(self, acc),
-            Some((first, tail)) => self.lower(
-                first,
-                Kont::Then(Box::new(move |this, v| {
-                    acc.push(v);
-                    this.lower_args_acc(tail, acc, f)
-                })),
-            ),
+        args: impl IntoIterator<Item = &'a SExpr>,
+    ) -> Result<Slice, SurfaceError> {
+        let mark = self.operands.len();
+        for a in args {
+            let v = self.value(a)?;
+            self.operands.push(v);
         }
+        let list = self.b.list(&self.operands[mark..]);
+        self.operands.truncate(mark);
+        Ok(list)
     }
 
-    fn apply_kont(&mut self, k: Kont<'_>, v: VarId) -> Result<Expr, SurfaceError> {
-        match k {
-            Kont::Ret => Ok(Expr::Ret(v)),
-            Kont::Then(f) => f(self, v),
-        }
-    }
-
-    fn bind_value(&mut self, val: Value, k: Kont<'_>) -> Result<Expr, SurfaceError> {
-        let v = self.fresh();
-        let tail = self.apply_kont(k, v)?;
-        Ok(build::let_(v, val, tail))
-    }
-
-    /// Returns a function that wraps an expression in `let v = val;`.
-    fn bind_value_into(&mut self, v: VarId, val: Value) -> impl FnOnce(Expr) -> Expr {
-        move |tail| build::let_(v, val, tail)
+    /// Lowers `e` into the current block; returns the variable holding its
+    /// value. A `case` opens its join point's body as the current block
+    /// and returns the join point's parameter for its value.
+    fn value(&mut self, mut e: &'a SExpr) -> Result<VarId, SurfaceError> {
+        let val = loop {
+            break match e {
+                SExpr::Let(name, rhs, body) => {
+                    let v = self.value(rhs)?;
+                    self.scope.push((name, v));
+                    e = body;
+                    continue;
+                }
+                SExpr::Int(digits) => match digits.parse::<i64>() {
+                    // Stays within the unboxed scalar range.
+                    Ok(v) if v < (1 << 62) => Value::LitInt(v),
+                    _ => Value::LitBig(self.b.text(digits)),
+                },
+                SExpr::Str(s) => Value::LitStr(self.b.text(s)),
+                SExpr::Bool(b) => Value::Ctor {
+                    tag: *b as u32,
+                    args: Slice::default(),
+                },
+                SExpr::Var(name) => match self.lookup(name) {
+                    Some(v) => return Ok(v),
+                    // A function mentioned without arguments: a closure.
+                    None if self.arities.contains_key(name.as_str()) => Value::Pap {
+                        func: self.names.intern(name),
+                        args: Slice::default(),
+                    },
+                    None => return Err(self.err(format!("unknown variable `{name}`"))),
+                },
+                SExpr::CtorRef(name) => {
+                    let info = self.ctor(name)?;
+                    if info.arity != 0 {
+                        return Err(self.err(format!(
+                            "constructor `{name}` expects {} fields",
+                            info.arity
+                        )));
+                    }
+                    Value::Ctor {
+                        tag: info.tag,
+                        args: Slice::default(),
+                    }
+                }
+                SExpr::AtCall(builtin, args) => {
+                    let args = self.operands(args)?;
+                    self.builtin.clear();
+                    self.builtin.push_str("lean_");
+                    self.builtin.push_str(builtin);
+                    Value::Call {
+                        func: self.names.intern(&self.builtin),
+                        args,
+                    }
+                }
+                SExpr::Binop(op, a, b) => {
+                    let func = match *op {
+                        "+" => "lean_nat_add",
+                        "-" => "lean_nat_sub",
+                        "*" => "lean_nat_mul",
+                        "/" => "lean_nat_div",
+                        "%" => "lean_nat_mod",
+                        "==" => "lean_nat_dec_eq",
+                        "<" => "lean_nat_dec_lt",
+                        "<=" => "lean_nat_dec_le",
+                        _ => unreachable!("comparisons are desugared when parsed"),
+                    };
+                    let args = self.operands([&**a, &**b])?;
+                    Value::Call {
+                        func: self.names.intern(func),
+                        args,
+                    }
+                }
+                SExpr::Apply(head, args) => match &**head {
+                    SExpr::CtorRef(name) => {
+                        let info = self.ctor(name)?;
+                        if info.arity != args.len() {
+                            return Err(self.err(format!(
+                                "constructor `{name}` expects {} fields, got {}",
+                                info.arity,
+                                args.len()
+                            )));
+                        }
+                        Value::Ctor {
+                            tag: info.tag,
+                            args: self.operands(args)?,
+                        }
+                    }
+                    SExpr::Var(name) if self.lookup(name).is_none() => {
+                        // Top-level function application.
+                        let arity = *self
+                            .arities
+                            .get(name.as_str())
+                            .ok_or_else(|| self.err(format!("unknown function `{name}`")))?;
+                        let list = self.operands(args)?;
+                        let func = self.names.intern(name);
+                        use std::cmp::Ordering;
+                        match args.len().cmp(&arity) {
+                            Ordering::Equal => Value::Call { func, args: list },
+                            Ordering::Less => Value::Pap { func, args: list },
+                            Ordering::Greater => {
+                                // Full call, then apply the returned closure
+                                // to the remaining arguments.
+                                let (first, rest) = (
+                                    Slice {
+                                        start: list.start,
+                                        len: arity as u32,
+                                    },
+                                    Slice {
+                                        start: list.start + arity as u32,
+                                        len: list.len - arity as u32,
+                                    },
+                                );
+                                let closure = self.bind(Value::Call { func, args: first });
+                                Value::App {
+                                    closure,
+                                    args: rest,
+                                }
+                            }
+                        }
+                    }
+                    _ => {
+                        // Closure application.
+                        let closure = self.value(head)?;
+                        Value::App {
+                            closure,
+                            args: self.operands(args)?,
+                        }
+                    }
+                },
+                SExpr::Case(scrut, arms) => {
+                    // Value-position case: introduce a join point (Figure 5).
+                    let scrutinee = self.value(scrut)?;
+                    let label = self.next_join;
+                    self.next_join += 1;
+                    let result = self.fresh();
+                    self.b.open();
+                    self.frames.push(Some(Deferred {
+                        label,
+                        result,
+                        scrutinee,
+                        arms,
+                        scope: self.scope.len(),
+                    }));
+                    return Ok(result);
+                }
+                SExpr::Invalid(message) => return Err(self.err(message.clone())),
+            };
+        };
+        Ok(self.bind(val))
     }
 }
 
@@ -1205,7 +1239,7 @@ def main() := length(Cons(1, Cons(2, Nil)))
         assert_eq!(p.fns.len(), 2);
         let length = p.fn_by_name("length").unwrap();
         assert_eq!(length.arity(), 1);
-        let text = length.body.to_string();
+        let text = p.display_fn(length).to_string();
         assert!(text.contains("case x0 of"), "{text}");
         assert!(text.contains("proj_1(x0)"), "{text}");
         assert!(text.contains("call @length"), "{text}");
@@ -1221,7 +1255,7 @@ def f(b) :=
 "#;
         let p = parse_program(src).unwrap();
         let f = p.fn_by_name("f").unwrap();
-        let text = f.body.to_string();
+        let text = p.display_fn(f).to_string();
         assert!(text.contains("join j0("), "{text}");
         assert!(text.contains("jump j0("), "{text}");
     }
@@ -1238,7 +1272,7 @@ def intUsage(n) :=
 "#;
         let p = parse_program(src).unwrap();
         let f = p.fn_by_name("intUsage").unwrap();
-        let text = f.body.to_string();
+        let text = p.display_fn(f).to_string();
         assert!(text.contains("lean_nat_dec_eq"), "{text}");
     }
 
@@ -1251,7 +1285,7 @@ def k10() := k(10)
 "#;
         let p = parse_program(src).unwrap();
         let k10 = p.fn_by_name("k10").unwrap();
-        assert!(k10.body.to_string().contains("pap @k("));
+        assert!(p.display_fn(k10).to_string().contains("pap @k("));
     }
 
     #[test]
@@ -1263,9 +1297,11 @@ def k42() := ap42(k)
 "#;
         let p = parse_program(src).unwrap();
         let k42 = p.fn_by_name("k42").unwrap();
-        assert!(k42.body.to_string().contains("pap @k()"), "{}", k42.body);
+        let text = p.display_fn(k42).to_string();
+        assert!(text.contains("pap @k()"), "{text}");
         let ap42 = p.fn_by_name("ap42").unwrap();
-        assert!(ap42.body.to_string().contains("app x0("), "{}", ap42.body);
+        let text = p.display_fn(ap42).to_string();
+        assert!(text.contains("app x0("), "{text}");
     }
 
     #[test]
@@ -1277,7 +1313,7 @@ def use() := pair(1)(2, 3)
 "#;
         let p = parse_program(src).unwrap();
         let u = p.fn_by_name("use").unwrap();
-        let text = u.body.to_string();
+        let text = p.display_fn(u).to_string();
         assert!(text.contains("call @pair"), "{text}");
         assert!(text.contains("app "), "{text}");
     }
@@ -1287,8 +1323,8 @@ def use() := pair(1)(2, 3)
         let src = "def big() := 99999999999999999999999999";
         let p = parse_program(src).unwrap();
         let f = p.fn_by_name("big").unwrap();
-        assert!(f
-            .body
+        assert!(p
+            .display_fn(f)
             .to_string()
             .contains("big(99999999999999999999999999)"));
     }
@@ -1297,7 +1333,7 @@ def use() := pair(1)(2, 3)
     fn comparison_operators_desugar() {
         let src = "def f(a, b) := if a > b then a - b else b - a";
         let p = parse_program(src).unwrap();
-        let text = p.fn_by_name("f").unwrap().body.to_string();
+        let text = p.display_fn(p.fn_by_name("f").unwrap()).to_string();
         assert!(text.contains("lean_nat_dec_lt"), "{text}");
         assert!(text.contains("lean_nat_sub"), "{text}");
     }
@@ -1306,7 +1342,7 @@ def use() := pair(1)(2, 3)
     fn at_builtins() {
         let src = "def f(a, b) := @int_add(a, @int_neg(b))";
         let p = parse_program(src).unwrap();
-        let text = p.fn_by_name("f").unwrap().body.to_string();
+        let text = p.display_fn(p.fn_by_name("f").unwrap()).to_string();
         assert!(text.contains("lean_int_add"), "{text}");
         assert!(text.contains("lean_int_neg"), "{text}");
     }

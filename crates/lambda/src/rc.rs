@@ -20,7 +20,18 @@
 //! The balance property is validated dynamically by the reference
 //! interpreter: after running a λrc program, the heap must be empty.
 
-use crate::ast::{Alt, Expr, FnDef, JoinId, Program, Value, VarId};
+//!
+//! Two passes per function, neither recursing per binding. The first files,
+//! per block, each variable the block uses with the position of its last
+//! use there; a variable an arm or join body uses freely counts as used by
+//! its `case` or `join`. The second walks each block's statements forward,
+//! deciding every `inc` and `dec` from the owned set and those positions,
+//! and emits them in order.
+
+use crate::ast::{
+    Alt, BlockId, BodyBuilder, FnDef, JoinId, Program, Slice, Stmt, Terminator, Value, VarId,
+};
+use std::sync::Arc;
 
 /// Inserts reference counting into every function of a λpure program.
 ///
@@ -28,75 +39,43 @@ use crate::ast::{Alt, Expr, FnDef, JoinId, Program, Value, VarId};
 ///
 /// Panics if the program already contains `inc`/`dec` instructions.
 pub fn insert_rc(program: &Program) -> Program {
-    let mut rc = Inserter::default();
+    let mut rc = Inserter::for_program(program);
     let fns = program
         .fns
         .iter()
         .map(|f| {
             assert!(
-                !f.body.has_rc_ops(),
+                !f.arena.has_rc_ops(),
                 "insert_rc on a function that already has RC ops: @{}",
-                f.name
+                program.name(f)
             );
-            FnDef {
-                name: f.name.clone(),
-                params: f.params.clone(),
-                body: rc.function(f),
-                next_var: f.next_var,
-                next_join: f.next_join,
-            }
+            rc.function(f)
         })
         .collect();
-    Program { fns }
-}
-
-/// Wraps `e` in an `inc var *n` when `n > 0`.
-fn incs(var: VarId, n: u32, e: Expr) -> Expr {
-    if n == 0 {
-        e
-    } else {
-        Expr::Inc {
-            var,
-            n,
-            body: Box::new(e),
-        }
-    }
-}
-
-/// Wraps `e` in a `dec var`.
-fn dec(var: VarId, e: Expr) -> Expr {
-    Expr::Dec {
-        var,
-        body: Box::new(e),
+    Program {
+        fns,
+        names: Arc::clone(&program.names),
     }
 }
 
 /// Per-function state of the insertion, reused across functions.
-///
-/// The free variables of every node of the body are computed once, bottom
-/// up, as sorted runs of one arena (`free`), indexed by the node's number
-/// in the pre-order [`Inserter::transform`] visits them; each `let` and
-/// arm looks its body's run up. The arena holds the sum of the free-set
-/// sizes, so its size follows the variables a body uses, never the range
-/// of their ids: a use is in the run of each node that encloses it. The
-/// owned set is a sorted list of the owned variables.
-///
-/// Both walks follow a `let` chain in a loop, keeping what each level
-/// still needs on explicit stacks, so a long chain costs no native stack.
-#[derive(Default)]
-struct Inserter<'p> {
-    /// Per node in pre-order: where its free-variable run starts in `free`,
-    /// and its length.
+struct Inserter {
+    /// Per block: where its run of uses starts in `uses`, and its length.
     runs: Vec<(u32, u32)>,
-    /// Every node's free variables, each run ascending.
-    free: Vec<VarId>,
-    /// Runs under construction, stacked: a node's variables are gathered
-    /// here (in any order) before [`Inserter::store`] files them.
-    gather: Vec<VarId>,
+    /// Every block's uses, a run per block ascending by variable: each
+    /// variable the block's statements or terminator use, or that one of
+    /// its join bodies or arms uses freely, with the position of its last
+    /// use — a statement's index, or the block's length for the terminator
+    /// and the arms. The runs hold the sum of the blocks' use counts, never
+    /// the range of the ids used.
+    uses: Vec<(VarId, u32)>,
+    /// Uses gathered for the block being filed.
+    gather: Vec<(VarId, u32)>,
+    /// Per variable, one more than the block whose `let` binds it (`0`:
+    /// none). Binders are unique (E0102), so each has one.
+    bound_in: Vec<u32>,
     /// A join point's parameters, sorted.
     params: Vec<VarId>,
-    /// The pre-order number of the next node `transform` visits.
-    cursor: usize,
     /// The references the current path owns, ascending.
     owned: Vec<VarId>,
     /// Saved `owned` sets, stacked: each `case` restores it for every arm,
@@ -104,160 +83,162 @@ struct Inserter<'p> {
     saved: Vec<VarId>,
     /// The sorted operands of the value or jump being accounted for.
     operands: Vec<VarId>,
-    /// `(var, n)` retains waiting to wrap a `let` once its body is built.
-    pending_incs: Vec<(VarId, u32)>,
-    /// Variables waiting to be released once a body is built.
-    pending_decs: Vec<VarId>,
-    /// `fill`: the nodes of the continuation chain being walked, with their
-    /// pre-order numbers.
-    chain: Vec<(usize, &'p Expr)>,
-    /// `transform`: the `let`s whose bodies are being built.
-    lets: Vec<PendingLet<'p>>,
+    /// `(var, n)` retains to emit before the `let` or `jump` at hand.
+    incs: Vec<(VarId, u32)>,
+    /// Variables to release after the `let` at hand, ascending.
+    decs: Vec<VarId>,
+    /// Case arms of the output under construction, stacked.
+    arms: Vec<Alt>,
+    b: BodyBuilder,
 }
 
-/// A `let` whose body `transform` is building, and what wrapping that body
-/// needs.
-struct PendingLet<'p> {
-    var: VarId,
-    val: &'p Value,
-    /// Whether the bound variable is unused in the body.
-    dead: bool,
-    /// Where this `let`'s entries start in `pending_incs`/`pending_decs`.
-    incs_mark: usize,
-    decs_mark: usize,
-}
+impl Inserter {
+    /// An inserter sized for `p`'s largest function.
+    fn for_program(p: &Program) -> Inserter {
+        let most = p.largest();
+        // Each binding gains about one `inc` or `dec`; a variable is used
+        // once per operand, and counted again in each block it is free in.
+        let uses = most.vars + most.stmts + most.blocks;
+        let mut b = BodyBuilder::default();
+        b.reserve(2 * most.stmts, 2 * most.stmts, most.blocks, most.vars);
+        Inserter {
+            runs: Vec::with_capacity(most.blocks),
+            uses: Vec::with_capacity(2 * uses),
+            gather: Vec::with_capacity(uses),
+            bound_in: vec![0; most.var_ids],
+            params: Vec::with_capacity(most.vars),
+            owned: Vec::with_capacity(most.var_ids),
+            saved: Vec::with_capacity(2 * most.var_ids),
+            operands: Vec::with_capacity(most.vars),
+            incs: Vec::with_capacity(most.vars),
+            decs: Vec::with_capacity(most.var_ids),
+            arms: Vec::with_capacity(most.blocks),
+            b,
+        }
+    }
 
-impl<'p> Inserter<'p> {
-    fn function(&mut self, f: &'p FnDef) -> Expr {
-        self.runs.clear();
-        self.free.clear();
-        self.fill(&f.body);
-        self.cursor = 0;
+    fn function(&mut self, f: &FnDef) -> FnDef {
+        self.fill(f);
         self.owned.clear();
-        self.owned.extend_from_slice(&f.params);
+        self.owned.extend_from_slice(f.params());
         self.owned.sort_unstable();
         self.owned.dedup();
-        let body = self.transform(&f.body);
-        debug_assert_eq!(self.cursor, self.runs.len());
-        body
-    }
-
-    /// The free variables of the node with pre-order number `node`,
-    /// ascending.
-    fn run(&self, node: usize) -> &[VarId] {
-        let (start, len) = self.runs[node];
-        &self.free[start as usize..(start + len) as usize]
-    }
-
-    fn free_in(&self, node: usize, v: VarId) -> bool {
-        self.run(node).binary_search(&v).is_ok()
-    }
-
-    /// Files `gather[mark..]`, sorted and without duplicates, as the run of
-    /// `node`, and pops it off `gather`.
-    fn store(&mut self, node: usize, mark: usize) {
-        let vars = &mut self.gather[mark..];
-        vars.sort_unstable();
-        let start = self.free.len();
-        for &v in vars.iter() {
-            if self.free.len() == start || self.free.last() != Some(&v) {
-                self.free.push(v);
+        let body = self.transform(f, f.body, false);
+        // Leave the binder table empty for the next function.
+        for b in 0..f.arena.block_count() {
+            for s in f.arena.stmts(BlockId(b as u32)) {
+                if let Stmt::Let { var, .. } = s {
+                    self.bound_in[*var as usize] = 0;
+                }
             }
         }
-        self.gather.truncate(mark);
-        let at = |i: usize| u32::try_from(i).expect("free-variable table under 2^32 entries");
-        self.runs[node] = (at(start), at(self.free.len() - start));
+        self.b
+            .finish(f.name, f.params(), body, f.next_var, f.next_join)
     }
 
-    /// Pushes the run of `node` onto `gather`.
-    fn gather_run(&mut self, node: usize) {
-        let (start, len) = self.runs[node];
-        self.gather
-            .extend_from_slice(&self.free[start as usize..(start + len) as usize]);
-    }
-
-    /// Computes the free variables of `e` and of every node below it;
-    /// returns `e`'s pre-order number.
-    fn fill(&mut self, e: &'p Expr) -> usize {
-        let mark = self.chain.len();
-        let mut e = e;
-        // Down the continuation chain, numbering nodes in pre-order.
-        let tail = loop {
-            let node = self.runs.len();
-            self.runs.push((0, 0));
-            match e {
-                Expr::Let { body, .. } => {
-                    self.chain.push((node, e));
-                    e = body;
-                }
-                Expr::LetJoin { jp_body, body, .. } => {
-                    self.chain.push((node, e));
-                    self.fill(jp_body);
-                    e = body;
-                }
-                Expr::Case {
-                    scrutinee,
-                    alts,
-                    default,
-                } => {
-                    let at = self.gather.len();
-                    for arm in alts.iter().map(|a| &a.body).chain(default.as_deref()) {
-                        let a = self.fill(arm);
-                        self.gather_run(a);
+    /// Files the uses of every block of `f`.
+    fn fill(&mut self, f: &FnDef) {
+        let blocks = f.arena.block_count();
+        self.runs.clear();
+        self.runs.resize(blocks, (0, 0));
+        self.uses.clear();
+        for b in 0..blocks {
+            for s in f.arena.stmts(BlockId(b as u32)) {
+                if let Stmt::Let { var, .. } = *s {
+                    let i = var as usize;
+                    if i >= self.bound_in.len() {
+                        self.bound_in.resize(i + 1, 0);
                     }
-                    self.gather.push(*scrutinee);
-                    self.store(node, at);
-                    break node;
+                    self.bound_in[i] = b as u32 + 1;
                 }
-                Expr::Jump { args, .. } => {
-                    let at = self.gather.len();
-                    self.gather.extend_from_slice(args);
-                    self.store(node, at);
-                    break node;
+            }
+        }
+        self.fill_block(f, f.body);
+    }
+
+    /// Files the uses of block `b` and of the blocks under it.
+    fn fill_block(&mut self, f: &FnDef, b: BlockId) {
+        let arena = &f.arena;
+        let stmts = arena.stmts(b);
+        let term = arena.term(b);
+        for s in stmts {
+            if let Stmt::Join { body, .. } = *s {
+                self.fill_block(f, body);
+            }
+        }
+        for arm in arena.successors(term) {
+            self.fill_block(f, arm);
+        }
+        let at = self.gather.len();
+        for (k, s) in stmts.iter().enumerate() {
+            let k = k as u32;
+            match *s {
+                Stmt::Let { ref val, .. } => {
+                    arena.for_each_operand(val, |v| self.gather.push((v, k)));
                 }
-                Expr::Ret(v) => {
-                    let at = self.gather.len();
-                    self.gather.push(*v);
-                    self.store(node, at);
-                    break node;
+                Stmt::Join { params, body, .. } => {
+                    self.params.clear();
+                    self.params.extend_from_slice(arena.vars(params));
+                    self.params.sort_unstable();
+                    for i in self.run_range(body) {
+                        let v = self.uses[i].0;
+                        if self.free_in(body, v) && self.params.binary_search(&v).is_err() {
+                            self.gather.push((v, k));
+                        }
+                    }
                 }
-                Expr::Inc { .. } | Expr::Dec { .. } => {
+                Stmt::Inc { .. } | Stmt::Dec { .. } => {
                     unreachable!("insert_rc input must be λpure")
                 }
             }
-        };
-        // Back up: each node's set from the one below it.
-        let mut below = tail;
-        while self.chain.len() > mark {
-            let (node, e) = self.chain.pop().expect("above the mark");
-            let at = self.gather.len();
-            match e {
-                Expr::Let { var, val, .. } => {
-                    let (start, len) = self.runs[below];
-                    let body = &self.free[start as usize..(start + len) as usize];
-                    self.gather.extend(body.iter().filter(|&v| v != var));
-                    val.for_each_operand(|v| self.gather.push(v));
-                }
-                Expr::LetJoin { params, .. } => {
-                    // The join body is the node right after the join.
-                    self.params.clear();
-                    self.params.extend_from_slice(params);
-                    self.params.sort_unstable();
-                    let (start, len) = self.runs[node + 1];
-                    let jp_body = &self.free[start as usize..(start + len) as usize];
-                    self.gather.extend(
-                        jp_body
-                            .iter()
-                            .filter(|v| self.params.binary_search(v).is_err()),
-                    );
-                    self.gather_run(below);
-                }
-                _ => unreachable!("only continuation forms are chained"),
-            }
-            self.store(node, at);
-            below = node;
         }
-        below
+        let end = stmts.len() as u32;
+        arena.for_each_term_use(term, |v| self.gather.push((v, end)));
+        for arm in arena.successors(term) {
+            for i in self.run_range(arm) {
+                let v = self.uses[i].0;
+                if self.free_in(arm, v) {
+                    self.gather.push((v, end));
+                }
+            }
+        }
+        // File the run: ascending, each variable once with its last use.
+        let uses = &mut self.gather[at..];
+        uses.sort_unstable();
+        let start = self.uses.len();
+        for &(v, k) in uses.iter() {
+            match self.uses[start..].last_mut() {
+                Some(last) if last.0 == v => last.1 = k,
+                _ => self.uses.push((v, k)),
+            }
+        }
+        self.gather.truncate(at);
+        let at = |i: usize| u32::try_from(i).expect("use table under 2^32 entries");
+        self.runs[b.index()] = (at(start), at(self.uses.len() - start));
+    }
+
+    fn run_range(&self, b: BlockId) -> std::ops::Range<usize> {
+        let (start, len) = self.runs[b.index()];
+        start as usize..(start + len) as usize
+    }
+
+    /// Whether `v`, which block `b` uses, is bound outside it.
+    fn free_in(&self, b: BlockId, v: VarId) -> bool {
+        self.bound_in.get(v as usize) != Some(&(b.0 + 1))
+    }
+
+    /// The position of the last use of `v` in block `b`, if it uses it.
+    fn last_use(&self, b: BlockId, v: VarId) -> Option<u32> {
+        let run = &self.uses[self.run_range(b)];
+        run.binary_search_by_key(&v, |&(u, _)| u)
+            .ok()
+            .map(|i| run[i].1)
+    }
+
+    /// Whether block `b` uses `v`, a variable bound before its statement
+    /// `k`, after that statement.
+    fn live_after(&self, b: BlockId, k: u32, v: VarId) -> bool {
+        self.last_use(b, v).is_some_and(|last| last > k)
     }
 
     fn owns(&self, v: VarId) -> bool {
@@ -289,300 +270,306 @@ impl<'p> Inserter<'p> {
         self.owned.extend_from_slice(&self.saved[at..]);
     }
 
-    /// Drops from `owned` every variable not free in `node` and queues it,
-    /// ascending, on `pending_decs`; `keep` is dropped without being queued.
-    fn shed(&mut self, node: usize, keep: Option<VarId>) {
-        let (start, len) = self.runs[node];
-        let live = &self.free[start as usize..(start + len) as usize];
-        let (mut j, mut kept) = (0, 0);
+    /// Drops from `owned` every variable `live` rejects and queues it,
+    /// ascending, on `decs`; `keep` is dropped without being queued.
+    fn shed(&mut self, live: impl Fn(&Inserter, VarId) -> bool, keep: Option<VarId>) {
+        let mut kept = 0;
         for i in 0..self.owned.len() {
             let v = self.owned[i];
-            while j < live.len() && live[j] < v {
-                j += 1;
-            }
-            if live.get(j) == Some(&v) {
+            if live(self, v) {
                 self.owned[kept] = v;
                 kept += 1;
             } else if keep != Some(v) {
-                self.pending_decs.push(v);
+                self.decs.push(v);
             }
         }
         self.owned.truncate(kept);
     }
 
-    /// Transforms `e` so that every path consumes exactly the references in
-    /// `self.owned`. On return, `owned` is left in an unspecified state
-    /// (callers restore it across branches).
-    fn transform(&mut self, e: &'p Expr) -> Expr {
-        let mark = self.lets.len();
-        let mut e = e;
-        // Down the `let` chain: account for each binding before its body.
-        loop {
-            self.cursor += 1;
-            match e {
-                Expr::Let { var, val, body } => {
-                    let pending = self.enter_let(*var, val);
-                    self.lets.push(pending);
-                    e = body;
-                }
-                _ => break,
+    /// Transforms block `b` of `f` so that every path consumes exactly the
+    /// references in `self.owned`, into a block of the output; `shed`
+    /// first releases the owned variables `b` does not use. On return,
+    /// `owned` is left in an unspecified state (callers restore it across
+    /// branches).
+    fn transform(&mut self, f: &FnDef, b: BlockId, shed: bool) -> BlockId {
+        self.b.open();
+        if shed {
+            self.decs.clear();
+            self.shed(|rc, v| rc.last_use(b, v).is_some(), None);
+            // Largest first, as releases wrapped around the body print.
+            for &d in self.decs.iter().rev() {
+                self.b.push(Stmt::Dec { var: d });
             }
         }
-        let mut out = match e {
-            Expr::Ret(x) => self.transform_ret(*x),
-            Expr::Jump { label, args } => self.transform_jump(*label, args),
-            Expr::Case {
+        let arena = &f.arena;
+        let mut first_let = true;
+        for (k, s) in arena.stmts(b).iter().enumerate() {
+            match *s {
+                Stmt::Let { var, ref val } => {
+                    self.let_(f, b, k as u32, var, val, first_let);
+                    first_let = false;
+                }
+                Stmt::Join {
+                    label,
+                    params,
+                    body,
+                } => {
+                    // The join body owns exactly its parameters.
+                    let at = self.save_owned();
+                    self.owned.clear();
+                    self.owned.extend_from_slice(arena.vars(params));
+                    self.owned.sort_unstable();
+                    self.owned.dedup();
+                    let body = self.transform(f, body, true);
+                    self.restore_owned(at);
+                    self.saved.truncate(at);
+                    let params = self.b.list(arena.vars(params));
+                    self.b.push(Stmt::Join {
+                        label,
+                        params,
+                        body,
+                    });
+                }
+                Stmt::Inc { .. } | Stmt::Dec { .. } => {
+                    unreachable!("insert_rc input must be λpure")
+                }
+            }
+        }
+        let term = match *arena.term(b) {
+            Terminator::Ret(x) => self.ret(x),
+            Terminator::Jump { label, args } => self.jump(f, label, args),
+            Terminator::Case {
                 scrutinee,
                 alts,
                 default,
-            } => self.transform_case(*scrutinee, alts, default.as_deref()),
-            Expr::LetJoin {
-                label,
-                params,
-                jp_body,
-                body,
-            } => self.transform_join(*label, params, jp_body, body),
-            Expr::Let { .. } => unreachable!("followed above"),
-            Expr::Inc { .. } | Expr::Dec { .. } => {
-                unreachable!("insert_rc input must be λpure")
+            } => {
+                // The case borrows the scrutinee; each arm independently
+                // consumes the full owned set.
+                let at = self.save_owned();
+                let first = self.arms.len();
+                for alt in arena.alts(alts) {
+                    self.restore_owned(at);
+                    let body = self.transform(f, alt.body, true);
+                    self.arms.push(Alt { tag: alt.tag, body });
+                }
+                let default = default.map(|d| {
+                    self.restore_owned(at);
+                    self.transform(f, d, true)
+                });
+                self.saved.truncate(at);
+                let alts = self.b.alts(&self.arms[first..]);
+                self.arms.truncate(first);
+                Terminator::Case {
+                    scrutinee,
+                    alts,
+                    default,
+                }
             }
         };
-        // Back up: wrap each body in its `let`, innermost first.
-        while self.lets.len() > mark {
-            let pending = self.lets.pop().expect("above the mark");
-            out = self.leave_let(pending, out);
-        }
-        out
+        self.b.close(term)
     }
 
-    fn transform_ret(&mut self, x: VarId) -> Expr {
-        let mut out = if self.owns(x) {
-            Expr::Ret(x)
-        } else {
+    /// `ret x`: releases everything else owned, smallest id first, and
+    /// retains a borrowed `x`.
+    fn ret(&mut self, x: VarId) -> Terminator {
+        for i in 0..self.owned.len() {
+            let v = self.owned[i];
+            if v != x {
+                self.b.push(Stmt::Dec { var: v });
+            }
+        }
+        if !self.owns(x) {
             // Borrowed return value: retain it first.
-            incs(x, 1, Expr::Ret(x))
-        };
-        // Release everything else, smallest id outermost.
-        for &v in self.owned.iter().rev().filter(|&&v| v != x) {
-            out = dec(v, out);
+            self.b.push(Stmt::Inc { var: x, n: 1 });
         }
-        out
+        Terminator::Ret(x)
     }
 
-    fn transform_jump(&mut self, label: JoinId, args: &[VarId]) -> Expr {
-        let mut out = Expr::Jump {
-            label,
-            args: args.to_vec(),
-        };
+    /// `jump label(args…)`: each owned argument is transferred once, the
+    /// rest of the owned set released, largest id first.
+    fn jump(&mut self, f: &FnDef, label: JoinId, args: Slice) -> Terminator {
         self.operands.clear();
-        self.operands.extend_from_slice(args);
+        self.operands.extend_from_slice(f.arena.vars(args));
         self.operands.sort_unstable();
+        self.incs.clear();
         let operands = std::mem::take(&mut self.operands);
         for run in operands.chunk_by(|a, b| a == b) {
             let (a, m) = (run[0], run.len() as u32);
             if self.owns(a) {
                 // Transferred to the join point.
-                out = incs(a, m - 1, out);
+                self.incs.push((a, m - 1));
                 self.disown(a);
             } else {
-                out = incs(a, m, out);
+                self.incs.push((a, m));
             }
         }
         self.operands = operands;
-        // Release the rest, largest id outermost.
-        for &v in &self.owned {
-            out = dec(v, out);
+        for i in (0..self.owned.len()).rev() {
+            let v = self.owned[i];
+            self.b.push(Stmt::Dec { var: v });
         }
-        out
+        for i in (0..self.incs.len()).rev() {
+            let (a, n) = self.incs[i];
+            if n > 0 {
+                self.b.push(Stmt::Inc { var: a, n });
+            }
+        }
+        let args = self.b.list(f.arena.vars(args));
+        Terminator::Jump { label, args }
     }
 
-    fn transform_case(
-        &mut self,
-        scrutinee: VarId,
-        alts: &'p [Alt],
-        default: Option<&'p Expr>,
-    ) -> Expr {
-        // The case borrows the scrutinee; each arm independently consumes
-        // the full owned set.
-        let at = self.save_owned();
-        let alts = alts
-            .iter()
-            .map(|alt| {
-                self.restore_owned(at);
-                let body = self.shed_then_transform(&alt.body);
-                Alt { tag: alt.tag, body }
-            })
-            .collect();
-        let default = default.map(|d| {
-            self.restore_owned(at);
-            Box::new(self.shed_then_transform(d))
-        });
-        self.saved.truncate(at);
-        Expr::Case {
-            scrutinee,
-            alts,
-            default,
-        }
-    }
-
-    fn transform_join(
-        &mut self,
-        label: JoinId,
-        params: &[VarId],
-        jp_body: &'p Expr,
-        body: &'p Expr,
-    ) -> Expr {
-        // The join body owns exactly its parameters.
-        let at = self.save_owned();
-        self.owned.clear();
-        self.owned.extend_from_slice(params);
-        self.owned.sort_unstable();
-        self.owned.dedup();
-        let jp_body = self.shed_then_transform(jp_body);
-        self.restore_owned(at);
-        self.saved.truncate(at);
-        let body = self.transform(body);
-        Expr::LetJoin {
-            label,
-            params: params.to_vec(),
-            jp_body: Box::new(jp_body),
-            body: Box::new(body),
-        }
-    }
-
-    /// The accounting of `let x = val` before its body: retains of the
-    /// operands, ownership transfers, and which owned variables die here.
-    fn enter_let(&mut self, x: VarId, val: &'p Value) -> PendingLet<'p> {
-        // The body is the next node in pre-order.
-        let fv_body = self.cursor;
+    /// `let x = val`, statement `k` of block `b`, with its accounting:
+    ///
+    /// ```text
+    /// incs; let x = v; [inc x]; [dec dead…]; [dec x]
+    /// ```
+    ///
+    /// Retains of the operands, ownership transfers, and the owned
+    /// variables that die here, released largest first.
+    ///
+    /// Only the first `let` of a block looks through the whole owned set
+    /// for what dies: a variable owned when a block starts and unused in
+    /// it dies there. After it, an owned variable dies where it is last
+    /// used: where an operand it is transferred, and where a `proj`
+    /// borrows it, it is released. So a run of bindings costs time
+    /// linear in its length.
+    fn let_(&mut self, f: &FnDef, b: BlockId, k: u32, x: VarId, val: &Value, first_let: bool) {
         // 1. Ownership accounting for the value's consumed operands: `proj`
         //    and `var` borrow, everything else consumes.
         self.operands.clear();
         match val {
             Value::Var(_) | Value::Proj { .. } => {}
             Value::LitInt(_) | Value::LitBig(_) | Value::LitStr(_) => {}
-            _ => val.for_each_operand(|v| self.operands.push(v)),
+            _ => f.arena.for_each_operand(val, |v| self.operands.push(v)),
         }
-        let incs_mark = self.pending_incs.len();
+        self.incs.clear();
         self.operands.sort_unstable();
         let operands = std::mem::take(&mut self.operands);
         for run in operands.chunk_by(|a, b| a == b) {
             let (a, m) = (run[0], run.len() as u32);
             if self.owns(a) {
-                if self.free_in(fv_body, a) {
+                if self.live_after(b, k, a) {
                     // Still needed later: keep ownership, add m refs.
-                    self.pending_incs.push((a, m));
+                    self.incs.push((a, m));
                 } else {
                     // Last use: transfer one ref, add the rest.
-                    self.pending_incs.push((a, m - 1));
+                    self.incs.push((a, m - 1));
                     self.disown(a);
                 }
             } else {
-                self.pending_incs.push((a, m));
+                self.incs.push((a, m));
             }
         }
         self.operands = operands;
         // `let x = y` aliases: one more reference to y's object.
-        if let Value::Var(y) = val {
-            if self.owns(*y) && !self.free_in(fv_body, *y) {
-                self.disown(*y); // transfer
+        if let Value::Var(y) = *val {
+            if self.owns(y) && !self.live_after(b, k, y) {
+                self.disown(y); // transfer
             } else {
-                self.pending_incs.push((*y, 1));
+                self.incs.push((y, 1));
             }
         }
         // 2. The binding itself becomes owned.
         self.own(x);
-        // 3. Eagerly release anything that is now dead: owned vars that do
-        //    not appear free in the body (including x if unused).
-        let dead = !self.free_in(fv_body, x);
-        let decs_mark = self.pending_decs.len();
-        self.shed(fv_body, Some(x));
-        PendingLet {
-            var: x,
-            val,
-            dead,
-            incs_mark,
-            decs_mark,
+        // 3. Eagerly release anything that is now dead: owned vars that are
+        //    not used after this statement (including x if unused).
+        let dead = !self.live_after(b, k, x);
+        self.decs.clear();
+        if first_let {
+            self.shed(|rc, v| rc.live_after(b, k, v), Some(x));
+        } else {
+            if let Value::Proj { var, .. } = *val {
+                if var != x && self.owns(var) && !self.live_after(b, k, var) {
+                    self.disown(var);
+                    self.decs.push(var);
+                }
+            }
+            if dead {
+                self.disown(x);
+            }
         }
-    }
-
-    /// Wraps the transformed body of a `let` entered with [`enter_let`]:
-    ///
-    /// ```text
-    /// incs; let x = v; [inc x]; [dec dead…]; [dec x]; body
-    /// ```
-    ///
-    /// [`enter_let`]: Inserter::enter_let
-    fn leave_let(&mut self, pending: PendingLet, body: Expr) -> Expr {
-        let PendingLet {
-            var: x,
-            val,
-            dead,
-            incs_mark,
-            decs_mark,
-        } = pending;
+        for i in 0..self.incs.len() {
+            let (a, n) = self.incs[i];
+            if n > 0 {
+                self.b.push(Stmt::Inc { var: a, n });
+            }
+        }
+        let val = match *val {
+            Value::LitBig(s) => Value::LitBig(self.b.text(f.arena.text(s))),
+            Value::LitStr(s) => Value::LitStr(self.b.text(f.arena.text(s))),
+            Value::Ctor { tag, args } => Value::Ctor {
+                tag,
+                args: self.b.list(f.arena.vars(args)),
+            },
+            Value::Call { func, args } => Value::Call {
+                func,
+                args: self.b.list(f.arena.vars(args)),
+            },
+            Value::Pap { func, args } => Value::Pap {
+                func,
+                args: self.b.list(f.arena.vars(args)),
+            },
+            Value::App { closure, args } => Value::App {
+                closure,
+                args: self.b.list(f.arena.vars(args)),
+            },
+            other => other,
+        };
+        self.b.let_(x, val);
         // Projection results are borrowed: retain them. A projection that
         // is immediately dead is simply a borrow that was never retained:
         // no inc, no dec.
         let is_proj = matches!(val, Value::Proj { .. });
-        let mut after = body;
-        if dead && !is_proj {
-            after = dec(x, after);
-        }
-        for &d in &self.pending_decs[decs_mark..] {
-            after = dec(d, after);
-        }
-        self.pending_decs.truncate(decs_mark);
         if is_proj && !dead {
-            after = incs(x, 1, after);
+            self.b.push(Stmt::Inc { var: x, n: 1 });
         }
-        let mut out = Expr::Let {
-            var: x,
-            val: val.clone(),
-            body: Box::new(after),
-        };
-        for &(a, m) in self.pending_incs[incs_mark..].iter().rev() {
-            out = incs(a, m, out);
+        for i in (0..self.decs.len()).rev() {
+            let d = self.decs[i];
+            self.b.push(Stmt::Dec { var: d });
         }
-        self.pending_incs.truncate(incs_mark);
-        out
-    }
-
-    /// Eagerly releases owned variables not free in `e`, then transforms.
-    fn shed_then_transform(&mut self, e: &'p Expr) -> Expr {
-        // `e` is the next node in pre-order.
-        let mark = self.pending_decs.len();
-        self.shed(self.cursor, None);
-        let mut out = self.transform(e);
-        for &d in &self.pending_decs[mark..] {
-            out = dec(d, out);
+        if dead && !is_proj {
+            self.b.push(Stmt::Dec { var: x });
         }
-        self.pending_decs.truncate(mark);
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::build::*;
+    use crate::ast::Names;
     use crate::parse::parse_program;
     use crate::wellformed::check_program;
+
+    /// The program of one function `name(params)`, its body built by
+    /// `body`.
+    fn single(
+        name: &str,
+        params: &[VarId],
+        next_var: VarId,
+        body: impl FnOnce(&mut BodyBuilder) -> BlockId,
+    ) -> Program {
+        let mut names = Names::default();
+        let name = names.intern(name);
+        let mut b = BodyBuilder::default();
+        b.open();
+        let entry = body(&mut b);
+        Program {
+            fns: vec![b.finish(name, params, entry, next_var, 0)],
+            names: Arc::new(names),
+        }
+    }
+
+    /// `let var = ctor_tag(args…)`
+    fn ctor(b: &mut BodyBuilder, var: VarId, tag: u32, args: &[VarId]) {
+        let args = b.list(args);
+        b.let_(var, Value::Ctor { tag, args });
+    }
 
     #[test]
     fn unused_param_is_dropped() {
         // def k(x0, x1) := ret x0  — x1 must be dec'd.
-        let p = Program {
-            fns: vec![FnDef {
-                name: "k".into(),
-                params: vec![0, 1],
-                body: ret(0),
-                next_var: 2,
-                next_join: 0,
-            }],
-        };
-        let rc = insert_rc(&p);
-        let text = rc.fns[0].body.to_string();
+        let rc = insert_rc(&single("k", &[0, 1], 2, |b| b.ret(0)));
+        let text = rc.to_string();
         assert!(text.contains("dec x1"), "{text}");
         assert!(!text.contains("dec x0"), "{text}");
     }
@@ -590,24 +577,11 @@ mod tests {
     #[test]
     fn duplicate_use_gets_inc() {
         // let x1 = ctor_0(x0, x0); ret x1 — x0 used twice as owned: one inc.
-        let p = Program {
-            fns: vec![FnDef {
-                name: "dup".into(),
-                params: vec![0],
-                body: let_(
-                    1,
-                    Value::Ctor {
-                        tag: 0,
-                        args: vec![0, 0],
-                    },
-                    ret(1),
-                ),
-                next_var: 2,
-                next_join: 0,
-            }],
-        };
-        let rc = insert_rc(&p);
-        let text = rc.fns[0].body.to_string();
+        let rc = insert_rc(&single("dup", &[0], 2, |b| {
+            ctor(b, 1, 0, &[0, 0]);
+            b.ret(1)
+        }));
+        let text = rc.to_string();
         assert!(text.contains("inc x0"), "{text}");
     }
 
@@ -615,32 +589,13 @@ mod tests {
     fn use_then_live_keeps_ownership() {
         // let x1 = ctor(x0); let x2 = ctor(x0); ret x2 —
         // first use incs (x0 live after), second transfers.
-        let p = Program {
-            fns: vec![FnDef {
-                name: "f".into(),
-                params: vec![0],
-                body: let_(
-                    1,
-                    Value::Ctor {
-                        tag: 0,
-                        args: vec![0],
-                    },
-                    let_(
-                        2,
-                        Value::Ctor {
-                            tag: 1,
-                            args: vec![0],
-                        },
-                        // x1 is dead here; it must be dec'd.
-                        ret(2),
-                    ),
-                ),
-                next_var: 3,
-                next_join: 0,
-            }],
-        };
-        let rc = insert_rc(&p);
-        let text = rc.fns[0].body.to_string();
+        let rc = insert_rc(&single("f", &[0], 3, |b| {
+            ctor(b, 1, 0, &[0]);
+            ctor(b, 2, 1, &[0]);
+            // x1 is dead here; it must be dec'd.
+            b.ret(2)
+        }));
+        let text = rc.to_string();
         // Exactly one inc of x0 (before the first ctor).
         assert_eq!(text.matches("inc x0").count(), 1, "{text}");
         // x1 unused: dec'd.
@@ -660,8 +615,9 @@ def head_or_zero(xs) :=
         let p = parse_program(src).unwrap();
         check_program(&p).unwrap();
         let rc = insert_rc(&p);
-        let f = rc.fn_by_name("head_or_zero").unwrap();
-        let text = f.body.to_string();
+        let text = rc
+            .display_fn(rc.fn_by_name("head_or_zero").unwrap())
+            .to_string();
         // In the Cons arm: h is projected then inc'd; the scrutinee dec'd.
         assert!(text.contains("inc x"), "{text}");
         assert!(text.contains("dec x0"), "{text}");
@@ -684,7 +640,7 @@ def f(o, extra) :=
 "#;
         let p = parse_program(src).unwrap();
         let rc = insert_rc(&p);
-        let text = rc.fn_by_name("f").unwrap().body.to_string();
+        let text = rc.display_fn(rc.fn_by_name("f").unwrap()).to_string();
         // The None arm must release the scrutinee o (x0).
         assert!(text.contains("dec x0"), "{text}");
     }
@@ -706,7 +662,7 @@ def main() := append(Cons(1, Nil), Cons(2, Nil))
         check_program(&rc).unwrap();
         // append's Cons arm duplicates nothing, but the Nil arm must release
         // the scrutinee; some function carries RC ops.
-        assert!(rc.fns.iter().any(|f| f.body.has_rc_ops()));
+        assert!(rc.fns.iter().any(|f| f.arena.has_rc_ops()));
     }
 
     #[test]
@@ -715,55 +671,47 @@ def main() := append(Cons(1, Nil), Cons(2, Nil))
         // arm binds and returns its own variable.
         let big = crate::dense::MAX_ID - 1;
         let arms = 10_000;
-        let f = FnDef {
-            name: "wide".into(),
-            params: vec![big],
-            body: Expr::Case {
-                scrutinee: big,
-                alts: (0..arms)
-                    .map(|k| Alt {
-                        tag: k,
-                        body: let_(k, Value::LitInt(k.into()), ret(k)),
-                    })
-                    .collect(),
-                default: None,
-            },
-            next_var: big + 1,
-            next_join: 0,
-        };
-        let mut rc = Inserter::default();
-        let body = rc.function(&f);
-        // One node for the case and two per arm. The table holds one
-        // variable per `ret` and the case's scrutinee, however large its id.
-        assert_eq!(rc.runs.len(), 1 + 2 * arms as usize);
-        assert_eq!(rc.free.len(), arms as usize + 1);
-        assert_eq!(rc.run(0), [big]);
-        let Expr::Case { alts, .. } = body else {
-            panic!("{body}")
+        let p = single("wide", &[big], big + 1, |b| {
+            let arms: Vec<(u32, BlockId)> = (0..arms)
+                .map(|k| {
+                    b.open();
+                    b.let_(k, Value::LitInt(k.into()));
+                    (k, b.ret(k))
+                })
+                .collect();
+            b.case(big, &arms, None)
+        });
+        let mut rc = Inserter::for_program(&p);
+        let f = rc.function(&p.fns[0]);
+        // One run per block. The table holds each arm's variable, used by
+        // its `ret`, and the case's scrutinee, however large its id.
+        assert_eq!(rc.runs.len(), 1 + arms as usize);
+        assert_eq!(rc.uses.len(), arms as usize + 1);
+        assert_eq!(rc.uses[rc.run_range(p.fns[0].body)], [(big, 0)]);
+        let Terminator::Case { alts, .. } = *f.arena.term(f.body) else {
+            panic!("{f:?}")
         };
         assert_eq!(alts.len(), arms as usize);
+        let arm = f.arena.alts(alts).nth(7).expect("arm 7").body;
         assert_eq!(
-            alts[7].body.to_string(),
-            dec(big, let_(7, Value::LitInt(7), ret(7))).to_string()
+            f.arena.stmts(arm),
+            [
+                Stmt::Dec { var: big },
+                Stmt::Let {
+                    var: 7,
+                    val: Value::LitInt(7)
+                }
+            ]
         );
+        assert_eq!(*f.arena.term(arm), Terminator::Ret(7));
     }
 
     #[test]
     #[should_panic(expected = "already has RC ops")]
     fn double_insertion_panics() {
-        let p = Program {
-            fns: vec![FnDef {
-                name: "f".into(),
-                params: vec![0],
-                body: Expr::Inc {
-                    var: 0,
-                    n: 1,
-                    body: Box::new(ret(0)),
-                },
-                next_var: 1,
-                next_join: 0,
-            }],
-        };
-        insert_rc(&p);
+        insert_rc(&single("f", &[0], 1, |b| {
+            b.push(Stmt::Inc { var: 0, n: 1 });
+            b.ret(0)
+        }));
     }
 }

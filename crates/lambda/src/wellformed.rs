@@ -11,10 +11,12 @@
 //!    right arity; partial applications under-apply; closure applications
 //!    pass at least one argument.
 
-use crate::ast::{Expr, FnDef, FreeVars, JoinId, Program, Value, VarId};
+use crate::ast::{
+    BlockId, FnDef, FreeVars, JoinId, Names, Program, Slice, Stmt, Terminator, Value, VarId,
+};
 use crate::dense::{IdSet, JoinArities, Scope};
 use lssa_rt::Builtin;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 
 /// Stable diagnostic codes for wellformedness violations.
@@ -85,6 +87,19 @@ pub fn builtin_name_message(name: &str) -> String {
     format!("`{name}` is in the runtime's `lean_` namespace: every call to it is a builtin call")
 }
 
+/// What a call or pap site names, resolved once per program.
+#[derive(Debug, Clone, Copy)]
+enum Callee {
+    /// A function of the program, with its arity.
+    Fn(usize),
+    /// A runtime builtin.
+    Builtin(Builtin),
+    /// A `lean_` name that is no builtin.
+    UnknownBuiltin,
+    /// Nothing the program defines.
+    Unknown,
+}
+
 /// Checks a whole program.
 ///
 /// # Errors
@@ -92,56 +107,71 @@ pub fn builtin_name_message(name: &str) -> String {
 /// Returns all violations found.
 pub fn check_program(p: &Program) -> Result<(), Vec<WfError>> {
     let mut errors = Vec::new();
-    // One name → arity table per program, built once: calls and paps look
-    // up their callee here instead of scanning every function. A duplicate
-    // name keeps its first definition's arity, as a front-to-back scan
-    // would.
-    let mut arities: HashMap<&str, usize> = HashMap::with_capacity(p.fns.len());
+    // One entry per name, resolved once: calls and paps look their callee
+    // up here. A duplicate name keeps its first definition's arity, as a
+    // front-to-back scan would.
+    let mut callees = vec![Callee::Unknown; p.names.len()];
     for f in &p.fns {
-        if f.name.starts_with("lean_") {
+        let name = p.name(f);
+        if name.starts_with("lean_") {
             errors.push(WfError {
-                func: f.name.clone(),
+                func: name.to_string(),
                 code: codes::DUPLICATE_FUNCTION,
-                message: builtin_name_message(&f.name),
+                message: builtin_name_message(name),
             });
-        } else if arities.contains_key(f.name.as_str()) {
+        } else if let Callee::Fn(_) = callees[f.name.index()] {
             errors.push(WfError {
-                func: f.name.clone(),
+                func: name.to_string(),
                 code: codes::DUPLICATE_FUNCTION,
                 message: "duplicate function name".to_string(),
             });
         } else {
-            arities.insert(&f.name, f.arity());
+            callees[f.name.index()] = Callee::Fn(f.arity());
+        }
+    }
+    for (callee, name) in callees.iter_mut().zip(p.names.iter()) {
+        if name.starts_with("lean_") {
+            *callee = name
+                .parse::<Builtin>()
+                .map_or(Callee::UnknownBuiltin, Callee::Builtin);
         }
     }
     let Some(first) = p.fns.first() else {
         return Ok(());
     };
+    let alts = p.fns.iter().map(|f| f.arena.block_count()).sum();
     // One set of tables serves every function: the walk leaves them empty.
+    // They are sized for the largest function up front.
+    let most = p.largest();
     let mut c = Checker {
-        arities: &arities,
+        names: &p.names,
+        callees: &callees,
         func: first,
         errors: &mut errors,
         bound_once: IdSet::default(),
         scope: Scope::default(),
         joins: JoinArities::default(),
-        bound: Vec::new(),
-        declared: Vec::new(),
+        bound: Vec::with_capacity(most.var_ids),
+        declared: Vec::with_capacity(most.join_ids),
         cases: 0,
-        tags: HashSet::new(),
+        tags: HashSet::with_capacity(alts),
         fv: FreeVars::default(),
     };
+    c.bound_once.reserve(most.var_ids);
+    c.scope.reserve(most.var_ids);
+    c.joins.reserve(most.join_ids);
+    c.fv.reserve(most.var_ids, most.stmts);
     for f in &p.fns {
         c.func = f;
         c.bound_once.clear();
         c.scope.clear();
-        for &p in &f.params {
+        for &p in f.params() {
             if !c.bound_once.insert(p) {
                 c.error(codes::REBOUND, format!("parameter x{p} bound twice"));
             }
             c.scope.bind(p);
         }
-        c.check_expr(&f.body);
+        c.check_block(f.body);
     }
     if errors.is_empty() {
         Ok(())
@@ -151,11 +181,13 @@ pub fn check_program(p: &Program) -> Result<(), Vec<WfError>> {
 }
 
 struct Checker<'a> {
-    arities: &'a HashMap<&'a str, usize>,
+    names: &'a Names,
+    /// Per name, what a call of it calls.
+    callees: &'a [Callee],
     func: &'a FnDef,
     errors: &'a mut Vec<WfError>,
     bound_once: IdSet,
-    /// The variables in scope at the expression being checked.
+    /// The variables in scope at the statement being checked.
     scope: Scope,
     /// The join points a `jump` here may target.
     joins: JoinArities,
@@ -163,7 +195,7 @@ struct Checker<'a> {
     bound: Vec<(VarId, u32)>,
     /// The join points the walk has declared, with their restore tokens.
     declared: Vec<(JoinId, u32)>,
-    /// The `case` expressions checked so far.
+    /// The `case` terminators checked so far.
     cases: u32,
     /// The tags each `case` has had, by the case's number.
     tags: HashSet<(u32, u32)>,
@@ -173,7 +205,7 @@ struct Checker<'a> {
 impl Checker<'_> {
     fn error(&mut self, code: &'static str, message: String) {
         self.errors.push(WfError {
-            func: self.func.name.clone(),
+            func: self.names.resolve(self.func.name).to_string(),
             code,
             message,
         });
@@ -194,6 +226,13 @@ impl Checker<'_> {
         }
     }
 
+    fn check_vars(&mut self, vars: Slice) {
+        let func = self.func;
+        for &v in func.arena.vars(vars) {
+            self.check_var(v);
+        }
+    }
+
     /// Binds `v` in the current scope; returns the token that unbinds it.
     fn bind(&mut self, v: VarId) -> u32 {
         if !self.bound_once.insert(v) {
@@ -203,84 +242,84 @@ impl Checker<'_> {
     }
 
     fn check_value(&mut self, val: &Value) {
-        val.for_each_operand(|v| self.check_var(v));
-        match val {
-            Value::Call { func, args } => {
-                if func.starts_with("lean_") {
-                    match func.parse::<Builtin>() {
-                        Ok(b) => {
-                            if b.arity() != args.len() {
-                                self.error(
-                                    codes::BUILTIN_ARITY,
-                                    format!(
-                                        "builtin {func} expects {} args, got {}",
-                                        b.arity(),
-                                        args.len()
-                                    ),
-                                );
-                            }
-                        }
-                        Err(_) => {
-                            self.error(codes::UNKNOWN_BUILTIN, format!("unknown builtin {func}"))
-                        }
-                    }
-                } else {
-                    match self.arities.get(func.as_str()).copied() {
-                        Some(a) if a == args.len() => {}
-                        Some(a) => self.error(
-                            codes::CALL_ARITY,
-                            format!("call to @{func} with {} args (arity {a})", args.len()),
-                        ),
-                        None => self.error(
-                            codes::UNKNOWN_FUNCTION,
-                            format!("call to unknown function @{func}"),
-                        ),
-                    }
+        let func = self.func;
+        func.arena.for_each_operand(val, |v| self.check_var(v));
+        match *val {
+            Value::Call { func: name, args } => {
+                let (names, n) = (self.names, args.len());
+                let name_text = names.resolve(name);
+                match self.callees[name.index()] {
+                    Callee::Builtin(b) if b.arity() != n => self.error(
+                        codes::BUILTIN_ARITY,
+                        format!("builtin {name_text} expects {} args, got {n}", b.arity()),
+                    ),
+                    Callee::Builtin(_) => {}
+                    Callee::UnknownBuiltin => self.error(
+                        codes::UNKNOWN_BUILTIN,
+                        format!("unknown builtin {name_text}"),
+                    ),
+                    Callee::Fn(a) if a == n => {}
+                    Callee::Fn(a) => self.error(
+                        codes::CALL_ARITY,
+                        format!("call to @{name_text} with {n} args (arity {a})"),
+                    ),
+                    Callee::Unknown => self.error(
+                        codes::UNKNOWN_FUNCTION,
+                        format!("call to unknown function @{name_text}"),
+                    ),
                 }
             }
-            Value::Pap { func, args } => match self.arities.get(func.as_str()).copied() {
-                Some(a) if args.len() < a => {}
-                Some(a) => self.error(
-                    codes::BAD_PAP,
-                    format!(
-                        "pap of @{func} with {} args must under-apply (arity {a})",
-                        args.len()
+            Value::Pap { func: name, args } => {
+                let (names, n) = (self.names, args.len());
+                let name_text = names.resolve(name);
+                match self.callees[name.index()] {
+                    Callee::Fn(a) if n < a => {}
+                    Callee::Fn(a) => self.error(
+                        codes::BAD_PAP,
+                        format!("pap of @{name_text} with {n} args must under-apply (arity {a})"),
                     ),
-                ),
-                None => self.error(codes::BAD_PAP, format!("pap of unknown function @{func}")),
-            },
+                    _ => self.error(
+                        codes::BAD_PAP,
+                        format!("pap of unknown function @{name_text}"),
+                    ),
+                }
+            }
             Value::App { args, .. } if args.is_empty() => {
                 self.error(
                     codes::EMPTY_APP,
                     "closure application with no arguments".to_string(),
                 );
             }
-            Value::LitBig(s) if (s.is_empty() || !s.bytes().all(|b| b.is_ascii_digit())) => {
-                self.error(codes::BAD_BIGINT, format!("malformed bigint literal {s:?}"));
+            Value::LitBig(s) => {
+                let s = func.arena.text(s);
+                if s.is_empty() || !s.bytes().all(|b| b.is_ascii_digit()) {
+                    self.error(codes::BAD_BIGINT, format!("malformed bigint literal {s:?}"));
+                }
             }
             _ => {}
         }
     }
 
-    /// Checks `e`. A form's continuation (a `let` body, the code after a
-    /// join point's declaration) is followed in a loop, its bindings undone
-    /// when the walk ends, so a long `let` chain costs no stack.
-    fn check_expr(&mut self, mut e: &Expr) {
+    /// Checks block `b`: its statements in a loop, their bindings and join
+    /// declarations undone when the block ends, so a long run of bindings
+    /// costs no stack.
+    fn check_block(&mut self, b: BlockId) {
+        let func = self.func;
+        let arena = &func.arena;
         let (var_mark, join_mark) = (self.bound.len(), self.declared.len());
-        loop {
-            match e {
-                Expr::Let { var, val, body } => {
+        for s in arena.stmts(b) {
+            match *s {
+                Stmt::Let { var, ref val } => {
                     self.check_value(val);
-                    let token = self.bind(*var);
-                    self.bound.push((*var, token));
-                    e = body;
+                    let token = self.bind(var);
+                    self.bound.push((var, token));
                 }
-                Expr::LetJoin {
+                Stmt::Join {
                     label,
                     params,
-                    jp_body,
                     body,
                 } => {
+                    let params = arena.vars(params);
                     // Join body sees only its parameters.
                     let outer = self.scope.enter_frame();
                     let mark = self.bound.len();
@@ -290,10 +329,10 @@ impl Checker<'_> {
                     }
                     // The join point itself is not in scope inside its own
                     // body (no recursive joins in λpure).
-                    self.check_expr(jp_body);
+                    self.check_block(body);
                     self.unbind_to(mark);
                     self.scope.leave_frame(outer);
-                    if let Some(v) = self.fv.first_outside(jp_body, params) {
+                    if let Some(v) = self.fv.first_outside(arena, body, params) {
                         self.error(
                             codes::JOIN_CAPTURE,
                             format!(
@@ -301,64 +340,55 @@ impl Checker<'_> {
                             ),
                         );
                     }
-                    let token = self.joins.declare(*label, params.len());
-                    self.declared.push((*label, token));
-                    e = body;
+                    let token = self.joins.declare(label, params.len());
+                    self.declared.push((label, token));
                 }
-                Expr::Case {
-                    scrutinee,
-                    alts,
-                    default,
-                } => {
-                    self.check_var(*scrutinee);
-                    if alts.is_empty() && default.is_none() {
-                        self.error(codes::EMPTY_CASE, "case with no arms".to_string());
-                    }
-                    let case = self.cases;
-                    self.cases = case.checked_add(1).expect("fewer than 2^32 case forms");
-                    for alt in alts {
-                        if !self.tags.insert((case, alt.tag)) {
-                            self.error(
-                                codes::DUPLICATE_TAG,
-                                format!("duplicate case tag {}", alt.tag),
-                            );
-                        }
-                        self.check_expr(&alt.body);
-                    }
-                    if let Some(d) = default {
-                        self.check_expr(d);
-                    }
-                    break;
+                Stmt::Inc { var, .. } | Stmt::Dec { var } => self.check_var(var),
+            }
+        }
+        match *arena.term(b) {
+            Terminator::Case {
+                scrutinee,
+                alts,
+                default,
+            } => {
+                self.check_var(scrutinee);
+                if alts.is_empty() && default.is_none() {
+                    self.error(codes::EMPTY_CASE, "case with no arms".to_string());
                 }
-                Expr::Jump { label, args } => {
-                    for &a in args {
-                        self.check_var(a);
+                let case = self.cases;
+                self.cases = case.checked_add(1).expect("fewer than 2^32 case forms");
+                for alt in arena.alts(alts) {
+                    if !self.tags.insert((case, alt.tag)) {
+                        self.error(
+                            codes::DUPLICATE_TAG,
+                            format!("duplicate case tag {}", alt.tag),
+                        );
                     }
-                    match self.joins.get(*label) {
-                        Some(arity) if arity == args.len() => {}
-                        Some(arity) => self.error(
-                            codes::JUMP_ARITY,
-                            format!(
-                                "jump to j{label} with {} args (expects {arity})",
-                                args.len()
-                            ),
-                        ),
-                        None => self.error(
-                            codes::UNKNOWN_JOIN,
-                            format!("jump to unknown join point j{label}"),
-                        ),
-                    }
-                    break;
+                    self.check_block(alt.body);
                 }
-                Expr::Ret(v) => {
-                    self.check_var(*v);
-                    break;
-                }
-                Expr::Inc { var, body, .. } | Expr::Dec { var, body } => {
-                    self.check_var(*var);
-                    e = body;
+                if let Some(d) = default {
+                    self.check_block(d);
                 }
             }
+            Terminator::Jump { label, args } => {
+                self.check_vars(args);
+                match self.joins.get(label) {
+                    Some(arity) if arity == args.len() => {}
+                    Some(arity) => self.error(
+                        codes::JUMP_ARITY,
+                        format!(
+                            "jump to j{label} with {} args (expects {arity})",
+                            args.len()
+                        ),
+                    ),
+                    None => self.error(
+                        codes::UNKNOWN_JOIN,
+                        format!("jump to unknown join point j{label}"),
+                    ),
+                }
+            }
+            Terminator::Ret(v) => self.check_var(v),
         }
         self.unbind_to(var_mark);
         while self.declared.len() > join_mark {
@@ -379,19 +409,62 @@ impl Checker<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::build::*;
+    use crate::ast::BodyBuilder;
     use crate::parse::parse_program;
+    use std::sync::Arc;
 
-    fn single_fn(body: Expr, params: Vec<VarId>, next_var: VarId) -> Program {
+    /// The program of one function `f(params)`, its body built by `body`.
+    fn single_fn(
+        params: &[VarId],
+        next_var: VarId,
+        body: impl FnOnce(&mut BodyBuilder, &mut Names) -> BlockId,
+    ) -> Program {
+        let mut names = Names::default();
+        let f = names.intern("f");
+        let mut b = BodyBuilder::default();
+        b.open();
+        let entry = body(&mut b, &mut names);
         Program {
-            fns: vec![FnDef {
-                name: "f".into(),
+            fns: vec![b.finish(f, params, entry, next_var, 8)],
+            names: Arc::new(names),
+        }
+    }
+
+    /// `let x1 = call name(args…); ret x1`
+    fn calls(name: &'static str, args: &'static [VarId]) -> Program {
+        single_fn(&[0], 10, move |b, names| {
+            let func = names.intern(name);
+            let args = b.list(args);
+            b.let_(1, Value::Call { func, args });
+            b.ret(1)
+        })
+    }
+
+    /// A `join j0(params) = ret params[0]` and a `jump j0(args)` to it.
+    fn join_and_jump(params: &'static [VarId], ret: VarId, args: &'static [VarId]) -> Program {
+        single_fn(&[0], 10, move |b, _| {
+            b.open();
+            let body = b.ret(ret);
+            let params = b.list(params);
+            b.push(Stmt::Join {
+                label: 0,
                 params,
                 body,
-                next_var,
-                next_join: 8,
-            }],
-        }
+            });
+            b.jump(0, args)
+        })
+    }
+
+    /// A `case x0` with an arm `ret x0` per tag.
+    fn case_arms(b: &mut BodyBuilder, tags: &[u32]) -> BlockId {
+        let arms: Vec<(u32, BlockId)> = tags
+            .iter()
+            .map(|&t| {
+                b.open();
+                (t, b.ret(0))
+            })
+            .collect();
+        b.case(0, &arms, None)
     }
 
     #[test]
@@ -410,15 +483,18 @@ def length(xs) :=
 
     #[test]
     fn out_of_scope_use_rejected() {
-        let p = single_fn(ret(5), vec![0], 10);
+        let p = single_fn(&[0], 10, |b, _| b.ret(5));
         let errs = check_program(&p).unwrap_err();
         assert!(errs[0].message.contains("out of scope"));
     }
 
     #[test]
     fn double_binding_rejected() {
-        let body = let_(1, Value::LitInt(1), let_(1, Value::LitInt(2), ret(1)));
-        let p = single_fn(body, vec![0], 10);
+        let p = single_fn(&[0], 10, |b, _| {
+            b.let_(1, Value::LitInt(1));
+            b.let_(1, Value::LitInt(2));
+            b.ret(1)
+        });
         let errs = check_program(&p).unwrap_err();
         assert!(errs
             .iter()
@@ -428,85 +504,37 @@ def length(xs) :=
     #[test]
     fn join_capture_rejected() {
         // join j0() = ret x0 — x0 is not a parameter of the join point.
-        let body = Expr::LetJoin {
-            label: 0,
-            params: vec![],
-            jp_body: Box::new(ret(0)),
-            body: Box::new(Expr::Jump {
-                label: 0,
-                args: vec![],
-            }),
-        };
-        let p = single_fn(body, vec![0], 10);
-        let errs = check_program(&p).unwrap_err();
+        let errs = check_program(&join_and_jump(&[], 0, &[])).unwrap_err();
         assert!(errs.iter().any(|e| e.message.contains("not a parameter")));
     }
 
     #[test]
     fn jump_arity_mismatch_rejected() {
-        let body = Expr::LetJoin {
-            label: 0,
-            params: vec![1],
-            jp_body: Box::new(ret(1)),
-            body: Box::new(Expr::Jump {
-                label: 0,
-                args: vec![],
-            }),
-        };
-        let p = single_fn(body, vec![0], 10);
-        let errs = check_program(&p).unwrap_err();
+        let errs = check_program(&join_and_jump(&[1], 1, &[])).unwrap_err();
         assert!(errs.iter().any(|e| e.message.contains("jump to j0")));
     }
 
     #[test]
     fn unknown_call_rejected() {
-        let body = let_(
-            1,
-            Value::Call {
-                func: "ghost".into(),
-                args: vec![0],
-            },
-            ret(1),
-        );
-        let p = single_fn(body, vec![0], 10);
-        let errs = check_program(&p).unwrap_err();
+        let errs = check_program(&calls("ghost", &[0])).unwrap_err();
         assert!(errs.iter().any(|e| e.message.contains("unknown function")));
     }
 
     #[test]
     fn builtin_arity_checked() {
-        let body = let_(
-            1,
-            Value::Call {
-                func: "lean_nat_add".into(),
-                args: vec![0],
-            },
-            ret(1),
-        );
-        let p = single_fn(body, vec![0], 10);
-        let errs = check_program(&p).unwrap_err();
+        let errs = check_program(&calls("lean_nat_add", &[0])).unwrap_err();
         assert!(errs.iter().any(|e| e.message.contains("expects 2 args")));
     }
 
     #[test]
     fn unknown_builtin_rejected() {
-        let body = let_(
-            1,
-            Value::Call {
-                func: "lean_frobnicate".into(),
-                args: vec![0],
-            },
-            ret(1),
-        );
-        let p = single_fn(body, vec![0], 10);
-        let errs = check_program(&p).unwrap_err();
+        let errs = check_program(&calls("lean_frobnicate", &[0])).unwrap_err();
         assert!(errs.iter().any(|e| e.message.contains("unknown builtin")));
     }
 
     #[test]
     fn duplicate_case_tags_rejected() {
-        let body = case(0, vec![(0, ret(0)), (0, ret(0))], None);
-        let p = single_fn(body, vec![0], 10);
+        let p = single_fn(&[0], 10, |b, _| case_arms(b, &[0, 0]));
         let errs = check_program(&p).unwrap_err();
         assert!(errs
             .iter()
@@ -517,11 +545,19 @@ def length(xs) :=
     fn duplicate_tags_are_found_in_wide_and_nested_cases() {
         // Twenty arms with tags 0..20, then repeats of 17 and 0; the inner
         // case of arm 3 reuses the outer tags 0 and 1 without clashing.
-        let mut arms: Vec<(u32, Expr)> = (0..20).map(|t| (t, ret(0))).collect();
-        arms[3].1 = case(0, vec![(0, ret(0)), (1, ret(0)), (1, ret(0))], None);
-        arms.push((17, ret(0)));
-        arms.push((0, ret(0)));
-        let p = single_fn(case(0, arms, None), vec![0], 10);
+        let p = single_fn(&[0], 10, |b, _| {
+            let mut arms = Vec::new();
+            for t in (0..20).chain([17, 0]) {
+                b.open();
+                let arm = if t == 3 {
+                    case_arms(b, &[0, 1, 1])
+                } else {
+                    b.ret(0)
+                };
+                arms.push((t, arm));
+            }
+            b.case(0, &arms, None)
+        });
         let messages: Vec<String> = check_program(&p)
             .unwrap_err()
             .into_iter()
@@ -539,34 +575,21 @@ def length(xs) :=
 
     #[test]
     fn pap_must_under_apply() {
-        let mut p = single_fn(
-            let_(
-                1,
-                Value::Pap {
-                    func: "f".into(),
-                    args: vec![0],
-                },
-                ret(1),
-            ),
-            vec![0],
-            10,
-        );
+        let pap = |params: &'static [VarId]| {
+            single_fn(params, 10, |b, names| {
+                let func = names.intern("f");
+                let args = b.list(&[0]);
+                b.let_(1, Value::Pap { func, args });
+                b.ret(1)
+            })
+        };
         // f has arity 1; pap with 1 arg is not under-applying.
-        let errs = check_program(&p).unwrap_err();
+        let errs = check_program(&pap(&[0])).unwrap_err();
         assert!(
             errs.iter().any(|e| e.message.contains("under-apply")),
             "{errs:?}"
         );
         // With arity 2 it is fine.
-        p.fns[0].params = vec![0, 9];
-        p.fns[0].body = let_(
-            1,
-            Value::Pap {
-                func: "f".into(),
-                args: vec![0],
-            },
-            ret(1),
-        );
-        check_program(&p).unwrap();
+        check_program(&pap(&[0, 9])).unwrap();
     }
 }

@@ -2,79 +2,118 @@
 //! machinery behind `simpcase` (common-branch fusion) and join-point
 //! lambda lifting.
 
-use lssa_lambda::ast::{build, Expr, Value};
+use lssa_lambda::ast::{Arena, BlockId, BodyBuilder, Name, Stmt, Terminator, Value};
 use std::collections::HashMap;
 
-fn lit(var: u32, v: i64, body: Expr) -> Expr {
-    build::let_(var, Value::LitInt(v), body)
+/// The arena of a function whose body `body` builds, and its body block.
+fn build(body: impl FnOnce(&mut BodyBuilder) -> BlockId) -> (Arena, BlockId) {
+    let mut b = BodyBuilder::default();
+    b.open();
+    let entry = body(&mut b);
+    let f = b.finish(Name(0), &[], entry, 100, 10);
+    (f.arena, f.body)
+}
+
+/// `let var = v; ret var`
+fn lit(var: u32, v: i64, ret: u32) -> (Arena, BlockId) {
+    build(|b| {
+        b.let_(var, Value::LitInt(v));
+        b.ret(ret)
+    })
+}
+
+fn ret(v: u32) -> (Arena, BlockId) {
+    build(|b| b.ret(v))
+}
+
+/// `case x0 of arms | default`, every branch `ret x0`.
+fn case(tags: &[u32], default: bool) -> (Arena, BlockId) {
+    build(|b| {
+        let arms: Vec<(u32, BlockId)> = tags
+            .iter()
+            .map(|&t| {
+                b.open();
+                (t, b.ret(0))
+            })
+            .collect();
+        let default = default.then(|| {
+            b.open();
+            b.ret(0)
+        });
+        b.case(0, &arms, default)
+    })
+}
+
+/// `join j(params…) = ret params[0] in jump j(x0)`
+fn join(label: u32, param: u32) -> (Arena, BlockId) {
+    build(|b| {
+        b.open();
+        let body = b.ret(param);
+        let params = b.list(&[param]);
+        b.push(Stmt::Join {
+            label,
+            params,
+            body,
+        });
+        b.jump(label, &[0])
+    })
+}
+
+fn alpha_eq((xa, x): &(Arena, BlockId), (ya, y): &(Arena, BlockId)) -> bool {
+    xa.alpha_eq(*x, ya, *y)
+}
+
+/// `e` with its free variables renamed by `map`.
+fn rename((mut arena, b): (Arena, BlockId), map: &HashMap<u32, u32>) -> (Arena, BlockId) {
+    arena.rename_free(b, |v| map.get(&v).copied());
+    (arena, b)
 }
 
 #[test]
 fn alpha_eq_ignores_binder_names() {
-    let a = lit(1, 7, build::ret(1));
-    let b = lit(9, 7, build::ret(9));
-    assert!(a.alpha_eq(&b));
+    assert!(alpha_eq(&lit(1, 7, 1), &lit(9, 7, 9)));
 }
 
 #[test]
 fn alpha_eq_distinguishes_values() {
-    let a = lit(1, 7, build::ret(1));
-    let b = lit(1, 8, build::ret(1));
-    assert!(!a.alpha_eq(&b));
+    assert!(!alpha_eq(&lit(1, 7, 1), &lit(1, 8, 1)));
 }
 
 #[test]
 fn alpha_eq_free_variables_must_match_exactly() {
     // ret x0 vs ret x1 with both free: different.
-    assert!(!build::ret(0).alpha_eq(&build::ret(1)));
-    assert!(build::ret(0).alpha_eq(&build::ret(0)));
+    assert!(!alpha_eq(&ret(0), &ret(1)));
+    assert!(alpha_eq(&ret(0), &ret(0)));
 }
 
 #[test]
 fn alpha_eq_respects_structure() {
-    let a = build::case(0, vec![(0, build::ret(0))], None);
-    let b = build::case(0, vec![(1, build::ret(0))], None);
-    assert!(!a.alpha_eq(&b), "different tags");
-    let c = build::case(0, vec![(0, build::ret(0))], Some(build::ret(0)));
-    assert!(!a.alpha_eq(&c), "extra default arm");
+    let a = case(&[0], false);
+    assert!(!alpha_eq(&a, &case(&[1], false)), "different tags");
+    assert!(!alpha_eq(&a, &case(&[0], true)), "extra default arm");
 }
 
 #[test]
 fn alpha_eq_join_points_modulo_labels() {
-    let mk = |label: u32, param: u32| Expr::LetJoin {
-        label,
-        params: vec![param],
-        jp_body: Box::new(build::ret(param)),
-        body: Box::new(Expr::Jump {
-            label,
-            args: vec![0],
-        }),
-    };
-    assert!(mk(0, 5).alpha_eq(&mk(3, 9)));
+    assert!(alpha_eq(&join(0, 5), &join(3, 9)));
 }
 
 #[test]
 fn alpha_eq_binder_mapping_does_not_leak() {
     // let x1 = 1; ret x1  vs  let x2 = 1; ret x1(free!) — not equal.
-    let a = lit(1, 1, build::ret(1));
-    let b = lit(2, 1, build::ret(1));
-    assert!(!a.alpha_eq(&b));
+    assert!(!alpha_eq(&lit(1, 1, 1), &lit(2, 1, 1)));
 }
 
 #[test]
 fn rename_free_renames_uses() {
-    let e = build::let_(
-        2,
-        Value::Ctor {
-            tag: 0,
-            args: vec![0, 1],
-        },
-        build::ret(2),
-    );
-    let mut map = HashMap::new();
-    map.insert(0u32, 10u32);
-    let r = e.rename_free(&map);
-    let fv = r.free_vars();
+    let e = build(|b| {
+        let args = b.list(&[0, 1]);
+        b.let_(2, Value::Ctor { tag: 0, args });
+        b.ret(2)
+    });
+    let map = HashMap::from([(0u32, 10u32)]);
+    let (arena, b) = rename(e, &map);
+    let fv = arena.free_vars(b);
     assert!(fv.contains(&10));
     assert!(!fv.contains(&0));
     assert!(fv.contains(&1));
@@ -83,47 +122,43 @@ fn rename_free_renames_uses() {
 #[test]
 fn rename_free_stops_at_binders() {
     // let x0 = 5; ret x0 — renaming x0 must not touch the bound occurrence.
-    let e = lit(0, 5, build::ret(0));
-    let mut map = HashMap::new();
-    map.insert(0u32, 99u32);
-    let r = e.rename_free(&map);
-    assert_eq!(r, e, "bound x0 is untouchable");
+    let map = HashMap::from([(0u32, 99u32)]);
+    assert_eq!(
+        rename(lit(0, 5, 0), &map),
+        lit(0, 5, 0),
+        "bound x0 is untouchable"
+    );
 }
 
 #[test]
 fn rename_free_in_join_bodies_respects_params() {
-    let e = Expr::LetJoin {
-        label: 0,
-        params: vec![1],
-        jp_body: Box::new(build::ret(1)),
-        body: Box::new(Expr::Jump {
-            label: 0,
-            args: vec![0],
-        }),
+    // x1 is a jp param: bound inside jp_body; x0 is free in the jump.
+    let map = HashMap::from([(1u32, 50u32), (0u32, 60u32)]);
+    let (arena, b) = rename(join(0, 1), &map);
+    let [Stmt::Join { body, .. }] = arena.stmts(b) else {
+        panic!("{arena:?}")
     };
-    let mut map = HashMap::new();
-    map.insert(1u32, 50u32); // x1 is a jp param: bound inside jp_body
-    map.insert(0u32, 60u32); // x0 is free in the jump
-    let r = e.rename_free(&map);
-    match &r {
-        Expr::LetJoin { jp_body, body, .. } => {
-            assert_eq!(**jp_body, build::ret(1), "param occurrence untouched");
-            assert_eq!(
-                **body,
-                Expr::Jump {
-                    label: 0,
-                    args: vec![60]
-                }
-            );
-        }
-        _ => panic!(),
-    }
+    assert_eq!(
+        *arena.term(*body),
+        Terminator::Ret(1),
+        "param occurrence untouched"
+    );
+    let Terminator::Jump { label: 0, args } = *arena.term(b) else {
+        panic!("{arena:?}")
+    };
+    assert_eq!(arena.vars(args), [60]);
 }
 
 #[test]
 fn rename_is_identity_for_disjoint_maps() {
-    let e = lit(3, 9, build::case(3, vec![(0, build::ret(3))], None));
-    let mut map = HashMap::new();
-    map.insert(77u32, 88u32);
-    assert_eq!(e.rename_free(&map), e);
+    let e = || {
+        build(|b| {
+            b.let_(3, Value::LitInt(9));
+            b.open();
+            let arm = b.ret(3);
+            b.case(3, &[(0, arm)], None)
+        })
+    };
+    let map = HashMap::from([(77u32, 88u32)]);
+    assert_eq!(rename(e(), &map), e());
 }

@@ -8,7 +8,8 @@
 //! The counting allocator counts only the measuring thread's allocations,
 //! and only while a parse is measured. The file holds one test so that no
 //! other test shares the allocator's counters. Lowering recurses once per
-//! argument, so the parses run on a thread with an 8 MiB stack.
+//! argument in the surface parser, so the parses run on a thread with an
+//! 8 MiB stack.
 
 use lssa_lambda::parse_program;
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -20,7 +20,7 @@
 //! ```
 //! let src = "(def main () (let x0 42 (ret x0)))";
 //! let program = lssa_syntax::parse_program(src).unwrap();
-//! assert_eq!(program.fns[0].name, "main");
+//! assert_eq!(program.name(&program.fns[0]), "main");
 //! let printed = lssa_syntax::print_program(&program);
 //! assert_eq!(lssa_syntax::parse_program(&printed).unwrap(), program);
 //! ```

@@ -29,19 +29,28 @@
 //! location-free terms). The two checkers share their `E01xx` codes, so
 //! `lssa check` and `lssa run` agree on what a defect is called.
 //!
+//! A `let`, `inc`, `dec` or `join` form nests the rest of its block inside
+//! it; the lowering follows that nesting in a loop, appending each form to
+//! the block, and recurses only into join bodies and case arms.
+//!
 //! `next_var`/`next_join` of each [`FnDef`] are reconstructed as one past the
 //! highest id mentioned anywhere in the function — exactly what the
 //! programmatic lowering produces, which is what makes
 //! `parse(print(p)) == p` hold structurally *and* on the id bounds.
+//!
+//! [`FnDef`]: lssa_lambda::ast::FnDef
 
 use crate::diag::{Diagnostic, E_BAD_FORM, E_BAD_TOKEN};
 use crate::sexp::{read, Forest, Sexp, SexpKind};
 use crate::span::Span;
-use lssa_lambda::ast::{Alt, Expr, FnDef, JoinId, Program, Value, VarId};
+use lssa_lambda::ast::{
+    Alt, BlockId, BodyBuilder, JoinId, Names, Program, Slice, Stmt, Terminator, Value, VarId,
+};
 use lssa_lambda::dense::{IdSet, JoinArities, Scope, MAX_ID};
 use lssa_lambda::wellformed::{builtin_name_message, codes};
 use lssa_rt::Builtin;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// The largest retain count `(inc var n body)` may ask for. Each retain
 /// lowers to one `lp.inc` op, so a larger count would let a few bytes of
@@ -89,21 +98,39 @@ pub fn check_source(src: &str) -> Vec<Diagnostic> {
 pub fn parse_source(src: &str) -> ParseOutcome {
     let (forest, mut diagnostics) = read(src);
     let structurally_clean = diagnostics.is_empty();
+    // Every statement, operand and arm is a node of the forest, so the
+    // forest's size bounds what the builder holds for any one function.
+    // A binding takes at least four nodes (`(let x0 1 …)`), so the scratch
+    // buffers are sized from the forest: per function they hold at most
+    // the whole program.
+    let nodes = forest.node_count();
+    let (bindings, defs) = (nodes / 4, forest.top().len());
+    let mut b = BodyBuilder::default();
+    b.reserve(bindings, bindings, bindings / 2, nodes / 2);
     let mut lowerer = Lowerer {
         forest: &forest,
         diags: &mut diagnostics,
         structural_ok: structurally_clean,
-        sigs: HashMap::new(),
+        sigs: HashMap::with_capacity(defs),
         func: "",
         bound_once: IdSet::default(),
         scope: Scope::default(),
         joins: JoinArities::default(),
-        undo: Vec::new(),
+        undo: Vec::with_capacity(bindings),
+        lets: Vec::with_capacity(bindings),
+        declared: Vec::with_capacity(bindings / 2),
         cases: 0,
-        tags: HashSet::new(),
+        tags: HashSet::with_capacity(bindings / 2),
         max_var: None,
         max_join: None,
+        b,
+        names: Names::default(),
+        vars: Vec::with_capacity(nodes / 2),
+        arms: Vec::with_capacity(bindings / 2),
     };
+    lowerer.bound_once.reserve(bindings);
+    lowerer.scope.reserve(bindings);
+    lowerer.joins.reserve(bindings / 2);
     let program = lowerer.lower_program();
     let structural_ok = lowerer.structural_ok;
     ParseOutcome {
@@ -158,12 +185,23 @@ struct Lowerer<'f, 'a> {
     joins: JoinArities,
     /// Unbind tokens of the join parameters in scope.
     undo: Vec<(VarId, u32)>,
+    /// Unbind tokens of the `let` bindings of the blocks being lowered.
+    lets: Vec<(VarId, u32)>,
+    /// Restore tokens of the join points the blocks being lowered declare.
+    declared: Vec<(JoinId, u32)>,
     /// The `case` forms lowered so far.
     cases: u32,
     /// The tags each `case` has had, by the case's number.
     tags: HashSet<(u32, u32)>,
     max_var: Option<VarId>,
     max_join: Option<JoinId>,
+    /// The function being lowered.
+    b: BodyBuilder,
+    names: Names,
+    /// Variable lists under construction, stacked.
+    vars: Vec<VarId>,
+    /// Case arms under construction, stacked.
+    arms: Vec<Alt>,
 }
 
 impl<'f> Lowerer<'f, '_> {
@@ -265,9 +303,11 @@ impl<'f> Lowerer<'f, '_> {
         // Pass 1: signatures (arity of every def, for call checking).
         // A def awaiting pass 2: its items, name, and where its lowered
         // params sit in `params`.
-        let mut order: Vec<(&'f [Sexp<'f>], &'f str, std::ops::Range<usize>)> = Vec::new();
-        let mut params: Vec<(VarId, Span)> = Vec::new();
         let forest = self.forest;
+        let defs = forest.top().len();
+        let mut order: Vec<(&'f [Sexp<'f>], &'f str, std::ops::Range<usize>)> =
+            Vec::with_capacity(defs);
+        let mut params: Vec<(VarId, Span)> = Vec::with_capacity(4 * defs);
         for top in forest.top() {
             let Some(items) = self.list(top) else {
                 self.form_error(
@@ -349,109 +389,170 @@ impl<'f> Lowerer<'f, '_> {
             order.push((items, name, start..params.len()));
         }
         // Pass 2: lower bodies.
-        let mut program = Program {
-            fns: Vec::with_capacity(order.len()),
-        };
+        let mut fns = Vec::with_capacity(order.len());
+        self.names = Names::with_capacity(2 * order.len(), 32 * order.len());
         for (items, name, range) in order {
             self.func = name;
             self.bound_once.clear();
             self.scope.clear();
             self.max_var = None;
             self.max_join = None;
-            let mut param_ids = Vec::with_capacity(range.len());
             for &(id, span) in &params[range] {
                 self.max_var = Some(self.max_var.map_or(id, |m| m.max(id)));
                 if !self.bound_once.insert(id) {
                     self.wf(codes::REBOUND, format!("parameter x{id} bound twice"), span);
                 }
                 self.scope.bind(id);
-                param_ids.push(id);
+                self.vars.push(id);
             }
-            let body = self.lower_expr(&items[3], None);
-            program.fns.push(FnDef {
-                name: name.to_string(),
-                params: param_ids,
-                body: body.unwrap_or(Expr::Ret(0)),
-                next_var: self.max_var.map_or(0, |m| m + 1),
-                next_join: self.max_join.map_or(0, |m| m + 1),
-            });
+            let name = self.names.intern(name);
+            let (body, _) = self.lower_block(&items[3], None);
+            let f = self.b.finish(
+                name,
+                &self.vars,
+                body,
+                self.max_var.map_or(0, |m| m + 1),
+                self.max_join.map_or(0, |m| m + 1),
+            );
+            self.vars.clear();
+            fns.push(f);
         }
-        program
+        Program {
+            fns,
+            names: Arc::new(std::mem::take(&mut self.names)),
+        }
     }
 
     // ---- expressions ------------------------------------------------------
 
-    /// Lowers one expression. `jp` is `Some((label, outer_frame))` while
-    /// inside a join-point body: `outer_frame` is the scope frame that was
-    /// visible at the join's declaration, used to tell a *capture* (E0105)
-    /// from a plain out-of-scope use (E0101).
-    fn lower_expr(&mut self, sexp: &'f Sexp, jp: Option<(JoinId, u32)>) -> Option<Expr> {
-        let Some(items) = self.list(sexp) else {
-            self.form_error(
-                sexp.span,
-                format!("expected an expression form, found {}", sexp.describe()),
-            );
-            return None;
-        };
-        let Some(head) = items.first().and_then(Sexp::as_atom) else {
-            self.form_error(
-                sexp.span,
-                "expected an expression form like `(ret x0)`".to_string(),
-            );
-            return None;
-        };
-        match head {
-            "let" => self.lower_let(sexp, items, jp),
-            "join" => self.lower_join(sexp, items, jp),
-            "case" => self.lower_case(sexp, items, jp),
-            "jump" => self.lower_jump(sexp, items, jp),
-            "ret" => self.lower_ret(sexp, items, jp),
-            "inc" => self.lower_inc(sexp, items, jp),
-            "dec" => self.lower_dec(sexp, items, jp),
-            other => {
+    /// Lowers the expression `sexp` as a block: its `let`, `inc`, `dec` and
+    /// `join` forms in a loop, each form's last item the rest of the block,
+    /// down to the `case`, `jump` or `ret` that ends it. Returns the block,
+    /// closed even when a form in it is malformed (a structural error then
+    /// drops the program), and whether every form lowered.
+    ///
+    /// `jp` is `Some((label, outer_frame))` inside a join-point body:
+    /// `outer_frame` is the scope frame that was visible at the join's
+    /// declaration, used to tell a *capture* (E0105) from a plain
+    /// out-of-scope use (E0101).
+    fn lower_block(&mut self, sexp: &'f Sexp, jp: Option<(JoinId, u32)>) -> (BlockId, bool) {
+        self.b.open();
+        let (lets, declared) = (self.lets.len(), self.declared.len());
+        let mut ok = true;
+        let mut sexp = sexp;
+        let term = loop {
+            let Some(items) = self.list(sexp) else {
                 self.form_error(
                     sexp.span,
-                    format!(
-                        "unknown expression form `{other}` (expected let, join, case, jump, ret, inc, or dec)"
-                    ),
+                    format!("expected an expression form, found {}", sexp.describe()),
                 );
-                None
+                break None;
+            };
+            let Some(head) = items.first().and_then(Sexp::as_atom) else {
+                self.form_error(
+                    sexp.span,
+                    "expected an expression form like `(ret x0)`".to_string(),
+                );
+                break None;
+            };
+            match head {
+                "let" => {
+                    if items.len() != 4 {
+                        self.form_error(sexp.span, "`let` takes a variable, a value, and a body");
+                        break None;
+                    }
+                    let var = self.parse_var(&items[1]);
+                    let val = self.lower_value(&items[2], jp);
+                    if let Some(v) = var {
+                        let token = self.bind(v, items[1].span);
+                        self.lets.push((v, token));
+                    }
+                    match (var, val) {
+                        (Some(var), Some(val)) => self.b.let_(var, val),
+                        _ => ok = false,
+                    }
+                    sexp = &items[3];
+                }
+                "join" => {
+                    let Some(lowered) = self.lower_join(sexp, items) else {
+                        break None;
+                    };
+                    ok &= lowered;
+                    sexp = &items[4];
+                }
+                "inc" => {
+                    if items.len() != 4 {
+                        self.form_error(sexp.span, "`inc` takes a variable, a count, and a body");
+                        break None;
+                    }
+                    let var = self.parse_var(&items[1]);
+                    if let Some(v) = var {
+                        self.check_use(v, items[1].span, jp);
+                    }
+                    let n = match self.parse_u32(&items[2], "a retain count") {
+                        Some(n) if n > MAX_RETAIN => {
+                            self.token_error(
+                                items[2].span,
+                                format!(
+                                    "a retain count `{n}` is out of range (at most {MAX_RETAIN})"
+                                ),
+                            );
+                            None
+                        }
+                        n => n,
+                    };
+                    match (var, n) {
+                        (Some(var), Some(n)) => self.b.push(Stmt::Inc { var, n }),
+                        _ => ok = false,
+                    }
+                    sexp = &items[3];
+                }
+                "dec" => {
+                    if items.len() != 3 {
+                        self.form_error(sexp.span, "`dec` takes a variable and a body");
+                        break None;
+                    }
+                    match self.parse_var(&items[1]) {
+                        Some(var) => {
+                            self.check_use(var, items[1].span, jp);
+                            self.b.push(Stmt::Dec { var });
+                        }
+                        None => ok = false,
+                    }
+                    sexp = &items[2];
+                }
+                "case" => break self.lower_case(sexp, items, jp),
+                "jump" => break self.lower_jump(sexp, items, jp),
+                "ret" => break self.lower_ret(sexp, items, jp),
+                other => {
+                    self.form_error(
+                        sexp.span,
+                        format!(
+                            "unknown expression form `{other}` (expected let, join, case, jump, ret, inc, or dec)"
+                        ),
+                    );
+                    break None;
+                }
             }
-        }
-    }
-
-    /// Lowers `(let var value body)`; `items` are the form's list items.
-    fn lower_let(
-        &mut self,
-        sexp: &'f Sexp,
-        items: &'f [Sexp<'f>],
-        jp: Option<(JoinId, u32)>,
-    ) -> Option<Expr> {
-        if items.len() != 4 {
-            self.form_error(sexp.span, "`let` takes a variable, a value, and a body");
-            return None;
-        }
-        let var = self.parse_var(&items[1]);
-        let val = self.lower_value(&items[2], jp);
-        let token = var.map(|v| self.bind(v, items[1].span));
-        let body = self.lower_expr(&items[3], jp);
-        if let (Some(v), Some(token)) = (var, token) {
+        };
+        while self.lets.len() > lets {
+            let (v, token) = self.lets.pop().expect("above the mark");
             self.scope.unbind(v, token);
         }
-        Some(Expr::Let {
-            var: var?,
-            val: val?,
-            body: Box::new(body?),
-        })
+        while self.declared.len() > declared {
+            let (label, token) = self.declared.pop().expect("above the mark");
+            self.joins.restore(label, token);
+        }
+        let block = self.b.close(term.unwrap_or(Terminator::Ret(0)));
+        (block, ok && term.is_some())
     }
 
-    /// Lowers `(join label (params) jp_body body)`; `items` are the form's list items.
-    fn lower_join(
-        &mut self,
-        sexp: &'f Sexp,
-        items: &'f [Sexp<'f>],
-        jp: Option<(JoinId, u32)>,
-    ) -> Option<Expr> {
+    /// Lowers the declaration of `(join label (params) jp_body body)` into
+    /// the open block and puts the join point in scope for `body`, which
+    /// the caller lowers next; returns whether the declaration lowered, or
+    /// `None` when the form is too malformed to lower `body` at all.
+    /// `items` are the form's list items.
+    fn lower_join(&mut self, sexp: &'f Sexp, items: &'f [Sexp<'f>]) -> Option<bool> {
         if items.len() != 5 {
             self.form_error(
                 sexp.span,
@@ -475,39 +576,41 @@ impl<'f> Lowerer<'f, '_> {
         // capture classification. Enclosing join points stay
         // jumpable (mirroring the AST checker).
         let outer = self.scope.enter_frame();
-        let mark = self.undo.len();
-        let mut params = Vec::with_capacity(param_items.len());
+        let (mark, vars) = (self.undo.len(), self.vars.len());
         let mut params_ok = true;
         for p in param_items {
             match self.parse_var(p) {
                 Some(v) => {
                     let token = self.bind(v, p.span);
                     self.undo.push((v, token));
-                    params.push(v);
+                    self.vars.push(v);
                 }
                 None => params_ok = false,
             }
         }
-        let jp_body = self.lower_expr(&items[3], label.map(|l| (l, outer)));
+        let (body, body_ok) = self.lower_block(&items[3], label.map(|l| (l, outer)));
         while self.undo.len() > mark {
             let (v, token) = self.undo.pop().expect("above the mark");
             self.scope.unbind(v, token);
         }
         self.scope.leave_frame(outer);
-        let token = label.map(|l| self.joins.declare(l, params.len()));
-        let body = self.lower_expr(&items[4], jp);
-        if let (Some(l), Some(token)) = (label, token) {
-            self.joins.restore(l, token);
+        let arity = self.vars.len() - vars;
+        let params = self.b.list(&self.vars[vars..]);
+        self.vars.truncate(vars);
+        let Some(label) = label else {
+            return Some(false);
+        };
+        let token = self.joins.declare(label, arity);
+        self.declared.push((label, token));
+        if !(params_ok && body_ok) {
+            return Some(false);
         }
-        if !params_ok {
-            return None;
-        }
-        Some(Expr::LetJoin {
-            label: label?,
+        self.b.push(Stmt::Join {
+            label,
             params,
-            jp_body: Box::new(jp_body?),
-            body: Box::new(body?),
-        })
+            body,
+        });
+        Some(true)
     }
 
     /// Lowers `(case var arm+)`; `items` are the form's list items.
@@ -516,7 +619,7 @@ impl<'f> Lowerer<'f, '_> {
         sexp: &'f Sexp,
         items: &'f [Sexp<'f>],
         jp: Option<(JoinId, u32)>,
-    ) -> Option<Expr> {
+    ) -> Option<Terminator> {
         if items.len() < 3 {
             self.form_error(sexp.span, "`case` takes a scrutinee and at least one arm");
             return None;
@@ -525,8 +628,8 @@ impl<'f> Lowerer<'f, '_> {
         if let Some(v) = scrutinee {
             self.check_use(v, items[1].span, jp);
         }
-        let mut alts: Vec<Alt> = Vec::with_capacity(items.len() - 2);
-        let mut default: Option<Box<Expr>> = None;
+        let arms = self.arms.len();
+        let mut default: Option<BlockId> = None;
         let case = self.cases;
         self.cases = case.checked_add(1).expect("fewer than 2^32 case forms");
         let mut ok = true;
@@ -552,9 +655,9 @@ impl<'f> Lowerer<'f, '_> {
                     self.form_error(arm_items[0].span, "duplicate `else` arm");
                     ok = false;
                 }
-                let body = self.lower_expr(&arm_items[1], jp);
-                match body {
-                    Some(b) if default.is_none() => default = Some(Box::new(b)),
+                let (body, body_ok) = self.lower_block(&arm_items[1], jp);
+                match default {
+                    None if body_ok => default = Some(body),
                     _ => ok = false,
                 }
                 continue;
@@ -569,23 +672,25 @@ impl<'f> Lowerer<'f, '_> {
                     );
                 }
             }
-            let body = self.lower_expr(&arm_items[1], jp);
-            match (tag, body) {
-                (Some(tag), Some(body)) => alts.push(Alt { tag, body }),
+            let (body, body_ok) = self.lower_block(&arm_items[1], jp);
+            match tag {
+                Some(tag) if body_ok => self.arms.push(Alt { tag, body }),
                 _ => ok = false,
             }
         }
-        if alts.is_empty() && default.is_none() && ok {
+        if self.arms.len() == arms && default.is_none() && ok {
             self.wf(
                 codes::EMPTY_CASE,
                 "case with no arms".to_string(),
                 sexp.span,
             );
         }
+        let alts = self.b.alts(&self.arms[arms..]);
+        self.arms.truncate(arms);
         if !ok {
             return None;
         }
-        Some(Expr::Case {
+        Some(Terminator::Case {
             scrutinee: scrutinee?,
             alts,
             default,
@@ -598,29 +703,32 @@ impl<'f> Lowerer<'f, '_> {
         sexp: &'f Sexp,
         items: &'f [Sexp<'f>],
         jp: Option<(JoinId, u32)>,
-    ) -> Option<Expr> {
+    ) -> Option<Terminator> {
         if items.len() < 2 {
             self.form_error(sexp.span, "`jump` takes a join label and arguments");
             return None;
         }
         let label = self.parse_join(&items[1]);
-        let mut args = Vec::with_capacity(items.len() - 2);
+        let mark = self.vars.len();
         let mut ok = true;
         for a in &items[2..] {
             match self.parse_var(a) {
                 Some(v) => {
                     self.check_use(v, a.span, jp);
-                    args.push(v);
+                    self.vars.push(v);
                 }
                 None => ok = false,
             }
         }
+        let n = self.vars.len() - mark;
+        let args = self.b.list(&self.vars[mark..]);
+        self.vars.truncate(mark);
         if let Some(l) = label {
             match self.joins.get(l) {
-                Some(arity) if arity == args.len() => {}
+                Some(arity) if arity == n => {}
                 Some(arity) => self.wf(
                     codes::JUMP_ARITY,
-                    format!("jump to j{l} with {} args (expects {arity})", args.len()),
+                    format!("jump to j{l} with {n} args (expects {arity})"),
                     sexp.span,
                 ),
                 None => self.wf(
@@ -633,7 +741,7 @@ impl<'f> Lowerer<'f, '_> {
         if !ok {
             return None;
         }
-        Some(Expr::Jump {
+        Some(Terminator::Jump {
             label: label?,
             args,
         })
@@ -645,76 +753,21 @@ impl<'f> Lowerer<'f, '_> {
         sexp: &'f Sexp,
         items: &'f [Sexp<'f>],
         jp: Option<(JoinId, u32)>,
-    ) -> Option<Expr> {
+    ) -> Option<Terminator> {
         if items.len() != 2 {
             self.form_error(sexp.span, "`ret` takes exactly one variable");
             return None;
         }
         let v = self.parse_var(&items[1])?;
         self.check_use(v, items[1].span, jp);
-        Some(Expr::Ret(v))
-    }
-
-    /// Lowers `(inc var n body)`; `items` are the form's list items.
-    fn lower_inc(
-        &mut self,
-        sexp: &'f Sexp,
-        items: &'f [Sexp<'f>],
-        jp: Option<(JoinId, u32)>,
-    ) -> Option<Expr> {
-        if items.len() != 4 {
-            self.form_error(sexp.span, "`inc` takes a variable, a count, and a body");
-            return None;
-        }
-        let var = self.parse_var(&items[1]);
-        if let Some(v) = var {
-            self.check_use(v, items[1].span, jp);
-        }
-        let n = match self.parse_u32(&items[2], "a retain count") {
-            Some(n) if n > MAX_RETAIN => {
-                self.token_error(
-                    items[2].span,
-                    format!("a retain count `{n}` is out of range (at most {MAX_RETAIN})"),
-                );
-                None
-            }
-            n => n,
-        };
-        let body = self.lower_expr(&items[3], jp);
-        Some(Expr::Inc {
-            var: var?,
-            n: n?,
-            body: Box::new(body?),
-        })
-    }
-
-    /// Lowers `(dec var body)`; `items` are the form's list items.
-    fn lower_dec(
-        &mut self,
-        sexp: &'f Sexp,
-        items: &'f [Sexp<'f>],
-        jp: Option<(JoinId, u32)>,
-    ) -> Option<Expr> {
-        if items.len() != 3 {
-            self.form_error(sexp.span, "`dec` takes a variable and a body");
-            return None;
-        }
-        let var = self.parse_var(&items[1]);
-        if let Some(v) = var {
-            self.check_use(v, items[1].span, jp);
-        }
-        let body = self.lower_expr(&items[2], jp);
-        Some(Expr::Dec {
-            var: var?,
-            body: Box::new(body?),
-        })
+        Some(Terminator::Ret(v))
     }
 
     // ---- values -----------------------------------------------------------
 
     fn lower_value(&mut self, sexp: &'f Sexp, jp: Option<(JoinId, u32)>) -> Option<Value> {
         let items = match &sexp.kind {
-            SexpKind::Str(s) => return Some(Value::LitStr(s.to_string())),
+            SexpKind::Str(s) => return Some(Value::LitStr(self.b.text(s))),
             SexpKind::Atom(text) => {
                 let text: &str = text;
                 if text.starts_with('x')
@@ -769,7 +822,7 @@ impl<'f> Lowerer<'f, '_> {
                         items[1].span,
                     );
                 }
-                Some(Value::LitBig(digits.to_string()))
+                Some(Value::LitBig(self.b.text(digits)))
             }
             "ctor" => {
                 if items.len() < 2 {
@@ -812,13 +865,13 @@ impl<'f> Lowerer<'f, '_> {
                 if head == "call" {
                     self.check_call(func, args.len(), items[1].span);
                     Some(Value::Call {
-                        func: func.to_string(),
+                        func: self.names.intern(func),
                         args,
                     })
                 } else {
                     self.check_pap(func, args.len(), items[1].span);
                     Some(Value::Pap {
-                        func: func.to_string(),
+                        func: self.names.intern(func),
                         args,
                     })
                 }
@@ -861,19 +914,21 @@ impl<'f> Lowerer<'f, '_> {
         }
     }
 
-    fn lower_var_list(&mut self, items: &[Sexp], jp: Option<(JoinId, u32)>) -> Option<Vec<VarId>> {
-        let mut out = Vec::with_capacity(items.len());
+    fn lower_var_list(&mut self, items: &[Sexp], jp: Option<(JoinId, u32)>) -> Option<Slice> {
+        let mark = self.vars.len();
         let mut ok = true;
         for item in items {
             match self.parse_var(item) {
                 Some(v) => {
                     self.check_use(v, item.span, jp);
-                    out.push(v);
+                    self.vars.push(v);
                 }
                 None => ok = false,
             }
         }
-        ok.then_some(out)
+        let list = self.b.list(&self.vars[mark..]);
+        self.vars.truncate(mark);
+        ok.then_some(list)
     }
 
     // ---- wellformedness ---------------------------------------------------
@@ -969,18 +1024,18 @@ mod tests {
         let p = parse_program("(def main () (let x0 42 (ret x0)))").unwrap();
         assert_eq!(p.fns.len(), 1);
         let f = &p.fns[0];
-        assert_eq!(f.name, "main");
-        assert_eq!(f.params, Vec::<VarId>::new());
+        assert_eq!(p.name(f), "main");
+        assert_eq!(f.params(), &[] as &[VarId]);
         assert_eq!(f.next_var, 1);
         assert_eq!(f.next_join, 0);
         assert_eq!(
-            f.body,
-            Expr::Let {
+            f.arena.stmts(f.body),
+            [Stmt::Let {
                 var: 0,
                 val: Value::LitInt(42),
-                body: Box::new(Expr::Ret(0)),
-            }
+            }]
         );
+        assert_eq!(*f.arena.term(f.body), Terminator::Ret(0));
     }
 
     #[test]
@@ -1001,7 +1056,7 @@ mod tests {
 "#;
         let p = parse_program(src).unwrap_or_else(|d| panic!("{d:?}"));
         assert_eq!(p.fns[1].next_var, 10);
-        let text = p.fns[1].body.to_string();
+        let text = p.display_fn(&p.fns[1]).to_string();
         assert!(
             text.contains("big(123456789012345678901234567890)"),
             "{text}"
@@ -1026,7 +1081,7 @@ mod tests {
         let f = &p.fns[0];
         assert_eq!(f.next_join, 1);
         assert_eq!(f.next_var, 2);
-        assert!(f.body.has_rc_ops());
+        assert!(f.arena.has_rc_ops());
     }
 
     #[test]
@@ -1184,6 +1239,6 @@ mod tests {
             "(def \"weird name\" () (let x0 1 (ret x0))) (def main () (let x0 (call \"weird name\") (ret x0)))",
         )
         .unwrap_or_else(|d| panic!("{d:?}"));
-        assert_eq!(p.fns[0].name, "weird name");
+        assert_eq!(p.name(&p.fns[0]), "weird name");
     }
 }

@@ -7,7 +7,8 @@
 //! `next_var`/`next_join` bounds, which the parser reconstructs as one past
 //! the highest mentioned id.
 
-use lssa_lambda::ast::{Expr, FnDef, Program, Value};
+use lssa_lambda::ast::{BlockId, FnDef, Names, Program, Stmt, Terminator, Value};
+use std::fmt::Write as _;
 
 /// Prints a whole program in canonical form, one blank line between
 /// functions, with a trailing newline.
@@ -17,16 +18,16 @@ pub fn print_program(p: &Program) -> String {
         if i > 0 {
             out.push('\n');
         }
-        write_fn_def(&mut out, f);
+        write_fn_def(&mut out, &p.names, f);
         out.push('\n');
     }
     out
 }
 
-/// Prints one function definition (no trailing newline).
-pub fn print_fn_def(f: &FnDef) -> String {
+/// Prints one function definition of `p` (no trailing newline).
+pub fn print_fn_def(p: &Program, f: &FnDef) -> String {
     let mut out = String::new();
-    write_fn_def(&mut out, f);
+    write_fn_def(&mut out, &p.names, f);
     out
 }
 
@@ -47,19 +48,18 @@ pub fn format_source(src: &str) -> Result<String, Vec<crate::diag::Diagnostic>> 
     }
 }
 
-fn write_fn_def(out: &mut String, f: &FnDef) {
+fn write_fn_def(out: &mut String, names: &Names, f: &FnDef) {
     out.push_str("(def ");
-    write_name(out, &f.name);
+    write_name(out, names.resolve(f.name));
     out.push_str(" (");
-    for (i, p) in f.params.iter().enumerate() {
+    for (i, p) in f.params().iter().enumerate() {
         if i > 0 {
             out.push(' ');
         }
-        out.push('x');
-        out.push_str(&p.to_string());
+        let _ = write!(out, "x{p}");
     }
     out.push_str(")\n  ");
-    write_expr(out, &f.body, 2);
+    Printer { out, names, f }.block(f.body, 2);
     out.push(')');
 }
 
@@ -69,154 +69,168 @@ fn pad(out: &mut String, indent: usize) {
     }
 }
 
-/// Whether an expression is small enough to sit inline in a case arm.
-fn inline_ok(e: &Expr) -> bool {
-    matches!(e, Expr::Ret(_) | Expr::Jump { .. })
+/// Prints the blocks of one function.
+struct Printer<'a> {
+    out: &'a mut String,
+    names: &'a Names,
+    f: &'a FnDef,
 }
 
-fn write_expr(out: &mut String, e: &Expr, indent: usize) {
-    use std::fmt::Write;
-    match e {
-        Expr::Let { var, val, body } => {
-            let _ = write!(out, "(let x{var} ");
-            write_value(out, val);
-            out.push('\n');
-            pad(out, indent);
-            write_expr(out, body, indent);
-            out.push(')');
-        }
-        Expr::LetJoin {
-            label,
-            params,
-            jp_body,
-            body,
-        } => {
-            let _ = write!(out, "(join j{label} (");
-            for (i, p) in params.iter().enumerate() {
-                if i > 0 {
-                    out.push(' ');
+impl Printer<'_> {
+    /// Whether block `b` is small enough to sit inline in a case arm.
+    fn inline_ok(&self, b: BlockId) -> bool {
+        self.f.arena.stmts(b).is_empty()
+            && matches!(
+                self.f.arena.term(b),
+                Terminator::Ret(_) | Terminator::Jump { .. }
+            )
+    }
+
+    /// Writes block `b`: each statement opens a form whose last item is
+    /// the rest of the block, one per line at `indent`, then the
+    /// terminator and the statements' closing parentheses.
+    fn block(&mut self, b: BlockId, indent: usize) {
+        let arena = &self.f.arena;
+        let stmts = arena.stmts(b);
+        for s in stmts {
+            match *s {
+                Stmt::Let { var, ref val } => {
+                    let _ = write!(self.out, "(let x{var} ");
+                    self.value(val);
+                    self.out.push('\n');
                 }
-                let _ = write!(out, "x{p}");
+                Stmt::Join {
+                    label,
+                    params,
+                    body,
+                } => {
+                    let _ = write!(self.out, "(join j{label} (");
+                    for (i, p) in arena.vars(params).iter().enumerate() {
+                        if i > 0 {
+                            self.out.push(' ');
+                        }
+                        let _ = write!(self.out, "x{p}");
+                    }
+                    self.out.push_str(")\n");
+                    pad(self.out, indent + 2);
+                    self.block(body, indent + 2);
+                    self.out.push('\n');
+                }
+                Stmt::Inc { var, n } => {
+                    let _ = writeln!(self.out, "(inc x{var} {n}");
+                }
+                Stmt::Dec { var } => {
+                    let _ = writeln!(self.out, "(dec x{var}");
+                }
             }
-            out.push_str(")\n");
-            pad(out, indent + 2);
-            write_expr(out, jp_body, indent + 2);
-            out.push('\n');
-            pad(out, indent);
-            write_expr(out, body, indent);
-            out.push(')');
+            pad(self.out, indent);
         }
-        Expr::Case {
-            scrutinee,
-            alts,
-            default,
-        } => {
-            let _ = write!(out, "(case x{scrutinee}");
-            for alt in alts {
-                out.push('\n');
-                pad(out, indent + 2);
-                let _ = write!(out, "({}", alt.tag);
-                write_arm_body(out, &alt.body, indent + 2);
+        match *arena.term(b) {
+            Terminator::Case {
+                scrutinee,
+                alts,
+                default,
+            } => {
+                let _ = write!(self.out, "(case x{scrutinee}");
+                for alt in arena.alts(alts) {
+                    self.out.push('\n');
+                    pad(self.out, indent + 2);
+                    let _ = write!(self.out, "({}", alt.tag);
+                    self.arm_body(alt.body, indent + 2);
+                }
+                if let Some(d) = default {
+                    self.out.push('\n');
+                    pad(self.out, indent + 2);
+                    self.out.push_str("(else");
+                    self.arm_body(d, indent + 2);
+                }
+                self.out.push(')');
             }
-            if let Some(d) = default {
-                out.push('\n');
-                pad(out, indent + 2);
-                out.push_str("(else");
-                write_arm_body(out, d, indent + 2);
+            Terminator::Jump { label, args } => {
+                let _ = write!(self.out, "(jump j{label}");
+                for a in arena.vars(args) {
+                    let _ = write!(self.out, " x{a}");
+                }
+                self.out.push(')');
             }
-            out.push(')');
+            Terminator::Ret(v) => {
+                let _ = write!(self.out, "(ret x{v})");
+            }
         }
-        Expr::Jump { label, args } => {
-            let _ = write!(out, "(jump j{label}");
-            for a in args {
+        for _ in stmts {
+            self.out.push(')');
+        }
+    }
+
+    /// Writes a case-arm body: inline when tiny, indented on its own line
+    /// otherwise. `indent` is the arm's indent.
+    fn arm_body(&mut self, body: BlockId, indent: usize) {
+        if self.inline_ok(body) {
+            self.out.push(' ');
+            self.block(body, indent);
+        } else {
+            self.out.push('\n');
+            pad(self.out, indent + 2);
+            self.block(body, indent + 2);
+        }
+        self.out.push(')');
+    }
+
+    fn value(&mut self, v: &Value) {
+        let arena = &self.f.arena;
+        let out = &mut *self.out;
+        let args = |out: &mut String, args| {
+            for a in arena.vars(args) {
                 let _ = write!(out, " x{a}");
             }
-            out.push(')');
-        }
-        Expr::Ret(v) => {
-            let _ = write!(out, "(ret x{v})");
-        }
-        Expr::Inc { var, n, body } => {
-            let _ = writeln!(out, "(inc x{var} {n}");
-            pad(out, indent);
-            write_expr(out, body, indent);
-            out.push(')');
-        }
-        Expr::Dec { var, body } => {
-            let _ = writeln!(out, "(dec x{var}");
-            pad(out, indent);
-            write_expr(out, body, indent);
-            out.push(')');
-        }
-    }
-}
-
-/// Writes a case-arm body: inline when tiny, indented on its own line
-/// otherwise. `indent` is the arm's indent.
-fn write_arm_body(out: &mut String, body: &Expr, indent: usize) {
-    if inline_ok(body) {
-        out.push(' ');
-        write_expr(out, body, indent);
-    } else {
-        out.push('\n');
-        pad(out, indent + 2);
-        write_expr(out, body, indent + 2);
-    }
-    out.push(')');
-}
-
-fn write_value(out: &mut String, v: &Value) {
-    use std::fmt::Write;
-    match v {
-        Value::Var(x) => {
-            let _ = write!(out, "x{x}");
-        }
-        Value::LitInt(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::LitBig(digits) => {
-            if !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()) {
-                let _ = write!(out, "(big {digits})");
-            } else {
-                // Ill-formed payloads survive formatting via the quoted form.
-                out.push_str("(big ");
-                write_string(out, digits);
+        };
+        match *v {
+            Value::Var(x) => {
+                let _ = write!(out, "x{x}");
+            }
+            Value::LitInt(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Value::LitBig(digits) => {
+                let digits = arena.text(digits);
+                if !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()) {
+                    let _ = write!(out, "(big {digits})");
+                } else {
+                    // Ill-formed payloads survive formatting via the quoted form.
+                    out.push_str("(big ");
+                    write_string(out, digits);
+                    out.push(')');
+                }
+            }
+            Value::LitStr(s) => write_string(out, arena.text(s)),
+            Value::Ctor { tag, args: list } => {
+                let _ = write!(out, "(ctor {tag}");
+                args(out, list);
                 out.push(')');
             }
-        }
-        Value::LitStr(s) => write_string(out, s),
-        Value::Ctor { tag, args } => {
-            let _ = write!(out, "(ctor {tag}");
-            for a in args {
-                let _ = write!(out, " x{a}");
+            Value::Proj { var, idx } => {
+                let _ = write!(out, "(proj {idx} x{var})");
             }
-            out.push(')');
-        }
-        Value::Proj { var, idx } => {
-            let _ = write!(out, "(proj {idx} x{var})");
-        }
-        Value::Call { func, args } => {
-            out.push_str("(call ");
-            write_name(out, func);
-            for a in args {
-                let _ = write!(out, " x{a}");
+            Value::Call { func, args: list } => {
+                out.push_str("(call ");
+                write_name(out, self.names.resolve(func));
+                args(out, list);
+                out.push(')');
             }
-            out.push(')');
-        }
-        Value::Pap { func, args } => {
-            out.push_str("(pap ");
-            write_name(out, func);
-            for a in args {
-                let _ = write!(out, " x{a}");
+            Value::Pap { func, args: list } => {
+                out.push_str("(pap ");
+                write_name(out, self.names.resolve(func));
+                args(out, list);
+                out.push(')');
             }
-            out.push(')');
-        }
-        Value::App { closure, args } => {
-            let _ = write!(out, "(app x{closure}");
-            for a in args {
-                let _ = write!(out, " x{a}");
+            Value::App {
+                closure,
+                args: list,
+            } => {
+                let _ = write!(out, "(app x{closure}");
+                args(out, list);
+                out.push(')');
             }
-            out.push(')');
         }
     }
 }
@@ -240,7 +254,6 @@ fn write_name(out: &mut String, name: &str) {
 /// Writes a string literal with canonical (ASCII-only) escaping; the lexer
 /// decodes every escape emitted here.
 fn write_string(out: &mut String, s: &str) {
-    use std::fmt::Write;
     out.push('"');
     for c in s.chars() {
         match c {
@@ -262,7 +275,8 @@ fn write_string(out: &mut String, s: &str) {
 mod tests {
     use super::*;
     use crate::parse::parse_program;
-    use lssa_lambda::ast::build;
+    use lssa_lambda::ast::{BodyBuilder, Names, VarId};
+    use std::sync::Arc;
 
     fn roundtrip(p: &Program) {
         let text = print_program(p);
@@ -271,22 +285,32 @@ mod tests {
         assert_eq!(print_program(&back), text, "printing is not idempotent");
     }
 
+    /// A program of one function `name(params)`, its body built by `body`.
+    fn single(
+        name: &str,
+        params: &[VarId],
+        next_var: VarId,
+        next_join: u32,
+        body: impl FnOnce(&mut BodyBuilder) -> BlockId,
+    ) -> Program {
+        let mut names = Names::default();
+        let name = names.intern(name);
+        let mut b = BodyBuilder::default();
+        b.open();
+        let entry = body(&mut b);
+        Program {
+            fns: vec![b.finish(name, params, entry, next_var, next_join)],
+            names: Arc::new(names),
+        }
+    }
+
     #[test]
     fn flat_let_chain_layout() {
-        let body = build::let_(
-            0,
-            Value::LitInt(1),
-            build::let_(1, Value::Var(0), build::ret(1)),
-        );
-        let p = Program {
-            fns: vec![FnDef {
-                name: "main".into(),
-                params: vec![],
-                body,
-                next_var: 2,
-                next_join: 0,
-            }],
-        };
+        let p = single("main", &[], 2, 0, |b| {
+            b.let_(0, Value::LitInt(1));
+            b.let_(1, Value::Var(0));
+            b.ret(1)
+        });
         assert_eq!(
             print_program(&p),
             "(def main ()\n  (let x0 1\n  (let x1 x0\n  (ret x1))))\n"
@@ -296,23 +320,16 @@ mod tests {
 
     #[test]
     fn case_arms_inline_when_small() {
-        let body = build::case(
-            0,
-            vec![
-                (0, build::ret(0)),
-                (1, build::let_(1, Value::LitInt(9), build::ret(1))),
-            ],
-            Some(build::ret(0)),
-        );
-        let p = Program {
-            fns: vec![FnDef {
-                name: "f".into(),
-                params: vec![0],
-                body,
-                next_var: 2,
-                next_join: 0,
-            }],
-        };
+        let p = single("f", &[0], 2, 0, |b| {
+            b.open();
+            let a0 = b.ret(0);
+            b.open();
+            b.let_(1, Value::LitInt(9));
+            let a1 = b.ret(1);
+            b.open();
+            let d = b.ret(0);
+            b.case(0, &[(0, a0), (1, a1)], Some(d))
+        });
         let text = print_program(&p);
         assert!(text.contains("(0 (ret x0))"), "{text}");
         assert!(
@@ -325,73 +342,51 @@ mod tests {
 
     #[test]
     fn join_and_rc_ops_roundtrip() {
-        let jp = Expr::Inc {
-            var: 1,
-            n: 2,
-            body: Box::new(Expr::Dec {
-                var: 1,
-                body: Box::new(build::ret(1)),
-            }),
-        };
-        let body = Expr::LetJoin {
-            label: 0,
-            params: vec![1],
-            jp_body: Box::new(jp),
-            body: Box::new(Expr::Jump {
+        let p = single("f", &[0], 2, 1, |b| {
+            b.open();
+            b.push(Stmt::Inc { var: 1, n: 2 });
+            b.push(Stmt::Dec { var: 1 });
+            let jp = b.ret(1);
+            let params = b.list(&[1]);
+            b.push(Stmt::Join {
                 label: 0,
-                args: vec![0],
-            }),
-        };
-        let p = Program {
-            fns: vec![FnDef {
-                name: "f".into(),
-                params: vec![0],
-                body,
-                next_var: 2,
-                next_join: 1,
-            }],
-        };
+                params,
+                body: jp,
+            });
+            b.jump(0, &[0])
+        });
         roundtrip(&p);
     }
 
     #[test]
     fn strings_names_and_bigs_escape_canonically() {
-        let body = build::let_(
-            1,
-            Value::LitStr("a\"b\\c\nα\u{1}".into()),
-            build::let_(
-                2,
-                Value::LitBig("123".into()),
-                build::let_(
-                    3,
-                    Value::LitBig("not digits".into()),
-                    build::let_(
-                        4,
-                        Value::Call {
-                            func: "odd name".into(),
-                            args: vec![0],
-                        },
-                        build::ret(4),
-                    ),
-                ),
-            ),
+        let mut names = Names::default();
+        let odd_name = names.intern("odd name");
+        let main_name = names.intern("main");
+        let mut b = BodyBuilder::default();
+        b.open();
+        let odd_body = b.ret(0);
+        let odd = b.finish(odd_name, &[0], odd_body, 1, 0);
+        b.open();
+        let s = b.text("a\"b\\c\nα\u{1}");
+        b.let_(1, Value::LitStr(s));
+        let big = b.text("123");
+        b.let_(2, Value::LitBig(big));
+        let bad = b.text("not digits");
+        b.let_(3, Value::LitBig(bad));
+        let args = b.list(&[0]);
+        b.let_(
+            4,
+            Value::Call {
+                func: odd_name,
+                args,
+            },
         );
-        let odd = FnDef {
-            name: "odd name".into(),
-            params: vec![0],
-            body: build::ret(0),
-            next_var: 1,
-            next_join: 0,
-        };
-        let main = FnDef {
-            name: "main".into(),
-            params: vec![0],
-            body,
-            next_var: 5,
-            next_join: 0,
-        };
+        let body = b.ret(4);
+        let main = b.finish(main_name, &[0], body, 5, 0);
         let p = Program {
             fns: vec![odd, main],
+            names: Arc::new(names),
         };
         let text = print_program(&p);
         assert!(text.contains(r#""a\"b\\c\n\u{3b1}\u{1}""#), "{text}");

@@ -73,6 +73,11 @@ pub struct Forest<'a> {
 }
 
 impl<'a> Forest<'a> {
+    /// Number of nodes, at every depth.
+    pub fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
     /// The top-level S-expressions, in source order.
     pub fn top(&self) -> &[Sexp<'a>] {
         self.items(self.top)
@@ -102,12 +107,14 @@ impl<'a> Forest<'a> {
 pub fn read(src: &str) -> (Forest<'_>, Vec<Diagnostic>) {
     let mut lexer = Lexer::new(src);
     let mut structural = Vec::new();
-    let mut nodes: Vec<Sexp> = Vec::new();
+    // Sized for printed programs, which spend about four bytes a node (an
+    // id, a space, a parenthesis): the buffers rarely grow.
+    let mut nodes: Vec<Sexp> = Vec::with_capacity(src.len() / 4);
     // Finished items whose list is still open, innermost list's last.
-    let mut pending: Vec<Sexp> = Vec::new();
+    let mut pending: Vec<Sexp> = Vec::with_capacity(src.len() / 16);
     // Open lists: the `(` span and where the list's items start in
     // `pending`.
-    let mut open: Vec<(Span, usize)> = Vec::new();
+    let mut open: Vec<(Span, usize)> = Vec::with_capacity(src.len() / 32);
     while let Some(token) = lexer.next() {
         let span = token.span;
         match token.kind {

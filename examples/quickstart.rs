@@ -31,16 +31,12 @@ fn main() {
     let program = lambda_ssa::lambda::parse_program(PROGRAM).expect("parse");
     lambda_ssa::lambda::check_program(&program).expect("wellformed");
     println!("=== λpure (A-normal form) ===");
-    for f in &program.fns {
-        println!("{f}");
-    }
+    print!("{program}");
 
     // Reference counting: λpure → λrc.
     let rc = lambda_ssa::lambda::insert_rc(&program);
     println!("=== λrc (explicit inc/dec) ===");
-    for f in &rc.fns {
-        println!("{f}");
-    }
+    print!("{rc}");
 
     // λrc → lp (the SSA embedding, Figure 2).
     let mut module = lambda_ssa::core::lp::from_lambda::lower_program(&rc);
