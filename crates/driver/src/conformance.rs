@@ -7,6 +7,7 @@
 //! program is differentially tested across all pipelines
 //! ([`crate::diff::run_differential`]).
 
+use lssa_vm::DecodeOptions;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -485,8 +486,8 @@ pub const GOLDEN_FUEL: u64 = 200_000_000;
 
 /// The codegen-stability golden: for each of the 8 workloads at
 /// `Scale::Test`, the handwritten cases and a seeded generated draw
-/// ([`GOLDEN_DRAW`]), one line with four FNV-1a digests and the oracle's
-/// outcome, then one `total` line digesting the four digests of every
+/// ([`GOLDEN_DRAW`]), one line with five FNV-1a digests and the oracle's
+/// outcome, then one `total` line digesting the five digests of every
 /// line:
 ///
 /// - `rc`: the printed λrc program the front half hands the backend
@@ -494,6 +495,8 @@ pub const GOLDEN_FUEL: u64 = 200_000_000;
 /// - `lp`: the printed `lp` module that program lowers to;
 /// - `code`: every function's decoded cells and pools under the default
 ///   decode options, compiled with [`CompilerConfig::mlir`];
+/// - `nofuse`: the same digest under [`DecodeOptions::no_fuse`], the
+///   stream the bytecode compiler emits before fusion and renumbering;
 /// - `rgn`: the same digest of the code compiled with
 ///   [`CompilerConfig::rgn_only`], whose unsimplified input is where the
 ///   region optimizations do their work (under `mlir` the λ simplifier
@@ -548,11 +551,12 @@ pub fn codegen_golden() -> String {
             compile(&src, CompilerConfig::rgn_only()),
         ) {
             (Ok(mlir), Ok(rgn)) => format!(
-                "{name} rc {:016x} lp {:016x} code {:016x} rgn {:016x}",
+                "{name} rc {:016x} lp {:016x} code {:016x} nofuse {:016x} rgn {:016x}",
                 rc_digest.0,
                 lp_digest.0,
-                code_digest(&mlir),
-                code_digest(&rgn)
+                code_digest(&mlir, DecodeOptions::default()),
+                code_digest(&mlir, DecodeOptions::no_fuse()),
+                code_digest(&rgn, DecodeOptions::default())
             ),
             (Err(e), _) | (_, Err(e)) => format!("{name} error: {e}"),
         };
@@ -581,12 +585,12 @@ pub fn codegen_golden() -> String {
     out
 }
 
-/// The FNV-1a digest of every function's decoded cells and pools under the
-/// default decode options.
-fn code_digest(program: &lssa_vm::CompiledProgram) -> u64 {
+/// The FNV-1a digest of every function's decoded cells and pools under
+/// `opts`.
+fn code_digest(program: &lssa_vm::CompiledProgram, opts: DecodeOptions) -> u64 {
     use std::fmt::Write as _;
     let mut h = Fnv1a::default();
-    let d = program.decoded(lssa_vm::DecodeOptions::default());
+    let d = program.decoded(opts);
     for f in &d.fns {
         let _ = write!(
             h,

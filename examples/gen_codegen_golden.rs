@@ -4,9 +4,10 @@
 //! cargo run --example gen_codegen_golden
 //! ```
 //!
-//! The file holds four digests per program: the printed λrc program, the
+//! The file holds five digests per program: the printed λrc program, the
 //! printed `lp` module it lowers to, and every function's decoded cells and
-//! pools under the `mlir` and under the `rgn_only` configuration; then the
+//! pools under the `mlir` configuration (fused, then unfused) and under the
+//! `rgn_only` configuration; then the
 //! reference interpreter's outcome: a digest of its result, its steps and
 //! its heap counters. The programs are the 8 workloads at `Scale::Test`,
 //! the handwritten conformance cases and a seeded generated draw (see

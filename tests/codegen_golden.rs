@@ -1,5 +1,6 @@
 //! Codegen stability: the λrc program, the `lp` module, the decoded code
-//! under the `mlir` and the `rgn_only` configurations of every workload,
+//! under the `mlir` configuration (fused and unfused) and the `rgn_only`
+//! configuration of every workload,
 //! handwritten conformance case and a seeded generated draw, and the
 //! reference interpreter's result, steps and heap counters on each, must
 //! match the committed record in `tests/golden/codegen.txt` (regenerate
@@ -67,10 +68,12 @@ fn golden_covers_every_program_and_compiles_them_all() {
     );
     // Under `mlir` the region optimizations find nothing left to do, so
     // every program also pins the code `rgn_only` compiles, where they do.
+    // The unfused stream is pinned too: it is what the bytecode compiler
+    // emits, before fusion and renumbering rewrite it.
     assert!(
         lines[..lines.len() - 1]
             .iter()
-            .all(|l| l.contains(" code ") && l.contains(" rgn ")),
-        "every pinned program carries its rgn_only code digest:\n{now}"
+            .all(|l| l.contains(" code ") && l.contains(" nofuse ") && l.contains(" rgn ")),
+        "every pinned program carries its unfused and rgn_only code digests:\n{now}"
     );
 }
