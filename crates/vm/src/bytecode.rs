@@ -1,12 +1,19 @@
-//! The bytecode format.
+//! The bytecode program.
 //!
-//! A register machine: each function body is a flat instruction vector with
-//! absolute jump targets. Registers hold 64-bit words that are either raw
-//! machine integers (from `arith` ops) or [`lssa_rt::ObjRef`] bit patterns
-//! (from `lp` ops) — the compiler keeps the two apart statically, mirroring
-//! the IR's type system, so the VM never needs tags.
+//! A register machine: each function body is a flat vector of
+//! [`DecodedInstr`] cells with absolute jump targets, whose argument lists
+//! and switch tables live in two pools per function ([`DecodedFn`]).
+//! [`crate::compile_module`] emits these cells, and the VM runs the same
+//! cells after [`crate::decode`] has fused and renumbered them. Registers
+//! hold 64-bit words that are either raw machine integers (from `arith`
+//! ops) or [`lssa_rt::ObjRef`] bit patterns (from `lp` ops) — the compiler
+//! keeps the two apart statically, mirroring the IR's type system, so the
+//! VM never needs tags.
+//!
+//! [`DecodedInstr`]: crate::decode::DecodedInstr
 
-use lssa_rt::{Builtin, Nat};
+use crate::decode::{DecodeOptions, DecodedFn};
+use lssa_rt::Nat;
 use std::fmt;
 
 /// A virtual register.
@@ -63,229 +70,6 @@ impl BinOp {
 /// Comparison predicates on raw words (signed).
 pub use lssa_ir::attr::CmpPred;
 
-/// One instruction.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Instr {
-    /// `dst ← raw constant`.
-    ConstInt {
-        /// Destination.
-        dst: Reg,
-        /// The value.
-        v: i64,
-    },
-    /// `dst ← scalar object` (`lp.int`).
-    LpInt {
-        /// Destination.
-        dst: Reg,
-        /// The (small) integer.
-        v: i64,
-    },
-    /// `dst ← boxed bignum` from the constant pool (`lp.bigint`).
-    LpBig {
-        /// Destination.
-        dst: Reg,
-        /// Pool index.
-        idx: u32,
-    },
-    /// `dst ← string object` from the pool (`lp.str`).
-    LpStr {
-        /// Destination.
-        dst: Reg,
-        /// Pool index.
-        idx: u32,
-    },
-    /// `dst ← ctor{tag}(args…)` (`lp.construct`).
-    Construct {
-        /// Destination.
-        dst: Reg,
-        /// Variant tag.
-        tag: u32,
-        /// Field registers.
-        args: Vec<Reg>,
-    },
-    /// `dst ← tag(src)` as a raw word (`lp.getlabel`).
-    GetLabel {
-        /// Destination (raw).
-        dst: Reg,
-        /// Source object.
-        src: Reg,
-    },
-    /// `dst ← field idx of src` (`lp.project`).
-    Project {
-        /// Destination.
-        dst: Reg,
-        /// Source object.
-        src: Reg,
-        /// Field index.
-        idx: u32,
-    },
-    /// Build a closure (`lp.pap`).
-    Pap {
-        /// Destination.
-        dst: Reg,
-        /// Target function (VM index).
-        func: u32,
-        /// Its arity.
-        arity: u16,
-        /// Captured arguments.
-        args: Vec<Reg>,
-    },
-    /// Extend a closure, possibly invoking it (`lp.papextend`).
-    PapExtend {
-        /// Destination.
-        dst: Reg,
-        /// The closure.
-        closure: Reg,
-        /// Arguments to add.
-        args: Vec<Reg>,
-    },
-    /// Retain (`lp.inc`).
-    Inc {
-        /// The object.
-        src: Reg,
-    },
-    /// Release (`lp.dec`).
-    Dec {
-        /// The object.
-        src: Reg,
-    },
-    /// Direct call of a user function.
-    Call {
-        /// Destination for the result.
-        dst: Reg,
-        /// VM function index.
-        func: u32,
-        /// Arguments.
-        args: Vec<Reg>,
-    },
-    /// Call of a runtime builtin.
-    CallBuiltin {
-        /// Destination.
-        dst: Reg,
-        /// The builtin.
-        builtin: Builtin,
-        /// Arguments.
-        args: Vec<Reg>,
-        /// Borrowed argument positions (bit *i* = `args[i]`): the VM
-        /// retains these as the first step of the call, standing in for
-        /// an `lp.inc` the rc-opt pass folded away.
-        mask: u8,
-    },
-    /// Guaranteed tail call: replaces the current frame.
-    TailCall {
-        /// VM function index.
-        func: u32,
-        /// Arguments.
-        args: Vec<Reg>,
-    },
-    /// Return `src` to the caller.
-    Ret {
-        /// The result.
-        src: Reg,
-    },
-    /// Unconditional jump.
-    Jump {
-        /// Absolute target.
-        target: usize,
-    },
-    /// Two-way branch on a raw word.
-    Branch {
-        /// Condition (0 = false).
-        cond: Reg,
-        /// Target when non-zero.
-        then_t: usize,
-        /// Target when zero.
-        else_t: usize,
-    },
-    /// Jump table on a raw word.
-    Switch {
-        /// Scrutinee.
-        idx: Reg,
-        /// `(value, target)` pairs.
-        cases: Vec<(i64, usize)>,
-        /// Fallback target.
-        default: usize,
-    },
-    /// `dst ← op(a, b)` on raw words.
-    Bin {
-        /// The operation.
-        op: BinOp,
-        /// Destination.
-        dst: Reg,
-        /// Left operand.
-        a: Reg,
-        /// Right operand.
-        b: Reg,
-    },
-    /// `dst ← pred(a, b)` as 0/1.
-    Cmp {
-        /// The predicate.
-        pred: CmpPred,
-        /// Destination.
-        dst: Reg,
-        /// Left operand.
-        a: Reg,
-        /// Right operand.
-        b: Reg,
-    },
-    /// `dst ← c ? a : b` (bitwise copy; works for objects and raw words).
-    Select {
-        /// Destination.
-        dst: Reg,
-        /// Condition (raw).
-        c: Reg,
-        /// Taken when non-zero.
-        a: Reg,
-        /// Taken when zero.
-        b: Reg,
-    },
-    /// `dst ← src & mask` (zero-extension casts).
-    Mask {
-        /// Destination.
-        dst: Reg,
-        /// Source.
-        src: Reg,
-        /// Bit mask.
-        mask: u64,
-    },
-    /// Register copy.
-    Move {
-        /// Destination.
-        dst: Reg,
-        /// Source.
-        src: Reg,
-    },
-    /// Read a module global.
-    GlobalLoad {
-        /// Destination.
-        dst: Reg,
-        /// Global slot index.
-        idx: u32,
-    },
-    /// Write a module global.
-    GlobalStore {
-        /// Global slot index.
-        idx: u32,
-        /// Source.
-        src: Reg,
-    },
-    /// `cf.unreachable` — executing this is a bug.
-    Trap,
-}
-
-/// A compiled function.
-#[derive(Debug, Clone)]
-pub struct CompiledFn {
-    /// Source-level name.
-    pub name: String,
-    /// Number of parameters (passed in registers `0..arity`).
-    pub arity: u16,
-    /// Total registers used.
-    pub n_regs: u16,
-    /// The code.
-    pub code: Vec<Instr>,
-}
-
 /// Memoized decoded forms of a [`CompiledProgram`] (one slot per
 /// [`DecodeOptions`] mode), filled lazily by [`CompiledProgram::decoded`].
 ///
@@ -313,13 +97,13 @@ impl fmt::Debug for DecodeCache {
     }
 }
 
-use crate::decode::DecodeOptions;
-
 /// A compiled program.
 #[derive(Debug, Clone, Default)]
 pub struct CompiledProgram {
-    /// Functions; closure [`lssa_rt::FuncId`]s index into this.
-    pub fns: Vec<CompiledFn>,
+    /// Functions, as the compiler emits them: unfused cells, inline-cache
+    /// slots not yet assigned. Closure [`lssa_rt::FuncId`]s index into
+    /// this.
+    pub fns: Vec<DecodedFn>,
     /// Big-integer constant pool.
     pub big_pool: Vec<Nat>,
     /// String constant pool.
@@ -358,6 +142,7 @@ impl CompiledProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decode::DecodedInstr;
 
     #[test]
     fn binop_eval() {
@@ -369,20 +154,20 @@ mod tests {
         assert_eq!(BinOp::Add.eval(i64::MAX, 1), Some(i64::MIN));
     }
 
+    /// `main() = 1`.
+    fn one() -> CompiledProgram {
+        let mut f = DecodedFn::new("main", 0, 1);
+        f.code.push(DecodedInstr::LpInt { dst: Reg(0), v: 1 });
+        f.code.push(DecodedInstr::Ret { src: Reg(0) });
+        CompiledProgram {
+            fns: vec![f],
+            ..CompiledProgram::default()
+        }
+    }
+
     #[test]
     fn program_lookup() {
-        let p = CompiledProgram {
-            fns: vec![CompiledFn {
-                name: "main".into(),
-                arity: 0,
-                n_regs: 1,
-                code: vec![
-                    Instr::LpInt { dst: Reg(0), v: 1 },
-                    Instr::Ret { src: Reg(0) },
-                ],
-            }],
-            ..CompiledProgram::default()
-        };
+        let p = one();
         assert_eq!(p.fn_index("main"), Some(0));
         assert_eq!(p.fn_index("other"), None);
         assert_eq!(p.code_size(), 2);
@@ -390,18 +175,7 @@ mod tests {
 
     #[test]
     fn decoded_forms_are_memoized_per_mode() {
-        let p = CompiledProgram {
-            fns: vec![CompiledFn {
-                name: "main".into(),
-                arity: 0,
-                n_regs: 1,
-                code: vec![
-                    Instr::LpInt { dst: Reg(0), v: 1 },
-                    Instr::Ret { src: Reg(0) },
-                ],
-            }],
-            ..CompiledProgram::default()
-        };
+        let p = one();
         let fused = p.decoded(DecodeOptions::fused());
         assert!(
             std::sync::Arc::ptr_eq(&fused, &p.decoded(DecodeOptions::fused())),

@@ -5,6 +5,14 @@
 //! projections, closures, refcounting). Region-carrying ops are rejected —
 //! run the `lssa-core` lowerings first.
 //!
+//! The compiler emits the cells the VM runs ([`DecodedInstr`]): one pass
+//! over a function's blocks writes its code vector, argument pool and case
+//! pool, interning operand lists in emission order, then patches jump and
+//! case targets in place once every block is placed. A `u16` counts a
+//! function's registers, a cell's operands and a switch's entries, so a
+//! function needing more than 65,535 of any of them is refused with a
+//! [`CompileError`] that names it.
+//!
 //! Two choices here exist for the decoder's fusion pass
 //! ([`crate::decode`]), which only looks at adjacent cells:
 //!
@@ -18,12 +26,13 @@
 //!
 //! The per-function tables (registers, facts, block offsets, branch
 //! fixups, operand registers) are buffers one [`compile_module`] reuses for
-//! every function; a function allocates its name, its code and the
-//! argument lists its call and constructor cells own.
+//! every function; a function allocates its name, its code and its two
+//! pools, each reserved once from the function's ops.
 
-use crate::bytecode::{BinOp, CompiledFn, CompiledProgram, Instr, Reg};
+use crate::bytecode::{BinOp, CompiledProgram, Reg};
+use crate::decode::{DecodedFn, DecodedInstr};
 use lssa_ir::attr::AttrKey;
-use lssa_ir::body::{Body, ROOT_REGION};
+use lssa_ir::body::{Body, Successor, ROOT_REGION};
 use lssa_ir::hash::FxHashMap;
 use lssa_ir::ids::{BlockId, OpId, Symbol, ValueId};
 use lssa_ir::module::Module;
@@ -31,7 +40,8 @@ use lssa_ir::opcode::Opcode;
 use lssa_rt::{Builtin, Nat};
 use std::fmt;
 
-/// A compilation failure (unsupported shape reaching the backend).
+/// A compilation failure: an unsupported shape reaching the backend, or a
+/// function wider than the cells encode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompileError {
     /// Description.
@@ -52,12 +62,21 @@ fn err(message: impl Into<String>) -> CompileError {
     }
 }
 
+/// The error for function `func` needing more `what` than a `u16` counts.
+pub(crate) fn over_limit(func: &str, what: &str) -> CompileError {
+    err(format!(
+        "@{func} needs more than {} {what}, the most the VM encodes",
+        u16::MAX
+    ))
+}
+
 /// Compiles a lowered module to bytecode.
 ///
 /// # Errors
 ///
 /// Returns an error if an op that requires further lowering (regions,
-/// `lp.switch`, `rgn.*`) reaches the backend.
+/// `lp.switch`, `rgn.*`) reaches the backend, or if a function needs more
+/// than 65,535 registers, operands in one cell or entries in one switch.
 pub fn compile_module(module: &Module) -> Result<CompiledProgram, CompileError> {
     let mut program = CompiledProgram::default();
     // User functions get VM indices in module order; builtins are resolved
@@ -88,10 +107,10 @@ pub fn compile_module(module: &Module) -> Result<CompiledProgram, CompileError> 
             body,
             callees: &mut callees,
             program: &mut program,
-            next_reg: 0,
             bufs: &mut bufs,
+            out: DecodedFn::new(module.name_of(f.name), 0, 0),
         }
-        .compile(module.name_of(f.name), f.sig.params.len())?;
+        .compile()?;
         program.fns.push(compiled);
     }
     Ok(program)
@@ -108,7 +127,7 @@ struct FnBuffers {
     facts: Vec<u8>,
     /// Code offset of each placed block, indexed by [`BlockId::index`].
     block_offsets: Vec<Option<usize>>,
-    /// Fixups: (instruction index, which target slot, destination block).
+    /// Fixups: (cell index, which target slot, destination block).
     fixups: Vec<(usize, usize, BlockId)>,
     /// The operand registers of the op being compiled.
     srcs: Vec<Reg>,
@@ -131,8 +150,10 @@ struct FnCompiler<'a> {
     /// The module's callee table, shared by all its functions.
     callees: &'a mut FxHashMap<Symbol, Callee>,
     program: &'a mut CompiledProgram,
-    next_reg: u32,
     bufs: &'a mut FnBuffers,
+    /// The function being emitted; its `n_regs` counts the registers
+    /// allocated so far.
+    out: DecodedFn,
 }
 
 /// The value is defined by `arith.constant` or `lp.int`.
@@ -146,20 +167,25 @@ const ESCAPES: u8 = 2;
 const DECIDED: u8 = 4;
 
 impl FnCompiler<'_> {
-    fn reg(&mut self, v: ValueId) -> Reg {
+    fn reg(&mut self, v: ValueId) -> Result<Reg, CompileError> {
         if let Some(r) = self.bufs.regs[v.index()] {
-            return r;
+            return Ok(r);
         }
-        let r = Reg(u16::try_from(self.next_reg).expect("register file exhausted"));
-        self.next_reg += 1;
+        let r = self.fresh_reg()?;
         self.bufs.regs[v.index()] = Some(r);
-        r
+        Ok(r)
     }
 
-    fn fresh_reg(&mut self) -> Reg {
-        let r = Reg(u16::try_from(self.next_reg).expect("register file exhausted"));
-        self.next_reg += 1;
-        r
+    fn fresh_reg(&mut self) -> Result<Reg, CompileError> {
+        let r = self.out.n_regs;
+        self.out.n_regs = r
+            .checked_add(1)
+            .ok_or_else(|| over_limit(&self.out.name, "registers"))?;
+        Ok(Reg(r))
+    }
+
+    fn push(&mut self, cell: DecodedInstr) {
+        self.out.code.push(cell);
     }
 
     fn callee_of(&self, op: OpId) -> Result<Symbol, CompileError> {
@@ -184,9 +210,12 @@ impl FnCompiler<'_> {
         Ok(Callee::Builtin(builtin))
     }
 
-    /// Fills [`FnCompiler::facts`] in one walk over the function's ops.
-    fn gather_facts(&mut self, blocks: &[BlockId]) {
+    /// Fills [`FnBuffers::facts`] in one walk over the function's ops, and
+    /// returns how many entries the cells will take in the argument pool
+    /// and in the case pool.
+    fn gather_facts(&mut self, blocks: &[BlockId]) -> (usize, usize) {
         let body = self.body;
+        let (mut args, mut cases) = (0, 0);
         for &block in blocks {
             for &op in &body.blocks[block.index()].ops {
                 let data = &body.ops[op.index()];
@@ -198,15 +227,27 @@ impl FnCompiler<'_> {
                         false
                     }
                     Opcode::CmpI => true,
-                    Opcode::Call | Opcode::TailCall => match self.callee(op) {
-                        Ok(Callee::Builtin(b)) => {
-                            if let (true, Some(&r)) = (b.returns_scalar(), data.results.first()) {
-                                self.bufs.facts[r.index()] |= DECIDED;
+                    Opcode::Call | Opcode::TailCall => {
+                        args += data.operands.len();
+                        match self.callee(op) {
+                            Ok(Callee::Builtin(b)) => {
+                                if let (true, Some(&r)) = (b.returns_scalar(), data.results.first())
+                                {
+                                    self.bufs.facts[r.index()] |= DECIDED;
+                                }
+                                true
                             }
-                            true
+                            _ => false,
                         }
-                        _ => false,
-                    },
+                    }
+                    Opcode::LpConstruct | Opcode::LpPap | Opcode::LpPapExtend => {
+                        args += data.operands.len();
+                        false
+                    }
+                    Opcode::SwitchBr => {
+                        cases += data.successors.len().saturating_sub(1);
+                        false
+                    }
                     _ => false,
                 };
                 if !fusible {
@@ -221,28 +262,30 @@ impl FnCompiler<'_> {
                 }
             }
         }
+        (args, cases)
     }
 
     /// Materializes constant `v`, which does not escape, into a fresh
     /// register right here, in front of the op using it.
-    fn materialize(&mut self, v: ValueId, code: &mut Vec<Instr>) -> Result<Reg, CompileError> {
+    fn materialize(&mut self, v: ValueId) -> Result<Reg, CompileError> {
         let def = self
             .body
             .defining_op(v)
             .ok_or_else(|| err("constant without defining op"))?;
-        let dst = self.fresh_reg();
-        code.push(self.constant(def, dst)?);
+        let dst = self.fresh_reg()?;
+        let cell = self.constant(def, dst)?;
+        self.push(cell);
         Ok(dst)
     }
 
     /// The cell loading the value of constant op `op` (`arith.constant`
     /// or `lp.int`) into `dst`.
-    fn constant(&self, op: OpId, dst: Reg) -> Result<Instr, CompileError> {
+    fn constant(&self, op: OpId, dst: Reg) -> Result<DecodedInstr, CompileError> {
         let data = &self.body.ops[op.index()];
         let v = data.attr(AttrKey::Value).and_then(|a| a.as_int());
         if data.opcode == Opcode::LpInt {
             let v = v.ok_or_else(|| err("lp.int without value"))?;
-            return Ok(Instr::LpInt { dst, v });
+            return Ok(DecodedInstr::LpInt { dst, v });
         }
         let v = v.ok_or_else(|| err("constant without value"))?;
         let ty = self.body.value_type(data.results[0]);
@@ -251,25 +294,27 @@ impl FnCompiler<'_> {
             Some(bits) if bits < 64 => v & ((1i64 << bits) - 1),
             _ => v,
         };
-        Ok(Instr::ConstInt { dst, v })
+        Ok(DecodedInstr::ConstInt { dst, v })
     }
 
-    fn compile(mut self, name: &str, arity: usize) -> Result<CompiledFn, CompileError> {
+    fn compile(mut self) -> Result<DecodedFn, CompileError> {
         // Parameters occupy registers 0..arity.
         for &p in self.body.params() {
-            self.reg(p);
+            self.reg(p)?;
         }
-        debug_assert_eq!(self.next_reg as usize, arity);
+        self.out.arity = self.out.n_regs;
         let body = self.body;
         let blocks = &body.regions[ROOT_REGION.index()].blocks;
-        self.gather_facts(blocks);
+        let (args, cases) = self.gather_facts(blocks);
         // About one cell per op: constants that materialize at their uses
         // and edge moves add some, folded incs and decs remove some.
         let ops = blocks
             .iter()
             .map(|b| body.blocks[b.index()].ops.len())
             .sum();
-        let mut code: Vec<Instr> = Vec::with_capacity(ops);
+        self.out.code.reserve_exact(ops);
+        self.out.args.reserve_exact(args);
+        self.out.cases.reserve_exact(cases);
         let mut block_offsets = std::mem::take(&mut self.bufs.block_offsets);
         block_offsets.clear();
         block_offsets.resize(body.blocks.len(), None);
@@ -278,9 +323,9 @@ impl FnCompiler<'_> {
         // An error ends the module's compilation, so the buffers taken out
         // need to go back only on success.
         for &block in blocks {
-            block_offsets[block.index()] = Some(code.len());
+            block_offsets[block.index()] = Some(self.out.code.len());
             for &op in &body.blocks[block.index()].ops {
-                self.compile_op(op, &mut code, &mut fixups)?;
+                self.compile_op(op, &mut fixups)?;
             }
         }
         for &(at, slot, dest) in &fixups {
@@ -289,26 +334,66 @@ impl FnCompiler<'_> {
                 .copied()
                 .flatten()
                 .ok_or_else(|| err(format!("branch to unplaced block {dest}")))?;
-            patch_target(&mut code[at], slot, target);
+            self.patch_target(at, slot, target);
         }
         self.bufs.block_offsets = block_offsets;
         self.bufs.fixups = fixups;
-        Ok(CompiledFn {
-            name: name.to_string(),
-            arity: arity as u16,
-            n_regs: u16::try_from(self.next_reg).expect("register file exhausted"),
-            code,
-        })
+        Ok(self.out)
     }
 
-    /// Emits moves realizing a branch's argument transfer, then returns the
-    /// destination block. Uses temporaries for a safe parallel move.
-    fn emit_edge(
+    /// Points target slot `slot` of the branch cell at `at` to cell
+    /// `target`: a `Branch`'s slots are its two targets, a `Switch`'s its
+    /// cases in order, then its default.
+    fn patch_target(&mut self, at: usize, slot: usize, target: usize) {
+        let target = u32::try_from(target).expect("function body exceeds u32 cells");
+        let DecodedFn { code, cases, .. } = &mut self.out;
+        match &mut code[at] {
+            DecodedInstr::Jump { target: t } => *t = target,
+            DecodedInstr::Branch { then_t, else_t, .. } => {
+                *if slot == 0 { then_t } else { else_t } = target;
+            }
+            DecodedInstr::Switch {
+                cases: run,
+                default,
+                ..
+            } => match cases[run.range()].get_mut(slot) {
+                Some((_, t)) => *t = target,
+                None => *default = target,
+            },
+            other => panic!("cannot patch target of {other:?}"),
+        }
+    }
+
+    /// Emits a jump to `dest`, patched once `dest` is placed.
+    fn jump_to(&mut self, dest: BlockId, fixups: &mut Vec<(usize, usize, BlockId)>) {
+        fixups.push((self.out.code.len(), 0, dest));
+        self.push(DecodedInstr::Jump { target: u32::MAX });
+    }
+
+    /// Points target slot *i* of the branch cell at `at` to successor *i*:
+    /// directly, or through a trampoline of edge moves and a jump when the
+    /// edge carries arguments.
+    fn emit_arms(
         &mut self,
-        code: &mut Vec<Instr>,
-        dest: BlockId,
-        args: &[ValueId],
+        at: usize,
+        succs: &[Successor],
+        fixups: &mut Vec<(usize, usize, BlockId)>,
     ) -> Result<(), CompileError> {
+        for (slot, s) in succs.iter().enumerate() {
+            if s.args.is_empty() {
+                fixups.push((at, slot, s.block));
+            } else {
+                self.patch_target(at, slot, self.out.code.len());
+                self.emit_edge(s.block, &s.args)?;
+                self.jump_to(s.block, fixups);
+            }
+        }
+        Ok(())
+    }
+
+    /// Emits moves realizing a branch's argument transfer to `dest`. Uses
+    /// temporaries for a safe parallel move.
+    fn emit_edge(&mut self, dest: BlockId, args: &[ValueId]) -> Result<(), CompileError> {
         if args.is_empty() {
             return Ok(());
         }
@@ -316,11 +401,11 @@ impl FnCompiler<'_> {
         let mut regs = std::mem::take(&mut self.bufs.edge);
         regs.clear();
         for &a in args {
-            let r = self.reg(a);
+            let r = self.reg(a)?;
             regs.push(r);
         }
         for &p in params {
-            let r = self.reg(p);
+            let r = self.reg(p)?;
             regs.push(r);
         }
         let (srcs, dsts) = regs.split_at(args.len());
@@ -329,20 +414,19 @@ impl FnCompiler<'_> {
         if !conflict {
             for (&dst, &src) in dsts.iter().zip(srcs) {
                 if dst != src {
-                    code.push(Instr::Move { dst, src });
+                    self.push(DecodedInstr::Move { dst, src });
                 }
             }
         } else {
             // General parallel move: stage through temporaries, which are
             // the next registers in turn.
-            let first = self.next_reg;
+            let first = self.out.n_regs;
             for &src in srcs {
-                let t = self.fresh_reg();
-                code.push(Instr::Move { dst: t, src });
+                let t = self.fresh_reg()?;
+                self.push(DecodedInstr::Move { dst: t, src });
             }
-            for (&dst, t) in dsts.iter().zip(first..self.next_reg) {
-                let src = Reg(u16::try_from(t).expect("register file exhausted"));
-                code.push(Instr::Move { dst, src });
+            for (&dst, t) in dsts.iter().zip(first..self.out.n_regs) {
+                self.push(DecodedInstr::Move { dst, src: Reg(t) });
             }
         }
         self.bufs.edge = regs;
@@ -352,7 +436,6 @@ impl FnCompiler<'_> {
     fn compile_op(
         &mut self,
         op: OpId,
-        code: &mut Vec<Instr>,
         fixups: &mut Vec<(usize, usize, BlockId)>,
     ) -> Result<(), CompileError> {
         let mut srcs = std::mem::take(&mut self.bufs.srcs);
@@ -360,13 +443,13 @@ impl FnCompiler<'_> {
         let body = self.body;
         for &v in &body.ops[op.index()].operands {
             let r = if self.bufs.facts[v.index()] == CONSTANT {
-                self.materialize(v, code)?
+                self.materialize(v)?
             } else {
-                self.reg(v)
+                self.reg(v)?
             };
             srcs.push(r);
         }
-        self.emit(op, &srcs, code, fixups)?;
+        self.emit(op, &srcs, fixups)?;
         self.bufs.srcs = srcs;
         Ok(())
     }
@@ -376,7 +459,6 @@ impl FnCompiler<'_> {
         &mut self,
         op: OpId,
         srcs: &[Reg],
-        code: &mut Vec<Instr>,
         fixups: &mut Vec<(usize, usize, BlockId)>,
     ) -> Result<(), CompileError> {
         use Opcode::*;
@@ -389,8 +471,9 @@ impl FnCompiler<'_> {
             ConstI | LpInt => {
                 let value = result.ok_or_else(|| err("constant without result"))?;
                 if self.bufs.facts[value.index()] & ESCAPES != 0 {
-                    let dst = self.reg(value);
-                    code.push(self.constant(op, dst)?);
+                    let dst = self.reg(value)?;
+                    let cell = self.constant(op, dst)?;
+                    self.push(cell);
                 }
             }
             AddI | SubI | MulI | DivI | RemI | AndI | OrI | XorI => {
@@ -405,8 +488,8 @@ impl FnCompiler<'_> {
                     XorI => BinOp::Xor,
                     _ => unreachable!(),
                 };
-                let dst = self.reg(result.unwrap());
-                code.push(Instr::Bin {
+                let dst = self.reg(result.unwrap())?;
+                self.push(DecodedInstr::Bin {
                     op: binop,
                     dst,
                     a: srcs[0],
@@ -414,12 +497,12 @@ impl FnCompiler<'_> {
                 });
             }
             CmpI => {
-                let pred = self.body.ops[op.index()]
+                let pred = data
                     .attr(AttrKey::Pred)
                     .and_then(|a| a.as_pred())
                     .ok_or_else(|| err("cmpi without predicate"))?;
-                let dst = self.reg(result.unwrap());
-                code.push(Instr::Cmp {
+                let dst = self.reg(result.unwrap())?;
+                self.push(DecodedInstr::Cmp {
                     pred,
                     dst,
                     a: srcs[0],
@@ -427,8 +510,8 @@ impl FnCompiler<'_> {
                 });
             }
             Select => {
-                let dst = self.reg(result.unwrap());
-                code.push(Instr::Select {
+                let dst = self.reg(result.unwrap())?;
+                self.push(DecodedInstr::Select {
                     dst,
                     c: srcs[0],
                     a: srcs[1],
@@ -436,13 +519,13 @@ impl FnCompiler<'_> {
                 });
             }
             ExtUI | TruncI => {
-                let to = self.body.value_type(result.unwrap());
-                let dst = self.reg(result.unwrap());
+                let to = body.value_type(result.unwrap());
+                let dst = self.reg(result.unwrap())?;
                 let mask = match to.bit_width() {
                     Some(bits) if bits < 64 => (1u64 << bits) - 1,
                     _ => u64::MAX,
                 };
-                code.push(Instr::Mask {
+                self.push(DecodedInstr::Mask {
                     dst,
                     src: srcs[0],
                     mask,
@@ -450,100 +533,54 @@ impl FnCompiler<'_> {
             }
             Br => {
                 let succ = &data.successors[0];
-                self.emit_edge(code, succ.block, &succ.args)?;
-                fixups.push((code.len(), 0, succ.block));
-                code.push(Instr::Jump { target: usize::MAX });
+                self.emit_edge(succ.block, &succ.args)?;
+                self.jump_to(succ.block, fixups);
             }
             CondBr => {
-                let succs = &data.successors;
                 // Edge trampolines handle per-edge argument transfer.
-                let branch_at = code.len();
-                code.push(Instr::Branch {
+                let branch_at = self.out.code.len();
+                self.push(DecodedInstr::Branch {
                     cond: srcs[0],
-                    then_t: usize::MAX,
-                    else_t: usize::MAX,
+                    then_t: u32::MAX,
+                    else_t: u32::MAX,
                 });
-                for (slot, s) in succs.iter().enumerate() {
-                    if s.args.is_empty() {
-                        fixups.push((branch_at, slot, s.block));
-                    } else {
-                        let tramp = code.len();
-                        patch_target(&mut code[branch_at], slot, tramp);
-                        self.emit_edge(code, s.block, &s.args)?;
-                        fixups.push((code.len(), 0, s.block));
-                        code.push(Instr::Jump { target: usize::MAX });
-                    }
-                }
+                self.emit_arms(branch_at, &data.successors, fixups)?;
             }
             SwitchBr => {
                 let cases = data
                     .attr(AttrKey::Cases)
                     .and_then(|a| a.as_int_list())
                     .ok_or_else(|| err("switch without cases"))?;
-                let succs = &data.successors;
-                let switch_at = code.len();
-                code.push(Instr::Switch {
-                    idx: srcs[0],
-                    cases: cases.iter().map(|&c| (c, usize::MAX)).collect(),
-                    default: usize::MAX,
-                });
-                for (slot, s) in succs.iter().enumerate() {
-                    if s.args.is_empty() {
-                        fixups.push((switch_at, slot, s.block));
-                    } else {
-                        let tramp = code.len();
-                        patch_target(&mut code[switch_at], slot, tramp);
-                        self.emit_edge(code, s.block, &s.args)?;
-                        fixups.push((code.len(), 0, s.block));
-                        code.push(Instr::Jump { target: usize::MAX });
-                    }
-                }
+                let switch_at = self.out.code.len();
+                self.out
+                    .switch(srcs[0], cases.iter().map(|&c| (c, u32::MAX)), u32::MAX)?;
+                self.emit_arms(switch_at, &data.successors, fixups)?;
             }
-            Unreachable => code.push(Instr::Trap),
+            Unreachable => self.push(DecodedInstr::Trap),
             Call | TailCall => match self.callee(op)? {
-                Callee::Fn(func) => {
-                    if opcode == Call {
-                        let dst = self.reg(result.unwrap());
-                        code.push(Instr::Call {
-                            dst,
-                            func,
-                            args: srcs.to_vec(),
-                        });
-                    } else {
-                        code.push(Instr::TailCall {
-                            func,
-                            args: srcs.to_vec(),
-                        });
-                    }
+                Callee::Fn(func) if opcode == Call => {
+                    let dst = self.reg(result.unwrap())?;
+                    self.out.call(dst, func, srcs)?;
                 }
+                Callee::Fn(func) => self.out.tail_call(func, srcs)?,
                 Callee::Builtin(builtin) => {
-                    let mask = self.body.ops[op.index()]
+                    let mask = data
                         .attr(AttrKey::BorrowMask)
                         .and_then(|a| a.as_int())
                         .unwrap_or(0) as u8;
                     if opcode == Call {
-                        let dst = self.reg(result.unwrap());
-                        code.push(Instr::CallBuiltin {
-                            dst,
-                            builtin,
-                            args: srcs.to_vec(),
-                            mask,
-                        });
+                        let dst = self.reg(result.unwrap())?;
+                        self.out.call_builtin(dst, builtin, srcs, mask)?;
                     } else {
-                        let dst = self.fresh_reg();
-                        code.push(Instr::CallBuiltin {
-                            dst,
-                            builtin,
-                            args: srcs.to_vec(),
-                            mask,
-                        });
-                        code.push(Instr::Ret { src: dst });
+                        let dst = self.fresh_reg()?;
+                        self.out.call_builtin(dst, builtin, srcs, mask)?;
+                        self.push(DecodedInstr::Ret { src: dst });
                     }
                 }
             },
-            Return => code.push(Instr::Ret { src: srcs[0] }),
+            Return => self.push(DecodedInstr::Ret { src: srcs[0] }),
             LpBigInt => {
-                let digits = self.body.ops[op.index()]
+                let digits = data
                     .attr(AttrKey::Value)
                     .and_then(|a| a.as_str())
                     .ok_or_else(|| err("lp.bigint without value"))?;
@@ -551,46 +588,42 @@ impl FnCompiler<'_> {
                     .map_err(|e| err(format!("bad bigint literal: {e}")))?;
                 let idx = self.program.big_pool.len() as u32;
                 self.program.big_pool.push(n);
-                let dst = self.reg(result.unwrap());
-                code.push(Instr::LpBig { dst, idx });
+                let dst = self.reg(result.unwrap())?;
+                self.push(DecodedInstr::LpBig { dst, idx });
             }
             LpStr => {
-                let s = self.body.ops[op.index()]
+                let s = data
                     .attr(AttrKey::Value)
                     .and_then(|a| a.as_str())
                     .ok_or_else(|| err("lp.str without value"))?
                     .to_string();
                 let idx = self.program.str_pool.len() as u32;
                 self.program.str_pool.push(s);
-                let dst = self.reg(result.unwrap());
-                code.push(Instr::LpStr { dst, idx });
+                let dst = self.reg(result.unwrap())?;
+                self.push(DecodedInstr::LpStr { dst, idx });
             }
             LpConstruct => {
-                let tag = self.body.ops[op.index()]
+                let tag = data
                     .attr(AttrKey::Tag)
                     .and_then(|a| a.as_int())
                     .ok_or_else(|| err("lp.construct without tag"))?;
                 if !(0..128).contains(&tag) {
                     return Err(err(format!("constructor tag {tag} out of range")));
                 }
-                let dst = self.reg(result.unwrap());
-                code.push(Instr::Construct {
-                    dst,
-                    tag: tag as u32,
-                    args: srcs.to_vec(),
-                });
+                let dst = self.reg(result.unwrap())?;
+                self.out.construct(dst, tag as u32, srcs)?;
             }
             LpGetLabel => {
-                let dst = self.reg(result.unwrap());
-                code.push(Instr::GetLabel { dst, src: srcs[0] });
+                let dst = self.reg(result.unwrap())?;
+                self.push(DecodedInstr::GetLabel { dst, src: srcs[0] });
             }
             LpProject => {
-                let idx = self.body.ops[op.index()]
+                let idx = data
                     .attr(AttrKey::Index)
                     .and_then(|a| a.as_int())
                     .ok_or_else(|| err("lp.project without index"))?;
-                let dst = self.reg(result.unwrap());
-                code.push(Instr::Project {
+                let dst = self.reg(result.unwrap())?;
+                self.push(DecodedInstr::Project {
                     dst,
                     src: srcs[0],
                     idx: idx as u32,
@@ -598,34 +631,25 @@ impl FnCompiler<'_> {
             }
             LpPap => {
                 let callee = self.callee_of(op)?;
-                let arity = self.body.ops[op.index()]
+                let arity = data
                     .attr(AttrKey::Arity)
                     .and_then(|a| a.as_int())
                     .ok_or_else(|| err("lp.pap without arity"))?;
                 let Some(&Callee::Fn(func)) = self.callees.get(&callee) else {
                     return Err(err("pap of extern function"));
                 };
-                let dst = self.reg(result.unwrap());
-                code.push(Instr::Pap {
-                    dst,
-                    func,
-                    arity: arity as u16,
-                    args: srcs.to_vec(),
-                });
+                let dst = self.reg(result.unwrap())?;
+                self.out.pap(dst, func, arity as u16, srcs)?;
             }
             LpPapExtend => {
-                let dst = self.reg(result.unwrap());
-                code.push(Instr::PapExtend {
-                    dst,
-                    closure: srcs[0],
-                    args: srcs[1..].to_vec(),
-                });
+                let dst = self.reg(result.unwrap())?;
+                self.out.pap_extend(dst, srcs[0], &srcs[1..])?;
             }
             LpInc | LpDec if self.bufs.facts[operands[0].index()] & DECIDED != 0 => {}
-            LpInc => code.push(Instr::Inc { src: srcs[0] }),
-            LpDec => code.push(Instr::Dec { src: srcs[0] }),
+            LpInc => self.push(DecodedInstr::Inc { src: srcs[0] }),
+            LpDec => self.push(DecodedInstr::Dec { src: srcs[0] }),
             LpGlobalLoad | LpGlobalStore => {
-                let g = self.body.ops[op.index()]
+                let g = data
                     .attr(AttrKey::Global)
                     .and_then(|a| a.as_sym())
                     .ok_or_else(|| err("global op without symbol"))?;
@@ -638,10 +662,10 @@ impl FnCompiler<'_> {
                     .ok_or_else(|| err(format!("unknown global @{name}")))?
                     as u32;
                 if opcode == LpGlobalLoad {
-                    let dst = self.reg(result.unwrap());
-                    code.push(Instr::GlobalLoad { dst, idx });
+                    let dst = self.reg(result.unwrap())?;
+                    self.push(DecodedInstr::GlobalLoad { dst, idx });
                 } else {
-                    code.push(Instr::GlobalStore { idx, src: srcs[0] });
+                    self.push(DecodedInstr::GlobalStore { idx, src: srcs[0] });
                 }
             }
             _ => {
@@ -651,27 +675,6 @@ impl FnCompiler<'_> {
             }
         }
         Ok(())
-    }
-}
-
-fn patch_target(instr: &mut Instr, slot: usize, target: usize) {
-    match instr {
-        Instr::Jump { target: t } => *t = target,
-        Instr::Branch { then_t, else_t, .. } => {
-            if slot == 0 {
-                *then_t = target;
-            } else {
-                *else_t = target;
-            }
-        }
-        Instr::Switch { cases, default, .. } => {
-            if slot < cases.len() {
-                cases[slot].1 = target;
-            } else {
-                *default = target;
-            }
-        }
-        other => panic!("cannot patch target of {other:?}"),
     }
 }
 
@@ -696,8 +699,11 @@ mod tests {
         let p = compile_module(&m).unwrap();
         assert_eq!(p.fns.len(), 1);
         assert_eq!(p.fns[0].arity, 1);
-        assert!(matches!(p.fns[0].code[0], Instr::LpInt { .. }));
-        assert!(matches!(p.fns[0].code.last(), Some(Instr::Ret { .. })));
+        assert!(matches!(p.fns[0].code[0], DecodedInstr::LpInt { .. }));
+        assert!(matches!(
+            p.fns[0].code.last(),
+            Some(DecodedInstr::Ret { .. })
+        ));
     }
 
     #[test]
@@ -737,12 +743,11 @@ mod tests {
         m.add_function("f", Signature::new(vec![Type::I1], Type::Obj), body);
         let p = compile_module(&m).unwrap();
         let code = &p.fns[0].code;
-        let Instr::Branch { then_t, else_t, .. } = code[0] else {
+        let DecodedInstr::Branch { then_t, else_t, .. } = code[0] else {
             panic!("expected branch, got {:?}", code[0]);
         };
-        assert!(then_t < code.len() && else_t < code.len());
+        assert!((then_t as usize) < code.len() && (else_t as usize) < code.len());
         assert_ne!(then_t, else_t);
-        assert_ne!(then_t, usize::MAX);
     }
 
     #[test]
@@ -761,7 +766,7 @@ mod tests {
         let moves = p.fns[0]
             .code
             .iter()
-            .filter(|i| matches!(i, Instr::Move { .. }))
+            .filter(|i| matches!(i, DecodedInstr::Move { .. }))
             .count();
         // Non-conflicting edge: a single direct move.
         assert_eq!(moves, 1);
@@ -796,19 +801,20 @@ mod tests {
             Signature::new(vec![Type::Obj, Type::I64], Type::Obj),
             body,
         );
-        let code = &compile_module(&m).unwrap().fns[0].code;
+        let f = &compile_module(&m).unwrap().fns[0];
+        let code = &f.code;
         let one_reg = Reg(2);
         let expected = [
-            Instr::LpInt { dst: one_reg, v: 1 },
-            Instr::ConstInt { dst: Reg(3), v: 0 },
-            Instr::Cmp {
+            DecodedInstr::LpInt { dst: one_reg, v: 1 },
+            DecodedInstr::ConstInt { dst: Reg(3), v: 0 },
+            DecodedInstr::Cmp {
                 pred: CmpPred::Eq,
                 dst: Reg(4),
                 a: Reg(1),
                 b: Reg(3),
             },
-            Instr::ConstInt { dst: Reg(5), v: 0 },
-            Instr::Cmp {
+            DecodedInstr::ConstInt { dst: Reg(5), v: 0 },
+            DecodedInstr::Cmp {
                 pred: CmpPred::Slt,
                 dst: Reg(6),
                 a: Reg(5),
@@ -818,13 +824,15 @@ mod tests {
         assert_eq!(&code[..5], &expected);
         let call_at = code
             .iter()
-            .position(|i| matches!(i, Instr::CallBuiltin { .. }))
+            .position(|i| matches!(i, DecodedInstr::CallBuiltin { .. }))
             .unwrap();
-        let Instr::LpInt { dst, v: 2 } = code[call_at - 1] else {
+        let DecodedInstr::LpInt { dst, v: 2 } = code[call_at - 1] else {
             panic!("expected the constant in front of the call: {code:?}");
         };
-        assert!(matches!(&code[call_at], Instr::CallBuiltin { args, .. } if args[1] == dst));
-        assert_eq!(code.last(), Some(&Instr::Ret { src: one_reg }));
+        assert!(
+            matches!(code[call_at], DecodedInstr::CallBuiltin { args, .. } if f.arg_regs(args)[1] == dst)
+        );
+        assert_eq!(code.last(), Some(&DecodedInstr::Ret { src: one_reg }));
     }
 
     #[test]
@@ -842,8 +850,99 @@ mod tests {
         m.add_function("f", Signature::obj(2), body);
         let code = &compile_module(&m).unwrap().fns[0].code;
         assert_eq!(code.len(), 3, "{code:?}");
-        assert!(matches!(code[0], Instr::CallBuiltin { .. }));
-        assert_eq!(code[1], Instr::Dec { src: Reg(0) });
-        assert!(matches!(code[2], Instr::Ret { .. }));
+        assert!(matches!(code[0], DecodedInstr::CallBuiltin { .. }));
+        assert_eq!(code[1], DecodedInstr::Dec { src: Reg(0) });
+        assert!(matches!(code[2], DecodedInstr::Ret { .. }));
+    }
+
+    /// `f(x0 … x{n-1}) = x0`, and a `main` calling it with `n` copies of
+    /// one scalar.
+    fn wide_function(n: usize) -> Module {
+        let mut m = Module::new();
+        let (mut body, params) = Body::new(&vec![Type::Obj; n]);
+        let entry = body.entry_block();
+        Builder::at_end(&mut body, entry).ret(params[0]);
+        let f = m.add_function("f", Signature::obj(n), body);
+        let (mut body, _) = Body::new(&[]);
+        let entry = body.entry_block();
+        let mut b = Builder::at_end(&mut body, entry);
+        let one = b.lp_int(1);
+        let r = b.call(f, vec![one; n], Type::Obj);
+        b.ret(r);
+        m.add_function("main", Signature::obj(0), body);
+        m
+    }
+
+    #[test]
+    fn a_function_holds_at_most_65535_registers() {
+        let p = compile_module(&wide_function(65_535)).unwrap();
+        assert_eq!((p.fns[0].arity, p.fns[0].n_regs), (65_535, 65_535));
+        let e = compile_module(&wide_function(65_536)).unwrap_err();
+        assert_eq!(
+            e.message,
+            "@f needs more than 65535 registers, the most the VM encodes"
+        );
+    }
+
+    /// `main(x) = ctor 0 (x … x)` with `n` fields.
+    fn wide_constructor(n: usize) -> Module {
+        let mut m = Module::new();
+        let (mut body, params) = Body::new(&[Type::Obj]);
+        let entry = body.entry_block();
+        let mut b = Builder::at_end(&mut body, entry);
+        let c = b.lp_construct(0, vec![params[0]; n]);
+        b.ret(c);
+        m.add_function("main", Signature::obj(1), body);
+        m
+    }
+
+    #[test]
+    fn a_cell_holds_at_most_65535_operands() {
+        let p = compile_module(&wide_constructor(65_535)).unwrap();
+        let DecodedInstr::Construct { args, .. } = p.fns[0].code[0] else {
+            panic!("expected a constructor: {:?}", p.fns[0].code[0]);
+        };
+        assert_eq!(args.len, 65_535);
+        let e = compile_module(&wide_constructor(65_536)).unwrap_err();
+        assert_eq!(
+            e.message,
+            "@main needs more than 65535 operands in one cell, the most the VM encodes"
+        );
+    }
+
+    /// `main(i) = case i of 0 … n-1 → 1, _ → 1` on a raw word.
+    fn wide_switch(n: usize) -> Module {
+        let mut m = Module::new();
+        let (mut body, params) = Body::new(&[Type::I64]);
+        let entry = body.entry_block();
+        let arm = body.new_block(ROOT_REGION, &[]);
+        let cases: Vec<i64> = (0..n as i64).collect();
+        Builder::at_end(&mut body, entry).switch_br(
+            params[0],
+            cases,
+            (0..n).map(|_| (arm, vec![])),
+            (arm, vec![]),
+        );
+        let mut b = Builder::at_end(&mut body, arm);
+        let one = b.lp_int(1);
+        b.ret(one);
+        m.add_function("main", Signature::new(vec![Type::I64], Type::Obj), body);
+        m
+    }
+
+    #[test]
+    fn a_switch_holds_at_most_65535_entries() {
+        let p = compile_module(&wide_switch(65_535)).unwrap();
+        let f = &p.fns[0];
+        let DecodedInstr::Switch { cases, default, .. } = f.code[0] else {
+            panic!("expected a switch: {:?}", f.code[0]);
+        };
+        assert_eq!(cases.len, 65_535);
+        assert!(f.cases.iter().all(|&(_, t)| t == default));
+        let e = compile_module(&wide_switch(65_536)).unwrap_err();
+        assert_eq!(
+            e.message,
+            "@main needs more than 65535 entries in one switch, the most the VM encodes"
+        );
     }
 }

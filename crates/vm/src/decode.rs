@@ -1,29 +1,29 @@
-//! The pre-decoded compact instruction stream the VM actually executes.
+//! The VM's instruction set, and the decode passes that ready a compiled
+//! program for execution.
 //!
-//! [`crate::bytecode::Instr`] is the backend's *interchange* form: explicit,
-//! printable, easy to construct — and expensive to interpret, because the
-//! wide enum drags `Vec`s through every `Construct`/`Call`/`TailCall` and
-//! forces the dispatch loop to clone instructions to appease the borrow
-//! checker. This module lowers a [`CompiledProgram`] once, ahead of
-//! execution, into [`DecodedProgram`]:
+//! The VM has one instruction set, [`DecodedInstr`]:
 //!
-//! - every instruction becomes a fixed-size, `Copy` [`DecodedInstr`] with
-//!   **no per-instruction heap data** (asserted at compile time to stay
-//!   within 16 bytes);
+//! - every instruction is a fixed-size, `Copy` cell with **no
+//!   per-instruction heap data** (asserted at compile time to stay within
+//!   16 bytes);
 //! - variable-length register lists live in one shared side pool per
 //!   function ([`DecodedFn::args`]), referenced by `(u32 offset, u16 len)`
 //!   [`ArgSlice`]s; switch tables live in a second pool
 //!   ([`DecodedFn::cases`]);
-//! - jump targets shrink to `u32`.
+//! - jump targets are `u32` cell indices.
 //!
-//! Decoding is lossless: [`DecodedFn::encode`] reconstructs the original
-//! enum instruction exactly (the round-trip the unit tests pin down), so
-//! the decoded form executes identically by construction.
-//!
-//! Each function's code and pools are allocated once, at the size its
-//! compiled code needs; fusion writes the fused stream back into the code
-//! vector, and fusion's and renumbering's per-cell and per-register tables
-//! are buffers one [`decode_program_with`] reuses for every function.
+//! [`crate::compile_module`] emits the base cells straight into each
+//! function's code and pools through [`DecodedFn`]'s emission methods
+//! ([`DecodedFn::call`], [`DecodedFn::switch`], …), which also build the
+//! tests' hand-written programs. A `u16` counts a function's registers, a
+//! cell's operands and a switch's entries, so the compiler refuses more
+//! than 65,535 of any of them with a [`crate::CompileError`].
+//! [`decode_program_with`] copies each function, fuses and renumbers the
+//! copy unless told not to ([`DecodeOptions::no_fuse`]), and assigns its
+//! inline-cache slots. Fusion writes the fused stream back into the copy's
+//! code vector, and fusion's and renumbering's per-cell and per-register
+//! tables are buffers one [`decode_program_with`] reuses for every
+//! function.
 //!
 //! ## Superinstruction fusion
 //!
@@ -87,10 +87,11 @@
 //! tested to produce byte-identical results on every workload.
 //!
 //! A fused decode then **renumbers** each function's registers onto a
-//! dense prefix, reclaiming the registers fusion orphaned; the unfused
-//! decode stays the lossless lowering.
+//! dense prefix, reclaiming the registers fusion orphaned; an unfused
+//! decode runs the compiler's cells as they are.
 
-use crate::bytecode::{BinOp, CmpPred, CompiledFn, CompiledProgram, Instr, Reg};
+use crate::bytecode::{BinOp, CmpPred, CompiledProgram, Reg};
+use crate::compile::{over_limit, CompileError};
 use lssa_rt::{Builtin, Nat};
 
 /// Options controlling [`decode_program_with`].
@@ -115,8 +116,7 @@ impl DecodeOptions {
         DecodeOptions { fuse: true }
     }
 
-    /// The lossless lowering, byte-for-byte: no fusion, no renumbering
-    /// (the mode the encode round-trip is defined on).
+    /// The compiler's cells as emitted: no fusion, no renumbering.
     pub fn no_fuse() -> DecodeOptions {
         DecodeOptions { fuse: false }
     }
@@ -284,10 +284,11 @@ impl OpClass {
     }
 }
 
-/// One pre-decoded instruction: fixed operands only, `Copy`, no heap data.
+/// One instruction: fixed operands only, `Copy`, no heap data.
 ///
-/// Mirrors [`Instr`] variant-for-variant; variable-length payloads are
-/// [`ArgSlice`]s into the owning [`DecodedFn`]'s pools.
+/// Variable-length payloads are [`ArgSlice`]s into the owning
+/// [`DecodedFn`]'s pools. The bytecode compiler emits the cells up to
+/// `Trap`; the superinstructions after it come only from the fusion pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodedInstr {
     /// `dst ← raw constant`.
@@ -816,8 +817,9 @@ impl RenumberStats {
     }
 }
 
-/// A function in decoded form: flat code plus its two side pools.
-#[derive(Debug, Clone)]
+/// A function: flat code plus its two side pools, as the compiler emits it
+/// or as decode readies it for the VM.
+#[derive(Debug, Clone, Default)]
 pub struct DecodedFn {
     /// Source-level name.
     pub name: String,
@@ -834,7 +836,8 @@ pub struct DecodedFn {
     /// Shared switch-table pool: `(value, target)` pairs.
     pub cases: Vec<(i64, u32)>,
     /// This function's first slot in the program-wide inline-cache pool;
-    /// a call site's global slot is `cache_base + its local cache id`.
+    /// a call site's global slot is `cache_base + its local cache id`
+    /// (decode assigns both; the compiler leaves them at zero).
     pub cache_base: u32,
     /// Number of inline-cache slots this function owns.
     pub cache_sites: u16,
@@ -846,49 +849,129 @@ impl DecodedFn {
         &self.args[s.range()]
     }
 
-    /// Lowers one [`CompiledFn`]. The code and both pools are allocated
-    /// once, at the size the compiled code needs.
-    fn decode(f: &CompiledFn) -> DecodedFn {
-        let (args, cases) = f.code.iter().fold((0, 0), |(a, c), instr| match instr {
-            Instr::Construct { args, .. }
-            | Instr::Pap { args, .. }
-            | Instr::PapExtend { args, .. }
-            | Instr::Call { args, .. }
-            | Instr::CallBuiltin { args, .. }
-            | Instr::TailCall { args, .. } => (a + args.len(), c),
-            Instr::Switch { cases, .. } => (a, c + cases.len()),
-            _ => (a, c),
-        });
-        let mut d = DecodedFn {
-            name: f.name.clone(),
-            arity: f.arity,
-            n_regs: f.n_regs,
-            code: Vec::with_capacity(f.code.len()),
-            args: Vec::with_capacity(args),
-            cases: Vec::with_capacity(cases),
-            cache_base: 0,
-            cache_sites: 0,
-        };
-        assert!(
-            u32::try_from(f.code.len()).is_ok(),
-            "@{}: function body too large to decode",
-            f.name
-        );
-        // The frame-pool calling convention writes `arity` argument words
-        // then resizes to `n_regs`; a malformed function would silently
-        // truncate its arguments there, so reject it while decoding.
-        assert!(
-            f.arity <= f.n_regs,
-            "@{}: arity {} exceeds register file size {}",
-            f.name,
-            f.arity,
-            f.n_regs
-        );
-        for instr in &f.code {
-            let decoded = d.decode_instr(instr);
-            d.code.push(decoded);
+    /// An empty function, to emit cells into: no code, empty pools, no
+    /// inline-cache slots.
+    pub fn new(name: impl Into<String>, arity: u16, n_regs: u16) -> DecodedFn {
+        DecodedFn {
+            name: name.into(),
+            arity,
+            n_regs,
+            ..DecodedFn::default()
         }
-        d
+    }
+
+    // The emission methods. Each appends one cell and interns its operand
+    // list or switch table at the end of the pool; each refuses a list or
+    // table longer than the `u16` an `ArgSlice` counts it in.
+
+    /// Appends `regs` to the argument pool for the cell emitted next.
+    fn intern_args(&mut self, regs: &[Reg]) -> Result<ArgSlice, CompileError> {
+        let len = u16::try_from(regs.len())
+            .map_err(|_| over_limit(&self.name, "operands in one cell"))?;
+        let off = u32::try_from(self.args.len()).expect("argument pool exhausted");
+        self.args.extend_from_slice(regs);
+        Ok(ArgSlice { off, len })
+    }
+
+    /// Emits `dst ← ctor{tag}(args…)`.
+    pub fn construct(&mut self, dst: Reg, tag: u32, args: &[Reg]) -> Result<(), CompileError> {
+        let args = self.intern_args(args)?;
+        self.code.push(DecodedInstr::Construct { dst, tag, args });
+        Ok(())
+    }
+
+    /// Emits a closure of `func`, of arity `arity`, capturing `args`.
+    pub fn pap(
+        &mut self,
+        dst: Reg,
+        func: u32,
+        arity: u16,
+        args: &[Reg],
+    ) -> Result<(), CompileError> {
+        let s = self.intern_args(args)?;
+        self.code.push(DecodedInstr::Pap {
+            dst,
+            func,
+            arity,
+            args_off: s.off,
+            args_len: s.len,
+        });
+        Ok(())
+    }
+
+    /// Emits the extension of `closure` by `args`.
+    pub fn pap_extend(&mut self, dst: Reg, closure: Reg, args: &[Reg]) -> Result<(), CompileError> {
+        let args = self.intern_args(args)?;
+        self.code.push(DecodedInstr::PapExtend {
+            dst,
+            closure,
+            args,
+            cache: NO_CACHE,
+        });
+        Ok(())
+    }
+
+    /// Emits `dst ← func(args…)`.
+    pub fn call(&mut self, dst: Reg, func: u32, args: &[Reg]) -> Result<(), CompileError> {
+        let s = self.intern_args(args)?;
+        self.code.push(DecodedInstr::Call {
+            dst,
+            func,
+            args_off: s.off,
+            args_len: s.len,
+            cache: NO_CACHE,
+        });
+        Ok(())
+    }
+
+    /// Emits `dst ← builtin(args…)`, retaining the arguments `mask` names
+    /// first.
+    pub fn call_builtin(
+        &mut self,
+        dst: Reg,
+        builtin: Builtin,
+        args: &[Reg],
+        mask: u8,
+    ) -> Result<(), CompileError> {
+        let args = self.intern_args(args)?;
+        self.code.push(DecodedInstr::CallBuiltin {
+            dst,
+            builtin,
+            args,
+            mask,
+        });
+        Ok(())
+    }
+
+    /// Emits the tail call `func(args…)`.
+    pub fn tail_call(&mut self, func: u32, args: &[Reg]) -> Result<(), CompileError> {
+        let s = self.intern_args(args)?;
+        self.code.push(DecodedInstr::TailCall {
+            func,
+            args_off: s.off,
+            args_len: s.len,
+        });
+        Ok(())
+    }
+
+    /// Emits a jump table on `idx` over `(value, target)` pairs.
+    pub fn switch(
+        &mut self,
+        idx: Reg,
+        cases: impl IntoIterator<Item = (i64, u32)>,
+        default: u32,
+    ) -> Result<(), CompileError> {
+        let start = self.cases.len();
+        self.cases.extend(cases);
+        let len = u16::try_from(self.cases.len() - start)
+            .map_err(|_| over_limit(&self.name, "entries in one switch"))?;
+        let off = u32::try_from(start).expect("case pool exhausted");
+        self.code.push(DecodedInstr::Switch {
+            idx,
+            cases: ArgSlice { off, len },
+            default,
+        });
+        Ok(())
     }
 
     /// Per-register read counts over the whole function (pool operand
@@ -1731,7 +1814,7 @@ impl DecodedFn {
             return stats;
         }
         // Parameters are live on entry whether or not the body reads them
-        // (`decode` asserts `arity <= n_regs`).
+        // (`decode_program_with` asserts `arity <= n_regs`).
         for u in used.iter_mut().take(self.arity as usize) {
             *u = true;
         }
@@ -1778,257 +1861,6 @@ impl DecodedFn {
         }
         self.cache_sites = next.min(u32::from(NO_CACHE)) as u16;
     }
-
-    fn intern_args(&mut self, regs: &[Reg]) -> ArgSlice {
-        let off = u32::try_from(self.args.len()).expect("argument pool exhausted");
-        let len = u16::try_from(regs.len()).expect("argument list too long");
-        self.args.extend_from_slice(regs);
-        ArgSlice { off, len }
-    }
-
-    fn decode_instr(&mut self, instr: &Instr) -> DecodedInstr {
-        let t32 = |t: usize| u32::try_from(t).expect("jump target out of range");
-        match *instr {
-            Instr::ConstInt { dst, v } => DecodedInstr::ConstInt { dst, v },
-            Instr::LpInt { dst, v } => DecodedInstr::LpInt { dst, v },
-            Instr::LpBig { dst, idx } => DecodedInstr::LpBig { dst, idx },
-            Instr::LpStr { dst, idx } => DecodedInstr::LpStr { dst, idx },
-            Instr::Construct { dst, tag, ref args } => DecodedInstr::Construct {
-                dst,
-                tag,
-                args: self.intern_args(args),
-            },
-            Instr::GetLabel { dst, src } => DecodedInstr::GetLabel { dst, src },
-            Instr::Project { dst, src, idx } => DecodedInstr::Project { dst, src, idx },
-            Instr::Pap {
-                dst,
-                func,
-                arity,
-                ref args,
-            } => {
-                let s = self.intern_args(args);
-                DecodedInstr::Pap {
-                    dst,
-                    func,
-                    arity,
-                    args_off: s.off,
-                    args_len: s.len,
-                }
-            }
-            Instr::PapExtend {
-                dst,
-                closure,
-                ref args,
-            } => DecodedInstr::PapExtend {
-                dst,
-                closure,
-                args: self.intern_args(args),
-                cache: NO_CACHE,
-            },
-            Instr::Inc { src } => DecodedInstr::Inc { src },
-            Instr::Dec { src } => DecodedInstr::Dec { src },
-            Instr::Call {
-                dst,
-                func,
-                ref args,
-            } => {
-                let s = self.intern_args(args);
-                DecodedInstr::Call {
-                    dst,
-                    func,
-                    args_off: s.off,
-                    args_len: s.len,
-                    cache: NO_CACHE,
-                }
-            }
-            Instr::CallBuiltin {
-                dst,
-                builtin,
-                ref args,
-                mask,
-            } => DecodedInstr::CallBuiltin {
-                dst,
-                builtin,
-                args: self.intern_args(args),
-                mask,
-            },
-            Instr::TailCall { func, ref args } => {
-                let s = self.intern_args(args);
-                DecodedInstr::TailCall {
-                    func,
-                    args_off: s.off,
-                    args_len: s.len,
-                }
-            }
-            Instr::Ret { src } => DecodedInstr::Ret { src },
-            Instr::Jump { target } => DecodedInstr::Jump {
-                target: t32(target),
-            },
-            Instr::Branch {
-                cond,
-                then_t,
-                else_t,
-            } => DecodedInstr::Branch {
-                cond,
-                then_t: t32(then_t),
-                else_t: t32(else_t),
-            },
-            Instr::Switch {
-                idx,
-                ref cases,
-                default,
-            } => {
-                let off = u32::try_from(self.cases.len()).expect("case pool exhausted");
-                let len = u16::try_from(cases.len()).expect("switch too wide");
-                self.cases.extend(cases.iter().map(|&(v, t)| (v, t32(t))));
-                DecodedInstr::Switch {
-                    idx,
-                    cases: ArgSlice { off, len },
-                    default: t32(default),
-                }
-            }
-            Instr::Bin { op, dst, a, b } => DecodedInstr::Bin { op, dst, a, b },
-            Instr::Cmp { pred, dst, a, b } => DecodedInstr::Cmp { pred, dst, a, b },
-            Instr::Select { dst, c, a, b } => DecodedInstr::Select { dst, c, a, b },
-            Instr::Mask { dst, src, mask } => DecodedInstr::Mask { dst, src, mask },
-            Instr::Move { dst, src } => DecodedInstr::Move { dst, src },
-            Instr::GlobalLoad { dst, idx } => DecodedInstr::GlobalLoad { dst, idx },
-            Instr::GlobalStore { idx, src } => DecodedInstr::GlobalStore { idx, src },
-            Instr::Trap => DecodedInstr::Trap,
-        }
-    }
-
-    /// Reconstructs the enum form of instruction `i` — the inverse of
-    /// decoding, used by the round-trip tests and for disassembly.
-    ///
-    /// # Panics
-    ///
-    /// Panics on superinstructions, which have no single enum counterpart:
-    /// encoding is defined on unfused streams ([`DecodeOptions::no_fuse`]).
-    pub fn encode(&self, i: usize) -> Instr {
-        let regs = |s: ArgSlice| self.arg_regs(s).to_vec();
-        match self.code[i] {
-            DecodedInstr::ConstInt { dst, v } => Instr::ConstInt { dst, v },
-            DecodedInstr::LpInt { dst, v } => Instr::LpInt { dst, v },
-            DecodedInstr::LpBig { dst, idx } => Instr::LpBig { dst, idx },
-            DecodedInstr::LpStr { dst, idx } => Instr::LpStr { dst, idx },
-            DecodedInstr::Construct { dst, tag, args } => Instr::Construct {
-                dst,
-                tag,
-                args: regs(args),
-            },
-            DecodedInstr::GetLabel { dst, src } => Instr::GetLabel { dst, src },
-            DecodedInstr::Project { dst, src, idx } => Instr::Project { dst, src, idx },
-            DecodedInstr::Pap {
-                dst,
-                func,
-                arity,
-                args_off,
-                args_len,
-            } => Instr::Pap {
-                dst,
-                func,
-                arity,
-                args: regs(ArgSlice {
-                    off: args_off,
-                    len: args_len,
-                }),
-            },
-            DecodedInstr::PapExtend {
-                dst, closure, args, ..
-            } => Instr::PapExtend {
-                dst,
-                closure,
-                args: regs(args),
-            },
-            DecodedInstr::Inc { src } => Instr::Inc { src },
-            DecodedInstr::Dec { src } => Instr::Dec { src },
-            DecodedInstr::Call {
-                dst,
-                func,
-                args_off,
-                args_len,
-                ..
-            } => Instr::Call {
-                dst,
-                func,
-                args: regs(ArgSlice {
-                    off: args_off,
-                    len: args_len,
-                }),
-            },
-            DecodedInstr::CallBuiltin {
-                dst,
-                builtin,
-                args,
-                mask,
-            } => Instr::CallBuiltin {
-                dst,
-                builtin,
-                args: regs(args),
-                mask,
-            },
-            DecodedInstr::TailCall {
-                func,
-                args_off,
-                args_len,
-            } => Instr::TailCall {
-                func,
-                args: regs(ArgSlice {
-                    off: args_off,
-                    len: args_len,
-                }),
-            },
-            DecodedInstr::Ret { src } => Instr::Ret { src },
-            DecodedInstr::Jump { target } => Instr::Jump {
-                target: target as usize,
-            },
-            DecodedInstr::Branch {
-                cond,
-                then_t,
-                else_t,
-            } => Instr::Branch {
-                cond,
-                then_t: then_t as usize,
-                else_t: else_t as usize,
-            },
-            DecodedInstr::Switch {
-                idx,
-                cases,
-                default,
-            } => Instr::Switch {
-                idx,
-                cases: self.cases[cases.range()]
-                    .iter()
-                    .map(|&(v, t)| (v, t as usize))
-                    .collect(),
-                default: default as usize,
-            },
-            DecodedInstr::Bin { op, dst, a, b } => Instr::Bin { op, dst, a, b },
-            DecodedInstr::Cmp { pred, dst, a, b } => Instr::Cmp { pred, dst, a, b },
-            DecodedInstr::Select { dst, c, a, b } => Instr::Select { dst, c, a, b },
-            DecodedInstr::Mask { dst, src, mask } => Instr::Mask { dst, src, mask },
-            DecodedInstr::Move { dst, src } => Instr::Move { dst, src },
-            DecodedInstr::GlobalLoad { dst, idx } => Instr::GlobalLoad { dst, idx },
-            DecodedInstr::GlobalStore { idx, src } => Instr::GlobalStore { idx, src },
-            DecodedInstr::Trap => Instr::Trap,
-            DecodedInstr::ConstCmpBr { .. }
-            | DecodedInstr::ConstRet { .. }
-            | DecodedInstr::ProjInc { .. }
-            | DecodedInstr::CallBuiltinRet { .. }
-            | DecodedInstr::ConstructRet { .. }
-            | DecodedInstr::SwitchDense { .. }
-            | DecodedInstr::Dec2 { .. }
-            | DecodedInstr::ProjInc2 { .. }
-            | DecodedInstr::Dec4 { .. }
-            | DecodedInstr::ProjInc2Dec { .. }
-            | DecodedInstr::BuiltinBr { .. }
-            | DecodedInstr::BuiltinImm { .. } => panic!(
-                "cannot encode superinstruction {:?}; decode with fusion disabled",
-                self.code[i]
-            ),
-        }
-    }
 }
 
 /// A whole program in decoded form. Owns copies of the constant pools so
@@ -2062,10 +1894,17 @@ impl DecodedProgram {
     }
 }
 
-/// Lowers a compiled program to the decoded execution form under the given
-/// options. Linear in code size; done once per program, not once per
-/// executed instruction (see [`CompiledProgram::decoded`] for the memoized
-/// entry point).
+/// Readies a compiled program for execution under the given options:
+/// copies every function, fuses and renumbers the copy when `opts.fuse`,
+/// and assigns its inline-cache slots. Linear in code size; done once per
+/// program, not once per executed instruction (see
+/// [`CompiledProgram::decoded`] for the memoized entry point).
+///
+/// # Panics
+///
+/// When a hand-built function's arity exceeds its register file: the
+/// frame-pool calling convention writes `arity` argument words, then
+/// resizes to `n_regs`, which would silently drop arguments.
 pub fn decode_program_with(program: &CompiledProgram, opts: DecodeOptions) -> DecodedProgram {
     let mut fusion = FusionStats::default();
     let mut renumber = RenumberStats::default();
@@ -2075,7 +1914,14 @@ pub fn decode_program_with(program: &CompiledProgram, opts: DecodeOptions) -> De
         .fns
         .iter()
         .map(|f| {
-            let mut d = DecodedFn::decode(f);
+            assert!(
+                f.arity <= f.n_regs,
+                "@{}: arity {} exceeds register file size {}",
+                f.name,
+                f.arity,
+                f.n_regs
+            );
+            let mut d = f.clone();
             if opts.fuse {
                 fusion.absorb(&d.fuse(&mut bufs));
                 renumber.absorb(&d.renumber(&mut bufs));
@@ -2122,37 +1968,35 @@ pub fn decode_program(program: &CompiledProgram) -> DecodedProgram {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Function `name`, its cells emitted by `emit` through the emission
+    /// methods the bytecode compiler uses.
+    pub(crate) fn function(
+        name: &str,
+        arity: u16,
+        n_regs: u16,
+        emit: impl FnOnce(&mut DecodedFn) -> Result<(), CompileError>,
+    ) -> DecodedFn {
+        let mut f = DecodedFn::new(name, arity, n_regs);
+        emit(&mut f).expect("a hand-built function fits the cells");
+        f
+    }
 
     #[test]
     fn decoded_instr_is_compact() {
         assert!(std::mem::size_of::<DecodedInstr>() <= 16);
-        // The enum interchange form is strictly wider (it carries `Vec`s).
-        assert!(std::mem::size_of::<DecodedInstr>() < std::mem::size_of::<Instr>());
     }
 
     #[test]
     fn arg_slices_share_one_pool() {
-        let f = CompiledFn {
-            name: "f".into(),
-            arity: 3,
-            n_regs: 4,
-            code: vec![
-                Instr::Construct {
-                    dst: Reg(3),
-                    tag: 1,
-                    args: vec![Reg(0), Reg(1)],
-                },
-                Instr::Call {
-                    dst: Reg(3),
-                    func: 0,
-                    args: vec![Reg(2), Reg(3), Reg(0)],
-                },
-                Instr::Ret { src: Reg(3) },
-            ],
-        };
-        let d = DecodedFn::decode(&f);
+        let d = function("f", 3, 4, |f| {
+            f.construct(Reg(3), 1, &[Reg(0), Reg(1)])?;
+            f.call(Reg(3), 0, &[Reg(2), Reg(3), Reg(0)])?;
+            f.code.push(DecodedInstr::Ret { src: Reg(3) });
+            Ok(())
+        });
         assert_eq!(d.args.len(), 5, "both lists live in the one pool");
         let DecodedInstr::Construct { args, .. } = d.code[0] else {
             panic!("expected construct");
@@ -2174,27 +2018,20 @@ mod tests {
     }
 
     #[test]
-    fn switch_tables_round_trip_through_case_pool() {
-        let f = CompiledFn {
-            name: "f".into(),
-            arity: 1,
-            n_regs: 1,
-            code: vec![
-                Instr::Switch {
-                    idx: Reg(0),
-                    cases: vec![(0, 2), (5, 3)],
-                    default: 4,
-                },
-                Instr::Trap,
-                Instr::Ret { src: Reg(0) },
-                Instr::Ret { src: Reg(0) },
-                Instr::Ret { src: Reg(0) },
-            ],
+    fn switch_tables_share_the_case_pool() {
+        let f = function("f", 1, 1, |f| {
+            f.switch(Reg(0), [(0, 2), (5, 3)], 4)?;
+            f.switch(Reg(0), [(7, 3)], 2)?;
+            f.code.push(DecodedInstr::Trap);
+            f.code.push(DecodedInstr::Ret { src: Reg(0) });
+            f.code.push(DecodedInstr::Ret { src: Reg(0) });
+            Ok(())
+        });
+        assert_eq!(f.cases, [(0, 2), (5, 3), (7, 3)], "in emission order");
+        let DecodedInstr::Switch { cases, default, .. } = f.code[1] else {
+            panic!("expected switch, got {:?}", f.code[1]);
         };
-        let d = DecodedFn::decode(&f);
-        for (i, original) in f.code.iter().enumerate() {
-            assert_eq!(&d.encode(i), original, "instruction {i}");
-        }
+        assert_eq!((&f.cases[cases.range()], default), (&[(7, 3)][..], 2));
     }
 
     #[test]
@@ -2216,31 +2053,13 @@ mod tests {
         // in stream order; a tail call, wherever it sits, owns none and
         // `cache_sites` does not count it.
         let p = CompiledProgram {
-            fns: vec![CompiledFn {
-                name: "f".into(),
-                arity: 1,
-                n_regs: 3,
-                code: vec![
-                    Instr::Call {
-                        dst: Reg(1),
-                        func: 0,
-                        args: vec![Reg(0)],
-                    },
-                    Instr::TailCall {
-                        func: 0,
-                        args: vec![Reg(1)],
-                    },
-                    Instr::PapExtend {
-                        dst: Reg(2),
-                        closure: Reg(1),
-                        args: vec![Reg(0)],
-                    },
-                    Instr::TailCall {
-                        func: 0,
-                        args: vec![Reg(2)],
-                    },
-                ],
-            }],
+            fns: vec![function("f", 1, 3, |f| {
+                f.call(Reg(1), 0, &[Reg(0)])?;
+                f.tail_call(0, &[Reg(1)])?;
+                f.pap_extend(Reg(2), Reg(1), &[Reg(0)])?;
+                f.tail_call(0, &[Reg(2)])?;
+                Ok(())
+            })],
             ..CompiledProgram::default()
         };
         let d = decode_program_with(&p, DecodeOptions::fused());
@@ -2267,42 +2086,33 @@ mod tests {
 
     // ---- fusion pass ----
 
-    fn fuse_one(arity: u16, n_regs: u16, code: Vec<Instr>) -> (DecodedFn, FusionStats) {
+    fn fuse_one(mut f: DecodedFn) -> (DecodedFn, FusionStats) {
         // The fusion pass alone: these tests pin its output shapes, and
         // literal register expectations must not shift under compaction.
-        let mut d = DecodedFn::decode(&CompiledFn {
-            name: "f".into(),
-            arity,
-            n_regs,
-            code,
-        });
-        let stats = d.fuse(&mut DecodeBuffers::default());
-        (d, stats)
+        let stats = f.fuse(&mut DecodeBuffers::default());
+        (f, stats)
     }
 
     #[test]
     fn cmp_branch_bails_when_cond_is_read_elsewhere() {
         // The comparison result is also returned, so eliminating its write
         // would be wrong.
-        let (f, stats) = fuse_one(
-            1,
-            3,
-            vec![
-                Instr::ConstInt { dst: Reg(1), v: 7 },
-                Instr::Cmp {
-                    pred: CmpPred::Eq,
-                    dst: Reg(2),
-                    a: Reg(0),
-                    b: Reg(1),
-                },
-                Instr::Branch {
-                    cond: Reg(2),
-                    then_t: 3,
-                    else_t: 3,
-                },
-                Instr::Ret { src: Reg(2) },
-            ],
-        );
+        let (f, stats) = fuse_one(function("f", 1, 3, |f| {
+            f.code.push(DecodedInstr::ConstInt { dst: Reg(1), v: 7 });
+            f.code.push(DecodedInstr::Cmp {
+                pred: CmpPred::Eq,
+                dst: Reg(2),
+                a: Reg(0),
+                b: Reg(1),
+            });
+            f.code.push(DecodedInstr::Branch {
+                cond: Reg(2),
+                then_t: 3,
+                else_t: 3,
+            });
+            f.code.push(DecodedInstr::Ret { src: Reg(2) });
+            Ok(())
+        }));
         assert_eq!(stats.const_cmp_br, 0);
         assert!(matches!(f.code[0], DecodedInstr::ConstInt { .. }));
         assert!(matches!(f.code[1], DecodedInstr::Cmp { .. }));
@@ -2312,27 +2122,24 @@ mod tests {
     fn fusion_bails_when_swallowed_instruction_is_a_jump_target() {
         // Something jumps straight at the Branch (expecting the condition
         // already computed), so the triple must stay three cells.
-        let (f, stats) = fuse_one(
-            1,
-            4,
-            vec![
-                Instr::ConstInt { dst: Reg(1), v: 7 },
-                Instr::Cmp {
-                    pred: CmpPred::Eq,
-                    dst: Reg(2),
-                    a: Reg(0),
-                    b: Reg(1),
-                },
-                Instr::Branch {
-                    cond: Reg(2),
-                    then_t: 3,
-                    else_t: 4,
-                },
-                Instr::Ret { src: Reg(0) },
-                Instr::ConstInt { dst: Reg(2), v: 1 },
-                Instr::Jump { target: 2 },
-            ],
-        );
+        let (f, stats) = fuse_one(function("f", 1, 4, |f| {
+            f.code.push(DecodedInstr::ConstInt { dst: Reg(1), v: 7 });
+            f.code.push(DecodedInstr::Cmp {
+                pred: CmpPred::Eq,
+                dst: Reg(2),
+                a: Reg(0),
+                b: Reg(1),
+            });
+            f.code.push(DecodedInstr::Branch {
+                cond: Reg(2),
+                then_t: 3,
+                else_t: 4,
+            });
+            f.code.push(DecodedInstr::Ret { src: Reg(0) });
+            f.code.push(DecodedInstr::ConstInt { dst: Reg(2), v: 1 });
+            f.code.push(DecodedInstr::Jump { target: 2 });
+            Ok(())
+        }));
         assert_eq!(stats.const_cmp_br, 0);
         assert!(matches!(f.code[2], DecodedInstr::Branch { .. }));
     }
@@ -2340,26 +2147,23 @@ mod tests {
     #[test]
     fn fuses_const_cmp_branch_triple_both_operand_orders() {
         // Constant on the right: pred is kept.
-        let (f, stats) = fuse_one(
-            1,
-            3,
-            vec![
-                Instr::ConstInt { dst: Reg(1), v: 7 },
-                Instr::Cmp {
-                    pred: CmpPred::Slt,
-                    dst: Reg(2),
-                    a: Reg(0),
-                    b: Reg(1),
-                },
-                Instr::Branch {
-                    cond: Reg(2),
-                    then_t: 3,
-                    else_t: 4,
-                },
-                Instr::Ret { src: Reg(0) },
-                Instr::Trap,
-            ],
-        );
+        let (f, stats) = fuse_one(function("f", 1, 3, |f| {
+            f.code.push(DecodedInstr::ConstInt { dst: Reg(1), v: 7 });
+            f.code.push(DecodedInstr::Cmp {
+                pred: CmpPred::Slt,
+                dst: Reg(2),
+                a: Reg(0),
+                b: Reg(1),
+            });
+            f.code.push(DecodedInstr::Branch {
+                cond: Reg(2),
+                then_t: 3,
+                else_t: 4,
+            });
+            f.code.push(DecodedInstr::Ret { src: Reg(0) });
+            f.code.push(DecodedInstr::Trap);
+            Ok(())
+        }));
         assert_eq!(stats.const_cmp_br, 1);
         assert_eq!(stats.cells_saved, 2);
         assert_eq!(
@@ -2374,26 +2178,23 @@ mod tests {
         );
         // Constant on the left: the stored predicate is swapped so the
         // semantics stay `pred(reg, imm)`.
-        let (f, stats) = fuse_one(
-            1,
-            3,
-            vec![
-                Instr::ConstInt { dst: Reg(1), v: 7 },
-                Instr::Cmp {
-                    pred: CmpPred::Slt,
-                    dst: Reg(2),
-                    a: Reg(1),
-                    b: Reg(0),
-                },
-                Instr::Branch {
-                    cond: Reg(2),
-                    then_t: 3,
-                    else_t: 4,
-                },
-                Instr::Ret { src: Reg(0) },
-                Instr::Trap,
-            ],
-        );
+        let (f, stats) = fuse_one(function("f", 1, 3, |f| {
+            f.code.push(DecodedInstr::ConstInt { dst: Reg(1), v: 7 });
+            f.code.push(DecodedInstr::Cmp {
+                pred: CmpPred::Slt,
+                dst: Reg(2),
+                a: Reg(1),
+                b: Reg(0),
+            });
+            f.code.push(DecodedInstr::Branch {
+                cond: Reg(2),
+                then_t: 3,
+                else_t: 4,
+            });
+            f.code.push(DecodedInstr::Ret { src: Reg(0) });
+            f.code.push(DecodedInstr::Trap);
+            Ok(())
+        }));
         assert_eq!(stats.const_cmp_br, 1);
         assert_eq!(
             f.code[0],
@@ -2411,57 +2212,43 @@ mod tests {
     fn const_cmp_branch_bails_on_wide_immediates() {
         // An immediate beyond i32 cannot ride in the 16-byte cell; the
         // pass must fall back to the ConstInt + (unfusable) pair.
-        let (f, stats) = fuse_one(
-            1,
-            3,
-            vec![
-                Instr::ConstInt {
-                    dst: Reg(1),
-                    v: i64::MAX,
-                },
-                Instr::Cmp {
-                    pred: CmpPred::Eq,
-                    dst: Reg(2),
-                    a: Reg(0),
-                    b: Reg(1),
-                },
-                Instr::Branch {
-                    cond: Reg(2),
-                    then_t: 3,
-                    else_t: 3,
-                },
-                Instr::Ret { src: Reg(0) },
-            ],
-        );
+        let (f, stats) = fuse_one(function("f", 1, 3, |f| {
+            f.code.push(DecodedInstr::ConstInt {
+                dst: Reg(1),
+                v: i64::MAX,
+            });
+            f.code.push(DecodedInstr::Cmp {
+                pred: CmpPred::Eq,
+                dst: Reg(2),
+                a: Reg(0),
+                b: Reg(1),
+            });
+            f.code.push(DecodedInstr::Branch {
+                cond: Reg(2),
+                then_t: 3,
+                else_t: 3,
+            });
+            f.code.push(DecodedInstr::Ret { src: Reg(0) });
+            Ok(())
+        }));
         assert_eq!(stats.const_cmp_br, 0);
         assert!(matches!(f.code[0], DecodedInstr::ConstInt { .. }));
     }
 
     #[test]
     fn fuses_ret_tail_shapes() {
-        let (f, stats) = fuse_one(
-            0,
-            1,
-            vec![
-                Instr::LpInt { dst: Reg(0), v: 9 },
-                Instr::Ret { src: Reg(0) },
-            ],
-        );
+        let (f, stats) = fuse_one(function("f", 0, 1, |f| {
+            f.code.push(DecodedInstr::LpInt { dst: Reg(0), v: 9 });
+            f.code.push(DecodedInstr::Ret { src: Reg(0) });
+            Ok(())
+        }));
         assert_eq!(stats.const_ret, 1);
         assert_eq!(f.code[0], DecodedInstr::ConstRet { v: 9 });
-        let (f, stats) = fuse_one(
-            2,
-            3,
-            vec![
-                Instr::CallBuiltin {
-                    dst: Reg(2),
-                    builtin: Builtin::NatAdd,
-                    args: vec![Reg(0), Reg(1)],
-                    mask: 0,
-                },
-                Instr::Ret { src: Reg(2) },
-            ],
-        );
+        let (f, stats) = fuse_one(function("f", 2, 3, |f| {
+            f.call_builtin(Reg(2), Builtin::NatAdd, &[Reg(0), Reg(1)], 0)?;
+            f.code.push(DecodedInstr::Ret { src: Reg(2) });
+            Ok(())
+        }));
         assert_eq!(stats.call_builtin_ret, 1);
         assert!(matches!(
             f.code[0],
@@ -2470,18 +2257,11 @@ mod tests {
                 ..
             }
         ));
-        let (f, stats) = fuse_one(
-            2,
-            3,
-            vec![
-                Instr::Construct {
-                    dst: Reg(2),
-                    tag: 4,
-                    args: vec![Reg(0), Reg(1)],
-                },
-                Instr::Ret { src: Reg(2) },
-            ],
-        );
+        let (f, stats) = fuse_one(function("f", 2, 3, |f| {
+            f.construct(Reg(2), 4, &[Reg(0), Reg(1)])?;
+            f.code.push(DecodedInstr::Ret { src: Reg(2) });
+            Ok(())
+        }));
         assert_eq!(stats.construct_ret, 1);
         let DecodedInstr::ConstructRet { tag: 4, args } = f.code[0] else {
             panic!("expected ConstructRet, got {:?}", f.code[0]);
@@ -2493,19 +2273,16 @@ mod tests {
     fn fuses_project_inc() {
         // The projected field is read later, which is fine: ProjInc keeps
         // the write (no dead-register requirement).
-        let (f, stats) = fuse_one(
-            1,
-            2,
-            vec![
-                Instr::Project {
-                    dst: Reg(1),
-                    src: Reg(0),
-                    idx: 3,
-                },
-                Instr::Inc { src: Reg(1) },
-                Instr::Ret { src: Reg(1) },
-            ],
-        );
+        let (f, stats) = fuse_one(function("f", 1, 2, |f| {
+            f.code.push(DecodedInstr::Project {
+                dst: Reg(1),
+                src: Reg(0),
+                idx: 3,
+            });
+            f.code.push(DecodedInstr::Inc { src: Reg(1) });
+            f.code.push(DecodedInstr::Ret { src: Reg(1) });
+            Ok(())
+        }));
         assert_eq!(stats.proj_inc, 1);
         assert_eq!(
             f.code[0],
@@ -2520,16 +2297,13 @@ mod tests {
 
     #[test]
     fn fuses_dec_dec_pairs() {
-        let (f, stats) = fuse_one(
-            2,
-            3,
-            vec![
-                Instr::Dec { src: Reg(0) },
-                Instr::Dec { src: Reg(1) },
-                Instr::LpInt { dst: Reg(2), v: 7 },
-                Instr::Ret { src: Reg(2) },
-            ],
-        );
+        let (f, stats) = fuse_one(function("f", 2, 3, |f| {
+            f.code.push(DecodedInstr::Dec { src: Reg(0) });
+            f.code.push(DecodedInstr::Dec { src: Reg(1) });
+            f.code.push(DecodedInstr::LpInt { dst: Reg(2), v: 7 });
+            f.code.push(DecodedInstr::Ret { src: Reg(2) });
+            Ok(())
+        }));
         assert_eq!(stats.dec2, 1);
         assert_eq!(
             f.code[0],
@@ -2545,25 +2319,22 @@ mod tests {
     fn fuses_proj_inc_quad() {
         // Two adjacent project-and-retain groups collapse to one quad
         // cell; four original cells become one.
-        let (f, stats) = fuse_one(
-            1,
-            3,
-            vec![
-                Instr::Project {
-                    dst: Reg(1),
-                    src: Reg(0),
-                    idx: 0,
-                },
-                Instr::Inc { src: Reg(1) },
-                Instr::Project {
-                    dst: Reg(2),
-                    src: Reg(0),
-                    idx: 1,
-                },
-                Instr::Inc { src: Reg(2) },
-                Instr::Ret { src: Reg(1) },
-            ],
-        );
+        let (f, stats) = fuse_one(function("f", 1, 3, |f| {
+            f.code.push(DecodedInstr::Project {
+                dst: Reg(1),
+                src: Reg(0),
+                idx: 0,
+            });
+            f.code.push(DecodedInstr::Inc { src: Reg(1) });
+            f.code.push(DecodedInstr::Project {
+                dst: Reg(2),
+                src: Reg(0),
+                idx: 1,
+            });
+            f.code.push(DecodedInstr::Inc { src: Reg(2) });
+            f.code.push(DecodedInstr::Ret { src: Reg(1) });
+            Ok(())
+        }));
         assert_eq!(stats.proj_inc2, 1);
         assert_eq!(stats.proj_inc, 0);
         assert_eq!(
@@ -2584,50 +2355,44 @@ mod tests {
     fn proj_inc_quad_bails_to_pairs_on_wide_index_or_jump_target() {
         // A field index beyond u16 cannot ride in the quad cell: the two
         // groups fuse as independent ProjInc pairs instead.
-        let (f, stats) = fuse_one(
-            1,
-            3,
-            vec![
-                Instr::Project {
-                    dst: Reg(1),
-                    src: Reg(0),
-                    idx: 1 << 20,
-                },
-                Instr::Inc { src: Reg(1) },
-                Instr::Project {
-                    dst: Reg(2),
-                    src: Reg(0),
-                    idx: 1,
-                },
-                Instr::Inc { src: Reg(2) },
-                Instr::Ret { src: Reg(1) },
-            ],
-        );
+        let (f, stats) = fuse_one(function("f", 1, 3, |f| {
+            f.code.push(DecodedInstr::Project {
+                dst: Reg(1),
+                src: Reg(0),
+                idx: 1 << 20,
+            });
+            f.code.push(DecodedInstr::Inc { src: Reg(1) });
+            f.code.push(DecodedInstr::Project {
+                dst: Reg(2),
+                src: Reg(0),
+                idx: 1,
+            });
+            f.code.push(DecodedInstr::Inc { src: Reg(2) });
+            f.code.push(DecodedInstr::Ret { src: Reg(1) });
+            Ok(())
+        }));
         assert_eq!((stats.proj_inc2, stats.proj_inc), (0, 2));
         assert!(matches!(f.code[0], DecodedInstr::ProjInc { .. }));
         assert!(matches!(f.code[1], DecodedInstr::ProjInc { .. }));
         // A jump target at the second group's head likewise splits the
         // quad: control may enter there, so the groups must stay separate
         // cells.
-        let (f, stats) = fuse_one(
-            1,
-            3,
-            vec![
-                Instr::Project {
-                    dst: Reg(1),
-                    src: Reg(0),
-                    idx: 0,
-                },
-                Instr::Inc { src: Reg(1) },
-                Instr::Project {
-                    dst: Reg(2),
-                    src: Reg(0),
-                    idx: 1,
-                },
-                Instr::Inc { src: Reg(2) },
-                Instr::Jump { target: 2 },
-            ],
-        );
+        let (f, stats) = fuse_one(function("f", 1, 3, |f| {
+            f.code.push(DecodedInstr::Project {
+                dst: Reg(1),
+                src: Reg(0),
+                idx: 0,
+            });
+            f.code.push(DecodedInstr::Inc { src: Reg(1) });
+            f.code.push(DecodedInstr::Project {
+                dst: Reg(2),
+                src: Reg(0),
+                idx: 1,
+            });
+            f.code.push(DecodedInstr::Inc { src: Reg(2) });
+            f.code.push(DecodedInstr::Jump { target: 2 });
+            Ok(())
+        }));
         assert_eq!((stats.proj_inc2, stats.proj_inc), (0, 2));
         assert!(matches!(f.code[2], DecodedInstr::Jump { target: 1 }));
     }
@@ -2636,30 +2401,30 @@ mod tests {
     fn jump_targets_remap_across_fused_boundaries() {
         // A diamond whose join sits *after* two fused pairs of different
         // widths; every target must land on the right post-fusion cell.
-        let code = vec![
+        let (f, stats) = fuse_one(function("f", 1, 4, |f| {
             // 0..=2 fuse into one ConstCmpBr cell.
-            Instr::ConstInt { dst: Reg(1), v: 0 },
-            Instr::Cmp {
+            f.code.push(DecodedInstr::ConstInt { dst: Reg(1), v: 0 });
+            f.code.push(DecodedInstr::Cmp {
                 pred: CmpPred::Eq,
                 dst: Reg(2),
                 a: Reg(0),
                 b: Reg(1),
-            },
-            Instr::Branch {
+            });
+            f.code.push(DecodedInstr::Branch {
                 cond: Reg(2),
                 then_t: 3,
                 else_t: 5,
-            },
+            });
             // then-block: 3..=4 fuse into one ConstRet cell.
-            Instr::LpInt { dst: Reg(3), v: 1 },
-            Instr::Ret { src: Reg(3) },
+            f.code.push(DecodedInstr::LpInt { dst: Reg(3), v: 1 });
+            f.code.push(DecodedInstr::Ret { src: Reg(3) });
             // else-block: a jump over a trap to the tail.
-            Instr::Jump { target: 7 },
-            Instr::Trap,
-            Instr::LpInt { dst: Reg(3), v: 2 },
-            Instr::Ret { src: Reg(3) },
-        ];
-        let (f, stats) = fuse_one(1, 4, code);
+            f.code.push(DecodedInstr::Jump { target: 7 });
+            f.code.push(DecodedInstr::Trap);
+            f.code.push(DecodedInstr::LpInt { dst: Reg(3), v: 2 });
+            f.code.push(DecodedInstr::Ret { src: Reg(3) });
+            Ok(())
+        }));
         assert_eq!(stats.const_cmp_br, 1);
         assert_eq!(stats.const_ret, 2);
         assert_eq!(stats.cells_saved, 4);
@@ -2682,19 +2447,18 @@ mod tests {
 
     #[test]
     fn dense_switch_fast_path_and_fallbacks() {
-        let switch_over = |cases: Vec<(i64, usize)>| {
-            let n = cases.len();
-            let mut code = vec![Instr::Switch {
-                idx: Reg(0),
-                cases,
-                default: n + 1,
-            }];
-            code.extend((0..=n).map(|_| Instr::Ret { src: Reg(0) }));
-            code.push(Instr::Trap);
-            code
+        let switch_over = |cases: &[(i64, u32)]| {
+            let n = cases.len() as u32;
+            fuse_one(function("f", 1, 1, |f| {
+                f.switch(Reg(0), cases.iter().copied(), n + 1)?;
+                f.code
+                    .extend((0..=n).map(|_| DecodedInstr::Ret { src: Reg(0) }));
+                f.code.push(DecodedInstr::Trap);
+                Ok(())
+            }))
         };
         // Contiguous but unsorted keys: densified, pool run sorted.
-        let (f, stats) = fuse_one(1, 1, switch_over(vec![(12, 2), (10, 1), (11, 3)]));
+        let (f, stats) = switch_over(&[(12, 2), (10, 1), (11, 3)]);
         assert_eq!(stats.switch_dense, 1);
         assert_eq!(stats.cells_saved, 0, "densify keeps the cell count");
         let DecodedInstr::SwitchDense { cases, default, .. } = f.code[0] else {
@@ -2703,12 +2467,12 @@ mod tests {
         assert_eq!(&f.cases[cases.range()], &[(10, 1), (11, 3), (12, 2)]);
         assert_eq!(default, 4);
         // A gap in the keys: stays a scanning Switch.
-        let (f, stats) = fuse_one(1, 1, switch_over(vec![(10, 1), (12, 2), (13, 3)]));
+        let (f, stats) = switch_over(&[(10, 1), (12, 2), (13, 3)]);
         assert_eq!(stats.switch_dense, 0);
         assert!(matches!(f.code[0], DecodedInstr::Switch { .. }));
         // Duplicate keys (span happens to match the length): scan keeps
         // first-match-wins semantics.
-        let (f, stats) = fuse_one(1, 1, switch_over(vec![(10, 1), (10, 2), (12, 3)]));
+        let (f, stats) = switch_over(&[(10, 1), (10, 2), (12, 3)]);
         assert_eq!(stats.switch_dense, 0);
         assert!(matches!(f.code[0], DecodedInstr::Switch { .. }));
     }
@@ -2718,15 +2482,12 @@ mod tests {
         // Malformed code decodes fine and fails at *runtime* with a
         // recoverable "pc out of range" error; fusion must preserve that
         // instead of panicking while remapping.
-        let (f, stats) = fuse_one(
-            0,
-            1,
-            vec![
-                Instr::LpInt { dst: Reg(0), v: 1 },
-                Instr::Ret { src: Reg(0) },
-                Instr::Jump { target: 99 },
-            ],
-        );
+        let (f, stats) = fuse_one(function("f", 0, 1, |f| {
+            f.code.push(DecodedInstr::LpInt { dst: Reg(0), v: 1 });
+            f.code.push(DecodedInstr::Ret { src: Reg(0) });
+            f.code.push(DecodedInstr::Jump { target: 99 });
+            Ok(())
+        }));
         assert_eq!(stats, FusionStats::default());
         assert_eq!(f.code.len(), 3, "stream left unfused");
     }
@@ -2736,15 +2497,12 @@ mod tests {
         // An unreachable instruction naming a register beyond n_regs is
         // decodable (and runnable — the bad cell never executes); the
         // fusion pass's read counting must tolerate it.
-        let (f, stats) = fuse_one(
-            0,
-            1,
-            vec![
-                Instr::LpInt { dst: Reg(0), v: 1 },
-                Instr::Ret { src: Reg(0) },
-                Instr::Ret { src: Reg(9) },
-            ],
-        );
+        let (f, stats) = fuse_one(function("f", 0, 1, |f| {
+            f.code.push(DecodedInstr::LpInt { dst: Reg(0), v: 1 });
+            f.code.push(DecodedInstr::Ret { src: Reg(0) });
+            f.code.push(DecodedInstr::Ret { src: Reg(9) });
+            Ok(())
+        }));
         assert_eq!(stats.const_ret, 1, "reachable prefix still fuses");
         assert!(matches!(f.code[0], DecodedInstr::ConstRet { v: 1 }));
     }
@@ -2752,73 +2510,75 @@ mod tests {
     #[test]
     fn no_fuse_option_leaves_the_stream_alone() {
         let p = CompiledProgram {
-            fns: vec![CompiledFn {
-                name: "f".into(),
-                arity: 0,
-                n_regs: 1,
-                code: vec![
-                    Instr::LpInt { dst: Reg(0), v: 1 },
-                    Instr::Ret { src: Reg(0) },
-                ],
-            }],
+            fns: vec![function("f", 0, 1, |f| {
+                f.code.push(DecodedInstr::LpInt { dst: Reg(0), v: 1 });
+                f.code.push(DecodedInstr::Ret { src: Reg(0) });
+                Ok(())
+            })],
             ..CompiledProgram::default()
         };
         let d = decode_program_with(&p, DecodeOptions::no_fuse());
         assert_eq!(d.fusion, FusionStats::default());
-        assert_eq!(d.fns[0].code.len(), 2);
-        // And the unfused stream still encodes losslessly.
-        for (i, original) in p.fns[0].code.iter().enumerate() {
-            assert_eq!(&d.fns[0].encode(i), original);
-        }
+        assert_eq!(d.fns[0].code, p.fns[0].code, "the compiler's cells");
     }
 
     // ---- scalar builtins: decided branches, immediates, retain folding ----
 
-    fn call2(dst: u16, builtin: Builtin, a: u16, b: u16, mask: u8) -> Instr {
-        Instr::CallBuiltin {
-            dst: Reg(dst),
-            builtin,
-            args: vec![Reg(a), Reg(b)],
-            mask,
-        }
+    /// Emits `r{dst} ← builtin(r{a}, r{b})`.
+    fn call2(
+        f: &mut DecodedFn,
+        dst: u16,
+        builtin: Builtin,
+        a: u16,
+        b: u16,
+        mask: u8,
+    ) -> Result<(), CompileError> {
+        f.call_builtin(Reg(dst), builtin, &[Reg(a), Reg(b)], mask)
     }
 
-    /// `r2 ← builtin(r0, r1)`, `r3 ← label(r2)`, then mlir's
+    /// Emits `r2 ← builtin(r0, r1)`, `r3 ← label(r2)`, then mlir's
     /// `ConstInt r4, 0` + `Cmp` (constant on the given side) + `Branch`
-    /// to `Ret r0` / `Ret r1`.
-    fn mlir_decided(builtin: Builtin, pred: CmpPred, const_left: bool) -> Vec<Instr> {
+    /// to `Ret r0` / `Ret r1`, after the cells `f` already holds.
+    fn mlir_decided(
+        f: &mut DecodedFn,
+        builtin: Builtin,
+        pred: CmpPred,
+        const_left: bool,
+    ) -> Result<(), CompileError> {
         let (a, b) = if const_left {
             (Reg(4), Reg(3))
         } else {
             (Reg(3), Reg(4))
         };
-        vec![
-            call2(2, builtin, 0, 1, 0),
-            Instr::GetLabel {
-                dst: Reg(3),
-                src: Reg(2),
-            },
-            Instr::ConstInt { dst: Reg(4), v: 0 },
-            Instr::Cmp {
-                pred,
-                dst: Reg(5),
-                a,
-                b,
-            },
-            Instr::Branch {
-                cond: Reg(5),
-                then_t: 5,
-                else_t: 6,
-            },
-            Instr::Ret { src: Reg(0) },
-            Instr::Ret { src: Reg(1) },
-        ]
+        let at = f.code.len() as u32;
+        call2(f, 2, builtin, 0, 1, 0)?;
+        f.code.push(DecodedInstr::GetLabel {
+            dst: Reg(3),
+            src: Reg(2),
+        });
+        f.code.push(DecodedInstr::ConstInt { dst: Reg(4), v: 0 });
+        f.code.push(DecodedInstr::Cmp {
+            pred,
+            dst: Reg(5),
+            a,
+            b,
+        });
+        f.code.push(DecodedInstr::Branch {
+            cond: Reg(5),
+            then_t: at + 5,
+            else_t: at + 6,
+        });
+        f.code.push(DecodedInstr::Ret { src: Reg(0) });
+        f.code.push(DecodedInstr::Ret { src: Reg(1) });
+        Ok(())
     }
 
     #[test]
     fn fuses_decided_compare_and_branch_with_the_constant_either_side() {
         // `label == 0` branches to `then` when the builtin returns 0.
-        let (f, stats) = fuse_one(2, 6, mlir_decided(Builtin::NatDecLt, CmpPred::Eq, false));
+        let (f, stats) = fuse_one(function("f", 2, 6, |f| {
+            mlir_decided(f, Builtin::NatDecLt, CmpPred::Eq, false)
+        }));
         assert_eq!((stats.builtin_br, stats.cells_saved), (1, 4));
         assert_eq!(
             f.code[0],
@@ -2834,7 +2594,9 @@ mod tests {
         );
         assert_eq!(f.code.len(), 3);
         // `0 < label` holds only for result 1.
-        let (f, stats) = fuse_one(2, 6, mlir_decided(Builtin::IntDecLe, CmpPred::Slt, true));
+        let (f, stats) = fuse_one(function("f", 2, 6, |f| {
+            mlir_decided(f, Builtin::IntDecLe, CmpPred::Slt, true)
+        }));
         assert_eq!(stats.builtin_br, 1);
         assert!(matches!(
             f.code[0],
@@ -2857,22 +2619,18 @@ mod tests {
             (vec![(1, 4)], 2, 3),
             (vec![], 3, 3),
         ] {
-            let code = vec![
-                call2(2, Builtin::NatDecEq, 0, 1, 3),
-                Instr::GetLabel {
+            let (f, stats) = fuse_one(function("f", 2, 4, |f| {
+                call2(f, 2, Builtin::NatDecEq, 0, 1, 3)?;
+                f.code.push(DecodedInstr::GetLabel {
                     dst: Reg(3),
                     src: Reg(2),
-                },
-                Instr::Switch {
-                    idx: Reg(3),
-                    cases: cases.clone(),
-                    default: 5,
-                },
-                Instr::Ret { src: Reg(0) },
-                Instr::Ret { src: Reg(1) },
-                Instr::Trap,
-            ];
-            let (f, stats) = fuse_one(2, 4, code);
+                });
+                f.switch(Reg(3), cases.iter().copied(), 5)?;
+                f.code.push(DecodedInstr::Ret { src: Reg(0) });
+                f.code.push(DecodedInstr::Ret { src: Reg(1) });
+                f.code.push(DecodedInstr::Trap);
+                Ok(())
+            }));
             assert_eq!((stats.builtin_br, stats.cells_saved), (1, 2), "{cases:?}");
             assert_eq!(
                 f.code[0],
@@ -2892,11 +2650,12 @@ mod tests {
 
     #[test]
     fn a_small_right_constant_rides_along_in_the_decided_branch() {
-        let mut code = mlir_decided(Builtin::NatDecEq, CmpPred::Eq, false);
-        code.insert(0, Instr::LpInt { dst: Reg(1), v: -7 });
-        code[7] = Instr::Trap;
-        let code = retarget(code, 1);
-        let (f, stats) = fuse_one(1, 6, code);
+        let (f, stats) = fuse_one(function("f", 1, 6, |f| {
+            f.code.push(DecodedInstr::LpInt { dst: Reg(1), v: -7 });
+            mlir_decided(f, Builtin::NatDecEq, CmpPred::Eq, false)?;
+            f.code[7] = DecodedInstr::Trap;
+            Ok(())
+        }));
         assert_eq!((stats.builtin_br, stats.cells_saved), (1, 5));
         assert_eq!(
             f.code[0],
@@ -2912,40 +2671,15 @@ mod tests {
         );
     }
 
-    /// Shifts every jump target of `code` by `by` (for streams built by
-    /// prepending cells to another).
-    fn retarget(mut code: Vec<Instr>, by: usize) -> Vec<Instr> {
-        for i in &mut code {
-            match i {
-                Instr::Jump { target } => *target += by,
-                Instr::Branch { then_t, else_t, .. } => {
-                    *then_t += by;
-                    *else_t += by;
-                }
-                Instr::Switch { cases, default, .. } => {
-                    *default += by;
-                    for (_, t) in cases {
-                        *t += by;
-                    }
-                }
-                _ => {}
-            }
-        }
-        code
-    }
-
     #[test]
     fn fuses_constant_operand_into_builtin_either_side() {
         // `r2 ← r0 - 1`.
-        let (f, stats) = fuse_one(
-            1,
-            3,
-            vec![
-                Instr::LpInt { dst: Reg(1), v: 1 },
-                call2(2, Builtin::NatSub, 0, 1, 1),
-                Instr::Ret { src: Reg(2) },
-            ],
-        );
+        let (f, stats) = fuse_one(function("f", 1, 3, |f| {
+            f.code.push(DecodedInstr::LpInt { dst: Reg(1), v: 1 });
+            call2(f, 2, Builtin::NatSub, 0, 1, 1)?;
+            f.code.push(DecodedInstr::Ret { src: Reg(2) });
+            Ok(())
+        }));
         assert_eq!((stats.builtin_imm, stats.cells_saved), (1, 1));
         assert_eq!(
             f.code[0],
@@ -2959,18 +2693,15 @@ mod tests {
             }
         );
         // `r2 ← -100 + r0`: the mask keeps naming argument positions.
-        let (f, stats) = fuse_one(
-            1,
-            3,
-            vec![
-                Instr::LpInt {
-                    dst: Reg(1),
-                    v: -100,
-                },
-                call2(2, Builtin::IntAdd, 1, 0, 2),
-                Instr::Ret { src: Reg(2) },
-            ],
-        );
+        let (f, stats) = fuse_one(function("f", 1, 3, |f| {
+            f.code.push(DecodedInstr::LpInt {
+                dst: Reg(1),
+                v: -100,
+            });
+            call2(f, 2, Builtin::IntAdd, 1, 0, 2)?;
+            f.code.push(DecodedInstr::Ret { src: Reg(2) });
+            Ok(())
+        }));
         assert_eq!(stats.builtin_imm, 1);
         assert_eq!(
             f.code[0],
@@ -2988,33 +2719,37 @@ mod tests {
     #[test]
     fn decided_branch_bails_when_the_result_is_read_elsewhere() {
         // Returned after the branch, or stored into a constructor.
-        for reader in [
-            Instr::Ret { src: Reg(2) },
-            Instr::Construct {
-                dst: Reg(6),
-                tag: 1,
-                args: vec![Reg(2)],
-            },
-        ] {
-            let mut code = mlir_decided(Builtin::NatDecEq, CmpPred::Eq, false);
-            code[5] = reader;
-            let (f, stats) = fuse_one(2, 7, code);
+        for construct in [false, true] {
+            let (f, stats) = fuse_one(function("f", 2, 7, |f| {
+                mlir_decided(f, Builtin::NatDecEq, CmpPred::Eq, false)?;
+                f.code[5] = DecodedInstr::Ret { src: Reg(2) };
+                if construct {
+                    // Emitted last, then moved over cell 5.
+                    f.construct(Reg(6), 1, &[Reg(2)])?;
+                    f.code.swap_remove(5);
+                }
+                Ok(())
+            }));
             assert_eq!(stats.builtin_br, 0);
             assert!(matches!(f.code[0], DecodedInstr::CallBuiltin { .. }));
         }
         // Likewise the label.
-        let mut code = mlir_decided(Builtin::NatDecEq, CmpPred::Eq, false);
-        code[5] = Instr::Ret { src: Reg(3) };
-        let (_, stats) = fuse_one(2, 6, code);
+        let (_, stats) = fuse_one(function("f", 2, 6, |f| {
+            mlir_decided(f, Builtin::NatDecEq, CmpPred::Eq, false)?;
+            f.code[5] = DecodedInstr::Ret { src: Reg(3) };
+            Ok(())
+        }));
         assert_eq!(stats.builtin_br, 0);
     }
 
     #[test]
     fn decided_branch_bails_when_a_swallowed_cell_is_a_jump_target() {
         for target in 1..=4 {
-            let mut code = mlir_decided(Builtin::NatDecEq, CmpPred::Eq, false);
-            code[6] = Instr::Jump { target };
-            let (f, stats) = fuse_one(2, 6, code);
+            let (f, stats) = fuse_one(function("f", 2, 6, |f| {
+                mlir_decided(f, Builtin::NatDecEq, CmpPred::Eq, false)?;
+                f.code[6] = DecodedInstr::Jump { target };
+                Ok(())
+            }));
             assert_eq!(stats.builtin_br, 0, "jump to {target}");
             assert!(matches!(f.code[0], DecodedInstr::CallBuiltin { .. }));
         }
@@ -3024,16 +2759,15 @@ mod tests {
     fn immediates_bail_beyond_their_width() {
         // Beyond `i16` the constant stays a cell, and the call still
         // fuses with its branch.
-        let mut code = mlir_decided(Builtin::NatDecEq, CmpPred::Eq, false);
-        code.insert(
-            0,
-            Instr::LpInt {
+        let (f, stats) = fuse_one(function("f", 1, 6, |f| {
+            f.code.push(DecodedInstr::LpInt {
                 dst: Reg(1),
                 v: 40_000,
-            },
-        );
-        code[7] = Instr::Trap;
-        let (f, stats) = fuse_one(1, 6, retarget(code, 1));
+            });
+            mlir_decided(f, Builtin::NatDecEq, CmpPred::Eq, false)?;
+            f.code[7] = DecodedInstr::Trap;
+            Ok(())
+        }));
         assert_eq!((stats.builtin_br, stats.builtin_imm), (1, 0));
         assert!(matches!(f.code[0], DecodedInstr::LpInt { v: 40_000, .. }));
         assert!(matches!(
@@ -3041,18 +2775,15 @@ mod tests {
             DecodedInstr::BuiltinBr { imm: false, .. }
         ));
         // Beyond `i32` an arithmetic builtin keeps its constant cell.
-        let (f, stats) = fuse_one(
-            1,
-            3,
-            vec![
-                Instr::LpInt {
-                    dst: Reg(1),
-                    v: 1 << 40,
-                },
-                call2(2, Builtin::NatAdd, 0, 1, 0),
-                Instr::Ret { src: Reg(2) },
-            ],
-        );
+        let (f, stats) = fuse_one(function("f", 1, 3, |f| {
+            f.code.push(DecodedInstr::LpInt {
+                dst: Reg(1),
+                v: 1 << 40,
+            });
+            call2(f, 2, Builtin::NatAdd, 0, 1, 0)?;
+            f.code.push(DecodedInstr::Ret { src: Reg(2) });
+            Ok(())
+        }));
         assert_eq!(stats.builtin_imm, 0);
         assert!(matches!(f.code[0], DecodedInstr::LpInt { .. }));
     }
@@ -3061,18 +2792,17 @@ mod tests {
     fn builtins_without_a_scalar_fast_path_bail() {
         // No immediate form for `NatPow`, and no branch form for a builtin
         // whose result is not a decided boolean.
-        let (f, stats) = fuse_one(
-            1,
-            3,
-            vec![
-                Instr::LpInt { dst: Reg(1), v: 2 },
-                call2(2, Builtin::NatPow, 0, 1, 0),
-                Instr::Ret { src: Reg(2) },
-            ],
-        );
+        let (f, stats) = fuse_one(function("f", 1, 3, |f| {
+            f.code.push(DecodedInstr::LpInt { dst: Reg(1), v: 2 });
+            call2(f, 2, Builtin::NatPow, 0, 1, 0)?;
+            f.code.push(DecodedInstr::Ret { src: Reg(2) });
+            Ok(())
+        }));
         assert_eq!(stats.builtin_imm, 0);
         assert!(matches!(f.code[0], DecodedInstr::LpInt { .. }));
-        let (f, stats) = fuse_one(2, 6, mlir_decided(Builtin::NatSub, CmpPred::Eq, false));
+        let (f, stats) = fuse_one(function("f", 2, 6, |f| {
+            mlir_decided(f, Builtin::NatSub, CmpPred::Eq, false)
+        }));
         assert_eq!(stats.builtin_br, 0);
         assert!(matches!(f.code[0], DecodedInstr::CallBuiltin { .. }));
     }
@@ -3082,18 +2812,15 @@ mod tests {
         // Adjacent `Inc`s of arguments with a clear bit fold, one bit each
         // (a register passed twice takes two); an `Inc` of another
         // register, or a third of the doubled one, stays.
-        let (f, stats) = fuse_one(
-            3,
-            4,
-            vec![
-                Instr::Inc { src: Reg(2) },
-                Instr::Inc { src: Reg(0) },
-                Instr::Inc { src: Reg(0) },
-                Instr::Inc { src: Reg(0) },
-                call2(3, Builtin::StrAppend, 0, 0, 0),
-                Instr::Ret { src: Reg(3) },
-            ],
-        );
+        let (f, stats) = fuse_one(function("f", 3, 4, |f| {
+            f.code.push(DecodedInstr::Inc { src: Reg(2) });
+            f.code.push(DecodedInstr::Inc { src: Reg(0) });
+            f.code.push(DecodedInstr::Inc { src: Reg(0) });
+            f.code.push(DecodedInstr::Inc { src: Reg(0) });
+            call2(f, 3, Builtin::StrAppend, 0, 0, 0)?;
+            f.code.push(DecodedInstr::Ret { src: Reg(3) });
+            Ok(())
+        }));
         assert_eq!((stats.retains_folded, stats.cells_saved), (2, 3));
         assert_eq!(f.code[0], DecodedInstr::Inc { src: Reg(2) });
         assert_eq!(f.code[1], DecodedInstr::Inc { src: Reg(0) });
@@ -3102,15 +2829,12 @@ mod tests {
             DecodedInstr::CallBuiltinRet { mask: 3, .. }
         ));
         // A bit already set (an rc-opt borrow) takes no second retain.
-        let (f, stats) = fuse_one(
-            2,
-            3,
-            vec![
-                Instr::Inc { src: Reg(0) },
-                call2(2, Builtin::StrAppend, 0, 1, 1),
-                Instr::Ret { src: Reg(2) },
-            ],
-        );
+        let (f, stats) = fuse_one(function("f", 2, 3, |f| {
+            f.code.push(DecodedInstr::Inc { src: Reg(0) });
+            call2(f, 2, Builtin::StrAppend, 0, 1, 1)?;
+            f.code.push(DecodedInstr::Ret { src: Reg(2) });
+            Ok(())
+        }));
         assert_eq!(stats.retains_folded, 0);
         assert_eq!(f.code[0], DecodedInstr::Inc { src: Reg(0) });
     }
@@ -3119,16 +2843,13 @@ mod tests {
     fn retain_folding_stops_at_other_cells_and_jump_targets() {
         // `Inc r0; LpInt r1; r2 ← r0 - r1`: the retain is not adjacent to
         // the call and stays; the constant still folds into the builtin.
-        let (f, stats) = fuse_one(
-            1,
-            3,
-            vec![
-                Instr::Inc { src: Reg(0) },
-                Instr::LpInt { dst: Reg(1), v: 1 },
-                call2(2, Builtin::NatSub, 0, 1, 0),
-                Instr::Ret { src: Reg(2) },
-            ],
-        );
+        let (f, stats) = fuse_one(function("f", 1, 3, |f| {
+            f.code.push(DecodedInstr::Inc { src: Reg(0) });
+            f.code.push(DecodedInstr::LpInt { dst: Reg(1), v: 1 });
+            call2(f, 2, Builtin::NatSub, 0, 1, 0)?;
+            f.code.push(DecodedInstr::Ret { src: Reg(2) });
+            Ok(())
+        }));
         assert_eq!((stats.retains_folded, stats.builtin_imm), (0, 1));
         assert_eq!(f.code[0], DecodedInstr::Inc { src: Reg(0) });
         assert!(matches!(
@@ -3141,17 +2862,14 @@ mod tests {
         ));
         // Control enters at the second `Inc`: the first stays, the second
         // folds, and the jump lands on the call that now retains.
-        let (f, stats) = fuse_one(
-            2,
-            3,
-            vec![
-                Instr::Inc { src: Reg(0) },
-                Instr::Inc { src: Reg(1) },
-                call2(2, Builtin::StrAppend, 0, 1, 0),
-                Instr::Ret { src: Reg(2) },
-                Instr::Jump { target: 1 },
-            ],
-        );
+        let (f, stats) = fuse_one(function("f", 2, 3, |f| {
+            f.code.push(DecodedInstr::Inc { src: Reg(0) });
+            f.code.push(DecodedInstr::Inc { src: Reg(1) });
+            call2(f, 2, Builtin::StrAppend, 0, 1, 0)?;
+            f.code.push(DecodedInstr::Ret { src: Reg(2) });
+            f.code.push(DecodedInstr::Jump { target: 1 });
+            Ok(())
+        }));
         assert_eq!(stats.retains_folded, 1);
         assert_eq!(f.code[0], DecodedInstr::Inc { src: Reg(0) });
         assert!(matches!(

@@ -2101,17 +2101,17 @@ pub fn run_program(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::{BinOp, CmpPred, CompiledFn, CompiledProgram, Instr};
+    use crate::bytecode::{BinOp, CmpPred, CompiledProgram};
     use crate::decode::decode_program;
+    use crate::decode::tests::function;
 
-    fn single(code: Vec<Instr>, n_regs: u16) -> CompiledProgram {
+    /// `main`, whose cells are `code`.
+    fn single(code: Vec<DecodedInstr>, n_regs: u16) -> CompiledProgram {
         CompiledProgram {
-            fns: vec![CompiledFn {
-                name: "main".into(),
-                arity: 0,
-                n_regs,
-                code,
-            }],
+            fns: vec![function("main", 0, n_regs, |f| {
+                f.code.extend(code);
+                Ok(())
+            })],
             ..CompiledProgram::default()
         }
     }
@@ -2121,56 +2121,36 @@ mod tests {
     fn tail_loop(n: i64) -> CompiledProgram {
         CompiledProgram {
             fns: vec![
-                CompiledFn {
-                    name: "main".into(),
-                    arity: 0,
-                    n_regs: 2,
-                    code: vec![
-                        Instr::LpInt { dst: Reg(0), v: n },
-                        Instr::Call {
-                            dst: Reg(1),
-                            func: 1,
-                            args: vec![Reg(0)],
-                        },
-                        Instr::Ret { src: Reg(1) },
-                    ],
-                },
-                CompiledFn {
-                    name: "loop".into(),
-                    arity: 1,
-                    n_regs: 4,
-                    code: vec![
-                        Instr::GetLabel {
-                            dst: Reg(1),
-                            src: Reg(0),
-                        },
-                        Instr::ConstInt { dst: Reg(2), v: 0 },
-                        Instr::Cmp {
-                            pred: CmpPred::Eq,
-                            dst: Reg(2),
-                            a: Reg(1),
-                            b: Reg(2),
-                        },
-                        Instr::Branch {
-                            cond: Reg(2),
-                            then_t: 4,
-                            else_t: 6,
-                        },
-                        Instr::LpInt { dst: Reg(3), v: 7 },
-                        Instr::Ret { src: Reg(3) },
-                        Instr::LpInt { dst: Reg(2), v: 1 },
-                        Instr::CallBuiltin {
-                            dst: Reg(3),
-                            builtin: lssa_rt::Builtin::NatSub,
-                            args: vec![Reg(0), Reg(2)],
-                            mask: 0,
-                        },
-                        Instr::TailCall {
-                            func: 1,
-                            args: vec![Reg(3)],
-                        },
-                    ],
-                },
+                function("main", 0, 2, |f| {
+                    f.code.push(DecodedInstr::LpInt { dst: Reg(0), v: n });
+                    f.call(Reg(1), 1, &[Reg(0)])?;
+                    f.code.push(DecodedInstr::Ret { src: Reg(1) });
+                    Ok(())
+                }),
+                function("loop", 1, 4, |f| {
+                    f.code.push(DecodedInstr::GetLabel {
+                        dst: Reg(1),
+                        src: Reg(0),
+                    });
+                    f.code.push(DecodedInstr::ConstInt { dst: Reg(2), v: 0 });
+                    f.code.push(DecodedInstr::Cmp {
+                        pred: CmpPred::Eq,
+                        dst: Reg(2),
+                        a: Reg(1),
+                        b: Reg(2),
+                    });
+                    f.code.push(DecodedInstr::Branch {
+                        cond: Reg(2),
+                        then_t: 4,
+                        else_t: 6,
+                    });
+                    f.code.push(DecodedInstr::LpInt { dst: Reg(3), v: 7 });
+                    f.code.push(DecodedInstr::Ret { src: Reg(3) });
+                    f.code.push(DecodedInstr::LpInt { dst: Reg(2), v: 1 });
+                    f.call_builtin(Reg(3), lssa_rt::Builtin::NatSub, &[Reg(0), Reg(2)], 0)?;
+                    f.tail_call(1, &[Reg(3)])?;
+                    Ok(())
+                }),
             ],
             ..CompiledProgram::default()
         }
@@ -2196,8 +2176,8 @@ mod tests {
     fn returns_scalar() {
         let p = single(
             vec![
-                Instr::LpInt { dst: Reg(0), v: 42 },
-                Instr::Ret { src: Reg(0) },
+                DecodedInstr::LpInt { dst: Reg(0), v: 42 },
+                DecodedInstr::Ret { src: Reg(0) },
             ],
             1,
         );
@@ -2221,23 +2201,23 @@ mod tests {
         // if (2 < 3) then 10 else 20
         let p = single(
             vec![
-                Instr::ConstInt { dst: Reg(0), v: 2 },
-                Instr::ConstInt { dst: Reg(1), v: 3 },
-                Instr::Cmp {
+                DecodedInstr::ConstInt { dst: Reg(0), v: 2 },
+                DecodedInstr::ConstInt { dst: Reg(1), v: 3 },
+                DecodedInstr::Cmp {
                     pred: CmpPred::Slt,
                     dst: Reg(2),
                     a: Reg(0),
                     b: Reg(1),
                 },
-                Instr::Branch {
+                DecodedInstr::Branch {
                     cond: Reg(2),
                     then_t: 4,
                     else_t: 6,
                 },
-                Instr::LpInt { dst: Reg(3), v: 10 },
-                Instr::Ret { src: Reg(3) },
-                Instr::LpInt { dst: Reg(3), v: 20 },
-                Instr::Ret { src: Reg(3) },
+                DecodedInstr::LpInt { dst: Reg(3), v: 10 },
+                DecodedInstr::Ret { src: Reg(3) },
+                DecodedInstr::LpInt { dst: Reg(3), v: 20 },
+                DecodedInstr::Ret { src: Reg(3) },
             ],
             4,
         );
@@ -2284,41 +2264,19 @@ mod tests {
         // add(a, b) = a + b ; main: c = pap add [10]; papextend c [32]
         let p = CompiledProgram {
             fns: vec![
-                CompiledFn {
-                    name: "main".into(),
-                    arity: 0,
-                    n_regs: 3,
-                    code: vec![
-                        Instr::LpInt { dst: Reg(0), v: 10 },
-                        Instr::Pap {
-                            dst: Reg(1),
-                            func: 1,
-                            arity: 2,
-                            args: vec![Reg(0)],
-                        },
-                        Instr::LpInt { dst: Reg(2), v: 32 },
-                        Instr::PapExtend {
-                            dst: Reg(0),
-                            closure: Reg(1),
-                            args: vec![Reg(2)],
-                        },
-                        Instr::Ret { src: Reg(0) },
-                    ],
-                },
-                CompiledFn {
-                    name: "add".into(),
-                    arity: 2,
-                    n_regs: 3,
-                    code: vec![
-                        Instr::CallBuiltin {
-                            dst: Reg(2),
-                            builtin: lssa_rt::Builtin::NatAdd,
-                            args: vec![Reg(0), Reg(1)],
-                            mask: 0,
-                        },
-                        Instr::Ret { src: Reg(2) },
-                    ],
-                },
+                function("main", 0, 3, |f| {
+                    f.code.push(DecodedInstr::LpInt { dst: Reg(0), v: 10 });
+                    f.pap(Reg(1), 1, 2, &[Reg(0)])?;
+                    f.code.push(DecodedInstr::LpInt { dst: Reg(2), v: 32 });
+                    f.pap_extend(Reg(0), Reg(1), &[Reg(2)])?;
+                    f.code.push(DecodedInstr::Ret { src: Reg(0) });
+                    Ok(())
+                }),
+                function("add", 2, 3, |f| {
+                    f.call_builtin(Reg(2), lssa_rt::Builtin::NatAdd, &[Reg(0), Reg(1)], 0)?;
+                    f.code.push(DecodedInstr::Ret { src: Reg(2) });
+                    Ok(())
+                }),
             ],
             ..CompiledProgram::default()
         };
@@ -2333,58 +2291,37 @@ mod tests {
     fn call_loop(n: i64) -> CompiledProgram {
         CompiledProgram {
             fns: vec![
-                CompiledFn {
-                    name: "main".into(),
-                    arity: 0,
-                    n_regs: 2,
-                    code: vec![
-                        Instr::LpInt { dst: Reg(0), v: n },
-                        Instr::Call {
-                            dst: Reg(1),
-                            func: 1,
-                            args: vec![Reg(0)],
-                        },
-                        Instr::Ret { src: Reg(1) },
-                    ],
-                },
-                CompiledFn {
-                    name: "loop".into(),
-                    arity: 1,
-                    n_regs: 4,
-                    code: vec![
-                        Instr::GetLabel {
-                            dst: Reg(1),
-                            src: Reg(0),
-                        },
-                        Instr::ConstInt { dst: Reg(2), v: 0 },
-                        Instr::Cmp {
-                            pred: CmpPred::Eq,
-                            dst: Reg(2),
-                            a: Reg(1),
-                            b: Reg(2),
-                        },
-                        Instr::Branch {
-                            cond: Reg(2),
-                            then_t: 4,
-                            else_t: 6,
-                        },
-                        Instr::LpInt { dst: Reg(3), v: 7 },
-                        Instr::Ret { src: Reg(3) },
-                        Instr::LpInt { dst: Reg(2), v: 1 },
-                        Instr::CallBuiltin {
-                            dst: Reg(3),
-                            builtin: lssa_rt::Builtin::NatSub,
-                            args: vec![Reg(0), Reg(2)],
-                            mask: 0,
-                        },
-                        Instr::Call {
-                            dst: Reg(3),
-                            func: 1,
-                            args: vec![Reg(3)],
-                        },
-                        Instr::Ret { src: Reg(3) },
-                    ],
-                },
+                function("main", 0, 2, |f| {
+                    f.code.push(DecodedInstr::LpInt { dst: Reg(0), v: n });
+                    f.call(Reg(1), 1, &[Reg(0)])?;
+                    f.code.push(DecodedInstr::Ret { src: Reg(1) });
+                    Ok(())
+                }),
+                function("loop", 1, 4, |f| {
+                    f.code.push(DecodedInstr::GetLabel {
+                        dst: Reg(1),
+                        src: Reg(0),
+                    });
+                    f.code.push(DecodedInstr::ConstInt { dst: Reg(2), v: 0 });
+                    f.code.push(DecodedInstr::Cmp {
+                        pred: CmpPred::Eq,
+                        dst: Reg(2),
+                        a: Reg(1),
+                        b: Reg(2),
+                    });
+                    f.code.push(DecodedInstr::Branch {
+                        cond: Reg(2),
+                        then_t: 4,
+                        else_t: 6,
+                    });
+                    f.code.push(DecodedInstr::LpInt { dst: Reg(3), v: 7 });
+                    f.code.push(DecodedInstr::Ret { src: Reg(3) });
+                    f.code.push(DecodedInstr::LpInt { dst: Reg(2), v: 1 });
+                    f.call_builtin(Reg(3), lssa_rt::Builtin::NatSub, &[Reg(0), Reg(2)], 0)?;
+                    f.call(Reg(3), 1, &[Reg(3)])?;
+                    f.code.push(DecodedInstr::Ret { src: Reg(3) });
+                    Ok(())
+                }),
             ],
             ..CompiledProgram::default()
         }
@@ -2428,65 +2365,30 @@ mod tests {
         // call-shaped cells get one each, and a `PapExtend` and a `Call`
         // after them keep the sentinel and take the uncached paths.
         let slotted = usize::from(NO_CACHE);
-        let mut code = vec![
-            Instr::Call {
-                dst: Reg(0),
-                func: 1,
-                args: vec![],
-            };
-            slotted
-        ];
-        code.extend([
-            Instr::Pap {
-                dst: Reg(1),
-                func: 2,
-                arity: 1,
-                args: vec![],
-            },
-            Instr::PapExtend {
-                dst: Reg(2),
-                closure: Reg(1),
-                args: vec![Reg(0)],
-            },
-            Instr::Call {
-                dst: Reg(3),
-                func: 2,
-                args: vec![Reg(2)],
-            },
-            Instr::Ret { src: Reg(3) },
-        ]);
-        let inc = CompiledFn {
-            name: "inc".into(),
-            arity: 1,
-            n_regs: 3,
-            code: vec![
-                Instr::LpInt { dst: Reg(1), v: 1 },
-                Instr::CallBuiltin {
-                    dst: Reg(2),
-                    builtin: lssa_rt::Builtin::NatAdd,
-                    args: vec![Reg(0), Reg(1)],
-                    mask: 0,
-                },
-                Instr::Ret { src: Reg(2) },
-            ],
-        };
+        let main = function("main", 0, 4, |f| {
+            for _ in 0..slotted {
+                f.call(Reg(0), 1, &[])?;
+            }
+            f.pap(Reg(1), 2, 1, &[])?;
+            f.pap_extend(Reg(2), Reg(1), &[Reg(0)])?;
+            f.call(Reg(3), 2, &[Reg(2)])?;
+            f.code.push(DecodedInstr::Ret { src: Reg(3) });
+            Ok(())
+        });
+        let inc = function("inc", 1, 3, |f| {
+            f.code.push(DecodedInstr::LpInt { dst: Reg(1), v: 1 });
+            f.call_builtin(Reg(2), lssa_rt::Builtin::NatAdd, &[Reg(0), Reg(1)], 0)?;
+            f.code.push(DecodedInstr::Ret { src: Reg(2) });
+            Ok(())
+        });
         let p = CompiledProgram {
             fns: vec![
-                CompiledFn {
-                    name: "main".into(),
-                    arity: 0,
-                    n_regs: 4,
-                    code,
-                },
-                CompiledFn {
-                    name: "one".into(),
-                    arity: 0,
-                    n_regs: 1,
-                    code: vec![
-                        Instr::LpInt { dst: Reg(0), v: 1 },
-                        Instr::Ret { src: Reg(0) },
-                    ],
-                },
+                main,
+                function("one", 0, 1, |f| {
+                    f.code.push(DecodedInstr::LpInt { dst: Reg(0), v: 1 });
+                    f.code.push(DecodedInstr::Ret { src: Reg(0) });
+                    Ok(())
+                }),
                 inc,
             ],
             ..CompiledProgram::default()
@@ -2523,85 +2425,32 @@ mod tests {
     fn papextend_site(second_target: u32) -> CompiledProgram {
         CompiledProgram {
             fns: vec![
-                CompiledFn {
-                    name: "main".into(),
-                    arity: 0,
-                    n_regs: 3,
-                    code: vec![
-                        Instr::Pap {
-                            dst: Reg(0),
-                            func: 2,
-                            arity: 1,
-                            args: vec![],
-                        },
-                        Instr::Call {
-                            dst: Reg(1),
-                            func: 1,
-                            args: vec![Reg(0)],
-                        },
-                        Instr::Pap {
-                            dst: Reg(0),
-                            func: second_target,
-                            arity: 1,
-                            args: vec![],
-                        },
-                        Instr::Call {
-                            dst: Reg(2),
-                            func: 1,
-                            args: vec![Reg(0)],
-                        },
-                        Instr::CallBuiltin {
-                            dst: Reg(0),
-                            builtin: lssa_rt::Builtin::NatAdd,
-                            args: vec![Reg(1), Reg(2)],
-                            mask: 0,
-                        },
-                        Instr::Ret { src: Reg(0) },
-                    ],
-                },
-                CompiledFn {
-                    name: "apply5".into(),
-                    arity: 1,
-                    n_regs: 3,
-                    code: vec![
-                        Instr::LpInt { dst: Reg(1), v: 5 },
-                        Instr::PapExtend {
-                            dst: Reg(2),
-                            closure: Reg(0),
-                            args: vec![Reg(1)],
-                        },
-                        Instr::Ret { src: Reg(2) },
-                    ],
-                },
-                CompiledFn {
-                    name: "twice".into(),
-                    arity: 1,
-                    n_regs: 2,
-                    code: vec![
-                        Instr::CallBuiltin {
-                            dst: Reg(1),
-                            builtin: lssa_rt::Builtin::NatAdd,
-                            args: vec![Reg(0), Reg(0)],
-                            mask: 0,
-                        },
-                        Instr::Ret { src: Reg(1) },
-                    ],
-                },
-                CompiledFn {
-                    name: "inc".into(),
-                    arity: 1,
-                    n_regs: 3,
-                    code: vec![
-                        Instr::LpInt { dst: Reg(1), v: 1 },
-                        Instr::CallBuiltin {
-                            dst: Reg(2),
-                            builtin: lssa_rt::Builtin::NatAdd,
-                            args: vec![Reg(0), Reg(1)],
-                            mask: 0,
-                        },
-                        Instr::Ret { src: Reg(2) },
-                    ],
-                },
+                function("main", 0, 3, |f| {
+                    f.pap(Reg(0), 2, 1, &[])?;
+                    f.call(Reg(1), 1, &[Reg(0)])?;
+                    f.pap(Reg(0), second_target, 1, &[])?;
+                    f.call(Reg(2), 1, &[Reg(0)])?;
+                    f.call_builtin(Reg(0), lssa_rt::Builtin::NatAdd, &[Reg(1), Reg(2)], 0)?;
+                    f.code.push(DecodedInstr::Ret { src: Reg(0) });
+                    Ok(())
+                }),
+                function("apply5", 1, 3, |f| {
+                    f.code.push(DecodedInstr::LpInt { dst: Reg(1), v: 5 });
+                    f.pap_extend(Reg(2), Reg(0), &[Reg(1)])?;
+                    f.code.push(DecodedInstr::Ret { src: Reg(2) });
+                    Ok(())
+                }),
+                function("twice", 1, 2, |f| {
+                    f.call_builtin(Reg(1), lssa_rt::Builtin::NatAdd, &[Reg(0), Reg(0)], 0)?;
+                    f.code.push(DecodedInstr::Ret { src: Reg(1) });
+                    Ok(())
+                }),
+                function("inc", 1, 3, |f| {
+                    f.code.push(DecodedInstr::LpInt { dst: Reg(1), v: 1 });
+                    f.call_builtin(Reg(2), lssa_rt::Builtin::NatAdd, &[Reg(0), Reg(1)], 0)?;
+                    f.code.push(DecodedInstr::Ret { src: Reg(2) });
+                    Ok(())
+                }),
             ],
             ..CompiledProgram::default()
         }
@@ -2627,14 +2476,14 @@ mod tests {
 
     #[test]
     fn step_budget_enforced() {
-        let p = single(vec![Instr::Jump { target: 0 }], 1);
+        let p = single(vec![DecodedInstr::Jump { target: 0 }], 1);
         let e = run_program(&p, "main", 100).unwrap_err();
         assert!(e.message.contains("step budget"));
     }
 
     #[test]
     fn trap_reports_function() {
-        let p = single(vec![Instr::Trap], 1);
+        let p = single(vec![DecodedInstr::Trap], 1);
         let e = run_program(&p, "main", 100).unwrap_err();
         assert!(e.message.contains("unreachable"), "{e}");
         assert!(e.message.contains("main"), "{e}");
@@ -2644,15 +2493,15 @@ mod tests {
     fn division_by_zero_traps() {
         let p = single(
             vec![
-                Instr::ConstInt { dst: Reg(0), v: 1 },
-                Instr::ConstInt { dst: Reg(1), v: 0 },
-                Instr::Bin {
+                DecodedInstr::ConstInt { dst: Reg(0), v: 1 },
+                DecodedInstr::ConstInt { dst: Reg(1), v: 0 },
+                DecodedInstr::Bin {
                     op: BinOp::Div,
                     dst: Reg(0),
                     a: Reg(0),
                     b: Reg(1),
                 },
-                Instr::Ret { src: Reg(0) },
+                DecodedInstr::Ret { src: Reg(0) },
             ],
             2,
         );
@@ -2664,16 +2513,16 @@ mod tests {
     fn globals_round_trip() {
         let mut p = single(
             vec![
-                Instr::LpInt { dst: Reg(0), v: 5 },
-                Instr::GlobalStore {
+                DecodedInstr::LpInt { dst: Reg(0), v: 5 },
+                DecodedInstr::GlobalStore {
                     idx: 0,
                     src: Reg(0),
                 },
-                Instr::GlobalLoad {
+                DecodedInstr::GlobalLoad {
                     dst: Reg(1),
                     idx: 0,
                 },
-                Instr::Ret { src: Reg(1) },
+                DecodedInstr::Ret { src: Reg(1) },
             ],
             2,
         );
@@ -2687,21 +2536,15 @@ mod tests {
         // its frame pool is intact.
         let p = CompiledProgram {
             fns: vec![
-                CompiledFn {
-                    name: "main".into(),
-                    arity: 0,
-                    n_regs: 1,
-                    code: vec![
-                        Instr::LpInt { dst: Reg(0), v: 3 },
-                        Instr::Ret { src: Reg(0) },
-                    ],
-                },
-                CompiledFn {
-                    name: "boom".into(),
-                    arity: 0,
-                    n_regs: 1,
-                    code: vec![Instr::Trap],
-                },
+                function("main", 0, 1, |f| {
+                    f.code.push(DecodedInstr::LpInt { dst: Reg(0), v: 3 });
+                    f.code.push(DecodedInstr::Ret { src: Reg(0) });
+                    Ok(())
+                }),
+                function("boom", 0, 1, |f| {
+                    f.code.push(DecodedInstr::Trap);
+                    Ok(())
+                }),
             ],
             ..CompiledProgram::default()
         };
@@ -2728,65 +2571,39 @@ mod tests {
     fn deep_recursion(n: i64) -> CompiledProgram {
         CompiledProgram {
             fns: vec![
-                CompiledFn {
-                    name: "main".into(),
-                    arity: 0,
-                    n_regs: 2,
-                    code: vec![
-                        Instr::LpInt { dst: Reg(0), v: n },
-                        Instr::Call {
-                            dst: Reg(1),
-                            func: 1,
-                            args: vec![Reg(0)],
-                        },
-                        Instr::Ret { src: Reg(1) },
-                    ],
-                },
-                CompiledFn {
-                    name: "rec".into(),
-                    arity: 1,
-                    n_regs: 4,
-                    code: vec![
-                        Instr::GetLabel {
-                            dst: Reg(1),
-                            src: Reg(0),
-                        },
-                        Instr::ConstInt { dst: Reg(2), v: 0 },
-                        Instr::Cmp {
-                            pred: CmpPred::Eq,
-                            dst: Reg(2),
-                            a: Reg(1),
-                            b: Reg(2),
-                        },
-                        Instr::Branch {
-                            cond: Reg(2),
-                            then_t: 4,
-                            else_t: 6,
-                        },
-                        Instr::LpInt { dst: Reg(3), v: 7 },
-                        Instr::Ret { src: Reg(3) },
-                        Instr::LpInt { dst: Reg(2), v: 1 },
-                        Instr::CallBuiltin {
-                            dst: Reg(3),
-                            builtin: lssa_rt::Builtin::NatSub,
-                            args: vec![Reg(0), Reg(2)],
-                            mask: 0,
-                        },
-                        Instr::Call {
-                            dst: Reg(3),
-                            func: 1,
-                            args: vec![Reg(3)],
-                        },
-                        Instr::LpInt { dst: Reg(2), v: 1 },
-                        Instr::CallBuiltin {
-                            dst: Reg(3),
-                            builtin: lssa_rt::Builtin::NatAdd,
-                            args: vec![Reg(2), Reg(3)],
-                            mask: 0,
-                        },
-                        Instr::Ret { src: Reg(3) },
-                    ],
-                },
+                function("main", 0, 2, |f| {
+                    f.code.push(DecodedInstr::LpInt { dst: Reg(0), v: n });
+                    f.call(Reg(1), 1, &[Reg(0)])?;
+                    f.code.push(DecodedInstr::Ret { src: Reg(1) });
+                    Ok(())
+                }),
+                function("rec", 1, 4, |f| {
+                    f.code.push(DecodedInstr::GetLabel {
+                        dst: Reg(1),
+                        src: Reg(0),
+                    });
+                    f.code.push(DecodedInstr::ConstInt { dst: Reg(2), v: 0 });
+                    f.code.push(DecodedInstr::Cmp {
+                        pred: CmpPred::Eq,
+                        dst: Reg(2),
+                        a: Reg(1),
+                        b: Reg(2),
+                    });
+                    f.code.push(DecodedInstr::Branch {
+                        cond: Reg(2),
+                        then_t: 4,
+                        else_t: 6,
+                    });
+                    f.code.push(DecodedInstr::LpInt { dst: Reg(3), v: 7 });
+                    f.code.push(DecodedInstr::Ret { src: Reg(3) });
+                    f.code.push(DecodedInstr::LpInt { dst: Reg(2), v: 1 });
+                    f.call_builtin(Reg(3), lssa_rt::Builtin::NatSub, &[Reg(0), Reg(2)], 0)?;
+                    f.call(Reg(3), 1, &[Reg(3)])?;
+                    f.code.push(DecodedInstr::LpInt { dst: Reg(2), v: 1 });
+                    f.call_builtin(Reg(3), lssa_rt::Builtin::NatAdd, &[Reg(2), Reg(3)], 0)?;
+                    f.code.push(DecodedInstr::Ret { src: Reg(3) });
+                    Ok(())
+                }),
             ],
             ..CompiledProgram::default()
         }
@@ -2797,65 +2614,37 @@ mod tests {
     fn alloc_loop(n: i64) -> CompiledProgram {
         CompiledProgram {
             fns: vec![
-                CompiledFn {
-                    name: "main".into(),
-                    arity: 0,
-                    n_regs: 3,
-                    code: vec![
-                        Instr::LpInt { dst: Reg(0), v: n },
-                        Instr::Construct {
-                            dst: Reg(1),
-                            tag: 0,
-                            args: vec![],
-                        },
-                        Instr::Call {
-                            dst: Reg(2),
-                            func: 1,
-                            args: vec![Reg(0), Reg(1)],
-                        },
-                        Instr::Ret { src: Reg(2) },
-                    ],
-                },
-                CompiledFn {
-                    name: "build".into(),
-                    arity: 2,
-                    n_regs: 5,
-                    code: vec![
-                        Instr::GetLabel {
-                            dst: Reg(2),
-                            src: Reg(0),
-                        },
-                        Instr::ConstInt { dst: Reg(3), v: 0 },
-                        Instr::Cmp {
-                            pred: CmpPred::Eq,
-                            dst: Reg(3),
-                            a: Reg(2),
-                            b: Reg(3),
-                        },
-                        Instr::Branch {
-                            cond: Reg(3),
-                            then_t: 4,
-                            else_t: 5,
-                        },
-                        Instr::Ret { src: Reg(1) },
-                        Instr::Construct {
-                            dst: Reg(4),
-                            tag: 1,
-                            args: vec![Reg(0), Reg(1)],
-                        },
-                        Instr::LpInt { dst: Reg(3), v: 1 },
-                        Instr::CallBuiltin {
-                            dst: Reg(3),
-                            builtin: lssa_rt::Builtin::NatSub,
-                            args: vec![Reg(0), Reg(3)],
-                            mask: 0,
-                        },
-                        Instr::TailCall {
-                            func: 1,
-                            args: vec![Reg(3), Reg(4)],
-                        },
-                    ],
-                },
+                function("main", 0, 3, |f| {
+                    f.code.push(DecodedInstr::LpInt { dst: Reg(0), v: n });
+                    f.construct(Reg(1), 0, &[])?;
+                    f.call(Reg(2), 1, &[Reg(0), Reg(1)])?;
+                    f.code.push(DecodedInstr::Ret { src: Reg(2) });
+                    Ok(())
+                }),
+                function("build", 2, 5, |f| {
+                    f.code.push(DecodedInstr::GetLabel {
+                        dst: Reg(2),
+                        src: Reg(0),
+                    });
+                    f.code.push(DecodedInstr::ConstInt { dst: Reg(3), v: 0 });
+                    f.code.push(DecodedInstr::Cmp {
+                        pred: CmpPred::Eq,
+                        dst: Reg(3),
+                        a: Reg(2),
+                        b: Reg(3),
+                    });
+                    f.code.push(DecodedInstr::Branch {
+                        cond: Reg(3),
+                        then_t: 4,
+                        else_t: 5,
+                    });
+                    f.code.push(DecodedInstr::Ret { src: Reg(1) });
+                    f.construct(Reg(4), 1, &[Reg(0), Reg(1)])?;
+                    f.code.push(DecodedInstr::LpInt { dst: Reg(3), v: 1 });
+                    f.call_builtin(Reg(3), lssa_rt::Builtin::NatSub, &[Reg(0), Reg(3)], 0)?;
+                    f.tail_call(1, &[Reg(3), Reg(4)])?;
+                    Ok(())
+                }),
             ],
             ..CompiledProgram::default()
         }
@@ -2863,7 +2652,7 @@ mod tests {
 
     #[test]
     fn step_budget_error_is_structured() {
-        let p = single(vec![Instr::Jump { target: 0 }], 1);
+        let p = single(vec![DecodedInstr::Jump { target: 0 }], 1);
         let d = decode_program(&p);
         let mut vm = Vm::new(&d, 100);
         let e = vm.run("main").unwrap_err();
@@ -2874,7 +2663,7 @@ mod tests {
 
     #[test]
     fn limits_steps_tightens_the_constructor_budget() {
-        let p = single(vec![Instr::Jump { target: 0 }], 1);
+        let p = single(vec![DecodedInstr::Jump { target: 0 }], 1);
         let d = decode_program(&p);
         let opts = ExecOptions::default().with_limits(JobLimits::default().with_steps(37));
         let mut vm = Vm::with_options(&d, 1_000_000, opts);
@@ -2913,7 +2702,7 @@ mod tests {
 
     #[test]
     fn planned_cancellation_is_deterministic() {
-        let p = single(vec![Instr::Jump { target: 0 }], 1);
+        let p = single(vec![DecodedInstr::Jump { target: 0 }], 1);
         let d = decode_program(&p);
         let opts = ExecOptions::default().with_fault(FaultPlan {
             cancel_at: Some(5000),
@@ -2927,7 +2716,7 @@ mod tests {
 
     #[test]
     fn zero_deadline_trips_at_first_checkpoint() {
-        let p = single(vec![Instr::Jump { target: 0 }], 1);
+        let p = single(vec![DecodedInstr::Jump { target: 0 }], 1);
         let d = decode_program(&p);
         let opts = ExecOptions::default()
             .with_limits(JobLimits::default().with_deadline(Some(Duration::ZERO)));
@@ -2939,7 +2728,7 @@ mod tests {
 
     #[test]
     fn planted_panic_fires_and_vm_survives() {
-        let p = single(vec![Instr::Jump { target: 0 }], 1);
+        let p = single(vec![DecodedInstr::Jump { target: 0 }], 1);
         let d = decode_program(&p);
         let opts = ExecOptions::default().with_fault(FaultPlan {
             panic_at: Some(2048),

@@ -1,10 +1,12 @@
 //! # lssa-vm: the execution engine
 //!
 //! Stand-in for the paper's LLVM backend: compiles fully-lowered flat-CFG IR
-//! modules ([`compile`]) to a register bytecode ([`bytecode`]), pre-decodes
-//! it into a compact pointer-free execution stream with peephole-fused
-//! superinstructions ([`decode`]), and executes it ([`exec`]) over the
-//! shared `lssa-rt` heap.
+//! modules ([`compile`]) to a register bytecode ([`bytecode`]) in the VM's
+//! one instruction set — compact, pointer-free 16-byte cells
+//! ([`DecodedInstr`]) whose operand lists and switch tables live in
+//! per-function pools — then fuses adjacent cells into superinstructions
+//! and renumbers registers ([`decode`]), and executes the result ([`exec`])
+//! over the shared `lssa-rt` heap.
 //!
 //! Three properties matter for the reproduction:
 //!
@@ -26,7 +28,7 @@ pub mod compile;
 pub mod decode;
 pub mod exec;
 
-pub use bytecode::{CompiledFn, CompiledProgram, DecodeCache, Instr, Reg};
+pub use bytecode::{CompiledProgram, DecodeCache, Reg};
 pub use compile::{compile_module, CompileError};
 pub use decode::{
     decode_program, decode_program_with, DecodeOptions, DecodedFn, DecodedInstr, DecodedProgram,
