@@ -1028,3 +1028,31 @@ fn nesting_at_the_depth_bound_runs_and_one_past_is_e0006() {
         std::fs::remove_file(path).ok();
     }
 }
+
+/// `(def f (x0 … x{n-1}) (ret x0))` beside a `main` returning 1.
+fn wide_params(n: usize) -> String {
+    let params: Vec<String> = (0..n).map(|i| format!("x{i}")).collect();
+    format!(
+        "(def f ({}) (ret x0))\n(def main () (let x0 1 (ret x0)))\n",
+        params.join(" ")
+    )
+}
+
+/// A register file is counted in a `u16`: `check` accepts a function of
+/// 65,536 parameters, and every backend refuses it with a plain bytecode
+/// error instead of a panic.
+#[test]
+fn a_function_past_the_register_limit_is_a_bytecode_error() {
+    let path = write_lssa("params-65536", &wide_params(65_536));
+    let out = lssa().args(["check"]).arg(&path).output().unwrap();
+    assert!(out.status.success());
+    for backend in ["leanc", "mlir", "rgn-only", "none"] {
+        let stderr = assert_plain_error(&["run", "--backend", backend], &path);
+        assert!(
+            stderr.contains("bytecode error")
+                && stderr.contains("@f needs more than 65535 registers"),
+            "{backend}: {stderr}"
+        );
+    }
+    std::fs::remove_file(path).ok();
+}
