@@ -211,8 +211,8 @@ impl FnCompiler<'_> {
     }
 
     /// Fills [`FnBuffers::facts`] in one walk over the function's ops, and
-    /// returns how many entries the cells will take in the argument pool
-    /// and in the case pool.
+    /// returns a bound on the entries the cells will take in the argument
+    /// pool and in the case pool.
     fn gather_facts(&mut self, blocks: &[BlockId]) -> (usize, usize) {
         let body = self.body;
         let (mut args, mut cases) = (0, 0);

@@ -14,7 +14,7 @@
 //!
 //! [`crate::compile_module`] emits the base cells straight into each
 //! function's code and pools through [`DecodedFn`]'s emission methods
-//! ([`DecodedFn::call`], [`DecodedFn::switch`], …), which also build the
+//! (`DecodedFn::call`, `DecodedFn::switch`, …), which also build the
 //! tests' hand-written programs. A `u16` counts a function's registers, a
 //! cell's operands and a switch's entries, so the compiler refuses more
 //! than 65,535 of any of them with a [`crate::CompileError`].
@@ -851,7 +851,7 @@ impl DecodedFn {
 
     /// An empty function, to emit cells into: no code, empty pools, no
     /// inline-cache slots.
-    pub fn new(name: impl Into<String>, arity: u16, n_regs: u16) -> DecodedFn {
+    pub(crate) fn new(name: impl Into<String>, arity: u16, n_regs: u16) -> DecodedFn {
         DecodedFn {
             name: name.into(),
             arity,
@@ -874,14 +874,19 @@ impl DecodedFn {
     }
 
     /// Emits `dst ← ctor{tag}(args…)`.
-    pub fn construct(&mut self, dst: Reg, tag: u32, args: &[Reg]) -> Result<(), CompileError> {
+    pub(crate) fn construct(
+        &mut self,
+        dst: Reg,
+        tag: u32,
+        args: &[Reg],
+    ) -> Result<(), CompileError> {
         let args = self.intern_args(args)?;
         self.code.push(DecodedInstr::Construct { dst, tag, args });
         Ok(())
     }
 
     /// Emits a closure of `func`, of arity `arity`, capturing `args`.
-    pub fn pap(
+    pub(crate) fn pap(
         &mut self,
         dst: Reg,
         func: u32,
@@ -900,7 +905,12 @@ impl DecodedFn {
     }
 
     /// Emits the extension of `closure` by `args`.
-    pub fn pap_extend(&mut self, dst: Reg, closure: Reg, args: &[Reg]) -> Result<(), CompileError> {
+    pub(crate) fn pap_extend(
+        &mut self,
+        dst: Reg,
+        closure: Reg,
+        args: &[Reg],
+    ) -> Result<(), CompileError> {
         let args = self.intern_args(args)?;
         self.code.push(DecodedInstr::PapExtend {
             dst,
@@ -912,7 +922,7 @@ impl DecodedFn {
     }
 
     /// Emits `dst ← func(args…)`.
-    pub fn call(&mut self, dst: Reg, func: u32, args: &[Reg]) -> Result<(), CompileError> {
+    pub(crate) fn call(&mut self, dst: Reg, func: u32, args: &[Reg]) -> Result<(), CompileError> {
         let s = self.intern_args(args)?;
         self.code.push(DecodedInstr::Call {
             dst,
@@ -926,7 +936,7 @@ impl DecodedFn {
 
     /// Emits `dst ← builtin(args…)`, retaining the arguments `mask` names
     /// first.
-    pub fn call_builtin(
+    pub(crate) fn call_builtin(
         &mut self,
         dst: Reg,
         builtin: Builtin,
@@ -944,7 +954,7 @@ impl DecodedFn {
     }
 
     /// Emits the tail call `func(args…)`.
-    pub fn tail_call(&mut self, func: u32, args: &[Reg]) -> Result<(), CompileError> {
+    pub(crate) fn tail_call(&mut self, func: u32, args: &[Reg]) -> Result<(), CompileError> {
         let s = self.intern_args(args)?;
         self.code.push(DecodedInstr::TailCall {
             func,
@@ -955,7 +965,7 @@ impl DecodedFn {
     }
 
     /// Emits a jump table on `idx` over `(value, target)` pairs.
-    pub fn switch(
+    pub(crate) fn switch(
         &mut self,
         idx: Reg,
         cases: impl IntoIterator<Item = (i64, u32)>,
