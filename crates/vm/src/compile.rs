@@ -184,10 +184,6 @@ impl FnCompiler<'_> {
         Ok(Reg(r))
     }
 
-    fn push(&mut self, cell: DecodedInstr) {
-        self.out.code.push(cell);
-    }
-
     fn callee_of(&self, op: OpId) -> Result<Symbol, CompileError> {
         self.body.ops[op.index()]
             .attr(AttrKey::Callee)
@@ -274,7 +270,7 @@ impl FnCompiler<'_> {
             .ok_or_else(|| err("constant without defining op"))?;
         let dst = self.fresh_reg()?;
         let cell = self.constant(def, dst)?;
-        self.push(cell);
+        self.out.code.push(cell);
         Ok(dst)
     }
 
@@ -367,7 +363,7 @@ impl FnCompiler<'_> {
     /// Emits a jump to `dest`, patched once `dest` is placed.
     fn jump_to(&mut self, dest: BlockId, fixups: &mut Vec<(usize, usize, BlockId)>) {
         fixups.push((self.out.code.len(), 0, dest));
-        self.push(DecodedInstr::Jump { target: u32::MAX });
+        self.out.code.push(DecodedInstr::Jump { target: u32::MAX });
     }
 
     /// Points target slot *i* of the branch cell at `at` to successor *i*:
@@ -414,7 +410,7 @@ impl FnCompiler<'_> {
         if !conflict {
             for (&dst, &src) in dsts.iter().zip(srcs) {
                 if dst != src {
-                    self.push(DecodedInstr::Move { dst, src });
+                    self.out.code.push(DecodedInstr::Move { dst, src });
                 }
             }
         } else {
@@ -423,10 +419,10 @@ impl FnCompiler<'_> {
             let first = self.out.n_regs;
             for &src in srcs {
                 let t = self.fresh_reg()?;
-                self.push(DecodedInstr::Move { dst: t, src });
+                self.out.code.push(DecodedInstr::Move { dst: t, src });
             }
             for (&dst, t) in dsts.iter().zip(first..self.out.n_regs) {
-                self.push(DecodedInstr::Move { dst, src: Reg(t) });
+                self.out.code.push(DecodedInstr::Move { dst, src: Reg(t) });
             }
         }
         self.bufs.edge = regs;
@@ -473,7 +469,7 @@ impl FnCompiler<'_> {
                 if self.bufs.facts[value.index()] & ESCAPES != 0 {
                     let dst = self.reg(value)?;
                     let cell = self.constant(op, dst)?;
-                    self.push(cell);
+                    self.out.code.push(cell);
                 }
             }
             AddI | SubI | MulI | DivI | RemI | AndI | OrI | XorI => {
@@ -489,7 +485,7 @@ impl FnCompiler<'_> {
                     _ => unreachable!(),
                 };
                 let dst = self.reg(result.unwrap())?;
-                self.push(DecodedInstr::Bin {
+                self.out.code.push(DecodedInstr::Bin {
                     op: binop,
                     dst,
                     a: srcs[0],
@@ -502,7 +498,7 @@ impl FnCompiler<'_> {
                     .and_then(|a| a.as_pred())
                     .ok_or_else(|| err("cmpi without predicate"))?;
                 let dst = self.reg(result.unwrap())?;
-                self.push(DecodedInstr::Cmp {
+                self.out.code.push(DecodedInstr::Cmp {
                     pred,
                     dst,
                     a: srcs[0],
@@ -511,7 +507,7 @@ impl FnCompiler<'_> {
             }
             Select => {
                 let dst = self.reg(result.unwrap())?;
-                self.push(DecodedInstr::Select {
+                self.out.code.push(DecodedInstr::Select {
                     dst,
                     c: srcs[0],
                     a: srcs[1],
@@ -525,7 +521,7 @@ impl FnCompiler<'_> {
                     Some(bits) if bits < 64 => (1u64 << bits) - 1,
                     _ => u64::MAX,
                 };
-                self.push(DecodedInstr::Mask {
+                self.out.code.push(DecodedInstr::Mask {
                     dst,
                     src: srcs[0],
                     mask,
@@ -539,7 +535,7 @@ impl FnCompiler<'_> {
             CondBr => {
                 // Edge trampolines handle per-edge argument transfer.
                 let branch_at = self.out.code.len();
-                self.push(DecodedInstr::Branch {
+                self.out.code.push(DecodedInstr::Branch {
                     cond: srcs[0],
                     then_t: u32::MAX,
                     else_t: u32::MAX,
@@ -556,7 +552,7 @@ impl FnCompiler<'_> {
                     .switch(srcs[0], cases.iter().map(|&c| (c, u32::MAX)), u32::MAX)?;
                 self.emit_arms(switch_at, &data.successors, fixups)?;
             }
-            Unreachable => self.push(DecodedInstr::Trap),
+            Unreachable => self.out.code.push(DecodedInstr::Trap),
             Call | TailCall => match self.callee(op)? {
                 Callee::Fn(func) if opcode == Call => {
                     let dst = self.reg(result.unwrap())?;
@@ -574,11 +570,11 @@ impl FnCompiler<'_> {
                     } else {
                         let dst = self.fresh_reg()?;
                         self.out.call_builtin(dst, builtin, srcs, mask)?;
-                        self.push(DecodedInstr::Ret { src: dst });
+                        self.out.code.push(DecodedInstr::Ret { src: dst });
                     }
                 }
             },
-            Return => self.push(DecodedInstr::Ret { src: srcs[0] }),
+            Return => self.out.code.push(DecodedInstr::Ret { src: srcs[0] }),
             LpBigInt => {
                 let digits = data
                     .attr(AttrKey::Value)
@@ -589,7 +585,7 @@ impl FnCompiler<'_> {
                 let idx = self.program.big_pool.len() as u32;
                 self.program.big_pool.push(n);
                 let dst = self.reg(result.unwrap())?;
-                self.push(DecodedInstr::LpBig { dst, idx });
+                self.out.code.push(DecodedInstr::LpBig { dst, idx });
             }
             LpStr => {
                 let s = data
@@ -600,7 +596,7 @@ impl FnCompiler<'_> {
                 let idx = self.program.str_pool.len() as u32;
                 self.program.str_pool.push(s);
                 let dst = self.reg(result.unwrap())?;
-                self.push(DecodedInstr::LpStr { dst, idx });
+                self.out.code.push(DecodedInstr::LpStr { dst, idx });
             }
             LpConstruct => {
                 let tag = data
@@ -615,7 +611,9 @@ impl FnCompiler<'_> {
             }
             LpGetLabel => {
                 let dst = self.reg(result.unwrap())?;
-                self.push(DecodedInstr::GetLabel { dst, src: srcs[0] });
+                self.out
+                    .code
+                    .push(DecodedInstr::GetLabel { dst, src: srcs[0] });
             }
             LpProject => {
                 let idx = data
@@ -623,7 +621,7 @@ impl FnCompiler<'_> {
                     .and_then(|a| a.as_int())
                     .ok_or_else(|| err("lp.project without index"))?;
                 let dst = self.reg(result.unwrap())?;
-                self.push(DecodedInstr::Project {
+                self.out.code.push(DecodedInstr::Project {
                     dst,
                     src: srcs[0],
                     idx: idx as u32,
@@ -646,8 +644,8 @@ impl FnCompiler<'_> {
                 self.out.pap_extend(dst, srcs[0], &srcs[1..])?;
             }
             LpInc | LpDec if self.bufs.facts[operands[0].index()] & DECIDED != 0 => {}
-            LpInc => self.push(DecodedInstr::Inc { src: srcs[0] }),
-            LpDec => self.push(DecodedInstr::Dec { src: srcs[0] }),
+            LpInc => self.out.code.push(DecodedInstr::Inc { src: srcs[0] }),
+            LpDec => self.out.code.push(DecodedInstr::Dec { src: srcs[0] }),
             LpGlobalLoad | LpGlobalStore => {
                 let g = data
                     .attr(AttrKey::Global)
@@ -663,9 +661,11 @@ impl FnCompiler<'_> {
                     as u32;
                 if opcode == LpGlobalLoad {
                     let dst = self.reg(result.unwrap())?;
-                    self.push(DecodedInstr::GlobalLoad { dst, idx });
+                    self.out.code.push(DecodedInstr::GlobalLoad { dst, idx });
                 } else {
-                    self.push(DecodedInstr::GlobalStore { idx, src: srcs[0] });
+                    self.out
+                        .code
+                        .push(DecodedInstr::GlobalStore { idx, src: srcs[0] });
                 }
             }
             _ => {
