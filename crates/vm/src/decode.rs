@@ -2503,6 +2503,20 @@ pub(crate) mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "@f: arity 2 exceeds register file size 1")]
+    fn an_arity_above_the_register_file_is_refused() {
+        // The frame-pool calling convention would drop the second argument.
+        let p = CompiledProgram {
+            fns: vec![function("f", 2, 1, |f| {
+                f.code.push(DecodedInstr::Ret { src: Reg(0) });
+                Ok(())
+            })],
+            ..CompiledProgram::default()
+        };
+        decode_program_with(&p, DecodeOptions::no_fuse());
+    }
+
+    #[test]
     fn out_of_range_registers_decode_without_panicking() {
         // An unreachable instruction naming a register beyond n_regs is
         // decodable (and runnable — the bad cell never executes); the
